@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt vet build cross test race trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke bench bench-snapshot
+.PHONY: ci fmt vet build cross test race traj-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke bench bench-snapshot
 
 # ci is the tier-1 gate: everything must pass before a change lands.
-ci: fmt vet build cross test race trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke
+ci: fmt vet build cross test race traj-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke
 
 # fmt fails when any tracked file is not gofmt-clean (prints offenders).
 fmt:
@@ -34,6 +34,15 @@ test:
 # server — all sampled from outside the run's goroutines).
 race:
 	$(GO) test -race ./internal/core/... ./internal/summary/... ./internal/smt ./internal/logic ./internal/query ./internal/store ./internal/wire ./internal/obs ./internal/incr
+
+# traj-pin holds the one-thread trajectory of the analyses still: verdict,
+# virtual ticks, query count and solver calls of the four parport Table-1
+# checks and of every corpus program under all three analyses must equal
+# testdata/traj_pin.golden. A perf change that passes it did the same work
+# in less time; one that moves the trajectory on purpose regenerates the
+# table with `go test -run TestTrajectoryPin -update-traj .` and says so.
+traj-pin:
+	$(GO) test -run TestTrajectoryPin -count=1 .
 
 # trace-smoke round-trips a corpus program through all three engines with
 # the Chrome tracer attached and validates the serialized document.

@@ -107,13 +107,47 @@ func Lt(x, y Lin) Formula { return LE(x.Sub(y).AddConst(1)) }
 // Eq returns the formula x = y.
 func Eq(x, y Lin) Formula { return EQ(x.Sub(y)) }
 
+// idSet is a set of interned ids sized for what formula construction
+// meets: a handful of members, found by scanning a slice. Only a set that
+// outgrows idSetLinear pays for a map.
+type idSet struct {
+	ids []ID        // members in insertion order
+	big map[ID]bool // mirrors ids once len(ids) > idSetLinear
+}
+
+const idSetLinear = 24
+
+// insert adds id and reports whether it was new.
+func (s *idSet) insert(id ID) bool {
+	if s.big != nil {
+		if s.big[id] {
+			return false
+		}
+		s.big[id] = true
+	} else {
+		for _, x := range s.ids {
+			if x == id {
+				return false
+			}
+		}
+	}
+	s.ids = append(s.ids, id)
+	if s.big == nil && len(s.ids) > idSetLinear {
+		s.big = make(map[ID]bool, 2*len(s.ids))
+		for _, x := range s.ids {
+			s.big[x] = true
+		}
+	}
+	return true
+}
+
 // nodeBuilder accumulates the flattened, deduplicated children of a
 // Conj/Disj. Dedup is by interned id; the string map only exists when
-// some child overflowed the intern table.
+// some child overflowed the intern table (the node then stays uninterned
+// and seen.ids no longer lines up with out).
 type nodeBuilder struct {
 	out     []Formula
-	ids     []ID
-	seen    map[ID]bool
+	seen    idSet
 	seenStr map[string]bool
 	allIn   bool // every child has a non-zero id
 }
@@ -121,18 +155,15 @@ type nodeBuilder struct {
 func newNodeBuilder(n int) nodeBuilder {
 	return nodeBuilder{
 		out:   make([]Formula, 0, n),
-		ids:   make([]ID, 0, n),
-		seen:  make(map[ID]bool, n),
+		seen:  idSet{ids: make([]ID, 0, n)},
 		allIn: true,
 	}
 }
 
 func (b *nodeBuilder) add(g Formula) {
 	if id := KeyID(g); id != 0 {
-		if !b.seen[id] {
-			b.seen[id] = true
+		if b.seen.insert(id) {
 			b.out = append(b.out, g)
-			b.ids = append(b.ids, id)
 		}
 		return
 	}
@@ -144,14 +175,19 @@ func (b *nodeBuilder) add(g Formula) {
 	if !b.seenStr[k] {
 		b.seenStr[k] = true
 		b.out = append(b.out, g)
-		b.ids = append(b.ids, 0)
 	}
 }
 
 // Conj returns the conjunction of fs, flattened, deduplicated and
 // constant-folded.
 func Conj(fs ...Formula) Formula {
-	b := newNodeBuilder(len(fs))
+	n := len(fs)
+	for _, f := range fs {
+		if a, ok := f.(And); ok {
+			n += len(a.Fs) - 1
+		}
+	}
+	b := newNodeBuilder(n)
 	add := func(g Formula) bool {
 		if c, ok := g.(Bool); ok {
 			return bool(c) // false aborts
@@ -180,7 +216,7 @@ func Conj(fs ...Formula) Formula {
 	}
 	node := And{Fs: b.out}
 	if b.allIn {
-		node.id = internNode(tagAnd, b.ids)
+		node.id = internNode(tagAnd, b.seen.ids)
 	}
 	return node
 }
@@ -188,7 +224,13 @@ func Conj(fs ...Formula) Formula {
 // Disj returns the disjunction of fs, flattened, deduplicated and
 // constant-folded.
 func Disj(fs ...Formula) Formula {
-	b := newNodeBuilder(len(fs))
+	n := len(fs)
+	for _, f := range fs {
+		if o, ok := f.(Or); ok {
+			n += len(o.Fs) - 1
+		}
+	}
+	b := newNodeBuilder(n)
 	add := func(g Formula) bool {
 		if c, ok := g.(Bool); ok {
 			return !bool(c) // true aborts
@@ -217,7 +259,7 @@ func Disj(fs ...Formula) Formula {
 	}
 	node := Or{Fs: b.out}
 	if b.allIn {
-		node.id = internNode(tagOr, b.ids)
+		node.id = internNode(tagOr, b.seen.ids)
 	}
 	return node
 }

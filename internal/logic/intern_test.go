@@ -132,3 +132,57 @@ func BenchmarkInternConstruct(b *testing.B) {
 		_ = buildNested(int64(i % 16))
 	}
 }
+
+// Duplicate children are dropped, first occurrence kept, on both sides of
+// the width at which the builder's id set switches from a scan to a map.
+func TestConjDedupAcrossSetSizes(t *testing.T) {
+	x := internVar("x")
+	for _, n := range []int{3, idSetLinear, idSetLinear + 1, 3 * idSetLinear} {
+		var fs, uniq []Formula
+		for i := 0; i < n; i++ {
+			a := LEq(x, LinConst(int64(i)))
+			uniq = append(uniq, a)
+			fs = append(fs, a, LEq(x, LinConst(int64(i/2))))
+		}
+		for name, got := range map[string]Formula{"Conj": Conj(fs...), "Disj": Disj(fs...)} {
+			var kids []Formula
+			switch g := got.(type) {
+			case And:
+				kids = g.Fs
+			case Or:
+				kids = g.Fs
+			}
+			if len(kids) != n {
+				t.Fatalf("%s of %d distinct atoms (each twice) has %d children", name, n, len(kids))
+			}
+			for i, k := range kids {
+				if Key(k) != Key(uniq[i]) {
+					t.Fatalf("%s child %d = %v, want %v", name, i, k, uniq[i])
+				}
+			}
+		}
+	}
+}
+
+var conjSink Formula
+
+// BenchmarkConjSmall: the conjunctions PUNCH builds all day — two to four
+// children, one of them often a conjunction itself. The three allocations
+// per call are the child slice, the id slice and the node; a dedup map
+// would show as more, which the allocation check below turns into a
+// failure.
+func BenchmarkConjSmall(b *testing.B) {
+	x, y := internVar("x"), internVar("y")
+	region := Conj(LEq(x, LinConst(4)), LEq(LinConst(0), x))
+	wp := LEq(y.Add(x), LinConst(9))
+	pre := LEq(LinConst(1), y)
+	build := func() { conjSink = Conj(region, wp, pre, wp) }
+	if a := testing.AllocsPerRun(100, build); a > 3 {
+		b.Fatalf("Conj of four small children allocates %.0f times, want at most 3 (no map)", a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build()
+	}
+}

@@ -49,14 +49,6 @@ func linFromMap(k int64, m map[lang.Var]int64) Lin {
 	return Lin{K: k, Vars: vars, Coefs: coefs}
 }
 
-func (l Lin) toMap() map[lang.Var]int64 {
-	m := make(map[lang.Var]int64, len(l.Vars))
-	for i, v := range l.Vars {
-		m[v] = l.Coefs[i]
-	}
-	return m
-}
-
 // IsConst reports whether l has no variables.
 func (l Lin) IsConst() bool { return len(l.Vars) == 0 }
 
@@ -69,13 +61,36 @@ func (l Lin) Coef(v lang.Var) int64 {
 	return 0
 }
 
-// Add returns l + r.
+// Add returns l + r: a merge of the two sorted variable lists.
 func (l Lin) Add(r Lin) Lin {
-	m := l.toMap()
-	for i, v := range r.Vars {
-		m[v] += r.Coefs[i]
+	if len(r.Vars) == 0 {
+		return l.AddConst(r.K)
 	}
-	return linFromMap(l.K+r.K, m)
+	if len(l.Vars) == 0 {
+		return r.AddConst(l.K)
+	}
+	n := len(l.Vars) + len(r.Vars)
+	out := Lin{K: l.K + r.K, Vars: make([]lang.Var, 0, n), Coefs: make([]int64, 0, n)}
+	i, j := 0, 0
+	for i < len(l.Vars) && j < len(r.Vars) {
+		switch {
+		case l.Vars[i] < r.Vars[j]:
+			out.Vars, out.Coefs = append(out.Vars, l.Vars[i]), append(out.Coefs, l.Coefs[i])
+			i++
+		case l.Vars[i] > r.Vars[j]:
+			out.Vars, out.Coefs = append(out.Vars, r.Vars[j]), append(out.Coefs, r.Coefs[j])
+			j++
+		default:
+			if c := l.Coefs[i] + r.Coefs[j]; c != 0 {
+				out.Vars, out.Coefs = append(out.Vars, l.Vars[i]), append(out.Coefs, c)
+			}
+			i++
+			j++
+		}
+	}
+	out.Vars = append(append(out.Vars, l.Vars[i:]...), r.Vars[j:]...)
+	out.Coefs = append(append(out.Coefs, l.Coefs[i:]...), r.Coefs[j:]...)
+	return out
 }
 
 // Sub returns l - r.
@@ -102,14 +117,14 @@ func (l Lin) AddConst(k int64) Lin {
 
 // Subst returns l with every occurrence of v replaced by r.
 func (l Lin) Subst(v lang.Var, r Lin) Lin {
-	c := l.Coef(v)
-	if c == 0 {
+	i := sort.Search(len(l.Vars), func(i int) bool { return l.Vars[i] >= v })
+	if i == len(l.Vars) || l.Vars[i] != v {
 		return l
 	}
-	m := l.toMap()
-	delete(m, v)
-	base := linFromMap(l.K, m)
-	return base.Add(r.Scale(c))
+	base := Lin{K: l.K, Vars: make([]lang.Var, 0, len(l.Vars)-1), Coefs: make([]int64, 0, len(l.Vars)-1)}
+	base.Vars = append(append(base.Vars, l.Vars[:i]...), l.Vars[i+1:]...)
+	base.Coefs = append(append(base.Coefs, l.Coefs[:i]...), l.Coefs[i+1:]...)
+	return base.Add(r.Scale(l.Coefs[i]))
 }
 
 // Rename returns l with variables renamed by ren (identity for missing

@@ -378,6 +378,50 @@ func TestLinArithmeticProperties(t *testing.T) {
 	}
 }
 
+// Add and Subst merge sorted variable lists; their results must be the
+// canonical term a coefficient map gives (sorted, distinct, no zeros),
+// cancellations and disjoint, overlapping and empty operands included.
+func TestLinAddSubstAgainstCoefficientMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	names := []lang.Var{"a", "b", "c", "d", "e"}
+	random := func() Lin {
+		m := map[lang.Var]int64{}
+		for _, v := range names {
+			if rng.Intn(2) == 0 {
+				m[v] = int64(rng.Intn(5) - 2)
+			}
+		}
+		return linFromMap(int64(rng.Intn(7)-3), m)
+	}
+	coefs := func(l Lin) map[lang.Var]int64 {
+		m := map[lang.Var]int64{}
+		for i, v := range l.Vars {
+			m[v] = l.Coefs[i]
+		}
+		return m
+	}
+	for i := 0; i < 2000; i++ {
+		l, r := random(), random()
+		sum := coefs(l)
+		for v, c := range coefs(r) {
+			sum[v] += c
+		}
+		if got, want := l.Add(r), linFromMap(l.K+r.K, sum); !got.Equal(want) {
+			t.Fatalf("(%v) + (%v) = %v, want %v", l, r, got, want)
+		}
+		v := names[rng.Intn(len(names))]
+		sub := coefs(l)
+		c := sub[v]
+		delete(sub, v)
+		for w, k := range coefs(r) {
+			sub[w] += c * k
+		}
+		if got, want := l.Subst(v, r), linFromMap(l.K+c*r.K, sub); !got.Equal(want) {
+			t.Fatalf("(%v)[%s := %v] = %v, want %v", l, v, r, got, want)
+		}
+	}
+}
+
 func TestMentionsAndSize(t *testing.T) {
 	f := Conj(LEq(LinVar("a"), LinConst(1)), Disj(EQ(LinVar("b")), LEq(LinVar("c"), LinConst(0))))
 	if !Mentions(f, map[lang.Var]bool{"b": true}) {

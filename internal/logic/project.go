@@ -115,7 +115,7 @@ func cubesOf(f Formula, max int) ([]Cube, bool) {
 // constant folding alone.
 func simplifyCube(c Cube) (Cube, bool) {
 	out := make(Cube, 0, len(c))
-	seen := map[ID]bool{}
+	seen := idSet{ids: make([]ID, 0, len(c))}
 	var seenStr map[string]bool // fallback for intern-table overflow
 	for _, a := range c {
 		l := a.L.normalizeLE()
@@ -126,10 +126,9 @@ func simplifyCube(c Cube) (Cube, bool) {
 			continue
 		}
 		if id := LinID(l); id != 0 {
-			if seen[id] {
+			if !seen.insert(id) {
 				continue
 			}
-			seen[id] = true
 		} else {
 			if seenStr == nil {
 				seenStr = map[string]bool{}

@@ -15,14 +15,13 @@ package may
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/cfg"
 	"repro/internal/lang"
 	"repro/internal/logic"
 	"repro/internal/punch"
+	"repro/internal/punch/regions"
 	"repro/internal/query"
-	"repro/internal/smt"
 	"repro/internal/summary"
 )
 
@@ -47,53 +46,28 @@ func New() *Analysis {
 // Name implements punch.Punch.
 func (a *Analysis) Name() string { return "may (CEGAR-style)" }
 
-type region struct {
-	id     int
-	node   cfg.NodeID
-	f      logic.Formula
-	target bool
-}
-
-type edgeKey struct {
-	edge     int
-	from, to int
-}
-
-type pendingChild struct {
-	q summary.Question
-}
-
 type obj struct {
 	proc        *cfg.Proc
 	globals     []lang.Var
-	regCount    int
-	regAt       map[cfg.NodeID][]*region
-	elim        map[edgeKey]bool
-	open        map[edgeKey]int8
-	pending     map[edgeKey]pendingChild
-	attempts    map[edgeKey]int
-	stuck       map[edgeKey]bool
+	g           *regions.Graph // the region graph, built by initialize
 	symCount    int
 	initialized bool
 }
 
 // Step implements punch.Punch.
 func (a *Analysis) Step(ctx *punch.Context, q *query.Query) punch.Result {
-	st := &stepper{a: a, ctx: ctx, q: q, solver: ctx.DB.Solver()}
+	st := &stepper{Meter: punch.Meter{Solver: ctx.DB.Solver()}, a: a, ctx: ctx, q: q}
 	return st.run()
 }
 
 type stepper struct {
-	a        *Analysis
-	ctx      *punch.Context
-	q        *query.Query
-	o        *obj
-	solver   *smt.Solver
-	cost     int64
-	children []*query.Query
+	punch.Meter // abstract work of this Step, and the solver it is charged on
+	a           *Analysis
+	ctx         *punch.Context
+	q           *query.Query
+	o           *obj
+	children    []*query.Query
 }
-
-func (st *stepper) charge(n int64) { st.cost += n }
 
 func (st *stepper) debugf(format string, args ...any) {
 	if st.a.Debug == nil {
@@ -104,16 +78,6 @@ func (st *stepper) debugf(format string, args ...any) {
 	fmt.Fprintln(st.a.Debug)
 }
 
-func (st *stepper) sat(f logic.Formula) smt.Result {
-	st.charge(4)
-	return st.solver.Sat(f)
-}
-
-func (st *stepper) implies(a, b logic.Formula) bool {
-	st.charge(4)
-	return st.solver.Implies(a, b)
-}
-
 func (st *stepper) finish(state query.State, outcome query.Outcome) punch.Result {
 	st.q.State = state
 	st.q.Outcome = outcome
@@ -122,12 +86,12 @@ func (st *stepper) finish(state query.State, outcome query.Outcome) punch.Result
 	if state == query.Done {
 		children = nil
 	}
-	return punch.Result{Self: st.q, Children: children, Cost: st.cost}
+	return punch.Result{Self: st.q, Children: children, Cost: st.Cost}
 }
 
 func (st *stepper) run() punch.Result {
 	if _, verdict := st.ctx.DB.Answer(st.q.Q); verdict != 0 {
-		st.charge(4)
+		st.Charge(4)
 		st.ensureObj()
 		if verdict > 0 {
 			return st.finish(query.Done, query.Reachable)
@@ -140,20 +104,20 @@ func (st *stepper) run() punch.Result {
 			return res
 		}
 	}
-	st.sweepPending()
+	st.o.g.SweepPending(st.ctx.DB)
 
 	for {
-		if st.cost >= st.a.Budget {
+		if st.Cost >= st.a.Budget {
 			return st.finish(query.Ready, query.Pending)
 		}
-		path := st.findPath(true)
+		path := st.o.g.FindPath(&st.Meter, st.q.Q.Pre, true)
 		if path == nil {
-			if st.findPath(false) == nil {
+			if st.o.g.FindPath(&st.Meter, st.q.Q.Pre, false) == nil {
 				st.ctx.DB.Add(summary.Summary{Kind: summary.NotMay, Proc: st.q.Q.Proc, Pre: st.q.Q.Pre, Post: st.q.Q.Post})
 				st.debugf("DONE unreachable (no abstract path)")
 				return st.finish(query.Done, query.Unreachable)
 			}
-			st.debugf("BLOCKED (pending=%d stuck=%d)", len(st.o.pending), len(st.o.stuck))
+			st.debugf("BLOCKED")
 			return st.finish(query.Blocked, query.Pending)
 		}
 		if res, done := st.refuteOrConfirm(path); done {
@@ -170,289 +134,38 @@ func (st *stepper) ensureObj() {
 		st.o = o
 		return
 	}
-	st.o = &obj{
-		proc:     st.ctx.Prog.Proc(st.q.Q.Proc),
-		globals:  st.ctx.Prog.Globals,
-		regAt:    map[cfg.NodeID][]*region{},
-		elim:     map[edgeKey]bool{},
-		open:     map[edgeKey]int8{},
-		pending:  map[edgeKey]pendingChild{},
-		attempts: map[edgeKey]int{},
-		stuck:    map[edgeKey]bool{},
-	}
-}
-
-// newRegion mints a region without attaching it; attach explicitly or via
-// replaceRegion.
-func (st *stepper) newRegion(node cfg.NodeID, f logic.Formula, target bool) *region {
-	r := &region{id: st.o.regCount, node: node, f: f, target: target}
-	st.o.regCount++
-	return r
-}
-
-func (st *stepper) attach(r *region) {
-	st.o.regAt[r.node] = append(st.o.regAt[r.node], r)
-}
-
-// partitionOn replaces region r by conjunctive cube regions partitioning
-// it along wp (see the maymust package for the rationale).
-func (st *stepper) partitionOn(r *region, wp logic.Formula) (ins, outs []*region) {
-	mk := func(f logic.Formula) []*region {
-		var parts []*region
-		cubes, ok := logic.Cubes(f, 32)
-		if !ok {
-			st.charge(8)
-			g := st.solver.Simplify(f)
-			if sr := st.sat(g); sr.Known && !sr.Sat {
-				return nil
-			}
-			return []*region{st.newRegion(r.node, g, r.target)}
-		}
-		for _, c := range cubes {
-			st.charge(4)
-			cf := st.solver.Simplify(c.Formula())
-			if sr := st.sat(cf); sr.Known && !sr.Sat {
-				continue
-			}
-			parts = append(parts, st.newRegion(r.node, cf, r.target))
-		}
-		return parts
-	}
-	ins = mk(logic.Conj(r.f, wp))
-	outs = mk(logic.Conj(r.f, logic.Not(wp)))
-	all := append(append([]*region{}, ins...), outs...)
-	st.replaceRegion(r, all...)
-	return ins, outs
+	st.o = &obj{proc: st.ctx.Prog.Proc(st.q.Q.Proc), globals: st.ctx.Prog.Globals}
 }
 
 func (st *stepper) initialize() (bool, punch.Result) {
 	o, q := st.o, st.q
-	pre := st.sat(q.Q.Pre)
+	pre := st.Sat(q.Q.Pre)
 	if pre.Known && !pre.Sat {
 		st.ctx.DB.Add(summary.Summary{Kind: summary.NotMay, Proc: q.Q.Proc, Pre: q.Q.Pre, Post: q.Q.Post})
 		o.initialized = true
 		return true, st.finish(query.Done, query.Unreachable)
 	}
-	for n := 0; n < o.proc.NNodes; n++ {
-		node := cfg.NodeID(n)
-		if node == o.proc.Exit {
-			st.attach(st.newRegion(node, q.Q.Post, true))
-			st.attach(st.newRegion(node, logic.Not(q.Q.Post), false))
-		} else {
-			st.attach(st.newRegion(node, logic.True, false))
-		}
-	}
+	o.g = regions.New(o.proc, q.Q.Post)
 	o.initialized = true
 	return false, punch.Result{}
-}
-
-func (st *stepper) sweepPending() {
-	keys := make([]edgeKey, 0, len(st.o.pending))
-	for k := range st.o.pending {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.edge != b.edge {
-			return a.edge < b.edge
-		}
-		if a.from != b.from {
-			return a.from < b.from
-		}
-		return a.to < b.to
-	})
-	for _, k := range keys {
-		if _, verdict := st.ctx.DB.Answer(st.o.pending[k].q); verdict != 0 {
-			delete(st.o.pending, k)
-		}
-	}
-}
-
-type pathStep struct {
-	edge int
-	from *region
-	to   *region
-}
-
-func (st *stepper) findPath(avoid bool) []pathStep {
-	o, q := st.o, st.q
-	type nodeReg struct {
-		node cfg.NodeID
-		reg  *region
-	}
-	parent := map[int]pathStep{}
-	seen := map[int]bool{}
-	var queue []nodeReg
-	for _, r := range o.regAt[o.proc.Entry] {
-		s := st.sat(logic.Conj(r.f, q.Q.Pre))
-		if s.Known && !s.Sat {
-			continue
-		}
-		seen[r.id] = true
-		queue = append(queue, nodeReg{o.proc.Entry, r})
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.reg.target && cur.node == o.proc.Exit {
-			var rev []pathStep
-			at := cur.reg.id
-			for {
-				stp, ok := parent[at]
-				if !ok {
-					break
-				}
-				rev = append(rev, stp)
-				at = stp.from.id
-			}
-			out := make([]pathStep, len(rev))
-			for i := range rev {
-				out[i] = rev[len(rev)-1-i]
-			}
-			return out
-		}
-		for _, ei := range o.proc.Out[cur.node] {
-			e := o.proc.Edges[ei]
-			for _, r2 := range o.regAt[e.To] {
-				if seen[r2.id] {
-					continue
-				}
-				k := edgeKey{ei, cur.reg.id, r2.id}
-				if o.elim[k] {
-					continue
-				}
-				if avoid && (o.stuck[k] || hasPending(o, k)) {
-					continue
-				}
-				if !st.edgeOpen(k, e, cur.reg, r2) {
-					continue
-				}
-				seen[r2.id] = true
-				parent[r2.id] = pathStep{ei, cur.reg, r2}
-				queue = append(queue, nodeReg{e.To, r2})
-			}
-		}
-	}
-	return nil
-}
-
-func hasPending(o *obj, k edgeKey) bool {
-	_, ok := o.pending[k]
-	return ok
-}
-
-func (st *stepper) edgeOpen(k edgeKey, e cfg.Edge, from, to *region) bool {
-	o := st.o
-	if v, ok := o.open[k]; ok {
-		return v > 0
-	}
-	if _, isCall := e.Stmt.(lang.Call); isCall {
-		o.open[k] = 1
-		return true
-	}
-	st.charge(2)
-	wp := logic.Pre(e.Stmt, to.f, logic.Over)
-	r := st.sat(logic.Conj(from.f, wp))
-	if r.Known && !r.Sat {
-		o.open[k] = -1
-		return false
-	}
-	o.open[k] = 1
-	return true
-}
-
-// replaceRegion swaps r for the given parts (see maymust for the
-// migration rationale).
-func (st *stepper) replaceRegion(r *region, parts ...*region) {
-	o := st.o
-	regs := o.regAt[r.node]
-	out := regs[:0]
-	for _, x := range regs {
-		if x.id != r.id {
-			out = append(out, x)
-		}
-	}
-	o.regAt[r.node] = append(out, parts...)
-
-	partIDs := make([]int, len(parts))
-	for i, p := range parts {
-		partIDs[i] = p.id
-	}
-	migrate := func(old edgeKey) []edgeKey {
-		if old.from != r.id && old.to != r.id {
-			return nil
-		}
-		froms := []int{old.from}
-		if old.from == r.id {
-			froms = partIDs
-		}
-		tos := []int{old.to}
-		if old.to == r.id {
-			tos = partIDs
-		}
-		var ks []edgeKey
-		for _, f := range froms {
-			for _, t := range tos {
-				ks = append(ks, edgeKey{old.edge, f, t})
-			}
-		}
-		return ks
-	}
-	for _, m := range []map[edgeKey]bool{o.elim, o.stuck} {
-		var add []edgeKey
-		for k, v := range m {
-			if v {
-				add = append(add, migrate(k)...)
-			}
-		}
-		for _, k := range add {
-			m[k] = true
-		}
-	}
-	type kv struct {
-		k edgeKey
-		v pendingChild
-	}
-	var addP []kv
-	for k, v := range o.pending {
-		for _, nk := range migrate(k) {
-			addP = append(addP, kv{nk, v})
-		}
-	}
-	for _, e := range addP {
-		o.pending[e.k] = e.v
-	}
-	type ka struct {
-		k edgeKey
-		v int
-	}
-	var addA []ka
-	for k, v := range o.attempts {
-		for _, nk := range migrate(k) {
-			addA = append(addA, ka{nk, v})
-		}
-	}
-	for _, e := range addA {
-		o.attempts[e.k] = e.v
-	}
 }
 
 // refuteOrConfirm walks the abstract path backwards splitting regions on
 // suffix preimages; if the path survives to the entry it is confirmed by
 // exact forward symbolic execution. done=true ends the query.
-func (st *stepper) refuteOrConfirm(path []pathStep) (punch.Result, bool) {
+func (st *stepper) refuteOrConfirm(path []*regions.Edge) (punch.Result, bool) {
 	o, q := st.o, st.q
 	// cur is the refined suffix-reaching set at the current position,
 	// represented by a live region.
-	cur := path[len(path)-1].to
+	cur := path[len(path)-1].To
 	for i := len(path) - 1; i >= 0; i-- {
 		stp := path[i]
 		// The path may reference regions retired by earlier splits in this
 		// very walk; restart the search in that case.
-		if !st.regionLive(stp.from) || !st.regionLive(cur) {
+		if !stp.From.Live() || !cur.Live() {
 			return punch.Result{}, false
 		}
-		e := o.proc.Edges[stp.edge]
+		e := o.proc.Edges[stp.CFG]
 		if c, isCall := e.Stmt.(lang.Call); isCall {
 			next, progressed := st.backwardCall(path[:i], stp, cur, c.Proc)
 			if progressed {
@@ -464,54 +177,43 @@ func (st *stepper) refuteOrConfirm(path []pathStep) (punch.Result, bool) {
 			cur = next
 			continue
 		}
-		st.charge(2)
-		wp := logic.Pre(e.Stmt, cur.f, logic.Over)
-		f1 := st.solver.Simplify(logic.Conj(stp.from.f, wp))
-		r1 := st.sat(f1)
+		st.Charge(2)
+		wp := logic.Pre(e.Stmt, cur.F, logic.Over)
+		f1 := st.Solver.Simplify(logic.Conj(stp.From.F, wp))
+		r1 := st.Sat(f1)
 		if r1.Known && !r1.Sat {
 			// No state in the source region can enter the suffix.
-			o.elim[edgeKey{stp.edge, stp.from.id, cur.id}] = true
+			o.g.Edge(stp.CFG, stp.From, cur).Elim = true
 			st.debugf("refuted path at step %d (edge n%d->n%d)", i, e.From, e.To)
 			return punch.Result{}, false
 		}
-		f2 := st.solver.Simplify(logic.Conj(stp.from.f, logic.Not(wp)))
-		r2 := st.sat(f2)
+		f2 := st.Solver.Simplify(logic.Conj(stp.From.F, logic.Not(wp)))
+		r2 := st.Sat(f2)
 		if r2.Known && !r2.Sat {
 			// The whole region can enter: no refinement here, keep walking.
-			cur = stp.from
+			cur = stp.From
 			continue
 		}
-		_, outs := st.partitionOn(stp.from, wp)
-		for _, rb := range outs {
-			o.elim[edgeKey{stp.edge, rb.id, cur.id}] = true
-		}
+		_, outs := o.g.PartitionOn(&st.Meter, stp.From, wp)
+		o.g.Eliminate(stp.CFG, outs, cur)
 		// Regions were retired by the split; restart the path search.
 		return punch.Result{}, false
 	}
 	// Backward pass survived: the path is abstractly feasible from entry.
-	entrySat := st.sat(logic.Conj(cur.f, q.Q.Pre))
+	entrySat := st.Sat(logic.Conj(cur.F, q.Q.Pre))
 	if entrySat.Known && !entrySat.Sat {
 		return punch.Result{}, false
 	}
 	return st.confirmForward(path)
 }
 
-func (st *stepper) regionLive(r *region) bool {
-	for _, x := range st.o.regAt[r.node] {
-		if x.id == r.id {
-			return true
-		}
-	}
-	return false
-}
-
 // backwardCall handles a call edge during the backward pass. progressed
 // reports that a refinement was applied (restart path search); otherwise
 // the returned region is the refined position before the call (nil to
 // abort the walk).
-func (st *stepper) backwardCall(prefix []pathStep, stp pathStep, cur *region, callee string) (*region, bool) {
+func (st *stepper) backwardCall(prefix []*regions.Edge, stp *regions.Edge, cur *regions.Region, callee string) (*regions.Region, bool) {
 	o := st.o
-	k := edgeKey{stp.edge, stp.from.id, cur.id}
+	k := o.g.Edge(stp.CFG, stp.From, cur)
 	mr := st.ctx.ModRefOf(callee)
 	var modG []lang.Var
 	for _, g := range o.globals {
@@ -519,33 +221,31 @@ func (st *stepper) backwardCall(prefix []pathStep, stp pathStep, cur *region, ca
 			modG = append(modG, g)
 		}
 	}
-	st.charge(6)
-	wf, _ := logic.Exists(cur.f, modG, logic.Over)
-	f1 := st.solver.Simplify(logic.Conj(stp.from.f, wf))
-	r1 := st.sat(f1)
+	st.Charge(6)
+	wf, _ := logic.Exists(cur.F, modG, logic.Over)
+	f1 := st.Solver.Simplify(logic.Conj(stp.From.F, wf))
+	r1 := st.Sat(f1)
 	if r1.Known && !r1.Sat {
-		o.elim[k] = true
+		k.Elim = true
 		st.debugf("frame-refuted call edge %v", k)
 		return nil, true
 	}
-	f2 := st.solver.Simplify(logic.Conj(stp.from.f, logic.Not(wf)))
-	if r2 := st.sat(f2); r2.Known && r2.Sat {
-		_, outs := st.partitionOn(stp.from, wf)
-		for _, rb := range outs {
-			o.elim[edgeKey{stp.edge, rb.id, cur.id}] = true
-		}
+	f2 := st.Solver.Simplify(logic.Conj(stp.From.F, logic.Not(wf)))
+	if r2 := st.Sat(f2); r2.Known && r2.Sat {
+		_, outs := o.g.PartitionOn(&st.Meter, stp.From, wf)
+		o.g.Eliminate(stp.CFG, outs, cur)
 		st.debugf("frame-split call edge %v", k)
 		return nil, true
 	}
 
-	postG := st.projectGlobals(cur.f)
+	postG := st.projectGlobals(cur.F)
 
 	// Precise calling context: forward symbolic execution along the path
 	// prefix (falling back to the region projection while earlier calls
 	// on the prefix still lack summaries).
-	pre := st.projectGlobals(stp.from.f)
+	pre := st.projectGlobals(stp.From.F)
 	if cond, store, ok := st.followPath(prefix); ok {
-		conj := []logic.Formula{cond, logic.SubstMap(stp.from.f, store)}
+		conj := []logic.Formula{cond, logic.SubstMap(stp.From.F, store)}
 		for _, g := range o.globals {
 			conj = append(conj, logic.Eq(logic.LinVar(g), store[g]))
 		}
@@ -556,11 +256,11 @@ func (st *stepper) backwardCall(prefix []pathStep, stp pathStep, cur *region, ca
 				elimVars = append(elimVars, v)
 			}
 		}
-		st.charge(6)
+		st.Charge(6)
 		proj, _ := logic.Exists(full, elimVars, logic.Over)
-		st.charge(8)
-		proj = st.solver.Simplify(proj)
-		if r := st.sat(proj); !(r.Known && !r.Sat) && logic.Size(proj) < 160 {
+		st.Charge(8)
+		proj = st.Solver.Simplify(proj)
+		if r := st.Sat(proj); !(r.Known && !r.Sat) && logic.Size(proj) < 160 {
 			pre = proj
 		}
 	}
@@ -569,25 +269,23 @@ func (st *stepper) backwardCall(prefix []pathStep, stp pathStep, cur *region, ca
 		if s.Kind != summary.NotMay {
 			continue
 		}
-		if !st.implies(postG, s.Post) {
+		if !st.Implies(postG, s.Post) {
 			continue
 		}
-		g1 := st.solver.Simplify(logic.Conj(stp.from.f, s.Pre))
-		rg1 := st.sat(g1)
+		g1 := st.Solver.Simplify(logic.Conj(stp.From.F, s.Pre))
+		rg1 := st.Sat(g1)
 		if rg1.Known && !rg1.Sat {
 			continue
 		}
-		g2 := st.solver.Simplify(logic.Conj(stp.from.f, logic.Not(s.Pre)))
-		rg2 := st.sat(g2)
+		g2 := st.Solver.Simplify(logic.Conj(stp.From.F, logic.Not(s.Pre)))
+		rg2 := st.Sat(g2)
 		if rg2.Known && !rg2.Sat {
-			o.elim[k] = true
+			k.Elim = true
 			st.debugf("summary-refuted call edge %v via %v", k, s)
 			return nil, true
 		}
-		ins, _ := st.partitionOn(stp.from, s.Pre)
-		for _, ra := range ins {
-			o.elim[edgeKey{stp.edge, ra.id, cur.id}] = true
-		}
+		ins, _ := o.g.PartitionOn(&st.Meter, stp.From, s.Pre)
+		o.g.Eliminate(stp.CFG, ins, cur)
 		st.debugf("summary-split call edge %v via %v", k, s)
 		return nil, true
 	}
@@ -596,7 +294,7 @@ func (st *stepper) backwardCall(prefix []pathStep, stp pathStep, cur *region, ca
 	// call edge can be crossed from this path; continue the backward walk
 	// from the source region (a sound over-approximation).
 	if _, yes := st.ctx.DB.AnswerYes(summary.Question{Proc: callee, Pre: pre, Post: postG}); yes {
-		return stp.from, false
+		return stp.From, false
 	}
 
 	// No summary helps: issue a child sub-query. The precondition is the
@@ -604,16 +302,16 @@ func (st *stepper) backwardCall(prefix []pathStep, stp pathStep, cur *region, ca
 	// the path prefix (the counterexample-guided context of a software
 	// model checker); the region projection is the fallback when the
 	// prefix itself cannot be followed yet.
-	o.attempts[k]++
-	if o.attempts[k] > st.a.MaxAttempts {
-		o.stuck[k] = true
+	k.Attempts++
+	if k.Attempts > st.a.MaxAttempts {
+		k.Stuck = true
 		st.debugf("call edge %v STUCK", k)
 		return nil, true
 	}
 	question := summary.Question{Proc: callee, Pre: pre, Post: postG}
 	child := st.ctx.Alloc.New(st.q.ID, question)
 	st.children = append(st.children, child)
-	o.pending[k] = pendingChild{q: question}
+	k.Pending = &question
 	st.debugf("child Q%d for %s: %v", child.ID, callee, question)
 	return nil, true
 }
@@ -626,22 +324,22 @@ func (st *stepper) projectGlobals(f logic.Formula) logic.Formula {
 		}
 	}
 	if len(elim) > 0 {
-		st.charge(6)
+		st.Charge(6)
 		f, _ = logic.Exists(f, elim, logic.Over)
 	}
-	st.charge(8)
-	return st.solver.Simplify(f)
+	st.Charge(8)
+	return st.Solver.Simplify(f)
 }
 
 // followPath forward-executes the abstract path symbolically, crossing
 // calls with point-applicable must summaries. ok=false when a call could
 // not be crossed or the path condition became unsatisfiable.
-func (st *stepper) followPath(path []pathStep) (logic.Formula, map[lang.Var]logic.Lin, bool) {
+func (st *stepper) followPath(path []*regions.Edge) (logic.Formula, map[lang.Var]logic.Lin, bool) {
 	cond, store, _, ok := st.followPathFull(path, false)
 	return cond, store, ok
 }
 
-func (st *stepper) followPathFull(path []pathStep, penalize bool) (logic.Formula, map[lang.Var]logic.Lin, map[lang.Var]lang.Var, bool) {
+func (st *stepper) followPathFull(path []*regions.Edge, penalize bool) (logic.Formula, map[lang.Var]logic.Lin, map[lang.Var]lang.Var, bool) {
 	o, q := st.o, st.q
 	store := map[lang.Var]logic.Lin{}
 	initSyms := map[lang.Var]lang.Var{}
@@ -655,7 +353,7 @@ func (st *stepper) followPathFull(path []pathStep, penalize bool) (logic.Formula
 	}
 	cond := logic.Rename(q.Q.Pre, ren)
 	for _, stp := range path {
-		e := o.proc.Edges[stp.edge]
+		e := o.proc.Edges[stp.CFG]
 		switch stmt := e.Stmt.(type) {
 		case lang.Assign:
 			rhs := logic.FromInt(stmt.Rhs)
@@ -679,7 +377,7 @@ func (st *stepper) followPathFull(path []pathStep, penalize bool) (logic.Formula
 					continue
 				}
 				c2 := logic.Conj(cond, logic.SubstMap(s.Pre, store))
-				r := st.sat(c2)
+				r := st.Sat(c2)
 				if !(r.Known && r.Sat) {
 					continue
 				}
@@ -703,18 +401,17 @@ func (st *stepper) followPathFull(path []pathStep, penalize bool) (logic.Formula
 					// The abstraction believes the path feasible but no
 					// exact crossing is available; penalize this call edge
 					// so the search tries elsewhere.
-					k := edgeKey{stp.edge, stp.from.id, stp.to.id}
-					st.o.attempts[k]++
-					if st.o.attempts[k] > st.a.MaxAttempts {
-						st.o.stuck[k] = true
+					stp.Attempts++
+					if stp.Attempts > st.a.MaxAttempts {
+						stp.Stuck = true
 					}
 				}
 				return nil, nil, nil, false
 			}
 		}
 		// Land in the step's destination region.
-		cond = logic.Conj(cond, logic.SubstMap(stp.to.f, store))
-		r := st.sat(cond)
+		cond = logic.Conj(cond, logic.SubstMap(stp.To.F, store))
+		r := st.Sat(cond)
 		if r.Known && !r.Sat {
 			return nil, nil, nil, false
 		}
@@ -724,13 +421,13 @@ func (st *stepper) followPathFull(path []pathStep, penalize bool) (logic.Formula
 
 // confirmForward re-executes the abstract path exactly (symbolically) and
 // finishes the query with a must summary on success.
-func (st *stepper) confirmForward(path []pathStep) (punch.Result, bool) {
+func (st *stepper) confirmForward(path []*regions.Edge) (punch.Result, bool) {
 	cond, store, initSyms, ok := st.followPathFull(path, true)
 	if !ok {
 		return punch.Result{}, false
 	}
 	hit := logic.Conj(cond, logic.SubstMap(st.q.Q.Post, store))
-	r := st.sat(hit)
+	r := st.Sat(hit)
 	if r.Model == nil {
 		return punch.Result{}, false
 	}
@@ -750,16 +447,16 @@ func (st *stepper) pointApplicable(s summary.Summary) bool {
 	if len(vars) == 0 {
 		return true
 	}
-	m := st.solver.Model(s.Pre)
+	m := st.Solver.Model(s.Pre)
 	if m == nil {
 		return false
 	}
-	st.charge(4)
+	st.Charge(4)
 	var fs []logic.Formula
 	for _, g := range vars {
 		fs = append(fs, logic.Eq(logic.LinVar(g), logic.LinConst(m[g])))
 	}
-	return st.solver.Implies(s.Pre, logic.Conj(fs...))
+	return st.Solver.Implies(s.Pre, logic.Conj(fs...))
 }
 
 // emitMustSummary mirrors the frame-aware generation of the other

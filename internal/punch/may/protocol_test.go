@@ -30,7 +30,7 @@ proc server {
 	if os.Getenv("MAY_DEBUG") != "" {
 		a.Debug = os.Stderr
 	}
-	eng := core.New(prog, core.Options{Punch: a, MaxThreads: 4, MaxIterations: 150, CheckContract: true})
+	eng := core.New(prog, core.Options{Punch: checked{a, t}, MaxThreads: 4, MaxIterations: 150, CheckContract: true})
 	res := eng.Run(core.AssertionQuestion(prog))
 	// Without interpolant-guided predicate discovery the pure may analysis
 	// may enumerate value-level regions on this protocol instead of

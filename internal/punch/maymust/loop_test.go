@@ -20,7 +20,7 @@ proc main {
 	if os.Getenv("MAYMUST_DEBUG") != "" {
 		a.Debug = os.Stderr
 	}
-	eng := core.New(prog, core.Options{Punch: a, MaxThreads: 1, MaxIterations: 60, CheckContract: true})
+	eng := core.New(prog, core.Options{Punch: checked{a, t}, MaxThreads: 1, MaxIterations: 60, CheckContract: true})
 	res := eng.Run(core.AssertionQuestion(prog))
 	if res.Verdict != core.Safe {
 		t.Fatalf("verdict: %v iters=%d", res.Verdict, res.Iterations)

@@ -3,14 +3,12 @@ package maymust
 import (
 	"fmt"
 	"io"
-	"sort"
 
-	"repro/internal/cfg"
 	"repro/internal/lang"
 	"repro/internal/logic"
 	"repro/internal/punch"
+	"repro/internal/punch/regions"
 	"repro/internal/query"
-	"repro/internal/smt"
 	"repro/internal/summary"
 )
 
@@ -44,27 +42,18 @@ func (a *Analysis) Name() string { return "may-must" }
 // Step implements punch.Punch: one budgeted slice of DASH-style analysis
 // on query q.
 func (a *Analysis) Step(ctx *punch.Context, q *query.Query) punch.Result {
-	st := &stepper{
-		a:      a,
-		ctx:    ctx,
-		q:      q,
-		solver: ctx.DB.Solver(),
-	}
+	st := &stepper{Meter: punch.Meter{Solver: ctx.DB.Solver()}, a: a, ctx: ctx, q: q}
 	return st.run()
 }
 
 type stepper struct {
-	a        *Analysis
-	ctx      *punch.Context
-	q        *query.Query
-	o        *obj
-	solver   *smt.Solver
-	cost     int64
-	children []*query.Query
+	punch.Meter // abstract work of this Step, and the solver it is charged on
+	a           *Analysis
+	ctx         *punch.Context
+	q           *query.Query
+	o           *obj
+	children    []*query.Query
 }
-
-// charge accounts abstract work.
-func (st *stepper) charge(n int64) { st.cost += n }
 
 // debugf emits a trace line when debugging is enabled.
 func (st *stepper) debugf(format string, args ...any) {
@@ -76,16 +65,6 @@ func (st *stepper) debugf(format string, args ...any) {
 	fmt.Fprintln(st.a.Debug)
 }
 
-func (st *stepper) sat(f logic.Formula) smt.Result {
-	st.charge(4)
-	return st.solver.Sat(f)
-}
-
-func (st *stepper) implies(a, b logic.Formula) bool {
-	st.charge(4)
-	return st.solver.Implies(a, b)
-}
-
 // finish assembles the result in the given state.
 func (st *stepper) finish(state query.State, outcome query.Outcome) punch.Result {
 	st.q.State = state
@@ -95,14 +74,14 @@ func (st *stepper) finish(state query.State, outcome query.Outcome) punch.Result
 	if state == query.Done {
 		children = nil
 	}
-	return punch.Result{Self: st.q, Children: children, Cost: st.cost}
+	return punch.Result{Self: st.q, Children: children, Cost: st.Cost}
 }
 
 func (st *stepper) run() punch.Result {
 	// Summary reuse: if SUMDB can already answer this question, the query
 	// is Done without any analysis (the paper's first step of PUNCH).
 	if _, verdict := st.ctx.DB.Answer(st.q.Q); verdict != 0 {
-		st.charge(4)
+		st.Charge(4)
 		if st.o == nil {
 			if o, ok := st.q.Obj.(*obj); ok {
 				st.o = o
@@ -127,19 +106,18 @@ func (st *stepper) run() punch.Result {
 		}
 	}
 
-	st.sweepPending()
+	st.o.g.SweepPending(st.ctx.DB)
 
 	for {
-		if st.cost >= st.a.Budget {
+		if st.Cost >= st.a.Budget {
 			return st.finish(query.Ready, query.Pending)
 		}
 		if res, done := st.checkMustSuccess(); done {
 			return res
 		}
-		path := st.findPath(true)
+		path := st.errorPath(true)
 		if path == nil {
-			full := st.findPath(false)
-			if full == nil {
+			if st.errorPath(false) == nil {
 				st.debugf("DONE unreachable (no abstract path)")
 				// No abstract error path at all: proof.
 				st.ctx.DB.Add(summary.Summary{
@@ -157,7 +135,7 @@ func (st *stepper) run() punch.Result {
 			// (PUNCH "explores other paths in main", §1 — this is what
 			// fills the MAP stage of Fig. 3 with ~fanout Ready queries).
 			st.fanOut()
-			st.debugf("BLOCKED (pending=%d stuck=%d, %d children)", len(st.o.pending), len(st.o.stuck), len(st.children))
+			st.debugf("BLOCKED (%d children)", len(st.children))
 			return st.finish(query.Blocked, query.Pending)
 		}
 		st.handleFrontier(path)
@@ -168,7 +146,7 @@ func (st *stepper) run() punch.Result {
 // the query can be decided immediately (empty precondition).
 func (st *stepper) initialize() (bool, punch.Result) {
 	o, q := st.o, st.q
-	pre := st.sat(q.Q.Pre)
+	pre := st.Sat(q.Q.Pre)
 	if pre.Known && !pre.Sat {
 		st.ctx.DB.Add(summary.Summary{Kind: summary.NotMay, Proc: q.Q.Proc, Pre: q.Q.Pre, Post: q.Q.Post})
 		o.initialized = true
@@ -176,15 +154,7 @@ func (st *stepper) initialize() (bool, punch.Result) {
 	}
 	// May-map Σ: exit is partitioned into {φ2, ¬φ2}; every other node
 	// starts with the single partition ⊤ (§4).
-	for n := 0; n < o.proc.NNodes; n++ {
-		node := cfg.NodeID(n)
-		if node == o.proc.Exit {
-			o.attach(o.newRegion(node, q.Q.Post, true))
-			o.attach(o.newRegion(node, logic.Not(q.Q.Post), false))
-		} else {
-			o.attach(o.newRegion(node, logic.True, false))
-		}
-	}
+	o.g = regions.New(o.proc, q.Q.Post)
 	// Must-map O: one symbolic element at entry — globals constrained by
 	// φ1, locals unconstrained (fresh symbols).
 	store := map[lang.Var]logic.Lin{}
@@ -201,31 +171,6 @@ func (st *stepper) initialize() (bool, punch.Result) {
 	return false, punch.Result{}
 }
 
-// sweepPending drops pending-child markers whose question SUMDB can now
-// answer, reopening those call edges for the frontier machinery.
-func (st *stepper) sweepPending() {
-	keys := make([]edgeKey, 0, len(st.o.pending))
-	for k := range st.o.pending {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.edge != b.edge {
-			return a.edge < b.edge
-		}
-		if a.from != b.from {
-			return a.from < b.from
-		}
-		return a.to < b.to
-	})
-	for _, k := range keys {
-		pc := st.o.pending[k]
-		if _, verdict := st.ctx.DB.Answer(pc.q); verdict != 0 {
-			delete(st.o.pending, k)
-		}
-	}
-}
-
 // checkMustSuccess tests unexamined exit elements against φ2 and, on a
 // witness, emits a must summary and finishes the query.
 func (st *stepper) checkMustSuccess() (punch.Result, bool) {
@@ -236,7 +181,7 @@ func (st *stepper) checkMustSuccess() (punch.Result, bool) {
 		}
 		e.exitChecked = true
 		hit := logic.Conj(e.path, logic.SubstMap(q.Q.Post, asSubst(e.store)))
-		r := st.sat(hit)
+		r := st.Sat(hit)
 		if r.Model == nil {
 			continue
 		}
@@ -312,10 +257,10 @@ func (st *stepper) emitMustSummary(e *mustElem, m map[lang.Var]int64) {
 			elim = append(elim, v)
 		}
 	}
-	st.charge(16)
+	st.Charge(16)
 	proj, _ := logic.Exists(full, elim, logic.Under)
-	modPost := logic.Rename(st.solver.Simplify(proj), outRen)
-	if r := st.sat(modPost); r.Model == nil {
+	modPost := logic.Rename(st.Solver.Simplify(proj), outRen)
+	if r := st.Sat(modPost); r.Model == nil {
 		// Projection collapsed; fall back to the concrete exit point.
 		var posts []logic.Formula
 		for _, g := range o.globals {
@@ -329,131 +274,34 @@ func (st *stepper) emitMustSummary(e *mustElem, m map[lang.Var]int64) {
 	st.ctx.DB.Add(summary.Summary{Kind: summary.Must, Proc: q.Q.Proc, Pre: preF, Post: postF})
 }
 
-// pathStep is one abstract edge on an abstract error path.
-type pathStep struct {
-	edge int // index into proc.Edges
-	from *region
-	to   *region
-}
-
-// findPath searches for an abstract error path from an entry region
-// intersecting φ1 to a target region at exit, over non-eliminated abstract
-// edges. With avoid set, edges that are pending a child answer or stuck
-// are excluded (such a path is actionable); without it the search decides
-// whether any abstract path remains at all (no path = proof).
-func (st *stepper) findPath(avoid bool) []pathStep {
-	o, q := st.o, st.q
-	type nodeReg struct {
-		node cfg.NodeID
-		reg  *region
-	}
-	parent := map[int]pathStep{}
-	seen := map[int]bool{}
-	var queue []nodeReg
-	for _, r := range o.regAt[o.proc.Entry] {
-		st.charge(1)
-		s := st.sat(logic.Conj(r.f, q.Q.Pre))
-		if s.Known && !s.Sat {
-			continue
-		}
-		seen[r.id] = true
-		queue = append(queue, nodeReg{o.proc.Entry, r})
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.reg.target && cur.node == o.proc.Exit {
-			// Reconstruct.
-			var rev []pathStep
-			at := cur.reg.id
-			for {
-				stp, ok := parent[at]
-				if !ok {
-					break
-				}
-				rev = append(rev, stp)
-				at = stp.from.id
-			}
-			out := make([]pathStep, len(rev))
-			for i := range rev {
-				out[i] = rev[len(rev)-1-i]
-			}
-			return out
-		}
-		for _, ei := range o.proc.Out[cur.node] {
-			e := o.proc.Edges[ei]
-			for _, r2 := range o.regAt[e.To] {
-				if seen[r2.id] {
-					continue
-				}
-				k := edgeKey{ei, cur.reg.id, r2.id}
-				if o.elim[k] {
-					continue
-				}
-				if avoid && (o.stuck[k] || hasPending(o, k)) {
-					continue
-				}
-				if !st.edgeOpen(k, e, cur.reg, r2) {
-					continue
-				}
-				seen[r2.id] = true
-				parent[r2.id] = pathStep{ei, cur.reg, r2}
-				queue = append(queue, nodeReg{e.To, r2})
-			}
-		}
-	}
-	return nil
-}
-
-func hasPending(o *obj, k edgeKey) bool {
-	_, ok := o.pending[k]
-	return ok
-}
-
-// edgeOpen performs (and caches) the one-step semantic feasibility check
-// for simple edges: the abstract edge ρ→ρ' is shut when ρ ∧ pre(stmt, ρ')
-// is unsatisfiable — a sound elimination without an explicit split. Call
-// edges are open until eliminated by a summary.
-func (st *stepper) edgeOpen(k edgeKey, e cfg.Edge, from, to *region) bool {
-	o := st.o
-	if v, ok := o.open[k]; ok {
-		return v > 0
-	}
-	if _, isCall := e.Stmt.(lang.Call); isCall {
-		o.open[k] = 1
-		return true
-	}
-	st.charge(2)
-	wp := logic.Pre(e.Stmt, to.f, logic.Over)
-	r := st.sat(logic.Conj(from.f, wp))
-	if r.Known && !r.Sat {
-		o.open[k] = -1
-		return false
-	}
-	o.open[k] = 1
-	return true
+// errorPath searches the region graph for an abstract error path (see
+// regions.Graph.FindPath); looking at an entry region costs one unit on
+// top of its satisfiability check.
+func (st *stepper) errorPath(avoid bool) []*regions.Edge {
+	st.Charge(int64(len(st.o.g.At(st.o.proc.Entry))))
+	return st.o.g.FindPath(&st.Meter, st.q.Q.Pre, avoid)
 }
 
 // asSubst views a store as a substitution map.
 func asSubst(store map[lang.Var]logic.Lin) map[lang.Var]logic.Lin { return store }
 
 // elemIn reports (with caching) whether elem's states intersect region r.
-func (st *stepper) elemIn(e *mustElem, r *region) bool {
-	if v, ok := e.reach[r.id]; ok {
+func (st *stepper) elemIn(e *mustElem, r *regions.Region) bool {
+	if v, ok := e.reach[r.ID]; ok {
 		return v > 0
 	}
-	s := st.sat(logic.Conj(e.path, logic.SubstMap(r.f, asSubst(e.store))))
+	s := st.Sat(logic.Conj(e.path, logic.SubstMap(r.F, asSubst(e.store))))
 	if s.Known && !s.Sat {
-		e.reach[r.id] = -1
+		e.reach[r.ID] = -1
 		return false
 	}
-	e.reach[r.id] = 1
+	e.reach[r.ID] = 1
 	return true
 }
 
 // mustReached reports whether any must element at r's node intersects r.
-func (st *stepper) mustReached(r *region) bool {
-	for _, e := range st.o.musts[r.node] {
+func (st *stepper) mustReached(r *regions.Region) bool {
+	for _, e := range st.o.musts[r.Node] {
 		if st.elemIn(e, r) {
 			return true
 		}
@@ -471,121 +319,56 @@ func (st *stepper) mustReached(r *region) bool {
 // the must frontier is still working its way forward.
 func (st *stepper) fanOut() {
 	o := st.o
-	fwd := st.reachableRegions(false)
-	bwd := st.reachableRegions(true)
+	fwd := o.g.Reachable(&st.Meter, st.q.Q.Pre, false)
+	bwd := o.g.Reachable(&st.Meter, st.q.Q.Pre, true)
 	for ei, e := range o.proc.Edges {
 		c, isCall := e.Stmt.(lang.Call)
 		if !isCall {
 			continue
 		}
-		for _, from := range o.regAt[e.From] {
-			if !fwd[from.id] {
+		for _, from := range o.g.At(e.From) {
+			if !fwd[from.ID] {
 				continue
 			}
-			for _, to := range o.regAt[e.To] {
-				if !bwd[to.id] {
+			for _, to := range o.g.At(e.To) {
+				if !bwd[to.ID] {
 					continue
 				}
-				k := edgeKey{ei, from.id, to.id}
-				if o.elim[k] || o.stuck[k] || hasPending(o, k) {
+				ae := o.g.Edge(ei, from, to)
+				if ae.Elim || ae.Stuck || ae.Pending != nil {
 					continue
 				}
-				postG := st.projectGlobals(to.f)
-				question := summary.Question{Proc: c.Proc, Pre: st.projectGlobals(from.f), Post: postG}
+				postG := st.projectGlobals(to.F)
+				question := summary.Question{Proc: c.Proc, Pre: st.projectGlobals(from.F), Post: postG}
 				if _, verdict := st.ctx.DB.Answer(question); verdict != 0 {
 					continue
 				}
 				child := st.ctx.Alloc.New(st.q.ID, question)
 				st.children = append(st.children, child)
-				o.pending[k] = pendingChild{id: int64(child.ID), q: question}
+				ae.Pending = &question
 				st.debugf("fan-out child Q%d for %s: %v", child.ID, c.Proc, question)
 			}
 		}
 	}
 }
 
-// reachableRegions computes the region IDs forward-reachable from the
-// entry regions intersecting φ1 (reverse=false), or backward-co-reachable
-// from the target regions (reverse=true), over non-eliminated open edges
-// (pending edges included — this is a may-reachability sweep).
-func (st *stepper) reachableRegions(reverse bool) map[int]bool {
-	o, q := st.o, st.q
-	seen := map[int]bool{}
-	type nodeReg struct {
-		node cfg.NodeID
-		reg  *region
-	}
-	var queue []nodeReg
-	if reverse {
-		for _, r := range o.regAt[o.proc.Exit] {
-			if r.target {
-				seen[r.id] = true
-				queue = append(queue, nodeReg{o.proc.Exit, r})
-			}
-		}
-	} else {
-		for _, r := range o.regAt[o.proc.Entry] {
-			s := st.sat(logic.Conj(r.f, q.Q.Pre))
-			if s.Known && !s.Sat {
-				continue
-			}
-			seen[r.id] = true
-			queue = append(queue, nodeReg{o.proc.Entry, r})
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if reverse {
-			for _, ei := range o.proc.In[cur.node] {
-				e := o.proc.Edges[ei]
-				for _, r2 := range o.regAt[e.From] {
-					if seen[r2.id] || o.elim[edgeKey{ei, r2.id, cur.reg.id}] {
-						continue
-					}
-					if !st.edgeOpen(edgeKey{ei, r2.id, cur.reg.id}, e, r2, cur.reg) {
-						continue
-					}
-					seen[r2.id] = true
-					queue = append(queue, nodeReg{e.From, r2})
-				}
-			}
-		} else {
-			for _, ei := range o.proc.Out[cur.node] {
-				e := o.proc.Edges[ei]
-				for _, r2 := range o.regAt[e.To] {
-					if seen[r2.id] || o.elim[edgeKey{ei, cur.reg.id, r2.id}] {
-						continue
-					}
-					if !st.edgeOpen(edgeKey{ei, cur.reg.id, r2.id}, e, cur.reg, r2) {
-						continue
-					}
-					seen[r2.id] = true
-					queue = append(queue, nodeReg{e.To, r2})
-				}
-			}
-		}
-	}
-	return seen
-}
-
 // handleFrontier locates the frontier on the path — the last abstract edge
 // whose source region is must-reached — and advances the analysis across
 // it: test extension or region refinement for simple edges, the three
 // summary cases of §4 for call edges.
-func (st *stepper) handleFrontier(path []pathStep) {
+func (st *stepper) handleFrontier(path []*regions.Edge) {
 	// The entry region of the path is must-reached by the initial element,
 	// so a frontier always exists.
 	fi := 0
 	for i := len(path) - 1; i >= 0; i-- {
-		if st.mustReached(path[i].from) {
+		if st.mustReached(path[i].From) {
 			fi = i
 			break
 		}
 	}
 	stp := path[fi]
-	e := st.o.proc.Edges[stp.edge]
-	st.debugf("frontier at path[%d/%d]: edge n%d->n%d (%v), from R%d{%v} to R%d{%v}", fi, len(path)-1, e.From, e.To, e.Stmt, stp.from.id, stp.from.f, stp.to.id, stp.to.f)
+	e := st.o.proc.Edges[stp.CFG]
+	st.debugf("frontier at path[%d/%d]: edge n%d->n%d (%v), from R%d{%v} to R%d{%v}", fi, len(path)-1, e.From, e.To, e.Stmt, stp.From.ID, stp.From.F, stp.To.ID, stp.To.F)
 	if c, isCall := e.Stmt.(lang.Call); isCall {
 		st.handleCallFrontier(stp, c.Proc)
 		return
@@ -597,88 +380,49 @@ func (st *stepper) handleFrontier(path []pathStep) {
 // edge; if no element can cross, the source region is split on the
 // preimage of the destination region, eliminating the abstract edge from
 // the half that provably cannot cross (§4, may-analysis refinement).
-func (st *stepper) handleSimpleFrontier(stp pathStep, s lang.Stmt) {
+func (st *stepper) handleSimpleFrontier(stp *regions.Edge, s lang.Stmt) {
 	o := st.o
-	node := stp.from.node
-	for _, el := range o.musts[node] {
-		if !st.elemIn(el, stp.from) {
+	for _, el := range o.musts[stp.From.Node] {
+		if !st.elemIn(el, stp.From) {
 			continue
 		}
 		if ne := st.extendElem(el, stp, s); ne != nil {
-			o.addMust(o.proc.Edges[stp.edge].To, ne, st.a.MaxMustElems)
+			o.addMust(stp.To.Node, ne, st.a.MaxMustElems)
 			return
 		}
 	}
 	// Refine: split ρ on wp = pre(s, ρ').
-	st.charge(2)
-	wp := logic.Pre(s, stp.to.f, logic.Over)
-	st.charge(8)
-	f1 := st.solver.Simplify(logic.Conj(stp.from.f, wp))
-	f2 := st.solver.Simplify(logic.Conj(stp.from.f, logic.Not(wp)))
-	k := edgeKey{stp.edge, stp.from.id, stp.to.id}
-	sat1 := st.sat(f1)
+	st.Charge(2)
+	wp := logic.Pre(s, stp.To.F, logic.Over)
+	st.Charge(8)
+	f1 := st.Solver.Simplify(logic.Conj(stp.From.F, wp))
+	f2 := st.Solver.Simplify(logic.Conj(stp.From.F, logic.Not(wp)))
+	sat1 := st.Sat(f1)
 	if sat1.Known && !sat1.Sat {
 		// ρ ∩ pre(s, ρ') = ∅: the whole edge is infeasible.
-		o.elim[k] = true
+		stp.Elim = true
 		return
 	}
-	sat2 := st.sat(f2)
+	sat2 := st.Sat(f2)
 	if sat2.Known && !sat2.Sat {
 		// ρ ⊆ wp yet no element crossed: the preimage was inexact (havoc
 		// over non-unit coefficients). No sound elimination is available.
-		o.attempts[k]++
-		if o.attempts[k] >= st.a.MaxChildAttempts {
-			o.stuck[k] = true
+		stp.Attempts++
+		if stp.Attempts >= st.a.MaxChildAttempts {
+			stp.Stuck = true
 		}
 		return
 	}
 	// The parts outside wp provably cannot cross this edge into ρ'.
-	_, outs := st.partitionOn(stp.from, wp)
-	for _, rb := range outs {
-		o.elim[edgeKey{stp.edge, rb.id, stp.to.id}] = true
-	}
-	st.debugf("split R%d on wp=%v (%d outside parts)", stp.from.id, wp, len(outs))
-}
-
-// partitionOn replaces region r by conjunctive cube regions partitioning
-// it along wp, returning the parts inside wp and outside it. Keeping every
-// region a small conjunction is what stops refinement formulas from
-// snowballing across splits; when DNF expansion is infeasible the fallback
-// is a plain binary split.
-func (st *stepper) partitionOn(r *region, wp logic.Formula) (ins, outs []*region) {
-	o := st.o
-	mk := func(f logic.Formula) []*region {
-		var parts []*region
-		cubes, ok := logic.Cubes(f, 32)
-		if !ok {
-			st.charge(8)
-			g := st.solver.Simplify(f)
-			if sr := st.sat(g); sr.Known && !sr.Sat {
-				return nil
-			}
-			return []*region{o.newRegion(r.node, g, r.target)}
-		}
-		for _, c := range cubes {
-			st.charge(4)
-			cf := st.solver.Simplify(c.Formula())
-			if sr := st.sat(cf); sr.Known && !sr.Sat {
-				continue
-			}
-			parts = append(parts, o.newRegion(r.node, cf, r.target))
-		}
-		return parts
-	}
-	ins = mk(logic.Conj(r.f, wp))
-	outs = mk(logic.Conj(r.f, logic.Not(wp)))
-	all := append(append([]*region{}, ins...), outs...)
-	o.replaceRegion(r, all...)
-	return ins, outs
+	_, outs := o.g.PartitionOn(&st.Meter, stp.From, wp)
+	o.g.Eliminate(stp.CFG, outs, stp.To)
+	st.debugf("split R%d on wp=%v (%d outside parts)", stp.From.ID, wp, len(outs))
 }
 
 // extendElem symbolically executes s from el constrained to the frontier's
 // source region, landing in its destination region; nil when infeasible.
-func (st *stepper) extendElem(el *mustElem, stp pathStep, s lang.Stmt) *mustElem {
-	base := logic.Conj(el.path, logic.SubstMap(stp.from.f, asSubst(el.store)))
+func (st *stepper) extendElem(el *mustElem, stp *regions.Edge, s lang.Stmt) *mustElem {
+	base := logic.Conj(el.path, logic.SubstMap(stp.From.F, asSubst(el.store)))
 	store := el.store
 	switch s := s.(type) {
 	case lang.Assign:
@@ -698,8 +442,8 @@ func (st *stepper) extendElem(el *mustElem, stp pathStep, s lang.Stmt) *mustElem
 	default:
 		panic("maymust: unexpected statement kind at simple frontier")
 	}
-	landed := logic.Conj(base, logic.SubstMap(stp.to.f, asSubst(store)))
-	r := st.sat(landed)
+	landed := logic.Conj(base, logic.SubstMap(stp.To.F, asSubst(store)))
+	r := st.Sat(landed)
 	if !(r.Known && r.Sat) {
 		return nil
 	}
@@ -714,17 +458,15 @@ func (st *stepper) extendElem(el *mustElem, stp pathStep, s lang.Stmt) *mustElem
 //     from the covered half;
 //  3. otherwise a child sub-query ((O ∧ ρ)^G ⇒?_P ρ'^G) is issued and the
 //     edge waits for its answer.
-func (st *stepper) handleCallFrontier(stp pathStep, callee string) {
+func (st *stepper) handleCallFrontier(stp *regions.Edge, callee string) {
 	o, q := st.o, st.q
-	k := edgeKey{stp.edge, stp.from.id, stp.to.id}
-	node := stp.from.node
 	var elems []*mustElem
-	for _, el := range o.musts[node] {
-		if st.elemIn(el, stp.from) {
+	for _, el := range o.musts[stp.From.Node] {
+		if st.elemIn(el, stp.From) {
 			elems = append(elems, el)
 		}
 	}
-	postG := st.projectGlobals(stp.to.f)
+	postG := st.projectGlobals(stp.To.F)
 
 	// Case 0 (frame refinement, no child needed): a call can only change
 	// the globals in Mod(callee), so any caller state landing in ρ' must
@@ -738,21 +480,19 @@ func (st *stepper) handleCallFrontier(stp pathStep, callee string) {
 			modG = append(modG, g)
 		}
 	}
-	st.charge(6)
-	wpFrame, _ := logic.Exists(stp.to.f, modG, logic.Over)
-	f1 := st.solver.Simplify(logic.Conj(stp.from.f, wpFrame))
-	f2 := st.solver.Simplify(logic.Conj(stp.from.f, logic.Not(wpFrame)))
-	if r1 := st.sat(f1); r1.Known && !r1.Sat {
-		st.debugf("frame: eliminated call edge %v (no state can land in R%d)", k, stp.to.id)
-		o.elim[k] = true
+	st.Charge(6)
+	wpFrame, _ := logic.Exists(stp.To.F, modG, logic.Over)
+	f1 := st.Solver.Simplify(logic.Conj(stp.From.F, wpFrame))
+	f2 := st.Solver.Simplify(logic.Conj(stp.From.F, logic.Not(wpFrame)))
+	if r1 := st.Sat(f1); r1.Known && !r1.Sat {
+		st.debugf("frame: eliminated call edge %v (no state can land in R%d)", stp, stp.To.ID)
+		stp.Elim = true
 		return
 	}
-	if r2 := st.sat(f2); r2.Known && r2.Sat {
-		_, outs := st.partitionOn(stp.from, wpFrame)
-		for _, rb := range outs {
-			o.elim[edgeKey{stp.edge, rb.id, stp.to.id}] = true
-		}
-		st.debugf("frame: split R%d on %v (%d outside parts)", stp.from.id, wpFrame, len(outs))
+	if r2 := st.Sat(f2); r2.Known && r2.Sat {
+		_, outs := o.g.PartitionOn(&st.Meter, stp.From, wpFrame)
+		o.g.Eliminate(stp.CFG, outs, stp.To)
+		st.debugf("frame: split R%d on %v (%d outside parts)", stp.From.ID, wpFrame, len(outs))
 		return
 	}
 
@@ -764,10 +504,10 @@ func (st *stepper) handleCallFrontier(stp pathStep, callee string) {
 		for _, el := range elems {
 			cond := logic.Conj(
 				el.path,
-				logic.SubstMap(stp.from.f, asSubst(el.store)),
+				logic.SubstMap(stp.From.F, asSubst(el.store)),
 				logic.SubstMap(s.Pre, asSubst(el.store)),
 			)
-			r := st.sat(cond)
+			r := st.Sat(cond)
 			if !(r.Known && r.Sat) {
 				continue
 			}
@@ -787,11 +527,11 @@ func (st *stepper) handleCallFrontier(stp pathStep, callee string) {
 			}
 			postC := logic.SubstMap(logic.Rename(s.Post, ren), asSubst(el.store))
 			after := logic.Conj(cond, postC,
-				logic.SubstMap(stp.to.f, asSubst(store)))
-			ra := st.sat(after)
+				logic.SubstMap(stp.To.F, asSubst(store)))
+			ra := st.Sat(after)
 			if ra.Known && ra.Sat {
 				st.debugf("case1: extended across call via %v", s)
-				o.addMust(o.proc.Edges[stp.edge].To, &mustElem{path: after, store: store}, st.a.MaxMustElems)
+				o.addMust(stp.To.Node, &mustElem{path: after, store: store}, st.a.MaxMustElems)
 				return
 			}
 		}
@@ -803,42 +543,40 @@ func (st *stepper) handleCallFrontier(stp pathStep, callee string) {
 		if s.Kind != summary.NotMay {
 			continue
 		}
-		if !st.implies(postG, s.Post) {
+		if !st.Implies(postG, s.Post) {
 			continue
 		}
-		st.charge(8)
-		f1 := st.solver.Simplify(logic.Conj(stp.from.f, s.Pre))
-		r1 := st.sat(f1)
+		st.Charge(8)
+		f1 := st.Solver.Simplify(logic.Conj(stp.From.F, s.Pre))
+		r1 := st.Sat(f1)
 		if r1.Known && !r1.Sat {
 			continue // summary covers none of ρ
 		}
-		f2 := st.solver.Simplify(logic.Conj(stp.from.f, logic.Not(s.Pre)))
-		r2 := st.sat(f2)
+		f2 := st.Solver.Simplify(logic.Conj(stp.From.F, logic.Not(s.Pre)))
+		r2 := st.Sat(f2)
 		if r2.Known && !r2.Sat {
 			// All of ρ is covered: eliminate the edge outright.
-			st.debugf("case2: eliminated call edge %v outright via %v", k, s)
-			o.elim[k] = true
+			st.debugf("case2: eliminated call edge %v outright via %v", stp, s)
+			stp.Elim = true
 			return
 		}
-		ins, _ := st.partitionOn(stp.from, s.Pre)
-		for _, ra := range ins {
-			o.elim[edgeKey{stp.edge, ra.id, stp.to.id}] = true
-		}
-		st.debugf("case2: split R%d on %v and eliminated call edge from %d covered parts", stp.from.id, s.Pre, len(ins))
+		ins, _ := o.g.PartitionOn(&st.Meter, stp.From, s.Pre)
+		o.g.Eliminate(stp.CFG, ins, stp.To)
+		st.debugf("case2: split R%d on %v and eliminated call edge from %d covered parts", stp.From.ID, s.Pre, len(ins))
 		return
 	}
 
 	// Case 3: issue a child sub-query.
-	o.attempts[k]++
-	if o.attempts[k] > st.a.MaxChildAttempts {
-		st.debugf("call edge %v STUCK after %d attempts", k, o.attempts[k])
-		o.stuck[k] = true
+	stp.Attempts++
+	if stp.Attempts > st.a.MaxChildAttempts {
+		st.debugf("call edge %v STUCK after %d attempts", stp, stp.Attempts)
+		stp.Stuck = true
 		return
 	}
-	pre, ok := st.childPre(elems, stp.from, callee, postG)
+	pre, ok := st.childPre(elems, stp.From, callee, postG)
 	if !ok {
-		st.debugf("call edge %v: no usable child precondition", k)
-		o.stuck[k] = true
+		st.debugf("call edge %v: no usable child precondition", stp)
+		stp.Stuck = true
 		return
 	}
 	if _, yes := st.ctx.DB.AnswerYes(summary.Question{Proc: callee, Pre: pre, Post: postG}); yes {
@@ -846,14 +584,15 @@ func (st *stepper) handleCallFrontier(stp pathStep, callee string) {
 		// case 1 could not use the witness (its entry point is not
 		// realizable by the must side). Ask about a concrete realizable
 		// entry point instead.
-		if p, ok := st.pointEntry(elems, stp.from); ok {
+		if p, ok := st.pointEntry(elems, stp.From); ok {
 			pre = p
 		}
 	}
-	child := st.ctx.Alloc.New(q.ID, summary.Question{Proc: callee, Pre: pre, Post: postG})
-	st.debugf("child Q%d for %s: pre=%v post=%v (attempt %d)", child.ID, callee, pre, postG, o.attempts[k])
+	question := summary.Question{Proc: callee, Pre: pre, Post: postG}
+	child := st.ctx.Alloc.New(q.ID, question)
+	st.debugf("child Q%d for %s: pre=%v post=%v (attempt %d)", child.ID, callee, pre, postG, stp.Attempts)
 	st.children = append(st.children, child)
-	o.pending[k] = pendingChild{id: int64(child.ID), q: child.Q}
+	stp.Pending = &question
 }
 
 // childPre computes the child query precondition (O ∧ ρ)^G as a small
@@ -863,11 +602,11 @@ func (st *stepper) handleCallFrontier(stp pathStep, callee string) {
 // checks tractable and never degenerates into an uninformative ⊤ the way a
 // blown-up exact DNF projection would. The bool result is false when no
 // usable precondition could be built.
-func (st *stepper) childPre(elems []*mustElem, from *region, callee string, postG logic.Formula) (logic.Formula, bool) {
+func (st *stepper) childPre(elems []*mustElem, from *regions.Region, callee string, postG logic.Formula) (logic.Formula, bool) {
 	o := st.o
 	var projs []logic.Formula
 	for _, el := range elems {
-		conj := []logic.Formula{el.path, logic.SubstMap(from.f, asSubst(el.store))}
+		conj := []logic.Formula{el.path, logic.SubstMap(from.F, asSubst(el.store))}
 		for _, g := range o.globals {
 			conj = append(conj, logic.Eq(logic.LinVar(g), el.store[g]))
 		}
@@ -878,14 +617,14 @@ func (st *stepper) childPre(elems []*mustElem, from *region, callee string, post
 				elim = append(elim, v)
 			}
 		}
-		st.charge(6)
+		st.Charge(6)
 		proj, _ := logic.Exists(full, elim, logic.Over)
 		projs = append(projs, proj)
 	}
 	out := st.filterRelevant(conjunctiveHull(projs), callee, postG)
 	if logic.Size(out) > maxChildPreSize {
-		st.charge(8)
-		out = st.solver.Simplify(out)
+		st.Charge(8)
+		out = st.Solver.Simplify(out)
 	}
 	return out, true
 }
@@ -972,9 +711,9 @@ func conjunctsOf(f logic.Formula) []logic.Formula {
 
 // pointEntry samples a concrete global state realizable by some element
 // within the region.
-func (st *stepper) pointEntry(elems []*mustElem, from *region) (logic.Formula, bool) {
+func (st *stepper) pointEntry(elems []*mustElem, from *regions.Region) (logic.Formula, bool) {
 	for _, el := range elems {
-		r := st.sat(logic.Conj(el.path, logic.SubstMap(from.f, asSubst(el.store))))
+		r := st.Sat(logic.Conj(el.path, logic.SubstMap(from.F, asSubst(el.store))))
 		if r.Model == nil {
 			continue
 		}
@@ -999,12 +738,12 @@ func (st *stepper) projectGlobals(f logic.Formula) logic.Formula {
 		}
 	}
 	if len(elim) > 0 {
-		st.charge(6)
+		st.Charge(6)
 		f, _ = logic.Exists(f, elim, logic.Over)
 	}
 	if logic.Size(f) > maxChildPreSize {
-		st.charge(8)
-		f = st.solver.Simplify(f)
+		st.Charge(8)
+		f = st.Solver.Simplify(f)
 		if logic.Size(f) > maxChildPreSize {
 			f = conjunctiveHull([]logic.Formula{f})
 		}
@@ -1030,13 +769,13 @@ func (st *stepper) isPointPre(s summary.Summary) bool {
 		// ⊤ denotes every state; not a point (unless there are no
 		// mentioned variables at all, in which case it is trivially one).
 		ok = true
-	} else if m := st.solver.Model(s.Pre); m != nil {
-		st.charge(4)
+	} else if m := st.Solver.Model(s.Pre); m != nil {
+		st.Charge(4)
 		var fs []logic.Formula
 		for _, g := range vars {
 			fs = append(fs, logic.Eq(logic.LinVar(g), logic.LinConst(m[g])))
 		}
-		ok = st.implies(s.Pre, logic.Conj(fs...))
+		ok = st.Implies(s.Pre, logic.Conj(fs...))
 	}
 	if ok {
 		st.o.pointPre[key] = 1

@@ -9,31 +9,14 @@ package maymust
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cfg"
 	"repro/internal/lang"
 	"repro/internal/logic"
+	"repro/internal/punch/regions"
 	"repro/internal/query"
-	"repro/internal/summary"
 )
-
-// region is one member of a node's partition Σ_n. Region identities are
-// retired on split: the two halves get fresh IDs, which keeps all
-// ID-keyed caches naturally invalidated.
-type region struct {
-	id   int
-	node cfg.NodeID
-	f    logic.Formula
-	// target marks regions descending from the initial φ2-region at exit.
-	target bool
-}
-
-// edgeKey identifies an abstract edge: a CFG edge index together with the
-// source and destination region IDs.
-type edgeKey struct {
-	edge     int
-	from, to int
-}
 
 // mustElem is one element of the must-map O: a symbolic execution state
 // (path condition over symbols, store mapping program variables to linear
@@ -43,15 +26,9 @@ type mustElem struct {
 	path  logic.Formula
 	store map[lang.Var]logic.Lin
 	// reach caches region-membership checks: region ID → +1 / -1.
-	reach map[int]int8
+	reach map[int32]int8
 	// exitChecked marks exit elements already tested against φ2.
 	exitChecked bool
-}
-
-// pendingChild records an outstanding sub-query for a call-edge frontier.
-type pendingChild struct {
-	id int64 // query ID (for bookkeeping/debugging)
-	q  summary.Question
 }
 
 // obj is the verification object O_i stored in the query between PUNCH
@@ -61,11 +38,8 @@ type obj struct {
 	globals []lang.Var
 	locals  []lang.Var
 
-	// May side.
-	regCount int
-	regAt    map[cfg.NodeID][]*region
-	elim     map[edgeKey]bool
-	open     map[edgeKey]int8 // one-step feasibility cache: +1 open, -1 shut
+	// May side: the region graph, built by initialize.
+	g *regions.Graph
 
 	// Must side.
 	musts    map[cfg.NodeID][]*mustElem
@@ -73,13 +47,8 @@ type obj struct {
 	symCount int
 	initSyms map[lang.Var]lang.Var // initial symbol of each variable
 
-	// Call-frontier bookkeeping.
-	pending  map[edgeKey]pendingChild
-	attempts map[edgeKey]int
-	stuck    map[edgeKey]bool
-
 	// pointPre caches whether a must summary's precondition denotes a
-	// single state (keyed by summary string).
+	// single state (keyed by logic.Key of the precondition).
 	pointPre map[string]int8
 
 	initialized bool
@@ -90,29 +59,12 @@ func newObj(proc *cfg.Proc, globals []lang.Var) *obj {
 		proc:     proc,
 		globals:  globals,
 		locals:   proc.Locals,
-		regAt:    map[cfg.NodeID][]*region{},
-		elim:     map[edgeKey]bool{},
-		open:     map[edgeKey]int8{},
 		musts:    map[cfg.NodeID][]*mustElem{},
 		mustKeys: map[cfg.NodeID]map[string]bool{},
 		initSyms: map[lang.Var]lang.Var{},
-		pending:  map[edgeKey]pendingChild{},
-		attempts: map[edgeKey]int{},
-		stuck:    map[edgeKey]bool{},
 		pointPre: map[string]int8{},
 	}
 }
-
-// newRegion mints a region without attaching it to the node partition;
-// attach it explicitly or via replaceRegion.
-func (o *obj) newRegion(node cfg.NodeID, f logic.Formula, target bool) *region {
-	r := &region{id: o.regCount, node: node, f: f, target: target}
-	o.regCount++
-	return r
-}
-
-// attach adds a minted region to its node's partition.
-func (o *obj) attach(r *region) { o.regAt[r.node] = append(o.regAt[r.node], r) }
 
 // freshSym mints a fresh symbolic variable for program variable v of query
 // qid. The "$" prefix cannot appear in parsed programs, so symbols never
@@ -121,88 +73,6 @@ func (o *obj) freshSym(qid query.ID, v lang.Var) lang.Var {
 	s := lang.Var(fmt.Sprintf("$%d_%d_%s", qid, o.symCount, v))
 	o.symCount++
 	return s
-}
-
-// replaceRegion swaps r for the given parts in the node partition and
-// migrates ID-keyed bookkeeping (eliminations, pending children, stuck
-// marks, attempt counts) to every part, which is sound because each part
-// denotes a subset of r.
-func (o *obj) replaceRegion(r *region, parts ...*region) {
-	regs := o.regAt[r.node]
-	out := regs[:0]
-	for _, x := range regs {
-		if x.id != r.id {
-			out = append(out, x)
-		}
-	}
-	o.regAt[r.node] = append(out, parts...)
-
-	partIDs := make([]int, len(parts))
-	for i, p := range parts {
-		partIDs[i] = p.id
-	}
-	migrate := func(old edgeKey) []edgeKey {
-		if old.from != r.id && old.to != r.id {
-			return nil
-		}
-		froms := []int{old.from}
-		if old.from == r.id {
-			froms = partIDs
-		}
-		tos := []int{old.to}
-		if old.to == r.id {
-			tos = partIDs
-		}
-		var ks []edgeKey
-		for _, f := range froms {
-			for _, t := range tos {
-				ks = append(ks, edgeKey{old.edge, f, t})
-			}
-		}
-		return ks
-	}
-	for _, m := range []map[edgeKey]bool{o.elim, o.stuck} {
-		var add []edgeKey
-		for k, v := range m {
-			if !v {
-				continue
-			}
-			add = append(add, migrate(k)...)
-		}
-		for _, k := range add {
-			m[k] = true
-		}
-	}
-	{
-		type kv struct {
-			k edgeKey
-			v pendingChild
-		}
-		var add []kv
-		for k, v := range o.pending {
-			for _, nk := range migrate(k) {
-				add = append(add, kv{nk, v})
-			}
-		}
-		for _, e := range add {
-			o.pending[e.k] = e.v
-		}
-	}
-	{
-		type kv struct {
-			k edgeKey
-			v int
-		}
-		var add []kv
-		for k, v := range o.attempts {
-			for _, nk := range migrate(k) {
-				add = append(add, kv{nk, v})
-			}
-		}
-		for _, e := range add {
-			o.attempts[e.k] = e.v
-		}
-	}
 }
 
 // addMust appends a must element at node, respecting the per-node cap and
@@ -219,21 +89,27 @@ func (o *obj) addMust(node cfg.NodeID, e *mustElem, cap int) bool {
 		return false
 	}
 	o.mustKeys[node][key] = true
-	e.reach = map[int]int8{}
+	e.reach = map[int32]int8{}
 	o.musts[node] = append(o.musts[node], e)
 	return true
 }
 
-// key renders the element structurally for deduplication.
+// key identifies the element up to structure for deduplication: the
+// interned identity of the path condition and of every store term in
+// variable order (a term that overflowed the intern table prints in full).
 func (e *mustElem) key(o *obj) string {
-	s := e.path.String()
-	for _, v := range o.globals {
-		s += "|" + string(v) + "=" + e.store[v].String()
+	k := []byte(logic.Key(e.path))
+	for _, vars := range [2][]lang.Var{o.globals, o.locals} {
+		for _, v := range vars {
+			k = append(k, '|')
+			if id := logic.LinID(e.store[v]); id != 0 {
+				k = strconv.AppendUint(k, uint64(id), 10)
+			} else {
+				k = append(append(k, '!'), e.store[v].String()...)
+			}
+		}
 	}
-	for _, v := range o.locals {
-		s += "|" + string(v) + "=" + e.store[v].String()
-	}
-	return s
+	return string(k)
 }
 
 func cloneStore(s map[lang.Var]logic.Lin) map[lang.Var]logic.Lin {

@@ -48,7 +48,7 @@ proc baz {
 	if os.Getenv("MAYMUST_DEBUG") != "" {
 		a.Debug = os.Stderr
 	}
-	eng := core.New(prog, core.Options{Punch: a, MaxThreads: 1, MaxIterations: 100, CheckContract: true})
+	eng := core.New(prog, core.Options{Punch: checked{a, t}, MaxThreads: 1, MaxIterations: 100, CheckContract: true})
 	res := eng.Run(core.AssertionQuestion(prog))
 	if res.Verdict != core.Safe {
 		t.Fatalf("verdict: %v, queries: %d", res.Verdict, res.TotalQueries)
@@ -65,7 +65,7 @@ proc main {
   assert(g <= 0);
 }
 proc kick { g = g + 1; }`)
-	eng := core.New(prog, core.Options{Punch: New(), MaxThreads: 2, MaxIterations: 2000, CheckContract: true})
+	eng := core.New(prog, core.Options{Punch: checked{New(), t}, MaxThreads: 2, MaxIterations: 2000, CheckContract: true})
 	res := eng.Run(core.AssertionQuestion(prog))
 	if res.Verdict != core.ErrorReachable {
 		t.Fatalf("verdict: %v", res.Verdict)
@@ -84,7 +84,7 @@ proc main {
 }`)
 	a := New()
 	a.Budget = 40 // far below one full analysis
-	eng := core.New(prog, core.Options{Punch: a, MaxThreads: 1, MaxIterations: 8000, CheckContract: true})
+	eng := core.New(prog, core.Options{Punch: checked{a, t}, MaxThreads: 1, MaxIterations: 8000, CheckContract: true})
 	res := eng.Run(core.AssertionQuestion(prog))
 	if res.Verdict != core.Safe {
 		t.Fatalf("verdict: %v after %d iterations", res.Verdict, res.Iterations)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/punch"
+	"repro/internal/punch/regions"
 	"repro/internal/query"
 	"repro/internal/smt"
 	"repro/internal/summary"
@@ -51,13 +52,36 @@ func stepperFor(t *testing.T, src string) *stepper {
 	db := summary.New(solver)
 	ctx := &punch.Context{Prog: prog, DB: db, Alloc: &query.Allocator{}, ModRef: prog.ModRef()}
 	q := ctx.Alloc.New(query.NoParent, summary.Question{Proc: prog.Main, Pre: logic.True, Post: logic.True})
-	return &stepper{
-		a:      New(),
-		ctx:    ctx,
-		q:      q,
-		o:      newObj(prog.MainProc(), prog.Globals),
-		solver: solver,
+	o := newObj(prog.MainProc(), prog.Globals)
+	o.g = regions.New(o.proc, q.Q.Post)
+	return &stepper{Meter: punch.Meter{Solver: solver}, a: New(), ctx: ctx, q: q, o: o}
+}
+
+// checkGraph fails the test when the region graph's table mentions a
+// region that is no longer in a partition (or is otherwise inconsistent);
+// call it after every split.
+func checkGraph(t *testing.T, g *regions.Graph) {
+	t.Helper()
+	if err := g.Check(); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// checked runs the analysis and walks the query's region graph after
+// every Step (the end-to-end tests cannot get between two splits).
+type checked struct {
+	*Analysis
+	t *testing.T
+}
+
+func (c checked) Step(ctx *punch.Context, q *query.Query) punch.Result {
+	res := c.Analysis.Step(ctx, q)
+	if o, ok := res.Self.Obj.(*obj); ok && o.g != nil {
+		if err := o.g.Check(); err != nil {
+			c.t.Errorf("Q%d %s: %v", q.ID, q.Q.Proc, err)
+		}
+	}
+	return res
 }
 
 func TestFilterRelevant(t *testing.T) {
@@ -77,11 +101,11 @@ proc touch { a = a + 1; }
 func TestPartitionOnKeepsRegionsConjunctive(t *testing.T) {
 	st := stepperFor(t, `globals a; proc main { a = 1; }`)
 	node := st.o.proc.Entry
-	r := st.o.newRegion(node, logic.True, false)
-	st.o.attach(r)
+	r := st.o.g.At(node)[0]
 	// Split ⊤ on (a ≤ 3 ∧ a ≥ 0): outside = ¬(…) = two cubes.
 	wp := logic.Conj(leIC("a", 3), logic.LEq(logic.LinConst(0), logic.LinVar("a")))
-	ins, outs := st.partitionOn(r, wp)
+	ins, outs := st.o.g.PartitionOn(&st.Meter, r, wp)
+	checkGraph(t, st.o.g)
 	if len(ins) != 1 {
 		t.Fatalf("ins = %d", len(ins))
 	}
@@ -89,51 +113,53 @@ func TestPartitionOnKeepsRegionsConjunctive(t *testing.T) {
 		t.Fatalf("outs = %d", len(outs))
 	}
 	for _, part := range append(ins, outs...) {
-		if _, isOr := part.f.(logic.Or); isOr {
-			t.Fatalf("non-conjunctive region %v", part.f)
+		if _, isOr := part.F.(logic.Or); isOr {
+			t.Fatalf("non-conjunctive region %v", part.F)
 		}
 	}
 	// The retired region must be gone from the partition.
-	for _, x := range st.o.regAt[node] {
-		if x.id == r.id {
+	for _, x := range st.o.g.At(node) {
+		if x == r {
 			t.Fatal("retired region still attached")
 		}
+	}
+	if r.Live() {
+		t.Fatal("retired region still live")
 	}
 }
 
 func TestReplaceRegionMigratesBookkeeping(t *testing.T) {
 	st := stepperFor(t, `globals a; proc main { a = 1; }`)
-	o := st.o
-	n := o.proc.Entry
-	r := o.newRegion(n, logic.True, true)
-	o.attach(r)
-	other := o.newRegion(o.proc.Exit, logic.True, false)
-	o.attach(other)
-	k := edgeKey{0, r.id, other.id}
-	o.elim[k] = true
-	o.stuck[edgeKey{1, other.id, r.id}] = true
-	o.attempts[k] = 3
-	o.pending[k] = pendingChild{id: 9, q: summary.Question{Proc: "p", Pre: logic.True, Post: logic.True}}
+	g := st.o.g
+	n := st.o.proc.Entry
+	r := g.At(n)[0]
+	other := g.At(st.o.proc.Exit)[0]
+	out := g.Edge(0, r, other)
+	out.Elim, out.Attempts = true, 3
+	out.Pending = &summary.Question{Proc: "p", Pre: logic.True, Post: logic.True}
+	g.Edge(1, other, r).Stuck = true
 
-	a := o.newRegion(n, leIC("a", 0), true)
-	b := o.newRegion(n, logic.Not(leIC("a", 0)), true)
-	o.replaceRegion(r, a, b)
+	a := g.NewRegion(n, leIC("a", 0), true)
+	b := g.NewRegion(n, logic.Not(leIC("a", 0)), true)
+	g.Split(r, a, b)
+	checkGraph(t, g)
 
-	for _, part := range []*region{a, b} {
-		if !o.elim[edgeKey{0, part.id, other.id}] {
-			t.Errorf("elim not migrated to %d", part.id)
+	for _, part := range []*regions.Region{a, b} {
+		e := g.Edge(0, part, other)
+		if !e.Elim {
+			t.Errorf("elim not migrated to %d", part.ID)
 		}
-		if !o.stuck[edgeKey{1, other.id, part.id}] {
-			t.Errorf("stuck not migrated to %d", part.id)
+		if !g.Edge(1, other, part).Stuck {
+			t.Errorf("stuck not migrated to %d", part.ID)
 		}
-		if o.attempts[edgeKey{0, part.id, other.id}] != 3 {
-			t.Errorf("attempts not migrated to %d", part.id)
+		if e.Attempts != 3 {
+			t.Errorf("attempts not migrated to %d", part.ID)
 		}
-		if _, ok := o.pending[edgeKey{0, part.id, other.id}]; !ok {
-			t.Errorf("pending not migrated to %d", part.id)
+		if e.Pending != out.Pending {
+			t.Errorf("pending not migrated to %d", part.ID)
 		}
-		if !part.target {
-			t.Errorf("target flag lost on %d", part.id)
+		if !part.Target {
+			t.Errorf("target flag lost on %d", part.ID)
 		}
 	}
 }
@@ -175,27 +201,28 @@ func TestPartitionPreservesUnion(t *testing.T) {
 	st := stepperFor(t, `globals a, b; proc main { a = 1; }`)
 	node := st.o.proc.Entry
 	base := logic.Conj(leIC("a", 10), logic.LEq(logic.LinConst(-10), logic.LinVar("a")))
-	r := st.o.newRegion(node, base, false)
-	st.o.attach(r)
+	r := st.o.g.NewRegion(node, base, false)
+	st.o.g.Split(st.o.g.At(node)[0], r)
 	wp := logic.Disj(leIC("a", -2), logic.Conj(leIC("b", 0), leIC("a", 5)))
-	ins, outs := st.partitionOn(r, wp)
+	ins, outs := st.o.g.PartitionOn(&st.Meter, r, wp)
+	checkGraph(t, st.o.g)
 	var parts []logic.Formula
-	for _, p := range append(append([]*region{}, ins...), outs...) {
-		parts = append(parts, p.f)
+	for _, p := range append(append([]*regions.Region{}, ins...), outs...) {
+		parts = append(parts, p.F)
 	}
 	union := logic.Disj(parts...)
-	if !st.solver.Equivalent(union, base) {
+	if !st.Solver.Equivalent(union, base) {
 		t.Fatalf("partition changed the region:\n base=%v\n union=%v", base, union)
 	}
 	// ins must lie inside wp, outs outside it.
 	for _, p := range ins {
-		if !st.solver.Implies(p.f, wp) {
-			t.Errorf("in-part %v not within wp", p.f)
+		if !st.Solver.Implies(p.F, wp) {
+			t.Errorf("in-part %v not within wp", p.F)
 		}
 	}
 	for _, p := range outs {
-		if !st.solver.Implies(p.f, logic.Not(wp)) {
-			t.Errorf("out-part %v intersects wp", p.f)
+		if !st.Solver.Implies(p.F, logic.Not(wp)) {
+			t.Errorf("out-part %v intersects wp", p.F)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"repro/internal/cfg"
+	"repro/internal/logic"
 	"repro/internal/query"
 	"repro/internal/smt"
 	"repro/internal/summary"
@@ -115,4 +116,27 @@ func CheckContract(in *query.Query, r Result) error {
 		return fmt.Errorf("punch: query %d returned in invalid state %v", in.ID, r.Self.State)
 	}
 	return nil
+}
+
+// Meter accounts the abstract work of one PUNCH invocation and fronts the
+// solver calls that are charged for: an instantiation embeds it in its
+// per-Step state and reports Cost in its Result.
+type Meter struct {
+	Solver *smt.Solver
+	Cost   int64
+}
+
+// Charge accounts n units of abstract work.
+func (m *Meter) Charge(n int64) { m.Cost += n }
+
+// Sat is a charged satisfiability check.
+func (m *Meter) Sat(f logic.Formula) smt.Result {
+	m.Charge(4)
+	return m.Solver.Sat(f)
+}
+
+// Implies is a charged entailment check.
+func (m *Meter) Implies(a, b logic.Formula) bool {
+	m.Charge(4)
+	return m.Solver.Implies(a, b)
 }

@@ -1,0 +1,87 @@
+package bolt_test
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	bolt "repro"
+	"repro/internal/drivers"
+	"repro/internal/harness"
+)
+
+var updateTraj = flag.Bool("update-traj", false, "rewrite testdata/traj_pin.golden from this run")
+
+// trajBudget bounds every pinned check. The may analysis never converges
+// on the two looping corpus programs and only burns its budget; everything
+// else decides well inside it.
+const trajBudget = 25000
+
+// TestTrajectoryPin holds the one-thread trajectory of the analyses
+// still: verdict, virtual ticks, query count and solver calls of the four
+// parport Table-1 checks and of every corpus program under all three
+// analyses must equal the golden table. A change that only makes the same
+// work cheaper passes untouched; a change that moves the trajectory has to
+// say so by regenerating the table (go test -run TestTrajectoryPin
+// -update-traj .).
+func TestTrajectoryPin(t *testing.T) {
+	type input struct {
+		name, src string
+		analyses  []bolt.Analysis
+		budget    int64
+	}
+	var inputs []input
+	for _, c := range harness.Table1Checks()[2:] {
+		inputs = append(inputs, input{c.ID(), drivers.Source(c.Config), []bolt.Analysis{bolt.MayMust}, 0})
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.bolt"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus: %v", err)
+	}
+	sort.Strings(files)
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{filepath.Base(f), string(src), []bolt.Analysis{bolt.Must, bolt.May, bolt.MayMust}, trajBudget})
+	}
+
+	var got []string
+	for _, in := range inputs {
+		prog, err := bolt.Parse(in.src)
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		for _, a := range in.analyses {
+			r := prog.Check(bolt.Options{Analysis: a, Threads: 1, MaxVirtualTicks: in.budget})
+			got = append(got, fmt.Sprintf("%s %s verdict=%d ticks=%d queries=%d sat=%d",
+				in.name, a, int(r.Verdict), r.VirtualTicks, r.TotalQueries, r.Solver.SatCalls))
+		}
+	}
+
+	golden := filepath.Join("testdata", "traj_pin.golden")
+	if *updateTraj {
+		if err := os.WriteFile(golden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(want) != len(got) {
+		t.Fatalf("golden has %d rows, run produced %d", len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("trajectory moved:\n got  %s\n want %s", got[i], want[i])
+		}
+	}
+}
