@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt vet build cross test race traj-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke bench bench-snapshot
+.PHONY: ci fmt vet build cross test race traj-pin alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke bench bench-snapshot
 
 # ci is the tier-1 gate: everything must pass before a change lands.
-ci: fmt vet build cross test race traj-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke
+ci: fmt vet build cross test race traj-pin alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke
 
 # fmt fails when any tracked file is not gofmt-clean (prints offenders).
 fmt:
@@ -43,6 +43,14 @@ race:
 # table with `go test -run TestTrajectoryPin -update-traj .` and says so.
 traj-pin:
 	$(GO) test -run TestTrajectoryPin -count=1 .
+
+# alloc-pin holds the allocation of a check whose formulas all exist
+# already: parport/PowerDownFail on one thread, twice in one process, the
+# second run's runtime.MemStats.TotalAlloc against the budget committed in
+# alloc_pin_test.go. The formula constructors allocate nothing when they
+# return an existing node; a change that gives that back fails here.
+alloc-pin:
+	$(GO) test -run TestAllocPin -count=1 .
 
 # trace-smoke round-trips a corpus program through all three engines with
 # the Chrome tracer attached and validates the serialized document.

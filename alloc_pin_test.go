@@ -1,0 +1,43 @@
+package bolt_test
+
+import (
+	"runtime"
+	"testing"
+
+	bolt "repro"
+	"repro/internal/drivers"
+	"repro/internal/harness"
+)
+
+// allocPinBudget is what one warm one-thread check of parport/PowerDownFail
+// may allocate: the 18.47 MB measured when the budget was set (40.4 MB
+// before the intern table owned its nodes), plus 10 %. The figure repeats
+// to 0.03 % between runs and is 2 % higher under -race, so the head-room
+// is for changes elsewhere, not for noise. A change that lowers the
+// allocation on purpose lowers the budget with it.
+const allocPinBudget = 20_300_000
+
+// TestAllocPin holds the allocation of the formula constructors' hit path
+// still. The check runs twice: the first run fills the process-global
+// intern table, whatever ran in this process before it, so the second
+// builds hardly a formula that does not exist and allocates what the
+// analysis itself needs — cubes, region-graph edges, solver memos. Giving
+// back a child slice or a boxed node per Conj shows here as megabytes.
+func TestAllocPin(t *testing.T) {
+	prog := bolt.MustParse(drivers.Source(harness.Table1Checks()[3].Config))
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := prog.Check(bolt.Options{Threads: 1})
+		runtime.ReadMemStats(&after)
+		if r.Verdict != bolt.Safe {
+			t.Fatalf("parport/PowerDownFail: %v, want Safe", r.Verdict)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	cold, warm := run(), run()
+	t.Logf("allocated %d bytes cold, %d warm (budget %d)", cold, warm, allocPinBudget)
+	if warm > allocPinBudget {
+		t.Errorf("warm check allocates %d bytes, budget %d: the constructors' hit path allocates again, or a layer above it allocates more", warm, allocPinBudget)
+	}
+}

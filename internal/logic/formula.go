@@ -23,20 +23,25 @@ type Bool bool
 // Atom is the inequality L ≤ 0, or the equality L = 0 when Eq is set.
 // The unexported id is the hash-consed identity assigned by the package
 // constructors (0 for literal-built atoms, which are interned lazily by
-// KeyID).
+// KeyID); lid is the id of L, by which the intern table finds the atom
+// (ids stay below maxInternedIDs, so 32 bits hold it and the struct is no
+// larger for it).
 type Atom struct {
-	L  Lin
-	Eq bool
-	id ID
+	L   Lin
+	Eq  bool
+	lid uint32
+	id  ID
 }
 
-// And is the conjunction of Fs (true when empty).
+// And is the conjunction of Fs (true when empty). Fs of a node that came
+// from a constructor is shared with every other holder of the same
+// structure: read it, never write or append to it in place.
 type And struct {
 	Fs []Formula
 	id ID
 }
 
-// Or is the disjunction of Fs (false when empty).
+// Or is the disjunction of Fs (false when empty); Fs is shared as And's.
 type Or struct {
 	Fs []Formula
 	id ID
@@ -87,7 +92,7 @@ func LE(l Lin) Formula {
 	if l.IsConst() {
 		return Bool(l.K <= 0)
 	}
-	return Atom{L: l, id: internAtom(l, false)}
+	return internAtom(l, false)
 }
 
 // EQ returns the atom l = 0 with constant folding.
@@ -95,7 +100,7 @@ func EQ(l Lin) Formula {
 	if l.IsConst() {
 		return Bool(l.K == 0)
 	}
-	return Atom{L: l, Eq: true, id: internAtom(l, true)}
+	return internAtom(l, true)
 }
 
 // LEq returns the formula x ≤ y.
@@ -109,7 +114,8 @@ func Eq(x, y Lin) Formula { return EQ(x.Sub(y)) }
 
 // idSet is a set of interned ids sized for what formula construction
 // meets: a handful of members, found by scanning a slice. Only a set that
-// outgrows idSetLinear pays for a map.
+// outgrows idSetLinear pays for a map. It is passed and returned by value
+// so that a set started on an array of the caller's stack stays there.
 type idSet struct {
 	ids []ID        // members in insertion order
 	big map[ID]bool // mirrors ids once len(ids) > idSetLinear
@@ -117,17 +123,17 @@ type idSet struct {
 
 const idSetLinear = 24
 
-// insert adds id and reports whether it was new.
-func (s *idSet) insert(id ID) bool {
+// insert returns the set with id in it and reports whether id was new.
+func (s idSet) insert(id ID) (idSet, bool) {
 	if s.big != nil {
 		if s.big[id] {
-			return false
+			return s, false
 		}
 		s.big[id] = true
 	} else {
 		for _, x := range s.ids {
 			if x == id {
-				return false
+				return s, false
 			}
 		}
 	}
@@ -138,130 +144,85 @@ func (s *idSet) insert(id ID) bool {
 			s.big[x] = true
 		}
 	}
-	return true
+	return s, true
 }
 
-// nodeBuilder accumulates the flattened, deduplicated children of a
-// Conj/Disj. Dedup is by interned id; the string map only exists when
-// some child overflowed the intern table (the node then stays uninterned
-// and seen.ids no longer lines up with out).
-type nodeBuilder struct {
-	out     []Formula
-	seen    idSet
-	seenStr map[string]bool
-	allIn   bool // every child has a non-zero id
-}
-
-func newNodeBuilder(n int) nodeBuilder {
-	return nodeBuilder{
-		out:   make([]Formula, 0, n),
-		seen:  idSet{ids: make([]ID, 0, n)},
-		allIn: true,
-	}
-}
-
-func (b *nodeBuilder) add(g Formula) {
-	if id := KeyID(g); id != 0 {
-		if b.seen.insert(id) {
-			b.out = append(b.out, g)
-		}
-		return
-	}
-	b.allIn = false
-	if b.seenStr == nil {
-		b.seenStr = map[string]bool{}
-	}
-	k := g.String()
-	if !b.seenStr[k] {
-		b.seenStr[k] = true
-		b.out = append(b.out, g)
-	}
-}
+// nodeScratch is the width up to which a Conj/Disj gathers its children
+// and their ids in arrays on the constructor's stack; wider nodes spill
+// to the heap through append.
+const nodeScratch = 16
 
 // Conj returns the conjunction of fs, flattened, deduplicated and
 // constant-folded.
-func Conj(fs ...Formula) Formula {
-	n := len(fs)
-	for _, f := range fs {
-		if a, ok := f.(And); ok {
-			n += len(a.Fs) - 1
-		}
-	}
-	b := newNodeBuilder(n)
-	add := func(g Formula) bool {
-		if c, ok := g.(Bool); ok {
-			return bool(c) // false aborts
-		}
-		b.add(g)
-		return true
-	}
-	for _, f := range fs {
-		if a, ok := f.(And); ok {
-			for _, g := range a.Fs {
-				if !add(g) {
-					return False
-				}
-			}
-			continue
-		}
-		if !add(f) {
-			return False
-		}
-	}
-	if len(b.out) == 0 {
-		return True
-	}
-	if len(b.out) == 1 {
-		return b.out[0]
-	}
-	node := And{Fs: b.out}
-	if b.allIn {
-		node.id = internNode(tagAnd, b.seen.ids)
-	}
-	return node
-}
+func Conj(fs ...Formula) Formula { return junction(tagAnd, fs) }
 
 // Disj returns the disjunction of fs, flattened, deduplicated and
 // constant-folded.
-func Disj(fs ...Formula) Formula {
-	n := len(fs)
-	for _, f := range fs {
-		if o, ok := f.(Or); ok {
-			n += len(o.Fs) - 1
-		}
-	}
-	b := newNodeBuilder(n)
+func Disj(fs ...Formula) Formula { return junction(tagOr, fs) }
+
+// junction builds the And (tagAnd) or Or (tagOr) of fs: children of the
+// same kind are flattened one level (they are flat themselves), the
+// neutral constant is dropped, the absorbing one decides the result, and
+// duplicates keep their first occurrence. What is left is looked up in
+// the intern table; when the node exists already nothing is allocated.
+func junction(tag byte, fs []Formula) Formula {
+	var kidBuf [nodeScratch]Formula
+	var idBuf [nodeScratch]ID
+	kids := kidBuf[:0]            // the children kept so far
+	seen := idSet{ids: idBuf[:0]} // their ids, in step with kids while allIn
+	var seenStr map[string]bool   // prints of children past the table cap
+	allIn := true                 // every kept child has an id
+	absorbing := Bool(tag == tagOr)
 	add := func(g Formula) bool {
 		if c, ok := g.(Bool); ok {
-			return !bool(c) // true aborts
+			return c != absorbing
 		}
-		b.add(g)
+		g = canonical(g)
+		fresh := false
+		if id := idOf(g); id != 0 {
+			seen, fresh = seen.insert(id)
+		} else {
+			allIn = false
+			if seenStr == nil {
+				seenStr = map[string]bool{}
+			}
+			k := g.String()
+			fresh = !seenStr[k]
+			seenStr[k] = true
+		}
+		if fresh {
+			kids = append(kids, g)
+		}
 		return true
 	}
 	for _, f := range fs {
-		if o, ok := f.(Or); ok {
-			for _, g := range o.Fs {
-				if !add(g) {
-					return True
-				}
+		ftag, inner := kidsOf(f)
+		if ftag != tag { // not a node of the kind being built: one child
+			if !add(f) {
+				return absorbing
 			}
 			continue
 		}
-		if !add(f) {
-			return True
+		for _, g := range inner {
+			if !add(g) {
+				return absorbing
+			}
 		}
 	}
-	if len(b.out) == 0 {
-		return False
+	switch {
+	case len(kids) == 0:
+		return !absorbing
+	case len(kids) == 1:
+		return kids[0]
+	case allIn:
+		return intern(tag, seen.ids, kids, Lin{})
 	}
-	if len(b.out) == 1 {
-		return b.out[0]
+	// Some child is past the table cap: an uninterned node of its own.
+	own := append([]Formula(nil), kids...)
+	if tag == tagAnd {
+		return And{Fs: own}
 	}
-	node := Or{Fs: b.out}
-	if b.allIn {
-		node.id = internNode(tagOr, b.seen.ids)
-	}
-	return node
+	return Or{Fs: own}
 }
 
 // Not returns the negation of f, pushed down to the atoms. Over the
@@ -395,10 +356,7 @@ func Rename(f Formula, ren map[lang.Var]lang.Var) Formula {
 	case Bool:
 		return f
 	case Atom:
-		out := f
-		out.L = f.L.Rename(ren)
-		out.id = internAtom(out.L, out.Eq)
-		return out
+		return internAtom(f.L.Rename(ren), f.Eq)
 	case And:
 		out := make([]Formula, len(f.Fs))
 		for i, g := range f.Fs {

@@ -1,16 +1,18 @@
-// Hash-consing: a process-global, sharded intern table assigning small
-// integer ids to linear terms and formula nodes. Structurally equal
-// values always receive the same id, so the id doubles as a canonical
-// map key — logic.Key, the entailment cache, the SUMDB answer memo and
-// the DPLL skeleton's atom interning all become integer operations
-// instead of recursive string builds.
+// Hash-consing: a process-global, sharded intern table that owns the
+// canonical copy of every linear term and formula node. Structurally
+// equal values always resolve to the same node and the same small integer
+// id, so the id doubles as a canonical map key — logic.Key, the solver's
+// memos, the SUMDB answer memo and the DPLL skeleton's atom interning are
+// integer operations — and building a structure that already exists
+// returns the existing node without allocating.
 //
-// Invariant: interned values are immutable. Every Lin operation returns
-// a fresh term and every Formula constructor returns a fresh node, so an
-// id, once assigned, remains valid for the process lifetime. Ids are
-// assigned in first-intern order: they are stable within a process but
-// carry no meaning across processes, which is fine because every
-// consumer uses them only as identity.
+// Invariant: interned values are immutable and shared. The Fs of an
+// interned And/Or is the one array every holder of that node sees; it is
+// never written or appended to in place (its capacity equals its length,
+// so an append always copies). An id, once assigned, remains valid for the
+// process lifetime. Ids are assigned in first-intern order: they are
+// stable within a process but carry no meaning across processes, which is
+// fine because every consumer uses them only as identity.
 package logic
 
 import (
@@ -34,13 +36,19 @@ const (
 	// internShards stripes the table so concurrent PUNCH instances
 	// rarely contend on the same lock.
 	internShards = 64
+	// nodeShardShift takes a node's shard from the top bits of its hash;
+	// the slot inside the shard comes from the low bits. The two must
+	// not overlap: entries that agree on the shard bits would otherwise
+	// agree on that many slot bits too and pile onto 1/64 of the slots.
+	nodeShardShift = 64 - 6
+	// minNodeSlots is a shard's initial slot count (a power of two).
+	minNodeSlots = 256
 	// maxInternedIDs caps the table. Past the cap new structures get
 	// ID 0 and key construction falls back to strings; already-interned
 	// structures keep resolving. The cap only guards pathological runs —
-	// the corpus peaks at a few tens of thousands of distinct nodes.
+	// the Table-1 checks peak at a few hundred thousand distinct nodes.
 	maxInternedIDs = 1 << 21
 	// Node tags distinguishing the interned kinds in one namespace.
-	tagLin  = byte('l')
 	tagAtom = byte('a')
 	tagEq   = byte('e')
 	tagAnd  = byte('A')
@@ -52,30 +60,36 @@ type linEntry struct {
 	id ID
 }
 
-type nodeEntry struct {
-	tag  byte
-	kids []ID
-	id   ID
-}
-
+// internShard is one stripe: a map of terms and an open-addressed table
+// of formula nodes. A node slot holds the canonical Formula itself (nil
+// when empty), probed linearly from hash&mask. A slot's hash is not
+// stored: growth recomputes it from the node's tag and its children's
+// ids (an atom's one child is its term id).
 type internShard struct {
 	mu    sync.RWMutex
 	lins  map[uint64][]linEntry
-	nodes map[uint64][]nodeEntry
+	nodes []Formula // len is a power of two
+	used  int       // occupied slots of nodes
+	// fill/64 is the load at which nodes doubles. It differs from shard
+	// to shard: the shards fill at the same rate, and with one common
+	// threshold all 64 tables would double — and leave their old halves
+	// behind as garbage — in the same instant.
+	fill int
+	// hits and misses count this shard's lookups; InternStats sums them.
+	// Per shard, so workers do not all write one counter's cache line.
+	hits, misses atomic.Int64
 }
 
 var internTab [internShards]internShard
 
-var (
-	internNext   uint64 // atomic; allocated ids are internNext+2
-	internHits   int64  // atomic
-	internMisses int64  // atomic
-)
+var internNext uint64 // atomic; allocated ids are internNext+2
 
 func init() {
 	for i := range internTab {
-		internTab[i].lins = map[uint64][]linEntry{}
-		internTab[i].nodes = map[uint64][]nodeEntry{}
+		sh := &internTab[i]
+		sh.lins = map[uint64][]linEntry{}
+		sh.nodes = make([]Formula, minNodeSlots)
+		sh.fill = 24 + i*3/8 // 3/8 … 47/64
 	}
 }
 
@@ -84,7 +98,11 @@ func init() {
 // fresh insertion. Engines snapshot the pair at run start and fold the
 // delta into the run's metrics as hashcons_hits.
 func InternStats() (hits, misses int64) {
-	return atomic.LoadInt64(&internHits), atomic.LoadInt64(&internMisses)
+	for i := range internTab {
+		hits += internTab[i].hits.Load()
+		misses += internTab[i].misses.Load()
+	}
+	return hits, misses
 }
 
 func allocID() ID {
@@ -131,7 +149,7 @@ func LinID(l Lin) ID {
 	for _, e := range sh.lins[h] {
 		if e.l.Equal(l) {
 			sh.mu.RUnlock()
-			atomic.AddInt64(&internHits, 1)
+			sh.hits.Add(1)
 			return e.id
 		}
 	}
@@ -140,7 +158,7 @@ func LinID(l Lin) ID {
 	for _, e := range sh.lins[h] {
 		if e.l.Equal(l) {
 			sh.mu.Unlock()
-			atomic.AddInt64(&internHits, 1)
+			sh.hits.Add(1)
 			return e.id
 		}
 	}
@@ -149,91 +167,13 @@ func LinID(l Lin) ID {
 		sh.lins[h] = append(sh.lins[h], linEntry{l: l, id: id})
 	}
 	sh.mu.Unlock()
-	atomic.AddInt64(&internMisses, 1)
+	sh.misses.Add(1)
 	return id
 }
 
-func hashNode(tag byte, kids []ID) uint64 {
-	h := mix(uint64(fnvOffset), uint64(tag))
-	for _, k := range kids {
-		h = mix(h, uint64(k))
-	}
-	return mix(h, uint64(len(kids)))
-}
-
-func nodeEq(e nodeEntry, tag byte, kids []ID) bool {
-	if e.tag != tag || len(e.kids) != len(kids) {
-		return false
-	}
-	for i, k := range kids {
-		if e.kids[i] != k {
-			return false
-		}
-	}
-	return true
-}
-
-// internNode interns a formula node identified by its tag and ordered
-// child ids. The kids slice is retained: callers pass ownership.
-func internNode(tag byte, kids []ID) ID {
-	h := hashNode(tag, kids)
-	sh := &internTab[h%internShards]
-	sh.mu.RLock()
-	for _, e := range sh.nodes[h] {
-		if nodeEq(e, tag, kids) {
-			sh.mu.RUnlock()
-			atomic.AddInt64(&internHits, 1)
-			return e.id
-		}
-	}
-	sh.mu.RUnlock()
-	sh.mu.Lock()
-	for _, e := range sh.nodes[h] {
-		if nodeEq(e, tag, kids) {
-			sh.mu.Unlock()
-			atomic.AddInt64(&internHits, 1)
-			return e.id
-		}
-	}
-	id := allocID()
-	if id != 0 {
-		sh.nodes[h] = append(sh.nodes[h], nodeEntry{tag: tag, kids: kids, id: id})
-	}
-	sh.mu.Unlock()
-	atomic.AddInt64(&internMisses, 1)
-	return id
-}
-
-// internAtom interns the atom (l ≤ 0) or (l = 0) without allocating on
-// the lookup path.
-func internAtom(l Lin, eq bool) ID {
-	lid := LinID(l)
-	if lid == 0 {
-		return 0
-	}
-	tag := tagAtom
-	if eq {
-		tag = tagEq
-	}
-	h := hashNode(tag, []ID{lid}) // inlined by escape analysis; does not allocate
-	sh := &internTab[h%internShards]
-	sh.mu.RLock()
-	for _, e := range sh.nodes[h] {
-		if e.tag == tag && len(e.kids) == 1 && e.kids[0] == lid {
-			sh.mu.RUnlock()
-			atomic.AddInt64(&internHits, 1)
-			return e.id
-		}
-	}
-	sh.mu.RUnlock()
-	return internNode(tag, []ID{lid})
-}
-
-// KeyID returns the structural identity of f as an interned id, or 0
-// when f (or a subterm) overflowed the intern table. Nodes built by the
-// package constructors carry their id; literal-built nodes are interned
-// lazily here.
-func KeyID(f Formula) ID {
+// idOf returns the id f carries: the reserved ids for the constants, the
+// stored id of a node (0 for a literal-built or overflowed one).
+func idOf(f Formula) ID {
 	switch f := f.(type) {
 	case Bool:
 		if bool(f) {
@@ -241,35 +181,226 @@ func KeyID(f Formula) ID {
 		}
 		return idFalse
 	case Atom:
-		if f.id != 0 {
-			return f.id
-		}
-		return internAtom(f.L, f.Eq)
+		return f.id
 	case And:
-		if f.id != 0 {
-			return f.id
-		}
-		return internNodeOf(tagAnd, f.Fs)
+		return f.id
 	case Or:
-		if f.id != 0 {
-			return f.id
-		}
-		return internNodeOf(tagOr, f.Fs)
+		return f.id
 	default:
 		return 0
 	}
 }
 
-func internNodeOf(tag byte, fs []Formula) ID {
-	kids := make([]ID, len(fs))
-	for i, g := range fs {
-		id := KeyID(g)
-		if id == 0 {
-			return 0
-		}
-		kids[i] = id
+// hashNode is the hash of the node with this tag and these child ids: FNV
+// over tag, ids and their count, then an avalanche so that the top bits
+// (shard) and the low bits (slot) each depend on every input bit.
+func hashNode(tag byte, ids []ID) uint64 {
+	h := mix(uint64(fnvOffset), uint64(tag))
+	for _, k := range ids {
+		h = mix(h, uint64(k))
 	}
-	return internNode(tag, kids)
+	h = mix(h, uint64(len(ids)))
+	h ^= h >> 32
+	h *= 0x9e3779b97f4a7c15
+	h ^= h >> 29
+	return h
+}
+
+// kidsOf returns the tag and the children of an And or Or, and tag 0 for
+// any other formula.
+func kidsOf(f Formula) (tag byte, fs []Formula) {
+	switch f := f.(type) {
+	case And:
+		return tagAnd, f.Fs
+	case Or:
+		return tagOr, f.Fs
+	}
+	return 0, nil
+}
+
+// hashOf is hashNode of a stored node, for growth to re-place it by.
+func hashOf(f Formula) uint64 {
+	var idBuf [nodeScratch]ID
+	ids := idBuf[:0]
+	if a, ok := f.(Atom); ok {
+		return hashNode(atomTag(a.Eq), append(ids, ID(a.lid)))
+	}
+	tag, fs := kidsOf(f)
+	for _, g := range fs {
+		ids = append(ids, idOf(g))
+	}
+	return hashNode(tag, ids)
+}
+
+func atomTag(eq bool) byte {
+	if eq {
+		return tagEq
+	}
+	return tagAtom
+}
+
+// nodeIs reports whether the stored node f is the node with this tag and
+// these child ids.
+func nodeIs(f Formula, tag byte, ids []ID) bool {
+	var fs []Formula
+	switch f := f.(type) {
+	case Atom:
+		return tag == atomTag(f.Eq) && ID(f.lid) == ids[0]
+	case And:
+		if tag != tagAnd {
+			return false
+		}
+		fs = f.Fs
+	case Or:
+		if tag != tagOr {
+			return false
+		}
+		fs = f.Fs
+	}
+	if len(fs) != len(ids) {
+		return false
+	}
+	for i, g := range fs {
+		if idOf(g) != ids[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// find probes for the node (tag, ids) whose hash is h; nil when absent.
+// The caller holds sh.mu.
+func (sh *internShard) find(h uint64, tag byte, ids []ID) Formula {
+	mask := uint64(len(sh.nodes) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		f := sh.nodes[i]
+		if f == nil || nodeIs(f, tag, ids) {
+			return f
+		}
+	}
+}
+
+// insert stores f, whose hash is h and which find did not find, doubling
+// the table first when it has reached its fill. The caller holds sh.mu
+// for writing.
+func (sh *internShard) insert(h uint64, f Formula) {
+	if sh.used*64 >= len(sh.nodes)*sh.fill {
+		old := sh.nodes
+		sh.nodes = make([]Formula, 2*len(old))
+		for _, g := range old {
+			if g != nil {
+				sh.place(hashOf(g), g)
+			}
+		}
+	}
+	sh.place(h, f)
+	sh.used++
+}
+
+func (sh *internShard) place(h uint64, f Formula) {
+	mask := uint64(len(sh.nodes) - 1)
+	i := h & mask
+	for sh.nodes[i] != nil {
+		i = (i + 1) & mask
+	}
+	sh.nodes[i] = f
+}
+
+// intern is the one way into the node table: it returns the canonical
+// node with the given tag and child ids, creating it on a miss. A hit
+// allocates nothing. For an And/Or, ids are the ids of fs (all non-zero)
+// and a miss copies fs, so the caller's slice is never retained; for an
+// atom, ids is the one id of the term l. Past the table cap the node is
+// built with id 0 and not stored.
+func intern(tag byte, ids []ID, fs []Formula, l Lin) Formula {
+	h := hashNode(tag, ids)
+	sh := &internTab[h>>nodeShardShift]
+	sh.mu.RLock()
+	f := sh.find(h, tag, ids)
+	sh.mu.RUnlock()
+	if f != nil {
+		sh.hits.Add(1)
+		return f
+	}
+	sh.mu.Lock()
+	if f = sh.find(h, tag, ids); f != nil {
+		sh.mu.Unlock()
+		sh.hits.Add(1)
+		return f
+	}
+	id := allocID()
+	if tag == tagAnd || tag == tagOr {
+		// make, not append: capacity must equal length, so that no
+		// holder's append can ever write into the shared array.
+		own := make([]Formula, len(fs))
+		copy(own, fs)
+		if tag == tagAnd {
+			f = And{Fs: own, id: id}
+		} else {
+			f = Or{Fs: own, id: id}
+		}
+	} else {
+		f = Atom{L: l, Eq: tag == tagEq, id: id, lid: uint32(ids[0])}
+	}
+	if id != 0 {
+		sh.insert(h, f)
+	}
+	sh.mu.Unlock()
+	sh.misses.Add(1)
+	return f
+}
+
+// internAtom returns the canonical atom (l ≤ 0) or (l = 0).
+func internAtom(l Lin, eq bool) Formula {
+	lid := LinID(l)
+	if lid == 0 {
+		return Atom{L: l, Eq: eq}
+	}
+	ids := [1]ID{lid}
+	return intern(atomTag(eq), ids[:], nil, l)
+}
+
+// canonical returns the interned node structurally equal to f: f itself
+// when it carries an id, otherwise the node internLiteral finds or makes.
+// The result has id 0 only when f or a subterm overflowed the table.
+func canonical(f Formula) Formula {
+	if idOf(f) != 0 {
+		return f
+	}
+	return internLiteral(f)
+}
+
+// internLiteral interns a node written as a literal (id 0), children
+// first — as written, without the flattening and folding Conj and Disj
+// do, because the id is an identity of structure.
+func internLiteral(f Formula) Formula {
+	if a, ok := f.(Atom); ok {
+		return internAtom(a.L, a.Eq)
+	}
+	tag, fs := kidsOf(f)
+	if tag == 0 {
+		return f
+	}
+	var kidBuf [nodeScratch]Formula
+	var idBuf [nodeScratch]ID
+	kids, ids := kidBuf[:0], idBuf[:0]
+	for _, g := range fs {
+		g = canonical(g)
+		id := idOf(g)
+		if id == 0 {
+			return f
+		}
+		kids, ids = append(kids, g), append(ids, id)
+	}
+	return intern(tag, ids, kids, Lin{})
+}
+
+// KeyID returns the structural identity of f as an interned id, or 0
+// when f (or a subterm) overflowed the intern table. Nodes built by the
+// package constructors carry their id; literal-built nodes are interned
+// lazily here.
+func KeyID(f Formula) ID {
+	return idOf(canonical(f))
 }
 
 // Key returns a canonical string for f, usable as a map key for

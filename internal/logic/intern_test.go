@@ -1,6 +1,13 @@
 package logic
 
 import (
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 
@@ -88,6 +95,7 @@ func TestInternRenameReinterns(t *testing.T) {
 func TestInternConcurrent(t *testing.T) {
 	const workers = 8
 	keys := make([][]string, workers)
+	kids := make([][]*Formula, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
@@ -95,7 +103,9 @@ func TestInternConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				keys[w] = append(keys[w], Key(buildNested(int64(i%10))))
+				f := buildNested(int64(1000 + i%10))
+				keys[w] = append(keys[w], Key(f))
+				kids[w] = append(kids[w], &f.(And).Fs[0])
 			}
 		}()
 	}
@@ -105,7 +115,259 @@ func TestInternConcurrent(t *testing.T) {
 			if keys[w][i] != keys[0][i] {
 				t.Fatalf("worker %d key[%d] = %q, worker 0 = %q", w, i, keys[w][i], keys[0][i])
 			}
+			if kids[w][i] != kids[0][i] {
+				t.Fatalf("worker %d and worker 0 hold different nodes for formula %d", w, i)
+			}
 		}
+	}
+}
+
+// The table owns the node: building a structure that exists returns the
+// node that is there, children array and all.
+func TestInternSharesOneNode(t *testing.T) {
+	for name, build := range map[string]func(...Formula) Formula{"Conj": Conj, "Disj": Disj} {
+		x, y := internVar("x"), internVar("y")
+		mk := func() Formula { return build(LEq(x, LinConst(41)), LEq(y, x), LEq(LinConst(7), y)) }
+		a, b := mk(), mk()
+		if KeyID(a) == 0 || KeyID(a) != KeyID(b) {
+			t.Fatalf("%s: ids %d and %d", name, KeyID(a), KeyID(b))
+		}
+		if fa, fb := childrenOf(a), childrenOf(b); len(fa) != 3 || &fa[0] != &fb[0] {
+			t.Fatalf("%s: the same structure built twice does not share its children array", name)
+		}
+		if fs := childrenOf(a); cap(fs) != len(fs) {
+			t.Fatalf("%s: interned children have spare capacity %d > %d: an append could write into them", name, cap(fs), len(fs))
+		}
+	}
+	l := internVar("x").Sub(LinConst(41))
+	a, b := LE(l).(Atom), LE(l).(Atom)
+	if a.id == 0 || a.id != b.id || &a.L.Vars[0] != &b.L.Vars[0] {
+		t.Fatal("LE of one term built twice is not one atom")
+	}
+}
+
+func childrenOf(f Formula) []Formula {
+	_, fs := kidsOf(f)
+	return fs
+}
+
+// A node written as a literal carries no id; KeyID interns it bottom-up
+// and reaches the id the constructors give the same structure, and what
+// it stores has canonical children only.
+func TestInternLiteralReachesConstructorID(t *testing.T) {
+	lx, ly := internVar("lit_x").Sub(LinConst(3)), internVar("lit_y").AddConst(9)
+	lit := And{Fs: []Formula{
+		Atom{L: lx},
+		Or{Fs: []Formula{Atom{L: ly}, Atom{L: lx, Eq: true}}},
+	}}
+	built := Conj(LE(lx), Disj(LE(ly), EQ(lx)))
+	if KeyID(lit) == 0 || KeyID(lit) != KeyID(built) {
+		t.Fatalf("literal interns to %d, constructors to %d", KeyID(lit), KeyID(built))
+	}
+	// One-child and nested literals keep their structure: an id
+	// identifies what was written, not what Conj would have made of it.
+	if one := (And{Fs: []Formula{Atom{L: lx}}}); KeyID(one) == KeyID(LE(lx)) || KeyID(one) != KeyID(And{Fs: []Formula{LE(lx)}}) {
+		t.Fatal("a one-child literal And must have an id of its own, the same on every build")
+	}
+	checkTableInvariants(t)
+}
+
+// checkTableInvariants walks the node table: every entry carries an id,
+// sits in the shard and on the probe path its hash says, and holds only
+// children that carry ids themselves.
+func checkTableInvariants(t *testing.T) {
+	t.Helper()
+	for i := range internTab {
+		sh := &internTab[i]
+		sh.mu.RLock()
+		used := 0
+		for _, f := range sh.nodes {
+			if f == nil {
+				continue
+			}
+			used++
+			if idOf(f) == 0 {
+				t.Errorf("shard %d holds a node without an id: %v", i, f)
+			}
+			if a, ok := f.(Atom); ok && a.lid == 0 {
+				t.Errorf("shard %d holds an atom without a term id: %v", i, f)
+			}
+			for _, g := range childrenOf(f) {
+				if idOf(g) == 0 {
+					t.Errorf("shard %d: node %v holds the id-0 child %v", i, f, g)
+				}
+			}
+			h := hashOf(f)
+			if int(h>>nodeShardShift) != i {
+				t.Errorf("node %v sits in shard %d, its hash says %d", f, i, h>>nodeShardShift)
+			}
+		}
+		if used != sh.used {
+			t.Errorf("shard %d counts %d nodes, holds %d", i, sh.used, used)
+		}
+		sh.mu.RUnlock()
+	}
+}
+
+// 200 000 fresh nodes push every shard through several doublings; each
+// node must stay findable afterwards, under the id and at the address it
+// was given, and the entries must spread over the slots: a shard whose
+// slot index reused the bits that chose the shard would crowd its entries
+// onto 1/64 of its slots and probe an order of magnitude further.
+func TestInternGrowthKeepsNodesAndSpreadsThem(t *testing.T) {
+	const atoms = 640 // 640·639/2 = 204 480 pairs
+	v := internVar("growth")
+	as := make([]Formula, atoms)
+	for i := range as {
+		as[i] = LEq(v, LinConst(int64(i)))
+	}
+	type made struct {
+		id   ID
+		kids *Formula
+	}
+	var nodes []made
+	for i := range as {
+		for j := i + 1; j < atoms; j++ {
+			f := Disj(as[i], as[j]).(Or)
+			nodes = append(nodes, made{f.id, &f.Fs[0]})
+		}
+	}
+	n := 0
+	for i := range as {
+		for j := i + 1; j < atoms; j++ {
+			f := Disj(as[i], as[j]).(Or)
+			if f.id == 0 || f.id != nodes[n].id || &f.Fs[0] != nodes[n].kids {
+				t.Fatalf("pair (%d,%d): id %d node %p, first built as id %d node %p", i, j, f.id, &f.Fs[0], nodes[n].id, nodes[n].kids)
+			}
+			n++
+		}
+	}
+	checkTableInvariants(t)
+	for i := range internTab {
+		sh := &internTab[i]
+		sh.mu.RLock()
+		slots, mask := len(sh.nodes), uint64(len(sh.nodes)-1)
+		total, longest := 0, 0
+		for at, f := range sh.nodes {
+			if f == nil {
+				continue
+			}
+			d := int((uint64(at) - hashOf(f)) & mask) // slots past the home slot
+			total += d
+			if d > longest {
+				longest = d
+			}
+		}
+		mean := float64(total) / float64(sh.used)
+		sh.mu.RUnlock()
+		if slots < 8*minNodeSlots {
+			t.Errorf("shard %d has %d slots after 200k inserts: it did not grow", i, slots)
+		}
+		// Linear probing at a load of at most 47/64 leaves an entry 1.4
+		// slots from home on average and the worst a few dozen.
+		if i == 0 || i == internShards-1 {
+			t.Logf("shard %d: %d of %d slots used, %.2f slots from home on average, %d at worst", i, sh.used, slots, mean, longest)
+		}
+		if mean > 3 || longest > 160 {
+			t.Errorf("shard %d: entries sit %.1f slots from home on average, %d at worst (%d of %d slots used)", i, mean, longest, sh.used, slots)
+		}
+	}
+}
+
+// The constructors' hit path is free of allocation: two to four existing
+// children whose node exists, and an atom over an existing term.
+func TestConstructorHitPathAllocFree(t *testing.T) {
+	x, y := internVar("x"), internVar("y")
+	region := Conj(LEq(x, LinConst(4)), LEq(LinConst(0), x))
+	wp, pre := LEq(y.Add(x), LinConst(9)), LEq(LinConst(1), y)
+	term := y.Add(x).Sub(LinConst(9))
+	for name, build := range map[string]func(){
+		"Conj of 2":           func() { conjSink = Conj(wp, pre) },
+		"Conj of 3":           func() { conjSink = Conj(pre, wp, LEq(x, LinConst(4))) },
+		"Conj of 4, one And":  func() { conjSink = Conj(region, wp, pre, wp) },
+		"Disj of 3":           func() { conjSink = Disj(pre, wp, region) },
+		"LE of a known term":  func() { conjSink = LE(term) },
+		"EQ of a known term":  func() { conjSink = EQ(term) },
+		"KeyID of a built id": func() { _ = KeyID(region) },
+	} {
+		build() // the first call may insert
+		if a := testing.AllocsPerRun(100, build); a != 0 {
+			t.Errorf("%s allocates %.0f times on the hit path, want 0", name, a)
+		}
+	}
+}
+
+// The one-pass cube of an all-atom conjunction equals what the general
+// product builds: same atoms, same order, an equality as its two halves
+// in place.
+func TestAtomsCubeMatchesProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	vars := []Lin{internVar("x"), internVar("y"), internVar("z")}
+	for round := 0; round < 500; round++ {
+		var fs []Formula
+		for n := rng.Intn(7); n > 0; n-- {
+			l := LinConst(int64(rng.Intn(9) - 4))
+			for _, v := range vars {
+				l = l.Add(v.Scale(int64(rng.Intn(5) - 2)))
+			}
+			if l.IsConst() {
+				continue
+			}
+			fs = append(fs, Atom{L: l, Eq: rng.Intn(3) == 0})
+		}
+		fast, ok := atomsCube(fs)
+		if !ok {
+			t.Fatalf("round %d: atomsCube refused a conjunction of atoms", round)
+		}
+		slow, ok := productCubes(fs, MaxCubes)
+		if !ok || len(slow) != 1 {
+			t.Fatalf("round %d: product gave %d cubes, ok=%v", round, len(slow), ok)
+		}
+		if fmt.Sprint(fast) != fmt.Sprint(slow[0]) || len(fast) != len(slow[0]) {
+			t.Fatalf("round %d:\n one pass %v\n product  %v", round, fast, slow[0])
+		}
+		viaCubes, _ := cubesOf(And{Fs: fs}, MaxCubes)
+		if !reflect.DeepEqual(viaCubes, []Cube{fast}) {
+			t.Fatalf("round %d: cubesOf does not take the one-pass cube", round)
+		}
+	}
+	if _, ok := atomsCube([]Formula{LE(vars[0]), Disj(LE(vars[1]), LE(vars[2]))}); ok {
+		t.Fatal("atomsCube accepted a disjunction among the conjuncts")
+	}
+}
+
+// Fs of an interned node is shared by every holder of that structure, so
+// no code may assign to an element of some node's Fs or append onto it.
+// An audit found no such site; this keeps it so.
+func TestNoWriteThroughFs(t *testing.T) {
+	write := regexp.MustCompile(`\.Fs\[[^\]]*\]\s*(=[^=]|\+\+|--|[-+|&^*/%]=)|append\(\s*[\w.()\[\]]*\.Fs\s*,`)
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if write.MatchString(line) {
+				t.Errorf("%s:%d writes through a node's Fs: %s", path, i+1, strings.TrimSpace(line))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -167,18 +429,18 @@ func TestConjDedupAcrossSetSizes(t *testing.T) {
 var conjSink Formula
 
 // BenchmarkConjSmall: the conjunctions PUNCH builds all day — two to four
-// children, one of them often a conjunction itself. The three allocations
-// per call are the child slice, the id slice and the node; a dedup map
-// would show as more, which the allocation check below turns into a
-// failure.
+// children, one of them often a conjunction itself, and nearly always a
+// structure that has been built before. That path allocates nothing; a
+// child slice, an id slice or a boxed node coming back would show here.
 func BenchmarkConjSmall(b *testing.B) {
 	x, y := internVar("x"), internVar("y")
 	region := Conj(LEq(x, LinConst(4)), LEq(LinConst(0), x))
 	wp := LEq(y.Add(x), LinConst(9))
 	pre := LEq(LinConst(1), y)
 	build := func() { conjSink = Conj(region, wp, pre, wp) }
-	if a := testing.AllocsPerRun(100, build); a > 3 {
-		b.Fatalf("Conj of four small children allocates %.0f times, want at most 3 (no map)", a)
+	build()
+	if a := testing.AllocsPerRun(100, build); a != 0 {
+		b.Fatalf("Conj of four small children allocates %.0f times on the hit path, want 0", a)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

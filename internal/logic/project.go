@@ -50,7 +50,8 @@ func Cubes(f Formula, max int) ([]Cube, bool) {
 	}
 	out := cubes[:0]
 	for _, c := range cubes {
-		if c, ok := simplifyCube(c); ok {
+		// cubesOf built every cube afresh, so each is filtered in place.
+		if c, ok := simplifyCube(c[:0], c); ok {
 			out = append(out, c)
 		}
 	}
@@ -65,11 +66,7 @@ func cubesOf(f Formula, max int) ([]Cube, bool) {
 		}
 		return nil, true
 	case Atom:
-		if f.Eq {
-			// L = 0  ⇔  L ≤ 0 ∧ -L ≤ 0.
-			return []Cube{{Atom{L: f.L}, Atom{L: f.L.Scale(-1)}}}, true
-		}
-		return []Cube{{f}}, true
+		return []Cube{appendAtom(nil, f)}, true
 	case Or:
 		var out []Cube
 		for _, g := range f.Fs {
@@ -84,38 +81,82 @@ func cubesOf(f Formula, max int) ([]Cube, bool) {
 		}
 		return out, true
 	case And:
-		out := []Cube{{}}
-		for _, g := range f.Fs {
-			cs, ok := cubesOf(g, max)
-			if !ok {
-				return nil, false
-			}
-			var next []Cube
-			for _, base := range out {
-				for _, c := range cs {
-					merged := make(Cube, 0, len(base)+len(c))
-					merged = append(merged, base...)
-					merged = append(merged, c...)
-					next = append(next, merged)
-					if len(next) > max {
-						return nil, false
-					}
-				}
-			}
-			out = next
+		if c, ok := atomsCube(f.Fs); ok && max >= 1 {
+			return []Cube{c}, true
 		}
-		return out, true
+		return productCubes(f.Fs, max)
 	default:
 		panic(fmt.Sprintf("logic: unknown Formula %T", f))
 	}
 }
 
-// simplifyCube drops trivially-true atoms and detects trivially-false
-// cubes; the bool result is false when the cube is contradictory by
-// constant folding alone.
-func simplifyCube(c Cube) (Cube, bool) {
-	out := make(Cube, 0, len(c))
-	seen := idSet{ids: make([]ID, 0, len(c))}
+// appendAtom appends a's ≤-atoms to c: a itself, or for an equality
+// L = 0 the pair L ≤ 0, -L ≤ 0.
+func appendAtom(c Cube, a Atom) Cube {
+	if a.Eq {
+		return append(c, Atom{L: a.L}, Atom{L: a.L.Scale(-1)})
+	}
+	return append(c, a)
+}
+
+// atomsCube is the common case of productCubes, a conjunction of atoms
+// only: its DNF is one cube, built here in one pass where the product
+// re-copies the growing cube once per conjunct. False when some conjunct
+// is not an atom.
+func atomsCube(fs []Formula) (Cube, bool) {
+	n := 0
+	for _, g := range fs {
+		a, ok := g.(Atom)
+		if !ok {
+			return nil, false
+		}
+		n++
+		if a.Eq {
+			n++
+		}
+	}
+	c := make(Cube, 0, n)
+	for _, g := range fs {
+		c = appendAtom(c, g.(Atom))
+	}
+	return c, true
+}
+
+// productCubes is the DNF of the conjunction of fs: the product of the
+// conjuncts' cube lists, each cube the concatenation of one cube per
+// conjunct in order.
+func productCubes(fs []Formula, max int) ([]Cube, bool) {
+	out := []Cube{{}}
+	for _, g := range fs {
+		cs, ok := cubesOf(g, max)
+		if !ok {
+			return nil, false
+		}
+		var next []Cube
+		for _, base := range out {
+			for _, c := range cs {
+				merged := make(Cube, 0, len(base)+len(c))
+				merged = append(merged, base...)
+				merged = append(merged, c...)
+				next = append(next, merged)
+				if len(next) > max {
+					return nil, false
+				}
+			}
+		}
+		out = next
+	}
+	return out, true
+}
+
+// simplifyCube appends c to dst without its trivially-true and repeated
+// atoms, every term normalized; the bool result is false when the cube is
+// contradictory by constant folding alone. A caller that owns c passes
+// c[:0] as dst and has it filtered in place; one that does not passes a
+// fresh slice.
+func simplifyCube(dst, c Cube) (Cube, bool) {
+	var idBuf [nodeScratch]ID
+	seen := idSet{ids: idBuf[:0]}
 	var seenStr map[string]bool // fallback for intern-table overflow
 	for _, a := range c {
 		l := a.L.normalizeLE()
@@ -126,7 +167,8 @@ func simplifyCube(c Cube) (Cube, bool) {
 			continue
 		}
 		if id := LinID(l); id != 0 {
-			if !seen.insert(id) {
+			var fresh bool
+			if seen, fresh = seen.insert(id); !fresh {
 				continue
 			}
 		} else {
@@ -139,9 +181,9 @@ func simplifyCube(c Cube) (Cube, bool) {
 			}
 			seenStr[k] = true
 		}
-		out = append(out, Atom{L: l})
+		dst = append(dst, Atom{L: l})
 	}
-	return out, true
+	return dst, true
 }
 
 // eliminateVar removes v from the cube by Fourier–Motzkin combination.
@@ -211,7 +253,7 @@ func eliminateVar(c Cube, v lang.Var, mode Shadow) (out Cube, exact bool, sat bo
 			out = append(out, Atom{L: comb})
 		}
 	}
-	out, ok := simplifyCube(out)
+	out, ok := simplifyCube(out[:0], out) // out is this call's own
 	return out, exact, ok
 }
 
@@ -219,7 +261,7 @@ func eliminateVar(c Cube, v lang.Var, mode Shadow) (out Cube, exact bool, sat bo
 // means the projected cube is contradictory (by constant folding during
 // elimination).
 func ProjectCube(c Cube, elim map[lang.Var]bool, mode Shadow) (out Cube, exact bool, sat bool) {
-	out, ok := simplifyCube(c)
+	out, ok := simplifyCube(make(Cube, 0, len(c)), c)
 	if !ok {
 		return nil, true, false
 	}

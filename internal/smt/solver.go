@@ -65,8 +65,7 @@ type Solver struct {
 	// maxConflicts caps theory-conflict iterations before giving up.
 	maxConflicts int
 	// cache memoizes Sat results by formula structure.
-	cache    sync.Map
-	cacheLen int64
+	cache satMemo
 	// cubeMemo memoizes satCube verdicts by the sorted interned ids of
 	// the cube's atoms: Fourier–Motzkin over a cube is a pure function
 	// of the atom set, so elimination work is shared across the
@@ -91,7 +90,11 @@ const (
 // cache starts disabled; callers opt in with EnableEntailmentCache.
 func New() *Solver {
 	hits, _ := logic.InternStats()
-	return &Solver{maxDNF: 256, maxConflicts: 1500, internHitsBase: hits}
+	s := &Solver{maxDNF: 256, maxConflicts: 1500, internHitsBase: hits}
+	for i := range s.cache.shards {
+		s.cache.shards[i].m = make(map[logic.ID]Result)
+	}
+	return s
 }
 
 // EnableEntailmentCache switches on the sharded Implies/Valid memo and
@@ -134,28 +137,63 @@ func (s *Solver) StatsSnapshot() Stats {
 
 func (s *Solver) tick(n int64) { atomic.AddInt64(&s.stats.Ticks, n) }
 
+// satMemo is the Sat result memo: striped like entailCache and keyed by
+// the hash-consed id, so a probe neither boxes a key nor builds a string.
+// Formulas past the intern-table cap have no id and key by their
+// structural print in strs. Bounded by n: once maxCacheEntries results
+// are in, new ones are simply not kept (no eviction, so a kept result
+// stays for the solver's lifetime).
+type satMemo struct {
+	shards [entailShards]struct {
+		mu sync.RWMutex
+		m  map[logic.ID]Result
+	}
+	strs sync.Map // string → Result
+	n    atomic.Int64
+}
+
+func (c *satMemo) get(id logic.ID, f logic.Formula) (Result, bool) {
+	if id == 0 {
+		v, ok := c.strs.Load(logic.Key(f))
+		if !ok {
+			return Result{}, false
+		}
+		return v.(Result), true
+	}
+	sh := &c.shards[shardOf(entailKey{a: id})]
+	sh.mu.RLock()
+	r, ok := sh.m[id]
+	sh.mu.RUnlock()
+	return r, ok
+}
+
+func (c *satMemo) put(id logic.ID, f logic.Formula, r Result) {
+	if c.n.Load() >= maxCacheEntries {
+		return
+	}
+	c.n.Add(1)
+	if id == 0 {
+		c.strs.Store(logic.Key(f), r)
+		return
+	}
+	sh := &c.shards[shardOf(entailKey{a: id})]
+	sh.mu.Lock()
+	sh.m[id] = r
+	sh.mu.Unlock()
+}
+
 // Sat decides satisfiability of f over the integers. Results are
 // memoized by formula structure: the hash-consed id when available,
 // falling back to the structural string past the intern-table cap.
 func (s *Solver) Sat(f logic.Formula) Result {
 	atomic.AddInt64(&s.stats.SatCalls, 1)
 	s.tick(1)
-	var key any
-	if id := logic.KeyID(f); id != 0 {
-		key = id
-	} else {
-		key = logic.Key(f)
-	}
-	if v, ok := s.cache.Load(key); ok {
-		return v.(Result)
+	id := logic.KeyID(f)
+	if r, ok := s.cache.get(id, f); ok {
+		return r
 	}
 	r := s.satUncached(f)
-	// Bounded memoization: once the cap is reached new results are simply
-	// not cached (no eviction, so no synchronization hazards).
-	if atomic.LoadInt64(&s.cacheLen) < maxCacheEntries {
-		atomic.AddInt64(&s.cacheLen, 1)
-		s.cache.Store(key, r)
-	}
+	s.cache.put(id, f, r)
 	return r
 }
 
@@ -441,16 +479,15 @@ func (s *Solver) Model(f logic.Formula) map[lang.Var]int64 {
 }
 
 // eliminateEq rewrites equality atoms into conjunctions of inequalities so
-// the DPLL abstraction only sees ≤-atoms, which negate to single atoms.
+// the DPLL abstraction only sees ≤-atoms, which negate to single atoms. A
+// formula without an equality atom is returned as it is.
 func eliminateEq(f logic.Formula) logic.Formula {
+	if !hasEq(f) {
+		return f
+	}
 	switch f := f.(type) {
-	case logic.Bool:
-		return f
 	case logic.Atom:
-		if f.Eq {
-			return logic.Conj(logic.LE(f.L), logic.LE(f.L.Scale(-1)))
-		}
-		return f
+		return logic.Conj(logic.LE(f.L), logic.LE(f.L.Scale(-1)))
 	case logic.And:
 		out := make([]logic.Formula, len(f.Fs))
 		for i, g := range f.Fs {
@@ -466,6 +503,25 @@ func eliminateEq(f logic.Formula) logic.Formula {
 	default:
 		return f
 	}
+}
+
+// hasEq reports whether an equality atom occurs in f.
+func hasEq(f logic.Formula) bool {
+	var fs []logic.Formula
+	switch f := f.(type) {
+	case logic.Atom:
+		return f.Eq
+	case logic.And:
+		fs = f.Fs
+	case logic.Or:
+		fs = f.Fs
+	}
+	for _, g := range fs {
+		if hasEq(g) {
+			return true
+		}
+	}
+	return false
 }
 
 func cubeVars(c logic.Cube) map[lang.Var]bool {
