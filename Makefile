@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt vet build cross test race traj-pin alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke bench bench-snapshot
+.PHONY: ci fmt vet build cross test race traj-pin one-reduce alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke bench bench-snapshot
 
 # ci is the tier-1 gate: everything must pass before a change lands.
-ci: fmt vet build cross test race traj-pin alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke
+ci: fmt vet build cross test race traj-pin one-reduce alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke
 
 # fmt fails when any tracked file is not gofmt-clean (prints offenders).
 fmt:
@@ -37,12 +37,20 @@ race:
 
 # traj-pin holds the one-thread trajectory of the analyses still: verdict,
 # virtual ticks, query count and solver calls of the four parport Table-1
-# checks and of every corpus program under all three analyses must equal
-# testdata/traj_pin.golden. A perf change that passes it did the same work
+# checks and of every corpus program under all three analyses, on the
+# barrier and on the streaming engine, must equal testdata/traj_pin.golden. A perf change that passes it did the same work
 # in less time; one that moves the trajectory on purpose regenerates the
 # table with `go test -run TestTrajectoryPin -update-traj .` and says so.
 traj-pin:
 	$(GO) test -run TestTrajectoryPin -count=1 .
+
+# one-reduce is a structural lint: the operations REDUCE and a run's
+# set-up and tear-down are made of (child insertion, coalescing, Done
+# fan-out, subtree GC, the PUNCH wrapper, store hydration and persist,
+# provenance finish) may be called from internal/core/reduce.go only, so
+# no engine can grow a private copy again.
+one-reduce:
+	$(GO) test -run TestOneReduce -count=1 ./internal/core
 
 # alloc-pin holds the allocation of a check whose formulas all exist
 # already: parport/PowerDownFail on one thread, twice in one process, the

@@ -476,9 +476,33 @@ func (o Options) hooks() (*obs.ChromeTracer, *obs.JSONLTracer, obs.Tracer, *obs.
 	return ct, jt, tr, m
 }
 
-// attachObs folds the run's observability outputs into the public result:
-// the flattened metrics snapshot and the serialized traces.
-func attachObs(res *Result, snap *obs.Snapshot, ct *obs.ChromeTracer, jt *obs.JSONLTracer, w io.Writer) {
+// session is what every entry point sets up around one engine run: the
+// opened summary store and the observability hooks.
+type session struct {
+	st      store.Store
+	ct      *obs.ChromeTracer
+	jt      *obs.JSONLTracer
+	tr      obs.Tracer
+	m       *obs.Metrics
+	traceTo io.Writer
+}
+
+// begin opens the store and builds the hooks o asks for.
+func (p *Program) begin(a Analysis, o Options) (*session, error) {
+	st, err := p.openStore(o.StorePath, a, o.StoreReset, o.Incremental)
+	if err != nil {
+		return nil, err
+	}
+	s := &session{st: st, traceTo: o.TraceTo}
+	s.ct, s.jt, s.tr, s.m = o.hooks()
+	return s, nil
+}
+
+// end closes the store and folds what the run left behind into res: the
+// close error (unless an earlier store error stands), the flattened
+// metrics snapshot and the serialized traces.
+func (s *session) end(res *Result, snap *obs.Snapshot) {
+	closeStore(s.st, &res.StoreErr)
 	res.Metrics = snap.Flatten()
 	if snap != nil {
 		for _, ws := range snap.Workers {
@@ -491,20 +515,32 @@ func attachObs(res *Result, snap *obs.Snapshot, ct *obs.ChromeTracer, jt *obs.JS
 			})
 		}
 	}
-	if ct != nil {
-		res.TraceSpans = ct.Spans()
-		res.TraceErr = ct.Export(w)
+	if s.ct != nil {
+		res.TraceSpans = s.ct.Spans()
+		res.TraceErr = s.ct.Export(s.traceTo)
 	}
-	if jt != nil {
-		if err := jt.Flush(); err != nil && res.TraceErr == nil {
+	if s.jt != nil {
+		if err := s.jt.Flush(); err != nil && res.TraceErr == nil {
 			res.TraceErr = err
 		}
-		res.TraceEvents = jt.Events()
+		res.TraceEvents = s.jt.Events()
 	}
 }
 
+// toVerdict maps the engines' verdict onto the public one.
+func toVerdict(v core.Verdict) Verdict {
+	switch v {
+	case core.Safe:
+		return Safe
+	case core.ErrorReachable:
+		return ErrorReachable
+	}
+	return Unknown
+}
+
 func toResult(r core.Result) Result {
-	out := Result{
+	return Result{
+		Verdict:      toVerdict(r.Verdict),
 		StopReason:   StopReason(r.StopReason),
 		TotalQueries: r.TotalQueries,
 		PeakReady:    r.PeakReady,
@@ -535,13 +571,6 @@ func toResult(r core.Result) Result {
 			HashConsHits:      r.Solver.HashConsHits,
 		},
 	}
-	switch r.Verdict {
-	case core.Safe:
-		out.Verdict = Safe
-	case core.ErrorReachable:
-		out.Verdict = ErrorReachable
-	}
-	return out
 }
 
 // Check verifies the program's assertions: can main reach its exit with
@@ -554,21 +583,29 @@ func (p *Program) Check(opts Options) Result {
 // the run at the next scheduling boundary with StopReason StopCancelled
 // and all workers joined.
 func (p *Program) CheckContext(ctx context.Context, opts Options) Result {
-	st, err := p.openStore(opts.StorePath, opts.Analysis, opts.StoreReset, opts.Incremental)
+	res, err := p.check(ctx, core.AssertionQuestion(p.prog), opts)
 	if err != nil {
 		return Result{Verdict: Unknown, StoreErr: err}
 	}
-	ct, jt, tr, m := opts.hooks()
-	r := opts.engine(p.prog, tr, m, st).RunContext(ctx, core.AssertionQuestion(p.prog))
-	res := toResult(r)
-	closeStore(st, &res.StoreErr)
-	attachObs(&res, r.Metrics, ct, jt, opts.TraceTo)
 	if res.Verdict == ErrorReachable && opts.FindWitness {
 		if tr, ok := witness.Find(p.prog, witness.Options{}); ok {
 			res.Witness = &Witness{Inputs: tr.Havocs, Text: tr.Format()}
 		}
 	}
 	return res
+}
+
+// check answers q on a shared-memory engine; the error is the store's
+// refusal to open.
+func (p *Program) check(ctx context.Context, q summary.Question, opts Options) (Result, error) {
+	s, err := p.begin(opts.Analysis, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	r := opts.engine(p.prog, s.tr, s.m, s.st).RunContext(ctx, q)
+	res := toResult(r)
+	s.end(&res, r.Metrics)
+	return res, nil
 }
 
 // CheckReach answers a general reachability question: can procedure proc,
@@ -593,15 +630,10 @@ func (p *Program) CheckReachContext(ctx context.Context, proc, pre, post string,
 		return Result{}, fmt.Errorf("bolt: postcondition: %w", err)
 	}
 	q := summary.Question{Proc: proc, Pre: logic.FromBool(preB), Post: logic.FromBool(postB)}
-	st, err := p.openStore(opts.StorePath, opts.Analysis, opts.StoreReset, opts.Incremental)
+	res, err := p.check(ctx, q, opts)
 	if err != nil {
 		return Result{}, fmt.Errorf("bolt: summary store: %w", err)
 	}
-	ct, jt, tr, m := opts.hooks()
-	r := opts.engine(p.prog, tr, m, st).RunContext(ctx, q)
-	res := toResult(r)
-	closeStore(st, &res.StoreErr)
-	attachObs(&res, r.Metrics, ct, jt, opts.TraceTo)
 	return res, nil
 }
 
@@ -714,18 +746,19 @@ func (p *Program) CheckDistributed(ctx context.Context, opts DistOptions) (DistR
 	if err != nil {
 		return DistResult{}, fmt.Errorf("bolt: %w", err)
 	}
-	st, err := p.openStore(opts.StorePath, opts.Analysis, opts.StoreReset, opts.Incremental)
-	if err != nil {
-		return DistResult{}, fmt.Errorf("bolt: summary store: %w", err)
-	}
-	hooks := Options{
+	s, err := p.begin(opts.Analysis, Options{
+		StorePath:      opts.StorePath,
+		StoreReset:     opts.StoreReset,
+		Incremental:    opts.Incremental,
 		TraceTo:        opts.TraceTo,
 		TraceJSONLTo:   opts.TraceJSONLTo,
 		CollectMetrics: opts.CollectMetrics,
 		MetricsInto:    opts.MetricsInto,
 		FlightRecorder: opts.FlightRecorder,
+	})
+	if err != nil {
+		return DistResult{}, fmt.Errorf("bolt: summary store: %w", err)
 	}
-	ct, jt, tr, m := hooks.hooks()
 	eng := core.NewDistributed(p.prog, core.DistOptions{
 		Punch:             newPunch(opts.Analysis),
 		Nodes:             opts.Nodes,
@@ -735,9 +768,9 @@ func (p *Program) CheckDistributed(ctx context.Context, opts DistOptions) (DistR
 		MaxRounds:         opts.MaxRounds,
 		RealTimeout:       opts.Timeout,
 		Faults:            faults,
-		Store:             st,
-		Tracer:            tr,
-		Metrics:           m,
+		Store:             s.st,
+		Tracer:            s.tr,
+		Metrics:           s.m,
 		CollectProvenance: opts.CollectProvenance,
 		Incremental:       opts.Incremental,
 		PprofLabels:       opts.PprofLabels,
@@ -748,6 +781,7 @@ func (p *Program) CheckDistributed(ctx context.Context, opts DistOptions) (DistR
 	})
 	r := eng.RunContext(ctx, core.AssertionQuestion(p.prog))
 	out := DistResult{
+		Verdict:            toVerdict(r.Verdict),
 		StopReason:         StopReason(r.StopReason),
 		Rounds:             r.Rounds,
 		TotalQueries:       r.TotalQueries,
@@ -764,7 +798,6 @@ func (p *Program) CheckDistributed(ctx context.Context, opts DistOptions) (DistR
 
 		WarmSummaries:      r.WarmSummaries,
 		PersistedSummaries: r.PersistedSummaries,
-		StoreErr:           r.StoreErr,
 		Provenance:         r.Provenance,
 
 		EditedProcs:          r.EditedProcs,
@@ -773,34 +806,11 @@ func (p *Program) CheckDistributed(ctx context.Context, opts DistOptions) (DistR
 		ReusedVerdict:        r.ReusedVerdict,
 		PerNodeInvalidated:   r.PerNodeInvalidated,
 	}
-	closeStore(st, &out.StoreErr)
-	out.Metrics = r.Metrics.Flatten()
-	if r.Metrics != nil {
-		for _, ws := range r.Metrics.Workers {
-			out.WorkerMetrics = append(out.WorkerMetrics, WorkerMetric{
-				Worker:     ws.Worker,
-				Punches:    ws.Punches,
-				BusyTicks:  ws.BusyTicks,
-				BusyWallNs: ws.BusyWallNs,
-				Steals:     ws.Steals,
-			})
-		}
-	}
-	if ct != nil {
-		out.TraceSpans = ct.Spans()
-		out.TraceErr = ct.Export(opts.TraceTo)
-	}
-	if jt != nil {
-		if err := jt.Flush(); err != nil && out.TraceErr == nil {
-			out.TraceErr = err
-		}
-		out.TraceEvents = jt.Events()
-	}
-	switch r.Verdict {
-	case core.Safe:
-		out.Verdict = Safe
-	case core.ErrorReachable:
-		out.Verdict = ErrorReachable
-	}
+	// The store and observability fields are Result's, filled the same way.
+	shared := Result{StoreErr: r.StoreErr}
+	s.end(&shared, r.Metrics)
+	out.StoreErr = shared.StoreErr
+	out.Metrics, out.WorkerMetrics = shared.Metrics, shared.WorkerMetrics
+	out.TraceSpans, out.TraceEvents, out.TraceErr = shared.TraceSpans, shared.TraceEvents, shared.TraceErr
 	return out, nil
 }

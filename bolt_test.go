@@ -294,6 +294,67 @@ func TestDistObservabilityFacade(t *testing.T) {
 	}
 }
 
+// TestObservabilityAccountingAllPaths: the shared-memory entry point and
+// CheckDistributed fill the metrics and trace fields through the same
+// helper, so the same accounting identities hold on both: one
+// WorkerMetrics row per worker slot, their punches summing to the
+// punch_invocations counter and to the stream's punch-end events, and
+// TraceEvents equal to the lines actually written.
+func TestObservabilityAccountingAllPaths(t *testing.T) {
+	prog := bolt.MustParse(apiSample)
+	type outcome struct {
+		verdict bolt.Verdict
+		metrics map[string]int64
+		workers []bolt.WorkerMetric
+		events  int64
+		err     error
+	}
+	paths := map[string]func(*bytes.Buffer) outcome{
+		"barrier": func(buf *bytes.Buffer) outcome {
+			r := prog.Check(bolt.Options{Threads: 4, Timeout: 30 * time.Second, TraceJSONLTo: buf, CollectMetrics: true})
+			return outcome{r.Verdict, r.Metrics, r.WorkerMetrics, r.TraceEvents, r.TraceErr}
+		},
+		"dist": func(buf *bytes.Buffer) outcome {
+			r, err := prog.CheckDistributed(context.Background(), bolt.DistOptions{
+				Nodes: 2, ThreadsPerNode: 2, Timeout: 30 * time.Second, TraceJSONLTo: buf, CollectMetrics: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return outcome{r.Verdict, r.Metrics, r.WorkerMetrics, r.TraceEvents, r.TraceErr}
+		},
+	}
+	for name, run := range paths {
+		var buf bytes.Buffer
+		o := run(&buf)
+		if o.verdict != bolt.Safe || o.err != nil {
+			t.Fatalf("%s: verdict %v, trace error %v", name, o.verdict, o.err)
+		}
+		lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
+		if o.events < 1 || int64(len(lines)) != o.events {
+			t.Errorf("%s: TraceEvents = %d, stream holds %d lines", name, o.events, len(lines))
+		}
+		var punchEnds, punches int64
+		for _, l := range lines {
+			ev, err := obs.UnmarshalEventJSON(l)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if ev.Type == obs.EvPunchEnd {
+				punchEnds++
+			}
+		}
+		for _, w := range o.workers {
+			punches += w.Punches
+		}
+		if len(o.workers) != 4 || o.metrics["workers"] != 4 {
+			t.Errorf("%s: %d worker rows, workers = %d, want 4", name, len(o.workers), o.metrics["workers"])
+		}
+		if inv := o.metrics["punch_invocations"]; inv < 1 || punches != inv || punchEnds != inv {
+			t.Errorf("%s: punch_invocations = %d, worker punches = %d, punch-end events = %d", name, inv, punches, punchEnds)
+		}
+	}
+}
+
 // TestIncrementalFacade drives the edit-recheck workflow end to end
 // through the public API over a disk store: cold populate, verdict reuse
 // on the unchanged program, and cone invalidation after an edit.

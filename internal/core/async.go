@@ -6,9 +6,13 @@
 // MaxThreads workers pulls Ready queries from per-worker deques
 // (LIFO-local for cache affinity and depth-first flavour, FIFO-steal for
 // breadth when idle), and REDUCE happens incrementally per completion:
-// a finished query immediately wakes its Blocked parent and
-// garbage-collects its subtree without waiting for the rest of any
-// batch. When the root query completes, in-flight work is cancelled.
+// under the scheduler lock each result is applied and, when Done, retired
+// at once (reduce.go's apply and retire — the same REDUCE the barrier
+// engine runs per batch), so a finished query wakes its Blocked parent
+// and has its subtree collected without waiting for the rest of any
+// batch. This file is only the scheduler: deques, stealing, parking,
+// budgets and the event-driven clock. When the root query completes,
+// in-flight work is cancelled.
 //
 // Semantics match the barrier engine: the same PUNCH contract, the same
 // summary-database monotonicity, and therefore the same verdicts (the
@@ -26,11 +30,8 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/prov"
 	"repro/internal/punch"
 	"repro/internal/query"
-	"repro/internal/smt"
-	"repro/internal/summary"
 )
 
 // coreClock is the event-driven virtual clock: a min-heap of simulated
@@ -63,157 +64,65 @@ func (c *coreClock) assign(cost int64) int64 {
 }
 
 // asyncState is the shared scheduler state. One mutex guards the deques,
-// the query tree and the instrumentation; PUNCH — the dominant cost —
-// always runs outside the lock.
+// the run (forest, instrumentation, running/rewake sets) and the clock;
+// PUNCH — the dominant cost — always runs outside the lock.
 type asyncState struct {
-	e    *Engine
-	root query.ID
-	ctx  context.Context
+	r   *reducer
+	ctx context.Context
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	tree *query.Tree
 	// deques[i] is worker i's deque: the owner pushes and pops at the
 	// tail (LIFO, depth-first on its own children), thieves steal from
 	// the head (FIFO, oldest queries first).
-	deques  [][]*query.Query
-	queued  map[query.ID]bool // in some deque (dedup guard)
-	running map[query.ID]bool // currently inside a PUNCH invocation
-	// rewake marks running queries whose child completed mid-flight: if
-	// such a query returns Blocked it is immediately re-enqueued, so the
-	// wake-up is never lost (the barrier engine gets this for free from
-	// its stage ordering).
-	rewake map[query.ID]bool
+	deques [][]*query.Query
+	queued map[query.ID]bool // in some deque (dedup guard)
 
 	stopped   bool
 	reason    StopReason // first stop condition to fire; set by halt
 	busy      int        // workers inside PUNCH
 	events    int64      // completion events processed
 	maxEvents int64
-	doneCount int64
-	clock     *coreClock
-	start     time.Time
-	res       *Result
-
-	// in holds the run's observability hooks. All event emissions
-	// happen with mu held (punch-start before the worker unlocks,
-	// punch-end and the lifecycle events inside reduce), so the
-	// recorded stream is totally ordered and its virtual-time stamps
-	// are monotone.
-	in instr
-	// ls is the live-introspection surface (nil when no probe was
-	// attached). Gauges are published under mu in sample(); the
-	// per-worker cells are atomics and may also be touched from the
-	// worker loop.
-	ls    *obs.LiveState
-	alloc *query.Allocator
-	// depth is each live query's distance from the root, maintained
-	// only when pprof labels or live introspection are on.
-	depth map[query.ID]int
-	// rec is the provenance recorder (nil unless CollectProvenance);
-	// workers wrap each PUNCH invocation's database view through it.
-	rec *prov.Recorder
+	// clock feeds r.vtime. All event emissions happen with mu held
+	// (punch-start before the worker unlocks, punch-end and the lifecycle
+	// events inside complete), so the recorded stream is totally ordered
+	// and its virtual-time stamps are monotone.
+	clock *coreClock
 }
 
-// runAsync answers q0 with the streaming engine.
-func (e *Engine) runAsync(ctx0 context.Context, q0 summary.Question) Result {
-	start := time.Now()
-	solver := smt.New()
-	if !e.opts.DisableEntailmentCache {
-		solver.EnableEntailmentCache()
-	}
-	var db *summary.DB
-	if e.opts.DisableSumDB {
-		db = summary.NewDisabled(solver)
-	} else {
-		db = summary.New(solver)
-	}
-	alloc := &query.Allocator{}
-	ctx := &punch.Context{Prog: e.prog, DB: db, Alloc: alloc, ModRef: e.prog.ModRef()}
-	tree := query.NewTree()
-	if !e.opts.DisableCoalesce {
-		tree.TrackInflight()
-	}
-	root := alloc.New(query.NoParent, q0)
-	tree.Add(root)
-
-	cores := e.opts.VirtualCores
-	if cores <= 0 || cores > e.opts.MaxThreads {
-		cores = e.opts.MaxThreads
-	}
-	res := Result{Verdict: Unknown, CostByProc: map[string]int64{}}
-	var rec *prov.Recorder
-	if e.opts.CollectProvenance {
-		rec = prov.NewRecorder(e.opts.Metrics)
-	}
-	var prep incrPrep
-	if e.opts.Incremental && e.opts.Store != nil && !e.opts.DisableSumDB {
-		prep = prepareIncr(e.prog, e.opts.Store, q0)
-		applyIncrPrep(&res, prep)
-		if prep.reuse {
-			res.Verdict = prep.verdict
-			res.ReusedVerdict = true
-			res.setStop(StopVerdictReused)
-			res.WallTime = time.Since(start)
-			return res
-		}
-	}
-	e.loadStore(db, rec, &res, prep.skipLoad, prep.skipAll)
-	if e.opts.Incremental {
-		res.SurvivingSummaries = res.WarmSummaries
-	}
-	rec.Root(root.ID, root.Q.Proc)
+// stream schedules r with the streaming engine.
+func (e *Engine) stream(ctx context.Context, r *reducer) {
+	r.running = map[query.ID]bool{}
+	r.rewake = map[query.ID]bool{}
 	s := &asyncState{
-		e:       e,
-		root:    root.ID,
-		ctx:     ctx0,
-		tree:    tree,
-		deques:  make([][]*query.Query, e.opts.MaxThreads),
-		queued:  map[query.ID]bool{},
-		running: map[query.ID]bool{},
-		rewake:  map[query.ID]bool{},
+		r:      r,
+		ctx:    ctx,
+		deques: make([][]*query.Query, e.opts.MaxThreads),
+		queued: map[query.ID]bool{},
 		// The barrier engine's MaxIterations bounds batches of up to
 		// MaxThreads invocations; bound completion events equivalently.
 		maxEvents: int64(e.opts.MaxIterations) * int64(e.opts.MaxThreads),
-		clock:     newCoreClock(cores),
-		start:     start,
-		res:       &res,
-		alloc:     alloc,
-		rec:       rec,
+		clock:     newCoreClock(e.opts.VirtualCores),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.in = newInstr(e.opts.Tracer, e.opts.Metrics, e.opts.MaxThreads, start, e.opts.PprofLabels)
-	if e.opts.Probe != nil {
-		s.ls = obs.NewLiveState("async", e.opts.MaxThreads, 0, start)
-		attachProbe(e.opts.Probe, s.ls, db, solver)
-		defer e.opts.Probe.Detach()
-		publishForest(s.ls, tree, alloc, 0, 0, 0, 0, 0)
-	}
-	if s.in.labels || s.ls != nil {
-		s.depth = map[query.ID]int{root.ID: 0}
-	}
-	s.in.m.Inc(obs.QueriesSpawned)
-	if s.in.tr != nil {
-		s.in.emit(obs.Event{Type: obs.EvSpawn, Query: root.ID, Parent: query.NoParent, Proc: root.Q.Proc})
-	}
-	s.push(0, root)
+	s.push(0, r.forest[0].Get(r.root))
 
 	var wg sync.WaitGroup
 	for i := 0; i < e.opts.MaxThreads; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			s.worker(id, ctx)
+			s.worker(id)
 		}(i)
 	}
 	// Cancellation watcher: a parked worker sits in cond.Wait and cannot
 	// poll ctx, so a dedicated goroutine turns ctx expiry into halt()'s
 	// broadcast. It exits with the run (runDone), never after it.
 	runDone := make(chan struct{})
-	if ctx0.Done() != nil {
+	if ctx.Done() != nil {
 		go func() {
 			select {
-			case <-ctx0.Done():
+			case <-ctx.Done():
 				s.mu.Lock()
 				s.halt(StopCancelled)
 				s.mu.Unlock()
@@ -224,27 +133,17 @@ func (e *Engine) runAsync(ctx0 context.Context, q0 summary.Question) Result {
 	wg.Wait()
 	close(runDone)
 
-	if res.Verdict != Unknown {
+	if r.res.Verdict != Unknown {
 		// A verdict recorded in the same instant as a budget or
 		// cancellation stop is still a verdict.
 		s.reason = StopRootAnswered
 	}
-	res.setStop(s.reason)
-	res.TotalQueries = alloc.Count()
-	res.DoneQueries = s.doneCount
-	res.VirtualTicks = s.clock.vtime
-	res.WallTime = time.Since(start)
-	res.SumDB = db.StatsSnapshot()
-	res.Solver = solver.StatsSnapshot()
-	res.Summaries = db.All()
-	e.persistStore(db, &res)
-	e.finishProv(rec, &res, "async", q0)
-	res.Metrics = s.in.finish(s.clock.vtime, res.SumDB, res.Solver)
-	return res
+	r.res.setStop(s.reason)
 }
 
 // worker is the persistent loop of one pool member.
-func (s *asyncState) worker(id int, ctx *punch.Context) {
+func (s *asyncState) worker(id int) {
+	r := s.r
 	s.mu.Lock()
 	for {
 		if s.stopped {
@@ -263,56 +162,25 @@ func (s *asyncState) worker(id int, ctx *punch.Context) {
 				s.halt(StopDeadlocked)
 				break
 			}
-			s.res.IdleWaits++
-			s.in.m.Inc(obs.IdleParks)
-			s.ls.WorkerParked(id)
+			r.res.IdleWaits++
+			r.in.m.Inc(obs.IdleParks)
+			r.ls.WorkerParked(id)
 			s.cond.Wait()
 			continue
 		}
 		s.busy++
-		s.running[q.ID] = true
-		s.ls.WorkerRunning(id, q.Q.Proc, int64(q.ID))
+		r.running[q.ID] = true
 		// While PUNCH runs it may mutate q in place outside the lock;
 		// keep index scans (ReadyCount, InState) away from it.
-		s.tree.Deschedule(q.ID)
-		if s.in.tr != nil {
-			s.in.emit(obs.Event{Type: obs.EvPunchStart, Query: q.ID, Proc: q.Q.Proc, Worker: id, VTime: s.clock.vtime})
-		}
-		var d int
-		if s.in.labels {
-			d = s.depth[q.ID]
-		}
+		r.forest[0].Deschedule(q.ID)
+		r.punchStart(0, id, q)
+		d := r.depth[q.ID]
 		s.mu.Unlock()
-		var t0 time.Time
-		if s.in.m != nil {
-			t0 = time.Now()
-		}
-		pctx := ctx
-		if s.rec != nil {
-			ic := *ctx
-			ic.DB = s.rec.Frame(ctx.DB, q.ID, q.Q.Proc)
-			pctx = &ic
-		}
-		var r punch.Result
-		if s.in.labels {
-			obs.DoPunch(s.ctx, "async", q.Q.Proc, d, func() {
-				r = s.e.opts.Punch.Step(pctx, q)
-			})
-		} else {
-			r = s.e.opts.Punch.Step(pctx, q)
-		}
-		var wall time.Duration
-		if s.in.m != nil {
-			wall = time.Since(t0)
-		}
+		res, wall := r.step(s.ctx, 0, q, d)
 		s.mu.Lock()
 		s.busy--
-		delete(s.running, q.ID)
-		s.ls.WorkerFinished(id)
-		if s.in.m != nil {
-			s.in.m.ObservePunch(id, r.Cost, wall)
-		}
-		s.reduce(id, q, r)
+		delete(r.running, q.ID)
+		s.complete(id, q, res, wall)
 	}
 	s.mu.Unlock()
 }
@@ -321,19 +189,14 @@ func (s *asyncState) worker(id int, ctx *punch.Context) {
 // and event budgets. Called with mu held; returns true when the run must
 // stop.
 func (s *asyncState) checkBudgets() bool {
-	o := &s.e.opts
-	switch {
-	case s.ctx.Err() != nil:
-		s.halt(StopCancelled)
-	case o.RealTimeout > 0 && time.Since(s.start) > o.RealTimeout:
-		s.halt(StopWallTimeout)
-	case o.MaxVirtualTicks > 0 && s.clock.vtime >= o.MaxVirtualTicks:
-		s.halt(StopTickBudget)
-	case s.events >= s.maxEvents:
-		s.halt(StopEventBudget)
-	default:
+	stop := s.r.exhausted(s.ctx)
+	if stop == StopNone && s.events >= s.maxEvents {
+		stop = StopEventBudget
+	}
+	if stop == StopNone {
 		return false
 	}
+	s.halt(stop)
 	return true
 }
 
@@ -353,7 +216,7 @@ func (s *asyncState) halt(reason StopReason) {
 // push enqueues q on worker id's deque unless it is already queued or
 // running. Called with mu held.
 func (s *asyncState) push(id int, q *query.Query) {
-	if s.stopped || s.queued[q.ID] || s.running[q.ID] {
+	if s.stopped || s.queued[q.ID] || s.r.running[q.ID] {
 		return
 	}
 	s.queued[q.ID] = true
@@ -372,19 +235,17 @@ func (s *asyncState) pop(id int) *query.Query {
 			q = d[len(d)-1]
 			s.deques[id] = d[:len(d)-1]
 		} else {
-			s.in.m.Inc(obs.StealsAttempted)
-			s.ls.WorkerStealing(id)
+			s.r.in.m.Inc(obs.StealsAttempted)
+			s.r.ls.WorkerStealing(id)
 			for off := 1; off < len(s.deques); off++ {
 				v := (id + off) % len(s.deques)
 				if d := s.deques[v]; len(d) > 0 {
 					q = d[0]
 					s.deques[v] = d[1:]
-					s.res.Steals++
-					s.in.m.Inc(obs.StealsSucceeded)
-					s.in.m.ObserveSteal(id)
-					if s.in.tr != nil {
-						s.in.emit(obs.Event{Type: obs.EvSteal, Query: q.ID, Proc: q.Q.Proc, Worker: id, VTime: s.clock.vtime, N: int64(v)})
-					}
+					s.r.res.Steals++
+					s.r.in.m.Inc(obs.StealsSucceeded)
+					s.r.in.m.ObserveSteal(id)
+					s.r.note(obs.EvSteal, 0, id, q, int64(v))
 					break
 				}
 			}
@@ -393,221 +254,44 @@ func (s *asyncState) pop(id int) *query.Query {
 			return nil
 		}
 		delete(s.queued, q.ID)
-		if live := s.tree.Get(q.ID); live == q && q.State == query.Ready {
+		if live := s.r.forest[0].Get(q.ID); live == q && q.State == query.Ready {
 			return q
 		}
 		// Stale: the subtree was collected or the state moved on.
 	}
 }
 
-// reduce applies one PUNCH result: the incremental REDUCE stage. Called
-// with mu held.
-func (s *asyncState) reduce(id int, q *query.Query, r punch.Result) {
-	if s.e.opts.CheckContract {
-		if err := punch.CheckContract(q, r); err != nil {
-			panic(err)
-		}
-	}
+// complete books one finished PUNCH invocation and reduces its result at
+// once: apply, root check, retire when Done, pushing whatever became
+// runnable onto this worker's deque. Called with mu held.
+func (s *asyncState) complete(id int, q *query.Query, res punch.Result, wall time.Duration) {
+	r := s.r
 	s.events++
-	vtimeBefore := s.clock.vtime
-	s.clock.assign(r.Cost)
-	s.res.CostByProc[q.Q.Proc] += r.Cost
-	wasRewake := s.rewake[r.Self.ID]
-	delete(s.rewake, r.Self.ID)
-	if s.in.tr != nil {
-		s.in.emit(obs.Event{Type: obs.EvPunchEnd, Query: q.ID, Proc: q.Q.Proc, Worker: id, VTime: s.clock.vtime, Cost: r.Cost})
+	vtimeBefore := r.vtime
+	r.vtime = s.clock.assign(res.Cost)
+	r.punchEnd(0, id, q, res.Cost, wall)
+	created := r.created
+	for _, w := range r.apply(0, id, q, res) {
+		s.push(id, w)
 	}
-
-	if s.tree.Get(r.Self.ID) == nil {
-		// The query's subtree was garbage-collected while it ran (its
-		// parent finished first): the result is obsolete. The cost was
-		// still charged — real cycles were spent.
-		s.sample(vtimeBefore, r.Cost, 0)
-		return
-	}
-	s.tree.Replace(r.Self)
-	newQ := 0
-	// wakeSelf marks that a spawn coalesced onto an already-Done twin:
-	// the answering summary is in SUMDB now, so if this query comes back
-	// Blocked it must re-run immediately (same shape as the rewake flag).
-	wakeSelf := false
-	coalesce := !s.e.opts.DisableCoalesce
-	if r.Self.State != query.Done {
-		for _, c := range r.Children {
-			if coalesce {
-				if twinID, ok := s.tree.Inflight(c.Q.Key()); ok && s.tryCoalesce(id, r.Self, c, twinID, &wakeSelf) {
-					continue
-				}
-			}
-			s.tree.Add(c)
-			s.push(id, c)
-			newQ++
-			s.in.m.Inc(obs.QueriesSpawned)
-			s.rec.Spawn(r.Self.ID, r.Self.Q.Proc, c.ID, c.Q.Proc)
-			if s.depth != nil {
-				s.depth[c.ID] = s.depth[r.Self.ID] + 1
-				s.ls.ObserveDepth(s.depth[c.ID])
-			}
-			if s.in.tr != nil {
-				s.in.emit(obs.Event{Type: obs.EvSpawn, Query: c.ID, Parent: r.Self.ID, Proc: c.Q.Proc, Worker: id, VTime: s.clock.vtime})
-			}
+	answered := r.answered(res.Self)
+	if !answered && res.Self.State == query.Done {
+		for _, w := range r.retire(0, id, res.Self) {
+			s.push(id, w)
 		}
 	}
-	if l := s.tree.Len(); l > s.res.PeakLive {
-		s.res.PeakLive = l
-	}
-
-	switch r.Self.State {
-	case query.Done:
-		s.doneCount++
-		s.in.m.Inc(obs.QueriesDone)
-		if s.in.tr != nil {
-			s.in.emit(obs.Event{Type: obs.EvDone, Query: r.Self.ID, Proc: q.Q.Proc, Worker: id, VTime: s.clock.vtime})
-		}
-		if r.Self.ID == s.root {
-			// Root answered: record the verdict and cancel all in-flight
-			// and queued work.
-			s.res.RootOutcome = r.Self.Outcome
-			switch r.Self.Outcome {
-			case query.Reachable:
-				s.res.Verdict = ErrorReachable
-			case query.Unreachable:
-				s.res.Verdict = Safe
-			}
-			s.sample(vtimeBefore, r.Cost, newQ)
-			s.halt(StopRootAnswered)
-			return
-		}
-		if r.Self.Parent != query.NoParent {
-			s.wake(id, r.Self.Parent)
-		}
-		// Fan the wake out to every coalesced waiter — the one summary
-		// just published answers them all — then clear the edges so the
-		// GC condition ("no waiters remain") holds for RemoveSubtree.
-		for _, w := range s.tree.Waiters(r.Self.ID) {
-			s.wake(id, w)
-		}
-		s.tree.ClearWaiters(r.Self.ID)
-		if !s.e.opts.DisableGC {
-			removed := s.tree.RemoveSubtree(r.Self.ID)
-			s.in.m.Add(obs.QueriesGCd, int64(removed))
-			if s.in.tr != nil {
-				s.in.emit(obs.Event{Type: obs.EvGC, Query: r.Self.ID, Proc: q.Q.Proc, Worker: id, VTime: s.clock.vtime, N: int64(removed)})
-			}
-		}
-	case query.Ready:
-		// Budget slice exhausted: more work to do, go around again.
-		s.push(id, r.Self)
-		if s.in.tr != nil {
-			s.in.emit(obs.Event{Type: obs.EvReady, Query: r.Self.ID, Proc: q.Q.Proc, Worker: id, VTime: s.clock.vtime})
-		}
-	case query.Blocked:
-		s.in.m.Inc(obs.QueriesBlocked)
-		if s.in.tr != nil {
-			s.in.emit(obs.Event{Type: obs.EvBlock, Query: r.Self.ID, Proc: q.Q.Proc, Worker: id, VTime: s.clock.vtime})
-		}
-		if wasRewake || wakeSelf {
-			// A child completed while this query ran (or a spawn coalesced
-			// onto an already-Done twin); its answer may be exactly what
-			// unblocks it.
-			s.tree.SetState(r.Self.ID, query.Ready)
-			s.push(id, r.Self)
-			s.in.m.Inc(obs.Rewakes)
-			if s.in.tr != nil {
-				s.in.emit(obs.Event{Type: obs.EvWake, Query: r.Self.ID, Proc: q.Q.Proc, Worker: id, VTime: s.clock.vtime})
-			}
-		}
-	}
-	s.sample(vtimeBefore, r.Cost, newQ)
-}
-
-// wake makes target Ready and enqueues it (or arms its rewake flag when
-// it is inside PUNCH right now) after a summary that may answer it
-// landed. Called with mu held.
-func (s *asyncState) wake(id int, target query.ID) {
-	p := s.tree.Get(target)
-	if p == nil {
-		return
-	}
-	if s.running[target] {
-		// The target is inside PUNCH right now; poke it to re-run if it
-		// comes back Blocked.
-		s.rewake[target] = true
-		return
-	}
-	if p.State == query.Blocked {
-		s.tree.SetState(p.ID, query.Ready)
-		s.push(id, p)
-		s.in.m.Inc(obs.Wakes)
-		if s.in.tr != nil {
-			s.in.emit(obs.Event{Type: obs.EvWake, Query: p.ID, Proc: p.Q.Proc, Worker: id, VTime: s.clock.vtime})
-		}
-	}
-}
-
-// tryCoalesce attempts to answer child c of parent with the live
-// in-flight twin instead of adding a duplicate subtree. Reports whether
-// c was coalesced. Called with mu held; the twin's State may only be
-// read when the twin is not inside PUNCH (running queries mutate State
-// in place outside the lock).
-func (s *asyncState) tryCoalesce(id int, parent, c *query.Query, twinID query.ID, wakeSelf *bool) bool {
-	twin := s.tree.Get(twinID)
-	if twin == nil {
-		return false
-	}
-	if !s.running[twinID] && twin.State == query.Done {
-		// The twin's summary is already in SUMDB: drop the duplicate and
-		// re-run the parent immediately if it comes back Blocked.
-		*wakeSelf = true
-		s.hitCoalesce(id, parent, c, twinID)
-		return true
-	}
-	if query.WouldCycle([]*query.Tree{s.tree}, twinID, parent.ID) {
-		return false
-	}
-	s.tree.AddWaiter(twinID, parent.ID)
-	s.hitCoalesce(id, parent, c, twinID)
-	return true
-}
-
-func (s *asyncState) hitCoalesce(id int, parent, c *query.Query, twinID query.ID) {
-	s.res.CoalesceHits++
-	s.in.m.Inc(obs.CoalesceHits)
-	s.rec.Coalesce(parent.ID, parent.Q.Proc, c.Q.Proc)
-	if s.in.tr != nil {
-		s.in.emit(obs.Event{Type: obs.EvCoalesce, Query: c.ID, Parent: parent.ID, Proc: c.Q.Proc, Worker: id, VTime: s.clock.vtime, N: int64(twinID)})
-	}
-}
-
-// sample records one completion event in the instrumentation trace and
-// folds its observations into the peak gauges — every reduce path
-// (including the root-done and obsolete-result early returns, which used
-// to skip the PeakReady update) ends in a sample, so no event's peak is
-// lost. Called with mu held.
-func (s *asyncState) sample(vtimeBefore, cost int64, newQ int) {
-	s.res.Iterations = int(s.events)
-	smp := IterSample{
-		Iter:       int(s.events) - 1,
-		VTime:      vtimeBefore,
-		StageCost:  cost,
-		Ready:      s.tree.ReadyCount(),
-		Processed:  1,
-		Live:       s.tree.Len(),
-		DoneSoFar:  s.doneCount,
-		NewQueries: newQ,
-	}
-	if smp.Ready > s.res.PeakReady {
-		s.res.PeakReady = smp.Ready
-	}
-	if s.ls != nil {
-		busy := int64(s.busy)
-		s.ls.Tick(s.clock.vtime, s.events)
-		s.ls.SetProgress(s.alloc.Count(), s.doneCount)
-		s.ls.SetForest(int64(smp.Live), int64(smp.Ready), int64(smp.Live)-int64(smp.Ready)-busy, busy)
-		s.ls.SetCoalescer(int64(s.tree.InflightSize()), int64(s.tree.WaiterEdgeCount()), s.res.CoalesceHits)
-	}
-	s.res.Trace = append(s.res.Trace, smp)
-	if s.e.opts.OnIteration != nil {
-		s.e.opts.OnIteration(smp)
+	// Every path (root done and obsolete result included) ends in a
+	// sample, so no event's peak is lost.
+	r.sample(IterSample{
+		Iter:      int(s.events) - 1,
+		VTime:     vtimeBefore,
+		StageCost: res.Cost,
+		Ready:     r.forest[0].ReadyCount(),
+		Processed: 1,
+	}, created, int64(s.busy))
+	if answered {
+		// Root answered: the verdict is recorded; cancel all in-flight and
+		// queued work.
+		s.halt(StopRootAnswered)
 	}
 }

@@ -75,7 +75,7 @@ func TestAsyncToyProgram(t *testing.T) {
 }
 
 // TestCorpusAllEnginesConfluence asserts that the barrier engine, the
-// streaming engine, the LIFO and speculative barrier variants, and the
+// streaming engine, the speculative barrier variant, and the
 // distributed simulation all return the expected verdict on every corpus
 // program — the confluence obligation of §3.3 extended to every engine
 // this repository ships.
@@ -107,7 +107,6 @@ func TestCorpusAllEnginesConfluence(t *testing.T) {
 			configs := map[string]Options{
 				"barrier":     {MaxThreads: 8},
 				"async":       {MaxThreads: 8, Async: true},
-				"lifo":        {MaxThreads: 8, Select: LIFO},
 				"speculative": {MaxThreads: 8, Speculate: true},
 			}
 			for cname, o := range configs {

@@ -22,6 +22,13 @@
 // re-routes the dead node's live queries to the surviving owners and
 // re-gossips its summaries (modelling a replicated summary log), so
 // verdicts are preserved under faults; the confluence tests assert this.
+//
+// REDUCE is reduce.go's, run once over the forest of all nodes' trees
+// (this is a one-process simulation, and the coalescer's cycle check
+// walks the whole forest anyway): a round is the barrier discipline —
+// step every node's batch in parallel, apply every result, check the
+// root, retire every Done result. What this file adds is what a cluster
+// adds: procedure routing, gossip, and failover.
 package core
 
 import (
@@ -30,7 +37,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/cfg"
@@ -38,7 +44,6 @@ import (
 	"repro/internal/prov"
 	"repro/internal/punch"
 	"repro/internal/query"
-	"repro/internal/smt"
 	"repro/internal/store"
 	"repro/internal/summary"
 )
@@ -159,18 +164,8 @@ type DistResult struct {
 	PerNodeInvalidated   []int
 }
 
-// setStop records the termination reason exactly once and keeps the
-// legacy flag fields consistent with it.
-func (r *DistResult) setStop(reason StopReason) {
-	if r.StopReason != StopNone {
-		return
-	}
-	r.StopReason = reason
-	r.TimedOut = reason.Exhausted()
-	r.Deadlocked = reason == StopDeadlocked
-}
-
-// distNode is one simulated machine.
+// distNode is one simulated machine: its tree and summary database are
+// the run's forest[id] and dbs[id].
 type distNode struct {
 	id    int
 	db    *summary.DB
@@ -178,6 +173,11 @@ type distNode struct {
 	known map[string]bool // summary keys already received via gossip
 	dead  bool            // killed by fault injection
 }
+
+// distCheckContract makes every cluster run validate the PUNCH contract
+// and the reducer's invariants (Options.CheckContract). DistOptions has
+// no such field; only this package's tests set it.
+var distCheckContract bool
 
 // DistEngine runs BOLT sharded across simulated nodes.
 type DistEngine struct {
@@ -223,16 +223,16 @@ func (e *DistEngine) nodeOf(proc string) int {
 }
 
 // owner resolves proc's serving node: its hash home when alive, else the
-// next live node in ring order (failover re-routing). Returns nil when
+// next live node in ring order (failover re-routing). Returns -1 when
 // every node is dead.
-func (e *DistEngine) owner(nodes []*distNode, proc string) *distNode {
+func (e *DistEngine) owner(nodes []*distNode, proc string) int {
 	home := e.nodeOf(proc)
 	for off := 0; off < len(nodes); off++ {
 		if n := nodes[(home+off)%len(nodes)]; !n.dead {
-			return n
+			return n.id
 		}
 	}
-	return nil
+	return -1
 }
 
 // Run answers q0 on the simulated cluster with no external cancellation;
@@ -243,209 +243,79 @@ func (e *DistEngine) Run(q0 summary.Question) DistResult {
 
 // RunContext answers q0 on the simulated cluster. Cancelling ctx stops
 // the run at the next round boundary with StopReason StopCancelled.
-func (e *DistEngine) RunContext(ctx0 context.Context, q0 summary.Question) DistResult {
-	start := time.Now()
-	solver := smt.New()
-	if !e.opts.DisableEntailmentCache {
-		solver.EnableEntailmentCache()
-	}
-	alloc := &query.Allocator{}
-	modref := e.prog.ModRef()
-
-	coalesce := !e.opts.DisableCoalesce
-	nodes := make([]*distNode, e.opts.Nodes)
-	forest := make([]*query.Tree, e.opts.Nodes)
+func (e *DistEngine) RunContext(ctx context.Context, q0 summary.Question) DistResult {
+	o := &e.opts
+	nodes := make([]*distNode, o.Nodes)
 	for i := range nodes {
-		nodes[i] = &distNode{
-			id:    i,
-			db:    summary.New(solver),
-			tree:  query.NewTree(),
-			known: map[string]bool{},
-		}
-		if coalesce {
-			nodes[i].tree.TrackInflight()
-		}
-		forest[i] = nodes[i].tree
+		nodes[i] = &distNode{id: i, known: map[string]bool{}}
 	}
-	root := alloc.New(query.NoParent, q0)
-	nodes[e.nodeOf(q0.Proc)].tree.Add(root)
-
-	res := DistResult{
-		Verdict:          Unknown,
-		PerNodePeakLive:  make([]int, e.opts.Nodes),
-		PerNodeSummaries: make([]int, e.opts.Nodes),
+	r := newReducer(e.prog, Options{
+		Punch:                  o.Punch,
+		DisableCoalesce:        o.DisableCoalesce,
+		DisableEntailmentCache: o.DisableEntailmentCache,
+		Store:                  o.Store,
+		RealTimeout:            o.RealTimeout,
+		CheckContract:          distCheckContract,
+		Tracer:                 o.Tracer,
+		Metrics:                o.Metrics,
+		PprofLabels:            o.PprofLabels,
+		Probe:                  o.Probe,
+		CollectProvenance:      o.CollectProvenance,
+		Incremental:            o.Incremental,
+	}, "dist", o.Nodes, o.ThreadsPerNode, func(proc string) int { return e.owner(nodes, proc) })
+	res := DistResult{PerNodeSummaries: make([]int, o.Nodes)}
+	if !r.begin(q0) {
+		return e.result(r, res)
 	}
-	var rec *prov.Recorder
-	if e.opts.CollectProvenance {
-		rec = prov.NewRecorder(e.opts.Metrics)
-	}
-	rec.Root(root.ID, q0.Proc)
-	var prep incrPrep
-	if e.opts.Incremental && e.opts.Store != nil {
-		prep = prepareIncr(e.prog, e.opts.Store, q0)
-		res.EditedProcs = prep.edited
-		res.InvalidatedSummaries = prep.invalidated
-		if prep.surviving >= 0 {
-			res.SurvivingSummaries = prep.surviving
-		}
-		if prep.err != nil && res.StoreErr == nil {
-			res.StoreErr = prep.err
-		}
-		res.PerNodeInvalidated = make([]int, e.opts.Nodes)
-		for proc, n := range prep.perProc {
-			res.PerNodeInvalidated[e.nodeOf(proc)] += n
-		}
-		if prep.reuse {
-			res.Verdict = prep.verdict
-			res.ReusedVerdict = true
-			res.setStop(StopVerdictReused)
-			res.WallTime = time.Since(start)
-			return res
+	for _, n := range nodes {
+		n.db, n.tree = r.dbs[n.id], r.forest[n.id]
+		// A warm-started summary is marked known at its owner, so the first
+		// gossip exchange spreads it cluster-wide without re-delivering it
+		// there.
+		for _, s := range n.db.All() {
+			n.known[summaryKey(s)] = true
 		}
 	}
-	// Warm start: each stored summary hydrates its owning node (the
-	// node procedure routing would send its questions to) and is marked
-	// known there, so the first gossip exchange spreads it cluster-wide
-	// without re-delivering to the owner.
-	if e.opts.Store != nil {
-		if sums, err := e.opts.Store.Load(); err != nil {
-			res.StoreErr = err
-		} else {
-			for _, s := range sums {
-				if prep.skipAll || prep.skipLoad[s.Proc] {
-					// Deleter-less store: invalidation filtered at
-					// hydration, attributed to the owning node.
-					res.InvalidatedSummaries++
-					if res.PerNodeInvalidated != nil {
-						res.PerNodeInvalidated[e.nodeOf(s.Proc)]++
-					}
-					continue
-				}
-				owner := nodes[e.nodeOf(s.Proc)]
-				owner.db.Add(s)
-				owner.known[summaryKey(s)] = true
-				rec.MarkWarm(s)
-				res.WarmSummaries++
-			}
-			if e.opts.Incremental {
-				res.SurvivingSummaries = res.WarmSummaries
-			}
-		}
-	}
-	var vtime int64
-	// Worker slot w of node n gets the global metrics index
-	// n*ThreadsPerNode + w.
-	in := newInstr(e.opts.Tracer, e.opts.Metrics, e.opts.Nodes*e.opts.ThreadsPerNode, start, e.opts.PprofLabels)
-	var ls *obs.LiveState
-	var doneCount int64
-	if e.opts.Probe != nil {
-		ls = obs.NewLiveState("dist", e.opts.Nodes*e.opts.ThreadsPerNode, e.opts.Nodes, start)
-		attachDistProbe(e.opts.Probe, ls, nodes, solver)
-		defer e.opts.Probe.Detach()
-		publishDist(ls, nodes, alloc, 0, 0, 0, 0)
-	}
-	var depth map[query.ID]int
-	if in.labels || ls != nil {
-		depth = map[query.ID]int{root.ID: 0}
-	}
-	in.m.Inc(obs.QueriesSpawned)
-	if in.tr != nil {
-		in.emit(obs.Event{Type: obs.EvSpawn, Query: root.ID, Parent: query.NoParent, Proc: root.Q.Proc, Node: e.nodeOf(q0.Proc)})
-	}
-	faults := e.opts.Faults
+	faults := o.Faults
 	var rng *rand.Rand
 	if faults != nil {
 		rng = rand.New(rand.NewSource(faults.Seed))
 	}
 
-	for round := 0; round < e.opts.MaxRounds; round++ {
-		if ctx0.Err() != nil {
-			res.setStop(StopCancelled)
-			break
-		}
-		if e.opts.RealTimeout > 0 && time.Since(start) > e.opts.RealTimeout {
-			res.setStop(StopWallTimeout)
+	for round := 0; round < o.MaxRounds; round++ {
+		if stop := r.exhausted(ctx); stop != StopNone {
+			r.res.setStop(stop)
 			break
 		}
 		// Fault injection: the victim dies at the start of its round,
 		// before MAP, so no in-flight work complicates recovery.
 		if faults != nil && faults.KillNode >= 0 && round == faults.KillRound {
-			e.failNode(nodes, faults.KillNode, &res, &in, ls, vtime)
+			e.failNode(r, nodes, faults.KillNode, &res)
 		}
-		rootOwner := e.owner(nodes, q0.Proc)
-		if rootOwner == nil {
-			res.setStop(StopNodeFailure)
+		if e.owner(nodes, q0.Proc) < 0 {
+			r.res.setStop(StopNodeFailure)
 			break
 		}
 		res.Rounds = round + 1
 
-		// Each live node runs one MAP stage on its own shard, in parallel.
-		type nodeOutcome struct {
-			results []punch.Result
-			sel     []*query.Query
-			walls   []time.Duration
-		}
-		outcomes := make([]nodeOutcome, len(nodes))
-		var wg sync.WaitGroup
-		anyWork := false
-		for ni, n := range nodes {
+		// Each live node selects one MAP batch from its own shard. Punch
+		// spans are emitted from the round loop (start here, end at merge
+		// below), so each (node, worker) track holds at most one open span.
+		var batch []slot
+		for _, n := range nodes {
 			if n.dead {
 				continue
 			}
-			ready := n.tree.InState(query.Ready)
-			if len(ready) == 0 {
-				continue
+			sel := n.tree.InState(query.Ready)
+			if len(sel) > o.ThreadsPerNode {
+				sel = sel[:o.ThreadsPerNode]
 			}
-			anyWork = true
-			sel := ready
-			if len(sel) > e.opts.ThreadsPerNode {
-				sel = sel[:e.opts.ThreadsPerNode]
-			}
-			outcomes[ni].sel = sel
-			outcomes[ni].results = make([]punch.Result, len(sel))
-			outcomes[ni].walls = make([]time.Duration, len(sel))
-			ctx := &punch.Context{Prog: e.prog, DB: n.db, Alloc: alloc, ModRef: modref}
-			// Punch spans are emitted from the round loop (start here, end
-			// at merge below), so the trace stream stays single-writer and
-			// each (node, worker) track holds at most one open span.
-			if in.tr != nil {
-				for i := range sel {
-					in.emit(obs.Event{Type: obs.EvPunchStart, Query: sel[i].ID, Proc: sel[i].Q.Proc, Node: ni, Worker: i, VTime: vtime})
-				}
-			}
-			for i := range sel {
-				wg.Add(1)
-				go func(ni, i int) {
-					defer wg.Done()
-					o := &outcomes[ni]
-					slot := ni*e.opts.ThreadsPerNode + i
-					ls.WorkerRunning(slot, o.sel[i].Q.Proc, int64(o.sel[i].ID))
-					defer ls.WorkerFinished(slot)
-					pctx := ctx
-					if rec != nil {
-						ic := *ctx
-						ic.DB = rec.Frame(ctx.DB, o.sel[i].ID, o.sel[i].Q.Proc)
-						pctx = &ic
-					}
-					var t0 time.Time
-					if in.m != nil {
-						t0 = time.Now()
-					}
-					if in.labels {
-						obs.DoPunch(ctx0, "dist", o.sel[i].Q.Proc, depth[o.sel[i].ID], func() {
-							o.results[i] = e.opts.Punch.Step(pctx, o.sel[i])
-						})
-					} else {
-						o.results[i] = e.opts.Punch.Step(pctx, o.sel[i])
-					}
-					if in.m != nil {
-						o.walls[i] = time.Since(t0)
-					}
-				}(ni, i)
+			for w, q := range sel {
+				r.punchStart(n.id, w, q)
+				batch = append(batch, slot{node: n.id, worker: w, q: q})
 			}
 		}
-		wg.Wait()
-		if !anyWork {
+		if len(batch) == 0 {
 			// All nodes are blocked: answers may be stranded in remote
 			// shards, so force a gossip exchange and wake blocked queries
 			// to re-examine their databases. The forced exchange is exempt
@@ -453,266 +323,100 @@ func (e *DistEngine) RunContext(ctx0 context.Context, q0 summary.Question) DistR
 			// may delay the cluster but must never wedge it. If nothing
 			// new flowed, the cluster is genuinely deadlocked.
 			res.SyncExchanges++
-			vtime += e.opts.SyncCost
-			if e.gossip(nodes, nil, &res, &in, ls, vtime) == 0 {
-				publishDist(ls, nodes, alloc, vtime, int64(round+1), doneCount, res.CoalesceHits)
-				res.setStop(StopDeadlocked)
+			r.vtime += o.SyncCost
+			moved := e.gossip(r, nodes, nil, &res)
+			if moved > 0 {
+				wakeBlocked(r, nodes)
+			}
+			r.publish(int64(round+1), 0)
+			if moved == 0 {
+				r.res.setStop(StopDeadlocked)
 				break
 			}
-			wakeBlocked(nodes, &in, vtime)
-			publishDist(ls, nodes, alloc, vtime, int64(round+1), doneCount, res.CoalesceHits)
 			continue
 		}
-
-		// Per-node makespans; the round's virtual time is their maximum
-		// (nodes genuinely run in parallel).
-		var roundCost int64
-		for ni := range outcomes {
-			if outcomes[ni].sel == nil {
-				continue
-			}
-			costs := make([]int64, len(outcomes[ni].results))
-			for i, r := range outcomes[ni].results {
-				costs[i] = r.Cost
-			}
-			c := makespan(costs, e.opts.CoresPerNode)
-			ls.NodeAddBusy(ni, c)
-			if c > roundCost {
-				roundCost = c
-			}
+		// All nodes' batches run in parallel; the depth map is read-only
+		// meanwhile.
+		fanOut(len(batch), func(i int) {
+			b := &batch[i]
+			b.res, b.wall = r.step(ctx, b.node, b.q, r.depth[b.q.ID])
+		})
+		// The round's virtual time is the maximum of the per-node
+		// makespans (nodes genuinely run in parallel).
+		r.advance(batch, o.CoresPerNode)
+		for i := range batch {
+			b := &batch[i]
+			r.punchEnd(b.node, b.worker, b.q, b.res.Cost, b.wall)
 		}
-		vtime += roundCost
-
-		// Merge results: children are routed to their owning node (a
-		// remote dispatch in a real deployment).
-		for ni, n := range nodes {
-			if outcomes[ni].sel == nil {
-				continue
-			}
-			for i, r := range outcomes[ni].results {
-				if in.m != nil {
-					in.m.ObservePunch(ni*e.opts.ThreadsPerNode+i, r.Cost, outcomes[ni].walls[i])
-				}
-				if in.tr != nil {
-					in.emit(obs.Event{Type: obs.EvPunchEnd, Query: r.Self.ID, Proc: r.Self.Q.Proc, Node: ni, Worker: i, VTime: vtime, Cost: r.Cost})
-				}
-				n.tree.Replace(r.Self)
-				for _, c := range r.Children {
-					dst := e.owner(nodes, c.Q.Proc)
-					// In-flight coalescing: procedure routing is
-					// deterministic, so a live twin asking the same question
-					// must live in dst's tree. Done twin ⟹ its summary is in
-					// dst's database (PUNCH contract), so the parent can wake
-					// immediately and find the answer via gossip; a live twin
-					// adopts the parent as an extra waiter unless that would
-					// close a waits-for cycle.
-					if coalesce {
-						if twinID, ok := dst.tree.Inflight(c.Q.Key()); ok {
-							if twin := dst.tree.Get(twinID); twin != nil {
-								if twin.State == query.Done {
-									res.CoalesceHits++
-									in.m.Inc(obs.CoalesceHits)
-									rec.Coalesce(r.Self.ID, r.Self.Q.Proc, c.Q.Proc)
-									if in.tr != nil {
-										in.emit(obs.Event{Type: obs.EvCoalesce, Query: c.ID, Parent: r.Self.ID, Proc: c.Q.Proc, Node: dst.id, Worker: i, VTime: vtime, N: int64(twinID)})
-									}
-									if r.Self.State == query.Blocked {
-										n.tree.SetState(r.Self.ID, query.Ready)
-									}
-									continue
-								}
-								if !query.WouldCycle(forest, twinID, r.Self.ID) {
-									dst.tree.AddWaiter(twinID, r.Self.ID)
-									res.CoalesceHits++
-									in.m.Inc(obs.CoalesceHits)
-									rec.Coalesce(r.Self.ID, r.Self.Q.Proc, c.Q.Proc)
-									if in.tr != nil {
-										in.emit(obs.Event{Type: obs.EvCoalesce, Query: c.ID, Parent: r.Self.ID, Proc: c.Q.Proc, Node: dst.id, Worker: i, VTime: vtime, N: int64(twinID)})
-									}
-									continue
-								}
-							}
-						}
-					}
-					dst.tree.Add(c)
-					in.m.Inc(obs.QueriesSpawned)
-					rec.Spawn(r.Self.ID, r.Self.Q.Proc, c.ID, c.Q.Proc)
-					if depth != nil {
-						depth[c.ID] = depth[r.Self.ID] + 1
-						ls.ObserveDepth(depth[c.ID])
-					}
-					if in.tr != nil {
-						in.emit(obs.Event{Type: obs.EvSpawn, Query: c.ID, Parent: r.Self.ID, Proc: c.Q.Proc, Node: dst.id, Worker: i, VTime: vtime})
-					}
-				}
-			}
-		}
-
-		// The true live peak is reached before REDUCE garbage-collects
-		// Done subtrees; record it here and again after GC, so the final
-		// round's peak is not lost to the root-answered break below.
-		e.recordPeaks(nodes, &res)
-
-		// REDUCE per node: wake parents (which may live on another node)
-		// and garbage-collect Done subtrees locally. A child's parent
-		// lives where the parent's procedure is owned; scan all nodes.
-		for ni, n := range nodes {
-			if outcomes[ni].sel == nil {
-				continue
-			}
-			for i, r := range outcomes[ni].results {
-				self := r.Self
-				if self.State == query.Blocked {
-					in.m.Inc(obs.QueriesBlocked)
-					if in.tr != nil {
-						in.emit(obs.Event{Type: obs.EvBlock, Query: self.ID, Proc: self.Q.Proc, Node: ni, Worker: i, VTime: vtime})
-					}
-				}
-				if self.State != query.Done {
-					continue
-				}
-				doneCount++
-				in.m.Inc(obs.QueriesDone)
-				if in.tr != nil {
-					in.emit(obs.Event{Type: obs.EvDone, Query: self.ID, Proc: self.Q.Proc, Node: ni, Worker: i, VTime: vtime})
-				}
-				if self.Parent != query.NoParent {
-					for _, other := range nodes {
-						if p := other.tree.Get(self.Parent); p != nil {
-							if p.State == query.Blocked {
-								other.tree.SetState(p.ID, query.Ready)
-								in.m.Inc(obs.Wakes)
-								if in.tr != nil {
-									in.emit(obs.Event{Type: obs.EvWake, Query: p.ID, Proc: p.Q.Proc, Node: other.id, VTime: vtime})
-								}
-							}
-							break
-						}
-					}
-				}
-				// One summary answers every coalesced waiter: fan the wake
-				// out to all registered waiters (which may live on other
-				// nodes) before collecting the subtree.
-				for _, w := range n.tree.Waiters(self.ID) {
-					for _, other := range nodes {
-						if p := other.tree.Get(w); p != nil {
-							if p.State == query.Blocked {
-								other.tree.SetState(p.ID, query.Ready)
-								in.m.Inc(obs.Wakes)
-								if in.tr != nil {
-									in.emit(obs.Event{Type: obs.EvWake, Query: p.ID, Proc: p.Q.Proc, Node: other.id, VTime: vtime})
-								}
-							}
-							break
-						}
-					}
-				}
-				n.tree.ClearWaiters(self.ID)
-				removed := n.tree.RemoveSubtree(self.ID)
-				in.m.Add(obs.QueriesGCd, int64(removed))
-				if in.tr != nil {
-					in.emit(obs.Event{Type: obs.EvGC, Query: self.ID, Proc: self.Q.Proc, Node: ni, Worker: i, VTime: vtime, N: int64(removed)})
-				}
-			}
-		}
-		e.recordPeaks(nodes, &res)
-		publishDist(ls, nodes, alloc, vtime, int64(round+1), doneCount, res.CoalesceHits)
-
-		// Root check.
-		if rootQ := rootOwner.tree.Get(root.ID); rootQ != nil && rootQ.State == query.Done {
-			switch rootQ.Outcome {
-			case query.Reachable:
-				res.Verdict = ErrorReachable
-			case query.Unreachable:
-				res.Verdict = Safe
-			}
-			res.setStop(StopRootAnswered)
+		// REDUCE over the whole round: merging a result routes its children
+		// to their owning node (a remote dispatch in a real deployment);
+		// retiring a Done query wakes parents and waiters that may live on
+		// another node.
+		answered := r.reduceBatch(batch)
+		r.publish(int64(round+1), 0)
+		if answered {
+			r.res.setStop(StopRootAnswered)
 			break
-		}
-		// Also catch the case where REDUCE removed the Done root already.
-		if rootOwner.tree.Get(root.ID) == nil {
-			if _, verdict := rootOwner.db.Answer(q0); verdict != 0 {
-				if verdict > 0 {
-					res.Verdict = ErrorReachable
-				} else {
-					res.Verdict = Safe
-				}
-				res.setStop(StopRootAnswered)
-				break
-			}
 		}
 
 		// Gossip: every SyncEvery rounds nodes exchange new summaries,
 		// subject to the injected loss plan.
-		if (round+1)%e.opts.SyncEvery == 0 {
+		if (round+1)%o.SyncEvery == 0 {
 			res.SyncExchanges++
-			vtime += e.opts.SyncCost
+			r.vtime += o.SyncCost
 			// A summary arrival is a wake event: queries that blocked before
 			// the delivery must re-examine their databases, or the deadlock
-			// detector below would declare a fully-replicated-but-sleeping
+			// detector above would declare a fully-replicated-but-sleeping
 			// cluster dead. (The barrier engine gets this ordering for free
 			// from its shared database.)
-			if e.gossip(nodes, rng, &res, &in, ls, vtime) > 0 {
-				wakeBlocked(nodes, &in, vtime)
+			if e.gossip(r, nodes, rng, &res) > 0 {
+				wakeBlocked(r, nodes)
 			}
 		}
 	}
 
 	// Falling out of the loop without a recorded reason means the round
 	// budget ran dry.
-	res.setStop(StopEventBudget)
-	for ni, n := range nodes {
-		res.PerNodeSummaries[ni] = n.db.Count()
+	r.res.setStop(StopEventBudget)
+	for i, db := range r.dbs {
+		res.PerNodeSummaries[i] = db.Count()
 	}
-	// Persist the union of every node's database; the store dedups by
-	// canonical wire key, so gossip replication costs nothing here.
-	if e.opts.Store != nil {
-		var firstErr error
-	persist:
-		for _, n := range nodes {
-			for _, s := range n.db.All() {
-				added, err := e.opts.Store.Put(s)
-				if err != nil {
-					firstErr = err
-					break persist
-				}
-				if added {
-					res.PersistedSummaries++
-				}
-			}
-		}
-		if err := e.opts.Store.Flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if firstErr != nil && res.StoreErr == nil {
-			res.StoreErr = firstErr
-		}
-	}
-	res.TotalQueries = alloc.Count()
-	res.VirtualTicks = vtime
-	res.WallTime = time.Since(start)
-	if rec != nil {
-		p := rec.Finish(res.Verdict.String())
-		res.Provenance = p
-		observeCones(e.opts.Metrics, p)
-		if e.opts.Store != nil {
-			if err := persistProv(e.opts.Store, p, "dist", q0); err != nil && res.StoreErr == nil {
-				res.StoreErr = err
-			}
-		}
-	}
-	res.Metrics = in.finish(vtime, aggregateStats(nodes), solver.StatsSnapshot())
+	r.end()
+	return e.result(r, res)
+}
+
+// result folds what the shared run reports into the cluster result.
+func (e *DistEngine) result(r *reducer, res DistResult) DistResult {
+	rr := &r.res
+	res.Verdict = rr.Verdict
+	res.StopReason, res.TimedOut, res.Deadlocked = rr.StopReason, rr.TimedOut, rr.Deadlocked
+	res.TotalQueries = rr.TotalQueries
+	res.VirtualTicks = rr.VirtualTicks
+	res.WallTime = rr.WallTime
+	res.PerNodePeakLive = r.peak
+	res.CoalesceHits = rr.CoalesceHits
+	res.Metrics = rr.Metrics
+	res.Provenance = rr.Provenance
+	res.WarmSummaries = rr.WarmSummaries
+	res.PersistedSummaries = rr.PersistedSummaries
+	res.StoreErr = rr.StoreErr
+	res.EditedProcs = rr.EditedProcs
+	res.InvalidatedSummaries = rr.InvalidatedSummaries
+	res.SurvivingSummaries = rr.SurvivingSummaries
+	res.ReusedVerdict = rr.ReusedVerdict
+	res.PerNodeInvalidated = r.invalidatedAt
 	return res
 }
 
 // aggregateStats sums the per-node summary-database traffic into one
 // Stats view, merging the per-stripe breakdown by shard index (every
-// node stripes its shard the same way).
-func aggregateStats(nodes []*distNode) summary.Stats {
+// node stripes its shard the same way). Over a single database it is that
+// database's own snapshot.
+func aggregateStats(dbs []*summary.DB) summary.Stats {
 	var agg summary.Stats
 	byShard := map[int]*summary.ShardTraffic{}
-	for _, n := range nodes {
-		st := n.db.StatsSnapshot()
+	for _, db := range dbs {
+		st := db.StatsSnapshot()
 		agg.Added += st.Added
 		agg.YesHits += st.YesHits
 		agg.NoHits += st.NoHits
@@ -746,27 +450,15 @@ func aggregateStats(nodes []*distNode) summary.Stats {
 
 // wakeBlocked moves every Blocked query on a live node back to Ready so
 // its next PUNCH slice re-examines the (just updated) local database.
-func wakeBlocked(nodes []*distNode, in *instr, vtime int64) {
+func wakeBlocked(r *reducer, nodes []*distNode) {
 	for _, n := range nodes {
 		if n.dead {
 			continue
 		}
 		for _, q := range n.tree.InState(query.Blocked) {
 			n.tree.SetState(q.ID, query.Ready)
-			in.m.Inc(obs.Wakes)
-			if in.tr != nil {
-				in.emit(obs.Event{Type: obs.EvWake, Query: q.ID, Proc: q.Q.Proc, Node: n.id, VTime: vtime})
-			}
-		}
-	}
-}
-
-// recordPeaks folds each live node's current tree size into the per-node
-// peak gauges.
-func (e *DistEngine) recordPeaks(nodes []*distNode, res *DistResult) {
-	for ni, n := range nodes {
-		if l := n.tree.Len(); l > res.PerNodePeakLive[ni] {
-			res.PerNodePeakLive[ni] = l
+			r.in.m.Inc(obs.Wakes)
+			r.note(obs.EvWake, n.id, 0, q, 0)
 		}
 	}
 }
@@ -777,17 +469,17 @@ func (e *DistEngine) recordPeaks(nodes []*distNode, res *DistResult) {
 // queries are re-routed to their new owners, with Blocked survivors woken
 // so they re-examine the recovered databases. No-op when the victim is
 // out of range or already dead.
-func (e *DistEngine) failNode(nodes []*distNode, victim int, res *DistResult, in *instr, ls *obs.LiveState, vtime int64) {
+func (e *DistEngine) failNode(r *reducer, nodes []*distNode, victim int, res *DistResult) {
 	if victim < 0 || victim >= len(nodes) || nodes[victim].dead {
 		return
 	}
 	dead := nodes[victim]
 	dead.dead = true
-	ls.NodeDead(victim)
+	r.ls.NodeDead(victim)
 	res.KilledNodes = append(res.KilledNodes, victim)
-	in.m.Inc(obs.NodeKills)
-	if in.tr != nil {
-		in.emit(obs.Event{Type: obs.EvNodeKill, Node: victim, VTime: vtime})
+	r.in.m.Inc(obs.NodeKills)
+	if r.in.tr != nil {
+		r.in.emit(obs.Event{Type: obs.EvNodeKill, Node: victim, VTime: r.vtime})
 	}
 
 	for _, s := range dead.db.All() {
@@ -799,14 +491,15 @@ func (e *DistEngine) failNode(nodes []*distNode, victim int, res *DistResult, in
 			to.known[key] = true
 			to.db.Add(s)
 			res.RecoveredSummaries++
-			in.deliver(victim, to.id, s.Proc, len(key), vtime)
+			r.in.deliver(victim, to.id, s.Proc, len(key), r.vtime)
 		}
 	}
 	for _, q := range dead.tree.All() {
-		dst := e.owner(nodes, q.Q.Proc)
-		if dst == nil {
+		at := e.owner(nodes, q.Q.Proc)
+		if at < 0 {
 			return // cluster is gone; the caller stops with StopNodeFailure
 		}
+		dst := nodes[at]
 		dead.tree.MoveTo(dst.tree, q.ID)
 		if q.State == query.Blocked {
 			// The answer it waited for may have died with this node's
@@ -818,7 +511,7 @@ func (e *DistEngine) failNode(nodes []*distNode, victim int, res *DistResult, in
 	// Recovery deliveries are wake events like any other gossip: survivors
 	// blocked on the victim's summaries must re-examine their databases.
 	if res.RecoveredSummaries > 0 {
-		wakeBlocked(nodes, in, vtime)
+		wakeBlocked(r, nodes)
 	}
 }
 
@@ -834,8 +527,8 @@ func summaryKey(s summary.Summary) string {
 // is retried at the next exchange (drop-as-delay). Each receiver's
 // deferred-delivery count for this exchange is published as its live
 // gossip backlog.
-func (e *DistEngine) gossip(nodes []*distNode, rng *rand.Rand, res *DistResult, in *instr, ls *obs.LiveState, vtime int64) int {
-	in.m.Inc(obs.GossipRounds)
+func (e *DistEngine) gossip(r *reducer, nodes []*distNode, rng *rand.Rand, res *DistResult) int {
+	r.in.m.Inc(obs.GossipRounds)
 	drop := 0.0
 	if rng != nil && e.opts.Faults != nil {
 		drop = e.opts.Faults.GossipDrop
@@ -860,13 +553,13 @@ func (e *DistEngine) gossip(nodes []*distNode, rng *rand.Rand, res *DistResult, 
 				to.known[key] = true
 				to.db.Add(s)
 				moved++
-				in.deliver(from.id, to.id, s.Proc, len(key), vtime)
+				r.in.deliver(from.id, to.id, s.Proc, len(key), r.vtime)
 			}
 		}
 	}
-	if ls != nil {
+	if r.ls != nil {
 		for i, d := range deferred {
-			ls.NodeSetBacklog(i, d)
+			r.ls.NodeSetBacklog(i, d)
 		}
 	}
 	return moved

@@ -9,9 +9,15 @@
 // a deterministic virtual clock: each PUNCH invocation reports its
 // abstract cost, and a MAP stage advances virtual time by the makespan of
 // its batch (the maximum cost, since the batch size never exceeds the
-// thread count). On this repository's single-core test hardware the
-// virtual clock is what reproduces the paper's speedup tables; the real
-// engine exercises true concurrency for correctness.
+// thread count). The virtual clock is what reproduces the paper's speedup
+// tables independently of the host (the paper's machine has 8 cores, a
+// test box may have 2); the goroutines exercise true concurrency, and
+// the repository benchmark (bench/) measures their wall clock.
+//
+// REDUCE exists once, in reduce.go, under all three engines. This file
+// holds the option and result types and the barrier scheduler: select a
+// batch, step it in parallel, apply every result, check the root, retire
+// every Done result.
 package core
 
 import (
@@ -28,7 +34,6 @@ import (
 	"repro/internal/smt"
 	"repro/internal/store"
 	"repro/internal/summary"
-	"repro/internal/wire"
 )
 
 // Verdict is the outcome of a verification run.
@@ -57,19 +62,6 @@ func (v Verdict) String() string {
 	}
 	return fmt.Sprintf("Verdict(%d)", int(v))
 }
-
-// SelectPolicy orders the Ready queries the MAP stage picks from when the
-// throttle is smaller than the Ready set.
-type SelectPolicy int
-
-// Selection policies.
-const (
-	// FIFO processes oldest queries first (the sequential demand-driven
-	// order).
-	FIFO SelectPolicy = iota
-	// LIFO processes newest queries first (depth-first flavour).
-	LIFO
-)
 
 // Options configure an engine run.
 type Options struct {
@@ -114,8 +106,6 @@ type Options struct {
 	// cold run's — it just gets there with less work. Ignored when
 	// DisableSumDB is set; store failures land in Result.StoreErr.
 	Store store.Store
-	// Select orders Ready queries for the MAP stage.
-	Select SelectPolicy
 	// CheckContract validates the §3.2 PUNCH postcondition on every
 	// invocation (used by the test suite).
 	CheckContract bool
@@ -273,6 +263,9 @@ func New(prog *cfg.Program, opts Options) *Engine {
 	if opts.MaxIterations <= 0 {
 		opts.MaxIterations = 1 << 20
 	}
+	if opts.VirtualCores <= 0 || opts.VirtualCores > opts.MaxThreads {
+		opts.VirtualCores = opts.MaxThreads
+	}
 	if opts.Incremental {
 		// A re-check must persist its dependency graph for the next one.
 		opts.CollectProvenance = true
@@ -287,122 +280,53 @@ func (e *Engine) Run(q0 summary.Question) Result {
 }
 
 // RunContext answers the verification question q0 (Fig. 4). With
-// Options.Async it delegates to the streaming work-stealing engine;
+// Options.Async it schedules with the streaming work-stealing pool;
 // otherwise it runs the paper's bulk-synchronous MAP/REDUCE loop.
 // Cancelling ctx stops the run with StopReason StopCancelled; since PUNCH
 // invocations are not preemptible, cancellation is observed at stage
 // boundaries (one PUNCH slice is bounded by the step budget, so the
 // latency is small).
-func (e *Engine) RunContext(ctx0 context.Context, q0 summary.Question) Result {
+func (e *Engine) RunContext(ctx context.Context, q0 summary.Question) Result {
+	engine, schedule := "barrier", e.barrier
 	if e.opts.Async {
-		return e.runAsync(ctx0, q0)
+		engine, schedule = "async", e.stream
 	}
-	start := time.Now()
-	solver := smt.New()
-	if !e.opts.DisableEntailmentCache {
-		solver.EnableEntailmentCache()
+	r := newReducer(e.prog, e.opts, engine, 1, e.opts.MaxThreads, nil)
+	if r.begin(q0) {
+		schedule(ctx, r)
+		r.end()
 	}
-	var db *summary.DB
-	if e.opts.DisableSumDB {
-		db = summary.NewDisabled(solver)
-	} else {
-		db = summary.New(solver)
-	}
-	alloc := &query.Allocator{}
-	ctx := &punch.Context{Prog: e.prog, DB: db, Alloc: alloc, ModRef: e.prog.ModRef()}
-	tree := query.NewTree()
-	coalesce := !e.opts.DisableCoalesce
-	res := Result{Verdict: Unknown, CostByProc: map[string]int64{}}
-	var rec *prov.Recorder
-	if e.opts.CollectProvenance {
-		rec = prov.NewRecorder(e.opts.Metrics)
-	}
-	var prep incrPrep
-	if e.opts.Incremental && e.opts.Store != nil && !e.opts.DisableSumDB {
-		prep = prepareIncr(e.prog, e.opts.Store, q0)
-		applyIncrPrep(&res, prep)
-		if prep.reuse {
-			res.Verdict = prep.verdict
-			res.ReusedVerdict = true
-			res.setStop(StopVerdictReused)
-			res.WallTime = time.Since(start)
-			return res
-		}
-	}
-	e.loadStore(db, rec, &res, prep.skipLoad, prep.skipAll)
-	if e.opts.Incremental {
-		res.SurvivingSummaries = res.WarmSummaries
-	}
-	if coalesce {
-		tree.TrackInflight()
-	}
-	forest := []*query.Tree{tree}
-	root := alloc.New(query.NoParent, q0)
-	tree.Add(root)
-	rec.Root(root.ID, root.Q.Proc)
+	return r.res
+}
 
-	var vtime int64
-	var doneCount int64
-
-	in := newInstr(e.opts.Tracer, e.opts.Metrics, e.opts.MaxThreads, start, e.opts.PprofLabels)
-	var ls *obs.LiveState
-	if e.opts.Probe != nil {
-		ls = obs.NewLiveState("barrier", e.opts.MaxThreads, 0, start)
-		attachProbe(e.opts.Probe, ls, db, solver)
-		defer e.opts.Probe.Detach()
-		publishForest(ls, tree, alloc, 0, 0, 0, 0, 0)
-	}
-	// depth tracks each live query's distance from the root for the
-	// query-depth pprof label and the live max-depth gauge; maintained
-	// only when one of them is on.
-	var depth map[query.ID]int
-	if in.labels || ls != nil {
-		depth = map[query.ID]int{root.ID: 0}
-	}
-	in.m.Inc(obs.QueriesSpawned)
-	if in.tr != nil {
-		in.emit(obs.Event{Type: obs.EvSpawn, Query: root.ID, Parent: query.NoParent, Proc: root.Q.Proc})
-	}
-
-	for iter := 0; iter < e.opts.MaxIterations; iter++ {
-		if ctx0.Err() != nil {
-			res.setStop(StopCancelled)
-			break
-		}
-		if e.opts.RealTimeout > 0 && time.Since(start) > e.opts.RealTimeout {
-			res.setStop(StopWallTimeout)
-			break
-		}
-		if e.opts.MaxVirtualTicks > 0 && vtime >= e.opts.MaxVirtualTicks {
-			res.setStop(StopTickBudget)
+// barrier is the bulk-synchronous scheduler: each iteration selects up to
+// MaxThreads Ready queries, steps them in parallel, and reduces the batch
+// in two phases.
+func (e *Engine) barrier(ctx context.Context, r *reducer) {
+	o, res, tree := &e.opts, &r.res, r.forest[0]
+	for iter := 0; iter < o.MaxIterations; iter++ {
+		if stop := r.exhausted(ctx); stop != StopNone {
+			res.setStop(stop)
 			break
 		}
 		ready := tree.InState(query.Ready)
-		if len(ready) > res.PeakReady {
-			res.PeakReady = len(ready)
-		}
 		if len(ready) == 0 {
 			// Every live query is Blocked: no child can ever answer (the
 			// query tree has no cycles), so the analysis is stuck.
 			res.setStop(StopDeadlocked)
 			break
 		}
-		if e.opts.Select == LIFO {
-			for i, j := 0, len(ready)-1; i < j; i, j = i+1, j-1 {
-				ready[i], ready[j] = ready[j], ready[i]
-			}
-		}
 		sel := ready
-		if len(sel) > e.opts.MaxThreads {
-			sel = sel[:e.opts.MaxThreads]
+		if len(sel) > o.MaxThreads {
+			sel = sel[:o.MaxThreads]
 		}
-		if e.opts.Speculate && len(sel) < e.opts.MaxThreads {
+		if o.Speculate && len(sel) < o.MaxThreads {
 			// §7 speculative extension: fill idle slots with Blocked
 			// queries, temporarily waking them so PUNCH can recheck SUMDB
 			// and fan out additional sub-queries ahead of demand.
 			blocked := tree.InState(query.Blocked)
 			for _, b := range blocked {
-				if len(sel) >= e.opts.MaxThreads {
+				if len(sel) >= o.MaxThreads {
 					break
 				}
 				tree.SetState(b.ID, query.Ready)
@@ -413,358 +337,69 @@ func (e *Engine) RunContext(ctx0 context.Context, q0 summary.Question) Result {
 		// MAP: run PUNCH on the selected queries in parallel. The summary
 		// database is the only shared state (§3.3). Worker slot i is the
 		// event track; the depth map is read-only while the batch runs.
-		results := make([]punch.Result, len(sel))
-		var wg sync.WaitGroup
-		for i := range sel {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				q := sel[i]
-				ls.WorkerRunning(i, q.Q.Proc, int64(q.ID))
-				if in.tr != nil {
-					in.emit(obs.Event{Type: obs.EvPunchStart, Query: q.ID, Proc: q.Q.Proc, Worker: i, VTime: vtime})
-				}
-				var t0 time.Time
-				if in.m != nil {
-					t0 = time.Now()
-				}
-				pctx := ctx
-				if rec != nil {
-					ic := *ctx
-					ic.DB = rec.Frame(db, q.ID, q.Q.Proc)
-					pctx = &ic
-				}
-				if in.labels {
-					obs.DoPunch(ctx0, "barrier", q.Q.Proc, depth[q.ID], func() {
-						results[i] = e.opts.Punch.Step(pctx, q)
-					})
-				} else {
-					results[i] = e.opts.Punch.Step(pctx, q)
-				}
-				if in.m != nil {
-					in.m.ObservePunch(i, results[i].Cost, time.Since(t0))
-				}
-				if in.tr != nil {
-					in.emit(obs.Event{Type: obs.EvPunchEnd, Query: q.ID, Proc: q.Q.Proc, Worker: i, VTime: vtime, Cost: results[i].Cost})
-				}
-				ls.WorkerFinished(i)
-			}(i)
-		}
-		wg.Wait()
-
+		batch := make([]slot, len(sel))
+		fanOut(len(sel), func(i int) {
+			b := &batch[i]
+			b.worker, b.q = i, sel[i]
+			r.punchStart(0, i, b.q)
+			b.res, b.wall = r.step(ctx, 0, b.q, r.depth[b.q.ID])
+			r.punchEnd(0, i, b.q, b.res.Cost, b.wall)
+		})
 		// Virtual time: the stage advances the clock by the makespan of
 		// its batch on the simulated cores.
-		costs := make([]int64, len(results))
-		newQueries := 0
-		for i := range results {
-			costs[i] = results[i].Cost
-			newQueries += len(results[i].Children)
-			res.CostByProc[sel[i].Q.Proc] += results[i].Cost
-		}
-		cores := e.opts.VirtualCores
-		if cores <= 0 || cores > e.opts.MaxThreads {
-			cores = e.opts.MaxThreads
-		}
-		stageCost := makespan(costs, cores)
-		vtime += stageCost
-
-		for i := range results {
-			r := results[i]
-			if e.opts.CheckContract {
-				if err := punch.CheckContract(sel[i], r); err != nil {
-					panic(err)
-				}
-			}
-			tree.Replace(r.Self)
-			for _, c := range r.Children {
-				// Coalescing: a spawn matching a live in-flight query
-				// registers the parent as a waiter on the twin instead of
-				// growing a duplicate subtree; a spawn matching an
-				// already-Done twin is answered by the summary that twin
-				// has published, so the parent is woken immediately.
-				if coalesce {
-					if twinID, ok := tree.Inflight(c.Q.Key()); ok {
-						if twin := tree.Get(twinID); twin != nil {
-							if twin.State == query.Done {
-								res.CoalesceHits++
-								in.m.Inc(obs.CoalesceHits)
-								rec.Coalesce(r.Self.ID, r.Self.Q.Proc, c.Q.Proc)
-								if in.tr != nil {
-									in.emit(obs.Event{Type: obs.EvCoalesce, Query: c.ID, Parent: r.Self.ID, Proc: c.Q.Proc, VTime: vtime, N: int64(twinID)})
-								}
-								if r.Self.State == query.Blocked {
-									tree.SetState(r.Self.ID, query.Ready)
-								}
-								continue
-							}
-							if !query.WouldCycle(forest, twinID, r.Self.ID) {
-								tree.AddWaiter(twinID, r.Self.ID)
-								res.CoalesceHits++
-								in.m.Inc(obs.CoalesceHits)
-								rec.Coalesce(r.Self.ID, r.Self.Q.Proc, c.Q.Proc)
-								if in.tr != nil {
-									in.emit(obs.Event{Type: obs.EvCoalesce, Query: c.ID, Parent: r.Self.ID, Proc: c.Q.Proc, VTime: vtime, N: int64(twinID)})
-								}
-								continue
-							}
-						}
-					}
-				}
-				tree.Add(c)
-				in.m.Inc(obs.QueriesSpawned)
-				rec.Spawn(r.Self.ID, r.Self.Q.Proc, c.ID, c.Q.Proc)
-				if depth != nil {
-					depth[c.ID] = depth[r.Self.ID] + 1
-					ls.ObserveDepth(depth[c.ID])
-				}
-				if in.tr != nil {
-					in.emit(obs.Event{Type: obs.EvSpawn, Query: c.ID, Parent: r.Self.ID, Proc: c.Q.Proc, VTime: vtime})
-				}
-			}
-			switch r.Self.State {
-			case query.Done:
-				in.m.Inc(obs.QueriesDone)
-				if in.tr != nil {
-					in.emit(obs.Event{Type: obs.EvDone, Query: r.Self.ID, Proc: r.Self.Q.Proc, VTime: vtime})
-				}
-			case query.Blocked:
-				in.m.Inc(obs.QueriesBlocked)
-				if in.tr != nil {
-					in.emit(obs.Event{Type: obs.EvBlock, Query: r.Self.ID, Proc: r.Self.Q.Proc, VTime: vtime})
-				}
-			case query.Ready:
-				if in.tr != nil {
-					in.emit(obs.Event{Type: obs.EvReady, Query: r.Self.ID, Proc: r.Self.Q.Proc, VTime: vtime})
-				}
-			}
-		}
-
-		// The true live peak is reached before REDUCE garbage-collects
-		// Done subtrees, and every Done result of this batch counts —
-		// including results that land in the same batch as the root's
-		// completion, which the root-answered break below must not skip.
-		if tree.Len() > res.PeakLive {
-			res.PeakLive = tree.Len()
-		}
-		for i := range results {
-			if results[i].Self.State == query.Done {
-				doneCount++
-			}
-		}
-
-		// Check the root before REDUCE removes Done subtrees.
-		rootNow := tree.Get(root.ID)
-		if rootNow != nil && rootNow.State == query.Done {
-			res.RootOutcome = rootNow.Outcome
-			switch rootNow.Outcome {
-			case query.Reachable:
-				res.Verdict = ErrorReachable
-			case query.Unreachable:
-				res.Verdict = Safe
-			}
+		stageCost := r.advance(batch, o.VirtualCores)
+		created := r.created
+		answered := r.reduceBatch(batch)
+		r.sample(IterSample{
+			Iter:      iter,
+			VTime:     r.vtime - stageCost,
+			StageCost: stageCost,
+			Ready:     len(ready),
+			Processed: len(sel),
+		}, created, 0)
+		if answered {
 			res.setStop(StopRootAnswered)
-			res.Iterations = iter + 1
-			e.sample(&res, iter, vtime, stageCost, len(ready), len(sel), tree.Len(), doneCount, newQueries)
-			publishForest(ls, tree, alloc, vtime, int64(iter+1), doneCount, res.CoalesceHits, 0)
 			break
 		}
-
-		// REDUCE: wake Blocked parents of Done queries and garbage-collect
-		// Done subtrees (§3.3).
-		for i := range results {
-			self := results[i].Self
-			if self.State != query.Done {
-				continue
-			}
-			if self.Parent != query.NoParent {
-				if p := tree.Get(self.Parent); p != nil && p.State == query.Blocked {
-					tree.SetState(p.ID, query.Ready)
-					in.m.Inc(obs.Wakes)
-					if in.tr != nil {
-						in.emit(obs.Event{Type: obs.EvWake, Query: p.ID, Proc: p.Q.Proc, VTime: vtime})
-					}
-				}
-			}
-			// Fan the wake out to every coalesced waiter: the one summary
-			// this query published answers them all. Clearing the edges
-			// afterwards restores the GC condition.
-			for _, w := range tree.Waiters(self.ID) {
-				if p := tree.Get(w); p != nil && p.State == query.Blocked {
-					tree.SetState(p.ID, query.Ready)
-					in.m.Inc(obs.Wakes)
-					if in.tr != nil {
-						in.emit(obs.Event{Type: obs.EvWake, Query: p.ID, Proc: p.Q.Proc, VTime: vtime})
-					}
-				}
-			}
-			tree.ClearWaiters(self.ID)
-			if !e.opts.DisableGC {
-				removed := tree.RemoveSubtree(self.ID)
-				in.m.Add(obs.QueriesGCd, int64(removed))
-				if in.tr != nil {
-					in.emit(obs.Event{Type: obs.EvGC, Query: self.ID, Proc: self.Q.Proc, VTime: vtime, N: int64(removed)})
-				}
-			}
-		}
-		if tree.Len() > res.PeakLive {
-			res.PeakLive = tree.Len()
-		}
-		res.Iterations = iter + 1
-		e.sample(&res, iter, vtime, stageCost, len(ready), len(sel), tree.Len(), doneCount, newQueries)
-		publishForest(ls, tree, alloc, vtime, int64(iter+1), doneCount, res.CoalesceHits, 0)
 	}
-
 	// Falling out of the loop without a recorded reason means the
 	// iteration budget ran dry.
 	res.setStop(StopEventBudget)
-	res.TotalQueries = alloc.Count()
-	res.DoneQueries = doneCount
-	res.VirtualTicks = vtime
-	res.WallTime = time.Since(start)
-	res.SumDB = db.StatsSnapshot()
-	res.Solver = solver.StatsSnapshot()
-	res.Summaries = db.All()
-	e.persistStore(db, &res)
-	e.finishProv(rec, &res, "barrier", q0)
-	res.Metrics = in.finish(vtime, res.SumDB, res.Solver)
-	return res
 }
 
-// loadStore warm-starts the run: every summary the store holds is a
-// sound fact about this program (the store's fingerprint pinned the
-// corpus), so seeding SUMDB with them lets PUNCH answer questions that
-// a cold run would re-derive. A load failure degrades to a cold run.
-// skip and skipAll implement incremental invalidation on stores without
-// a Deleter: stale summaries are filtered out here instead of deleted,
-// and counted as invalidated.
-func (e *Engine) loadStore(db *summary.DB, rec *prov.Recorder, res *Result, skip map[string]bool, skipAll bool) {
-	if e.opts.Store == nil || e.opts.DisableSumDB {
-		return
+// fanOut runs f(0) … f(n-1) concurrently and returns when all have
+// finished. The last call runs on the calling goroutine: a one-query MAP
+// stage — every stage of a sequential run — then costs no goroutine
+// hand-off at all.
+func fanOut(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n-1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i)
+		}()
 	}
-	sums, err := e.opts.Store.Load()
-	if err != nil {
-		res.StoreErr = err
-		return
+	if n > 0 {
+		f(n - 1)
 	}
-	for _, s := range sums {
-		if skipAll || skip[s.Proc] {
-			res.InvalidatedSummaries++
-			continue
-		}
-		db.Add(s)
-		rec.MarkWarm(s)
-		res.WarmSummaries++
-	}
-}
-
-// finishProv freezes the recorder into the result, feeds the cone-size
-// histogram, and persists the verdict's read set beside the summaries
-// when the store supports provenance.
-func (e *Engine) finishProv(rec *prov.Recorder, res *Result, engine string, q0 summary.Question) {
-	if rec == nil {
-		return
-	}
-	p := rec.Finish(res.Verdict.String())
-	res.Provenance = p
-	observeCones(e.opts.Metrics, p)
-	if e.opts.Store == nil || e.opts.DisableSumDB {
-		return
-	}
-	if err := persistProv(e.opts.Store, p, engine, q0); err != nil && res.StoreErr == nil {
-		res.StoreErr = err
-	}
-}
-
-// observeCones feeds each procedure's invalidation-cone size into the
-// metrics histogram.
-func observeCones(m *obs.Metrics, p *prov.Provenance) {
-	if m == nil {
-		return
-	}
-	for _, cs := range p.ConeSizes() {
-		m.ObserveConeSize(int64(cs.Size))
-	}
-}
-
-// persistProv writes a verdict's read set next to the summaries when
-// the store supports provenance (a missing capability is not an error).
-// The record carries the root question's durable key and the run's
-// procedure dependency adjacency, which the next incremental re-check
-// consumes for verdict reuse and invalidation planning.
-func persistProv(st store.Store, p *prov.Provenance, engine string, q0 summary.Question) error {
-	ps, ok := st.(store.ProvStore)
-	if !ok {
-		return nil
-	}
-	// An un-encodable question (scripted tests use nil-formula markers
-	// that still encode; real failures are volatile keys) just loses the
-	// reuse fast path, never the record.
-	rootKey, _ := wire.QuestionKey(q0)
-	wrec := wire.ProvRecord{Root: p.Root, Verdict: p.Verdict, Engine: engine, RootKey: rootKey, Deps: p.Deps}
-	for _, r := range p.Reads() {
-		if r.Summary.Pre == nil || r.Summary.Post == nil {
-			// Scripted test summaries carry nil formulas and are not
-			// durable; the persisted read set covers only real facts.
-			continue
-		}
-		wrec.Reads = append(wrec.Reads, wire.ProvRead{Summary: r.Summary, Warm: r.Warm, Count: r.Count})
-	}
-	return ps.PutProv(wrec)
-}
-
-// persistStore writes the run's summaries back to the store. The store
-// deduplicates by canonical wire key, so re-persisting loaded summaries
-// is a no-op and PersistedSummaries counts only genuinely new facts.
-func (e *Engine) persistStore(db *summary.DB, res *Result) {
-	if e.opts.Store == nil || e.opts.DisableSumDB {
-		return
-	}
-	var firstErr error
-	for _, s := range db.All() {
-		added, err := e.opts.Store.Put(s)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		if added {
-			res.PersistedSummaries++
-		}
-	}
-	if err := e.opts.Store.Flush(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if firstErr != nil && res.StoreErr == nil {
-		res.StoreErr = firstErr
-	}
+	wg.Wait()
 }
 
 // makespan computes the greedy list-scheduling completion time of the
 // given task costs on n identical machines (tasks assigned in order to
-// the least-loaded machine). The machine loads live in a binary min-heap,
-// so each assignment is O(log n) instead of the former O(n) scan; since
-// the machines are identical, which min-loaded machine receives a task
-// does not change the resulting load multiset, so the value is unchanged.
+// the least-loaded machine): the streaming engine's event-driven clock
+// (coreClock) fed the whole batch at once. The machine loads live in a
+// binary min-heap, so each assignment is O(log n) instead of the former
+// O(n) scan; since the machines are identical, which min-loaded machine
+// receives a task does not change the resulting load multiset, so the
+// value is unchanged.
 func makespan(costs []int64, n int) int64 {
-	if n <= 0 {
-		n = 1
+	c := newCoreClock(min(n, len(costs)))
+	for _, cost := range costs {
+		c.assign(cost)
 	}
-	if n > len(costs) {
-		n = len(costs)
-	}
-	if n == 0 {
-		return 0
-	}
-	load := make([]int64, n) // min-heap (all zeros is a valid heap)
-	var out int64
-	for _, c := range costs {
-		l := load[0] + c
-		load[0] = l
-		siftDown(load, 0)
-		if l > out {
-			out = l
-		}
-	}
-	return out
+	return c.vtime
 }
 
 // siftDown restores the min-heap property of h after h[i] increased.
@@ -783,22 +418,5 @@ func siftDown(h []int64, i int) {
 		}
 		h[i], h[min] = h[min], h[i]
 		i = min
-	}
-}
-
-func (e *Engine) sample(res *Result, iter int, vtime, stageCost int64, ready, processed, live int, done int64, newQ int) {
-	s := IterSample{
-		Iter:       iter,
-		VTime:      vtime - stageCost,
-		StageCost:  stageCost,
-		Ready:      ready,
-		Processed:  processed,
-		Live:       live,
-		DoneSoFar:  done,
-		NewQueries: newQ,
-	}
-	res.Trace = append(res.Trace, s)
-	if e.opts.OnIteration != nil {
-		e.opts.OnIteration(s)
 	}
 }

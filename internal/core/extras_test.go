@@ -16,7 +16,7 @@ import (
 	"repro/internal/summary"
 )
 
-// TestEngineConfluence: sequential, parallel, LIFO and speculative
+// TestEngineConfluence: sequential, parallel and speculative
 // configurations must agree on verdicts.
 func TestEngineConfluence(t *testing.T) {
 	cases := []struct {
@@ -35,7 +35,6 @@ func TestEngineConfluence(t *testing.T) {
 	configs := []Options{
 		{MaxThreads: 1},
 		{MaxThreads: 4},
-		{MaxThreads: 16, Select: LIFO},
 		{MaxThreads: 4, Speculate: true},
 		{MaxThreads: 4, DisableGC: true},
 	}

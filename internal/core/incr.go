@@ -2,8 +2,7 @@
 // prepareIncr diffs the program against the store's manifest, plans the
 // invalidation cone (internal/incr), discards exactly the stale
 // summaries, and decides whether the persisted verdict can be reused
-// outright. All three engines share this path; only the plumbing of the
-// results into Result/DistResult differs.
+// outright. reducer.begin is the one caller.
 
 package core
 
@@ -155,17 +154,4 @@ func parseVerdict(s string) (Verdict, bool) {
 		return ErrorReachable, true
 	}
 	return Unknown, false
-}
-
-// applyIncrPrep copies the plan's accounting into a shared-memory
-// engine result.
-func applyIncrPrep(res *Result, p incrPrep) {
-	res.EditedProcs = p.edited
-	res.InvalidatedSummaries = p.invalidated
-	if p.surviving >= 0 {
-		res.SurvivingSummaries = p.surviving
-	}
-	if p.err != nil && res.StoreErr == nil {
-		res.StoreErr = p.err
-	}
 }

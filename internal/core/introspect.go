@@ -1,8 +1,8 @@
 // Live-introspection wiring shared by the three engines: each run that
 // was handed an obs.Probe builds an obs.LiveState, publishes its gauges
-// at the engine's existing safe points (the streaming engine under its
-// scheduler mutex, the barrier and distributed engines at stage/round
-// boundaries), and attaches a snapshot function that layers the
+// (reducer.publish) at the scheduler's safe points (the streaming engine
+// under its scheduler mutex, the barrier and distributed engines at
+// stage/round boundaries), and attaches a snapshot function that layers the
 // concurrent-safe SUMDB and solver counters on top of the atomics. A
 // nil probe costs each publish site one branch, like the tracer and
 // metrics hooks.
@@ -10,32 +10,20 @@ package core
 
 import (
 	"repro/internal/obs"
-	"repro/internal/query"
 	"repro/internal/smt"
 	"repro/internal/summary"
 )
 
-// attachProbe registers the single-database engines' snapshot function:
-// the LiveState atomics plus live SUMDB shard occupancy and solver
-// counters. db.StatsSnapshot and solver.StatsSnapshot are safe to call
-// concurrently with a running analysis, so the closure may fire from
-// any goroutine at any time.
-func attachProbe(p *obs.Probe, ls *obs.LiveState, db *summary.DB, solver *smt.Solver) {
+// attachProbe registers the run's snapshot function: the LiveState
+// atomics plus live SUMDB shard occupancy — aggregated over every tree's
+// database, so a cluster's summary counts include gossip replicas — and
+// solver counters. db.StatsSnapshot and solver.StatsSnapshot are safe to
+// call concurrently with a running analysis, so the closure may fire
+// from any goroutine at any time.
+func attachProbe(p *obs.Probe, ls *obs.LiveState, dbs []*summary.DB, solver *smt.Solver) {
 	p.Attach(func() *obs.StateSnapshot {
 		s := ls.Snapshot()
-		s.SumDB = sumdbState(db.StatsSnapshot())
-		s.Solver = solverState(solver.StatsSnapshot())
-		return s
-	})
-}
-
-// attachDistProbe is attachProbe for the distributed simulation: the
-// SUMDB view aggregates every node's database (so summary counts
-// include gossip replicas).
-func attachDistProbe(p *obs.Probe, ls *obs.LiveState, nodes []*distNode, solver *smt.Solver) {
-	p.Attach(func() *obs.StateSnapshot {
-		s := ls.Snapshot()
-		s.SumDB = sumdbState(aggregateStats(nodes))
+		s.SumDB = sumdbState(aggregateStats(dbs))
 		s.Solver = solverState(solver.StatsSnapshot())
 		return s
 	})
@@ -77,44 +65,4 @@ func solverState(sv smt.Stats) *obs.SolverState {
 		EntailSynHits:     sv.EntailSynHits,
 		HashConsHits:      sv.HashConsHits,
 	}
-}
-
-// publishForest pushes one tree's occupancy, the progress counters and
-// the coalescer gauges — the shared shape of the barrier engine's
-// per-iteration publish and the streaming engine's per-event publish.
-// running is the number of queries inside PUNCH right now (0 for the
-// barrier engine, which publishes between stages). Callers hold
-// whatever lock guards the tree.
-func publishForest(ls *obs.LiveState, tree *query.Tree, alloc *query.Allocator, vtime, iterations, done, coalesceHits, running int64) {
-	if ls == nil {
-		return
-	}
-	live := int64(tree.Len())
-	ready := int64(tree.ReadyCount())
-	ls.Tick(vtime, iterations)
-	ls.SetProgress(alloc.Count(), done)
-	ls.SetForest(live, ready, live-ready-running, running)
-	ls.SetCoalescer(int64(tree.InflightSize()), int64(tree.WaiterEdgeCount()), coalesceHits)
-}
-
-// publishDist pushes the cluster-wide gauges at a round boundary:
-// per-node occupancy plus the aggregate forest/coalescer view.
-func publishDist(ls *obs.LiveState, nodes []*distNode, alloc *query.Allocator, vtime, rounds, done, coalesceHits int64) {
-	if ls == nil {
-		return
-	}
-	var live, ready, inflight, edges int64
-	for ni, n := range nodes {
-		nl := int64(n.tree.Len())
-		nr := int64(n.tree.ReadyCount())
-		ls.NodeSet(ni, nl, nr, nl-nr, int64(n.db.Count()))
-		live += nl
-		ready += nr
-		inflight += int64(n.tree.InflightSize())
-		edges += int64(n.tree.WaiterEdgeCount())
-	}
-	ls.Tick(vtime, rounds)
-	ls.SetProgress(alloc.Count(), done)
-	ls.SetForest(live, ready, live-ready, 0)
-	ls.SetCoalescer(inflight, edges, coalesceHits)
 }

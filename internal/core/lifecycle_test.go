@@ -497,11 +497,9 @@ armed:
 // send-after-stop half of the rewake protocol.
 func TestAsyncPushAfterStopIsNoop(t *testing.T) {
 	s := &asyncState{
-		queued:  map[query.ID]bool{},
-		running: map[query.ID]bool{},
-		rewake:  map[query.ID]bool{},
-		deques:  make([][]*query.Query, 1),
-		res:     &Result{},
+		queued: map[query.ID]bool{},
+		deques: make([][]*query.Query, 1),
+		r:      &reducer{},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	alloc := &query.Allocator{}

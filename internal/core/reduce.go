@@ -1,0 +1,714 @@
+// One REDUCE under three schedulers. Fig. 4 of the paper has a single
+// REDUCE stage parameterised by PUNCH; the reducer is that stage plus what
+// every run shares whoever schedules it: set-up (incremental prep, SUMDB,
+// store hydration, probe, root spawn), the PUNCH call wrapper, and
+// tear-down (store persist, provenance, metrics). The barrier loop
+// (engine.go), the streaming pool (async.go) and the cluster simulation
+// (distributed.go) only decide which query runs when, and schedule what
+// apply and retire hand back; DESIGN.md §3.6 has the contract.
+//
+// REDUCE is two-phase on purpose. apply folds one PUNCH result into the
+// forest (replace the query, insert or coalesce its children); retire
+// fans a Done query's answer out (wake parent and waiters) and collects
+// its subtree. A batch scheduler must apply every result before it
+// retires any: a child of result j may coalesce onto the Done twin i of
+// the same batch, and finds it only while i is still in the forest.
+// Retiring i first would spawn that child as a fresh query and move
+// ticks and query counts.
+//
+// The reducer does no locking: the batch schedulers call it from their
+// loop goroutine between MAP stages, the streaming scheduler under
+// asyncState.mu. Only step, punchStart and punchEnd run on MAP goroutines.
+package core
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"repro/internal/cfg"
+	"repro/internal/obs"
+	"repro/internal/prov"
+	"repro/internal/punch"
+	"repro/internal/query"
+	"repro/internal/smt"
+	"repro/internal/store"
+	"repro/internal/summary"
+	"repro/internal/wire"
+)
+
+// reducer is one verification run's shared state.
+type reducer struct {
+	prog *cfg.Program
+	// o is the run's configuration; the cluster engine maps its
+	// DistOptions onto the same struct.
+	o Options
+	// engine labels live state, pprof samples and persisted provenance:
+	// "barrier", "async" or "dist".
+	engine string
+	q0     summary.Question
+	start  time.Time
+
+	solver *smt.Solver
+	alloc  *query.Allocator
+	// forest is one tree for the shared-memory engines, one per node for
+	// the cluster; dbs and pctx are indexed alike. home routes a procedure
+	// to the tree owning its queries and summaries (nil: the only tree).
+	// width is the worker slots per tree: node*width+worker is a worker's
+	// global metrics index.
+	forest []*query.Tree
+	dbs    []*summary.DB
+	pctx   []punch.Context
+	home   func(proc string) int
+	width  int
+
+	// rec is the provenance recorder (nil unless CollectProvenance), ls
+	// the live-introspection surface (nil when no probe was attached).
+	rec *prov.Recorder
+	in  instr
+	ls  *obs.LiveState
+	// depth is each live query's distance from the root, maintained only
+	// when pprof labels or live introspection are on.
+	depth map[query.ID]int
+
+	root query.ID
+	// vtime is the virtual clock every event is stamped with; the
+	// scheduler advances it.
+	vtime int64
+	// running holds the queries inside PUNCH right now, rewake those among
+	// them whose child completed mid-flight: such a query is made Ready
+	// again at once if it returns Blocked, so the wake-up is never lost.
+	// Only the streaming scheduler fills running (nothing runs during a
+	// batch scheduler's REDUCE), so both stay nil elsewhere.
+	running map[query.ID]bool
+	rewake  map[query.ID]bool
+
+	// created counts queries added to the forest, collected those removed
+	// from it, done the Done results applied.
+	created, collected, done int64
+	// peak is each tree's largest live-query count, invalidatedAt its
+	// share of an incremental re-check's discarded summaries (nil unless
+	// one was planned).
+	peak, invalidatedAt []int
+	// woken is the scratch apply and retire return their runnable queries
+	// in, valid until the next call of either; costs is advance's.
+	woken []*query.Query
+	costs []int64
+
+	res Result
+}
+
+// newReducer prepares a run over a forest of trees, with width worker
+// slots each. Nothing is built until begin.
+func newReducer(prog *cfg.Program, o Options, engine string, trees, width int, home func(string) int) *reducer {
+	return &reducer{prog: prog, o: o, engine: engine, width: width, home: home,
+		forest: make([]*query.Tree, trees), peak: make([]int, trees)}
+}
+
+// route returns the tree that owns proc.
+func (r *reducer) route(proc string) int {
+	if r.home == nil {
+		return 0
+	}
+	return r.home(proc)
+}
+
+// find returns the live query with the given ID and the tree holding it.
+func (r *reducer) find(id query.ID) (int, *query.Query) {
+	for i, t := range r.forest {
+		if q := t.Get(id); q != nil {
+			return i, q
+		}
+	}
+	return 0, nil
+}
+
+// note emits a lifecycle event about q at the current virtual time. The
+// nil-tracer check comes before any Event is built.
+func (r *reducer) note(t obs.EventType, node, worker int, q *query.Query, n int64) {
+	if r.in.tr == nil {
+		return
+	}
+	ev := obs.Event{Type: t, Query: q.ID, Proc: q.Q.Proc, Node: node, Worker: worker, VTime: r.vtime, N: n}
+	if t == obs.EvSpawn || t == obs.EvCoalesce {
+		ev.Parent = q.Parent
+	}
+	r.in.emit(ev)
+}
+
+// begin sets the run up and reports whether there is anything to
+// schedule: false means an incremental re-check reused the persisted
+// verdict and r.res is final. The reuse decision comes first, so a
+// re-check answered from the store builds no solver, SUMDB or tree.
+func (r *reducer) begin(q0 summary.Question) bool {
+	r.start = time.Now()
+	r.q0 = q0
+	r.res = Result{Verdict: Unknown, CostByProc: map[string]int64{}}
+	o, res := &r.o, &r.res
+	stored := o.Store != nil && !o.DisableSumDB
+
+	var prep incrPrep
+	if o.Incremental && stored {
+		prep = prepareIncr(r.prog, o.Store, q0)
+		res.EditedProcs = prep.edited
+		res.InvalidatedSummaries = prep.invalidated
+		res.StoreErr = prep.err
+		r.invalidatedAt = make([]int, len(r.forest))
+		for proc, n := range prep.perProc {
+			r.invalidatedAt[r.route(proc)] += n
+		}
+		if prep.reuse {
+			res.Verdict = prep.verdict
+			res.ReusedVerdict = true
+			if prep.surviving >= 0 {
+				res.SurvivingSummaries = prep.surviving
+			}
+			res.setStop(StopVerdictReused)
+			res.WallTime = time.Since(r.start)
+			return false
+		}
+	}
+
+	r.solver = smt.New()
+	if !o.DisableEntailmentCache {
+		r.solver.EnableEntailmentCache()
+	}
+	r.alloc = &query.Allocator{}
+	modref := r.prog.ModRef()
+	r.dbs = make([]*summary.DB, len(r.forest))
+	r.pctx = make([]punch.Context, len(r.forest))
+	for i := range r.forest {
+		if o.DisableSumDB {
+			r.dbs[i] = summary.NewDisabled(r.solver)
+		} else {
+			r.dbs[i] = summary.New(r.solver)
+		}
+		r.forest[i] = query.NewTree()
+		if !o.DisableCoalesce {
+			r.forest[i].TrackInflight()
+		}
+		r.pctx[i] = punch.Context{Prog: r.prog, DB: r.dbs[i], Alloc: r.alloc, ModRef: modref}
+	}
+	if o.CollectProvenance {
+		r.rec = prov.NewRecorder(o.Metrics)
+	}
+
+	// Warm start: every summary the store holds is a sound fact about
+	// this program (the store's fingerprint pinned the corpus), so seeding
+	// its owner's SUMDB lets PUNCH answer questions a cold run would
+	// re-derive. A load failure degrades to a cold run. On a store without
+	// a Deleter the stale summaries of an incremental re-check are
+	// filtered out here instead of deleted, and counted as invalidated.
+	if stored {
+		if sums, err := o.Store.Load(); err != nil {
+			res.StoreErr = err
+		} else {
+			for _, s := range sums {
+				at := r.route(s.Proc)
+				if prep.skipAll || prep.skipLoad[s.Proc] {
+					res.InvalidatedSummaries++
+					r.invalidatedAt[at]++
+					continue
+				}
+				r.dbs[at].Add(s)
+				r.rec.MarkWarm(s)
+				res.WarmSummaries++
+			}
+		}
+	}
+	if o.Incremental {
+		res.SurvivingSummaries = res.WarmSummaries
+	}
+
+	r.in = newInstr(o.Tracer, o.Metrics, len(r.forest)*r.width, r.start, o.PprofLabels)
+	root := r.alloc.New(query.NoParent, q0)
+	r.root = root.ID
+	at := r.route(q0.Proc)
+	r.forest[at].Add(root)
+	r.created++
+	r.rec.Root(root.ID, q0.Proc)
+	if o.Probe != nil {
+		nodes := 0
+		if r.home != nil {
+			nodes = len(r.forest)
+		}
+		r.ls = obs.NewLiveState(r.engine, len(r.forest)*r.width, nodes, r.start)
+		attachProbe(o.Probe, r.ls, r.dbs, r.solver)
+		r.publish(0, 0)
+	}
+	if r.in.labels || r.ls != nil {
+		r.depth = map[query.ID]int{root.ID: 0}
+	}
+	r.in.m.Inc(obs.QueriesSpawned)
+	r.note(obs.EvSpawn, at, 0, root, 0)
+	return true
+}
+
+// exhausted names the budget that stops the run before its next
+// scheduling step — cancellation, wall clock or virtual ticks — or
+// StopNone. The iteration, event or round budget is the scheduler's own.
+func (r *reducer) exhausted(ctx context.Context) StopReason {
+	switch {
+	case ctx.Err() != nil:
+		return StopCancelled
+	case r.o.RealTimeout > 0 && time.Since(r.start) > r.o.RealTimeout:
+		return StopWallTimeout
+	case r.o.MaxVirtualTicks > 0 && r.vtime >= r.o.MaxVirtualTicks:
+		return StopTickBudget
+	}
+	return StopNone
+}
+
+// punchStart marks q as entering PUNCH on the given worker.
+func (r *reducer) punchStart(node, worker int, q *query.Query) {
+	r.ls.WorkerRunning(node*r.width+worker, q.Q.Proc, int64(q.ID))
+	r.note(obs.EvPunchStart, node, worker, q, 0)
+}
+
+// step is the one PUNCH call site: it runs the analysis on q against its
+// tree's SUMDB — through a recording frame when provenance is on, under
+// pprof labels when asked — and returns the result with the wall time
+// spent (zero when metrics are off). depth is q's distance from the
+// root, read by the caller while the depth map is quiescent.
+func (r *reducer) step(ctx context.Context, node int, q *query.Query, depth int) (punch.Result, time.Duration) {
+	var t0 time.Time
+	if r.in.m != nil {
+		t0 = time.Now()
+	}
+	pctx := &r.pctx[node]
+	if r.rec != nil {
+		ic := *pctx
+		ic.DB = r.rec.Frame(r.dbs[node], q.ID, q.Q.Proc)
+		pctx = &ic
+	}
+	var res punch.Result
+	if r.in.labels {
+		obs.DoPunch(ctx, r.engine, q.Q.Proc, depth, func() {
+			res = r.o.Punch.Step(pctx, q)
+		})
+	} else {
+		res = r.o.Punch.Step(pctx, q)
+	}
+	var wall time.Duration
+	if r.in.m != nil {
+		wall = time.Since(t0)
+	}
+	return res, wall
+}
+
+// punchEnd closes what punchStart opened and books the invocation.
+func (r *reducer) punchEnd(node, worker int, q *query.Query, cost int64, wall time.Duration) {
+	w := node*r.width + worker
+	r.ls.WorkerFinished(w)
+	if r.in.m != nil {
+		r.in.m.ObservePunch(w, cost, wall)
+	}
+	if r.in.tr != nil {
+		r.in.emit(obs.Event{Type: obs.EvPunchEnd, Query: q.ID, Proc: q.Q.Proc, Node: node, Worker: worker, VTime: r.vtime, Cost: cost})
+	}
+}
+
+// apply folds the result of running q (which lives in forest[node]) into
+// the forest — REDUCE's first phase — and returns the queries it made
+// runnable: the children it inserted, then the query itself when it came
+// back Ready or must look at SUMDB again. A result whose query was
+// collected while it ran (its parent finished first) is obsolete and
+// only its cost is booked: real cycles were spent.
+func (r *reducer) apply(node, worker int, q *query.Query, res punch.Result) []*query.Query {
+	if r.o.CheckContract {
+		if err := punch.CheckContract(q, res); err != nil {
+			panic(err)
+		}
+	}
+	self := res.Self
+	r.res.CostByProc[q.Q.Proc] += res.Cost
+	// again marks that an answer self waits for may have landed while it
+	// ran: a child completed mid-flight (rewake), or a spawn below
+	// coalesces onto a Done twin whose summary is in SUMDB already. If
+	// self comes back Blocked it must re-run at once.
+	again := r.rewake[self.ID]
+	delete(r.rewake, self.ID)
+	r.woken = r.woken[:0]
+	tree := r.forest[node]
+	if tree.Get(self.ID) == nil {
+		return nil
+	}
+	tree.Replace(self)
+	if self.State != query.Done {
+		for _, c := range res.Children {
+			dst := r.route(c.Q.Proc)
+			if !r.o.DisableCoalesce && r.coalesce(dst, worker, self, c, &again) {
+				continue
+			}
+			r.forest[dst].Add(c)
+			r.created++
+			r.woken = append(r.woken, c)
+			r.in.m.Inc(obs.QueriesSpawned)
+			r.rec.Spawn(self.ID, self.Q.Proc, c.ID, c.Q.Proc)
+			if r.depth != nil {
+				r.depth[c.ID] = r.depth[self.ID] + 1
+				r.ls.ObserveDepth(r.depth[c.ID])
+			}
+			r.note(obs.EvSpawn, dst, worker, c, 0)
+		}
+	}
+	// The true live peak is reached here, before retire collects Done
+	// subtrees.
+	for i, t := range r.forest {
+		if l := t.Len(); l > r.peak[i] {
+			r.peak[i] = l
+		}
+	}
+
+	switch self.State {
+	case query.Done:
+		r.done++
+		r.in.m.Inc(obs.QueriesDone)
+		r.note(obs.EvDone, node, worker, self, 0)
+	case query.Ready:
+		// Budget slice exhausted: more work to do, go around again.
+		r.woken = append(r.woken, self)
+		r.note(obs.EvReady, node, worker, self, 0)
+	case query.Blocked:
+		r.in.m.Inc(obs.QueriesBlocked)
+		r.note(obs.EvBlock, node, worker, self, 0)
+		if again {
+			tree.SetState(self.ID, query.Ready)
+			r.woken = append(r.woken, self)
+			r.in.m.Inc(obs.Rewakes)
+			r.note(obs.EvWake, node, worker, self, 0)
+		}
+	}
+	return r.woken
+}
+
+// coalesce tries to answer child c of parent with the in-flight twin
+// asking the same question instead of growing a duplicate subtree, and
+// reports whether it did. Procedure routing is deterministic, so a twin
+// lives in dst, the tree c would be added to. A Done twin has published
+// its summary (PUNCH contract): the duplicate is dropped and *again set.
+// A live twin adopts parent as one more waiter unless that would close a
+// waits-for cycle. A twin inside PUNCH is never read: running queries
+// mutate their State in place.
+func (r *reducer) coalesce(dst, worker int, parent, c *query.Query, again *bool) bool {
+	tree := r.forest[dst]
+	twinID, ok := tree.Inflight(c.Q.Key())
+	if !ok {
+		return false
+	}
+	twin := tree.Get(twinID)
+	if twin == nil {
+		return false
+	}
+	if !r.running[twinID] && twin.State == query.Done {
+		*again = true
+	} else if query.WouldCycle(r.forest, twinID, parent.ID) {
+		return false
+	} else {
+		tree.AddWaiter(twinID, parent.ID)
+	}
+	r.res.CoalesceHits++
+	r.in.m.Inc(obs.CoalesceHits)
+	r.rec.Coalesce(parent.ID, parent.Q.Proc, c.Q.Proc)
+	r.note(obs.EvCoalesce, dst, worker, c, int64(twinID))
+	return true
+}
+
+// answered reports whether self is the root, Done, and records the
+// verdict if so. Schedulers call it between apply and retire: the root's
+// outcome is read before its subtree is collected.
+func (r *reducer) answered(self *query.Query) bool {
+	if self.ID != r.root || self.State != query.Done {
+		return false
+	}
+	r.res.RootOutcome = self.Outcome
+	switch self.Outcome {
+	case query.Reachable:
+		r.res.Verdict = ErrorReachable
+	case query.Unreachable:
+		r.res.Verdict = Safe
+	}
+	return true
+}
+
+// retire is REDUCE's second phase for a Done query living in
+// forest[node]: the one summary it published answers its parent and every
+// coalesced waiter, wherever in the forest they live, so all are woken;
+// the waiter edges are cleared (restoring the GC condition "no waiters
+// remain") and the subtree is collected. It returns the queries it made
+// runnable. A query already collected — by an earlier retire of the same
+// batch, or while it ran — has nothing left to retire.
+func (r *reducer) retire(node, worker int, done *query.Query) []*query.Query {
+	r.woken = r.woken[:0]
+	tree := r.forest[node]
+	if tree.Get(done.ID) == nil {
+		return nil
+	}
+	if done.Parent != query.NoParent {
+		r.wake(worker, done.Parent)
+	}
+	for _, w := range tree.Waiters(done.ID) {
+		r.wake(worker, w)
+	}
+	tree.ClearWaiters(done.ID)
+	if !r.o.DisableGC {
+		// A tree severs the waiter edges of what it removes, but only its
+		// own: in a forest the other trees must forget the collected
+		// queries too, or their edges would name queries that no longer
+		// exist and pin branches nobody waits for.
+		var dying []query.ID
+		if len(r.forest) > 1 {
+			dying = tree.Descendants(done.ID)
+		}
+		removed := tree.RemoveSubtree(done.ID)
+		for _, id := range dying {
+			if tree.Get(id) != nil {
+				continue
+			}
+			for _, t := range r.forest {
+				if t != tree {
+					t.Forget(id)
+				}
+			}
+		}
+		r.collected += int64(removed)
+		r.in.m.Add(obs.QueriesGCd, int64(removed))
+		r.note(obs.EvGC, node, worker, done, int64(removed))
+	}
+	if r.o.CheckContract {
+		r.checkInvariants()
+	}
+	return r.woken
+}
+
+// slot is one MAP slot of a batch scheduler's stage: worker of node ran q.
+type slot struct {
+	node, worker int
+	q            *query.Query
+	res          punch.Result
+	wall         time.Duration
+}
+
+// advance moves the virtual clock past a stage whose batch is grouped by
+// node: each node's slots list-schedule onto its cores, and nodes run in
+// parallel, so the stage costs the largest per-node makespan — for one
+// tree, the batch's makespan. It returns the cost charged.
+func (r *reducer) advance(batch []slot, cores int) int64 {
+	var stage int64
+	for lo := 0; lo < len(batch); {
+		hi := lo
+		costs := r.costs[:0]
+		for ; hi < len(batch) && batch[hi].node == batch[lo].node; hi++ {
+			costs = append(costs, batch[hi].res.Cost)
+		}
+		c := makespan(costs, cores)
+		r.ls.NodeAddBusy(batch[lo].node, c)
+		stage = max(stage, c)
+		lo, r.costs = hi, costs
+	}
+	r.vtime += stage
+	return stage
+}
+
+// reduceBatch is REDUCE for a batch scheduler, phase by phase: every
+// result is applied — including results that land in the same batch as
+// the root's completion — and the root checked before anything is
+// collected; then, unless the root is answered (which it reports), every
+// Done result is retired (§3.3).
+func (r *reducer) reduceBatch(batch []slot) bool {
+	answered := false
+	for i := range batch {
+		b := &batch[i]
+		r.apply(b.node, b.worker, b.q, b.res)
+		answered = r.answered(b.res.Self) || answered
+	}
+	if answered {
+		return true
+	}
+	for i := range batch {
+		if b := &batch[i]; b.res.Self.State == query.Done {
+			r.retire(b.node, b.worker, b.res.Self)
+		}
+	}
+	return false
+}
+
+// wake makes target Ready after a summary that may answer it landed, or
+// arms its rewake flag when it is inside PUNCH right now.
+func (r *reducer) wake(worker int, target query.ID) {
+	node, p := r.find(target)
+	if p == nil {
+		return
+	}
+	if r.running[target] {
+		r.rewake[target] = true
+		return
+	}
+	if p.State == query.Blocked {
+		r.forest[node].SetState(p.ID, query.Ready)
+		r.woken = append(r.woken, p)
+		r.in.m.Inc(obs.Wakes)
+		r.note(obs.EvWake, node, worker, p, 0)
+	}
+}
+
+// checkInvariants asserts the reducer's own bookkeeping (under
+// CheckContract, after every retire): every query ever added is still in
+// the forest — Done and kept, or live — or was collected; no waiter edge
+// names a query that is gone; the in-flight index holds live queries
+// only.
+func (r *reducer) checkInvariants() {
+	live, keys := 0, 0
+	for _, t := range r.forest {
+		live += t.Len()
+		keys += t.InflightSize()
+	}
+	if r.created != int64(live)+r.collected {
+		panic(fmt.Sprintf("core: %d queries created, but %d in the forest + %d collected", r.created, live, r.collected))
+	}
+	if keys > live {
+		panic(fmt.Sprintf("core: %d in-flight keys for %d live queries", keys, live))
+	}
+	for _, t := range r.forest {
+		t.EachWaiterEdge(func(twin, waiter query.ID) {
+			for _, id := range [2]query.ID{twin, waiter} {
+				if _, q := r.find(id); q == nil {
+					panic(fmt.Sprintf("core: waiter edge %d<-%d names collected query %d", twin, waiter, id))
+				}
+			}
+		})
+	}
+}
+
+// sample closes one scheduling step of a shared-memory engine — a barrier
+// iteration or a streaming completion event: it completes the step's
+// instrumentation record (created is the creation count before the
+// step, running the queries inside PUNCH right now), folds it into the
+// peak gauges, publishes the live state, and hands the record on.
+func (r *reducer) sample(s IterSample, created, running int64) {
+	s.Live = r.forest[0].Len()
+	s.DoneSoFar = r.done
+	s.NewQueries = int(r.created - created)
+	r.res.Iterations = s.Iter + 1
+	r.res.PeakReady = max(r.res.PeakReady, s.Ready)
+	r.publish(int64(s.Iter+1), running)
+	r.res.Trace = append(r.res.Trace, s)
+	if r.o.OnIteration != nil {
+		r.o.OnIteration(s)
+	}
+}
+
+// publish pushes the forest's occupancy, the progress counters and the
+// coalescer gauges to the live state. running is the number of queries
+// inside PUNCH right now (0 for the batch schedulers, which publish
+// between stages). The caller holds whatever lock guards the forest.
+func (r *reducer) publish(iterations, running int64) {
+	if r.ls == nil {
+		return
+	}
+	var live, ready, inflight, edges int64
+	for i, t := range r.forest {
+		nl, nr := int64(t.Len()), int64(t.ReadyCount())
+		if r.home != nil {
+			r.ls.NodeSet(i, nl, nr, nl-nr, int64(r.dbs[i].Count()))
+		}
+		live += nl
+		ready += nr
+		inflight += int64(t.InflightSize())
+		edges += int64(t.WaiterEdgeCount())
+	}
+	r.ls.Tick(r.vtime, iterations)
+	r.ls.SetProgress(r.alloc.Count(), r.done)
+	r.ls.SetForest(live, ready, live-ready-running, running)
+	r.ls.SetCoalescer(inflight, edges, r.res.CoalesceHits)
+}
+
+// end tears the run down into r.res: counters, the final SUMDB content,
+// the store write-back, provenance and the metrics snapshot. The
+// scheduler has recorded the stop reason.
+func (r *reducer) end() {
+	res := &r.res
+	if r.o.Probe != nil {
+		r.o.Probe.Detach()
+	}
+	res.TotalQueries = r.alloc.Count()
+	res.DoneQueries = r.done
+	res.VirtualTicks = r.vtime
+	res.PeakLive = r.peak[0]
+	res.WallTime = time.Since(r.start)
+	res.SumDB = aggregateStats(r.dbs)
+	res.Solver = r.solver.StatsSnapshot()
+	for _, db := range r.dbs {
+		res.Summaries = append(res.Summaries, db.All()...)
+	}
+	r.persistStore()
+	r.finishProv()
+	res.Metrics = r.in.finish(r.vtime, res.SumDB, res.Solver)
+}
+
+// persistStore writes the run's summaries — the union over the forest's
+// databases — back to the store. The store deduplicates by canonical wire
+// key, so re-persisting loaded summaries or gossip replicas is a no-op
+// and PersistedSummaries counts only genuinely new facts.
+func (r *reducer) persistStore() {
+	if r.o.Store == nil || r.o.DisableSumDB {
+		return
+	}
+	res := &r.res
+	var firstErr error
+	for _, s := range res.Summaries {
+		added, err := r.o.Store.Put(s)
+		if err != nil {
+			firstErr = err
+			break
+		}
+		if added {
+			res.PersistedSummaries++
+		}
+	}
+	if err := r.o.Store.Flush(); err != nil && firstErr == nil {
+		firstErr = err
+	}
+	if firstErr != nil && res.StoreErr == nil {
+		res.StoreErr = firstErr
+	}
+}
+
+// finishProv freezes the recorder into the result, feeds the cone-size
+// histogram, and — when the store supports provenance (a missing
+// capability is not an error) — persists the verdict's read set beside
+// the summaries. The record carries the root question's durable key and
+// the run's procedure dependency adjacency, which the next incremental
+// re-check consumes for verdict reuse and invalidation planning.
+func (r *reducer) finishProv() {
+	if r.rec == nil {
+		return
+	}
+	p := r.rec.Finish(r.res.Verdict.String())
+	r.res.Provenance = p
+	if m := r.o.Metrics; m != nil {
+		for _, cs := range p.ConeSizes() {
+			m.ObserveConeSize(int64(cs.Size))
+		}
+	}
+	ps, ok := r.o.Store.(store.ProvStore)
+	if !ok || r.o.DisableSumDB {
+		return
+	}
+	// An un-encodable question (scripted tests use nil-formula markers
+	// that still encode; real failures are volatile keys) just loses the
+	// reuse fast path, never the record.
+	rootKey, _ := wire.QuestionKey(r.q0)
+	wrec := wire.ProvRecord{Root: p.Root, Verdict: p.Verdict, Engine: r.engine, RootKey: rootKey, Deps: p.Deps}
+	for _, rd := range p.Reads() {
+		if rd.Summary.Pre == nil || rd.Summary.Post == nil {
+			// Scripted test summaries carry nil formulas and are not
+			// durable; the persisted read set covers only real facts.
+			continue
+		}
+		wrec.Reads = append(wrec.Reads, wire.ProvRead{Summary: rd.Summary, Warm: rd.Warm, Count: rd.Count})
+	}
+	if err := ps.PutProv(wrec); err != nil && r.res.StoreErr == nil {
+		r.res.StoreErr = err
+	}
+}

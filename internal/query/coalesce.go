@@ -60,6 +60,16 @@ func (t *Tree) Waiters(id ID) []ID { return t.waiters[id] }
 // WaitingOn returns the queries w is registered as waiting on.
 func (t *Tree) WaitingOn(w ID) []ID { return t.waitingOn[w] }
 
+// EachWaiterEdge calls f for every registered edge "waiter waits on
+// twin" (the reducer's invariant check walks them).
+func (t *Tree) EachWaiterEdge(f func(twin, waiter ID)) {
+	for twin, ws := range t.waiters {
+		for _, w := range ws {
+			f(twin, w)
+		}
+	}
+}
+
 // ClearWaiters drops every waiter edge of id. Engines call it after the
 // Done fan-out wake, restoring the "no waiters remain" GC condition
 // before RemoveSubtree.
@@ -73,10 +83,12 @@ func (t *Tree) ClearWaiters(id ID) {
 	delete(t.waiters, id)
 }
 
-// unlink severs all waiter edges touching id and its in-flight index
-// entry; called by Remove so dead waiters cannot pin their twins and a
-// dead twin's key becomes available again.
-func (t *Tree) unlink(id ID) {
+// Forget severs all waiter edges touching id and its in-flight index
+// entry. Remove calls it so dead waiters cannot pin their twins and a
+// dead twin's key becomes available again; the reducer calls it on the
+// other trees of a forest when one tree collects id, since a waiter edge
+// is recorded in the twin's tree, not the waiter's.
+func (t *Tree) Forget(id ID) {
 	if wo := t.waitingOn[id]; len(wo) > 0 {
 		for _, tw := range wo {
 			t.waiters[tw] = dropID(t.waiters[tw], id)

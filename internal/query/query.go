@@ -223,7 +223,7 @@ func (t *Tree) Descendants(id ID) []ID {
 // Descendants' liveness check). Waiter edges and the in-flight index
 // entry of the removed query are severed eagerly.
 func (t *Tree) Remove(id ID) {
-	t.unlink(id)
+	t.Forget(id)
 	delete(t.queries, id)
 	delete(t.children, id)
 	delete(t.ready, id)

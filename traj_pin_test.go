@@ -24,7 +24,11 @@ const trajBudget = 25000
 // TestTrajectoryPin holds the one-thread trajectory of the analyses
 // still: verdict, virtual ticks, query count and solver calls of the four
 // parport Table-1 checks and of every corpus program under all three
-// analyses must equal the golden table. A change that only makes the same
+// analyses must equal the golden table — first on the barrier engine, then
+// (rows tagged "async") on the streaming engine, whose single worker never
+// steals and so replays the same order every run: that pins the streaming
+// REDUCE discipline (rewake, wake-self on a Done twin, obsolete results
+// after GC) as tightly as the barrier one. A change that only makes the same
 // work cheaper passes untouched; a change that moves the trajectory has to
 // say so by regenerating the table (go test -run TestTrajectoryPin
 // -update-traj .).
@@ -52,15 +56,21 @@ func TestTrajectoryPin(t *testing.T) {
 	}
 
 	var got []string
-	for _, in := range inputs {
-		prog, err := bolt.Parse(in.src)
-		if err != nil {
-			t.Fatalf("%s: %v", in.name, err)
+	for _, async := range []bool{false, true} {
+		tag := ""
+		if async {
+			tag = " async"
 		}
-		for _, a := range in.analyses {
-			r := prog.Check(bolt.Options{Analysis: a, Threads: 1, MaxVirtualTicks: in.budget})
-			got = append(got, fmt.Sprintf("%s %s verdict=%d ticks=%d queries=%d sat=%d",
-				in.name, a, int(r.Verdict), r.VirtualTicks, r.TotalQueries, r.Solver.SatCalls))
+		for _, in := range inputs {
+			prog, err := bolt.Parse(in.src)
+			if err != nil {
+				t.Fatalf("%s: %v", in.name, err)
+			}
+			for _, a := range in.analyses {
+				r := prog.Check(bolt.Options{Analysis: a, Threads: 1, Async: async, MaxVirtualTicks: in.budget})
+				got = append(got, fmt.Sprintf("%s %s%s verdict=%d ticks=%d queries=%d sat=%d",
+					in.name, a, tag, int(r.Verdict), r.VirtualTicks, r.TotalQueries, r.Solver.SatCalls))
+			}
 		}
 	}
 
