@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build cross test race traj-pin one-reduce alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke bench bench-snapshot
+.PHONY: ci fmt vet build cross test race traj-pin traj-diff one-reduce alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke bench bench-snapshot
 
 # ci is the tier-1 gate: everything must pass before a change lands.
 ci: fmt vet build cross test race traj-pin one-reduce alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke
@@ -27,13 +27,14 @@ test:
 
 # race re-runs the concurrency-heavy packages under the race detector:
 # the streaming engine, the sharded summary database, the solver's
-# entailment cache and fuzz seed corpus (shared interning table under
-# concurrent PUNCH), the hash-consing table itself, the query tree's
-# coalescing machinery, the persistent summary store, and the
-# observability layer (live probe, watchdog, flight recorder, debug
+# memos and fuzz seed corpus (shared interning table under concurrent
+# PUNCH), the PUNCH instantiations and the region graph (four streaming
+# workers on one solver's memos), the hash-consing table itself, the
+# query tree's coalescing machinery, the persistent summary store, and
+# the observability layer (live probe, watchdog, flight recorder, debug
 # server — all sampled from outside the run's goroutines).
 race:
-	$(GO) test -race ./internal/core/... ./internal/summary/... ./internal/smt ./internal/logic ./internal/query ./internal/store ./internal/wire ./internal/obs ./internal/incr
+	$(GO) test -race ./internal/core/... ./internal/summary/... ./internal/smt ./internal/punch/... ./internal/logic ./internal/query ./internal/store ./internal/wire ./internal/obs ./internal/incr
 
 # traj-pin holds the one-thread trajectory of the analyses still: verdict,
 # virtual ticks, query count and solver calls of the four parport Table-1
@@ -43,6 +44,12 @@ race:
 # table with `go test -run TestTrajectoryPin -update-traj .` and says so.
 traj-pin:
 	$(GO) test -run TestTrajectoryPin -count=1 .
+
+# traj-diff is what a change that moves the trajectory on purpose runs
+# before it regenerates the table: every row that moved, old → new, with
+# column totals. It fails only when a verdict changed.
+traj-diff:
+	$(GO) test -run TestTrajectoryPin -count=1 -traj-diff .
 
 # one-reduce is a structural lint: the operations REDUCE and a run's
 # set-up and tear-down are made of (child insertion, coalescing, Done

@@ -19,6 +19,11 @@ type NodeID int
 type Edge struct {
 	From, To NodeID
 	Stmt     lang.Stmt
+	// StmtID identifies the content of Stmt within the program: NewProgram
+	// gives every distinct statement one id (from 1), whichever edges and
+	// procedures it labels. Results that depend on a statement only
+	// through its meaning are keyed on it. 0: not part of a program yet.
+	StmtID uint32
 }
 
 // Proc is a procedure: a CFG with entry and exit locations. The exit
@@ -230,6 +235,22 @@ func NewProgram(name string, globals []lang.Var, main string, procs ...*Proc) (*
 			return nil, fmt.Errorf("cfg: duplicate procedure %q", p.Name)
 		}
 		prog.Procs[p.Name] = p
+	}
+	// Statements are comparable values, so a map finds equal content. It
+	// starts with room for the few dozen distinct statements of a driver:
+	// growing rehashes every key through its interface, a third of the
+	// cost of the numbering.
+	ids := make(map[lang.Stmt]uint32, 32)
+	for _, p := range procs {
+		for i := range p.Edges {
+			e := &p.Edges[i]
+			id, ok := ids[e.Stmt]
+			if !ok {
+				id = uint32(len(ids) + 1)
+				ids[e.Stmt] = id
+			}
+			e.StmtID = id
+		}
 	}
 	if err := prog.Validate(); err != nil {
 		return nil, err

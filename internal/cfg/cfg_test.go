@@ -154,3 +154,50 @@ func TestDotExport(t *testing.T) {
 		}
 	}
 }
+
+// TestStmtIDIsContentIdentity: NewProgram numbers statements by what they
+// say — the same statement on two edges or in two procedures has one id,
+// different statements have different ones, none is 0 — and a statement
+// built twice from equal parts is the same statement.
+func TestStmtIDIsContentIdentity(t *testing.T) {
+	inc := func() lang.Stmt { return lang.Assign{Lhs: "g", Rhs: lang.Plus(lang.V("g"), lang.C(1))} }
+	mk := func(name string, stmts ...lang.Stmt) *Proc {
+		b := NewProc(name)
+		cur := b.Entry()
+		for _, s := range stmts {
+			next := b.NewNode()
+			b.AddEdge(cur, next, s)
+			cur = next
+		}
+		return b.Finish(cur)
+	}
+	guard := lang.Assume{Cond: lang.CmpE(lang.V("g"), lang.Le, lang.C(3))}
+	main := mk("main", inc(), guard, inc(), lang.Call{Proc: "leaf"}, lang.Skip{})
+	leaf := mk("leaf", lang.Skip{}, inc(), lang.Assign{Lhs: "g", Rhs: lang.Plus(lang.V("g"), lang.C(2))})
+	if main.Edges[0].StmtID != 0 {
+		t.Fatal("a procedure outside a program has statement ids")
+	}
+	if _, err := NewProgram("t", []lang.Var{"g"}, "main", main, leaf); err != nil {
+		t.Fatal(err)
+	}
+	byStmt := map[string]uint32{}
+	byID := map[uint32]string{}
+	for _, p := range []*Proc{main, leaf} {
+		for _, e := range p.Edges {
+			s := e.Stmt.String()
+			if e.StmtID == 0 {
+				t.Fatalf("%s: %q has no id", p.Name, s)
+			}
+			if id, ok := byStmt[s]; ok && id != e.StmtID {
+				t.Fatalf("%q has ids %d and %d", s, id, e.StmtID)
+			}
+			if other, ok := byID[e.StmtID]; ok && other != s {
+				t.Fatalf("id %d names %q and %q", e.StmtID, other, s)
+			}
+			byStmt[s], byID[e.StmtID] = e.StmtID, s
+		}
+	}
+	if len(byID) != 5 {
+		t.Fatalf("%d ids for 5 distinct statements: %v", len(byID), byID)
+	}
+}

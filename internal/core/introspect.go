@@ -64,5 +64,16 @@ func solverState(sv smt.Stats) *obs.SolverState {
 		EntailCacheMisses: sv.EntailCacheMisses,
 		EntailSynHits:     sv.EntailSynHits,
 		HashConsHits:      sv.HashConsHits,
+		Memos:             solverMemos(sv),
 	}
+}
+
+// solverMemos names the fill of the solver's memos for the live snapshot
+// and the metrics registry.
+func solverMemos(sv smt.Stats) []obs.MemoState {
+	st := func(name string, m smt.MemoStats) obs.MemoState {
+		return obs.MemoState{Name: name, Entries: m.Entries, Capacity: m.Capacity, TurnedAway: m.TurnedAway}
+	}
+	return []obs.MemoState{st("sat", sv.SatMemo), st("cube", sv.CubeMemo), st("entail", sv.EntailMemo),
+		st("step", sv.StepMemo), st("simplify", sv.SimplifyMemo)}
 }

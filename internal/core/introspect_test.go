@@ -148,6 +148,8 @@ func TestLiveStateMidRun(t *testing.T) {
 			}
 			if s.SumDB == nil || s.Solver == nil {
 				t.Errorf("SumDB/Solver views missing: %v/%v", s.SumDB, s.Solver)
+			} else if len(s.Solver.Memos) != 5 || s.Solver.Memos[0].Capacity == 0 {
+				t.Errorf("solver memo fills missing: %+v", s.Solver.Memos)
 			}
 			if eng.nodes > 0 && len(s.Nodes) != eng.nodes {
 				t.Errorf("nodes = %d; want %d", len(s.Nodes), eng.nodes)

@@ -153,9 +153,10 @@ func (in *instr) deliver(from, to int, proc string, bytes int, vtime int64) {
 // finish snapshots the registry (nil when metrics were off), stamping
 // the run's makespan and folding in the summary-database traffic under
 // sumdb_* counter keys (aggregate plus per lock stripe) and the solver's
-// entailment-cache traffic under entailment_cache_* keys. The solver
-// counters live as atomics in smt.Stats (smt cannot import obs), so this
-// fold is what routes them into the Prometheus rendering.
+// entailment-cache traffic under entailment_cache_* keys and the fill of
+// its memos under solver_memo_<name>_* keys. The solver counters live as
+// atomics in smt.Stats (smt cannot import obs), so this fold is what
+// routes them into the Prometheus rendering.
 func (in *instr) finish(makespan int64, st summary.Stats, sv smt.Stats) *obs.Snapshot {
 	snap := in.m.Snapshot()
 	if snap == nil {
@@ -183,6 +184,11 @@ func (in *instr) finish(makespan int64, st summary.Stats, sv smt.Stats) *obs.Sna
 	c["dpll_propagations"] = sv.Propagations
 	c["theory_checks"] = sv.TheoryChecks
 	c["hashcons_hits"] = sv.HashConsHits
+	for _, m := range solverMemos(sv) {
+		c["solver_memo_"+m.Name+"_entries"] = m.Entries
+		c["solver_memo_"+m.Name+"_capacity"] = m.Capacity
+		c["solver_memo_"+m.Name+"_turned_away"] = m.TurnedAway
+	}
 	return snap
 }
 

@@ -111,7 +111,8 @@ func TestAsyncTraceOrdering(t *testing.T) {
 }
 
 // TestBarrierMetricsGossipFree: the single-machine engines must leave the
-// cluster counters untouched, and the snapshot must fold in sumdb_*.
+// cluster counters untouched, and the snapshot must fold in sumdb_* and
+// the fill of the solver's memos.
 func TestBarrierMetricsGossipFree(t *testing.T) {
 	prog := drivers.Generate(drivers.NamedCheck("toastmon", "PendedCompletedRequest", false).Config)
 	m := obs.NewMetrics()
@@ -135,6 +136,15 @@ func TestBarrierMetricsGossipFree(t *testing.T) {
 	}
 	if _, ok := snap.Counters["sumdb_added"]; !ok {
 		t.Error("snapshot missing sumdb_added")
+	}
+	for _, name := range []string{"sat", "cube", "entail", "step", "simplify"} {
+		n, max := snap.Counters["solver_memo_"+name+"_entries"], snap.Counters["solver_memo_"+name+"_capacity"]
+		if n < 1 || n > max {
+			t.Errorf("%s memo holds %d of %d after a Table-1 check", name, n, max)
+		}
+		if _, ok := snap.Counters["solver_memo_"+name+"_turned_away"]; !ok {
+			t.Errorf("snapshot missing solver_memo_%s_turned_away", name)
+		}
 	}
 }
 

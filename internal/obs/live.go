@@ -387,6 +387,18 @@ type SolverState struct {
 	EntailCacheMisses int64 `json:"entail_cache_misses"`
 	EntailSynHits     int64 `json:"entail_syn_hits"`
 	HashConsHits      int64 `json:"hashcons_hits"`
+	// Memos is the fill of each of the solver's bounded memos. None of
+	// them evicts: one with TurnedAway > 0 is full and has been computing
+	// the results it could not keep again.
+	Memos []MemoState `json:"memos,omitempty"`
+}
+
+// MemoState is the fill of one solver memo.
+type MemoState struct {
+	Name       string `json:"name"`
+	Entries    int64  `json:"entries"`
+	Capacity   int64  `json:"capacity"`
+	TurnedAway int64  `json:"turned_away"`
 }
 
 // StateSnapshot is one moment of a run, assembled for JSON. Gauges are

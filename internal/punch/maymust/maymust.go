@@ -180,7 +180,7 @@ func (st *stepper) checkMustSuccess() (punch.Result, bool) {
 			continue
 		}
 		e.exitChecked = true
-		hit := logic.Conj(e.path, logic.SubstMap(q.Q.Post, asSubst(e.store)))
+		hit := logic.Conj(e.path, logic.SubstMap(q.Q.Post, e.store))
 		r := st.Sat(hit)
 		if r.Model == nil {
 			continue
@@ -203,7 +203,7 @@ func (st *stepper) checkMustSuccess() (punch.Result, bool) {
 func (st *stepper) emitMustSummary(e *mustElem, m map[lang.Var]int64) {
 	o, q := st.o, st.q
 	mr := st.ctx.ModRefOf(q.Q.Proc)
-	fullConj := logic.Conj(e.path, logic.SubstMap(q.Q.Post, asSubst(e.store)))
+	fullConj := logic.Conj(e.path, logic.SubstMap(q.Q.Post, e.store))
 	constrained := map[lang.Var]bool{}
 	for _, v := range logic.FreeVars(fullConj) {
 		constrained[v] = true
@@ -282,15 +282,12 @@ func (st *stepper) errorPath(avoid bool) []*regions.Edge {
 	return st.o.g.FindPath(&st.Meter, st.q.Q.Pre, avoid)
 }
 
-// asSubst views a store as a substitution map.
-func asSubst(store map[lang.Var]logic.Lin) map[lang.Var]logic.Lin { return store }
-
 // elemIn reports (with caching) whether elem's states intersect region r.
 func (st *stepper) elemIn(e *mustElem, r *regions.Region) bool {
 	if v, ok := e.reach[r.ID]; ok {
 		return v > 0
 	}
-	s := st.Sat(logic.Conj(e.path, logic.SubstMap(r.F, asSubst(e.store))))
+	s := st.Sat(logic.Conj(e.path, logic.SubstMap(r.F, e.store)))
 	if s.Known && !s.Sat {
 		e.reach[r.ID] = -1
 		return false
@@ -422,7 +419,7 @@ func (st *stepper) handleSimpleFrontier(stp *regions.Edge, s lang.Stmt) {
 // extendElem symbolically executes s from el constrained to the frontier's
 // source region, landing in its destination region; nil when infeasible.
 func (st *stepper) extendElem(el *mustElem, stp *regions.Edge, s lang.Stmt) *mustElem {
-	base := logic.Conj(el.path, logic.SubstMap(stp.From.F, asSubst(el.store)))
+	base := logic.Conj(el.path, logic.SubstMap(stp.From.F, el.store))
 	store := el.store
 	switch s := s.(type) {
 	case lang.Assign:
@@ -434,7 +431,7 @@ func (st *stepper) extendElem(el *mustElem, stp *regions.Edge, s lang.Stmt) *mus
 		}
 		store[s.Lhs] = val
 	case lang.Assume:
-		base = logic.Conj(base, logic.SubstMap(logic.FromBool(s.Cond), asSubst(el.store)))
+		base = logic.Conj(base, logic.SubstMap(logic.FromBool(s.Cond), el.store))
 	case lang.Havoc:
 		store = cloneStore(store)
 		store[s.V] = logic.LinVar(st.o.freshSym(st.q.ID, s.V))
@@ -442,7 +439,7 @@ func (st *stepper) extendElem(el *mustElem, stp *regions.Edge, s lang.Stmt) *mus
 	default:
 		panic("maymust: unexpected statement kind at simple frontier")
 	}
-	landed := logic.Conj(base, logic.SubstMap(stp.To.F, asSubst(store)))
+	landed := logic.Conj(base, logic.SubstMap(stp.To.F, store))
 	r := st.Sat(landed)
 	if !(r.Known && r.Sat) {
 		return nil
@@ -504,8 +501,8 @@ func (st *stepper) handleCallFrontier(stp *regions.Edge, callee string) {
 		for _, el := range elems {
 			cond := logic.Conj(
 				el.path,
-				logic.SubstMap(stp.From.F, asSubst(el.store)),
-				logic.SubstMap(s.Pre, asSubst(el.store)),
+				logic.SubstMap(stp.From.F, el.store),
+				logic.SubstMap(s.Pre, el.store),
 			)
 			r := st.Sat(cond)
 			if !(r.Known && r.Sat) {
@@ -525,9 +522,9 @@ func (st *stepper) handleCallFrontier(stp *regions.Edge, callee string) {
 				store[g] = logic.LinVar(sym)
 				ren[g] = sym
 			}
-			postC := logic.SubstMap(logic.Rename(s.Post, ren), asSubst(el.store))
+			postC := logic.SubstMap(logic.Rename(s.Post, ren), el.store)
 			after := logic.Conj(cond, postC,
-				logic.SubstMap(stp.To.F, asSubst(store)))
+				logic.SubstMap(stp.To.F, store))
 			ra := st.Sat(after)
 			if ra.Known && ra.Sat {
 				st.debugf("case1: extended across call via %v", s)
@@ -606,7 +603,7 @@ func (st *stepper) childPre(elems []*mustElem, from *regions.Region, callee stri
 	o := st.o
 	var projs []logic.Formula
 	for _, el := range elems {
-		conj := []logic.Formula{el.path, logic.SubstMap(from.F, asSubst(el.store))}
+		conj := []logic.Formula{el.path, logic.SubstMap(from.F, el.store)}
 		for _, g := range o.globals {
 			conj = append(conj, logic.Eq(logic.LinVar(g), el.store[g]))
 		}
@@ -673,27 +670,31 @@ func conjunctiveHull(fs []logic.Formula) logic.Formula {
 	if len(sets) == 0 {
 		return logic.True
 	}
-	common := map[string]logic.Formula{}
+	// A conjunct past the intern-table cap has no id and is left out: a
+	// weaker hull is still a hull.
+	common := map[logic.ID]bool{}
 	for _, g := range sets[0] {
-		common[logic.Key(g)] = g
+		if id := logic.KeyID(g); id != 0 {
+			common[id] = true
+		}
 	}
 	for _, set := range sets[1:] {
-		have := map[string]bool{}
+		have := map[logic.ID]bool{}
 		for _, g := range set {
-			have[logic.Key(g)] = true
+			have[logic.KeyID(g)] = true
 		}
-		for k := range common {
-			if !have[k] {
-				delete(common, k)
+		for id := range common {
+			if !have[id] {
+				delete(common, id)
 			}
 		}
 	}
 	// Preserve the first set's order for determinism.
 	var out []logic.Formula
 	for _, g := range sets[0] {
-		if _, ok := common[logic.Key(g)]; ok {
+		if id := logic.KeyID(g); common[id] {
 			out = append(out, g)
-			delete(common, logic.Key(g))
+			delete(common, id)
 		}
 	}
 	return logic.Conj(out...)
@@ -713,7 +714,7 @@ func conjunctsOf(f logic.Formula) []logic.Formula {
 // within the region.
 func (st *stepper) pointEntry(elems []*mustElem, from *regions.Region) (logic.Formula, bool) {
 	for _, el := range elems {
-		r := st.Sat(logic.Conj(el.path, logic.SubstMap(from.F, asSubst(el.store))))
+		r := st.Sat(logic.Conj(el.path, logic.SubstMap(from.F, el.store)))
 		if r.Model == nil {
 			continue
 		}
@@ -757,10 +758,11 @@ func (st *stepper) projectGlobals(f logic.Formula) logic.Formula {
 // satisfiability-based application at call sites is sound.
 func (st *stepper) isPointPre(s summary.Summary) bool {
 	// The verdict depends only on the precondition, so the memo keys on
-	// its interned identity — summaries sharing a Pre share the check,
-	// and the key is an id render, not a full structural print.
-	key := logic.Key(s.Pre)
-	if v, ok := st.o.pointPre[key]; ok {
+	// its interned identity — summaries sharing a Pre share the check. A
+	// precondition past the intern-table cap has no id; it is never
+	// stored and so checked every time.
+	id := logic.KeyID(s.Pre)
+	if v := st.o.pointPre[id]; v != 0 {
 		return v > 0
 	}
 	ok := false
@@ -777,10 +779,11 @@ func (st *stepper) isPointPre(s summary.Summary) bool {
 		}
 		ok = st.Implies(s.Pre, logic.Conj(fs...))
 	}
-	if ok {
-		st.o.pointPre[key] = 1
-	} else {
-		st.o.pointPre[key] = -1
+	if id != 0 {
+		st.o.pointPre[id] = -1
+		if ok {
+			st.o.pointPre[id] = 1
+		}
 	}
 	return ok
 }

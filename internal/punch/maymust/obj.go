@@ -48,8 +48,8 @@ type obj struct {
 	initSyms map[lang.Var]lang.Var // initial symbol of each variable
 
 	// pointPre caches whether a must summary's precondition denotes a
-	// single state (keyed by logic.Key of the precondition).
-	pointPre map[string]int8
+	// single state: +1 / -1, keyed by the precondition's interned id.
+	pointPre map[logic.ID]int8
 
 	initialized bool
 }
@@ -62,7 +62,7 @@ func newObj(proc *cfg.Proc, globals []lang.Var) *obj {
 		musts:    map[cfg.NodeID][]*mustElem{},
 		mustKeys: map[cfg.NodeID]map[string]bool{},
 		initSyms: map[lang.Var]lang.Var{},
-		pointPre: map[string]int8{},
+		pointPre: map[logic.ID]int8{},
 	}
 }
 

@@ -255,15 +255,17 @@ func (g *Graph) entryRegions(m *punch.Meter, pre logic.Formula) (out []*Region) 
 // isOpen performs (and caches) the one-step semantic feasibility check for
 // simple edges: the abstract edge ρ→ρ' is shut when ρ ∧ pre(stmt, ρ') is
 // unsatisfiable — a sound elimination without an explicit split. Call
-// edges are open until eliminated by a summary.
+// edges are open until eliminated by a summary. The check costs what
+// building the pre-image (2) and a satisfiability check (4) cost, also
+// when the run's solver has met the same statement between the same two
+// formulas before and answers from its memo.
 func (g *Graph) isOpen(m *punch.Meter, e *Edge) bool {
 	if e.open == 0 {
 		e.open = 1
-		stmt := g.proc.Edges[e.CFG].Stmt
-		if _, isCall := stmt.(lang.Call); !isCall {
-			m.Charge(2)
-			wp := logic.Pre(stmt, e.To.F, logic.Over)
-			if r := m.Sat(logic.Conj(e.From.F, wp)); r.Known && !r.Sat {
+		ce := &g.proc.Edges[e.CFG]
+		if _, isCall := ce.Stmt.(lang.Call); !isCall {
+			m.Charge(2 + 4)
+			if !m.Solver.StepFeasible(ce.StmtID, ce.Stmt, e.From.F, e.To.F) {
 				e.open = -1
 			}
 		}

@@ -1,120 +1,15 @@
-// Sharded entailment cache: a striped-lock memo for Implies/Valid
-// verdicts, shared between concurrent PUNCH instances the same way SUMDB
-// is. Entailment over immutable formulas is a pure function of the two
-// keys, so a cached verdict never needs invalidation; SUMDB's
-// version-invalidated answer memo composes with it unchanged.
+// Entailment over immutable formulas is a pure function of the two
+// operands, so a memoized Implies/Valid verdict (Solver.entail) never
+// needs invalidation; SUMDB's version-invalidated answer memo composes
+// with it unchanged. This file holds the syntactic pre-check run on a miss.
 package smt
 
 import (
-	"sync"
-
 	"repro/internal/logic"
 )
 
-const (
-	// entailShards stripes the memo so concurrent workers rarely contend
-	// on the same lock.
-	entailShards = 64
-	// maxEntailPerShard bounds each stripe; a full stripe is dropped
-	// wholesale rather than evicted entry-by-entry.
-	maxEntailPerShard = 1 << 10
-	// maxSynConjuncts bounds the quadratic conjunct-subsumption scan.
-	maxSynConjuncts = 16
-)
-
-// entailKey identifies one memoized verdict by the hash-consed ids of
-// the operands: kind 'I' is Implies(a ⇒ b), kind 'V' is Valid(a). A
-// struct key over integers makes the cached path allocation-free — no
-// string build, no key concatenation.
-type entailKey struct {
-	kind byte
-	a, b logic.ID
-}
-
-type entailShard struct {
-	mu sync.RWMutex
-	m  map[entailKey]bool
-	// ms is the fallback for formulas past the intern-table cap, which
-	// have no id and key by their structural print.
-	ms map[string]bool
-}
-
-type entailCache struct {
-	shards [entailShards]entailShard
-}
-
-func newEntailCache() *entailCache {
-	c := &entailCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[entailKey]bool)
-	}
-	return c
-}
-
-// shardOf picks a stripe by mixing the operand ids.
-func shardOf(key entailKey) uint32 {
-	h := (uint64(key.a)*0x9e3779b97f4a7c15 ^ uint64(key.b)) * 0x9e3779b97f4a7c15
-	h ^= uint64(key.kind)
-	return uint32(h>>33) % entailShards
-}
-
-// shardOfStr picks a stripe by FNV-1a over a fallback string key.
-func shardOfStr(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h % entailShards
-}
-
-func (c *entailCache) get(key entailKey) (bool, bool) {
-	sh := &c.shards[shardOf(key)]
-	sh.mu.RLock()
-	v, ok := sh.m[key]
-	sh.mu.RUnlock()
-	return v, ok
-}
-
-func (c *entailCache) put(key entailKey, v bool) {
-	sh := &c.shards[shardOf(key)]
-	sh.mu.Lock()
-	if len(sh.m) >= maxEntailPerShard {
-		sh.m = make(map[entailKey]bool)
-	}
-	sh.m[key] = v
-	sh.mu.Unlock()
-}
-
-func (c *entailCache) getStr(key string) (bool, bool) {
-	sh := &c.shards[shardOfStr(key)]
-	sh.mu.RLock()
-	v, ok := sh.ms[key]
-	sh.mu.RUnlock()
-	return v, ok
-}
-
-func (c *entailCache) putStr(key string, v bool) {
-	sh := &c.shards[shardOfStr(key)]
-	sh.mu.Lock()
-	if sh.ms == nil || len(sh.ms) >= maxEntailPerShard {
-		sh.ms = make(map[string]bool)
-	}
-	sh.ms[key] = v
-	sh.mu.Unlock()
-}
-
-// len reports the total number of cached verdicts (test support).
-func (c *entailCache) len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m) + len(sh.ms)
-		sh.mu.RUnlock()
-	}
-	return n
-}
+// maxSynConjuncts bounds the quadratic conjunct-subsumption scan.
+const maxSynConjuncts = 16
 
 // syntacticImplies is the cheap literal-subsumption pre-check run before
 // DPLL: it proves a ⇒ b when every conjunct of b is entailed by some

@@ -12,48 +12,48 @@ const maxSimplifyParts = 48
 // implication checks: a conjunct implied by its siblings is dropped, as is
 // a disjunct that implies the disjunction of its siblings. The result is
 // logically equivalent to f. Simplification keeps the region formulas of
-// refinement-based analyses from accumulating junk across splits.
+// refinement-based analyses from accumulating junk across splits. The
+// result is a pure function of f and is memoized on its id: the same
+// region formula is simplified again by every query that splits the same
+// way.
 func (s *Solver) Simplify(f logic.Formula) logic.Formula {
-	switch f := f.(type) {
-	case logic.And:
-		if len(f.Fs) > maxSimplifyParts {
-			return f
-		}
-		parts := make([]logic.Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			parts[i] = s.Simplify(g)
-		}
-		// Greedy deletion filter, scanning from the back so recently
-		// added (usually more redundant) conjuncts go first.
-		kept := append([]logic.Formula(nil), parts...)
-		for i := len(kept) - 1; i >= 0 && len(kept) > 1; i-- {
-			rest := make([]logic.Formula, 0, len(kept)-1)
-			rest = append(rest, kept[:i]...)
-			rest = append(rest, kept[i+1:]...)
-			if s.Implies(logic.Conj(rest...), kept[i]) {
-				kept = rest
-			}
-		}
-		return logic.Conj(kept...)
-	case logic.Or:
-		if len(f.Fs) > maxSimplifyParts {
-			return f
-		}
-		parts := make([]logic.Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			parts[i] = s.Simplify(g)
-		}
-		kept := append([]logic.Formula(nil), parts...)
-		for i := len(kept) - 1; i >= 0 && len(kept) > 1; i-- {
-			rest := make([]logic.Formula, 0, len(kept)-1)
-			rest = append(rest, kept[:i]...)
-			rest = append(rest, kept[i+1:]...)
-			if s.Implies(kept[i], logic.Disj(rest...)) {
-				kept = rest
-			}
-		}
-		return logic.Disj(kept...)
-	default:
+	var fs []logic.Formula
+	and, isAnd := f.(logic.And)
+	if isAnd {
+		fs = and.Fs
+	} else if or, ok := f.(logic.Or); ok {
+		fs = or.Fs
+	}
+	if len(fs) == 0 || len(fs) > maxSimplifyParts {
 		return f
 	}
+	k := idKey{a: logic.KeyID(f)}
+	keyed := k.a != 0 && !s.noStepMemo
+	if keyed {
+		if g, ok := s.simp.get(k); ok {
+			return g
+		}
+	}
+	kept := make([]logic.Formula, len(fs))
+	for i, g := range fs {
+		kept[i] = s.Simplify(g)
+	}
+	// Greedy deletion filter, scanning from the back so recently added
+	// (usually more redundant) parts go first.
+	for i := len(kept) - 1; i >= 0 && len(kept) > 1; i-- {
+		rest := make([]logic.Formula, 0, len(kept)-1)
+		rest = append(rest, kept[:i]...)
+		rest = append(rest, kept[i+1:]...)
+		if isAnd && s.Implies(logic.Conj(rest...), kept[i]) || !isAnd && s.Implies(kept[i], logic.Disj(rest...)) {
+			kept = rest
+		}
+	}
+	out := logic.Disj(kept...)
+	if isAnd {
+		out = logic.Conj(kept...)
+	}
+	if keyed {
+		s.simp.put(k, out)
+	}
+	return out
 }

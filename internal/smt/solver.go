@@ -17,7 +17,6 @@
 package smt
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/lang"
@@ -55,6 +54,9 @@ type Stats struct {
 	// HashConsHits is the process-global intern-table hit delta since
 	// this solver was created (snapshot-only; see StatsSnapshot).
 	HashConsHits int64
+	// Fill of the solver's memos (snapshot-only): the Sat, satCube and
+	// entailment memos, and the one-step-feasibility and Simplify memos.
+	SatMemo, CubeMemo, EntailMemo, StepMemo, SimplifyMemo MemoStats
 }
 
 // Solver decides QF_LIA formulas. The zero value is not usable; call New.
@@ -64,26 +66,42 @@ type Solver struct {
 	maxDNF int
 	// maxConflicts caps theory-conflict iterations before giving up.
 	maxConflicts int
-	// cache memoizes Sat results by formula structure.
-	cache satMemo
-	// cubeMemo memoizes satCube verdicts by the sorted interned ids of
-	// the cube's atoms: Fourier–Motzkin over a cube is a pure function
-	// of the atom set, so elimination work is shared across the
-	// near-identical assignments successive DPLL iterations produce.
-	cubeMemo    sync.Map
-	cubeMemoLen int64
-	// entail memoizes Implies/Valid verdicts by formula-key pair; nil
-	// until EnableEntailmentCache so the disabled path is untouched.
-	entail *entailCache
+	// The run's memos (memo.go). sat keeps Sat results by formula id and
+	// cubes keeps satCube verdicts by the sorted interned ids of the
+	// cube's atoms: Fourier–Motzkin over a cube is a pure function of the
+	// atom set, so elimination work is shared across the near-identical
+	// assignments successive DPLL iterations produce. entail keeps
+	// Implies verdicts by id pair and Valid verdicts by one id; it is used
+	// only after EnableEntailmentCache. steps keeps one-step feasibility
+	// by (statement, source, destination) and simp keeps Simplify results
+	// by formula id. satStr and entailStr serve formulas past the
+	// intern-table cap, which have no id and key by their structural
+	// print.
+	sat       memo[idKey, Result]
+	satStr    memo[strKey, Result]
+	cubes     memo[strKey, Result]
+	entail    memo[idKey, bool]
+	entailStr memo[strKey, bool]
+	entailOn  bool
+	steps     memo[idKey, bool]
+	simp      memo[idKey, logic.Formula]
+	// noStepMemo makes StepFeasible and Simplify compute every answer
+	// afresh. Only tests set it, to show that the two memos change no
+	// answer.
+	noStepMemo bool
 	// internHitsBase is the global hash-cons hit counter at New time,
 	// so StatsSnapshot can report the per-solver-lifetime delta.
 	internHitsBase int64
 }
 
-// Bounds on the Sat and satCube memoization tables.
+// Bounds on the memos. None evicts, so each is sized to hold what the
+// largest Table-1 check asks of it (EXPERIMENTS.md records the fills).
 const (
-	maxCacheEntries = 1 << 15
-	maxCubeMemo     = 1 << 14
+	maxSatMemo    = 1 << 15
+	maxCubeMemo   = 1 << 14
+	maxEntailMemo = 1 << 16
+	maxStepMemo   = 1 << 16
+	maxSimpMemo   = 1 << 14
 )
 
 // New returns a solver with default resource limits. The entailment
@@ -91,9 +109,9 @@ const (
 func New() *Solver {
 	hits, _ := logic.InternStats()
 	s := &Solver{maxDNF: 256, maxConflicts: 1500, internHitsBase: hits}
-	for i := range s.cache.shards {
-		s.cache.shards[i].m = make(map[logic.ID]Result)
-	}
+	s.sat.max, s.satStr.max, s.cubes.max = maxSatMemo, maxSatMemo, maxCubeMemo
+	s.entail.max, s.entailStr.max = maxEntailMemo, maxEntailMemo
+	s.steps.max, s.simp.max = maxStepMemo, maxSimpMemo
 	return s
 }
 
@@ -101,14 +119,12 @@ func New() *Solver {
 // the syntactic subsumption pre-check. Must be called before the solver
 // is shared between goroutines. Returns the receiver for chaining.
 func (s *Solver) EnableEntailmentCache() *Solver {
-	if s.entail == nil {
-		s.entail = newEntailCache()
-	}
+	s.entailOn = true
 	return s
 }
 
 // EntailmentCacheEnabled reports whether EnableEntailmentCache was called.
-func (s *Solver) EntailmentCacheEnabled() bool { return s.entail != nil }
+func (s *Solver) EntailmentCacheEnabled() bool { return s.entailOn }
 
 // Ticks returns the cumulative abstract work units spent so far.
 func (s *Solver) Ticks() int64 { return atomic.LoadInt64(&s.stats.Ticks) }
@@ -132,55 +148,15 @@ func (s *Solver) StatsSnapshot() Stats {
 		LearnedClauses:    atomic.LoadInt64(&s.stats.LearnedClauses),
 		Propagations:      atomic.LoadInt64(&s.stats.Propagations),
 		HashConsHits:      hits - s.internHitsBase,
+		SatMemo:           s.sat.stats().add(s.satStr.stats()),
+		CubeMemo:          s.cubes.stats(),
+		EntailMemo:        s.entail.stats().add(s.entailStr.stats()),
+		StepMemo:          s.steps.stats(),
+		SimplifyMemo:      s.simp.stats(),
 	}
 }
 
 func (s *Solver) tick(n int64) { atomic.AddInt64(&s.stats.Ticks, n) }
-
-// satMemo is the Sat result memo: striped like entailCache and keyed by
-// the hash-consed id, so a probe neither boxes a key nor builds a string.
-// Formulas past the intern-table cap have no id and key by their
-// structural print in strs. Bounded by n: once maxCacheEntries results
-// are in, new ones are simply not kept (no eviction, so a kept result
-// stays for the solver's lifetime).
-type satMemo struct {
-	shards [entailShards]struct {
-		mu sync.RWMutex
-		m  map[logic.ID]Result
-	}
-	strs sync.Map // string → Result
-	n    atomic.Int64
-}
-
-func (c *satMemo) get(id logic.ID, f logic.Formula) (Result, bool) {
-	if id == 0 {
-		v, ok := c.strs.Load(logic.Key(f))
-		if !ok {
-			return Result{}, false
-		}
-		return v.(Result), true
-	}
-	sh := &c.shards[shardOf(entailKey{a: id})]
-	sh.mu.RLock()
-	r, ok := sh.m[id]
-	sh.mu.RUnlock()
-	return r, ok
-}
-
-func (c *satMemo) put(id logic.ID, f logic.Formula, r Result) {
-	if c.n.Load() >= maxCacheEntries {
-		return
-	}
-	c.n.Add(1)
-	if id == 0 {
-		c.strs.Store(logic.Key(f), r)
-		return
-	}
-	sh := &c.shards[shardOf(entailKey{a: id})]
-	sh.mu.Lock()
-	sh.m[id] = r
-	sh.mu.Unlock()
-}
 
 // Sat decides satisfiability of f over the integers. Results are
 // memoized by formula structure: the hash-consed id when available,
@@ -189,12 +165,44 @@ func (s *Solver) Sat(f logic.Formula) Result {
 	atomic.AddInt64(&s.stats.SatCalls, 1)
 	s.tick(1)
 	id := logic.KeyID(f)
-	if r, ok := s.cache.get(id, f); ok {
+	if id == 0 {
+		k := strKey(logic.Key(f))
+		r, ok := s.satStr.get(k)
+		if !ok {
+			r = s.satUncached(f)
+			s.satStr.put(k, r)
+		}
 		return r
 	}
-	r := s.satUncached(f)
-	s.cache.put(id, f, r)
+	r, ok := s.sat.get(idKey{a: id})
+	if !ok {
+		r = s.satUncached(f)
+		s.sat.put(idKey{a: id}, r)
+	}
 	return r
+}
+
+// StepFeasible reports whether some state of from may step across stmt
+// into to: false only when from ∧ pre(stmt, to) is proven unsatisfiable.
+// stmtID identifies the statement's content (cfg.Edge.StmtID, 0 when the
+// statement has none), so the answer is a pure function of the three ids
+// and is looked up before the pre-image or the conjunction is built: the
+// same statement between the same two region formulas is asked again by
+// every query over the procedure and by every edge that carries it.
+func (s *Solver) StepFeasible(stmtID uint32, stmt lang.Stmt, from, to logic.Formula) bool {
+	k := idKey{logic.ID(stmtID), logic.KeyID(from), logic.KeyID(to)}
+	keyed := k.a != 0 && k.b != 0 && k.c != 0 && !s.noStepMemo
+	if keyed {
+		if open, ok := s.steps.get(k); ok {
+			return open
+		}
+	}
+	r := s.Sat(logic.Conj(from, logic.Pre(stmt, to, logic.Over)))
+	open := r.Sat || !r.Known
+	if keyed {
+		s.steps.put(k, open)
+	}
+	return open
 }
 
 // maxFormulaSize bounds the formulas the solver will attempt; beyond it
@@ -242,15 +250,14 @@ func (s *Solver) satCube(c logic.Cube) Result {
 	atomic.AddInt64(&s.stats.TheoryChecks, 1)
 	key, keyed := cubeKey(c)
 	if keyed {
-		if v, ok := s.cubeMemo.Load(key); ok {
+		if r, ok := s.cubes.get(key); ok {
 			s.tick(1)
-			return v.(Result)
+			return r
 		}
 	}
 	r := s.satCubeUncached(c)
-	if keyed && atomic.LoadInt64(&s.cubeMemoLen) < maxCubeMemo {
-		atomic.AddInt64(&s.cubeMemoLen, 1)
-		s.cubeMemo.Store(key, r)
+	if keyed {
+		s.cubes.put(key, r)
 	}
 	return r
 }
@@ -280,7 +287,7 @@ func (s *Solver) satCubeUncached(c logic.Cube) Result {
 // cubeKey canonicalizes a cube as the sorted interned ids of its atom
 // terms, packed into a string for map use. False when any term is not
 // internable (table cap) or the cube contains an equality.
-func cubeKey(c logic.Cube) (string, bool) {
+func cubeKey(c logic.Cube) (strKey, bool) {
 	ids := make([]uint64, len(c))
 	for i, a := range c {
 		if a.Eq {
@@ -304,7 +311,7 @@ func cubeKey(c logic.Cube) (string, bool) {
 			byte(id), byte(id>>8), byte(id>>16), byte(id>>24),
 			byte(id>>32), byte(id>>40), byte(id>>48), byte(id>>56))
 	}
-	return string(buf), true
+	return strKey(buf), true
 }
 
 // rationallySat runs real-shadow FM elimination to refute the cube over
@@ -371,22 +378,22 @@ func (s *Solver) findIntModel(c logic.Cube, vars map[lang.Var]bool, depth int) m
 // entailment cache is enabled, keyed by the hash-consed id — the cached
 // path does no string building.
 func (s *Solver) Valid(f logic.Formula) bool {
-	if s.entail == nil {
+	if !s.entailOn {
 		return s.validUncached(f)
 	}
 	id := logic.KeyID(f)
 	if id == 0 {
-		key := "V\x1f" + logic.Key(f)
-		if v, ok := s.entail.getStr(key); ok {
+		key := strKey("V\x1f" + logic.Key(f))
+		if v, ok := s.entailStr.get(key); ok {
 			atomic.AddInt64(&s.stats.EntailCacheHits, 1)
 			return v
 		}
 		atomic.AddInt64(&s.stats.EntailCacheMisses, 1)
 		v := s.validUncached(f)
-		s.entail.putStr(key, v)
+		s.entailStr.put(key, v)
 		return v
 	}
-	key := entailKey{kind: 'V', a: id}
+	key := idKey{a: id} // an Implies key has b != 0
 	if v, ok := s.entail.get(key); ok {
 		atomic.AddInt64(&s.stats.EntailCacheHits, 1)
 		return v
@@ -415,10 +422,10 @@ func (s *Solver) Implies(a, b logic.Formula) bool {
 	if ida == 0 || idb == 0 {
 		return s.impliesFallback(a, b)
 	}
-	if s.entail == nil {
+	if !s.entailOn {
 		return s.validUncached(logic.Disj(logic.Not(a), b))
 	}
-	key := entailKey{kind: 'I', a: ida, b: idb}
+	key := idKey{a: ida, b: idb}
 	if v, ok := s.entail.get(key); ok {
 		atomic.AddInt64(&s.stats.EntailCacheHits, 1)
 		return v
@@ -436,17 +443,17 @@ func (s *Solver) impliesFallback(a, b logic.Formula) bool {
 	if ka == kb {
 		return true
 	}
-	if s.entail == nil {
+	if !s.entailOn {
 		return s.validUncached(logic.Disj(logic.Not(a), b))
 	}
-	key := ka + "\x1f" + kb
-	if v, ok := s.entail.getStr(key); ok {
+	key := strKey(ka + "\x1f" + kb)
+	if v, ok := s.entailStr.get(key); ok {
 		atomic.AddInt64(&s.stats.EntailCacheHits, 1)
 		return v
 	}
 	atomic.AddInt64(&s.stats.EntailCacheMisses, 1)
 	v := s.impliesUncached(a, b)
-	s.entail.putStr(key, v)
+	s.entailStr.put(key, v)
 	return v
 }
 

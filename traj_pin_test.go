@@ -14,7 +14,10 @@ import (
 	"repro/internal/harness"
 )
 
-var updateTraj = flag.Bool("update-traj", false, "rewrite testdata/traj_pin.golden from this run")
+var (
+	updateTraj = flag.Bool("update-traj", false, "rewrite testdata/traj_pin.golden from this run")
+	trajDiff   = flag.Bool("traj-diff", false, "print every row that moved against testdata/traj_pin.golden, old → new with column totals; fail only on a changed verdict")
+)
 
 // trajBudget bounds every pinned check. The may analysis never converges
 // on the two looping corpus programs and only burns its budget; everything
@@ -31,7 +34,8 @@ const trajBudget = 25000
 // after GC) as tightly as the barrier one. A change that only makes the same
 // work cheaper passes untouched; a change that moves the trajectory has to
 // say so by regenerating the table (go test -run TestTrajectoryPin
-// -update-traj .).
+// -update-traj .) and by showing what moved (make traj-diff, before the
+// regeneration).
 func TestTrajectoryPin(t *testing.T) {
 	type input struct {
 		name, src string
@@ -89,9 +93,56 @@ func TestTrajectoryPin(t *testing.T) {
 	if len(want) != len(got) {
 		t.Fatalf("golden has %d rows, run produced %d", len(want), len(got))
 	}
+	if *trajDiff {
+		diffTrajectories(t, want, got)
+		return
+	}
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("trajectory moved:\n got  %s\n want %s", got[i], want[i])
 		}
 	}
+}
+
+// diffTrajectories prints the rows of got that differ from want, column
+// by column as old → new, and the totals of every column over all rows. A
+// trajectory may move on purpose; a verdict may not, so only that fails.
+func diffTrajectories(t *testing.T, want, got []string) {
+	cols := []string{"verdict", "ticks", "queries", "sat"}
+	parse := func(row string) (name string, vals [4]int64) {
+		i := strings.Index(row, " verdict=")
+		if _, err := fmt.Sscanf(row[i+1:], "verdict=%d ticks=%d queries=%d sat=%d", &vals[0], &vals[1], &vals[2], &vals[3]); err != nil {
+			t.Fatalf("row %q: %v", row, err)
+		}
+		return row[:i], vals
+	}
+	var oldSum, newSum [4]int64
+	moved := 0
+	for i := range got {
+		name, o := parse(want[i])
+		gotName, n := parse(got[i])
+		if gotName != name {
+			t.Fatalf("row %d is %q, golden has %q", i, gotName, name)
+		}
+		line := name
+		for c := range cols {
+			oldSum[c] += o[c]
+			newSum[c] += n[c]
+			if o[c] != n[c] {
+				line += fmt.Sprintf(" %s %d → %d", cols[c], o[c], n[c])
+			}
+		}
+		if o[0] != n[0] {
+			t.Errorf("verdict changed: %s", line)
+		}
+		if line != name {
+			moved++
+			fmt.Println(line)
+		}
+	}
+	fmt.Printf("%d of %d rows moved; totals:", moved, len(got))
+	for c := range cols[1:] {
+		fmt.Printf(" %s %d → %d", cols[c+1], oldSum[c+1], newSum[c+1])
+	}
+	fmt.Println()
 }
