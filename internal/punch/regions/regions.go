@@ -143,10 +143,12 @@ func (g *Graph) Edge(cfgEdge int, from, to *Region) *Edge {
 // subset of r, so what was established about an edge of r holds for the
 // same edge of every part: eliminations, stuck marks, attempt counts and
 // outstanding children are copied to the parts' edges (a self-loop edge
-// r → r to every pair of parts). One-step feasibility is not: an edge open
-// for r may well be shut for a part — finding that out is what the split
-// was for — and re-deriving a shut one is part of the trajectory that all
-// recorded tick counts rest on. r's own edges then leave the table.
+// r → r to every pair of parts). So is a shut mark: pre(stmt, ρ') contains
+// the true pre-image of ρ', so when no state of ρ steps into ρ', none of a
+// subset of ρ steps into a subset of ρ' — the parts' edges are shut without
+// asking the solver. An open mark is not inherited: an edge open for r may
+// well be shut for a part, and finding that out is what the split was for.
+// r's own edges then leave the table.
 func (g *Graph) Split(r *Region, parts ...*Region) {
 	regs := g.at[r.Node]
 	kept := regs[:0]
@@ -168,18 +170,26 @@ func (g *Graph) Split(r *Region, parts ...*Region) {
 			e.To.drop(e)
 			tos = []*Region{e.To}
 		}
-		if !e.Elim && !e.Stuck && e.Attempts == 0 && e.Pending == nil {
+		shut := min(e.open, 0)
+		if !e.Elim && !e.Stuck && e.Attempts == 0 && e.Pending == nil && shut == 0 {
 			continue // nothing decided about it, nothing to inherit
 		}
 		for _, f := range froms {
 			for _, t := range tos {
 				n := g.Edge(e.CFG, f, t)
-				n.Elim, n.Stuck, n.Attempts, n.Pending = e.Elim, e.Stuck, e.Attempts, e.Pending
+				n.Elim, n.Stuck, n.Attempts, n.Pending, n.open = e.Elim, e.Stuck, e.Attempts, e.Pending, shut
+				if shut < 0 && auditInherited != nil {
+					auditInherited(g, n)
+				}
 			}
 		}
 	}
 	r.edges = nil
 }
+
+// auditInherited, which only tests set, is shown every edge that Split
+// marks shut by inheritance.
+var auditInherited func(g *Graph, e *Edge)
 
 // Eliminate marks the edges over CFG edge cfgEdge from each of froms to to
 // as eliminated. When to is no longer live nothing is marked: froms are
@@ -401,8 +411,10 @@ func (g *Graph) SweepPending(db punch.DB) {
 // Check walks the whole table and reports the first violation of its
 // invariants: partitions hold only live regions of their own node; every
 // entry joins two regions that are in their partitions and is listed
-// exactly once at each of them; endpoint lists hold nothing else. Tests
-// call it after every split.
+// exactly once at each of them; endpoint lists hold nothing else; no call
+// edge is shut (only a simple statement's pre-image shuts an edge, and a
+// split hands the mark to edges over the same statement). Tests call it
+// after every split.
 func (g *Graph) Check() error {
 	member := map[*Region]bool{}
 	listed := 0
@@ -429,6 +441,9 @@ func (g *Graph) Check() error {
 		for k, e := range m {
 			if e.CFG != ci || k != pair(e.From, e.To) || !member[e.From] || !member[e.To] {
 				return fmt.Errorf("regions: entry %d/%#x (record %v) mentions a region outside the partitions", ci, uint64(k), e)
+			}
+			if _, isCall := g.proc.Edges[ci].Stmt.(lang.Call); isCall && e.open < 0 {
+				return fmt.Errorf("regions: call edge %v is shut", e)
 			}
 			want += 2
 			if e.From == e.To {

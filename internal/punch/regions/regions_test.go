@@ -36,7 +36,8 @@ func mustCheck(t testing.TB, g *Graph) {
 
 // refKey and refModel are the five per-query maps the table replaced, with
 // the replaceRegion that migrated them — kept here, verbatim in its
-// semantics, as the reference the table is held against. Keys of retired
+// semantics but for the inheritance of shut marks, as the reference the
+// table is held against. Keys of retired
 // regions pile up in it as they did then; only live pairs are compared.
 type refKey struct{ edge, from, to int }
 
@@ -98,6 +99,17 @@ func (m *refModel) replaceRegion(r int, parts []int) {
 	}
 	for k, v := range addP {
 		m.pending[k] = v
+	}
+	// The one place the model departs from the five maps, as the table
+	// does: a shut mark goes to the parts' edges, an open one does not.
+	var addO []refKey
+	for k, v := range m.open {
+		if v < 0 {
+			addO = append(addO, migrate(k)...)
+		}
+	}
+	for _, k := range addO {
+		m.open[k] = -1
 	}
 	addA := map[refKey]int{}
 	for k, v := range m.attempts {
