@@ -30,8 +30,8 @@ test:
 # memos and fuzz seed corpus (shared interning table under concurrent
 # PUNCH), the PUNCH instantiations and the region graph (four streaming
 # workers on one solver's memos), the hash-consing table itself, the
-# query tree's coalescing machinery, the persistent summary store, and
-# the observability layer (live probe, watchdog, flight recorder, debug
+# query tree's coalescing machinery, the persistent summary store (every
+# mutating method at once on one handle), and the observability layer (live probe, watchdog, flight recorder, debug
 # server — all sampled from outside the run's goroutines).
 race:
 	$(GO) test -race ./internal/core/... ./internal/summary/... ./internal/smt ./internal/punch/... ./internal/logic ./internal/query ./internal/store ./internal/wire ./internal/obs ./internal/incr
@@ -112,11 +112,13 @@ bench-snapshot:
 	$(GO) run ./cmd/boltbench -snapshot BENCH_streaming.json
 
 # fuzz-smoke gives each fuzzer a short budget: the solver against its
-# reference implementation, and the wire codec's decode/re-encode
-# round trip on arbitrary bytes.
+# reference implementation, the wire codec's decode/re-encode round trip
+# on arbitrary bytes, and arbitrary bytes as the store's log (a typed
+# error or a clean open, never a panic).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDPLLAgainstReference -fuzztime 10s ./internal/smt
 	$(GO) test -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/logic
+	$(GO) test -run '^$$' -fuzz FuzzStoreOpen -fuzztime 10s ./internal/store
 
 # bench runs every benchmark in the repo once (all packages, not just
 # the root: the harness, solver and store benches live in subpackages).

@@ -3,6 +3,10 @@ package bolt_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -396,5 +400,87 @@ func TestIncrementalFacade(t *testing.T) {
 	}
 	if re.InvalidatedSummaries == 0 {
 		t.Fatal("re-check invalidated nothing")
+	}
+}
+
+// TestUnchangedRechecksLeaveTheLogAlone: an incremental re-check of an
+// unchanged program reuses the verdict and appends nothing — not a
+// manifest, not a provenance record — so fifty of them leave the store
+// directory byte-identical.
+func TestUnchangedRechecksLeaveTheLogAlone(t *testing.T) {
+	dir := t.TempDir()
+	opts := bolt.Options{Threads: 4, Timeout: 30 * time.Second, StorePath: dir, Incremental: true}
+	prog, err := bolt.Parse(apiSample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold := prog.Check(opts); cold.Verdict != bolt.Safe || cold.StoreErr != nil {
+		t.Fatalf("cold: verdict %v, store err %v", cold.Verdict, cold.StoreErr)
+	}
+	snapshot := func() map[string]string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]string{}
+		for _, e := range ents {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(data)
+		}
+		return files
+	}
+	before := snapshot()
+	if len(before) != 1 {
+		t.Fatalf("store directory holds %d files, want the one log", len(before))
+	}
+	for i := 0; i < 50; i++ {
+		res := prog.Check(opts)
+		if !res.ReusedVerdict || res.Verdict != bolt.Safe || res.StoreErr != nil {
+			t.Fatalf("re-check %d: reused=%v verdict=%v err=%v", i, res.ReusedVerdict, res.Verdict, res.StoreErr)
+		}
+	}
+	if after := snapshot(); !reflect.DeepEqual(before, after) {
+		for name := range after {
+			t.Errorf("%s: %d -> %d bytes", name, len(before[name]), len(after[name]))
+		}
+		t.Fatal("50 unchanged re-checks changed the store directory")
+	}
+}
+
+// TestClauseLearningCoreEngages is why internal/smt keeps its CDCL core
+// although smt.dpll_conflicts reads 0 on every committed benchmark
+// workload: ten two-way choices make 2^10 cubes, past the solver's DNF
+// cap, and the formula goes to the clause-learning search. With the
+// naive DPLL loop in its place this input ran for minutes under every
+// analysis; here must proves it Safe at once.
+func TestClauseLearningCoreEngages(t *testing.T) {
+	const n = 10
+	var globals, havocs, choices, sum []string
+	for i := 0; i < n; i++ {
+		v := fmt.Sprintf("v%d", i)
+		globals = append(globals, v)
+		havocs = append(havocs, "havoc "+v+";")
+		choices = append(choices, fmt.Sprintf("(%s == 0 || %s == 2)", v, v))
+		sum = append(sum, v)
+	}
+	src := fmt.Sprintf("globals %s;\nproc main {\n  %s\n  assume(%s);\n  assert(%s <= %d);\n}\n",
+		strings.Join(globals, ", "), strings.Join(havocs, " "), strings.Join(choices, " && "), strings.Join(sum, " + "), 2*n)
+	prog, err := bolt.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res := prog.Check(bolt.Options{Analysis: bolt.Must, Threads: 1, Timeout: 20 * time.Second})
+	if res.Verdict != bolt.Safe {
+		t.Fatalf("verdict %v (stop %v), want Safe", res.Verdict, res.StopReason)
+	}
+	if res.Solver.DPLLConflicts == 0 {
+		t.Fatal("no CDCL conflict: the formula never reached the clause-learning core")
+	}
+	if wall := time.Since(start); wall > 5*time.Second {
+		t.Fatalf("took %v, want well under 5s", wall)
 	}
 }

@@ -1,12 +1,21 @@
 package core
 
 import (
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/cfg"
 	"repro/internal/incr"
+	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/punch/maymust"
 	"repro/internal/store"
+	"repro/internal/summary"
 )
 
 // incrTestProg has a procedure (idle) the root never reaches, so an
@@ -153,5 +162,134 @@ func TestIncrementalRecheckDistributed(t *testing.T) {
 	}
 	if routed != re.InvalidatedSummaries {
 		t.Fatalf("per-node invalidation %v sums to %d, want %d", re.PerNodeInvalidated, routed, re.InvalidatedSummaries)
+	}
+}
+
+// TestRecheckAfterCrashMatchesFromScratch is the from-scratch-consistency
+// oracle pointed at the store's crash model. A corpus program is checked
+// cold and persisted; one procedure is then edited so that the verdict
+// flips (every stored summary in its cone is now wrong, not merely
+// stale), and the re-check that invalidates and re-derives is cut short
+// at every record boundary it appended. Whatever prefix survives, the
+// next incremental re-check must answer what a from-scratch run answers.
+func TestRecheckAfterCrashMatchesFromScratch(t *testing.T) {
+	raw, err := os.ReadFile("../../testdata/corpus/safe_shared_helper.bolt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(raw)
+	edited := strings.Replace(src, "proc addtwo { acc = acc + 2; }", "proc addtwo { acc = acc + 3; }", 1)
+	if edited == src {
+		t.Fatal("the corpus program no longer has the procedure this test edits")
+	}
+	before, after := parser.MustParse(src), parser.MustParse(edited)
+	fp := store.NewFingerprint("crash-recheck")
+	recheck := func(dir string, prog *cfg.Program) Result {
+		t.Helper()
+		d, err := store.OpenDisk(dir, fp, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := New(prog, incrOpts(d, false)).Run(AssertionQuestion(prog))
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if res.StoreErr != nil {
+			t.Fatalf("store error: %v", res.StoreErr)
+		}
+		return res
+	}
+
+	scratch := New(after, Options{Punch: maymust.New(), MaxThreads: 8, MaxIterations: 60000}).Run(AssertionQuestion(after))
+	if scratch.Verdict != ErrorReachable {
+		t.Fatalf("from-scratch verdict on the edited program: %v, want the edit to flip it", scratch.Verdict)
+	}
+
+	dir := t.TempDir()
+	log := filepath.Join(dir, store.SegName)
+	if cold := recheck(dir, before); cold.Verdict != Safe || cold.PersistedSummaries == 0 {
+		t.Fatalf("cold: verdict %v, persisted %d", cold.Verdict, cold.PersistedSummaries)
+	}
+	persisted, err := os.Stat(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re := recheck(dir, after); re.Verdict != scratch.Verdict || re.InvalidatedSummaries == 0 {
+		t.Fatalf("uninterrupted re-check: verdict %v, invalidated %d", re.Verdict, re.InvalidatedSummaries)
+	}
+	data, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Everything past the cold run's bytes is what the re-check appended:
+	// tombstones, the retraction of the standing verdict, the new manifest,
+	// fresh summaries, provenance. Walk its framing (uvarint length,
+	// payload, 4-byte checksum).
+	cuts := []int{int(persisted.Size())}
+	kinds := ""
+	for pos := cuts[0]; pos < len(data); {
+		plen, n := binary.Uvarint(data[pos:])
+		if n <= 0 {
+			t.Fatalf("bad record length at offset %d", pos)
+		}
+		kinds += string(data[pos+n])
+		pos += n + int(plen) + 4
+		cuts = append(cuts, pos)
+	}
+	if cuts[len(cuts)-1] != len(data) || !regexp.MustCompile(`^T+PMS+P$`).MatchString(kinds) {
+		t.Fatalf("the re-check appended records %q ending at %d of %d bytes, want T.. P M S.. P", kinds, cuts[len(cuts)-1], len(data))
+	}
+	for _, cut := range cuts {
+		crashed := t.TempDir()
+		if err := os.WriteFile(filepath.Join(crashed, store.SegName), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if re := recheck(crashed, after); re.Verdict != scratch.Verdict {
+			t.Fatalf("log cut at %d (%d of %d appended records survive): re-check says %v, from scratch %v",
+				cut, sort.SearchInts(cuts, cut), len(cuts)-1, re.Verdict, scratch.Verdict)
+		}
+	}
+}
+
+// TestEditRetractsEveryAffectedVerdict: one store answers several root
+// questions, and an edit re-checked under one of them must not leave
+// another's verdict standing. The edit here flips the second question's
+// answer, so a reused verdict would be a wrong one.
+func TestEditRetractsEveryAffectedVerdict(t *testing.T) {
+	st := store.NewMem()
+	acc := logic.LinVar("acc")
+	// Can left, entered with acc == 0, leave with acc >= 3?
+	leftReachesThree := summary.Question{Proc: "left", Pre: logic.EQ(acc), Post: logic.LEq(logic.LinConst(3), acc)}
+	ask := func(prog *cfg.Program, q summary.Question) Result {
+		t.Helper()
+		res := New(prog, incrOpts(st, false)).Run(q)
+		if res.StoreErr != nil {
+			t.Fatal(res.StoreErr)
+		}
+		return res
+	}
+
+	prog := parser.MustParse(incrTestProg)
+	if res := ask(prog, AssertionQuestion(prog)); res.Verdict != Safe {
+		t.Fatalf("main: %v", res.Verdict)
+	}
+	if res := ask(prog, leftReachesThree); res.Verdict != Safe || res.ReusedVerdict {
+		t.Fatalf("left before the edit: verdict %v, reused %v", res.Verdict, res.ReusedVerdict)
+	}
+	if res := ask(prog, leftReachesThree); !res.ReusedVerdict {
+		t.Fatal("left, unchanged program: the verdict on file was not reused")
+	}
+
+	edited := parser.MustParse(strings.Replace(incrTestProg, "proc deep { acc = acc + 1; }", "proc deep { acc = acc + 2; }", 1))
+	if res := ask(edited, AssertionQuestion(edited)); res.Verdict != Safe || res.ReusedVerdict {
+		t.Fatalf("main after the edit: verdict %v, reused %v", res.Verdict, res.ReusedVerdict)
+	}
+	// The store's manifest now describes the edited program, so nothing
+	// looks edited any more; only the retraction keeps left's old answer
+	// from being served.
+	res := ask(edited, leftReachesThree)
+	if res.ReusedVerdict || res.Verdict != ErrorReachable {
+		t.Fatalf("left after the edit: verdict %v, reused %v; want a fresh Error Reachable", res.Verdict, res.ReusedVerdict)
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"repro/internal/punch"
 	"repro/internal/query"
 	"repro/internal/smt"
-	"repro/internal/store"
 	"repro/internal/summary"
 	"repro/internal/wire"
 )
@@ -160,9 +159,7 @@ func (r *reducer) begin(q0 summary.Question) bool {
 		if prep.reuse {
 			res.Verdict = prep.verdict
 			res.ReusedVerdict = true
-			if prep.surviving >= 0 {
-				res.SurvivingSummaries = prep.surviving
-			}
+			res.SurvivingSummaries = prep.surviving
 			res.setStop(StopVerdictReused)
 			res.WallTime = time.Since(r.start)
 			return false
@@ -196,21 +193,13 @@ func (r *reducer) begin(q0 summary.Question) bool {
 	// Warm start: every summary the store holds is a sound fact about
 	// this program (the store's fingerprint pinned the corpus), so seeding
 	// its owner's SUMDB lets PUNCH answer questions a cold run would
-	// re-derive. A load failure degrades to a cold run. On a store without
-	// a Deleter the stale summaries of an incremental re-check are
-	// filtered out here instead of deleted, and counted as invalidated.
+	// re-derive. A load failure degrades to a cold run.
 	if stored {
 		if sums, err := o.Store.Load(); err != nil {
 			res.StoreErr = err
 		} else {
 			for _, s := range sums {
-				at := r.route(s.Proc)
-				if prep.skipAll || prep.skipLoad[s.Proc] {
-					res.InvalidatedSummaries++
-					r.invalidatedAt[at]++
-					continue
-				}
-				r.dbs[at].Add(s)
+				r.dbs[r.route(s.Proc)].Add(s)
 				r.rec.MarkWarm(s)
 				res.WarmSummaries++
 			}
@@ -675,9 +664,8 @@ func (r *reducer) persistStore() {
 }
 
 // finishProv freezes the recorder into the result, feeds the cone-size
-// histogram, and — when the store supports provenance (a missing
-// capability is not an error) — persists the verdict's read set beside
-// the summaries. The record carries the root question's durable key and
+// histogram, and persists the verdict's read set beside the summaries.
+// The record carries the root question's durable key and
 // the run's procedure dependency adjacency, which the next incremental
 // re-check consumes for verdict reuse and invalidation planning.
 func (r *reducer) finishProv() {
@@ -691,8 +679,7 @@ func (r *reducer) finishProv() {
 			m.ObserveConeSize(int64(cs.Size))
 		}
 	}
-	ps, ok := r.o.Store.(store.ProvStore)
-	if !ok || r.o.DisableSumDB {
+	if r.o.Store == nil || r.o.DisableSumDB {
 		return
 	}
 	// An un-encodable question (scripted tests use nil-formula markers
@@ -708,7 +695,7 @@ func (r *reducer) finishProv() {
 		}
 		wrec.Reads = append(wrec.Reads, wire.ProvRead{Summary: rd.Summary, Warm: rd.Warm, Count: rd.Count})
 	}
-	if err := ps.PutProv(wrec); err != nil && r.res.StoreErr == nil {
+	if err := r.o.Store.PutProv(wrec); err != nil && r.res.StoreErr == nil {
 		r.res.StoreErr = err
 	}
 }

@@ -7,7 +7,7 @@
 // its statement — the same render cfg.Program.String uses) and hashes
 // it, together with the program's global declarations and the wire
 // version, into a store.Fingerprint. The resulting Manifest is
-// persisted beside the summaries (store.ManifestStore); Diff of the
+// persisted beside the summaries (store.Store.PutManifest); Diff of the
 // stored manifest against the current program's yields the edited set —
 // procedures whose bodies changed, plus additions and removals.
 //

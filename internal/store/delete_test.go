@@ -34,7 +34,7 @@ func survivors(sums []summary.Summary, dead map[string]bool) []summary.Summary {
 }
 
 // TestDeleteProcsParity runs the same invalidation sequence against
-// both backends: the Deleter contract must behave identically.
+// both backends: DeleteProcs must behave identically.
 func TestDeleteProcsParity(t *testing.T) {
 	open := map[string]func(t *testing.T) store.Store{
 		"mem": func(t *testing.T) store.Store { return store.NewMem() },
@@ -51,7 +51,7 @@ func TestDeleteProcsParity(t *testing.T) {
 			st := mk(t)
 			defer st.Close()
 			put := fillStore(t, st)
-			removed, err := st.(store.Deleter).DeleteProcs([]string{"a", "c", "ghost"})
+			removed, err := st.DeleteProcs([]string{"a", "c", "ghost"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestDeleteProcsParity(t *testing.T) {
 				t.Fatalf("re-Put after delete: added=%v err=%v", added, err)
 			}
 			// Delete-all (nil) empties the store.
-			removed, err = st.(store.Deleter).DeleteProcs(nil)
+			removed, err = st.DeleteProcs(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

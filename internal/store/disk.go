@@ -1,407 +1,319 @@
-// Disk is the disk-backed store: an append-only segment file of
-// wire-encoded, crc-guarded summary records plus a sidecar index
-// mapping procedures to record offsets. The segment header carries the
-// store fingerprint; opening a segment whose fingerprint does not match
-// the corpus being checked fails with *MismatchError instead of
-// silently warm-starting from a stale (or foreign) store.
+// Disk is the disk-backed store: one append-only log. A header (magic,
+// format version, store fingerprint) is followed by records framed
+// uvarint(len) · payload · crc32(payload); a payload's first byte is its
+// kind:
 //
-// Crash tolerance is the append-only kind: a run killed mid-append
-// leaves a truncated final record, which Open detects and trims; a
-// stale or missing index is rebuilt from the segment, never trusted
-// over it.
+//	S  summary     (wire.AppendSummary)    live until a later T names its procedure
+//	T  tombstone   (wire.AppendTombstone)  kills every earlier S of one procedure
+//	P  provenance  (wire.AppendProv)       kept forever, oldest first
+//	M  manifest    (appendManifest)        the last one wins
 //
-// Deletion (incremental invalidation) stays append-only at run time: a
-// tombstone record marks every earlier summary of a procedure dead, and
-// the next reopen compacts the segment — rewrites it without the dead
-// records or the tombstones via tmp+rename, the same atomicity
-// discipline as the index. A crash at any point leaves either the old
-// segment (tombstones intact, still honored on scan) or the compacted
-// one; no intermediate state is visible.
+// OpenDisk reads the file once and replays it into memory; after that the
+// handle only appends, and reads are served from memory. The log grows by
+// whole-record appends and is replaced only by tmp+rename, so a crash
+// leaves a prefix of the records appended plus, at most, part of the last
+// one, which the next open trims: a record that is present implies every
+// record appended before it (DESIGN.md §7.3). Damage anywhere else is a
+// *CorruptError, never a silent drop. An open that met dead records
+// rewrites the log without them, and an exclusive flock on the directory,
+// held until Close, keeps a second handle from appending or rewriting
+// underneath.
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+	"syscall"
 
 	"repro/internal/summary"
 	"repro/internal/wire"
 )
 
 const (
-	segMagic   = "BOLTSEG1"
-	idxMagic   = "BOLTIDX1"
-	segVersion = 1
-	// SegName and IdxName are the file names inside a store directory.
+	logMagic   = "BOLTSEG1"
+	logVersion = 2
+	// SegName is the log's file name inside a store directory.
 	SegName = "summaries.seg"
-	IdxName = "summaries.idx"
 
-	segHeaderSize = len(segMagic) + 1 + len(Fingerprint{})
-	maxRecordLen  = 1 << 24
+	headerSize   = len(logMagic) + 1 + len(Fingerprint{})
+	maxRecordLen = 1 << 24
+	tagManifest  = 0x4d // 'M'
+)
+
+// legacyNames are the files format version 1 kept beside the segment; a
+// freshly created log removes them.
+var legacyNames = []string{"summaries.idx", "prov.seg", "manifest.seg"}
+
+var (
+	errClosed = errors.New("store: use of closed store")
+	errTorn   = errors.New("record runs past the end of the log")
 )
 
 // Disk is the disk-backed Store. All methods are safe for concurrent
 // use.
 type Disk struct {
 	mu     sync.Mutex
-	dir    string
+	path   string
 	fp     Fingerprint
-	f      *os.File
-	size   int64 // current segment length (all complete records)
-	count  int
-	keys   map[string]string  // canonical payload -> procedure
-	byProc map[string][]int64 // record offsets per procedure
-	dirty  bool               // index out of date on disk
+	lock   *os.File            // the flocked store directory
+	f      *os.File            // the log, opened for append
+	keys   map[string]struct{} // live summary payloads: the dedup set
+	byProc map[string][]string // live summary payloads per procedure, in append order
+	prov   []string            // provenance payloads, oldest first
+	man    string              // live manifest payload, "" when none was written
+	werr   error               // first failed append: the tail may be torn, so no further append may follow it
 	closed bool
-	// needCompact is set when the scan saw tombstones: the segment holds
-	// dead records and gets rewritten before the store is handed out.
-	needCompact bool
 }
 
 // OpenDisk opens (or creates) the summary store in dir for the given
-// fingerprint. A store written under a different fingerprint is
-// rejected with *MismatchError unless reset is true, in which case it
-// is explicitly discarded and recreated empty — stale contents are
-// never silently reused either way.
-func OpenDisk(dir string, fp Fingerprint, reset bool) (*Disk, error) {
+// fingerprint. A store written under a different fingerprint or format
+// version is rejected with *MismatchError unless reset is true, in which
+// case it is discarded and recreated empty — stale contents are never
+// silently reused either way. A directory another handle holds open
+// fails with *BusyError.
+func OpenDisk(dir string, fp Fingerprint, reset bool) (_ *Disk, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	d := &Disk{
-		dir:    dir,
-		fp:     fp,
-		keys:   map[string]string{},
-		byProc: map[string][]int64{},
+	// The exclusive flock belongs to this descriptor: closing it releases
+	// the lock, and so does the death of the process.
+	lock, err := os.Open(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	segPath := filepath.Join(dir, SegName)
-	data, err := os.ReadFile(segPath)
+	defer func() {
+		if err != nil {
+			lock.Close()
+		}
+	}()
+	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); errors.Is(err, syscall.EWOULDBLOCK) {
+		return nil, &BusyError{Dir: dir}
+	} else if err != nil {
+		return nil, fmt.Errorf("store: locking %s: %w", dir, err)
+	}
+	d := &Disk{
+		path:   filepath.Join(dir, SegName),
+		fp:     fp,
+		lock:   lock,
+		keys:   map[string]struct{}{},
+		byProc: map[string][]string{},
+	}
+	data, err := os.ReadFile(d.path)
+	fresh, stale := false, false
 	switch {
 	case errors.Is(err, os.ErrNotExist):
-		if err := d.createSegment(segPath); err != nil {
-			return nil, err
-		}
+		fresh = true
 	case err != nil:
 		return nil, fmt.Errorf("store: %w", err)
 	default:
-		got, err := parseSegHeader(segPath, data)
-		if err != nil {
-			return nil, err
+		if len(data) < headerSize || string(data[:len(logMagic)]) != logMagic {
+			return nil, &CorruptError{Path: d.path, Err: errors.New("not a summary store log")}
 		}
-		if got != fp {
+		version := data[len(logMagic)]
+		var got Fingerprint
+		copy(got[:], data[len(logMagic)+1:headerSize])
+		if version != logVersion || got != fp {
 			if !reset {
-				return nil, &MismatchError{Path: segPath, Want: fp, Got: got}
+				return nil, &MismatchError{Path: d.path, Want: fp, Got: got, GotVersion: version}
 			}
-			if err := d.createSegment(segPath); err != nil {
-				return nil, err
-			}
-			break
-		}
-		if err := d.scanSegment(segPath, data); err != nil {
+			fresh = true
+		} else if stale, err = d.replay(data); err != nil {
 			return nil, err
 		}
-		if d.needCompact {
-			if err := d.compactSegment(segPath, data); err != nil {
-				return nil, err
-			}
+	}
+	if fresh {
+		for _, name := range legacyNames {
+			_ = os.Remove(filepath.Join(dir, name))
 		}
 	}
-	if d.f == nil {
-		f, err := os.OpenFile(segPath, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
+	if fresh || stale {
+		if err := d.rewrite(); err != nil {
+			return nil, err
 		}
-		d.f = f
 	}
-	d.checkIndex()
+	if d.f, err = os.OpenFile(d.path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
 	return d, nil
 }
 
-// Fingerprint returns the fingerprint the store was opened with.
-func (d *Disk) Fingerprint() Fingerprint { return d.fp }
-
-// Count returns the number of stored summaries.
-func (d *Disk) Count() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.count
-}
-
-func (d *Disk) createSegment(segPath string) error {
-	f, err := os.Create(segPath)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	hdr := make([]byte, 0, segHeaderSize)
-	hdr = append(hdr, segMagic...)
-	hdr = append(hdr, segVersion)
-	hdr = append(hdr, d.fp[:]...)
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	d.f = f
-	d.size = int64(segHeaderSize)
-	d.dirty = true
-	// Drop any index, provenance, or manifest sidecar left over from a
-	// discarded store (they refer to summaries that no longer exist).
-	_ = os.Remove(filepath.Join(d.dir, IdxName))
-	_ = os.Remove(filepath.Join(d.dir, ProvName))
-	_ = os.Remove(filepath.Join(d.dir, ManName))
-	return nil
-}
-
-func parseSegHeader(path string, data []byte) (Fingerprint, error) {
-	var fp Fingerprint
-	if len(data) < segHeaderSize || string(data[:len(segMagic)]) != segMagic {
-		return fp, fmt.Errorf("store: %s is not a summary store segment", path)
-	}
-	if v := data[len(segMagic)]; v != segVersion {
-		return fp, fmt.Errorf("store: %s has segment version %d, this build reads version %d", path, v, segVersion)
-	}
-	copy(fp[:], data[len(segMagic)+1:segHeaderSize])
-	return fp, nil
-}
-
-// scanSegment walks every record, building the dedup set and the
-// per-procedure offset index. A truncated final record (a crashed
-// append) is trimmed off; a corrupt record in the middle of the file is
-// an error — the store's contents can no longer be trusted. A tombstone
-// drops every summary of its procedure appended before it (later
-// re-Puts of the same procedure are live again) and flags the segment
-// for compaction.
-func (d *Disk) scanSegment(segPath string, data []byte) error {
-	pos := int64(segHeaderSize)
-	for pos < int64(len(data)) {
+// replay applies every record of data, in order, to the in-memory state
+// and reports whether the file holds anything a rewrite would drop: a
+// dead or duplicate summary, a tombstone, a superseded manifest, a torn
+// tail.
+func (d *Disk) replay(data []byte) (stale bool, err error) {
+	for pos := headerSize; pos < len(data); {
 		payload, next, err := parseRecord(data, pos)
-		if err != nil {
-			var tr *truncatedError
-			if errors.As(err, &tr) {
-				// Crash-truncated tail: trim to the last full record.
-				if terr := os.Truncate(segPath, pos); terr != nil {
-					return fmt.Errorf("store: trimming truncated record at offset %d: %w", pos, terr)
-				}
-				break
-			}
-			return fmt.Errorf("store: %s: %w", segPath, err)
-		}
-		if wire.IsTombstone(payload) {
-			proc, _, err := wire.DecodeTombstone(payload)
-			if err != nil {
-				return fmt.Errorf("store: %s: record at offset %d: %w", segPath, pos, err)
-			}
-			d.count -= len(d.byProc[proc])
-			delete(d.byProc, proc)
-			for key, p := range d.keys {
-				if p == proc {
-					delete(d.keys, key)
+		if err == errTorn {
+			// A torn tail is the residue of the last append, so nothing
+			// complete can follow it. When something does, the length at
+			// pos was damaged in place, and trimming would drop every
+			// record behind it.
+			for p := pos + 1; p < len(data); p++ {
+				if _, _, err := parseRecord(data, p); err == nil {
+					return false, d.corrupt(pos, fmt.Errorf("%w, yet a complete record follows at offset %d", errTorn, p))
 				}
 			}
-			d.needCompact = true
-			pos = next
-			continue
+			return true, nil
 		}
-		s, _, err := wire.DecodeSummary(payload)
+		if err == nil {
+			var dropped bool
+			dropped, err = d.apply(payload)
+			stale = stale || dropped
+		}
 		if err != nil {
-			return fmt.Errorf("store: %s: record at offset %d: %w", segPath, pos, err)
-		}
-		if _, dup := d.keys[string(payload)]; !dup {
-			d.keys[string(payload)] = s.Proc
-			d.byProc[s.Proc] = append(d.byProc[s.Proc], pos)
-			d.count++
+			return false, d.corrupt(pos, err)
 		}
 		pos = next
 	}
-	d.size = pos
-	return nil
+	return stale, nil
 }
 
-// compactSegment rewrites the segment without dead records or
-// tombstones. The new segment is assembled in memory from the live
-// offsets the scan produced and swapped in with tmp+rename; the
-// in-memory index is rebuilt against the new offsets, and the sidecar
-// index (now stale by size) is rewritten on the next flush.
-func (d *Disk) compactSegment(segPath string, data []byte) error {
-	live := make([]int64, 0, d.count)
-	for _, offs := range d.byProc {
-		live = append(live, offs...)
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
-	buf := make([]byte, 0, segHeaderSize)
-	buf = append(buf, segMagic...)
-	buf = append(buf, segVersion)
-	buf = append(buf, d.fp[:]...)
-	byProc := map[string][]int64{}
-	keys := map[string]string{}
-	for _, off := range live {
-		payload, next, err := parseRecord(data, off)
-		if err != nil {
-			return fmt.Errorf("store: compacting: %w", err)
-		}
+func (d *Disk) corrupt(pos int, err error) error {
+	return &CorruptError{Path: d.path, Err: fmt.Errorf("record at offset %d: %w", pos, err)}
+}
+
+// apply replays one record and reports whether it made an earlier
+// record (or itself) dead weight. Provenance stays undecoded: it is the
+// bulk of a long-lived log and only an incremental re-check reads it.
+func (d *Disk) apply(payload []byte) (dropped bool, err error) {
+	switch payload[0] {
+	case wire.TagSummary:
 		s, _, err := wire.DecodeSummary(payload)
 		if err != nil {
-			return fmt.Errorf("store: compacting record at offset %d: %w", off, err)
+			return false, err
 		}
-		byProc[s.Proc] = append(byProc[s.Proc], int64(len(buf)))
-		keys[string(payload)] = s.Proc
-		buf = append(buf, data[off:next]...)
-	}
-	tmp := segPath + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("store: compacting: %w", err)
-	}
-	if err := os.Rename(tmp, segPath); err != nil {
-		return fmt.Errorf("store: compacting: %w", err)
-	}
-	d.byProc = byProc
-	d.keys = keys
-	d.size = int64(len(buf))
-	d.needCompact = false
-	d.dirty = true
-	return nil
-}
-
-// DeleteProcs discards every summary of the given procedures (all
-// stored procedures when procs is nil or empty) by appending one
-// tombstone record per affected procedure. The segment is compacted on
-// the next reopen; until then reads honor the tombstones through the
-// in-memory index updated here. Returns summaries removed per
-// procedure.
-func (d *Disk) DeleteProcs(procs []string) (map[string]int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil, fmt.Errorf("store: delete on closed store")
-	}
-	if len(procs) == 0 {
-		procs = make([]string, 0, len(d.byProc))
-		for p := range d.byProc {
-			procs = append(procs, p)
-		}
-	}
-	sort.Strings(procs)
-	removed := map[string]int{}
-	for _, proc := range procs {
-		n := len(d.byProc[proc])
-		if n == 0 {
-			continue
-		}
-		payload, err := wire.AppendTombstone(nil, proc)
+		return !d.addSummary(string(payload), s.Proc), nil
+	case wire.TagTomb:
+		proc, _, err := wire.DecodeTombstone(payload)
 		if err != nil {
-			return removed, fmt.Errorf("store: %w", err)
+			return false, err
 		}
-		rec := binary.AppendUvarint(nil, uint64(len(payload)))
-		rec = append(rec, payload...)
-		rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
-		if _, err := d.f.Write(rec); err != nil {
-			return removed, fmt.Errorf("store: %w", err)
+		d.dropProc(proc)
+		return true, nil
+	case wire.TagProv:
+		d.prov = append(d.prov, string(payload))
+		return false, nil
+	default: // tagManifest: parseRecord admits no other kind
+		if _, err := decodeManifest(payload); err != nil {
+			return false, err
 		}
-		removed[proc] = n
-		d.count -= n
-		delete(d.byProc, proc)
-		for key, p := range d.keys {
-			if p == proc {
-				delete(d.keys, key)
-			}
-		}
-		d.size += int64(len(rec))
-		d.dirty = true
+		dropped = d.man != ""
+		d.man = string(payload)
+		return dropped, nil
 	}
-	return removed, nil
 }
 
-type truncatedError struct{ off int64 }
-
-func (e *truncatedError) Error() string {
-	return fmt.Sprintf("truncated record at offset %d", e.off)
+// addSummary records a live summary and reports whether it was new.
+func (d *Disk) addSummary(key, proc string) bool {
+	if _, dup := d.keys[key]; dup {
+		return false
+	}
+	d.keys[key] = struct{}{}
+	d.byProc[proc] = append(d.byProc[proc], key)
+	return true
 }
 
-// parseRecord reads the record at pos: uvarint payload length, payload,
-// crc32(payload). It returns the payload and the offset of the next
-// record.
-func parseRecord(data []byte, pos int64) (payload []byte, next int64, err error) {
+// dropProc forgets proc's live summaries and returns how many there were.
+func (d *Disk) dropProc(proc string) int {
+	keys := d.byProc[proc]
+	for _, key := range keys {
+		delete(d.keys, key)
+	}
+	delete(d.byProc, proc)
+	return len(keys)
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// parseRecord reads the record at pos and returns its payload and the
+// offset of the next record. errTorn means the record is cut off by the
+// end of data; any other error means the bytes are there and wrong.
+func parseRecord(data []byte, pos int) (payload []byte, next int, err error) {
 	plen, n := binary.Uvarint(data[pos:])
-	if n <= 0 {
-		return nil, 0, &truncatedError{pos}
+	if n == 0 {
+		return nil, 0, errTorn
 	}
-	if plen > maxRecordLen {
-		return nil, 0, fmt.Errorf("record at offset %d: length %d exceeds %d", pos, plen, maxRecordLen)
+	if n < 0 || plen == 0 || plen > maxRecordLen {
+		return nil, 0, errors.New("bad record length")
 	}
-	body := pos + int64(n)
-	end := body + int64(plen) + 4
-	if end > int64(len(data)) {
-		return nil, 0, &truncatedError{pos}
+	body := pos + n
+	end := body + int(plen) + 4
+	if end > len(data) {
+		return nil, 0, errTorn
 	}
-	payload = data[body : body+int64(plen)]
-	want := binary.LittleEndian.Uint32(data[body+int64(plen) : end])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, 0, fmt.Errorf("record at offset %d: checksum mismatch (corrupt store)", pos)
+	payload = data[body : end-4]
+	switch payload[0] {
+	case wire.TagSummary, wire.TagTomb, wire.TagProv, tagManifest:
+	default:
+		return nil, 0, fmt.Errorf("unknown record kind %#x", payload[0])
+	}
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[end-4:]) {
+		return nil, 0, errors.New("checksum mismatch")
 	}
 	return payload, end, nil
 }
 
-// Load returns every stored summary by scanning the segment.
-func (d *Disk) Load() ([]summary.Summary, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil, fmt.Errorf("store: load on closed store")
-	}
-	procs := make([]string, 0, len(d.byProc))
-	for p := range d.byProc {
-		procs = append(procs, p)
-	}
-	sort.Strings(procs)
-	var out []summary.Summary
-	for _, p := range procs {
-		sums, err := d.readOffsets(d.byProc[p])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sums...)
-	}
-	return out, nil
+// appendRecord frames payload onto dst.
+func appendRecord(dst, payload []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 }
 
-// LoadProc returns only proc's summaries, reading just that
-// procedure's records via the offset index — the selective-load path a
-// sharded multi-process deployment uses to hydrate one node.
-func (d *Disk) LoadProc(proc string) ([]summary.Summary, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil, fmt.Errorf("store: load on closed store")
+// rewrite replaces the log with exactly the in-memory state — live
+// summaries, every provenance record, the live manifest — via tmp+rename,
+// so a crash leaves the old file or the new one.
+func (d *Disk) rewrite() error {
+	buf := make([]byte, 0, headerSize)
+	buf = append(buf, logMagic...)
+	buf = append(buf, logVersion)
+	buf = append(buf, d.fp[:]...)
+	for _, proc := range sortedKeys(d.byProc) {
+		for _, key := range d.byProc[proc] {
+			buf = appendRecord(buf, []byte(key))
+		}
 	}
-	return d.readOffsets(d.byProc[proc])
+	for _, p := range d.prov {
+		buf = appendRecord(buf, []byte(p))
+	}
+	if d.man != "" {
+		buf = appendRecord(buf, []byte(d.man))
+	}
+	tmp := d.path + ".tmp"
+	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if err := os.Rename(tmp, d.path); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
 }
 
-func (d *Disk) readOffsets(offsets []int64) ([]summary.Summary, error) {
-	if len(offsets) == 0 {
-		return nil, nil
-	}
-	data, err := os.ReadFile(filepath.Join(d.dir, SegName))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	out := make([]summary.Summary, 0, len(offsets))
-	for _, off := range offsets {
-		payload, _, err := parseRecord(data, off)
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
+// append frames payload and appends it to the log. A failed write may
+// leave part of a record, and a record appended behind that would turn a
+// trimmable tail into mid-file corruption: the first failure sticks.
+func (d *Disk) append(payload []byte) error {
+	if d.werr == nil {
+		rec := appendRecord(make([]byte, 0, len(payload)+binary.MaxVarintLen32+4), payload)
+		if _, err := d.f.Write(rec); err != nil {
+			d.werr = fmt.Errorf("store: %w", err)
 		}
-		s, _, err := wire.DecodeSummary(payload)
-		if err != nil {
-			return nil, fmt.Errorf("store: record at offset %d: %w", off, err)
-		}
-		out = append(out, s)
 	}
-	return out, nil
+	return d.werr
 }
 
 // Put appends one summary record, deduplicated by canonical wire key.
@@ -416,181 +328,220 @@ func (d *Disk) Put(s summary.Summary) (bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return false, fmt.Errorf("store: put on closed store")
+		return false, errClosed
 	}
 	if _, dup := d.keys[string(payload)]; dup {
 		return false, nil
 	}
-	rec := binary.AppendUvarint(nil, uint64(len(payload)))
-	rec = append(rec, payload...)
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
-	if _, err := d.f.Write(rec); err != nil {
-		return false, fmt.Errorf("store: %w", err)
+	if err := d.append(payload); err != nil {
+		return false, err
 	}
-	d.keys[string(payload)] = s.Proc
-	d.byProc[s.Proc] = append(d.byProc[s.Proc], d.size)
-	d.size += int64(len(rec))
-	d.count++
-	d.dirty = true
+	d.addSummary(string(payload), s.Proc)
 	return true, nil
 }
 
-// Flush fsyncs the segment and rewrites the index.
-func (d *Disk) Flush() error {
+// Load returns every live summary, by procedure and then in the order
+// they were put.
+func (d *Disk) Load() ([]summary.Summary, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.flushLocked()
+	if d.closed {
+		return nil, errClosed
+	}
+	out := make([]summary.Summary, 0, len(d.keys))
+	for _, proc := range sortedKeys(d.byProc) {
+		for _, key := range d.byProc[proc] {
+			s, _, err := wire.DecodeSummary([]byte(key))
+			if err != nil {
+				return nil, fmt.Errorf("store: %w", err)
+			}
+			out = append(out, s)
+		}
+	}
+	return out, nil
 }
 
-func (d *Disk) flushLocked() error {
+// Count returns the number of live summaries.
+func (d *Disk) Count() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.keys)
+}
+
+// DeleteProcs discards every summary of the given procedures (of all
+// when procs is empty) by appending one tombstone per affected procedure;
+// the next open rewrites the log without the dead records.
+func (d *Disk) DeleteProcs(procs []string) (map[string]int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		return nil
+		return nil, errClosed
 	}
-	if err := d.f.Sync(); err != nil {
+	if len(procs) == 0 {
+		procs = sortedKeys(d.byProc)
+	} else {
+		procs = append([]string(nil), procs...)
+		sort.Strings(procs)
+	}
+	removed := map[string]int{}
+	for _, proc := range procs {
+		if len(d.byProc[proc]) == 0 {
+			continue
+		}
+		payload, err := wire.AppendTombstone(nil, proc)
+		if err != nil {
+			return removed, fmt.Errorf("store: %w", err)
+		}
+		if err := d.append(payload); err != nil {
+			return removed, err
+		}
+		removed[proc] = d.dropProc(proc)
+	}
+	return removed, nil
+}
+
+// PutProv appends one provenance record and syncs it. The wire encoder
+// is the durability guard, exactly as for summaries.
+func (d *Disk) PutProv(rec wire.ProvRecord) error {
+	payload, err := wire.AppendProv(nil, rec)
+	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if !d.dirty {
-		return nil
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return errClosed
 	}
-	if err := d.writeIndex(); err != nil {
+	if err := d.append(payload); err != nil {
 		return err
 	}
-	d.dirty = false
+	d.prov = append(d.prov, string(payload))
+	return d.sync()
+}
+
+// LoadProv returns every persisted provenance record, oldest first.
+func (d *Disk) LoadProv() ([]wire.ProvRecord, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return nil, errClosed
+	}
+	out := make([]wire.ProvRecord, 0, len(d.prov))
+	for i, p := range d.prov {
+		rec, _, err := wire.DecodeProv([]byte(p))
+		if err != nil {
+			return nil, &CorruptError{Path: d.path, Err: fmt.Errorf("provenance record %d: %w", i, err)}
+		}
+		out = append(out, rec)
+	}
+	return out, nil
+}
+
+// PutManifest appends m as the live manifest. A manifest equal to the
+// live one appends nothing, so a re-check of an unchanged program leaves
+// the log as it found it.
+func (d *Disk) PutManifest(m map[string]Fingerprint) error {
+	payload := appendManifest(nil, m)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return errClosed
+	}
+	if string(payload) == d.man {
+		return nil
+	}
+	if err := d.append(payload); err != nil {
+		return err
+	}
+	d.man = string(payload)
 	return nil
 }
 
-// Close flushes and releases the store.
+// LoadManifest returns the live manifest, or nil when none was ever
+// written.
+func (d *Disk) LoadManifest() (map[string]Fingerprint, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return nil, errClosed
+	}
+	if d.man == "" {
+		return nil, nil
+	}
+	return decodeManifest([]byte(d.man))
+}
+
+// appendManifest encodes m: tag, uvarint count, then per procedure (in
+// name order, so equal manifests encode equally) its length-prefixed
+// name and content fingerprint.
+func appendManifest(dst []byte, m map[string]Fingerprint) []byte {
+	dst = append(dst, tagManifest)
+	dst = binary.AppendUvarint(dst, uint64(len(m)))
+	for _, p := range sortedKeys(m) {
+		dst = binary.AppendUvarint(dst, uint64(len(p)))
+		dst = append(dst, p...)
+		fp := m[p]
+		dst = append(dst, fp[:]...)
+	}
+	return dst
+}
+
+// decodeManifest decodes a payload that starts with tagManifest.
+func decodeManifest(buf []byte) (map[string]Fingerprint, error) {
+	bad := errors.New("malformed manifest record")
+	buf = buf[1:]
+	n, w := binary.Uvarint(buf)
+	if w <= 0 || n > uint64(len(buf)) {
+		return nil, bad
+	}
+	buf = buf[w:]
+	out := make(map[string]Fingerprint, n)
+	for ; n > 0; n-- {
+		l, w := binary.Uvarint(buf)
+		if w <= 0 || l > uint64(len(buf)-w) || len(buf)-w-int(l) < len(Fingerprint{}) {
+			return nil, bad
+		}
+		name := string(buf[w : w+int(l)])
+		buf = buf[w+int(l):]
+		var fp Fingerprint
+		buf = buf[copy(fp[:], buf):]
+		out[name] = fp
+	}
+	if len(buf) != 0 {
+		return nil, bad
+	}
+	return out, nil
+}
+
+// Flush fsyncs the log: every record appended so far is durable.
+func (d *Disk) Flush() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return nil
+	}
+	return d.sync()
+}
+
+func (d *Disk) sync() error {
+	if err := d.f.Sync(); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
+}
+
+// Close flushes the log and releases it and the directory lock.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil
 	}
-	err := d.flushLocked()
 	d.closed = true
-	if cerr := d.f.Close(); err == nil {
-		err = cerr
+	err := d.sync()
+	if cerr := d.f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("store: %w", cerr)
 	}
+	d.lock.Close()
 	return err
-}
-
-// writeIndex renders the per-procedure offset index:
-// magic, fingerprint, segment size, record count, then per procedure
-// its name and sorted record offsets. The (fingerprint, segment size)
-// pair is the validity stamp: an index that does not match the segment
-// byte-for-byte in both is stale and gets rebuilt from the segment.
-func (d *Disk) writeIndex() error {
-	buf := make([]byte, 0, 256)
-	buf = append(buf, idxMagic...)
-	buf = append(buf, d.fp[:]...)
-	buf = binary.AppendUvarint(buf, uint64(d.size))
-	buf = binary.AppendUvarint(buf, uint64(d.count))
-	procs := make([]string, 0, len(d.byProc))
-	for p := range d.byProc {
-		procs = append(procs, p)
-	}
-	sort.Strings(procs)
-	buf = binary.AppendUvarint(buf, uint64(len(procs)))
-	for _, p := range procs {
-		buf = binary.AppendUvarint(buf, uint64(len(p)))
-		buf = append(buf, p...)
-		offs := d.byProc[p]
-		buf = binary.AppendUvarint(buf, uint64(len(offs)))
-		for _, off := range offs {
-			buf = binary.AppendUvarint(buf, uint64(off))
-		}
-	}
-	tmp := filepath.Join(d.dir, IdxName+".tmp")
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(d.dir, IdxName)); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
-// checkIndex compares the on-disk index against the scan-derived truth
-// and schedules a rewrite when the index is missing, stale, or does not
-// match the segment. The segment is always authoritative.
-func (d *Disk) checkIndex() {
-	idx, err := readIndex(filepath.Join(d.dir, IdxName))
-	if err != nil || idx.fp != d.fp || idx.segSize != d.size || idx.count != d.count {
-		d.dirty = true
-		return
-	}
-	for p, offs := range d.byProc {
-		got := idx.byProc[p]
-		if len(got) != len(offs) {
-			d.dirty = true
-			return
-		}
-		for i := range offs {
-			if got[i] != offs[i] {
-				d.dirty = true
-				return
-			}
-		}
-	}
-}
-
-type diskIndex struct {
-	fp      Fingerprint
-	segSize int64
-	count   int
-	byProc  map[string][]int64
-}
-
-func readIndex(path string) (*diskIndex, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	r := bytes.NewReader(data)
-	magic := make([]byte, len(idxMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != idxMagic {
-		return nil, fmt.Errorf("store: %s is not a summary store index", path)
-	}
-	idx := &diskIndex{byProc: map[string][]int64{}}
-	if _, err := io.ReadFull(r, idx.fp[:]); err != nil {
-		return nil, fmt.Errorf("store: %s: truncated index", path)
-	}
-	segSize, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("store: %s: truncated index", path)
-	}
-	idx.segSize = int64(segSize)
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("store: %s: truncated index", path)
-	}
-	idx.count = int(count)
-	nprocs, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("store: %s: truncated index", path)
-	}
-	for i := uint64(0); i < nprocs; i++ {
-		nameLen, err := binary.ReadUvarint(r)
-		if err != nil || nameLen > maxRecordLen {
-			return nil, fmt.Errorf("store: %s: corrupt index", path)
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, name); err != nil {
-			return nil, fmt.Errorf("store: %s: truncated index", path)
-		}
-		noffs, err := binary.ReadUvarint(r)
-		if err != nil || noffs > maxRecordLen {
-			return nil, fmt.Errorf("store: %s: corrupt index", path)
-		}
-		offs := make([]int64, noffs)
-		for j := range offs {
-			off, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, fmt.Errorf("store: %s: truncated index", path)
-			}
-			offs[j] = int64(off)
-		}
-		idx.byProc[string(name)] = offs
-	}
-	return idx, nil
 }

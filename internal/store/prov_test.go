@@ -1,7 +1,6 @@
 package store_test
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,7 +26,7 @@ func TestDiskProvSidecarRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Missing sidecar reads as empty, not as an error.
+	// No provenance reads as empty, not as an error.
 	if recs, err := d.LoadProv(); err != nil || len(recs) != 0 {
 		t.Fatalf("fresh store LoadProv = %v, %v", recs, err)
 	}
@@ -59,47 +58,6 @@ func TestDiskProvSidecarRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDiskProvRejectsForeignFingerprint(t *testing.T) {
-	dir := t.TempDir()
-	d, err := store.OpenDisk(dir, store.NewFingerprint("test", "prog-a"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.PutProv(provRec("main", "barrier", 1)); err != nil {
-		t.Fatal(err)
-	}
-	d.Close()
-
-	// The summary segment mismatch is caught at open; force a prov-only
-	// mismatch by opening with reset (which rewrites the segment and
-	// removes the sidecar) — then plant a sidecar from another program.
-	other := t.TempDir()
-	od, err := store.OpenDisk(other, store.NewFingerprint("test", "prog-b"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := od.PutProv(provRec("main", "barrier", 1)); err != nil {
-		t.Fatal(err)
-	}
-	od.Close()
-	d2, err := store.OpenDisk(dir, store.NewFingerprint("test", "prog-a"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	foreign, err := os.ReadFile(filepath.Join(other, store.ProvName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, store.ProvName), foreign, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var mm *store.MismatchError
-	if _, err := d2.LoadProv(); !errors.As(err, &mm) {
-		t.Fatalf("foreign sidecar: got %v, want MismatchError", err)
-	}
-}
-
 func TestDiskProvTrimsTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
 	fp := store.NewFingerprint("test", "prog-a")
@@ -110,13 +68,17 @@ func TestDiskProvTrimsTruncatedTail(t *testing.T) {
 	if err := d.PutProv(provRec("main", "barrier", 1)); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := d.Put(sum("main", 7)); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.PutProv(provRec("main", "async", 1)); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
 
-	// Chop bytes off the final record as a crash would.
-	path := filepath.Join(dir, store.ProvName)
+	// Chop bytes off the final record — a provenance record — as a crash
+	// would.
+	path := filepath.Join(dir, store.SegName)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -136,9 +98,12 @@ func TestDiskProvTrimsTruncatedTail(t *testing.T) {
 	if len(recs) != 1 || recs[0].Engine != "barrier" {
 		t.Fatalf("truncated tail: got %+v, want the intact first record", recs)
 	}
+	if d2.Count() != 1 {
+		t.Fatalf("the summary ahead of the torn record was lost: Count = %d", d2.Count())
+	}
 }
 
-func TestResetRemovesProvSidecar(t *testing.T) {
+func TestResetDiscardsProvenance(t *testing.T) {
 	dir := t.TempDir()
 	fp := store.NewFingerprint("test", "prog-a")
 	d, err := store.OpenDisk(dir, fp, false)
@@ -157,9 +122,6 @@ func TestResetRemovesProvSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if _, err := os.Stat(filepath.Join(dir, store.ProvName)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("reset must remove the sidecar, stat err = %v", err)
-	}
 	if recs, err := d2.LoadProv(); err != nil || len(recs) != 0 {
 		t.Fatalf("after reset LoadProv = %v, %v", recs, err)
 	}

@@ -1,7 +1,7 @@
 // Package store implements the persistent summary store behind the
-// engines' warm-start path: a SummaryStore interface with the existing
-// 32-way striped in-memory SUMDB as one backend (Mem) and an
-// append-only, fingerprinted disk segment as another (Disk).
+// engines' warm-start and incremental re-check paths: one Store
+// interface with two backends, the 32-way striped in-memory SUMDB (Mem)
+// and an append-only, fingerprinted record log on disk (Disk).
 //
 // Everything a store holds went through internal/wire, so its contents
 // are canonical cross-process bytes — never the process-local
@@ -16,14 +16,17 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/summary"
 	"repro/internal/wire"
 )
 
-// Store is a persistent (or shareable) summary collection. All methods
-// are safe for concurrent use.
+// Store is a persistent (or shareable) collection of summaries, the
+// provenance of the verdicts computed over them, and the manifest of
+// the program they were computed from. All methods are safe for
+// concurrent use.
 type Store interface {
 	// Load returns every stored summary. The engines feed the result
 	// into a fresh SUMDB before the first MAP stage (warm start).
@@ -31,50 +34,30 @@ type Store interface {
 	// Put persists one summary, deduplicated by canonical wire key;
 	// added reports whether the summary was new to the store.
 	Put(s summary.Summary) (added bool, err error)
-	// Flush makes every Put durable (fsync + index rewrite for the
-	// disk backend; a no-op for the in-memory backend).
-	Flush() error
-	// Close flushes and releases the store.
-	Close() error
-}
-
-// ProvStore is the optional provenance capability: stores that persist
-// verdict read sets beside the summaries implement it (both backends in
-// this package do). Callers type-assert, so a minimal external Store
-// implementation keeps working without provenance.
-type ProvStore interface {
+	// DeleteProcs discards every summary of the given procedures; nil or
+	// empty means all of them (a re-check with no manifest to diff
+	// against). It returns the number removed per procedure, which the
+	// distributed engine routes to the owning nodes.
+	DeleteProcs(procs []string) (map[string]int, error)
+	// Count returns the number of stored summaries.
+	Count() int
 	// PutProv persists one verdict's provenance record.
 	PutProv(rec wire.ProvRecord) error
 	// LoadProv returns every stored provenance record, oldest first.
 	LoadProv() ([]wire.ProvRecord, error)
-}
-
-// Deleter is the optional invalidation capability incremental
-// re-analysis needs: discard every summary belonging to the given
-// procedures. A nil or empty slice means "delete everything" — the
-// full-invalidation path a re-check takes when it has no manifest to
-// diff against. Returns the number of summaries removed per procedure
-// (the distributed engine routes these counts to the owning nodes).
-// The disk backend deletes by appending tombstone records and compacts
-// the segment on the next reopen; the in-memory backend deletes
-// eagerly. Both implement it.
-type Deleter interface {
-	DeleteProcs(procs []string) (map[string]int, error)
-}
-
-// ManifestStore is the optional edit-detection capability: a manifest
-// maps every procedure of the analyzed program to its content
-// fingerprint, persisted beside the summaries so the next run can diff
-// the program it sees against the program the summaries were computed
-// from. A missing manifest loads as nil — the caller must then treat
-// every stored summary as potentially stale. Both backends implement
-// it.
-type ManifestStore interface {
-	// PutManifest atomically replaces the stored manifest.
+	// PutManifest replaces the stored manifest: each procedure of the
+	// analyzed program mapped to its content fingerprint, for the next
+	// run to diff the program it sees against.
 	PutManifest(m map[string]Fingerprint) error
 	// LoadManifest returns the stored manifest, or nil when none was
-	// ever written.
+	// ever written — the caller must then treat every stored summary as
+	// potentially stale.
 	LoadManifest() (map[string]Fingerprint, error)
+	// Flush makes everything put so far durable (fsync for the disk
+	// backend; a no-op for the in-memory backend).
+	Flush() error
+	// Close flushes and releases the store.
+	Close() error
 }
 
 // Fingerprint identifies the corpus/driver + analysis + wire version a
@@ -174,9 +157,7 @@ func (m *Mem) DeleteProcs(procs []string) (map[string]int, error) {
 // PutManifest replaces the stored manifest with a copy of m2.
 func (m *Mem) PutManifest(m2 map[string]Fingerprint) error {
 	cp := make(map[string]Fingerprint, len(m2))
-	for k, v := range m2 {
-		cp[k] = v
-	}
+	maps.Copy(cp, m2)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.manifest = cp
@@ -188,14 +169,7 @@ func (m *Mem) PutManifest(m2 map[string]Fingerprint) error {
 func (m *Mem) LoadManifest() (map[string]Fingerprint, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.manifest == nil {
-		return nil, nil
-	}
-	cp := make(map[string]Fingerprint, len(m.manifest))
-	for k, v := range m.manifest {
-		cp[k] = v
-	}
-	return cp, nil
+	return maps.Clone(m.manifest), nil
 }
 
 // PutProv stores one provenance record. The record is validated by a
@@ -231,19 +205,44 @@ func (m *Mem) Count() int {
 	return len(m.keys)
 }
 
-// MismatchError reports a store whose fingerprint does not match the
-// corpus/driver being checked. The store is rejected: warm-starting
-// from summaries of a different program (or a different wire version)
-// would be unsound, so the caller must either point at the right store
-// or explicitly recreate this one.
+// MismatchError reports a store bound to a different corpus/driver
+// fingerprint, or written by another format version. Warm-starting from
+// it would be unsound, so it is rejected: the caller points at the right
+// store or explicitly recreates this one.
 type MismatchError struct {
 	Path string
 	Want Fingerprint
 	Got  Fingerprint
+	// GotVersion is the format version in the log's header.
+	GotVersion byte
 }
 
 func (e *MismatchError) Error() string {
-	return fmt.Sprintf(
-		"store: %s holds summaries for a different corpus/driver (store fingerprint %s, expected %s); refusing to reuse a stale store — point at the matching store or recreate this one explicitly",
-		e.Path, e.Got, e.Want)
+	what := fmt.Sprintf("holds summaries for a different corpus/driver (store fingerprint %s, expected %s)", e.Got, e.Want)
+	if e.GotVersion != logVersion {
+		what = fmt.Sprintf("was written in store format %d, this build reads format %d", e.GotVersion, logVersion)
+	}
+	return fmt.Sprintf("store: %s %s; refusing to reuse a stale store — point at the matching store or recreate this one explicitly (-store-reset)", e.Path, what)
 }
+
+// BusyError reports a store directory another handle — in this process
+// or another — holds open.
+type BusyError struct{ Dir string }
+
+func (e *BusyError) Error() string {
+	return fmt.Sprintf("store: %s is in use by another run (its lock is held)", e.Dir)
+}
+
+// CorruptError reports a log whose bytes are present and wrong: a bad
+// header, a failed checksum, an unknown record kind, a record that does
+// not decode. Nothing is recovered from such a log.
+type CorruptError struct {
+	Path string
+	Err  error
+}
+
+func (e *CorruptError) Error() string {
+	return fmt.Sprintf("store: %s: %v (corrupt store)", e.Path, e.Err)
+}
+
+func (e *CorruptError) Unwrap() error { return e.Err }

@@ -93,16 +93,22 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 	sameSet(t, got, put)
 
-	// Selective load through the index.
-	p0, err := d2.LoadProc("proc0")
+	// Summaries, provenance and manifest share the one file.
+	if err := d2.PutProv(provRec("main", "barrier", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.PutManifest(map[string]store.Fingerprint{"main": fp}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p0) != 2 { // i = 0, 3
-		t.Fatalf("LoadProc(proc0) = %d summaries, want 2", len(p0))
-	}
-	if none, err := d2.LoadProc("absent"); err != nil || len(none) != 0 {
-		t.Fatalf("LoadProc(absent) = %v, %v", none, err)
+	if len(ents) != 1 || ents[0].Name() != store.SegName {
+		t.Fatalf("closed store directory holds %v, want only %s", ents, store.SegName)
 	}
 }
 
@@ -210,53 +216,9 @@ func TestDiskRejectsMidFileCorruption(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.OpenDisk(dir, fp, false); err == nil {
-		t.Fatal("opened a store with a corrupt interior record")
-	}
-}
-
-func TestDiskRebuildsStaleIndex(t *testing.T) {
-	dir := t.TempDir()
-	fp := store.NewFingerprint("test", "prog")
-	d, err := store.OpenDisk(dir, fp, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []summary.Summary{sum("a", 1), sum("b", 2)}
-	for _, s := range want {
-		if _, err := d.Put(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for name, corrupt := range map[string]func(string) error{
-		"missing": os.Remove,
-		"garbage": func(p string) error { return os.WriteFile(p, []byte("not an index"), 0o644) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			if err := corrupt(filepath.Join(dir, store.IdxName)); err != nil {
-				t.Fatal(err)
-			}
-			d2, err := store.OpenDisk(dir, fp, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := d2.Load()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameSet(t, got, want)
-			if err := d2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			// Close rewrote the index; it must exist and be valid again.
-			if _, err := os.Stat(filepath.Join(dir, store.IdxName)); err != nil {
-				t.Fatalf("index not rewritten: %v", err)
-			}
-		})
+	var ce *store.CorruptError
+	if _, err := store.OpenDisk(dir, fp, false); !errors.As(err, &ce) {
+		t.Fatalf("opening a store with a corrupt interior record: %v, want *CorruptError", err)
 	}
 }
 

@@ -16,9 +16,6 @@ import (
 	"repro/internal/summary"
 )
 
-// tagProv marks a provenance record.
-const tagProv = 0x50 // 'P'
-
 // ProvRead is one consumed summary in a provenance record.
 type ProvRead struct {
 	// Summary is the consumed fact (round-trips through the canonical
@@ -62,7 +59,7 @@ func AppendProv(dst []byte, p ProvRecord) ([]byte, error) {
 			return dst, fmt.Errorf("provenance record: %w", err)
 		}
 	}
-	dst = append(dst, tagProv)
+	dst = append(dst, TagProv)
 	dst = appendString(dst, p.Root)
 	dst = appendString(dst, p.Verdict)
 	dst = appendString(dst, p.Engine)
@@ -114,7 +111,7 @@ func AppendProv(dst []byte, p ProvRecord) ([]byte, error) {
 // consumed.
 func DecodeProv(buf []byte) (ProvRecord, int, error) {
 	var p ProvRecord
-	if len(buf) < 1 || buf[0] != tagProv {
+	if len(buf) < 1 || buf[0] != TagProv {
 		return p, 0, fmt.Errorf("wire: not a provenance record")
 	}
 	pos := 1

@@ -80,8 +80,8 @@ func TestTombstoneRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wire.IsTombstone(b) {
-		t.Fatal("tombstone bytes not recognized")
+	if b[0] != wire.TagTomb {
+		t.Fatalf("tombstone starts with tag %#x, want %#x", b[0], wire.TagTomb)
 	}
 	proc, n, err := wire.DecodeTombstone(b)
 	if err != nil || n != len(b) || proc != "deadproc" {
@@ -97,8 +97,8 @@ func TestTombstoneRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wire.IsTombstone(sb) {
-		t.Fatal("summary record misidentified as tombstone")
+	if _, _, err := wire.DecodeTombstone(sb); err == nil {
+		t.Fatal("summary record decoded as a tombstone")
 	}
 }
 

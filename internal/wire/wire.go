@@ -26,11 +26,13 @@ import (
 // segment files may contain tombstone records.
 const Version = 2
 
-// Record tags.
+// Record tags: the first byte of every encoded record. The store's log
+// dispatches on them, so a record's kind is written exactly once.
 const (
-	tagSummary  = 0x53 // 'S'
-	tagQuestion = 0x51 // 'Q'
-	tagTomb     = 0x54 // 'T'
+	TagSummary  = 0x53 // 'S'
+	TagQuestion = 0x51 // 'Q'
+	TagTomb     = 0x54 // 'T'
+	TagProv     = 0x50 // 'P'
 )
 
 const maxStringLen = 1 << 16
@@ -79,7 +81,7 @@ func AppendSummary(dst []byte, s summary.Summary) ([]byte, error) {
 	if s.Pre == nil || s.Post == nil {
 		return dst, fmt.Errorf("wire: summary for proc %q has a nil formula", s.Proc)
 	}
-	dst = append(dst, tagSummary, byte(s.Kind))
+	dst = append(dst, TagSummary, byte(s.Kind))
 	dst = appendString(dst, s.Proc)
 	dst = logic.AppendWire(dst, s.Pre)
 	dst = logic.AppendWire(dst, s.Post)
@@ -89,7 +91,7 @@ func AppendSummary(dst []byte, s summary.Summary) ([]byte, error) {
 // DecodeSummary decodes one summary and returns the bytes consumed.
 func DecodeSummary(buf []byte) (summary.Summary, int, error) {
 	var s summary.Summary
-	if len(buf) < 2 || buf[0] != tagSummary {
+	if len(buf) < 2 || buf[0] != TagSummary {
 		return s, 0, fmt.Errorf("wire: not a summary record")
 	}
 	kind := summary.Kind(buf[1])
@@ -132,7 +134,7 @@ func AppendQuestion(dst []byte, q summary.Question) ([]byte, error) {
 	if err := CheckDurable(q.Proc); err != nil {
 		return dst, fmt.Errorf("question for proc %q: %w", q.Proc, err)
 	}
-	dst = append(dst, tagQuestion)
+	dst = append(dst, TagQuestion)
 	dst = appendString(dst, q.Proc)
 	dst = appendOptFormula(dst, q.Pre)
 	dst = appendOptFormula(dst, q.Post)
@@ -142,7 +144,7 @@ func AppendQuestion(dst []byte, q summary.Question) ([]byte, error) {
 // DecodeQuestion decodes one question and returns the bytes consumed.
 func DecodeQuestion(buf []byte) (summary.Question, int, error) {
 	var q summary.Question
-	if len(buf) < 1 || buf[0] != tagQuestion {
+	if len(buf) < 1 || buf[0] != TagQuestion {
 		return q, 0, fmt.Errorf("wire: not a question record")
 	}
 	pos := 1
@@ -173,7 +175,7 @@ func AppendTombstone(dst []byte, proc string) ([]byte, error) {
 	if err := CheckDurable(proc); err != nil {
 		return dst, fmt.Errorf("tombstone for proc %q: %w", proc, err)
 	}
-	dst = append(dst, tagTomb)
+	dst = append(dst, TagTomb)
 	dst = appendString(dst, proc)
 	return dst, nil
 }
@@ -181,7 +183,7 @@ func AppendTombstone(dst []byte, proc string) ([]byte, error) {
 // DecodeTombstone decodes one tombstone record and returns the
 // procedure it deletes plus the bytes consumed.
 func DecodeTombstone(buf []byte) (string, int, error) {
-	if len(buf) < 1 || buf[0] != tagTomb {
+	if len(buf) < 1 || buf[0] != TagTomb {
 		return "", 0, fmt.Errorf("wire: not a tombstone record")
 	}
 	proc, n, err := decodeString(buf[1:])
@@ -189,11 +191,6 @@ func DecodeTombstone(buf []byte) (string, int, error) {
 		return "", 0, err
 	}
 	return proc, 1 + n, nil
-}
-
-// IsTombstone reports whether buf starts with a tombstone record.
-func IsTombstone(buf []byte) bool {
-	return len(buf) > 0 && buf[0] == tagTomb
 }
 
 // QuestionKey is the canonical cross-process identity of a question —
