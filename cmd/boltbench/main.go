@@ -34,14 +34,6 @@ func main() {
 		async     = flag.Bool("async", false, "run every check with the streaming work-stealing engine")
 		coalesce  = flag.Bool("coalesce", true, "coalesce spawns onto identical in-flight queries (ablation: -coalesce=false)")
 		entCache  = flag.Bool("entailcache", true, "cache solver entailment checks across queries (ablation: -entailcache=false)")
-		snapshot  = flag.String("snapshot", "", "write a streaming-engine perf snapshot (makespan, speedup, metrics) to this JSON file, e.g. BENCH_streaming.json")
-		snapTh    = flag.Int("snapshot-threads", 32, "streaming pool size for -snapshot")
-		compare   = flag.String("compare", "", "collect a fresh streaming snapshot and diff it against this committed baseline; exit 1 on regression (the bench gate)")
-		warm      = flag.Bool("warm", false, "run the warm-start experiment: each check cold into a persistent summary store, then warm from it")
-		warmDir   = flag.String("warm-store", "", "store directory for -warm (default: a fresh temp dir, removed afterwards)")
-		warmTh    = flag.Int("warm-threads", 8, "thread count for -warm runs")
-		incrB     = flag.Bool("incr", false, "run the incremental re-analysis experiment: per check, mutate every procedure once and re-check incrementally vs from scratch")
-		incrTh    = flag.Int("incr-threads", 8, "thread count for -incr runs")
 		pprofA    = flag.String("pprof", "", "serve /debug/pprof, /metrics and /debug/bolt/{state,flight,health} on this address for the bench's duration")
 	)
 	flag.Parse()
@@ -98,17 +90,20 @@ func main() {
 	}
 
 	var table1Rows []harness.Table1Row
+	var table2 harness.Table2Result
+	var table3Rows []harness.Table3Row
 	run(1, func() {
 		table1Rows = harness.Table1(opts)
 		harness.WriteTable1(os.Stdout, table1Rows)
 	})
 	run(2, func() {
-		r := harness.Table2(opts, 64, *hard, *maxChecks)
-		harness.WriteTable2(os.Stdout, r)
+		table2 = harness.Table2(opts, 64, *hard, *maxChecks)
+		harness.WriteTable2(os.Stdout, table2)
 	})
 	run(3, func() {
-		rows, budget := harness.Table3(opts)
-		harness.WriteTable3(os.Stdout, rows, budget)
+		var budget int64
+		table3Rows, budget = harness.Table3(opts)
+		harness.WriteTable3(os.Stdout, table3Rows, budget)
 	})
 	run(4, func() {
 		harness.WriteTable4(os.Stdout, harness.Table4(opts))
@@ -131,91 +126,6 @@ func main() {
 		harness.PlotSeries(os.Stdout, "Figure 7: queries processed in parallel over virtual time", series, 72, 16)
 		harness.WriteSeries(os.Stdout, "series data:", series)
 	})
-	if *snapshot != "" {
-		bench := harness.CollectStreaming(opts, *snapTh, harness.Table1Checks())
-		f, err := os.Create(*snapshot)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := harness.WriteStreamingBench(f, bench); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		f.Close()
-		fmt.Fprintf(os.Stderr, "snapshot: wrote %s (%d checks, total speedup %.2fx at %d threads)\n",
-			*snapshot, len(bench.Checks), bench.TotalSpeedup, *snapTh)
-		for _, c := range bench.Checks {
-			fmt.Printf("%-45s %10d -> %-10d %6.2fx  steals %d\n",
-				c.Check, c.SeqTicks, c.ParTicks, c.Speedup, c.Metrics["steals_succeeded"])
-		}
-		did = true
-	}
-	if *warm {
-		dir := *warmDir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "boltwarm")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		}
-		rows := harness.WarmVsCold(opts, *warmTh, harness.Table1Checks(), dir)
-		harness.WriteWarmTable(os.Stdout, *warmTh, rows)
-		for _, r := range rows {
-			if r.Err != nil {
-				fmt.Fprintf(os.Stderr, "boltbench: warm-start store error on %s: %v\n", r.Check.ID(), r.Err)
-				os.Exit(2)
-			}
-			if r.ColdVerdict != r.WarmVerdict {
-				fmt.Fprintf(os.Stderr, "boltbench: verdict diverged cold vs warm on %s: %v vs %v\n",
-					r.Check.ID(), r.ColdVerdict, r.WarmVerdict)
-				os.Exit(1)
-			}
-		}
-		did = true
-		fmt.Println()
-	}
-	if *incrB {
-		rows := harness.IncrBench(opts, *incrTh, harness.Table1Checks())
-		harness.WriteIncrTable(os.Stdout, *incrTh, rows)
-		for _, r := range rows {
-			if r.Err != nil {
-				fmt.Fprintf(os.Stderr, "boltbench: incr store error on %s: %v\n", r.Check.ID(), r.Err)
-				os.Exit(2)
-			}
-			if !r.Confluent {
-				fmt.Fprintf(os.Stderr, "boltbench: incremental re-check verdict diverged on %s\n", r.Check.ID())
-				os.Exit(1)
-			}
-		}
-		did = true
-		fmt.Println()
-	}
-	if *compare != "" {
-		old, err := harness.ReadStreamingBench(*compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "boltbench: bench gate cannot run: %v\n", err)
-			os.Exit(2)
-		}
-		gateOpts := opts
-		gateOpts.Cores = old.Cores
-		fresh := harness.CollectStreaming(gateOpts, old.Threads, harness.Table1Checks())
-		harness.WriteStreamingDiff(os.Stdout, old, fresh)
-		regs := harness.CompareStreamingBench(old, fresh)
-		if len(regs) > 0 {
-			for _, r := range regs {
-				fmt.Fprintln(os.Stderr, "bench-gate: REGRESSION: "+r)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bench-gate: PASS (total speedup %.2fx vs baseline %.2fx, tolerance %.0f%%)\n",
-			fresh.TotalSpeedup, old.TotalSpeedup, harness.SpeedupRegressionTolerance*100)
-		did = true
-	}
 	if !did {
 		flag.Usage()
 		os.Exit(2)
@@ -223,5 +133,10 @@ func main() {
 	if ctx.Err() != nil {
 		fmt.Fprintf(os.Stderr, "boltbench: global -timeout expired; remaining runs were cancelled (stop reason %q)\n", "cancelled")
 		os.Exit(2)
+	}
+	// A regenerated table with a wrong answer in it must not pass for a
+	// result: every check's answer is known from how it was generated.
+	if harness.WriteWrongVerdicts(os.Stderr, table1Rows, table2, table3Rows) > 0 {
+		os.Exit(1)
 	}
 }

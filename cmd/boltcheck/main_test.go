@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -103,5 +104,50 @@ func TestFailedDumpTurnsSuccessIntoError(t *testing.T) {
 	}
 	if code := expectExit(t, func() { ob2.exit(1) }); code != 1 {
 		t.Fatalf("error-reachable exit must stay 1, got %d", code)
+	}
+}
+
+// TestRejectWithDist: every flag the cluster engine has no counterpart
+// for is refused next to -dist (exit 3, the message names it) instead of
+// being dropped, and the flags runDistributed does take pass.
+func TestRejectWithDist(t *testing.T) {
+	captureExit(t)
+	for _, tc := range []struct {
+		given []string
+		named string // the flag the refusal names; "" = accepted
+	}{
+		{[]string{"dist", "proc", "post"}, "-proc"},
+		{[]string{"dist", "pre"}, "-pre"},
+		{[]string{"dist", "post"}, "-post"},
+		{[]string{"dist", "ticks"}, "-ticks"},
+		{[]string{"dist", "async"}, "-async"},
+		{[]string{"dist", "witness"}, "-witness"},
+		{[]string{"dist", "faults", "threads", "witness"}, "-witness"},
+		{[]string{"dist"}, ""},
+		{[]string{"dist", "faults", "analysis", "threads", "timeout", "stats", "trace", "trace-jsonl", "metrics",
+			"coalesce", "entailcache", "store", "store-reset", "incr", "explain", "prov-out",
+			"pprof", "watchdog", "watchdog-stall", "flight-dump"}, ""},
+	} {
+		given := map[string]bool{}
+		for _, name := range tc.given {
+			given[name] = true
+		}
+		if tc.named == "" {
+			rejectWithDist(given) // an exit here panics through captureExit
+			continue
+		}
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stderr := os.Stderr
+		os.Stderr = w
+		code := expectExit(t, func() { rejectWithDist(given) })
+		os.Stderr = stderr
+		w.Close()
+		msg, _ := io.ReadAll(r)
+		if code != 3 || !strings.Contains(string(msg), tc.named+" is not supported with -dist") {
+			t.Errorf("%v: exit %d with %q, want 3 naming %s", tc.given, code, msg, tc.named)
+		}
 	}
 }

@@ -132,7 +132,11 @@ func runSelftest(corpusDir string) int {
 				failures++
 				continue
 			}
-			if err := validateTrace(&buf); err != nil {
+			// The streaming engine's coreClock reports a makespan below the
+			// trace's critical path on 10 of the 11 corpus runs (bug_deep_call:
+			// span = work = 1210, makespan 279); ROADMAP item 1 makes it
+			// honest and deletes this exemption.
+			if err := validateTrace(&buf, eng.name != "streaming"); err != nil {
 				fmt.Fprintf(os.Stderr, "FAIL %s [%s]: %v\n", filepath.Base(path), eng.name, err)
 				failures++
 				continue
@@ -149,8 +153,9 @@ func runSelftest(corpusDir string) int {
 }
 
 // validateTrace loads one run's JSONL stream and asserts the analyzer's
-// structural invariants on the resulting report.
-func validateTrace(buf *bytes.Buffer) error {
+// structural invariants on the resulting report; honestClock adds the one
+// that ties the run's own clock to the trace, span <= makespan.
+func validateTrace(buf *bytes.Buffer, honestClock bool) error {
 	events, err := analyze.LoadJSONL(buf)
 	if err != nil {
 		return err
@@ -167,6 +172,9 @@ func validateTrace(buf *bytes.Buffer) error {
 	}
 	if rep.CriticalPathTicks != rep.SpanTicks {
 		return fmt.Errorf("critical path %d != span %d", rep.CriticalPathTicks, rep.SpanTicks)
+	}
+	if honestClock && rep.SpanTicks > rep.MakespanTicks {
+		return fmt.Errorf("makespan %d below the critical path %d", rep.MakespanTicks, rep.SpanTicks)
 	}
 	var pathCost int64
 	for _, st := range rep.CriticalPath {

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/parser"
+	"repro/internal/prov"
 	"repro/internal/punch/maymust"
 	"repro/internal/store"
 )
@@ -59,6 +61,16 @@ func TestProvSmoke(t *testing.T) {
 				stable  []byte
 			}
 			var runs []run
+			// The registry's counter and the record's own total are bumped
+			// side by side in the recorder; a run that reports them apart
+			// took them from two places.
+			checkReads := func(engine string, snap *obs.Snapshot, p *prov.Provenance) {
+				t.Helper()
+				if got := snap.Counters["prov_summary_reads"]; got != p.SummaryReads {
+					t.Errorf("%s: metrics counter prov_summary_reads = %d, Provenance.SummaryReads = %d",
+						engine, got, p.SummaryReads)
+				}
+			}
 			for _, engine := range []string{"barrier", "async"} {
 				res := New(prog, Options{
 					Punch:             maymust.New(),
@@ -67,6 +79,7 @@ func TestProvSmoke(t *testing.T) {
 					Async:             engine == "async",
 					CheckContract:     true,
 					CollectProvenance: true,
+					Metrics:           obs.NewMetrics(),
 				}).Run(q0)
 				if res.Verdict != want {
 					t.Fatalf("%s: verdict %v, want %v", engine, res.Verdict, want)
@@ -77,6 +90,7 @@ func TestProvSmoke(t *testing.T) {
 				if err := res.Provenance.Verify(); err != nil {
 					t.Fatalf("%s: %v", engine, err)
 				}
+				checkReads(engine, res.Metrics, res.Provenance)
 				runs = append(runs, run{engine, res.Verdict, res.Provenance.StableBytes()})
 			}
 			dres := NewDistributed(prog, DistOptions{
@@ -84,6 +98,7 @@ func TestProvSmoke(t *testing.T) {
 				Nodes:             3,
 				ThreadsPerNode:    4,
 				CollectProvenance: true,
+				Metrics:           obs.NewMetrics(),
 			}).Run(q0)
 			if dres.Verdict != want {
 				t.Fatalf("dist: verdict %v, want %v", dres.Verdict, want)
@@ -94,6 +109,7 @@ func TestProvSmoke(t *testing.T) {
 			if err := dres.Provenance.Verify(); err != nil {
 				t.Fatalf("dist: %v", err)
 			}
+			checkReads("dist", dres.Metrics, dres.Provenance)
 			runs = append(runs, run{"dist", dres.Verdict, dres.Provenance.StableBytes()})
 
 			for _, r := range runs[1:] {

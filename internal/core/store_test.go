@@ -82,8 +82,8 @@ func TestWarmStart(t *testing.T) {
 					if warm.StoreErr != nil {
 						t.Fatalf("warm run store error: %v", warm.StoreErr)
 					}
-					if warm.WarmSummaries == 0 {
-						t.Fatal("warm run loaded no summaries")
+					if warm.WarmSummaries != cold.PersistedSummaries {
+						t.Fatalf("warm run loaded %d summaries, cold persisted %d", warm.WarmSummaries, cold.PersistedSummaries)
 					}
 					if warm.Verdict != cold.Verdict {
 						t.Fatalf("verdict diverged cold vs warm: %v vs %v", cold.Verdict, warm.Verdict)

@@ -18,10 +18,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/drivers"
 	"repro/internal/obs"
-	"repro/internal/prov"
 	"repro/internal/punch"
 	"repro/internal/punch/maymust"
-	"repro/internal/store"
 )
 
 // Options configure experiment runs.
@@ -43,13 +41,9 @@ type Options struct {
 	// cancellation returns with StopReason core.StopCancelled. Nil means
 	// no external cancellation.
 	Ctx context.Context
-	// Metrics attaches a fresh obs.Metrics registry to every run and its
-	// snapshot to CheckResult.Metrics.
-	Metrics bool
 	// MetricsInto, when non-nil, is a shared live registry every run
-	// accumulates into instead of a fresh private one (implies Metrics):
-	// the CLIs hand the same registry to obs.StartDebugServer so
-	// /metrics scrapes observe runs in flight.
+	// accumulates into: boltbench hands the same registry to
+	// obs.StartDebugServer so /metrics scrapes observe runs in flight.
 	MetricsInto *obs.Metrics
 	// Probe, when non-nil, receives each run's live-state snapshot
 	// function (see core.Options.Probe); runs attach and detach in turn.
@@ -61,18 +55,6 @@ type Options struct {
 	// default); see core.Options.
 	DisableCoalesce        bool
 	DisableEntailmentCache bool
-	// Store, when non-nil, is a persistent summary store the run
-	// warm-starts from and persists its new summaries back into (see
-	// core.Options.Store). The caller owns opening/closing it and
-	// matching it to the check — the harness passes it straight through.
-	Store store.Store
-	// Provenance records each run's verdict dependency record into
-	// CheckResult.Prov (see core.Options.CollectProvenance).
-	Provenance bool
-	// Incremental turns a Store-backed run into an edit-aware re-check
-	// (see core.Options.Incremental): manifest diff, cone invalidation,
-	// and verdict reuse, reported in CheckResult's incr fields.
-	Incremental bool
 }
 
 func (o Options) withDefaults() Options {
@@ -106,36 +88,12 @@ type CheckResult struct {
 	TimedOut   bool
 	Deadlocked bool
 	CostByProc map[string]int64
-	// CoalesceHits counts spawns answered by an in-flight twin.
-	CoalesceHits int64
-	// Metrics is the run's metrics snapshot (nil unless Options.Metrics).
-	Metrics *obs.Snapshot
-	// WarmSummaries/PersistedSummaries/StoreErr are the persistent-store
-	// traffic when Options.Store is set (see core.Result).
-	WarmSummaries      int
-	PersistedSummaries int
-	StoreErr           error
-	// Prov is the verdict's dependency record (nil unless
-	// Options.Provenance).
-	Prov *prov.Provenance
-	// Incremental re-check accounting (see core.Result; populated only
-	// with Options.Incremental + Store).
-	EditedProcs          []string
-	InvalidatedSummaries int
-	SurvivingSummaries   int
-	ReusedVerdict        bool
 }
 
 // RunCheck verifies one driver-property pair with the given thread count.
 func RunCheck(check drivers.Check, threads int, opts Options) CheckResult {
 	opts = opts.withDefaults()
 	prog := drivers.Generate(check.Config)
-	var m *obs.Metrics
-	if opts.MetricsInto != nil {
-		m = opts.MetricsInto
-	} else if opts.Metrics {
-		m = obs.NewMetrics()
-	}
 	eng := core.New(prog, core.Options{
 		Punch:           opts.NewPunch(),
 		MaxThreads:      threads,
@@ -145,12 +103,9 @@ func RunCheck(check drivers.Check, threads int, opts Options) CheckResult {
 		MaxIterations:   1 << 19,
 		Async:           opts.Async,
 		Tracer:          opts.Tracer,
-		Metrics:         m,
+		Metrics:         opts.MetricsInto,
 		Probe:           opts.Probe,
-		Store:           opts.Store,
 
-		CollectProvenance:      opts.Provenance,
-		Incremental:            opts.Incremental,
 		DisableCoalesce:        opts.DisableCoalesce,
 		DisableEntailmentCache: opts.DisableEntailmentCache,
 	})
@@ -160,30 +115,18 @@ func RunCheck(check drivers.Check, threads int, opts Options) CheckResult {
 	}
 	res := eng.RunContext(ctx, core.AssertionQuestion(prog))
 	return CheckResult{
-		Check:        check,
-		Threads:      threads,
-		Verdict:      res.Verdict,
-		Ticks:        res.VirtualTicks,
-		Wall:         res.WallTime,
-		Queries:      res.TotalQueries,
-		Peak:         res.PeakReady,
-		Trace:        res.Trace,
-		StopReason:   res.StopReason,
-		TimedOut:     res.TimedOut,
-		Deadlocked:   res.Deadlocked,
-		CostByProc:   res.CostByProc,
-		CoalesceHits: res.CoalesceHits,
-		Metrics:      res.Metrics,
-
-		WarmSummaries:      res.WarmSummaries,
-		PersistedSummaries: res.PersistedSummaries,
-		StoreErr:           res.StoreErr,
-		Prov:               res.Provenance,
-
-		EditedProcs:          res.EditedProcs,
-		InvalidatedSummaries: res.InvalidatedSummaries,
-		SurvivingSummaries:   res.SurvivingSummaries,
-		ReusedVerdict:        res.ReusedVerdict,
+		Check:      check,
+		Threads:    threads,
+		Verdict:    res.Verdict,
+		Ticks:      res.VirtualTicks,
+		Wall:       res.WallTime,
+		Queries:    res.TotalQueries,
+		Peak:       res.PeakReady,
+		Trace:      res.Trace,
+		StopReason: res.StopReason,
+		TimedOut:   res.TimedOut,
+		Deadlocked: res.Deadlocked,
+		CostByProc: res.CostByProc,
 	}
 }
 
@@ -257,13 +200,15 @@ func WriteTable1(w io.Writer, rows []Table1Row) {
 
 // Table2Result is the cumulative summary of Table 2.
 type Table2Result struct {
-	Checks      int
-	SeqTicks    int64
-	ParTicks    int64
-	AvgSpeedup  float64
-	MaxSpeedup  float64
-	MaxCheck    string
-	ParVerdicts map[string]core.Verdict
+	Checks     int
+	SeqTicks   int64
+	ParTicks   int64
+	AvgSpeedup float64
+	MaxSpeedup float64
+	MaxCheck   string
+	// Wrong names the hard checks' runs whose verdict contradicts the
+	// known answer (see WriteWrongVerdicts).
+	Wrong []string
 }
 
 // Table2 runs the suite's hard checks sequentially and with the given
@@ -272,7 +217,7 @@ type Table2Result struct {
 // threshold for a check to count as hard (the paper's "at least 1000
 // seconds"); maxChecks bounds the suite subset (0 = all).
 func Table2(opts Options, threads int, hardTicks int64, maxChecks int) Table2Result {
-	out := Table2Result{ParVerdicts: map[string]core.Verdict{}}
+	var out Table2Result
 	var speedups []float64
 	checks := drivers.SuiteChecks()
 	if maxChecks > 0 && len(checks) > maxChecks {
@@ -287,7 +232,8 @@ func Table2(opts Options, threads int, hardTicks int64, maxChecks int) Table2Res
 		out.Checks++
 		out.SeqTicks += seq.Ticks
 		out.ParTicks += par.Ticks
-		out.ParVerdicts[check.ID()] = par.Verdict
+		out.Wrong = appendWrong(out.Wrong, check, 1, seq.Verdict)
+		out.Wrong = appendWrong(out.Wrong, check, threads, par.Verdict)
 		if par.Ticks > 0 {
 			s := float64(seq.Ticks) / float64(par.Ticks)
 			speedups = append(speedups, s)
@@ -444,6 +390,42 @@ func WriteTable4(w io.Writer, rows []Table4Row) {
 		}
 		fmt.Fprintln(w)
 	}
+}
+
+// appendWrong adds a line naming the run when v is a definite verdict
+// that contradicts the check's known answer, Config.Buggy (the oracle
+// bench/ holds its runs against too). Unknown contradicts nothing: a
+// budget ran out.
+func appendWrong(wrong []string, c drivers.Check, threads int, v core.Verdict) []string {
+	want := core.Safe
+	if c.Config.Buggy {
+		want = core.ErrorReachable
+	}
+	if v == core.Unknown || v == want {
+		return wrong
+	}
+	return append(wrong, fmt.Sprintf("%s at %d threads: %v, known answer %v", c.ID(), threads, v, want))
+}
+
+// WriteWrongVerdicts prints one line per run of Tables 1-3 whose verdict
+// contradicts its check's known answer and returns how many there were;
+// tables that were not regenerated are passed as zero values. Table 4 and
+// Figures 3 and 7 re-run two of Table 1's checks and keep no verdict.
+func WriteWrongVerdicts(w io.Writer, t1 []Table1Row, t2 Table2Result, t3 []Table3Row) int {
+	var wrong []string
+	for _, row := range t1 {
+		for _, th := range ThreadSteps {
+			wrong = appendWrong(wrong, row.Check, th, row.Verdicts[th])
+		}
+	}
+	wrong = append(wrong, t2.Wrong...)
+	for _, row := range t3 {
+		wrong = appendWrong(wrong, row.Check, 64, row.ParVerdict)
+	}
+	for _, line := range wrong {
+		fmt.Fprintln(w, "wrong verdict:", line)
+	}
+	return len(wrong)
 }
 
 // Series is a (virtual time, value) series for the figures.

@@ -88,6 +88,43 @@ func TestTableRenderers(t *testing.T) {
 	}
 }
 
+// TestWriteWrongVerdicts: a definite verdict that contradicts the check's
+// known answer is named, whichever table it is in; Unknown and the
+// known answer itself are not.
+func TestWriteWrongVerdicts(t *testing.T) {
+	safe := drivers.NamedCheck("parport", "MarkPowerDown", false)
+	buggy := drivers.NamedCheck("parport", "PowerDownFail", true)
+	t1 := []Table1Row{
+		{Check: safe, Verdicts: map[int]core.Verdict{1: core.Safe, 2: core.Unknown, 8: core.ErrorReachable}},
+		{Check: buggy, Verdicts: map[int]core.Verdict{1: core.ErrorReachable, 4: core.Safe}},
+	}
+	t2 := Table2Result{Wrong: appendWrong(nil, safe, 64, core.ErrorReachable)}
+	t3 := []Table3Row{{Check: safe, ParVerdict: core.Safe}, {Check: buggy, ParVerdict: core.Safe}}
+
+	var b strings.Builder
+	if n := WriteWrongVerdicts(&b, t1, t2, t3); n != 4 {
+		t.Errorf("%d wrong verdicts, want 4:\n%s", n, b.String())
+	}
+	for _, want := range []string{
+		"parport/MarkPowerDown at 8 threads: Error Reachable, known answer Program is Safe",
+		"parport/PowerDownFail at 4 threads: Program is Safe, known answer Error Reachable",
+		"parport/MarkPowerDown at 64 threads",
+		"parport/PowerDownFail at 64 threads",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("missing %q in:\n%s", want, b.String())
+		}
+	}
+
+	b.Reset()
+	if n := WriteWrongVerdicts(&b, t1[:1], Table2Result{}, t3[:1]); n != 1 {
+		t.Errorf("%d wrong verdicts, want 1:\n%s", n, b.String())
+	}
+	if n := WriteWrongVerdicts(&b, nil, Table2Result{}, nil); n != 0 {
+		t.Errorf("empty tables reported %d wrong verdicts", n)
+	}
+}
+
 func TestFig6DerivedFromTable1(t *testing.T) {
 	rows := []Table1Row{{
 		Check:   drivers.NamedCheck("parport", "MarkPowerDown", false),

@@ -1,13 +1,11 @@
-// Edit-session driver for the incremental re-analysis experiments: K
-// successive single-procedure mutations of one program, re-checked
-// incrementally over a shared summary store after each edit, with a
-// from-scratch run per step as the confluence oracle and the cold
-// baseline.
+// Edit-session driver behind `make incr-smoke`: K successive
+// single-procedure mutations of one program, re-checked incrementally
+// over a shared summary store after each edit, with a from-scratch run
+// per step as the confluence oracle.
 package harness
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cfg"
 	"repro/internal/core"
@@ -21,21 +19,12 @@ type EditStep struct {
 	// Proc is the mutated procedure; Seed the mutation seed.
 	Proc string
 	Seed int64
-	// Cold* is the from-scratch run on the edited program (no store);
-	// Recheck* the incremental re-check over the session store. A reused
-	// verdict re-checks in 0 ticks.
-	ColdTicks    int64
-	RecheckTicks int64
-	ColdWall     time.Duration
-	RecheckWall  time.Duration
-	// Invalidated/Surviving are the re-check's summary accounting;
-	// Reused reports a verdict answered without a run.
+	// Invalidated counts the summaries the re-check's cone discarded.
 	Invalidated int
-	Surviving   int
-	Reused      bool
-	// ColdVerdict/RecheckVerdict and their agreement (Confluent) are the
-	// soundness oracle: an incremental re-check must never change the
-	// answer.
+	// ColdVerdict is the from-scratch run on the edited program (no
+	// store), RecheckVerdict the incremental re-check over the session
+	// store; their agreement (Confluent) is the soundness oracle: an
+	// incremental re-check must never change the answer.
 	ColdVerdict    core.Verdict
 	RecheckVerdict core.Verdict
 	Confluent      bool
@@ -43,43 +32,24 @@ type EditStep struct {
 	Err error
 }
 
-// EditSessionResult is a whole session: the initial populate run plus
-// one EditStep per mutation.
-type EditSessionResult struct {
-	Name         string
-	Engine       string
-	Procs        int
-	InitialTicks int64
-	Steps        []EditStep
-}
-
-// Speedup is the step's cold/recheck tick ratio; a reused verdict
-// (0 recheck ticks) reports the cold ticks as the ratio, the natural
-// "saved the whole run" reading under the +1 smoothing.
-func (s EditStep) Speedup() float64 {
-	return float64(s.ColdTicks) / float64(s.RecheckTicks+1)
-}
-
 // RunEditSession mutates src's procedures round-robin (procs sorted,
 // step i mutates procs[i%n] with seed+i), re-checking incrementally
 // after each edit on the named engine ("barrier", "async", or "dist")
-// over one shared in-memory store. Each step also runs the edited
-// program from scratch for the cold baseline and verdict confluence.
-func RunEditSession(name, src string, steps int, seed int64, threads int, engine string, opts Options) (EditSessionResult, error) {
+// over one shared in-memory store that an initial run populates. Each
+// step also runs the edited program from scratch for verdict confluence.
+func RunEditSession(name, src string, steps int, seed int64, threads int, engine string, opts Options) ([]EditStep, error) {
 	opts = opts.withDefaults()
 	prog, err := parser.Parse(src)
 	if err != nil {
-		return EditSessionResult{}, fmt.Errorf("edit session %s: %w", name, err)
+		return nil, fmt.Errorf("edit session %s: %w", name, err)
 	}
 	procs := prog.ProcNames()
-	out := EditSessionResult{Name: name, Engine: engine, Procs: len(procs)}
+	var out []EditStep
 
 	st := store.NewMem()
-	first, err := runIncrEngine(prog, threads, engine, st, opts)
-	if err != nil {
+	if _, err := runIncrEngine(prog, threads, engine, st, opts); err != nil {
 		return out, fmt.Errorf("edit session %s: populate: %w", name, err)
 	}
-	out.InitialTicks = first.ticks
 
 	cur := src
 	for i := 0; i < steps; i++ {
@@ -87,41 +57,35 @@ func RunEditSession(name, src string, steps int, seed int64, threads int, engine
 		mutated, err := incr.MutateSource(cur, step.Proc, step.Seed)
 		if err != nil {
 			step.Err = err
-			out.Steps = append(out.Steps, step)
+			out = append(out, step)
 			return out, fmt.Errorf("edit session %s: step %d: %w", name, i, err)
 		}
 		cur = mutated
 		edited, err := parser.Parse(cur)
 		if err != nil {
 			step.Err = err
-			out.Steps = append(out.Steps, step)
+			out = append(out, step)
 			return out, fmt.Errorf("edit session %s: step %d: %w", name, i, err)
 		}
 
 		re, err := runIncrEngine(edited, threads, engine, st, opts)
 		if err != nil {
 			step.Err = err
-			out.Steps = append(out.Steps, step)
+			out = append(out, step)
 			return out, fmt.Errorf("edit session %s: step %d: %w", name, i, err)
 		}
-		step.RecheckTicks = re.ticks
-		step.RecheckWall = re.wall
 		step.RecheckVerdict = re.verdict
 		step.Invalidated = re.invalidated
-		step.Surviving = re.surviving
-		step.Reused = re.reused
 
 		cold, err := runIncrEngine(edited, threads, engine, nil, opts)
 		if err != nil {
 			step.Err = err
-			out.Steps = append(out.Steps, step)
+			out = append(out, step)
 			return out, fmt.Errorf("edit session %s: step %d: %w", name, i, err)
 		}
-		step.ColdTicks = cold.ticks
-		step.ColdWall = cold.wall
 		step.ColdVerdict = cold.verdict
 		step.Confluent = step.RecheckVerdict == step.ColdVerdict
-		out.Steps = append(out.Steps, step)
+		out = append(out, step)
 	}
 	return out, nil
 }
@@ -130,11 +94,7 @@ func RunEditSession(name, src string, steps int, seed int64, threads int, engine
 // cares about.
 type incrRun struct {
 	verdict     core.Verdict
-	ticks       int64
-	wall        time.Duration
 	invalidated int
-	surviving   int
-	reused      bool
 }
 
 // runIncrEngine runs one check on the named engine. A nil store means a
@@ -157,14 +117,7 @@ func runIncrEngine(prog *cfg.Program, threads int, engine string, st store.Store
 		if r.StoreErr != nil {
 			return incrRun{}, r.StoreErr
 		}
-		return incrRun{
-			verdict:     r.Verdict,
-			ticks:       r.VirtualTicks,
-			wall:        r.WallTime,
-			invalidated: r.InvalidatedSummaries,
-			surviving:   r.SurvivingSummaries,
-			reused:      r.ReusedVerdict,
-		}, nil
+		return incrRun{verdict: r.Verdict, invalidated: r.InvalidatedSummaries}, nil
 	case "dist":
 		eng := core.NewDistributed(prog, core.DistOptions{
 			Punch:          opts.NewPunch(),
@@ -178,14 +131,7 @@ func runIncrEngine(prog *cfg.Program, threads int, engine string, st store.Store
 		if r.StoreErr != nil {
 			return incrRun{}, r.StoreErr
 		}
-		return incrRun{
-			verdict:     r.Verdict,
-			ticks:       r.VirtualTicks,
-			wall:        r.WallTime,
-			invalidated: r.InvalidatedSummaries,
-			surviving:   r.SurvivingSummaries,
-			reused:      r.ReusedVerdict,
-		}, nil
+		return incrRun{verdict: r.Verdict, invalidated: r.InvalidatedSummaries}, nil
 	}
 	return incrRun{}, fmt.Errorf("unknown engine %q", engine)
 }

@@ -3,10 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
-
-	"repro/internal/obs"
 )
 
 // PlotSeries renders series as an ASCII chart (time on the x-axis, value
@@ -67,38 +64,4 @@ func PlotSeries(w io.Writer, title string, series []Series, width, height int) {
 	for si, s := range series {
 		fmt.Fprintf(w, "  %c = %s\n", markers[si%len(markers)], s.Label)
 	}
-}
-
-// WriteMetrics renders a metrics snapshot as text: the per-worker table
-// with a utilization column (busy virtual ticks over the run's
-// makespan — the work-distribution view the streaming engine's stealing
-// exists to flatten), then the counters in sorted order. Values above
-// 100% are legitimate: the virtual clock charges costs to the
-// least-loaded simulated core regardless of which worker ran the PUNCH,
-// so a worker can process more than one core's share of the makespan.
-func WriteMetrics(w io.Writer, snap *obs.Snapshot) {
-	if snap == nil {
-		fmt.Fprintln(w, "metrics: (disabled)")
-		return
-	}
-	fmt.Fprintf(w, "%-8s %10s %12s %10s %8s\n", "worker", "punches", "busy ticks", "steals", "util")
-	for _, ws := range snap.Workers {
-		util := 0.0
-		if snap.MakespanTicks > 0 {
-			util = float64(ws.BusyTicks) / float64(snap.MakespanTicks)
-		}
-		fmt.Fprintf(w, "%-8d %10d %12d %10d %7.1f%%\n",
-			ws.Worker, ws.Punches, ws.BusyTicks, ws.Steals, util*100)
-	}
-	keys := make([]string, 0, len(snap.Counters))
-	for k := range snap.Counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "%-28s %12d\n", k, snap.Counters[k])
-	}
-	fmt.Fprintf(w, "%-28s %12d\n", "makespan_ticks", snap.MakespanTicks)
-	fmt.Fprintf(w, "%-28s %12d (sum %d, max %d)\n", "punch_cost_count",
-		snap.PunchCost.Count, snap.PunchCost.Sum, snap.PunchCost.Max)
 }

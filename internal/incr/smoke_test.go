@@ -34,15 +34,15 @@ func TestIncrSmoke(t *testing.T) {
 		steps := len(prog.ProcNames())
 		for _, engine := range []string{"barrier", "async", "dist"} {
 			t.Run(name+"/"+engine, func(t *testing.T) {
-				sess, err := harness.RunEditSession(name, src, steps, 41, 8, engine, harness.Options{})
+				session, err := harness.RunEditSession(name, src, steps, 41, 8, engine, harness.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(sess.Steps) != steps {
-					t.Fatalf("ran %d steps, want %d", len(sess.Steps), steps)
+				if len(session) != steps {
+					t.Fatalf("ran %d steps, want %d", len(session), steps)
 				}
 				invalidations := 0
-				for i, s := range sess.Steps {
+				for i, s := range session {
 					if s.Err != nil {
 						t.Fatalf("step %d (%s): %v", i, s.Proc, s.Err)
 					}

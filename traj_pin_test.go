@@ -25,8 +25,8 @@ var (
 const trajBudget = 25000
 
 // TestTrajectoryPin holds the one-thread trajectory of the analyses
-// still: verdict, virtual ticks, query count and solver calls of the four
-// parport Table-1 checks and of every corpus program under all three
+// still: verdict, virtual ticks, query count and solver calls of the six
+// Table-1 checks and of every corpus program under all three
 // analyses must equal the golden table — first on the barrier engine, then
 // (rows tagged "async") on the streaming engine, whose single worker never
 // steals and so replays the same order every run: that pins the streaming
@@ -43,7 +43,7 @@ func TestTrajectoryPin(t *testing.T) {
 		budget    int64
 	}
 	var inputs []input
-	for _, c := range harness.Table1Checks()[2:] {
+	for _, c := range harness.Table1Checks() {
 		inputs = append(inputs, input{c.ID(), drivers.Source(c.Config), []bolt.Analysis{bolt.MayMust}, 0})
 	}
 	files, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.bolt"))
