@@ -63,9 +63,12 @@ one-reduce:
 # already: parport/PowerDownFail on one thread, twice in one process, the
 # second run's runtime.MemStats.TotalAlloc against the budget committed in
 # alloc_pin_test.go. The formula constructors allocate nothing when they
-# return an existing node; a change that gives that back fails here.
+# return an existing node; a change that gives that back fails here. The
+# second pin is the region graph's: a path search on a settled graph
+# allocates the path it returns and nothing else (testing.AllocsPerRun).
 alloc-pin:
 	$(GO) test -run TestAllocPin -count=1 .
+	$(GO) test -run TestFindPathAllocPin -count=1 ./internal/punch/regions
 
 # trace-smoke round-trips a corpus program through all three engines with
 # the Chrome tracer attached and validates the serialized document.

@@ -183,7 +183,7 @@ func (st *stepper) refuteOrConfirm(path []*regions.Edge) (punch.Result, bool) {
 		r1 := st.Sat(f1)
 		if r1.Known && !r1.Sat {
 			// No state in the source region can enter the suffix.
-			o.g.Edge(stp.CFG, stp.From, cur).Elim = true
+			o.g.Kill(o.g.Edge(stp.CFG, stp.From, cur))
 			st.debugf("refuted path at step %d (edge n%d->n%d)", i, e.From, e.To)
 			return punch.Result{}, false
 		}
@@ -226,7 +226,7 @@ func (st *stepper) backwardCall(prefix []*regions.Edge, stp *regions.Edge, cur *
 	f1 := st.Solver.Simplify(logic.Conj(stp.From.F, wf))
 	r1 := st.Sat(f1)
 	if r1.Known && !r1.Sat {
-		k.Elim = true
+		o.g.Kill(k)
 		st.debugf("frame-refuted call edge %v", k)
 		return nil, true
 	}
@@ -280,7 +280,7 @@ func (st *stepper) backwardCall(prefix []*regions.Edge, stp *regions.Edge, cur *
 		g2 := st.Solver.Simplify(logic.Conj(stp.From.F, logic.Not(s.Pre)))
 		rg2 := st.Sat(g2)
 		if rg2.Known && !rg2.Sat {
-			k.Elim = true
+			o.g.Kill(k)
 			st.debugf("summary-refuted call edge %v via %v", k, s)
 			return nil, true
 		}
@@ -311,7 +311,7 @@ func (st *stepper) backwardCall(prefix []*regions.Edge, stp *regions.Edge, cur *
 	question := summary.Question{Proc: callee, Pre: pre, Post: postG}
 	child := st.ctx.Alloc.New(st.q.ID, question)
 	st.children = append(st.children, child)
-	k.Pending = &question
+	o.g.SetPending(k, &question)
 	st.debugf("child Q%d for %s: %v", child.ID, callee, question)
 	return nil, true
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/lang"
 	"repro/internal/logic"
@@ -11,11 +12,12 @@ import (
 	"repro/internal/punch"
 	"repro/internal/punch/regions"
 	"repro/internal/query"
+	"repro/internal/smt"
 	"repro/internal/summary"
 )
 
 // checked runs the analysis and, after every Step, walks the query's
-// region graph: no table entry may mention a region that a split retired.
+// region graph: no list may mention a region that a split retired.
 type checked struct {
 	*Analysis
 	t *testing.T
@@ -43,33 +45,61 @@ func runMay(t *testing.T, src string, iters int) core.Result {
 }
 
 // TestReplaceRegionMigratesBookkeeping: what the backward walk recorded on
-// a region's edges — refuted, stuck, tried, waiting for a child — carries
-// over to the parts a split leaves behind.
+// a region's edges — stuck, tried, waiting for a child — reaches the edges
+// of every part a split leaves behind, a self-loop's every pair of parts,
+// and a refuted edge stays dead for every part.
 func TestReplaceRegionMigratesBookkeeping(t *testing.T) {
-	prog := parser.MustParse(`globals a; proc main { a = 1; }`)
-	proc := prog.MainProc()
-	g := regions.New(proc, logic.True)
-	r, other := g.At(proc.Entry)[0], g.At(proc.Exit)[0]
-	out := g.Edge(0, r, other)
-	out.Elim, out.Attempts = true, 3
-	out.Pending = &summary.Question{Proc: "p", Pre: logic.True, Post: logic.True}
-	g.Edge(1, other, r).Stuck = true
+	// n0 ─havoc a─▶ n0 (CFG edge 0, a self-loop), n0 ─a=1─▶ n1 (edge 1).
+	b := cfg.NewProc("main")
+	exit := b.NewNode()
+	b.AddEdge(b.Entry(), b.Entry(), lang.Havoc{V: "a"})
+	b.AddEdge(b.Entry(), exit, lang.Assign{Lhs: "a", Rhs: lang.C(1)})
+	proc := cfg.MustProgram("p", []lang.Var{"a"}, "main", b.Finish(exit)).MainProc()
+	g := regions.New(proc, le("a", 5))
+	r, hit, miss := g.At(proc.Entry)[0], g.At(proc.Exit)[0], g.At(proc.Exit)[1]
+	loop, out := g.Edge(0, r, r), g.Edge(1, r, hit)
+	loop.Stuck, loop.Attempts = true, 3
+	q := &summary.Question{Proc: "p", Pre: logic.True, Post: logic.True}
+	g.SetPending(out, q)
+	g.Kill(g.Edge(1, r, miss))
 
-	le0 := logic.LEq(logic.LinVar(lang.Var("a")), logic.LinConst(0))
-	a, b := g.NewRegion(r.Node, le0, true), g.NewRegion(r.Node, logic.Not(le0), true)
-	g.Split(r, a, b)
+	parts := []*regions.Region{g.NewRegion(r.Node, le("a", 0), true), g.NewRegion(r.Node, logic.Not(le("a", 0)), true)}
+	g.Split(r, parts...)
 	if err := g.Check(); err != nil {
 		t.Fatal(err)
 	}
-	for _, part := range []*regions.Region{a, b} {
-		e := g.Edge(0, part, other)
-		if !e.Elim || e.Attempts != 3 || e.Pending != out.Pending {
-			t.Errorf("edge %v did not inherit from %v: %+v", e, out, *e)
+	for _, part := range parts {
+		if !part.Target {
+			t.Errorf("target flag lost on R%d", part.ID)
 		}
-		if !g.Edge(1, other, part).Stuck {
-			t.Errorf("stuck not migrated to R%d", part.ID)
+		for _, to := range parts {
+			if e := g.Edge(0, part, to); e == nil || !e.Stuck || e.Attempts != 3 {
+				t.Errorf("R%d→R%d did not inherit stuck and 3 attempts from the self-loop: %+v", part.ID, to.ID, e)
+			}
+		}
+		if e := g.Edge(1, part, hit); e == nil || e.Pending != q || e.Stuck || e.Attempts != 0 {
+			t.Errorf("R%d→R%d did not inherit the outstanding child (and nothing else): %+v", part.ID, hit.ID, e)
+		}
+		if e := g.Edge(1, part, miss); e != nil {
+			t.Errorf("eliminated edge is live for part R%d: %+v", part.ID, e)
 		}
 	}
+	// Answering every child finds them all on the pending list.
+	db := summary.New(smt.New())
+	db.Add(summary.Summary{Kind: summary.NotMay, Proc: "p", Pre: logic.True, Post: logic.True})
+	g.SweepPending(db)
+	for _, part := range parts {
+		if g.Edge(1, part, hit).Pending != nil {
+			t.Errorf("answered child still pending on R%d", part.ID)
+		}
+	}
+	if err := g.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func le(name string, k int64) logic.Formula {
+	return logic.LEq(logic.LinVar(lang.Var(name)), logic.LinConst(k))
 }
 
 func TestMaySafeStraightLine(t *testing.T) {

@@ -82,12 +82,10 @@ func (st *stepper) run() punch.Result {
 	// is Done without any analysis (the paper's first step of PUNCH).
 	if _, verdict := st.ctx.DB.Answer(st.q.Q); verdict != 0 {
 		st.Charge(4)
-		if st.o == nil {
-			if o, ok := st.q.Obj.(*obj); ok {
-				st.o = o
-			} else {
-				st.o = newObj(st.ctx.Prog.Proc(st.q.Q.Proc), st.ctx.Prog.Globals)
-			}
+		if o, ok := st.q.Obj.(*obj); ok {
+			st.o = o
+		} else {
+			st.o = newObj(st.ctx.Prog.Proc(st.q.Q.Proc), st.ctx.Prog.Globals)
 		}
 		if verdict > 0 {
 			return st.finish(query.Done, query.Reachable)
@@ -327,22 +325,18 @@ func (st *stepper) fanOut() {
 			if !fwd[from.ID] {
 				continue
 			}
-			for _, to := range o.g.At(e.To) {
-				if !bwd[to.ID] {
+			for _, ae := range o.g.Out(ei, from) {
+				if !bwd[ae.To.ID] || ae.Stuck || ae.Pending != nil {
 					continue
 				}
-				ae := o.g.Edge(ei, from, to)
-				if ae.Elim || ae.Stuck || ae.Pending != nil {
-					continue
-				}
-				postG := st.projectGlobals(to.F)
+				postG := st.projectGlobals(ae.To.F)
 				question := summary.Question{Proc: c.Proc, Pre: st.projectGlobals(from.F), Post: postG}
 				if _, verdict := st.ctx.DB.Answer(question); verdict != 0 {
 					continue
 				}
 				child := st.ctx.Alloc.New(st.q.ID, question)
 				st.children = append(st.children, child)
-				ae.Pending = &question
+				o.g.SetPending(ae, &question)
 				st.debugf("fan-out child Q%d for %s: %v", child.ID, c.Proc, question)
 			}
 		}
@@ -397,7 +391,7 @@ func (st *stepper) handleSimpleFrontier(stp *regions.Edge, s lang.Stmt) {
 	sat1 := st.Sat(f1)
 	if sat1.Known && !sat1.Sat {
 		// ρ ∩ pre(s, ρ') = ∅: the whole edge is infeasible.
-		stp.Elim = true
+		o.g.Kill(stp)
 		return
 	}
 	sat2 := st.Sat(f2)
@@ -483,7 +477,7 @@ func (st *stepper) handleCallFrontier(stp *regions.Edge, callee string) {
 	f2 := st.Solver.Simplify(logic.Conj(stp.From.F, logic.Not(wpFrame)))
 	if r1 := st.Sat(f1); r1.Known && !r1.Sat {
 		st.debugf("frame: eliminated call edge %v (no state can land in R%d)", stp, stp.To.ID)
-		stp.Elim = true
+		o.g.Kill(stp)
 		return
 	}
 	if r2 := st.Sat(f2); r2.Known && r2.Sat {
@@ -511,7 +505,6 @@ func (st *stepper) handleCallFrontier(stp *regions.Edge, callee string) {
 			// Cross the call: globals the callee may modify become fresh
 			// symbols constrained by the summary postcondition; all other
 			// variables pass through the frame untouched.
-			calleeMR := st.ctx.ModRefOf(callee)
 			store := cloneStore(el.store)
 			ren := map[lang.Var]lang.Var{}
 			for _, g := range o.globals {
@@ -554,7 +547,7 @@ func (st *stepper) handleCallFrontier(stp *regions.Edge, callee string) {
 		if r2.Known && !r2.Sat {
 			// All of ρ is covered: eliminate the edge outright.
 			st.debugf("case2: eliminated call edge %v outright via %v", stp, s)
-			stp.Elim = true
+			o.g.Kill(stp)
 			return
 		}
 		ins, _ := o.g.PartitionOn(&st.Meter, stp.From, s.Pre)
@@ -589,7 +582,7 @@ func (st *stepper) handleCallFrontier(stp *regions.Edge, callee string) {
 	child := st.ctx.Alloc.New(q.ID, question)
 	st.debugf("child Q%d for %s: pre=%v post=%v (attempt %d)", child.ID, callee, pre, postG, stp.Attempts)
 	st.children = append(st.children, child)
-	stp.Pending = &question
+	o.g.SetPending(stp, &question)
 }
 
 // childPre computes the child query precondition (O ∧ ρ)^G as a small

@@ -57,8 +57,8 @@ func stepperFor(t *testing.T, src string) *stepper {
 	return &stepper{Meter: punch.Meter{Solver: solver}, a: New(), ctx: ctx, q: q, o: o}
 }
 
-// checkGraph fails the test when the region graph's table mentions a
-// region that is no longer in a partition (or is otherwise inconsistent);
+// checkGraph fails the test when the region graph's lists mention a
+// region that is no longer in a partition (or are otherwise inconsistent);
 // call it after every split.
 func checkGraph(t *testing.T, g *regions.Graph) {
 	t.Helper()
@@ -128,40 +128,54 @@ func TestPartitionOnKeepsRegionsConjunctive(t *testing.T) {
 	}
 }
 
+// TestReplaceRegionMigratesBookkeeping: what the frontier machinery
+// recorded on a region's edges — stuck, tried, waiting for a child —
+// reaches the edges of every part a split leaves behind, a self-loop's
+// every pair of parts, and an eliminated edge stays dead for every part.
 func TestReplaceRegionMigratesBookkeeping(t *testing.T) {
-	st := stepperFor(t, `globals a; proc main { a = 1; }`)
-	g := st.o.g
-	n := st.o.proc.Entry
-	r := g.At(n)[0]
-	other := g.At(st.o.proc.Exit)[0]
-	out := g.Edge(0, r, other)
-	out.Elim, out.Attempts = true, 3
-	out.Pending = &summary.Question{Proc: "p", Pre: logic.True, Post: logic.True}
-	g.Edge(1, other, r).Stuck = true
+	// n0 ─havoc a─▶ n0 (CFG edge 0, a self-loop), n0 ─a=1─▶ n1 (edge 1).
+	b := cfg.NewProc("main")
+	exit := b.NewNode()
+	b.AddEdge(b.Entry(), b.Entry(), lang.Havoc{V: "a"})
+	b.AddEdge(b.Entry(), exit, lang.Assign{Lhs: "a", Rhs: lang.C(1)})
+	proc := cfg.MustProgram("p", []lang.Var{"a"}, "main", b.Finish(exit)).MainProc()
+	g := regions.New(proc, leIC("a", 5))
+	r, hit, miss := g.At(proc.Entry)[0], g.At(proc.Exit)[0], g.At(proc.Exit)[1]
+	loop, out := g.Edge(0, r, r), g.Edge(1, r, hit)
+	loop.Stuck, loop.Attempts = true, 3
+	q := &summary.Question{Proc: "p", Pre: logic.True, Post: logic.True}
+	g.SetPending(out, q)
+	g.Kill(g.Edge(1, r, miss))
 
-	a := g.NewRegion(n, leIC("a", 0), true)
-	b := g.NewRegion(n, logic.Not(leIC("a", 0)), true)
-	g.Split(r, a, b)
+	parts := []*regions.Region{g.NewRegion(r.Node, leIC("a", 0), true), g.NewRegion(r.Node, logic.Not(leIC("a", 0)), true)}
+	g.Split(r, parts...)
 	checkGraph(t, g)
-
-	for _, part := range []*regions.Region{a, b} {
-		e := g.Edge(0, part, other)
-		if !e.Elim {
-			t.Errorf("elim not migrated to %d", part.ID)
-		}
-		if !g.Edge(1, other, part).Stuck {
-			t.Errorf("stuck not migrated to %d", part.ID)
-		}
-		if e.Attempts != 3 {
-			t.Errorf("attempts not migrated to %d", part.ID)
-		}
-		if e.Pending != out.Pending {
-			t.Errorf("pending not migrated to %d", part.ID)
-		}
+	for _, part := range parts {
 		if !part.Target {
-			t.Errorf("target flag lost on %d", part.ID)
+			t.Errorf("target flag lost on R%d", part.ID)
+		}
+		for _, to := range parts {
+			if e := g.Edge(0, part, to); e == nil || !e.Stuck || e.Attempts != 3 {
+				t.Errorf("R%d→R%d did not inherit stuck and 3 attempts from the self-loop: %+v", part.ID, to.ID, e)
+			}
+		}
+		if e := g.Edge(1, part, hit); e == nil || e.Pending != q || e.Stuck || e.Attempts != 0 {
+			t.Errorf("R%d→R%d did not inherit the outstanding child (and nothing else): %+v", part.ID, hit.ID, e)
+		}
+		if e := g.Edge(1, part, miss); e != nil {
+			t.Errorf("eliminated edge is live for part R%d: %+v", part.ID, e)
 		}
 	}
+	// Answering every child finds them all on the pending list.
+	db := summary.New(smt.New())
+	db.Add(summary.Summary{Kind: summary.NotMay, Proc: "p", Pre: logic.True, Post: logic.True})
+	g.SweepPending(db)
+	for _, part := range parts {
+		if g.Edge(1, part, hit).Pending != nil {
+			t.Errorf("answered child still pending on R%d", part.ID)
+		}
+	}
+	checkGraph(t, g)
 }
 
 func TestMustElemDedup(t *testing.T) {

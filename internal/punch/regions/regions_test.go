@@ -3,6 +3,7 @@ package regions
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cfg"
@@ -34,11 +35,42 @@ func mustCheck(t testing.TB, g *Graph) {
 	}
 }
 
-// refKey and refModel are the five per-query maps the table replaced, with
-// the replaceRegion that migrated them — kept here, verbatim in its
-// semantics but for the inheritance of shut marks, as the reference the
-// table is held against. Keys of retired
-// regions pile up in it as they did then; only live pairs are compared.
+// loopProc is a procedure with every shape of CFG edge the graph links
+// differently: two parallel edges between one pair of locations, two
+// self-loops on one location, a call, and a straight run to exit.
+//
+//	n0 ─a=0─▶ n2, n0 ─havoc a─▶ n2, n2 ─a=a+1─▶ n2, n2 ─assume(a<3)─▶ n2,
+//	n2 ─call work─▶ n3, n3 ─assume(!(a<3))─▶ n1
+func loopProc(t testing.TB) *cfg.Proc {
+	t.Helper()
+	lt3 := lang.CmpE(lang.V("a"), lang.Lt, lang.C(3))
+	b := cfg.NewProc("main")
+	loop, after := b.NewNode(), b.NewNode()
+	exit := b.NewNode()
+	b.AddEdge(b.Entry(), loop, lang.Assign{Lhs: "a", Rhs: lang.C(0)})
+	b.AddEdge(b.Entry(), loop, lang.Havoc{V: "a"})
+	b.AddEdge(loop, loop, lang.Assign{Lhs: "a", Rhs: lang.Plus(lang.V("a"), lang.C(1))})
+	b.AddEdge(loop, loop, lang.Assume{Cond: lt3})
+	b.AddEdge(loop, after, lang.Call{Proc: "work"})
+	b.AddEdge(after, exit, lang.Assume{Cond: lang.NotE(lt3)})
+	w := cfg.NewProc("work")
+	wexit := w.NewNode()
+	w.AddEdge(w.Entry(), wexit, lang.Skip{})
+	prog, err := cfg.NewProgram("loop", []lang.Var{"a"}, "main", b.Finish(exit), w.Finish(wexit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog.MainProc()
+}
+
+// refKey and refModel are the five per-query maps the region graph
+// replaced, with the replaceRegion that migrated them — kept here, verbatim
+// in its semantics but for the inheritance of shut marks, as the reference
+// the graph is held against: a pair the model has eliminated or shut is one
+// the graph has no record of. Keys of retired regions pile up in it as they
+// did then; only live pairs are compared. at is the model's own copy of the
+// partitions, and search the search the five maps were walked by: every
+// pair of the far partition, probed in partition order.
 type refKey struct{ edge, from, to int }
 
 type refModel struct {
@@ -47,30 +79,40 @@ type refModel struct {
 	stuck    map[refKey]bool
 	pending  map[refKey]*summary.Question
 	attempts map[refKey]int
+	at       [][]*Region
 }
 
-func newRefModel() *refModel {
-	return &refModel{
+func newRefModel(g *Graph) *refModel {
+	m := &refModel{
 		elim:     map[refKey]bool{},
 		open:     map[refKey]int8{},
 		stuck:    map[refKey]bool{},
 		pending:  map[refKey]*summary.Question{},
 		attempts: map[refKey]int{},
 	}
+	for n := 0; n < g.proc.NNodes; n++ {
+		m.at = append(m.at, slices.Clone(g.At(cfg.NodeID(n))))
+	}
+	return m
 }
 
-func (m *refModel) replaceRegion(r int, parts []int) {
+func (m *refModel) replaceRegion(r *Region, parts []*Region) {
+	m.at[r.Node] = append(slices.DeleteFunc(m.at[r.Node], func(x *Region) bool { return x == r }), parts...)
 	migrate := func(old refKey) []refKey {
-		if old.from != r && old.to != r {
+		if old.from != int(r.ID) && old.to != int(r.ID) {
 			return nil
 		}
+		var ids []int
+		for _, p := range parts {
+			ids = append(ids, int(p.ID))
+		}
 		froms := []int{old.from}
-		if old.from == r {
-			froms = parts
+		if old.from == int(r.ID) {
+			froms = ids
 		}
 		tos := []int{old.to}
-		if old.to == r {
-			tos = parts
+		if old.to == int(r.ID) {
+			tos = ids
 		}
 		var ks []refKey
 		for _, f := range froms {
@@ -100,7 +142,7 @@ func (m *refModel) replaceRegion(r int, parts []int) {
 	for k, v := range addP {
 		m.pending[k] = v
 	}
-	// The one place the model departs from the five maps, as the table
+	// The one place the model departs from the five maps, as the graph
 	// does: a shut mark goes to the parts' edges, an open one does not.
 	var addO []refKey
 	for k, v := range m.open {
@@ -122,137 +164,276 @@ func (m *refModel) replaceRegion(r int, parts []int) {
 	}
 }
 
-// TestTableAgainstFiveMapModel drives the table and the reference model
+// search is FindPath (path set) or Reachable over the model: breadth-first,
+// every region of the far partition probed in order, the one-step check
+// made on first need and remembered. It returns what it reached, the path
+// to the first target at exit (nil when there is none, or path is unset)
+// and the pairs it evaluated, in order.
+func (m *refModel) search(proc *cfg.Proc, solver *smt.Solver, pre logic.Formula, avoid, reverse, path bool) (seen map[int32]bool, found, evals []refKey) {
+	var queue []*Region
+	if reverse {
+		for _, r := range m.at[proc.Exit] {
+			if r.Target {
+				queue = append(queue, r)
+			}
+		}
+	} else {
+		for _, r := range m.at[proc.Entry] {
+			if s := solver.Sat(logic.Conj(r.F, pre)); !s.Known || s.Sat {
+				queue = append(queue, r)
+			}
+		}
+	}
+	seen, via := map[int32]bool{}, map[int32]refKey{}
+	for _, r := range queue {
+		seen[r.ID] = true
+	}
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		if path && cur.Target && cur.Node == proc.Exit {
+			found = []refKey{}
+			for id := cur.ID; ; {
+				k, ok := via[id]
+				if !ok {
+					break
+				}
+				found = append([]refKey{k}, found...)
+				id = int32(k.from)
+			}
+			return seen, found, evals
+		}
+		incident := proc.Out[cur.Node]
+		if reverse {
+			incident = proc.In[cur.Node]
+		}
+		for _, ei := range incident {
+			ce := proc.Edges[ei]
+			far := ce.To
+			if reverse {
+				far = ce.From
+			}
+			for _, r2 := range m.at[far] {
+				if seen[r2.ID] {
+					continue
+				}
+				from, to := cur, r2
+				if reverse {
+					from, to = r2, cur
+				}
+				k := refKey{ei, int(from.ID), int(to.ID)}
+				if m.elim[k] || avoid && (m.stuck[k] || m.pending[k] != nil) {
+					continue
+				}
+				if m.open[k] == 0 {
+					m.open[k] = 1
+					if _, isCall := ce.Stmt.(lang.Call); !isCall {
+						evals = append(evals, k)
+						if !solver.StepFeasible(ce.StmtID, ce.Stmt, from.F, to.F) {
+							m.open[k] = -1
+						}
+					}
+				}
+				if m.open[k] < 0 {
+					continue
+				}
+				seen[r2.ID], via[r2.ID] = true, k
+				queue = append(queue, r2)
+			}
+		}
+	}
+	return seen, nil, evals
+}
+
+func keyOf(e *Edge) refKey { return refKey{e.CFG, int(e.From.ID), int(e.To.ID)} }
+
+// TestTableAgainstFiveMapModel drives the graph and the reference model
 // through the same random sequence of edge updates and splits — self-loop
-// edges, splits into no, one or several parts, splits of parts — and
-// compares every live abstract edge, and the table's invariants, after
-// every step.
+// edges, parallel edges, splits into no, one or several parts, splits of
+// parts — and compares every live abstract edge, and the graph's
+// invariants, after every step. Then both are searched, forwards for a
+// path and in a random direction for what is reachable: same path, same
+// regions reached, and the same one-step checks made in the same order —
+// what a search is charged for.
 func TestTableAgainstFiveMapModel(t *testing.T) {
-	proc := mainProc(t, `globals a; proc main { a = 0; while (a < 3) { a = a + 1; } }`)
-	for seed := int64(1); seed <= 8; seed++ {
+	proc := loopProc(t)
+	pre := logic.Not(le("a", 5)) // some entry regions below are outside it
+	var evals []refKey
+	defer func(old func(*Edge)) { auditStep = old }(auditStep)
+	auditStep = func(e *Edge) { evals = append(evals, keyOf(e)) }
+	searches, evaluated, paths := 0, 0, 0
+	for seed := int64(1); seed <= 32; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := New(proc, le("a", 0))
-		ref := newRefModel()
+		g := New(proc, le("a", 7))
+		ref := newRefModel(g)
+		m, solver := &punch.Meter{Solver: smt.New()}, smt.New()
 		var live []*Region
-		for n := 0; n < proc.NNodes; n++ {
-			live = append(live, g.At(cfg.NodeID(n))...)
+		for _, regs := range ref.at {
+			live = append(live, regs...)
 		}
 		compare := func(step int, what string) {
 			t.Helper()
 			if err := g.Check(); err != nil {
 				t.Fatalf("seed %d step %d (%s): %v", seed, step, what, err)
 			}
-			for ci := range proc.Edges {
-				for _, f := range live {
-					for _, to := range live {
+			for ci, ce := range proc.Edges {
+				if !slices.Equal(g.At(ce.From), ref.at[ce.From]) {
+					t.Fatalf("seed %d step %d (%s): partition of n%d is %v, model has %v", seed, step, what, ce.From, g.At(ce.From), ref.at[ce.From])
+				}
+				for _, f := range ref.at[ce.From] {
+					for _, to := range ref.at[ce.To] {
 						k := refKey{ci, int(f.ID), int(to.ID)}
-						var got Edge
-						if e := g.edges[ci][pair(f, to)]; e != nil {
-							got = *e
+						e, dead := g.Edge(ci, f, to), ref.elim[k] || ref.open[k] < 0
+						if (e == nil) != dead {
+							t.Fatalf("seed %d step %d (%s): edge %v has record %v, model has {elim %v open %d}", seed, step, what, k, e, ref.elim[k], ref.open[k])
 						}
-						if got.Elim != ref.elim[k] || got.Stuck != ref.stuck[k] || got.Attempts != ref.attempts[k] ||
-							got.Pending != ref.pending[k] || got.open != ref.open[k] {
-							t.Fatalf("seed %d step %d (%s): edge %v is {elim %v stuck %v attempts %d pending %p open %d}, model has {%v %v %d %p %d}",
-								seed, step, what, k, got.Elim, got.Stuck, got.Attempts, got.Pending, got.open,
-								ref.elim[k], ref.stuck[k], ref.attempts[k], ref.pending[k], ref.open[k])
+						if e != nil && (e.Stuck != ref.stuck[k] || e.Attempts != ref.attempts[k] || e.Pending != ref.pending[k] || e.open != (ref.open[k] > 0)) {
+							t.Fatalf("seed %d step %d (%s): edge %v is {stuck %v attempts %d pending %p open %v}, model has {%v %d %p %d}",
+								seed, step, what, k, e.Stuck, e.Attempts, e.Pending, e.open,
+								ref.stuck[k], ref.attempts[k], ref.pending[k], ref.open[k])
 						}
 					}
 				}
 			}
 		}
-		for step := 0; step < 300 && len(live) > 0; step++ {
+		for step := 0; step < 100 && len(live) > 0; step++ {
 			ci := rng.Intn(len(proc.Edges))
-			from, to := live[rng.Intn(len(live))], live[rng.Intn(len(live))]
-			if rng.Intn(4) == 0 {
-				to = from // a self-loop edge
-			}
-			k := refKey{ci, int(from.ID), int(to.ID)}
-			what := ""
-			switch op := rng.Intn(8); op {
-			case 0:
-				what = "elim"
-				g.Edge(ci, from, to).Elim = true
-				ref.elim[k] = true
-			case 1:
-				what = "stuck"
-				g.Edge(ci, from, to).Stuck = true
-				ref.stuck[k] = true
-			case 2:
-				what = "pending"
-				q := &summary.Question{Proc: fmt.Sprint("p", step)}
-				g.Edge(ci, from, to).Pending = q
-				ref.pending[k] = q
-			case 3:
-				what = "answered"
-				g.Edge(ci, from, to).Pending = nil
-				delete(ref.pending, k)
-			case 4:
-				what = "attempt"
-				g.Edge(ci, from, to).Attempts++
-				ref.attempts[k]++
-			case 5:
-				what = "open"
-				v := int8(1 - 2*rng.Intn(2))
-				g.Edge(ci, from, to).open = v
-				ref.open[k] = v
-			default:
-				what = "split"
-				r := from
+			ce := proc.Edges[ci]
+			op := rng.Intn(8)
+			what := "split"
+			if froms, tos := ref.at[ce.From], ref.at[ce.To]; op >= 6 || len(froms) == 0 || len(tos) == 0 {
+				r := live[rng.Intn(len(live))]
 				var parts []*Region
-				var ids []int
-				for i, n := 0, rng.Intn(4); i < n; i++ {
-					p := g.NewRegion(r.Node, le("a", int64(step*4+i)), r.Target)
-					parts = append(parts, p)
-					ids = append(ids, int(p.ID))
+				for i, n := 0, (rng.Intn(8)+2)%5; i < n; i++ { // none, once in eight
+					parts = append(parts, g.NewRegion(r.Node, le("a", int64(step%12-2+i)), r.Target))
 				}
 				g.Split(r, parts...)
-				ref.replaceRegion(int(r.ID), ids)
-				kept := live[:0]
-				for _, x := range live {
-					if x != r {
-						kept = append(kept, x)
-					}
-				}
-				live = append(kept, parts...)
+				ref.replaceRegion(r, parts)
+				live = append(slices.DeleteFunc(live, func(x *Region) bool { return x == r }), parts...)
 				if r.Live() {
 					t.Fatalf("seed %d step %d: split region still live", seed, step)
 				}
+			} else {
+				from, to := froms[rng.Intn(len(froms))], tos[rng.Intn(len(tos))]
+				if ce.From == ce.To && rng.Intn(4) == 0 {
+					to = from // a self-loop edge
+				}
+				k := refKey{ci, int(from.ID), int(to.ID)}
+				e := g.Edge(ci, from, to)
+				if e == nil {
+					continue // dead, and nothing is said about a dead edge
+				}
+				switch op {
+				case 0:
+					what = "elim"
+					g.Kill(e)
+					ref.elim[k] = true
+				case 1:
+					what = "stuck"
+					e.Stuck = true
+					ref.stuck[k] = true
+				case 2:
+					what = "pending"
+					q := &summary.Question{Proc: fmt.Sprint("p", step)}
+					g.SetPending(e, q)
+					ref.pending[k] = q
+				case 3:
+					what = "answered"
+					g.SetPending(e, nil)
+					delete(ref.pending, k)
+				case 4:
+					what = "attempt"
+					e.Attempts++
+					ref.attempts[k]++
+				case 5:
+					what = "open"
+					if ref.open[k] = int8(1 - 2*rng.Intn(2)); ref.open[k] > 0 {
+						e.open = true
+					} else {
+						g.Kill(e) // as a search does with an edge it finds shut
+					}
+				}
 			}
 			compare(step, what)
+
+			avoid, reverse := rng.Intn(2) == 0, rng.Intn(2) == 0
+			evals = nil
+			path := g.FindPath(m, pre, avoid)
+			_, wantPath, wantEvals := ref.search(proc, solver, pre, avoid, false, true)
+			var gotPath []refKey
+			for _, e := range path {
+				gotPath = append(gotPath, keyOf(e))
+			}
+			if (path == nil) != (wantPath == nil) || !slices.Equal(gotPath, wantPath) || !slices.Equal(evals, wantEvals) {
+				t.Fatalf("seed %d step %d (%s): FindPath(avoid=%v) = %v after checking %v, model finds %v after %v", seed, step, what, avoid, gotPath, evals, wantPath, wantEvals)
+			}
+			evaluated += len(evals)
+			evals = nil
+			reach := g.Reachable(m, pre, reverse)
+			wantReach, _, wantEvals := ref.search(proc, solver, pre, false, reverse, false)
+			for _, r := range live {
+				if reach[r.ID] != wantReach[r.ID] {
+					t.Fatalf("seed %d step %d (%s): Reachable(reverse=%v) has R%d %v, model %v", seed, step, what, reverse, r.ID, reach[r.ID], wantReach[r.ID])
+				}
+			}
+			if !slices.Equal(evals, wantEvals) {
+				t.Fatalf("seed %d step %d (%s): Reachable(reverse=%v) checked %v, model %v", seed, step, what, reverse, evals, wantEvals)
+			}
+			evaluated += len(evals)
+			if wantPath != nil {
+				paths++
+			}
+			searches += 2
+			compare(step, "search after "+what)
 		}
 	}
+	if evaluated == 0 || paths == 0 {
+		t.Fatalf("%d searches made %d one-step checks and found %d paths: nothing compared", searches, evaluated, paths)
+	}
+	t.Logf("%d searches, %d one-step checks, %d paths, all as the model's", searches, evaluated, paths)
 }
 
 func TestEdgeOnRetiredRegionPanics(t *testing.T) {
 	proc := mainProc(t, `globals a; proc main { a = 1; }`)
 	g := New(proc, logic.True)
 	r := g.At(proc.Entry)[0]
+	next := g.At(proc.Edges[0].To)[0]
+	if g.Edge(0, r, next) == nil {
+		t.Fatal("no initial edge over the first statement")
+	}
 	g.Split(r, g.NewRegion(r.Node, logic.True, false))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("an edge on a retired region was accepted")
 		}
 	}()
-	g.Edge(0, r, g.At(proc.Exit)[0])
+	g.Edge(0, r, next)
 }
 
 // TestEliminateAfterSelfLoopSplit: parts of a region split on its own
 // self-loop edge are not marked against the retired destination.
 func TestEliminateAfterSelfLoopSplit(t *testing.T) {
-	proc := mainProc(t, `globals a; proc main { a = 1; }`)
+	proc := loopProc(t)
 	g := New(proc, logic.True)
-	r := g.At(proc.Entry)[0]
-	g.Edge(0, r, r)
+	const loop = 2 // n2 ─a=a+1─▶ n2
+	r := g.At(proc.Edges[loop].From)[0]
+	if g.Edge(loop, r, r) == nil {
+		t.Fatal("no initial self-loop edge")
+	}
 	a, b := g.NewRegion(r.Node, le("a", 0), false), g.NewRegion(r.Node, logic.Not(le("a", 0)), false)
 	g.Split(r, a, b)
-	g.Eliminate(0, []*Region{b}, r)
+	g.Eliminate(loop, []*Region{b}, r)
 	mustCheck(t, g)
-	if len(g.edges[0]) != 0 {
-		t.Fatalf("table holds %d entries after a blank self-loop split", len(g.edges[0]))
+	for _, f := range []*Region{a, b} {
+		for _, to := range []*Region{a, b} {
+			if g.Edge(loop, f, to) == nil {
+				t.Fatalf("R%d→R%d died with the retired destination", f.ID, to.ID)
+			}
+		}
 	}
-	g.Eliminate(0, []*Region{b}, a)
-	if !g.Edge(0, b, a).Elim {
-		t.Fatal("live destination not marked")
+	g.Eliminate(loop, []*Region{b}, a)
+	mustCheck(t, g)
+	if g.Edge(loop, b, a) != nil || g.Edge(loop, a, a) == nil || g.Edge(loop, b, b) == nil {
+		t.Fatal("live destination not marked, or more than it")
 	}
 }
 
@@ -274,7 +455,7 @@ func TestFindPathAndSweepPending(t *testing.T) {
 	}
 	// A pending call edge is avoided by the actionable search only.
 	call := path[len(path)-1]
-	call.Pending = &summary.Question{Proc: "work", Pre: logic.True, Post: le("a", 5)}
+	g.SetPending(call, &summary.Question{Proc: "work", Pre: logic.True, Post: le("a", 5)})
 	if g.FindPath(m, logic.True, true) != nil {
 		t.Fatal("actionable path through a pending edge")
 	}
@@ -293,7 +474,7 @@ func TestFindPathAndSweepPending(t *testing.T) {
 		t.Fatal("answered child still pending")
 	}
 	// Eliminating the edge leaves no path at all, forward or backward.
-	call.Elim = true
+	g.Kill(call)
 	if g.FindPath(m, logic.True, false) != nil {
 		t.Fatal("path through an eliminated edge")
 	}
@@ -326,12 +507,37 @@ func benchGraph(tb testing.TB) (*Graph, *punch.Meter) {
 		for i, f := range g.At(ce.From) {
 			for j, to := range g.At(ce.To) {
 				e := g.Edge(ci, f, to)
-				e.open = 1
-				e.Elim = to.Target || (i+j)%3 == 0
+				e.open = true
+				if to.Target || (i+j)%3 == 0 {
+					g.Kill(e)
+				}
 			}
 		}
 	}
 	return g, &punch.Meter{Solver: smt.New()}
+}
+
+// TestFindPathAllocPin: once the scratch has grown to the graph and every
+// edge on the way has had its one-step check, a search allocates the path
+// it returns and nothing else — nothing at all when there is no path.
+func TestFindPathAllocPin(t *testing.T) {
+	g, m := benchGraph(t)
+	pin := func(what string, want float64, found bool) {
+		t.Helper()
+		if (g.FindPath(m, logic.True, true) != nil) != found { // also the warm-up
+			t.Fatalf("%s: path found = %v", what, !found)
+		}
+		if got := testing.AllocsPerRun(50, func() { g.FindPath(m, logic.True, true) }); got != want {
+			t.Errorf("%s: FindPath allocates %v times a search, want %v", what, got, want)
+		}
+	}
+	pin("no path", 0, false)
+	// Make a target of the exit region outside the postcondition, the one
+	// whose incoming edges benchGraph left alive.
+	rest := g.At(g.proc.Exit)[0]
+	g.Split(rest, g.NewRegion(rest.Node, rest.F, true))
+	pin("a path", 1, true)
+	mustCheck(t, g)
 }
 
 func BenchmarkFindPath(b *testing.B) {
