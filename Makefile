@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt vet build cross test race traj-pin traj-diff one-reduce alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-smoke fuzz-smoke bench
+.PHONY: ci fmt vet build cross test race traj-pin traj-diff one-reduce dead-exports alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-smoke fuzz-smoke bench
 
 # ci is the tier-1 gate: everything must pass before a change lands.
-ci: fmt vet build cross test race traj-pin one-reduce alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-smoke fuzz-smoke
+ci: fmt vet build cross test race traj-pin one-reduce dead-exports alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-smoke fuzz-smoke
 
 # fmt fails when any tracked file is not gofmt-clean (prints offenders).
 fmt:
@@ -59,6 +59,12 @@ traj-diff:
 one-reduce:
 	$(GO) test -run TestOneReduce -count=1 ./internal/core
 
+# dead-exports is a structural lint: every exported function under
+# internal/ has a caller in the module's non-test code, or is on the
+# short, reasoned allowlist in deadexport_test.go.
+dead-exports:
+	$(GO) test -run TestNoDeadExports -count=1 .
+
 # alloc-pin holds the allocation of a check whose formulas all exist
 # already: parport/PowerDownFail on one thread, twice in one process, the
 # second run's runtime.MemStats.TotalAlloc against the budget committed in
@@ -70,10 +76,13 @@ alloc-pin:
 	$(GO) test -run TestAllocPin -count=1 .
 	$(GO) test -run TestFindPathAllocPin -count=1 ./internal/punch/regions
 
-# trace-smoke round-trips a corpus program through all three engines with
-# the Chrome tracer attached and validates the serialized document.
+# trace-smoke records a corpus program on all three engines, converts
+# each stream with obs.WriteChrome and validates the document, then
+# round-trips one JSONL file through `boltprof -report chrome` and
+# requires the same document.
 trace-smoke:
 	$(GO) test -run TestTraceRoundTrip -count=1 ./internal/obs
+	$(GO) test -run TestReportChrome -count=1 ./cmd/boltprof
 
 # prof-selftest replays the corpus through all three engines, pipes each
 # event stream through the JSONL encoding, and checks the trace

@@ -284,9 +284,10 @@ func BenchmarkEntailmentCache(b *testing.B) {
 // BenchmarkObsOverhead measures the observability layer's hot-path cost
 // on the streaming engine at 8 threads: disabled (the nil-tracer /
 // nil-registry branch the zero-allocation contract is about), metrics
-// only, and metrics plus a full Chrome trace. "disabled" is the
-// before/after comparison against BenchmarkAsyncVsBarrier's async runs;
-// the acceptance bar is < 2% makespan regression.
+// only, and metrics plus the full recording a Chrome trace is converted
+// from. "disabled" is the before/after comparison against
+// BenchmarkAsyncVsBarrier's async runs; the acceptance bar is < 2%
+// makespan regression.
 func BenchmarkObsOverhead(b *testing.B) {
 	prog := drivers.Generate(drivers.NamedCheck("parport", "MarkPowerDown", false).Config)
 	modes := []struct {
@@ -315,7 +316,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 					opts.Metrics = obs.NewMetrics()
 				}
 				if mode.trace {
-					opts.Tracer = obs.NewChromeTracer()
+					opts.Tracer = &obs.Recording{}
 				}
 				if mode.flight {
 					opts.Tracer = obs.NewFlightRecorder(0)

@@ -208,10 +208,10 @@ type Options struct {
 	// result.
 	FindWitness bool
 	// TraceTo, when set, records the run's query-lifecycle events and
-	// writes them here as Chrome trace-event JSON when the run ends: one
-	// track per worker, one span per PUNCH invocation, loadable at
-	// ui.perfetto.dev or chrome://tracing. Result.TraceSpans and
-	// Result.TraceErr report the outcome.
+	// converts them here to Chrome trace-event JSON when the run ends
+	// (obs.WriteChrome): one track per worker, one span per PUNCH
+	// invocation, loadable at ui.perfetto.dev or chrome://tracing.
+	// Result.TraceSpans and Result.TraceErr report the outcome.
 	TraceTo io.Writer
 	// TraceJSONLTo, when set, streams the same events here as JSON Lines
 	// (one event object per line) while the run executes — the format
@@ -220,8 +220,8 @@ type Options struct {
 	// flush errors surface in Result.TraceErr.
 	TraceJSONLTo io.Writer
 	// MetricsInto, when non-nil, is the live registry the run accumulates
-	// into (implying CollectMetrics): the CLIs pass the same registry to
-	// obs.StartPprofServer so /metrics scrapes observe the run in flight.
+	// into (implying CollectMetrics): the CLIs hand the same registry to
+	// obs.StartDebugServer so /metrics scrapes observe the run in flight.
 	// Nil means a private registry is used when CollectMetrics is set.
 	MetricsInto *obs.Metrics
 	// CollectMetrics enables the engine metrics registry; the snapshot is
@@ -258,10 +258,11 @@ type Options struct {
 	// per publish site.
 	Inspect *Inspector
 	// FlightRecorder, when non-nil, is teed into the run's event stream:
-	// a bounded ring of the most recent lifecycle events, dumpable via
-	// /debug/bolt/flight or boltcheck -flight-dump. Unlike TraceTo it is
-	// cheap enough to leave on for whole runs.
-	FlightRecorder *obs.FlightRecorder
+	// typically a bounded ring of the most recent lifecycle events
+	// (obs.NewFlightRecorder), dumpable via /debug/bolt/flight or
+	// boltcheck -flight-dump and cheap enough to leave on for whole runs;
+	// a zero obs.Recording keeps every event.
+	FlightRecorder *obs.Recording
 }
 
 // Result reports a verification run.
@@ -449,23 +450,24 @@ func closeStore(st store.Store, errp *error) {
 	}
 }
 
-// hooks builds the run's tracers and registry from the options. The
-// Tracer return is a nil interface (not a typed nil) when tracing is
-// off, so the engines' single `!= nil` guard stays correct.
-func (o Options) hooks() (*obs.ChromeTracer, *obs.JSONLTracer, obs.Tracer, *obs.Metrics) {
-	var ct *obs.ChromeTracer
+// hooks builds the run's tracers and registry from the options: TraceTo
+// records into a Recording that end converts to Chrome JSON. The Tracer
+// return is a nil interface (not a typed nil) when tracing is off, so
+// the engines' single `!= nil` guard stays correct.
+func (o Options) hooks() (*obs.Recording, *obs.JSONLTracer, obs.Tracer, *obs.Metrics) {
+	var rec *obs.Recording
 	var tr obs.Tracer
 	if o.TraceTo != nil {
-		ct = obs.NewChromeTracer()
-		tr = ct
+		rec = &obs.Recording{}
+		tr = rec
 	}
 	var jt *obs.JSONLTracer
 	if o.TraceJSONLTo != nil {
 		jt = obs.NewJSONLTracer(o.TraceJSONLTo)
 		tr = obs.Tee(tr, jt)
 	}
-	// The guard matters: teeing a typed-nil *FlightRecorder would yield
-	// a non-nil Tracer interface and defeat the engines' nil check.
+	// The guard matters: teeing a typed-nil *Recording would yield a
+	// non-nil Tracer interface and defeat the engines' nil check.
 	if o.FlightRecorder != nil {
 		tr = obs.Tee(tr, o.FlightRecorder)
 	}
@@ -473,14 +475,14 @@ func (o Options) hooks() (*obs.ChromeTracer, *obs.JSONLTracer, obs.Tracer, *obs.
 	if m == nil && o.CollectMetrics {
 		m = obs.NewMetrics()
 	}
-	return ct, jt, tr, m
+	return rec, jt, tr, m
 }
 
 // session is what every entry point sets up around one engine run: the
 // opened summary store and the observability hooks.
 type session struct {
 	st      store.Store
-	ct      *obs.ChromeTracer
+	rec     *obs.Recording
 	jt      *obs.JSONLTracer
 	tr      obs.Tracer
 	m       *obs.Metrics
@@ -494,7 +496,7 @@ func (p *Program) begin(a Analysis, o Options) (*session, error) {
 		return nil, err
 	}
 	s := &session{st: st, traceTo: o.TraceTo}
-	s.ct, s.jt, s.tr, s.m = o.hooks()
+	s.rec, s.jt, s.tr, s.m = o.hooks()
 	return s, nil
 }
 
@@ -515,9 +517,8 @@ func (s *session) end(res *Result, snap *obs.Snapshot) {
 			})
 		}
 	}
-	if s.ct != nil {
-		res.TraceSpans = s.ct.Spans()
-		res.TraceErr = s.ct.Export(s.traceTo)
+	if s.rec != nil {
+		res.TraceSpans, res.TraceErr = obs.WriteChrome(s.traceTo, s.rec.Events())
 	}
 	if s.jt != nil {
 		if err := s.jt.Flush(); err != nil && res.TraceErr == nil {
@@ -687,7 +688,7 @@ type DistOptions struct {
 	// probe (per-node occupancy, skew and gossip backlog on top of the
 	// shared gauges) and the bounded ring of recent lifecycle events.
 	Inspect        *Inspector
-	FlightRecorder *obs.FlightRecorder
+	FlightRecorder *obs.Recording
 }
 
 // DistResult reports a simulated-cluster run.

@@ -3,6 +3,7 @@ package bolt_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -234,12 +235,9 @@ func TestObservabilityFacade(t *testing.T) {
 		if res.TraceErr != nil {
 			t.Fatalf("async=%v: trace error %v", async, res.TraceErr)
 		}
-		spans, err := obs.ValidateChromeTrace(buf.Bytes())
-		if err != nil {
-			t.Fatalf("async=%v: invalid trace: %v", async, err)
-		}
-		if spans < 1 || spans != res.TraceSpans {
-			t.Errorf("async=%v: spans = %d, TraceSpans = %d", async, spans, res.TraceSpans)
+		spans := chromeSpans(t, buf.Bytes())
+		if spans < 1 || spans != res.TraceSpans || int64(spans) != res.Metrics["punch_invocations"] {
+			t.Errorf("async=%v: spans = %d, TraceSpans = %d, punch_invocations = %d", async, spans, res.TraceSpans, res.Metrics["punch_invocations"])
 		}
 		if res.Metrics == nil || res.Metrics["punch_invocations"] < 1 {
 			t.Errorf("async=%v: metrics missing punch invocations: %v", async, res.Metrics)
@@ -251,6 +249,25 @@ func TestObservabilityFacade(t *testing.T) {
 			t.Errorf("async=%v: worker metrics = %d, want 4", async, len(res.WorkerMetrics))
 		}
 	}
+}
+
+// chromeSpans parses a Chrome trace-event document (a JSON array) and
+// counts its complete spans; obs's own tests check their nesting.
+func chromeSpans(t *testing.T, doc []byte) int {
+	t.Helper()
+	var evs []struct {
+		Ph string `json:"ph"`
+	}
+	if err := json.Unmarshal(doc, &evs); err != nil {
+		t.Fatalf("trace is not a JSON array: %v", err)
+	}
+	n := 0
+	for _, ev := range evs {
+		if ev.Ph == "X" {
+			n++
+		}
+	}
+	return n
 }
 
 // TestObservabilityOffByDefault: a plain run attaches nothing.
@@ -283,11 +300,7 @@ func TestDistObservabilityFacade(t *testing.T) {
 	if res.TraceErr != nil {
 		t.Fatal(res.TraceErr)
 	}
-	spans, err := obs.ValidateChromeTrace(buf.Bytes())
-	if err != nil {
-		t.Fatalf("invalid trace: %v", err)
-	}
-	if spans != res.TraceSpans || spans < 1 {
+	if spans := chromeSpans(t, buf.Bytes()); spans != res.TraceSpans || spans < 1 {
 		t.Errorf("spans = %d, TraceSpans = %d", spans, res.TraceSpans)
 	}
 	if res.Metrics == nil || res.Metrics["queries_spawned"] < 1 {

@@ -226,7 +226,7 @@ func reportProv(p *prov.Provenance, explain bool, provOut string) error {
 type obsBundle struct {
 	reg    *obs.Metrics
 	insp   *bolt.Inspector
-	flight *obs.FlightRecorder
+	flight *obs.Recording
 	wd     *obs.Watchdog
 	dump   string
 	// prov holds the finished run's provenance record for
@@ -327,8 +327,9 @@ func (ob *obsBundle) writeDump() error {
 	if err != nil {
 		return err
 	}
+	_, dropped := ob.flight.Counts()
 	fmt.Fprintf(os.Stderr, "flight: wrote %s (%d events, %d dropped); report with boltprof -flight %s\n",
-		ob.dump, n, ob.flight.Dropped(), ob.dump)
+		ob.dump, n, dropped, ob.dump)
 	return nil
 }
 

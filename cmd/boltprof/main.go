@@ -1,12 +1,13 @@
 // Command boltprof analyzes a recorded run of the BOLT engine: it
 // rebuilds the query-causality DAG from a JSON Lines event trace and
 // reports the critical path, work/span bounds, a what-if scalability
-// model, and blocking/straggler attribution.
+// model, and blocking/straggler attribution. -report chrome instead
+// converts the trace to Chrome trace-event JSON (ui.perfetto.dev).
 //
 // Usage:
 //
 //	boltcheck -async -trace-jsonl trace.jsonl program.bolt
-//	boltprof -input trace.jsonl -report text
+//	boltprof -input trace.jsonl -report text|json|chrome
 //	boltprof -flight flight.jsonl
 //	boltprof -prov prov.json
 //	boltprof -selftest
@@ -23,18 +24,20 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
 
 	bolt "repro"
+	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 )
 
 func main() {
 	var (
 		input    = flag.String("input", "", "JSON Lines event trace to analyze (from boltcheck -trace-jsonl)")
-		report   = flag.String("report", "text", "report format: text|json")
+		report   = flag.String("report", "text", "report format: text|json|chrome (Chrome trace-event JSON of the events)")
 		selftest = flag.Bool("selftest", false, "replay the corpus through all three engines and validate analyzer invariants")
 		corpus   = flag.String("corpus", "testdata/corpus", "corpus directory for -selftest")
 		flight   = flag.String("flight", "", "flight-recorder dump to report on (from boltcheck -flight-dump or /debug/bolt/flight)")
@@ -52,33 +55,39 @@ func main() {
 		os.Exit(runProv(*provIn, os.Stdout))
 	}
 	if *input == "" {
-		fmt.Fprintln(os.Stderr, "usage: boltprof -input trace.jsonl [-report text|json], boltprof -flight dump.jsonl, or boltprof -selftest")
+		fmt.Fprintln(os.Stderr, "usage: boltprof -input trace.jsonl [-report text|json|chrome], boltprof -flight dump.jsonl, or boltprof -selftest")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	events, err := analyze.LoadJSONLFile(*input)
-	if err != nil {
+	if err := runReport(*input, *report, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+}
+
+// runReport renders the JSONL trace at path to w in the given format:
+// the analyzer's report as text or JSON, or the events themselves as
+// Chrome trace-event JSON.
+func runReport(path, format string, w io.Writer) error {
+	events, err := analyze.LoadJSONLFile(path)
+	if err != nil {
+		return err
+	}
+	if format == "chrome" {
+		_, err := obs.WriteChrome(w, events)
+		return err
 	}
 	rep, err := analyze.Analyze(events)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return err
 	}
-	switch *report {
+	switch format {
 	case "text":
-		err = rep.WriteText(os.Stdout)
+		return rep.WriteText(w)
 	case "json":
-		err = rep.WriteJSON(os.Stdout)
-	default:
-		fmt.Fprintf(os.Stderr, "boltprof: unknown report format %q (want text or json)\n", *report)
-		os.Exit(2)
+		return rep.WriteJSON(w)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	return fmt.Errorf("boltprof: unknown report format %q (want text, json or chrome)", format)
 }
 
 // runSelftest replays every corpus program through the three engines,

@@ -1,6 +1,6 @@
 // Live-introspection facade: the handles callers keep across runs to
 // watch a check while it is in flight. An Inspector owns the stable
-// obs.Probe the engines attach to; pair it with a FlightRecorder and a
+// obs.Probe the engines attach to; pair it with a flight recorder and a
 // Watchdog and serve all three with obs.StartDebugServer (the
 // /debug/bolt/* endpoints) via DebugState.
 //
@@ -65,7 +65,7 @@ func BuildInfo() obs.BuildInfo {
 // DebugState bundles the observability handles for obs.StartDebugServer
 // with the build info pre-stamped. Any handle may be nil — its endpoint
 // then serves an empty (but well-formed) response.
-func DebugState(m *obs.Metrics, insp *Inspector, flight *obs.FlightRecorder, wd *obs.Watchdog) obs.DebugState {
+func DebugState(m *obs.Metrics, insp *Inspector, flight *obs.Recording, wd *obs.Watchdog) obs.DebugState {
 	return obs.DebugState{
 		Metrics:  m,
 		Probe:    insp.Probe(),

@@ -54,9 +54,6 @@ func (p *Program) Proc(name string) *Proc {
 	return p.Procs[name]
 }
 
-// MainProc returns the entry procedure.
-func (p *Program) MainProc() *Proc { return p.Procs[p.Main] }
-
 // ProcNames returns the procedure names in sorted order.
 func (p *Program) ProcNames() []string {
 	out := make([]string, 0, len(p.Procs))
@@ -65,16 +62,6 @@ func (p *Program) ProcNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// IsGlobal reports whether v is a global of the program.
-func (p *Program) IsGlobal(v lang.Var) bool {
-	for _, g := range p.Globals {
-		if g == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Vars returns all variables visible in proc (globals plus its locals).

@@ -31,7 +31,7 @@ func TestBuilderAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.MainProc() == nil || prog.Proc("leaf") == nil {
+	if prog.Proc(prog.Main) == nil || prog.Proc("leaf") == nil {
 		t.Fatal("procs missing")
 	}
 	cg := prog.CallGraph()
@@ -160,7 +160,7 @@ func TestDotExport(t *testing.T) {
 // different statements have different ones, none is 0 — and a statement
 // built twice from equal parts is the same statement.
 func TestStmtIDIsContentIdentity(t *testing.T) {
-	inc := func() lang.Stmt { return lang.Assign{Lhs: "g", Rhs: lang.Plus(lang.V("g"), lang.C(1))} }
+	inc := func() lang.Stmt { return lang.Assign{Lhs: "g", Rhs: lang.Add{X: lang.V("g"), Y: lang.C(1)}} }
 	mk := func(name string, stmts ...lang.Stmt) *Proc {
 		b := NewProc(name)
 		cur := b.Entry()
@@ -173,7 +173,7 @@ func TestStmtIDIsContentIdentity(t *testing.T) {
 	}
 	guard := lang.Assume{Cond: lang.CmpE(lang.V("g"), lang.Le, lang.C(3))}
 	main := mk("main", inc(), guard, inc(), lang.Call{Proc: "leaf"}, lang.Skip{})
-	leaf := mk("leaf", lang.Skip{}, inc(), lang.Assign{Lhs: "g", Rhs: lang.Plus(lang.V("g"), lang.C(2))})
+	leaf := mk("leaf", lang.Skip{}, inc(), lang.Assign{Lhs: "g", Rhs: lang.Add{X: lang.V("g"), Y: lang.C(2)}})
 	if main.Edges[0].StmtID != 0 {
 		t.Fatal("a procedure outside a program has statement ids")
 	}

@@ -163,8 +163,7 @@ func (s *asyncState) worker(id int) {
 				break
 			}
 			r.res.IdleWaits++
-			r.in.m.Inc(obs.IdleParks)
-			r.ls.WorkerParked(id)
+			r.in.park(id)
 			s.cond.Wait()
 			continue
 		}
@@ -235,16 +234,13 @@ func (s *asyncState) pop(id int) *query.Query {
 			q = d[len(d)-1]
 			s.deques[id] = d[:len(d)-1]
 		} else {
-			s.r.in.m.Inc(obs.StealsAttempted)
-			s.r.ls.WorkerStealing(id)
+			s.r.in.scan(id)
 			for off := 1; off < len(s.deques); off++ {
 				v := (id + off) % len(s.deques)
 				if d := s.deques[v]; len(d) > 0 {
 					q = d[0]
 					s.deques[v] = d[1:]
 					s.r.res.Steals++
-					s.r.in.m.Inc(obs.StealsSucceeded)
-					s.r.in.m.ObserveSteal(id)
 					s.r.note(obs.EvSteal, 0, id, q, int64(v))
 					break
 				}

@@ -353,15 +353,10 @@ func (e *DistEngine) RunContext(ctx context.Context, q0 summary.Question) DistRe
 		// retiring a Done query wakes parents and waiters that may live on
 		// another node.
 		answered := r.reduceBatch(batch)
-		r.publish(int64(round+1), 0)
-		if answered {
-			r.res.setStop(StopRootAnswered)
-			break
-		}
 
 		// Gossip: every SyncEvery rounds nodes exchange new summaries,
 		// subject to the injected loss plan.
-		if (round+1)%o.SyncEvery == 0 {
+		if !answered && (round+1)%o.SyncEvery == 0 {
 			res.SyncExchanges++
 			r.vtime += o.SyncCost
 			// A summary arrival is a wake event: queries that blocked before
@@ -372,6 +367,11 @@ func (e *DistEngine) RunContext(ctx context.Context, q0 summary.Question) DistRe
 			if e.gossip(r, nodes, rng, &res) > 0 {
 				wakeBlocked(r, nodes)
 			}
+		}
+		r.publish(int64(round+1), 0)
+		if answered {
+			r.res.setStop(StopRootAnswered)
+			break
 		}
 	}
 
@@ -457,7 +457,6 @@ func wakeBlocked(r *reducer, nodes []*distNode) {
 		}
 		for _, q := range n.tree.InState(query.Blocked) {
 			n.tree.SetState(q.ID, query.Ready)
-			r.in.m.Inc(obs.Wakes)
 			r.note(obs.EvWake, n.id, 0, q, 0)
 		}
 	}
@@ -475,9 +474,7 @@ func (e *DistEngine) failNode(r *reducer, nodes []*distNode, victim int, res *Di
 	}
 	dead := nodes[victim]
 	dead.dead = true
-	r.ls.NodeDead(victim)
 	res.KilledNodes = append(res.KilledNodes, victim)
-	r.in.m.Inc(obs.NodeKills)
 	if r.in.tr != nil {
 		r.in.emit(obs.Event{Type: obs.EvNodeKill, Node: victim, VTime: r.vtime})
 	}
@@ -557,10 +554,8 @@ func (e *DistEngine) gossip(r *reducer, nodes []*distNode, rng *rand.Rand, res *
 			}
 		}
 	}
-	if r.ls != nil {
-		for i, d := range deferred {
-			r.ls.NodeSetBacklog(i, d)
-		}
+	for i := range r.nodes {
+		r.nodes[i].GossipBacklog = deferred[i]
 	}
 	return moved
 }

@@ -3,7 +3,7 @@
 // (reducer.publish) at the scheduler's safe points (the streaming engine
 // under its scheduler mutex, the barrier and distributed engines at
 // stage/round boundaries), and attaches a snapshot function that layers the
-// concurrent-safe SUMDB and solver counters on top of the atomics. A
+// concurrent-safe SUMDB and solver counters on top of the live state. A
 // nil probe costs each publish site one branch, like the tracer and
 // metrics hooks.
 package core
@@ -14,10 +14,10 @@ import (
 	"repro/internal/summary"
 )
 
-// attachProbe registers the run's snapshot function: the LiveState
-// atomics plus live SUMDB shard occupancy — aggregated over every tree's
-// database, so a cluster's summary counts include gossip replicas — and
-// solver counters. db.StatsSnapshot and solver.StatsSnapshot are safe to
+// attachProbe registers the run's snapshot function: the LiveState's
+// folds and published gauges plus live SUMDB shard occupancy —
+// aggregated over every tree's database, so a cluster's summary counts
+// include gossip replicas — and solver counters. db.StatsSnapshot and solver.StatsSnapshot are safe to
 // call concurrently with a running analysis, so the closure may fire
 // from any goroutine at any time.
 func attachProbe(p *obs.Probe, ls *obs.LiveState, dbs []*summary.DB, solver *smt.Solver) {

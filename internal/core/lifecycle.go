@@ -111,24 +111,33 @@ type Faults struct {
 // NoFaultNode marks a Faults plan with no kill.
 const NoFaultNode = -1
 
-// instr bundles one run's observability hooks — the event tracer, the
-// metrics registry, the wall-clock epoch, and the pprof-label switch —
-// shared by the three engines. The zero instr is fully disabled. The
-// hot-path contract: every event emission is guarded by `if in.tr !=
-// nil` at the call site (one branch, no Event constructed behind it)
-// and every metrics update goes through obs's nil-receiver-safe
-// methods (one branch each).
+// instr bundles one run's observability hooks, shared by the three
+// engines. tr is the run's one Tracer: the caller's tracer, the metrics
+// registry and the live state composed, nil when all three are absent,
+// so every emission site pays one `if in.tr != nil` branch and builds no
+// Event behind it. The registry and the live state are folds over that
+// stream; m and ls are kept beside it only for what is not an event
+// (steal scans, parks, gossip rounds, the published gauges, the final
+// snapshot). The zero instr is fully disabled.
 type instr struct {
 	tr     obs.Tracer
 	m      *obs.Metrics
+	ls     *obs.LiveState
 	epoch  time.Time
 	labels bool
 }
 
-// newInstr builds the hooks for a run with the given worker-slot count.
-func newInstr(tr obs.Tracer, m *obs.Metrics, workers int, epoch time.Time, labels bool) instr {
-	m.EnsureWorkers(workers)
-	return instr{tr: tr, m: m, epoch: epoch, labels: labels}
+// newInstr composes the hooks for a run of nodes × width worker slots.
+func newInstr(tr obs.Tracer, m *obs.Metrics, ls *obs.LiveState, nodes, width int, epoch time.Time, labels bool) instr {
+	m.EnsureWorkers(nodes, width)
+	sinks := []obs.Tracer{tr}
+	if m != nil {
+		sinks = append(sinks, m)
+	}
+	if ls != nil {
+		sinks = append(sinks, ls)
+	}
+	return instr{tr: obs.Tee(sinks...), m: m, ls: ls, epoch: epoch, labels: labels}
 }
 
 // emit stamps ev with the run-relative wall clock and hands it to the
@@ -138,12 +147,21 @@ func (in *instr) emit(ev obs.Event) {
 	in.tr.Event(ev)
 }
 
+// scan and park record a streaming worker's steal scan and park: a
+// counter and a worker phase, neither of them an event.
+func (in *instr) scan(worker int) {
+	in.m.Inc(obs.StealsAttempted)
+	in.ls.WorkerStealing(worker)
+}
+
+func (in *instr) park(worker int) {
+	in.m.Inc(obs.IdleParks)
+	in.ls.WorkerParked(worker)
+}
+
 // deliver records one summary delivery between nodes of the distributed
-// simulation: the gossip counters plus a send/receive event pair keyed
-// by the endpoints.
+// simulation as a send/receive event pair keyed by the endpoints.
 func (in *instr) deliver(from, to int, proc string, bytes int, vtime int64) {
-	in.m.Inc(obs.GossipDeliveries)
-	in.m.Add(obs.GossipBytes, int64(bytes))
 	if in.tr != nil {
 		in.emit(obs.Event{Type: obs.EvGossipSend, Proc: proc, Node: from, VTime: vtime, N: int64(bytes)})
 		in.emit(obs.Event{Type: obs.EvGossipRecv, Proc: proc, Node: to, VTime: vtime, N: int64(bytes)})

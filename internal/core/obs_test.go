@@ -1,10 +1,13 @@
 package core
 
 import (
+	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/drivers"
 	"repro/internal/obs"
+	"repro/internal/parser"
 	"repro/internal/punch/maymust"
 	"repro/internal/query"
 )
@@ -18,13 +21,17 @@ import (
 //   - a punch-end never precedes its punch-start (per worker track the
 //     two strictly alternate),
 //   - a query is GC'd only after it is Done,
-//   - every non-root punched query was spawned first.
+//   - every non-root punched query was spawned first,
+//
+// and that the registry and the probe, attached beside the recording,
+// agree with it (checkFolds).
 //
 // Run under -race by `make race` along with the rest of this package.
 func TestAsyncTraceOrdering(t *testing.T) {
 	prog := drivers.Generate(drivers.NamedCheck("toastmon", "PnpIrpCompletion", false).Config)
 	rec := &obs.Recording{}
 	m := obs.NewMetrics()
+	probe := &obs.Probe{}
 	res := New(prog, Options{
 		Punch:         maymust.New(),
 		MaxThreads:    32,
@@ -32,6 +39,7 @@ func TestAsyncTraceOrdering(t *testing.T) {
 		Async:         true,
 		Tracer:        rec,
 		Metrics:       m,
+		Probe:         probe,
 	}).Run(AssertionQuestion(prog))
 	if res.Verdict == Unknown {
 		t.Fatalf("verdict Unknown (stop %v)", res.StopReason)
@@ -107,6 +115,118 @@ func TestAsyncTraceOrdering(t *testing.T) {
 	}
 	if len(snap.Workers) != 32 {
 		t.Errorf("worker cells = %d, want 32", len(snap.Workers))
+	}
+	checkFolds(t, evs, snap, probe.State(), nil)
+}
+
+// checkFolds asserts that the metrics registry and the live probe,
+// attached to a run beside the recording evs, are exactly folds over
+// it: each folded counter is the count (or ΣN) of its event type, the
+// PUNCH histograms and worker ledger count and sum the punch-ends, the
+// probe's workers ran as many punches, its max depth is the deepest
+// spawn and the nodes it calls dead are exactly killed.
+func checkFolds(t *testing.T, evs []obs.Event, snap *obs.Snapshot, state *obs.StateSnapshot, killed []int) {
+	t.Helper()
+	count := map[obs.EventType]int64{}
+	var gcd, rewakes, bytes, costSum, wallSum, depth int64
+	for _, ev := range evs {
+		count[ev.Type]++
+		switch ev.Type {
+		case obs.EvGC:
+			gcd += ev.N
+		case obs.EvWake:
+			rewakes += min(ev.N, 1)
+		case obs.EvGossipSend:
+			bytes += ev.N
+		case obs.EvPunchEnd:
+			costSum += ev.Cost
+			wallSum += ev.N
+		case obs.EvSpawn:
+			depth = max(depth, ev.N)
+		}
+	}
+	ends := count[obs.EvPunchEnd]
+	for name, want := range map[string]int64{
+		"queries_spawned": count[obs.EvSpawn], "queries_done": count[obs.EvDone],
+		"queries_gcd": gcd, "queries_blocked": count[obs.EvBlock],
+		"wakes": count[obs.EvWake] - rewakes, "rewakes": rewakes,
+		"steals_succeeded": count[obs.EvSteal], "punch_invocations": ends,
+		"gossip_deliveries": count[obs.EvGossipSend], "gossip_bytes": bytes,
+		"node_kills": count[obs.EvNodeKill], "coalesce_hits": count[obs.EvCoalesce],
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, the stream says %d", name, got, want)
+		}
+	}
+	if h := snap.PunchCost; h.Count != ends || h.Sum != costSum {
+		t.Errorf("punch-cost histogram count/sum = %d/%d, punch-ends %d with Σcost %d", h.Count, h.Sum, ends, costSum)
+	}
+	if h := snap.PunchWallNs; h.Count != ends || h.Sum != wallSum {
+		t.Errorf("punch-wall histogram count/sum = %d/%d, punch-ends %d with Σwall %d", h.Count, h.Sum, ends, wallSum)
+	}
+	var punches, steals int64
+	for _, w := range snap.Workers {
+		punches += w.Punches
+		steals += w.Steals
+	}
+	if punches != ends || steals != count[obs.EvSteal] {
+		t.Errorf("worker ledger: %d punches, %d steals; the stream has %d and %d", punches, steals, ends, count[obs.EvSteal])
+	}
+	if got := state.TotalPunches(); got != ends {
+		t.Errorf("probe counts %d punches, the stream %d", got, ends)
+	}
+	if state.Forest.MaxDepth != depth {
+		t.Errorf("probe max depth = %d, deepest spawn %d", state.Forest.MaxDepth, depth)
+	}
+	var dead []int
+	for _, n := range state.Nodes {
+		if n.Dead {
+			dead = append(dead, n.Node)
+		}
+	}
+	if !slices.Equal(dead, killed) {
+		t.Errorf("probe says nodes %v dead, killed were %v", dead, killed)
+	}
+}
+
+// TestFoldsAgreeWithEvents runs a corpus program on the barrier engine,
+// the streaming engine and a cluster that loses node 1 at round 2, each
+// with a recording, a registry and a probe attached, and checks that the
+// registry and the probe are folds over the recorded stream.
+func TestFoldsAgreeWithEvents(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/corpus/bug_deep_call.bolt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := parser.MustParse(string(src))
+	q0 := AssertionQuestion(prog)
+	runs := map[string]func(obs.Tracer, *obs.Metrics, *obs.Probe) []int{
+		"barrier": func(tr obs.Tracer, m *obs.Metrics, p *obs.Probe) []int {
+			New(prog, Options{Punch: maymust.New(), MaxThreads: 4, Tracer: tr, Metrics: m, Probe: p}).Run(q0)
+			return nil
+		},
+		"async": func(tr obs.Tracer, m *obs.Metrics, p *obs.Probe) []int {
+			New(prog, Options{Punch: maymust.New(), MaxThreads: 4, Async: true, Tracer: tr, Metrics: m, Probe: p}).Run(q0)
+			return nil
+		},
+		"dist": func(tr obs.Tracer, m *obs.Metrics, p *obs.Probe) []int {
+			res := NewDistributed(prog, DistOptions{Punch: maymust.New(), Nodes: 3, ThreadsPerNode: 2, Tracer: tr, Metrics: m, Probe: p,
+				Faults: &Faults{KillNode: 1, KillRound: 2}}).Run(q0)
+			if len(res.KilledNodes) != 1 {
+				t.Fatalf("killed nodes %v, want [1]", res.KilledNodes)
+			}
+			return res.KilledNodes
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			rec, m, p := &obs.Recording{}, obs.NewMetrics(), &obs.Probe{}
+			killed := run(rec, m, p)
+			if p.State().Forest.MaxDepth < 2 {
+				t.Fatalf("max depth %d: the program exercises too little", p.State().Forest.MaxDepth)
+			}
+			checkFolds(t, rec.Events(), m.Snapshot(), p.State(), killed)
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/cfg"
-	"repro/internal/lang"
 	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/summary"
@@ -16,15 +15,5 @@ func AssertionQuestion(prog *cfg.Program) summary.Question {
 		Proc: prog.Main,
 		Pre:  logic.True,
 		Post: logic.LEq(logic.LinConst(1), logic.LinVar(parser.ErrVar)),
-	}
-}
-
-// ReachQuestion builds a general reachability question (φ1 ⇒?_P φ2) from
-// boolean expressions over the program's globals.
-func ReachQuestion(proc string, pre, post lang.BoolExpr) summary.Question {
-	return summary.Question{
-		Proc: proc,
-		Pre:  logic.FromBool(pre),
-		Post: logic.FromBool(post),
 	}
 }

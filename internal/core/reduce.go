@@ -24,6 +24,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cfg"
@@ -61,14 +62,16 @@ type reducer struct {
 	home   func(proc string) int
 	width  int
 
-	// rec is the provenance recorder (nil unless CollectProvenance), ls
-	// the live-introspection surface (nil when no probe was attached).
+	// rec is the provenance recorder (nil unless CollectProvenance).
 	rec *prov.Recorder
 	in  instr
-	ls  *obs.LiveState
 	// depth is each live query's distance from the root, maintained only
-	// when pprof labels or live introspection are on.
+	// when pprof labels or a tracer are on (a spawn event carries it).
 	depth map[query.ID]int
+	// nodes holds the per-node gauges that are not events — gossip
+	// backlog and cumulative MAP makespan — for a cluster run with a
+	// probe attached (nil otherwise); publish fills in the rest.
+	nodes []obs.NodeState
 
 	root query.ID
 	// vtime is the virtual clock every event is stamped with; the
@@ -209,26 +212,27 @@ func (r *reducer) begin(q0 summary.Question) bool {
 		res.SurvivingSummaries = res.WarmSummaries
 	}
 
-	r.in = newInstr(o.Tracer, o.Metrics, len(r.forest)*r.width, r.start, o.PprofLabels)
+	var ls *obs.LiveState
+	if o.Probe != nil {
+		if r.home != nil {
+			r.nodes = make([]obs.NodeState, len(r.forest))
+		}
+		ls = obs.NewLiveState(r.engine, len(r.forest)*r.width, len(r.nodes), r.start)
+	}
+	r.in = newInstr(o.Tracer, o.Metrics, ls, len(r.forest), r.width, r.start, o.PprofLabels)
 	root := r.alloc.New(query.NoParent, q0)
 	r.root = root.ID
 	at := r.route(q0.Proc)
 	r.forest[at].Add(root)
 	r.created++
 	r.rec.Root(root.ID, q0.Proc)
-	if o.Probe != nil {
-		nodes := 0
-		if r.home != nil {
-			nodes = len(r.forest)
-		}
-		r.ls = obs.NewLiveState(r.engine, len(r.forest)*r.width, nodes, r.start)
-		attachProbe(o.Probe, r.ls, r.dbs, r.solver)
+	if ls != nil {
+		attachProbe(o.Probe, ls, r.dbs, r.solver)
 		r.publish(0, 0)
 	}
-	if r.in.labels || r.ls != nil {
+	if r.in.labels || r.in.tr != nil {
 		r.depth = map[query.ID]int{root.ID: 0}
 	}
-	r.in.m.Inc(obs.QueriesSpawned)
 	r.note(obs.EvSpawn, at, 0, root, 0)
 	return true
 }
@@ -250,18 +254,17 @@ func (r *reducer) exhausted(ctx context.Context) StopReason {
 
 // punchStart marks q as entering PUNCH on the given worker.
 func (r *reducer) punchStart(node, worker int, q *query.Query) {
-	r.ls.WorkerRunning(node*r.width+worker, q.Q.Proc, int64(q.ID))
 	r.note(obs.EvPunchStart, node, worker, q, 0)
 }
 
 // step is the one PUNCH call site: it runs the analysis on q against its
 // tree's SUMDB — through a recording frame when provenance is on, under
 // pprof labels when asked — and returns the result with the wall time
-// spent (zero when metrics are off). depth is q's distance from the
+// spent (zero when nothing traces the run). depth is q's distance from the
 // root, read by the caller while the depth map is quiescent.
 func (r *reducer) step(ctx context.Context, node int, q *query.Query, depth int) (punch.Result, time.Duration) {
 	var t0 time.Time
-	if r.in.m != nil {
+	if r.in.tr != nil {
 		t0 = time.Now()
 	}
 	pctx := &r.pctx[node]
@@ -279,21 +282,17 @@ func (r *reducer) step(ctx context.Context, node int, q *query.Query, depth int)
 		res = r.o.Punch.Step(pctx, q)
 	}
 	var wall time.Duration
-	if r.in.m != nil {
+	if r.in.tr != nil {
 		wall = time.Since(t0)
 	}
 	return res, wall
 }
 
-// punchEnd closes what punchStart opened and books the invocation.
+// punchEnd closes what punchStart opened: the event carries the
+// invocation's abstract cost and its wall time in N.
 func (r *reducer) punchEnd(node, worker int, q *query.Query, cost int64, wall time.Duration) {
-	w := node*r.width + worker
-	r.ls.WorkerFinished(w)
-	if r.in.m != nil {
-		r.in.m.ObservePunch(w, cost, wall)
-	}
 	if r.in.tr != nil {
-		r.in.emit(obs.Event{Type: obs.EvPunchEnd, Query: q.ID, Proc: q.Q.Proc, Node: node, Worker: worker, VTime: r.vtime, Cost: cost})
+		r.in.emit(obs.Event{Type: obs.EvPunchEnd, Query: q.ID, Proc: q.Q.Proc, Node: node, Worker: worker, VTime: r.vtime, Cost: cost, N: int64(wall)})
 	}
 }
 
@@ -332,13 +331,11 @@ func (r *reducer) apply(node, worker int, q *query.Query, res punch.Result) []*q
 			r.forest[dst].Add(c)
 			r.created++
 			r.woken = append(r.woken, c)
-			r.in.m.Inc(obs.QueriesSpawned)
 			r.rec.Spawn(self.ID, self.Q.Proc, c.ID, c.Q.Proc)
 			if r.depth != nil {
 				r.depth[c.ID] = r.depth[self.ID] + 1
-				r.ls.ObserveDepth(r.depth[c.ID])
 			}
-			r.note(obs.EvSpawn, dst, worker, c, 0)
+			r.note(obs.EvSpawn, dst, worker, c, int64(r.depth[c.ID]))
 		}
 	}
 	// The true live peak is reached here, before retire collects Done
@@ -352,20 +349,18 @@ func (r *reducer) apply(node, worker int, q *query.Query, res punch.Result) []*q
 	switch self.State {
 	case query.Done:
 		r.done++
-		r.in.m.Inc(obs.QueriesDone)
 		r.note(obs.EvDone, node, worker, self, 0)
 	case query.Ready:
 		// Budget slice exhausted: more work to do, go around again.
 		r.woken = append(r.woken, self)
 		r.note(obs.EvReady, node, worker, self, 0)
 	case query.Blocked:
-		r.in.m.Inc(obs.QueriesBlocked)
 		r.note(obs.EvBlock, node, worker, self, 0)
 		if again {
+			// N marks the rewake.
 			tree.SetState(self.ID, query.Ready)
 			r.woken = append(r.woken, self)
-			r.in.m.Inc(obs.Rewakes)
-			r.note(obs.EvWake, node, worker, self, 0)
+			r.note(obs.EvWake, node, worker, self, 1)
 		}
 	}
 	return r.woken
@@ -397,7 +392,6 @@ func (r *reducer) coalesce(dst, worker int, parent, c *query.Query, again *bool)
 		tree.AddWaiter(twinID, parent.ID)
 	}
 	r.res.CoalesceHits++
-	r.in.m.Inc(obs.CoalesceHits)
 	r.rec.Coalesce(parent.ID, parent.Q.Proc, c.Q.Proc)
 	r.note(obs.EvCoalesce, dst, worker, c, int64(twinID))
 	return true
@@ -461,7 +455,6 @@ func (r *reducer) retire(node, worker int, done *query.Query) []*query.Query {
 			}
 		}
 		r.collected += int64(removed)
-		r.in.m.Add(obs.QueriesGCd, int64(removed))
 		r.note(obs.EvGC, node, worker, done, int64(removed))
 	}
 	if r.o.CheckContract {
@@ -491,7 +484,9 @@ func (r *reducer) advance(batch []slot, cores int) int64 {
 			costs = append(costs, batch[hi].res.Cost)
 		}
 		c := makespan(costs, cores)
-		r.ls.NodeAddBusy(batch[lo].node, c)
+		if r.nodes != nil {
+			r.nodes[batch[lo].node].BusyTicks += c
+		}
 		stage = max(stage, c)
 		lo, r.costs = hi, costs
 	}
@@ -536,7 +531,6 @@ func (r *reducer) wake(worker int, target query.ID) {
 	if p.State == query.Blocked {
 		r.forest[node].SetState(p.ID, query.Ready)
 		r.woken = append(r.woken, p)
-		r.in.m.Inc(obs.Wakes)
 		r.note(obs.EvWake, node, worker, p, 0)
 	}
 }
@@ -587,29 +581,32 @@ func (r *reducer) sample(s IterSample, created, running int64) {
 	}
 }
 
-// publish pushes the forest's occupancy, the progress counters and the
-// coalescer gauges to the live state. running is the number of queries
+// publish hands the live state the gauges that are not events, as one
+// value: clock, forest occupancy, progress, coalescer and, on a cluster,
+// per-node occupancy and SUMDB size beside the backlog and busy ledger
+// the scheduler keeps in r.nodes. running is the number of queries
 // inside PUNCH right now (0 for the batch schedulers, which publish
 // between stages). The caller holds whatever lock guards the forest.
 func (r *reducer) publish(iterations, running int64) {
-	if r.ls == nil {
+	if r.in.ls == nil {
 		return
 	}
-	var live, ready, inflight, edges int64
+	g := obs.Gauges{VTime: r.vtime, Iterations: iterations, Nodes: slices.Clone(r.nodes)}
+	g.Forest.Spawned, g.Forest.Done, g.Forest.Running = r.alloc.Count(), r.done, running
+	g.Coalescer.Hits = r.res.CoalesceHits
 	for i, t := range r.forest {
 		nl, nr := int64(t.Len()), int64(t.ReadyCount())
-		if r.home != nil {
-			r.ls.NodeSet(i, nl, nr, nl-nr, int64(r.dbs[i].Count()))
+		if g.Nodes != nil {
+			n := &g.Nodes[i]
+			n.Live, n.Ready, n.Blocked, n.Summaries = nl, nr, nl-nr, int64(r.dbs[i].Count())
 		}
-		live += nl
-		ready += nr
-		inflight += int64(t.InflightSize())
-		edges += int64(t.WaiterEdgeCount())
+		g.Forest.Live += nl
+		g.Forest.Ready += nr
+		g.Coalescer.InflightKeys += int64(t.InflightSize())
+		g.Coalescer.WaiterEdges += int64(t.WaiterEdgeCount())
 	}
-	r.ls.Tick(r.vtime, iterations)
-	r.ls.SetProgress(r.alloc.Count(), r.done)
-	r.ls.SetForest(live, ready, live-ready-running, running)
-	r.ls.SetCoalescer(inflight, edges, r.res.CoalesceHits)
+	g.Forest.Blocked = g.Forest.Live - g.Forest.Ready - running
+	r.in.ls.Publish(g)
 }
 
 // end tears the run down into r.res: counters, the final SUMDB content,

@@ -267,9 +267,3 @@ func evalBool(b lang.BoolExpr, s State) bool {
 		panic(fmt.Sprintf("interp: unknown BoolExpr %T", b))
 	}
 }
-
-// EvalBool exposes boolean evaluation for tests and oracles.
-func EvalBool(b lang.BoolExpr, s State) bool { return evalBool(b, s) }
-
-// EvalInt exposes integer evaluation for tests and oracles.
-func EvalInt(e lang.IntExpr, s State) int64 { return evalInt(e, s) }

@@ -17,7 +17,7 @@ func buildCounter(n int64) *cfg.Program {
 	exit := b.NewNode()
 	b.AddEdge(b.Entry(), head, lang.Assign{Lhs: "i", Rhs: lang.C(0)})
 	b.AddEdge(head, body, lang.Assume{Cond: lang.CmpE(lang.V("i"), lang.Lt, lang.C(n))})
-	b.AddEdge(body, head, lang.Assign{Lhs: "i", Rhs: lang.Plus(lang.V("i"), lang.C(1))})
+	b.AddEdge(body, head, lang.Assign{Lhs: "i", Rhs: lang.Add{X: lang.V("i"), Y: lang.C(1)}})
 	b.AddEdge(head, after, lang.Assume{Cond: lang.CmpE(lang.V("i"), lang.Ge, lang.C(n))})
 	b.AddEdge(after, exit, lang.Assign{Lhs: "g", Rhs: lang.V("i")})
 	return cfg.MustProgram("t", []lang.Var{"g"}, "main", b.Finish(exit))
@@ -44,7 +44,7 @@ func TestRunProcFromState(t *testing.T) {
 	// proc bump { g = g + 1 } run from g=41.
 	b := cfg.NewProc("bump")
 	exit := b.NewNode()
-	b.AddEdge(b.Entry(), exit, lang.Assign{Lhs: "g", Rhs: lang.Plus(lang.V("g"), lang.C(1))})
+	b.AddEdge(b.Entry(), exit, lang.Assign{Lhs: "g", Rhs: lang.Add{X: lang.V("g"), Y: lang.C(1)}})
 	prog := cfg.MustProgram("t", []lang.Var{"g"}, "bump", b.Finish(exit))
 	res := RunProc(prog, "bump", State{"g": 41}, Options{})
 	if !res.Completed || res.Final["g"] != 42 {
@@ -90,10 +90,10 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestEvalHelpers(t *testing.T) {
 	st := State{"x": 3, "y": -2}
-	if EvalInt(lang.Times(2, lang.Plus(lang.V("x"), lang.V("y"))), st) != 2 {
+	if evalInt(lang.Mul{K: 2, X: lang.Add{X: lang.V("x"), Y: lang.V("y")}}, st) != 2 {
 		t.Fatal("EvalInt")
 	}
-	if !EvalBool(lang.CmpE(lang.V("x"), lang.Ne, lang.V("y")), st) {
+	if !evalBool(lang.CmpE(lang.V("x"), lang.Ne, lang.V("y")), st) {
 		t.Fatal("EvalBool")
 	}
 }

@@ -49,25 +49,6 @@ func (op CmpOp) String() string {
 	return fmt.Sprintf("CmpOp(%d)", int(op))
 }
 
-// Negate returns the operator op' such that x op' y ⇔ ¬(x op y).
-func (op CmpOp) Negate() CmpOp {
-	switch op {
-	case Lt:
-		return Ge
-	case Le:
-		return Gt
-	case Gt:
-		return Le
-	case Ge:
-		return Lt
-	case Eq:
-		return Ne
-	case Ne:
-		return Eq
-	}
-	panic(fmt.Sprintf("lang: invalid CmpOp %d", int(op)))
-}
-
 // IntExpr is an integer-valued expression. Expressions are linear: the
 // only multiplication form is by a constant.
 type IntExpr interface {
@@ -260,41 +241,8 @@ func C(v int64) IntExpr { return Const{Val: v} }
 // V returns a reference to variable name.
 func V(name string) IntExpr { return Ref{V: Var(name)} }
 
-// Plus returns x + y.
-func Plus(x, y IntExpr) IntExpr { return Add{X: x, Y: y} }
-
-// Minus returns x - y.
-func Minus(x, y IntExpr) IntExpr { return Sub{X: x, Y: y} }
-
-// Times returns k * x.
-func Times(k int64, x IntExpr) IntExpr { return Mul{K: k, X: x} }
-
 // CmpE builds a comparison.
 func CmpE(x IntExpr, op CmpOp, y IntExpr) BoolExpr { return Cmp{Op: op, X: x, Y: y} }
-
-// AndE builds the conjunction of bs (true when empty).
-func AndE(bs ...BoolExpr) BoolExpr {
-	if len(bs) == 0 {
-		return BoolConst{Val: true}
-	}
-	out := bs[0]
-	for _, b := range bs[1:] {
-		out = And{X: out, Y: b}
-	}
-	return out
-}
-
-// OrE builds the disjunction of bs (false when empty).
-func OrE(bs ...BoolExpr) BoolExpr {
-	if len(bs) == 0 {
-		return BoolConst{Val: false}
-	}
-	out := bs[0]
-	for _, b := range bs[1:] {
-		out = Or{X: out, Y: b}
-	}
-	return out
-}
 
 // NotE builds the negation of b.
 func NotE(b BoolExpr) BoolExpr { return Not{X: b} }

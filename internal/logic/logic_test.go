@@ -70,13 +70,13 @@ func TestFloorCeilDiv(t *testing.T) {
 
 func TestFromBoolAndEval(t *testing.T) {
 	// (x < y && !(x == 0)) || y >= 10
-	b := lang.OrE(
-		lang.AndE(
-			lang.CmpE(lang.V("x"), lang.Lt, lang.V("y")),
-			lang.NotE(lang.CmpE(lang.V("x"), lang.Eq, lang.C(0))),
-		),
-		lang.CmpE(lang.V("y"), lang.Ge, lang.C(10)),
-	)
+	b := lang.Or{
+		X: lang.And{
+			X: lang.CmpE(lang.V("x"), lang.Lt, lang.V("y")),
+			Y: lang.NotE(lang.CmpE(lang.V("x"), lang.Eq, lang.C(0))),
+		},
+		Y: lang.CmpE(lang.V("y"), lang.Ge, lang.C(10)),
+	}
 	f := FromBool(b)
 	cases := []struct {
 		x, y int64

@@ -7,16 +7,16 @@
 //   - Key / KeyID (intern.go) are the in-memory hot path. They depend
 //     on per-process first-intern order and are meaningless to any
 //     other process or any later run.
-//   - WireBytes / CanonicalKey (this file) are the durable identity.
-//     They are computed purely from structure — variable names,
-//     coefficients, node kinds — with And/Or children sorted by their
-//     own encodings and deduplicated, so structurally equal formulas
-//     (up to child order) encode to identical bytes in every process.
+//   - AppendWire (this file) is the durable identity. It is computed
+//     purely from structure — variable names, coefficients, node kinds
+//     — with And/Or children sorted by their own encodings and
+//     deduplicated, so structurally equal formulas (up to child order)
+//     encode to identical bytes in every process.
 //
 // The encoding is injective on canonicalized structure and idempotent:
 // decoding and re-encoding any wire image yields the same bytes. Only
-// CanonicalKey/WireBytes may cross a process boundary or be written to
-// a persisted artifact; internal/wire enforces that invariant for the
+// AppendWire's bytes may cross a process boundary or be written to a
+// persisted artifact; internal/wire enforces that invariant for the
 // summary store.
 package logic
 
@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/lang"
 )
@@ -50,48 +49,6 @@ const (
 	maxWireVars     = 1 << 12
 	maxWireName     = 1 << 12
 )
-
-// wireKeyMemo caches canonical encodings by interned id. The id→bytes
-// mapping is immutable (an id permanently identifies one structure),
-// so the memo needs no invalidation; it is bounded and reset when full,
-// like the SUMDB answer memo.
-var wireKeyMemo struct {
-	sync.RWMutex
-	m map[ID]string
-}
-
-const wireKeyMemoBound = 1 << 16
-
-// WireBytes returns the canonical wire encoding of f.
-func WireBytes(f Formula) []byte {
-	return AppendWire(nil, f)
-}
-
-// CanonicalKey returns the canonical wire encoding of f as a string:
-// the durable, cross-process analogue of Key. It is injective on
-// canonicalized structure (And/Or children sorted and deduplicated)
-// and identical in every process, regardless of interning order.
-func CanonicalKey(f Formula) string {
-	id := KeyID(f)
-	if id != 0 {
-		wireKeyMemo.RLock()
-		k, ok := wireKeyMemo.m[id]
-		wireKeyMemo.RUnlock()
-		if ok {
-			return k
-		}
-	}
-	k := string(WireBytes(f))
-	if id != 0 {
-		wireKeyMemo.Lock()
-		if wireKeyMemo.m == nil || len(wireKeyMemo.m) >= wireKeyMemoBound {
-			wireKeyMemo.m = make(map[ID]string)
-		}
-		wireKeyMemo.m[id] = k
-		wireKeyMemo.Unlock()
-	}
-	return k
-}
 
 // AppendWire appends the canonical wire encoding of f to dst.
 func AppendWire(dst []byte, f Formula) []byte {
@@ -216,19 +173,6 @@ func appendWireLin(dst []byte, l Lin) []byte {
 // process; malformed input returns an error, never a panic.
 func DecodeWire(buf []byte) (Formula, int, error) {
 	return decodeWire(buf, 0)
-}
-
-// DecodeWireAll is DecodeWire requiring the whole buffer to be one
-// formula with no trailing bytes.
-func DecodeWireAll(buf []byte) (Formula, error) {
-	f, n, err := DecodeWire(buf)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(buf) {
-		return nil, fmt.Errorf("logic: wire: %d trailing bytes after formula", len(buf)-n)
-	}
-	return f, nil
 }
 
 func decodeWire(buf []byte, depth int) (Formula, int, error) {

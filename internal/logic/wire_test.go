@@ -63,7 +63,7 @@ func TestWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("#%d: decode(%x): %v (formula %v)", i, b, err, f)
 		}
-		if logic.CanonicalKey(g) != logic.CanonicalKey(f) {
+		if string(logic.WireBytes(g)) != string(logic.WireBytes(f)) {
 			t.Fatalf("#%d: canonical key changed across round trip:\n %v\n %v", i, f, g)
 		}
 		if b2 := logic.WireBytes(g); !bytes.Equal(b, b2) {
@@ -107,7 +107,7 @@ func TestWireOrderIndependence(t *testing.T) {
 		{logic.Conj(a, logic.Conj(b, c)), logic.Conj(logic.Conj(c, a), b)},
 	}
 	for i, p := range pairs {
-		if k0, k1 := logic.CanonicalKey(p[0]), logic.CanonicalKey(p[1]); k0 != k1 {
+		if k0, k1 := string(logic.WireBytes(p[0])), string(logic.WireBytes(p[1])); k0 != k1 {
 			t.Errorf("pair %d: canonical keys differ:\n %v -> %x\n %v -> %x",
 				i, p[0], k0, p[1], k1)
 		}
@@ -117,7 +117,7 @@ func TestWireOrderIndependence(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		f := genFormula(r, 4)
 		g := reverseChildren(f)
-		if logic.CanonicalKey(f) != logic.CanonicalKey(g) {
+		if string(logic.WireBytes(f)) != string(logic.WireBytes(g)) {
 			t.Fatalf("#%d: canonical key depends on child order:\n %v\n %v", i, f, g)
 		}
 	}

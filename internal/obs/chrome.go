@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 )
 
 // chromeEvent is one record of the Chrome trace-event JSON format
@@ -23,183 +22,80 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// ChromeTracer is a Tracer that renders the event stream as Chrome
-// trace-event JSON: one process per node, one track (thread) per
-// worker, one complete span per PUNCH invocation, and instant events
-// for the rest of the query lifecycle. Safe for concurrent use.
-type ChromeTracer struct {
-	mu     sync.Mutex
-	events []chromeEvent
-	// open holds the pending punch-start per (node, worker) track until
-	// its punch-end closes the span.
-	open  map[[2]int]Event
-	named map[[2]int]bool // thread metadata emitted
-	procs map[int]bool    // process metadata emitted
-	spans int
-}
-
-// NewChromeTracer returns an empty tracer.
-func NewChromeTracer() *ChromeTracer {
-	return &ChromeTracer{
-		open:  map[[2]int]Event{},
-		named: map[[2]int]bool{},
-		procs: map[int]bool{},
-	}
-}
-
 func us(d int64) float64 { return float64(d) / 1e3 } // ns → µs
 
-// Event implements Tracer.
-func (c *ChromeTracer) Event(ev Event) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ensureTrack(ev.Node, ev.Worker)
-	key := [2]int{ev.Node, ev.Worker}
-	switch ev.Type {
-	case EvPunchStart:
-		c.open[key] = ev
-		return
-	case EvPunchEnd:
-		start, ok := c.open[key]
-		if !ok {
-			start = ev // lone end: synthesize a zero-length span
+// WriteChrome converts an event stream (in arrival order) to Chrome
+// trace-event JSON and writes it to w as one array: one process per
+// node, one track (thread) per worker, one complete span per PUNCH
+// invocation, and instant events for the rest of the query lifecycle.
+// Metadata comes first, then everything by timestamp. The document
+// loads directly in Perfetto (ui.perfetto.dev) or chrome://tracing. It
+// returns the number of PUNCH spans written; a punch-end whose start is
+// missing becomes a zero-length span.
+func WriteChrome(w io.Writer, evs []Event) (int, error) {
+	meta, out := []chromeEvent{}, []chromeEvent(nil)
+	open := map[[2]int]Event{} // pending punch-start per (node, worker) track
+	named := map[[2]int]bool{}
+	procs := map[int]bool{}
+	spans := 0
+	for _, ev := range evs {
+		key := [2]int{ev.Node, ev.Worker}
+		if !procs[ev.Node] {
+			procs[ev.Node] = true
+			meta = append(meta, chromeEvent{
+				Name: "process_name", Ph: "M", Pid: ev.Node,
+				Args: map[string]any{"name": fmt.Sprintf("node %d", ev.Node)},
+			})
 		}
-		delete(c.open, key)
-		c.spans++
-		c.events = append(c.events, chromeEvent{
-			Name: ev.Proc,
-			Cat:  "punch",
-			Ph:   "X",
-			Ts:   us(int64(start.Wall)),
-			Dur:  us(int64(ev.Wall - start.Wall)),
-			Pid:  ev.Node,
-			Tid:  ev.Worker,
-			Args: map[string]any{
-				"query":       int64(ev.Query),
-				"cost":        ev.Cost,
-				"vtime_start": start.VTime,
-				"vtime_end":   ev.VTime,
-			},
-		})
-		return
-	}
-	args := map[string]any{"query": int64(ev.Query), "vtime": ev.VTime}
-	if ev.Proc != "" {
-		args["proc"] = ev.Proc
-	}
-	if ev.N != 0 {
-		args["n"] = ev.N
-	}
-	c.events = append(c.events, chromeEvent{
-		Name: ev.Type.String(),
-		Cat:  "lifecycle",
-		Ph:   "i",
-		S:    "t",
-		Ts:   us(int64(ev.Wall)),
-		Pid:  ev.Node,
-		Tid:  ev.Worker,
-		Args: args,
-	})
-}
-
-// ensureTrack emits the process/thread naming metadata the first time a
-// (node, worker) pair appears. Called with mu held.
-func (c *ChromeTracer) ensureTrack(node, worker int) {
-	if !c.procs[node] {
-		c.procs[node] = true
-		c.events = append(c.events, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: node,
-			Args: map[string]any{"name": fmt.Sprintf("node %d", node)},
-		})
-	}
-	key := [2]int{node, worker}
-	if !c.named[key] {
-		c.named[key] = true
-		c.events = append(c.events, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: node, Tid: worker,
-			Args: map[string]any{"name": fmt.Sprintf("worker %d", worker)},
-		})
-	}
-}
-
-// Spans returns the number of completed PUNCH spans recorded so far.
-func (c *ChromeTracer) Spans() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.spans
-}
-
-// Export serializes the trace as a JSON array ordered by timestamp.
-// The document loads directly in Perfetto (ui.perfetto.dev) or
-// chrome://tracing.
-func (c *ChromeTracer) Export(w io.Writer) error {
-	c.mu.Lock()
-	evs := make([]chromeEvent, len(c.events))
-	copy(evs, c.events)
-	c.mu.Unlock()
-	sort.SliceStable(evs, func(i, j int) bool {
-		// Metadata first, then by time.
-		if (evs[i].Ph == "M") != (evs[j].Ph == "M") {
-			return evs[i].Ph == "M"
+		if !named[key] {
+			named[key] = true
+			meta = append(meta, chromeEvent{
+				Name: "thread_name", Ph: "M", Pid: ev.Node, Tid: ev.Worker,
+				Args: map[string]any{"name": fmt.Sprintf("worker %d", ev.Worker)},
+			})
 		}
-		return evs[i].Ts < evs[j].Ts
-	})
-	data, err := json.Marshal(evs)
+		switch ev.Type {
+		case EvPunchStart:
+			open[key] = ev
+			continue
+		case EvPunchEnd:
+			start, ok := open[key]
+			if !ok {
+				start = ev
+			}
+			delete(open, key)
+			spans++
+			out = append(out, chromeEvent{
+				Name: ev.Proc, Cat: "punch", Ph: "X",
+				Ts:  us(int64(start.Wall)),
+				Dur: us(int64(ev.Wall - start.Wall)),
+				Pid: ev.Node, Tid: ev.Worker,
+				Args: map[string]any{
+					"query":       int64(ev.Query),
+					"cost":        ev.Cost,
+					"vtime_start": start.VTime,
+					"vtime_end":   ev.VTime,
+				},
+			})
+			continue
+		}
+		args := map[string]any{"query": int64(ev.Query), "vtime": ev.VTime}
+		if ev.Proc != "" {
+			args["proc"] = ev.Proc
+		}
+		if ev.N != 0 {
+			args["n"] = ev.N
+		}
+		out = append(out, chromeEvent{
+			Name: ev.Type.String(), Cat: "lifecycle", Ph: "i", S: "t",
+			Ts: us(int64(ev.Wall)), Pid: ev.Node, Tid: ev.Worker, Args: args,
+		})
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Ts < out[j].Ts })
+	data, err := json.Marshal(append(meta, out...))
 	if err != nil {
-		return err
+		return spans, err
 	}
 	_, err = w.Write(append(data, '\n'))
-	return err
-}
-
-// ValidateChromeTrace checks that data is a parseable Chrome trace-event
-// JSON array whose complete ("X") spans are well-nested per track: on
-// any one (pid, tid) track, two spans either do not overlap or one
-// contains the other. It returns the number of spans checked.
-func ValidateChromeTrace(data []byte) (int, error) {
-	var evs []chromeEvent
-	if err := json.Unmarshal(data, &evs); err != nil {
-		return 0, fmt.Errorf("obs: trace is not valid JSON: %w", err)
-	}
-	type span struct{ start, end float64 }
-	tracks := map[[2]int][]span{}
-	spans := 0
-	for i, ev := range evs {
-		switch ev.Ph {
-		case "X":
-			if ev.Ts < 0 || ev.Dur < 0 {
-				return spans, fmt.Errorf("obs: event %d has negative ts/dur", i)
-			}
-			key := [2]int{ev.Pid, ev.Tid}
-			tracks[key] = append(tracks[key], span{ev.Ts, ev.Ts + ev.Dur})
-			spans++
-		case "i", "M", "I":
-			// Instants and metadata need no nesting check.
-		case "":
-			return spans, fmt.Errorf("obs: event %d has no phase", i)
-		}
-	}
-	const eps = 1e-9
-	for key, ss := range tracks {
-		sort.Slice(ss, func(i, j int) bool {
-			if ss[i].start != ss[j].start {
-				return ss[i].start < ss[j].start
-			}
-			return ss[i].end > ss[j].end // enclosing span first
-		})
-		var stack []span
-		for _, s := range ss {
-			for len(stack) > 0 && stack[len(stack)-1].end <= s.start+eps {
-				stack = stack[:len(stack)-1]
-			}
-			if len(stack) > 0 && s.end > stack[len(stack)-1].end+eps {
-				return spans, fmt.Errorf(
-					"obs: track pid=%d tid=%d: span [%g,%g] partially overlaps [%g,%g]",
-					key[0], key[1], s.start, s.end,
-					stack[len(stack)-1].start, stack[len(stack)-1].end)
-			}
-			stack = append(stack, s)
-		}
-	}
-	return spans, nil
+	return spans, err
 }

@@ -1,8 +1,6 @@
 // The live debug HTTP surface: one mux carrying the Prometheus
 // exposition, the pprof endpoints, and the /debug/bolt/* introspection
-// routes (state, flight, health). StartPprofServer remains as the thin
-// metrics+pprof-only wrapper the CLIs used before the introspection
-// routes existed.
+// routes (state, flight, health, prov).
 package obs
 
 import (
@@ -35,7 +33,7 @@ type DebugState struct {
 	// Probe backs /debug/bolt/state.
 	Probe *Probe
 	// Flight backs /debug/bolt/flight.
-	Flight *FlightRecorder
+	Flight *Recording
 	// Watchdog contributes its counters to /debug/bolt/health.
 	Watchdog *Watchdog
 	// Prov backs /debug/bolt/prov: called per request, it returns the
@@ -120,6 +118,7 @@ func (st DebugState) Handler() http.Handler {
 	})
 	mux.HandleFunc("/debug/bolt/health", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
+		total, dropped := st.Flight.Counts()
 		doc := struct {
 			Status        string         `json:"status"`
 			Phase         string         `json:"phase"`
@@ -133,8 +132,8 @@ func (st DebugState) Handler() http.Handler {
 			Phase:         st.Probe.Phase().String(),
 			UptimeSeconds: time.Since(start).Seconds(),
 			Build:         st.Build,
-			FlightTotal:   st.Flight.Total(),
-			FlightDropped: st.Flight.Dropped(),
+			FlightTotal:   total,
+			FlightDropped: dropped,
 			Watchdog:      st.Watchdog.Status(),
 		}
 		if wd := doc.Watchdog; wd.Enabled && wd.StuckFor > 0 {

@@ -56,8 +56,7 @@ func TestDebugStateEndpoint(t *testing.T) {
 
 	// Mid-run: the live snapshot.
 	ls := NewLiveState("async", 2, 0, time.Now())
-	ls.Tick(41, 5)
-	ls.SetForest(3, 1, 1, 1)
+	ls.Publish(Gauges{VTime: 41, Iterations: 5, Forest: ForestState{Live: 3, Ready: 1, Blocked: 1, Running: 1}})
 	p.Attach(func() *StateSnapshot { return ls.Snapshot() })
 	defer p.Detach()
 	if err := json.Unmarshal(debugGet(t, st, "/debug/bolt/state").Body.Bytes(), &doc); err != nil {
@@ -125,6 +124,46 @@ func TestDebugHealthEndpoint(t *testing.T) {
 	}
 }
 
+// TestDebugHealthFlightCountsConsistent: /debug/bolt/health reads the
+// flight recorder's total and drop count together while the run keeps
+// recording, so on a full ring every response has exactly capacity
+// events between them (two separate reads would let the drop count run
+// ahead of the total).
+func TestDebugHealthFlightCountsConsistent(t *testing.T) {
+	const capacity = 4
+	f := NewFlightRecorder(capacity)
+	for i := 0; i < 2*capacity; i++ {
+		f.Event(Event{Type: EvSpawn})
+	}
+	st := DebugState{Flight: f}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				f.Event(Event{Type: EvPunchStart})
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for i := 0; i < 200; i++ {
+		var doc struct {
+			FlightTotal   int64 `json:"flight_total"`
+			FlightDropped int64 `json:"flight_dropped"`
+		}
+		if err := json.Unmarshal(debugGet(t, st, "/debug/bolt/health").Body.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if got := doc.FlightTotal - doc.FlightDropped; got != capacity {
+			t.Fatalf("response %d: total %d - dropped %d = %d, want the ring's %d", i, doc.FlightTotal, doc.FlightDropped, got, capacity)
+		}
+	}
+}
+
 // TestDebugEndpointsAllNil locks in the contract that every handle in
 // DebugState is optional: an empty state still serves well-formed
 // responses on every route.
@@ -180,8 +219,7 @@ func TestDebugProvEndpoint(t *testing.T) {
 func TestDebugHealthStallRecovery(t *testing.T) {
 	var p Probe
 	ls := NewLiveState("async", 2, 0, time.Now())
-	ls.Tick(1, 1)
-	ls.SetForest(1, 0, 1, 0)
+	ls.Publish(Gauges{VTime: 1, Iterations: 1, Forest: ForestState{Live: 1, Blocked: 1}})
 	p.Attach(func() *StateSnapshot { return ls.Snapshot() })
 	defer p.Detach()
 
@@ -232,7 +270,7 @@ func TestDebugHealthStallRecovery(t *testing.T) {
 	recovered := false
 	vtime := int64(2)
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		ls.Tick(vtime, vtime)
+		ls.Publish(Gauges{VTime: vtime, Iterations: vtime, Forest: ForestState{Live: 1, Blocked: 1}})
 		vtime++
 		if status, wst := health(); status == "ok" && wst.StuckFor == 0 {
 			recovered = true

@@ -43,8 +43,8 @@ func TestFlightRecorderOverflowKeepsNewest(t *testing.T) {
 			t.Fatalf("event %d has vtime %d; want %d (newest 4, oldest first)", i, ev.VTime, want)
 		}
 	}
-	if f.Total() != 11 || f.Dropped() != 7 || f.Capacity() != 4 {
-		t.Fatalf("accessors = total %d dropped %d cap %d; want 11/7/4", f.Total(), f.Dropped(), f.Capacity())
+	if total, dropped := f.Counts(); total != 11 || dropped != 7 || f.Capacity() != 4 {
+		t.Fatalf("accessors = total %d dropped %d cap %d; want 11/7/4", total, dropped, f.Capacity())
 	}
 }
 
@@ -58,11 +58,11 @@ func TestFlightRecorderDefaultCapacity(t *testing.T) {
 }
 
 func TestFlightRecorderNil(t *testing.T) {
-	var f *FlightRecorder
+	var f *Recording
 	if s := f.Snapshot(); s.Total != 0 || len(s.Events) != 0 {
 		t.Fatalf("nil snapshot = %+v; want empty", s)
 	}
-	if f.Total() != 0 || f.Dropped() != 0 || f.Capacity() != 0 {
+	if total, dropped := f.Counts(); total != 0 || dropped != 0 || f.Capacity() != 0 {
 		t.Fatal("nil accessors must return zero")
 	}
 }

@@ -80,10 +80,10 @@ func UnmarshalEventJSON(line []byte) (Event, error) {
 }
 
 // JSONLTracer is a Tracer that streams events to a writer as JSON
-// Lines: one event object per line, buffered, mutex-guarded. Unlike
-// ChromeTracer it holds no per-run state, so arbitrarily long runs
-// stream in constant memory; internal/obs/analyze loads the format
-// back. The zero-alloc-when-disabled contract is unchanged: engines
+// Lines: one event object per line, buffered, mutex-guarded. It holds
+// no per-run state, so arbitrarily long runs stream in constant memory;
+// internal/obs/analyze loads the format back and boltprof -report chrome
+// converts it. The zero-alloc-when-disabled contract is unchanged: engines
 // never construct an Event unless a tracer is attached.
 type JSONLTracer struct {
 	mu  sync.Mutex

@@ -146,7 +146,7 @@ func TestTee(t *testing.T) {
 	b := &Recording{}
 	tee := Tee(a, nil, b)
 	tee.Event(Event{Type: EvSpawn, Query: 5})
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Errorf("tee fan-out: a=%d b=%d events, want 1 each", a.Len(), b.Len())
+	if len(a.Events()) != 1 || len(b.Events()) != 1 {
+		t.Errorf("tee fan-out: a=%d b=%d events, want 1 each", len(a.Events()), len(b.Events()))
 	}
 }

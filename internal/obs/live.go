@@ -1,20 +1,19 @@
-// Live engine introspection: the state a running engine publishes so a
+// Live engine introspection: the state a running engine exposes so a
 // human (or the stall watchdog) can ask "what is the analysis doing
 // right now?" without waiting for the run to end.
 //
 // The design splits responsibilities three ways:
 //
-//   - LiveState is the engine-side write surface: a fixed set of atomics
-//     the engines update at their existing safe points (the streaming
-//     engine under its scheduler mutex, the barrier and distributed
-//     engines at stage/round boundaries). A nil *LiveState is fully
-//     disabled — every method is nil-receiver safe and costs one branch,
-//     preserving the package's zero-cost-when-disabled contract.
+//   - LiveState is the engine-side surface: a Tracer folding the event
+//     stream into per-worker cells, plus the Gauges value the engines
+//     publish whole at their existing safe points (the streaming engine
+//     under its scheduler mutex, the barrier and distributed engines at
+//     stage/round boundaries).
 //
 //   - StateSnapshot is the read surface: a plain JSON-serializable
-//     struct assembled on demand from the atomics plus whatever
-//     concurrent-safe stats providers the engine captured (SUMDB shard
-//     stats, solver counters).
+//     struct assembled on demand from the folds and the last published
+//     gauges plus whatever concurrent-safe stats providers the engine
+//     captured (SUMDB shard stats, solver counters).
 //
 //   - Probe is the stable handle between them: callers keep one Probe
 //     across runs, engines Attach a snapshot function at run start and
@@ -89,41 +88,34 @@ type workerLive struct {
 	proc    atomic.Value
 }
 
-// nodeLive is one distributed-simulation node's live cell.
-type nodeLive struct {
-	dead      atomic.Bool
-	live      atomic.Int64
-	ready     atomic.Int64
-	blocked   atomic.Int64
-	summaries atomic.Int64
-	backlog   atomic.Int64
-	busyTicks atomic.Int64
+// Gauges is the part of a live snapshot that is not an event: the
+// clock, forest and coalescer occupancy, the progress counters and the
+// per-node gauges. The engine hands it over whole at its safe points
+// (Publish), so the fields of one Gauges are one consistent cut.
+// Forest.MaxDepth and NodeState.Dead are folds over the event stream
+// and are ignored here.
+type Gauges struct {
+	VTime, Iterations int64
+	Forest            ForestState
+	Coalescer         CoalescerState
+	// Nodes is indexed by node (distributed engine only).
+	Nodes []NodeState
 }
 
-// LiveState is the write surface the engines publish live run state
-// through. All methods are nil-receiver safe and lock-free.
+// LiveState is what a run exposes live. Worker phase, procedure, query
+// and punch counts, the deepest spawn and node deaths are a fold over
+// the event stream (Event); the rest is the last published Gauges. Steal
+// scans and parks are not events and are marked directly. A nil
+// *LiveState is disabled: Snapshot and the Worker* marks are nil-safe.
 type LiveState struct {
 	engine         string
 	epoch          time.Time
 	workersPerNode int
 
-	vtime      atomic.Int64
-	iterations atomic.Int64
-
-	live     atomic.Int64
-	ready    atomic.Int64
-	blocked  atomic.Int64
-	running  atomic.Int64
-	spawned  atomic.Int64
-	done     atomic.Int64
+	gauges   atomic.Pointer[Gauges]
 	maxDepth atomic.Int64
-
-	inflightKeys atomic.Int64
-	waiterEdges  atomic.Int64
-	coalesced    atomic.Int64
-
-	workers []workerLive
-	nodes   []nodeLive
+	workers  []workerLive
+	dead     []atomic.Bool
 }
 
 // NewLiveState returns the live cell set for a run: engine is the
@@ -131,172 +123,74 @@ type LiveState struct {
 // count, nodes the cluster size (0 for the single-machine engines), and
 // epoch the run's wall-clock start.
 func NewLiveState(engine string, workers, nodes int, epoch time.Time) *LiveState {
-	if workers < 0 {
-		workers = 0
-	}
-	ls := &LiveState{
-		engine:  engine,
-		epoch:   epoch,
-		workers: make([]workerLive, workers),
-	}
+	ls := &LiveState{engine: engine, epoch: epoch, workers: make([]workerLive, max(workers, 0))}
 	if nodes > 0 {
-		ls.nodes = make([]nodeLive, nodes)
+		ls.dead = make([]atomic.Bool, nodes)
 		ls.workersPerNode = workers / nodes
 	}
 	return ls
 }
 
-// Tick publishes the virtual clock and the iteration/event/round count.
-func (ls *LiveState) Tick(vtime, iterations int64) {
-	if ls == nil {
-		return
+// Publish replaces the published gauges with g. Negative forest counts
+// (a derived blocked = live - ready - running can go transiently
+// negative) are clamped to zero.
+func (ls *LiveState) Publish(g Gauges) {
+	for _, v := range []*int64{&g.Forest.Live, &g.Forest.Ready, &g.Forest.Blocked, &g.Forest.Running} {
+		*v = max(*v, 0)
 	}
-	ls.vtime.Store(vtime)
-	ls.iterations.Store(iterations)
+	ls.gauges.Store(&g)
 }
 
-// SetForest publishes the query-forest occupancy gauges. Negative
-// values (possible when a caller derives blocked = live - ready -
-// running from slightly skewed reads) are clamped to zero.
-func (ls *LiveState) SetForest(live, ready, blocked, running int64) {
-	if ls == nil {
-		return
+func (ls *LiveState) worker(node, w int) *workerLive {
+	if ls == nil || w < 0 {
+		return nil
 	}
-	ls.live.Store(clampNonNeg(live))
-	ls.ready.Store(clampNonNeg(ready))
-	ls.blocked.Store(clampNonNeg(blocked))
-	ls.running.Store(clampNonNeg(running))
+	if i := node*ls.workersPerNode + w; i >= 0 && i < len(ls.workers) {
+		return &ls.workers[i]
+	}
+	return nil
 }
 
-// SetProgress publishes the monotone progress counters: queries ever
-// spawned and queries answered.
-func (ls *LiveState) SetProgress(spawned, done int64) {
-	if ls == nil {
-		return
-	}
-	ls.spawned.Store(spawned)
-	ls.done.Store(done)
-}
-
-// ObserveDepth folds one query's tree depth into the max-depth gauge.
-func (ls *LiveState) ObserveDepth(d int) {
-	if ls == nil {
-		return
-	}
-	v := int64(d)
-	for {
-		old := ls.maxDepth.Load()
-		if v <= old || ls.maxDepth.CompareAndSwap(old, v) {
-			return
+// Event implements Tracer: punch-start and punch-end move a worker
+// between running and idle (the proc/query cells keep their last value,
+// so a snapshot still says what the worker worked on most recently), a
+// spawn's depth (N) raises the max-depth gauge, a node-kill marks the
+// node dead.
+func (ls *LiveState) Event(ev Event) {
+	switch ev.Type {
+	case EvPunchStart:
+		if c := ls.worker(ev.Node, ev.Worker); c != nil {
+			c.proc.Store(ev.Proc)
+			c.query.Store(int64(ev.Query))
+			c.phase.Store(int32(WorkerRunning))
+		}
+	case EvPunchEnd:
+		if c := ls.worker(ev.Node, ev.Worker); c != nil {
+			c.punches.Add(1)
+			c.phase.Store(int32(WorkerIdle))
+		}
+	case EvSpawn:
+		for old := ls.maxDepth.Load(); ev.N > old && !ls.maxDepth.CompareAndSwap(old, ev.N); old = ls.maxDepth.Load() {
+		}
+	case EvNodeKill:
+		if ev.Node >= 0 && ev.Node < len(ls.dead) {
+			ls.dead[ev.Node].Store(true)
 		}
 	}
 }
 
-// SetCoalescer publishes the in-flight index size, the registered
-// waiter-edge count, and the cumulative coalesce hits.
-func (ls *LiveState) SetCoalescer(inflightKeys, waiterEdges, hits int64) {
-	if ls == nil {
-		return
-	}
-	ls.inflightKeys.Store(inflightKeys)
-	ls.waiterEdges.Store(waiterEdges)
-	ls.coalesced.Store(hits)
-}
-
-func (ls *LiveState) worker(w int) *workerLive {
-	if ls == nil || w < 0 || w >= len(ls.workers) {
-		return nil
-	}
-	return &ls.workers[w]
-}
-
-// WorkerRunning marks worker w inside a PUNCH invocation on the given
-// procedure and query.
-func (ls *LiveState) WorkerRunning(w int, proc string, query int64) {
-	c := ls.worker(w)
-	if c == nil {
-		return
-	}
-	c.proc.Store(proc)
-	c.query.Store(query)
-	c.phase.Store(int32(WorkerRunning))
-}
-
-// WorkerFinished marks worker w done with its PUNCH invocation: the
-// punch counter advances and the phase returns to idle. The proc/query
-// cells keep their last value so a snapshot still says what the worker
-// worked on most recently.
-func (ls *LiveState) WorkerFinished(w int) {
-	c := ls.worker(w)
-	if c == nil {
-		return
-	}
-	c.punches.Add(1)
-	c.phase.Store(int32(WorkerIdle))
-}
-
 // WorkerStealing marks worker w scanning for work to steal.
 func (ls *LiveState) WorkerStealing(w int) {
-	if c := ls.worker(w); c != nil {
+	if c := ls.worker(0, w); c != nil {
 		c.phase.Store(int32(WorkerStealing))
 	}
 }
 
 // WorkerParked marks worker w parked with no runnable work.
 func (ls *LiveState) WorkerParked(w int) {
-	if c := ls.worker(w); c != nil {
+	if c := ls.worker(0, w); c != nil {
 		c.phase.Store(int32(WorkerParked))
 	}
-}
-
-func (ls *LiveState) node(n int) *nodeLive {
-	if ls == nil || n < 0 || n >= len(ls.nodes) {
-		return nil
-	}
-	return &ls.nodes[n]
-}
-
-// NodeSet publishes one node's occupancy gauges (distributed engine,
-// round boundaries).
-func (ls *LiveState) NodeSet(n int, live, ready, blocked, summaries int64) {
-	c := ls.node(n)
-	if c == nil {
-		return
-	}
-	c.live.Store(clampNonNeg(live))
-	c.ready.Store(clampNonNeg(ready))
-	c.blocked.Store(clampNonNeg(blocked))
-	c.summaries.Store(summaries)
-}
-
-// NodeAddBusy charges cost virtual ticks of MAP work to node n's busy
-// ledger (the per-node skew input).
-func (ls *LiveState) NodeAddBusy(n int, cost int64) {
-	if c := ls.node(n); c != nil {
-		c.busyTicks.Add(cost)
-	}
-}
-
-// NodeSetBacklog publishes node n's gossip backlog: summary deliveries
-// deferred (by injected loss) at the most recent exchange.
-func (ls *LiveState) NodeSetBacklog(n int, backlog int64) {
-	if c := ls.node(n); c != nil {
-		c.backlog.Store(backlog)
-	}
-}
-
-// NodeDead marks node n killed by fault injection.
-func (ls *LiveState) NodeDead(n int) {
-	if c := ls.node(n); c != nil {
-		c.dead.Store(true)
-	}
-}
-
-func clampNonNeg(v int64) int64 {
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 // ForestState is the query-forest occupancy part of a snapshot.
@@ -401,10 +295,11 @@ type MemoState struct {
 	TurnedAway int64  `json:"turned_away"`
 }
 
-// StateSnapshot is one moment of a run, assembled for JSON. Gauges are
-// read individually from atomics, so a snapshot is racy-but-monotone
-// rather than a consistent cut — see DESIGN.md's snapshot-consistency
-// notes for which fields are exact.
+// StateSnapshot is one moment of a run, assembled for JSON. The
+// published gauges are one consistent cut taken at the engine's latest
+// safe point; the event folds (worker cells, max depth, node deaths) are
+// read individually and may be a little ahead of it — see DESIGN.md's
+// snapshot-consistency notes.
 type StateSnapshot struct {
 	Engine string `json:"engine,omitempty"`
 	// Phase is the probe's run phase ("idle", "running", "finished");
@@ -439,34 +334,28 @@ func (s *StateSnapshot) TotalPunches() int64 {
 	return n
 }
 
-// Snapshot assembles the atomics into a StateSnapshot (nil on a nil
-// receiver). Engine-specific extras (SumDB, Solver) are layered on by
-// the snapshot function the engine registers with Probe.Attach.
+// Snapshot assembles the published gauges and the folds into a
+// StateSnapshot (nil on a nil receiver). Engine-specific extras (SumDB,
+// Solver) are layered on by the snapshot function the engine registers
+// with Probe.Attach.
 func (ls *LiveState) Snapshot() *StateSnapshot {
 	if ls == nil {
 		return nil
 	}
+	var g Gauges
+	if p := ls.gauges.Load(); p != nil {
+		g = *p
+	}
 	s := &StateSnapshot{
 		Engine:     ls.engine,
 		ElapsedNs:  int64(time.Since(ls.epoch)),
-		VTime:      ls.vtime.Load(),
-		Iterations: ls.iterations.Load(),
-		Forest: ForestState{
-			Live:     ls.live.Load(),
-			Ready:    ls.ready.Load(),
-			Blocked:  ls.blocked.Load(),
-			Running:  ls.running.Load(),
-			Spawned:  ls.spawned.Load(),
-			Done:     ls.done.Load(),
-			MaxDepth: ls.maxDepth.Load(),
-		},
-		Coalescer: CoalescerState{
-			InflightKeys: ls.inflightKeys.Load(),
-			WaiterEdges:  ls.waiterEdges.Load(),
-			Hits:         ls.coalesced.Load(),
-		},
+		VTime:      g.VTime,
+		Iterations: g.Iterations,
+		Forest:     g.Forest,
+		Coalescer:  g.Coalescer,
+		Workers:    make([]WorkerState, len(ls.workers)),
 	}
-	s.Workers = make([]WorkerState, len(ls.workers))
+	s.Forest.MaxDepth = ls.maxDepth.Load()
 	for i := range ls.workers {
 		c := &ls.workers[i]
 		w := WorkerState{
@@ -475,42 +364,32 @@ func (ls *LiveState) Snapshot() *StateSnapshot {
 			Query:   c.query.Load(),
 			Punches: c.punches.Load(),
 		}
-		if p, ok := c.proc.Load().(string); ok {
-			w.Proc = p
-		}
+		w.Proc, _ = c.proc.Load().(string)
 		if ls.workersPerNode > 0 {
 			w.Node = i / ls.workersPerNode
 		}
 		s.Workers[i] = w
 	}
-	if len(ls.nodes) > 0 {
-		s.Nodes = make([]NodeState, len(ls.nodes))
-		var busySum, busyMax int64
-		liveNodes := 0
-		for i := range ls.nodes {
-			c := &ls.nodes[i]
-			n := NodeState{
-				Node:          i,
-				Dead:          c.dead.Load(),
-				Live:          c.live.Load(),
-				Ready:         c.ready.Load(),
-				Blocked:       c.blocked.Load(),
-				Summaries:     c.summaries.Load(),
-				GossipBacklog: c.backlog.Load(),
-				BusyTicks:     c.busyTicks.Load(),
-			}
-			s.Nodes[i] = n
-			if !n.Dead {
-				liveNodes++
-				busySum += n.BusyTicks
-				if n.BusyTicks > busyMax {
-					busyMax = n.BusyTicks
-				}
-			}
+	if len(ls.dead) == 0 {
+		return s
+	}
+	s.Nodes = make([]NodeState, len(ls.dead))
+	var busySum, busyMax int64
+	liveNodes := 0
+	for i := range s.Nodes {
+		n := &s.Nodes[i]
+		if i < len(g.Nodes) {
+			*n = g.Nodes[i]
 		}
-		if liveNodes > 0 && busySum > 0 {
-			s.NodeSkew = float64(busyMax) / (float64(busySum) / float64(liveNodes))
+		n.Node, n.Dead = i, ls.dead[i].Load()
+		if !n.Dead {
+			liveNodes++
+			busySum += n.BusyTicks
+			busyMax = max(busyMax, n.BusyTicks)
 		}
+	}
+	if liveNodes > 0 && busySum > 0 {
+		s.NodeSkew = float64(busyMax) / (float64(busySum) / float64(liveNodes))
 	}
 	return s
 }

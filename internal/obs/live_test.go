@@ -8,18 +8,25 @@ import (
 	"time"
 )
 
+// TestLiveStateSnapshot: worker cells and max depth are folds over the
+// event stream, the forest and coalescer gauges are the last published
+// value.
 func TestLiveStateSnapshot(t *testing.T) {
 	ls := NewLiveState("async", 4, 0, time.Now())
-	ls.Tick(123, 7)
-	ls.SetForest(10, 3, 5, 2)
-	ls.SetProgress(20, 9)
-	ls.ObserveDepth(3)
-	ls.ObserveDepth(6)
-	ls.ObserveDepth(4) // must not lower the max
-	ls.SetCoalescer(2, 5, 11)
-	ls.WorkerRunning(1, "reach", 42)
-	ls.WorkerFinished(1)
-	ls.WorkerRunning(1, "reach", 43)
+	ls.Publish(Gauges{
+		VTime: 123, Iterations: 7,
+		Forest:    ForestState{Live: 10, Ready: 3, Blocked: 5, Running: 2, Spawned: 20, Done: 9, MaxDepth: 99},
+		Coalescer: CoalescerState{InflightKeys: 2, WaiterEdges: 5, Hits: 11},
+	})
+	for _, ev := range []Event{
+		{Type: EvSpawn, N: 3}, {Type: EvSpawn, N: 6}, {Type: EvSpawn, N: 4}, // a shallower spawn must not lower the max
+		{Type: EvPunchStart, Worker: 1, Proc: "reach", Query: 42},
+		{Type: EvPunchEnd, Worker: 1, Proc: "reach", Query: 42},
+		{Type: EvPunchStart, Worker: 1, Proc: "reach", Query: 43},
+		{Type: EvDone, Worker: 0, Query: 42}, // not a worker-phase event
+	} {
+		ls.Event(ev)
+	}
 	ls.WorkerStealing(2)
 	ls.WorkerParked(3)
 
@@ -29,7 +36,7 @@ func TestLiveStateSnapshot(t *testing.T) {
 	}
 	f := s.Forest
 	if f.Live != 10 || f.Ready != 3 || f.Blocked != 5 || f.Running != 2 || f.Spawned != 20 || f.Done != 9 || f.MaxDepth != 6 {
-		t.Fatalf("forest = %+v", f)
+		t.Fatalf("forest = %+v (max depth is the fold, not the published value)", f)
 	}
 	c := s.Coalescer
 	if c.InflightKeys != 2 || c.WaiterEdges != 5 || c.Hits != 11 {
@@ -54,32 +61,37 @@ func TestLiveStateClampsNegativeGauges(t *testing.T) {
 	ls := NewLiveState("async", 0, 0, time.Now())
 	// Derived blocked = live - ready - running can go transiently
 	// negative on skewed reads; the gauge must clamp, not publish junk.
-	ls.SetForest(1, 2, -3, -1)
+	ls.Publish(Gauges{Forest: ForestState{Live: 1, Ready: 2, Blocked: -3, Running: -1}})
 	f := ls.Snapshot().Forest
-	if f.Blocked != 0 || f.Running != 0 {
-		t.Fatalf("blocked/running = %d/%d; want clamped to 0", f.Blocked, f.Running)
+	if f.Blocked != 0 || f.Running != 0 || f.Live != 1 || f.Ready != 2 {
+		t.Fatalf("forest = %+v; want blocked/running clamped to 0", f)
 	}
 }
 
+// TestLiveStateNodes: per-node occupancy, backlog and busy ticks are
+// published; death is the node-kill fold; a cluster event's (node,
+// worker) lands on the node's own worker cell.
 func TestLiveStateNodes(t *testing.T) {
 	ls := NewLiveState("dist", 6, 3, time.Now())
-	ls.NodeSet(0, 4, 1, 3, 10)
-	ls.NodeAddBusy(0, 100)
-	ls.NodeAddBusy(1, 50)
-	ls.NodeAddBusy(2, 30)
-	ls.NodeSetBacklog(1, 2)
-	ls.NodeDead(2)
+	ls.Publish(Gauges{Nodes: []NodeState{
+		{Live: 4, Ready: 1, Blocked: 3, Summaries: 10, BusyTicks: 100, Dead: true},
+		{GossipBacklog: 2, BusyTicks: 50},
+		{BusyTicks: 30},
+	}})
+	ls.Event(Event{Type: EvNodeKill, Node: 2})
+	ls.Event(Event{Type: EvNodeKill, Node: 9}) // out of range: ignored
+	ls.Event(Event{Type: EvPunchStart, Node: 2, Worker: 1, Proc: "p", Query: 8})
 
 	s := ls.Snapshot()
 	if len(s.Nodes) != 3 {
 		t.Fatalf("nodes = %d; want 3", len(s.Nodes))
 	}
 	n0 := s.Nodes[0]
-	if n0.Live != 4 || n0.Ready != 1 || n0.Blocked != 3 || n0.Summaries != 10 || n0.BusyTicks != 100 {
-		t.Fatalf("node 0 = %+v", n0)
+	if n0.Live != 4 || n0.Ready != 1 || n0.Blocked != 3 || n0.Summaries != 10 || n0.BusyTicks != 100 || n0.Dead {
+		t.Fatalf("node 0 = %+v (a published Dead is ignored)", n0)
 	}
-	if s.Nodes[1].GossipBacklog != 2 {
-		t.Fatalf("node 1 backlog = %d; want 2", s.Nodes[1].GossipBacklog)
+	if s.Nodes[1].GossipBacklog != 2 || s.Nodes[1].Node != 1 {
+		t.Fatalf("node 1 = %+v; want backlog 2", s.Nodes[1])
 	}
 	if !s.Nodes[2].Dead {
 		t.Fatal("node 2 should be dead")
@@ -92,33 +104,27 @@ func TestLiveStateNodes(t *testing.T) {
 	if s.Workers[5].Node != 2 || s.Workers[0].Node != 0 {
 		t.Fatalf("worker->node mapping = %d,%d; want 2,0", s.Workers[5].Node, s.Workers[0].Node)
 	}
+	if w := s.Workers[5]; w.Phase != "running" || w.Query != 8 {
+		t.Fatalf("worker 5 = %+v; want node 2's slot 1 running query 8", w)
+	}
 }
 
 func TestLiveStateNilAndOutOfRange(t *testing.T) {
 	var ls *LiveState
-	ls.Tick(1, 1)
-	ls.SetForest(1, 1, 1, 1)
-	ls.SetProgress(1, 1)
-	ls.ObserveDepth(1)
-	ls.SetCoalescer(1, 1, 1)
-	ls.WorkerRunning(0, "p", 1)
-	ls.WorkerFinished(0)
 	ls.WorkerStealing(0)
 	ls.WorkerParked(0)
-	ls.NodeSet(0, 1, 1, 1, 1)
-	ls.NodeAddBusy(0, 1)
-	ls.NodeSetBacklog(0, 1)
-	ls.NodeDead(0)
 	if ls.Snapshot() != nil {
 		t.Fatal("nil LiveState must snapshot to nil")
 	}
 
 	real := NewLiveState("async", 1, 0, time.Now())
-	real.WorkerRunning(5, "p", 1) // out of range: ignored, not a panic
-	real.WorkerRunning(-1, "p", 1)
-	real.NodeSet(9, 1, 1, 1, 1) // no nodes allocated
-	if got := len(real.Snapshot().Workers); got != 1 {
-		t.Fatalf("workers = %d; want 1", got)
+	real.Event(Event{Type: EvPunchStart, Worker: 5, Proc: "p"}) // out of range: ignored, not a panic
+	real.Event(Event{Type: EvPunchEnd, Worker: -1})
+	real.Event(Event{Type: EvNodeKill, Node: 0}) // no nodes allocated
+	real.Publish(Gauges{Nodes: []NodeState{{Live: 1}}})
+	s := real.Snapshot()
+	if len(s.Workers) != 1 || s.Workers[0].Phase != "idle" || s.Nodes != nil {
+		t.Fatalf("snapshot = %+v; want one idle worker, no nodes", s)
 	}
 }
 
@@ -129,7 +135,7 @@ func TestProbeLifecycle(t *testing.T) {
 	}
 
 	ls := NewLiveState("barrier", 2, 0, time.Now())
-	ls.Tick(55, 1)
+	ls.Publish(Gauges{VTime: 55, Iterations: 1})
 	p.Attach(func() *StateSnapshot { return ls.Snapshot() })
 	if p.Phase() != RunActive {
 		t.Fatalf("phase = %v; want active", p.Phase())
@@ -139,7 +145,7 @@ func TestProbeLifecycle(t *testing.T) {
 		t.Fatalf("live state = %+v; want running at vtime 55", s)
 	}
 
-	ls.Tick(99, 2)
+	ls.Publish(Gauges{VTime: 99, Iterations: 2})
 	p.Detach()
 	if p.Phase() != RunFinished || p.Runs() != 1 {
 		t.Fatalf("after detach: phase %v runs %d; want finished/1", p.Phase(), p.Runs())
@@ -177,7 +183,7 @@ func TestProbeNil(t *testing.T) {
 
 func TestStateSnapshotJSONShape(t *testing.T) {
 	ls := NewLiveState("async", 1, 0, time.Now())
-	ls.WorkerRunning(0, "main", 1)
+	ls.Event(Event{Type: EvPunchStart, Proc: "main", Query: 1})
 	s := ls.Snapshot()
 	s.Phase = RunActive.String()
 	b, err := json.Marshal(s)
@@ -269,7 +275,7 @@ type fakeRun struct {
 func newFakeRun(p *Probe) *fakeRun {
 	fr := &fakeRun{ls: NewLiveState("async", 2, 0, time.Now())}
 	p.Attach(func() *StateSnapshot {
-		fr.ls.Tick(fr.vtime.Load(), 0)
+		fr.ls.Publish(Gauges{VTime: fr.vtime.Load()})
 		return fr.ls.Snapshot()
 	})
 	return fr

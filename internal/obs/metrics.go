@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter indexes one engine counter in the Metrics registry.
@@ -154,10 +153,14 @@ type workerCell struct {
 	steals   atomic.Int64
 }
 
-// Metrics is the engine metrics registry: atomic counters, punch
-// histograms, and per-worker accounting. A nil *Metrics is fully
-// disabled — every method is nil-receiver safe and costs one branch.
-// All methods are safe for concurrent use.
+// Metrics is the engine metrics registry. Every counter whose fact is a
+// lifecycle event — spawns, answers, collections, blocks, wakes, steals,
+// PUNCH invocations with both histograms and the per-worker ledger,
+// gossip deliveries, node kills, coalesce hits — is a fold over the
+// event stream (Event); the rest (steal scans, parks, gossip rounds,
+// provenance traffic) are written directly through Inc and Add. A nil
+// *Metrics is disabled: Inc, Add, Get, EnsureWorkers and Snapshot are
+// nil-receiver safe. All methods are safe for concurrent use.
 type Metrics struct {
 	counters  [numCounters]atomic.Int64
 	punchCost Histogram
@@ -166,6 +169,7 @@ type Metrics struct {
 
 	mu      sync.RWMutex
 	workers []*workerCell
+	width   int // worker slots per node: a cell is node*width + worker
 }
 
 // NewMetrics returns an enabled, empty registry.
@@ -195,42 +199,73 @@ func (m *Metrics) Get(c Counter) int64 {
 	return m.counters[c].Load()
 }
 
-// EnsureWorkers grows the per-worker table to at least n cells. Engines
-// call it once before their pool starts so ObservePunch never allocates.
-func (m *Metrics) EnsureWorkers(n int) {
+// EnsureWorkers grows the per-worker table to at least nodes*width cells
+// and maps an event's (node, worker) to cell node*width + worker.
+// Engines call it once before their pool starts so the fold never
+// allocates.
+func (m *Metrics) EnsureWorkers(nodes, width int) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	for len(m.workers) < n {
+	m.width = width
+	for len(m.workers) < nodes*width {
 		m.workers = append(m.workers, &workerCell{})
 	}
 	m.mu.Unlock()
 }
 
-func (m *Metrics) worker(i int) *workerCell {
+func (m *Metrics) worker(ev Event) *workerCell {
 	m.mu.RLock()
 	var w *workerCell
-	if i >= 0 && i < len(m.workers) {
+	if i := ev.Node*m.width + ev.Worker; ev.Worker >= 0 && i >= 0 && i < len(m.workers) {
 		w = m.workers[i]
 	}
 	m.mu.RUnlock()
 	return w
 }
 
-// ObservePunch records one completed PUNCH invocation: the global
-// counters and histograms, and the worker's busy accounting.
-func (m *Metrics) ObservePunch(worker int, cost int64, wall time.Duration) {
-	if m == nil {
-		return
-	}
-	m.counters[PunchInvocations].Add(1)
-	m.punchCost.Observe(cost)
-	m.punchWall.Observe(int64(wall))
-	if w := m.worker(worker); w != nil {
-		w.punches.Add(1)
-		w.busyCost.Add(cost)
-		w.busyWall.Add(int64(wall))
+// Event implements Tracer: it folds one lifecycle event into the
+// counters, the PUNCH histograms (EvPunchEnd carries the abstract cost
+// in Cost and the wall nanoseconds in N) and the worker's ledger.
+func (m *Metrics) Event(ev Event) {
+	c := &m.counters
+	switch ev.Type {
+	case EvSpawn:
+		c[QueriesSpawned].Add(1)
+	case EvDone:
+		c[QueriesDone].Add(1)
+	case EvGC:
+		c[QueriesGCd].Add(ev.N)
+	case EvBlock:
+		c[QueriesBlocked].Add(1)
+	case EvWake:
+		if ev.N != 0 {
+			c[Rewakes].Add(1)
+		} else {
+			c[Wakes].Add(1)
+		}
+	case EvSteal:
+		c[StealsSucceeded].Add(1)
+		if w := m.worker(ev); w != nil {
+			w.steals.Add(1)
+		}
+	case EvPunchEnd:
+		c[PunchInvocations].Add(1)
+		m.punchCost.Observe(ev.Cost)
+		m.punchWall.Observe(ev.N)
+		if w := m.worker(ev); w != nil {
+			w.punches.Add(1)
+			w.busyCost.Add(ev.Cost)
+			w.busyWall.Add(ev.N)
+		}
+	case EvGossipSend:
+		c[GossipDeliveries].Add(1)
+		c[GossipBytes].Add(ev.N)
+	case EvNodeKill:
+		c[NodeKills].Add(1)
+	case EvCoalesce:
+		c[CoalesceHits].Add(1)
 	}
 }
 
@@ -242,17 +277,6 @@ func (m *Metrics) ObserveConeSize(v int64) {
 		return
 	}
 	m.coneSize.Observe(v)
-}
-
-// ObserveSteal records one successful steal for the thief's ledger (the
-// global counters are updated separately via Inc).
-func (m *Metrics) ObserveSteal(worker int) {
-	if m == nil {
-		return
-	}
-	if w := m.worker(worker); w != nil {
-		w.steals.Add(1)
-	}
 }
 
 // WorkerSnapshot is one worker's accounting at snapshot time.

@@ -25,21 +25,24 @@ type EventType uint8
 // Event types, covering the full life of a query plus the scheduler
 // and cluster events around it.
 const (
-	// EvSpawn: a query was created (root or child) and entered Ready.
+	// EvSpawn: a query was created (root or child) and entered Ready;
+	// N is its depth (distance from the root).
 	EvSpawn EventType = iota
 	// EvReady: a live query was re-enqueued Ready after a PUNCH slice
 	// exhausted its step budget without finishing.
 	EvReady
 	// EvPunchStart and EvPunchEnd bracket one PUNCH invocation; the
 	// pair becomes one span on the worker's track in the Chrome trace.
+	// The end carries the abstract cost in Cost and the step's wall
+	// nanoseconds in N.
 	EvPunchStart
 	EvPunchEnd
 	// EvBlock: a PUNCH invocation returned its query Blocked on
 	// unanswered children.
 	EvBlock
 	// EvWake: a Blocked query was made Ready again — its child
-	// completed, a gossip delivery arrived, a mid-flight rewake fired,
-	// or failover re-routed it.
+	// completed, a gossip delivery arrived, a mid-flight rewake fired
+	// (N = 1 marks that one), or failover re-routed it.
 	EvWake
 	// EvSteal: a streaming-engine worker stole a query from another
 	// worker's deque; N is the victim worker.
@@ -98,8 +101,10 @@ type Event struct {
 	Wall  time.Duration
 	// Cost is the PUNCH invocation's abstract cost (EvPunchEnd only).
 	Cost int64
-	// N is the event's payload count: victim worker for EvSteal,
-	// queries collected for EvGC, payload bytes for the gossip events.
+	// N is the event's payload: depth for EvSpawn, wall nanoseconds for
+	// EvPunchEnd, the rewake mark for EvWake, victim worker for EvSteal,
+	// queries collected for EvGC, payload bytes for the gossip events,
+	// the twin for EvCoalesce.
 	N int64
 }
 

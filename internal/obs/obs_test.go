@@ -9,17 +9,16 @@ import (
 	"time"
 )
 
-// TestNilSafety: a nil registry and a nil tracer must be inert — every
-// method is a no-op rather than a panic, since the engines call them
-// unconditionally behind one branch.
+// TestNilSafety: a nil registry must be inert — Inc, Add, EnsureWorkers
+// and the snapshots are no-ops rather than panics, since the engines
+// call them unconditionally behind one branch.
 func TestNilSafety(t *testing.T) {
 	var m *Metrics
-	m.Inc(QueriesSpawned)
-	m.Add(QueriesDone, 7)
-	m.EnsureWorkers(8)
-	m.ObservePunch(3, 100, time.Millisecond)
-	m.ObserveSteal(2)
-	if got := m.Get(QueriesSpawned); got != 0 {
+	m.Inc(IdleParks)
+	m.Add(GossipRounds, 7)
+	m.EnsureWorkers(1, 8)
+	m.ObserveConeSize(3)
+	if got := m.Get(IdleParks); got != 0 {
 		t.Errorf("nil registry Get = %d, want 0", got)
 	}
 	if m.Snapshot() != nil {
@@ -31,40 +30,54 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
+// TestCountersAndWorkers: the registry folds the event stream — each
+// lifecycle counter from its event type, the PUNCH histograms and the
+// worker ledger from punch-end (cost in Cost, wall nanoseconds in N),
+// a rewake from the mark in a wake's N — and maps a cluster event's
+// (node, worker) onto the worker table.
 func TestCountersAndWorkers(t *testing.T) {
 	m := NewMetrics()
-	m.EnsureWorkers(4)
-	m.Inc(QueriesSpawned)
-	m.Add(QueriesSpawned, 2)
-	m.Inc(StealsSucceeded)
-	m.ObservePunch(1, 50, 2*time.Microsecond)
-	m.ObservePunch(1, 70, 3*time.Microsecond)
-	m.ObservePunch(3, 10, time.Microsecond)
-	m.ObserveSteal(3)
-	// Out-of-range workers are dropped, not panicked on.
-	m.ObservePunch(99, 1, 0)
-	m.ObserveSteal(-1)
+	m.EnsureWorkers(2, 2)
+	for _, ev := range []Event{
+		{Type: EvSpawn}, {Type: EvSpawn, N: 4}, {Type: EvSpawn},
+		{Type: EvWake}, {Type: EvWake, N: 1}, {Type: EvWake},
+		{Type: EvGC, N: 5}, {Type: EvGC, N: 2},
+		{Type: EvSteal, Node: 1, Worker: 1, N: 0},
+		{Type: EvPunchEnd, Worker: 1, Cost: 50, N: 2000},
+		{Type: EvPunchEnd, Worker: 1, Cost: 70, N: 3000},
+		{Type: EvPunchEnd, Node: 1, Worker: 1, Cost: 10, N: 1000},
+		{Type: EvPunchEnd, Node: 7, Worker: 0, Cost: 1}, // no such cell: counted, not booked
+		{Type: EvGossipSend, N: 40}, {Type: EvGossipRecv, N: 40},
+		{Type: EvNodeKill}, {Type: EvCoalesce}, {Type: EvDone}, {Type: EvBlock}, {Type: EvReady},
+	} {
+		m.Event(ev)
+	}
+	m.Inc(StealsAttempted)
 
 	snap := m.Snapshot()
-	if got := snap.Counters["queries_spawned"]; got != 3 {
-		t.Errorf("queries_spawned = %d, want 3", got)
-	}
-	if got := snap.Counters["punch_invocations"]; got != 4 {
-		t.Errorf("punch_invocations = %d, want 4", got)
+	for name, want := range map[string]int64{
+		"queries_spawned": 3, "wakes": 2, "rewakes": 1, "queries_gcd": 7,
+		"steals_succeeded": 1, "steals_attempted": 1, "punch_invocations": 4,
+		"gossip_deliveries": 1, "gossip_bytes": 40, "node_kills": 1,
+		"coalesce_hits": 1, "queries_done": 1, "queries_blocked": 1,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 	if len(snap.Workers) != 4 {
 		t.Fatalf("workers = %d, want 4", len(snap.Workers))
 	}
 	w1 := snap.Workers[1]
-	if w1.Punches != 2 || w1.BusyTicks != 120 {
-		t.Errorf("worker 1 = %+v, want 2 punches / 120 busy ticks", w1)
+	if w1.Punches != 2 || w1.BusyTicks != 120 || w1.BusyWallNs != 5000 {
+		t.Errorf("worker 1 = %+v, want 2 punches / 120 busy ticks / 5000 ns", w1)
 	}
-	if snap.Workers[3].Steals != 1 {
-		t.Errorf("worker 3 steals = %d, want 1", snap.Workers[3].Steals)
+	if w3 := snap.Workers[3]; w3.Steals != 1 || w3.Punches != 1 {
+		t.Errorf("worker 3 (node 1, slot 1) = %+v, want 1 steal, 1 punch", w3)
 	}
 	flat := snap.Flatten()
-	if flat["punch_cost_sum"] != 131 {
-		t.Errorf("punch_cost_sum = %d, want 131", flat["punch_cost_sum"])
+	if flat["punch_cost_sum"] != 131 || flat["punch_wall_ns_sum"] != 6000 {
+		t.Errorf("punch_cost_sum = %d, punch_wall_ns_sum = %d, want 131, 6000", flat["punch_cost_sum"], flat["punch_wall_ns_sum"])
 	}
 	if flat["workers"] != 4 {
 		t.Errorf("workers = %d, want 4", flat["workers"])
@@ -116,23 +129,25 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// TestChromeTracerSpans: punch-start/punch-end pairs become complete
-// spans, everything else becomes instants, and the serialized document
-// validates.
+// TestChromeTracerSpans: WriteChrome turns punch-start/punch-end pairs
+// into complete spans and everything else into instants, and the
+// document validates.
 func TestChromeTracerSpans(t *testing.T) {
-	c := NewChromeTracer()
-	c.Event(Event{Type: EvSpawn, Query: 1, Proc: "main", Wall: 0})
-	c.Event(Event{Type: EvPunchStart, Query: 1, Proc: "main", Worker: 0, Wall: 10 * time.Microsecond})
-	c.Event(Event{Type: EvPunchEnd, Query: 1, Proc: "main", Worker: 0, Cost: 5, Wall: 30 * time.Microsecond})
-	c.Event(Event{Type: EvPunchStart, Query: 2, Proc: "helper", Worker: 1, Node: 1, Wall: 12 * time.Microsecond})
-	c.Event(Event{Type: EvPunchEnd, Query: 2, Proc: "helper", Worker: 1, Node: 1, Cost: 3, Wall: 22 * time.Microsecond})
-	c.Event(Event{Type: EvDone, Query: 1, Proc: "main", Wall: 31 * time.Microsecond})
-	if c.Spans() != 2 {
-		t.Errorf("spans = %d, want 2", c.Spans())
+	evs := []Event{
+		{Type: EvSpawn, Query: 1, Proc: "main", Wall: 0},
+		{Type: EvPunchStart, Query: 1, Proc: "main", Worker: 0, Wall: 10 * time.Microsecond},
+		{Type: EvPunchEnd, Query: 1, Proc: "main", Worker: 0, Cost: 5, Wall: 30 * time.Microsecond},
+		{Type: EvPunchStart, Query: 2, Proc: "helper", Worker: 1, Node: 1, Wall: 12 * time.Microsecond},
+		{Type: EvPunchEnd, Query: 2, Proc: "helper", Worker: 1, Node: 1, Cost: 3, Wall: 22 * time.Microsecond},
+		{Type: EvDone, Query: 1, Proc: "main", Wall: 31 * time.Microsecond},
 	}
 	var buf bytes.Buffer
-	if err := c.Export(&buf); err != nil {
+	spans, err := WriteChrome(&buf, evs)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if spans != 2 {
+		t.Errorf("spans = %d, want 2", spans)
 	}
 	n, err := ValidateChromeTrace(buf.Bytes())
 	if err != nil {
@@ -147,24 +162,27 @@ func TestChromeTracerSpans(t *testing.T) {
 			t.Errorf("trace output missing %s", want)
 		}
 	}
-	// The document must be a plain JSON array.
+	// The document must be a plain JSON array, an empty stream included.
 	var generic []map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &generic); err != nil {
 		t.Fatalf("trace is not a JSON array: %v", err)
+	}
+	buf.Reset()
+	if _, err := WriteChrome(&buf, nil); err != nil || strings.TrimSpace(buf.String()) != "[]" {
+		t.Errorf("empty stream = %q, %v; want []", buf.String(), err)
 	}
 }
 
 // TestChromeTracerLoneEnd: an end without a start synthesizes a
 // zero-length span instead of corrupting the document.
 func TestChromeTracerLoneEnd(t *testing.T) {
-	c := NewChromeTracer()
-	c.Event(Event{Type: EvPunchEnd, Query: 9, Proc: "p", Wall: 5 * time.Microsecond})
-	if c.Spans() != 1 {
-		t.Errorf("spans = %d, want 1", c.Spans())
-	}
 	var buf bytes.Buffer
-	if err := c.Export(&buf); err != nil {
+	spans, err := WriteChrome(&buf, []Event{{Type: EvPunchEnd, Query: 9, Proc: "p", Wall: 5 * time.Microsecond}})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if spans != 1 {
+		t.Errorf("spans = %d, want 1", spans)
 	}
 	if _, err := ValidateChromeTrace(buf.Bytes()); err != nil {
 		t.Errorf("validate: %v", err)
@@ -220,8 +238,8 @@ func TestRecording(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if r.Len() != 400 {
-		t.Errorf("len = %d, want 400", r.Len())
+	if total, dropped := r.Counts(); total != 400 || dropped != 0 || r.Capacity() != 0 {
+		t.Errorf("counts = %d/%d, capacity %d; want 400/0, unbounded", total, dropped, r.Capacity())
 	}
 	evs := r.Events()
 	evs[0].Worker = 99 // the returned slice is a copy

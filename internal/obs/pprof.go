@@ -18,13 +18,3 @@ func DoPunch(ctx context.Context, engine, proc string, depth int, f func()) {
 		"query-depth", strconv.Itoa(depth),
 	), func(context.Context) { f() })
 }
-
-// StartPprofServer serves the standard /debug/pprof endpoints — plus a
-// Prometheus text-format /metrics exposition of the given registry — on
-// addr in a background goroutine and returns the bound address (useful
-// with ":0"). A nil registry serves an empty /metrics. It is the
-// metrics-only special case of StartDebugServer, kept for callers that
-// have no live-introspection handles to expose.
-func StartPprofServer(addr string, m *Metrics) (string, error) {
-	return StartDebugServer(addr, DebugState{Metrics: m})
-}

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"strings"
 )
@@ -79,14 +78,4 @@ func sanitizeMetricName(k string) string {
 		}
 		return '_'
 	}, k)
-}
-
-// MetricsHandler serves the registry in Prometheus text format; each
-// request takes a fresh snapshot, so scraping a live run sees its
-// counters move. A nil registry serves an empty (valid) exposition.
-func MetricsHandler(m *Metrics) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WritePrometheus(w, m.Snapshot())
-	})
 }

@@ -7,11 +7,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // parseExposition reads a Prometheus text exposition into a flat
-// name{labels} -> value map, ignoring comment lines.
+// name{labels} -> value map, ignoring comment lines (a fractional gauge
+// such as bolt_uptime_seconds is truncated).
 func parseExposition(t *testing.T, text string) map[string]int64 {
 	t.Helper()
 	out := map[string]int64{}
@@ -25,11 +25,11 @@ func parseExposition(t *testing.T, text string) map[string]int64 {
 		if i < 0 {
 			t.Fatalf("malformed exposition line %q", line)
 		}
-		v, err := strconv.ParseInt(line[i+1:], 10, 64)
+		v, err := strconv.ParseFloat(line[i+1:], 64)
 		if err != nil {
-			t.Fatalf("non-integer value in line %q: %v", line, err)
+			t.Fatalf("non-numeric value in line %q: %v", line, err)
 		}
-		out[line[:i]] = v
+		out[line[:i]] = int64(v)
 	}
 	return out
 }
@@ -38,14 +38,16 @@ func parseExposition(t *testing.T, text string) map[string]int64 {
 // buckets all round-trip through the text format.
 func TestWritePrometheus(t *testing.T) {
 	m := NewMetrics()
-	m.EnsureWorkers(2)
-	m.Inc(QueriesSpawned)
-	m.Inc(QueriesSpawned)
-	m.Inc(QueriesDone)
-	m.ObservePunch(0, 3, 10*time.Nanosecond)
-	m.ObservePunch(0, 900, 20*time.Nanosecond)
-	m.ObservePunch(1, 70, 30*time.Nanosecond)
-	m.ObserveSteal(1)
+	m.EnsureWorkers(1, 2)
+	for _, ev := range []Event{
+		{Type: EvSpawn}, {Type: EvSpawn}, {Type: EvDone},
+		{Type: EvPunchEnd, Worker: 0, Cost: 3, N: 10},
+		{Type: EvPunchEnd, Worker: 0, Cost: 900, N: 20},
+		{Type: EvPunchEnd, Worker: 1, Cost: 70, N: 30},
+		{Type: EvSteal, Worker: 1},
+	} {
+		m.Event(ev)
+	}
 	snap := m.Snapshot()
 	snap.MakespanTicks = 973
 
@@ -120,10 +122,11 @@ func TestWritePrometheusNilSnapshot(t *testing.T) {
 	}
 }
 
-// TestMetricsHandler: scraping twice sees the registry move.
+// TestMetricsHandler: scraping the debug mux's /metrics twice sees the
+// registry move.
 func TestMetricsHandler(t *testing.T) {
 	m := NewMetrics()
-	h := MetricsHandler(m)
+	h := DebugState{Metrics: m}.Handler()
 	scrape := func() map[string]int64 {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -132,23 +135,25 @@ func TestMetricsHandler(t *testing.T) {
 		}
 		return parseExposition(t, rec.Body.String())
 	}
-	m.Inc(Wakes)
+	m.Event(Event{Type: EvWake})
 	if got := scrape()["bolt_wakes_total"]; got != 1 {
 		t.Fatalf("first scrape wakes_total = %d, want 1", got)
 	}
-	m.Inc(Wakes)
+	m.Event(Event{Type: EvWake})
 	if got := scrape()["bolt_wakes_total"]; got != 2 {
 		t.Fatalf("second scrape wakes_total = %d, want 2 (handler must re-snapshot)", got)
 	}
 }
 
+// TestMetricsHandlerNilRegistry: without a registry /metrics serves the
+// runtime gauges and no counter.
 func TestMetricsHandlerNilRegistry(t *testing.T) {
 	rec := httptest.NewRecorder()
-	MetricsHandler(nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	DebugState{}.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status = %d, want 200", rec.Code)
 	}
-	if body := strings.TrimSpace(rec.Body.String()); body != "" {
-		t.Errorf("nil registry served %q, want empty exposition", body)
+	if body := rec.Body.String(); strings.Contains(body, "_total") || !strings.Contains(body, "bolt_run_state 0") {
+		t.Errorf("nil registry served %q, want the runtime gauges only", body)
 	}
 }

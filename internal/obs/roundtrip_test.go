@@ -13,10 +13,11 @@ import (
 )
 
 // TestTraceRoundTrip drives a corpus program through all three engines
-// with a ChromeTracer attached and validates the serialized document:
-// parseable Chrome trace-event JSON, well-nested spans per track, and at
-// least one PUNCH span per completed query. This is the `make
-// trace-smoke` CI gate.
+// with a Recording attached, converts the recorded stream with
+// WriteChrome and validates the document: parseable Chrome trace-event
+// JSON, well-nested spans per track, one PUNCH span per punch
+// invocation the registry folded, and at least one per completed query.
+// With boltprof's TestReportChrome it is the `make trace-smoke` CI gate.
 func TestTraceRoundTrip(t *testing.T) {
 	files, err := filepath.Glob("../../testdata/corpus/*.bolt")
 	if err != nil || len(files) == 0 {
@@ -30,82 +31,51 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	engines := []struct {
-		name  string
-		async bool
-	}{{"barrier", false}, {"async", true}}
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
-			tr := obs.NewChromeTracer()
-			m := obs.NewMetrics()
-			res := core.New(prog, core.Options{
-				Punch:         maymust.New(),
-				MaxThreads:    8,
-				MaxIterations: 60000,
-				Async:         eng.async,
-				Tracer:        tr,
-				Metrics:       m,
-			}).Run(core.AssertionQuestion(prog))
-			if res.Verdict == core.Unknown {
-				t.Fatalf("verdict Unknown (stop %v)", res.StopReason)
+	q0 := core.AssertionQuestion(prog)
+	// Each run returns its verdict, completed-query count (-1 when the
+	// engine does not report one) and metrics snapshot.
+	runs := map[string]func(obs.Tracer, *obs.Metrics) (core.Verdict, int64, *obs.Snapshot){
+		"barrier": func(tr obs.Tracer, m *obs.Metrics) (core.Verdict, int64, *obs.Snapshot) {
+			res := core.New(prog, core.Options{Punch: maymust.New(), MaxThreads: 8, MaxIterations: 60000, Tracer: tr, Metrics: m}).Run(q0)
+			return res.Verdict, res.DoneQueries, res.Metrics
+		},
+		"async": func(tr obs.Tracer, m *obs.Metrics) (core.Verdict, int64, *obs.Snapshot) {
+			res := core.New(prog, core.Options{Punch: maymust.New(), MaxThreads: 8, MaxIterations: 60000, Async: true, Tracer: tr, Metrics: m}).Run(q0)
+			return res.Verdict, res.DoneQueries, res.Metrics
+		},
+		"dist": func(tr obs.Tracer, m *obs.Metrics) (core.Verdict, int64, *obs.Snapshot) {
+			res := core.NewDistributed(prog, core.DistOptions{Punch: maymust.New(), Nodes: 3, ThreadsPerNode: 4, Tracer: tr, Metrics: m}).Run(q0)
+			return res.Verdict, -1, res.Metrics
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			rec := &obs.Recording{}
+			verdict, done, snap := run(rec, obs.NewMetrics())
+			if verdict == core.Unknown {
+				t.Fatal("verdict Unknown")
 			}
 			var buf bytes.Buffer
-			if err := tr.Export(&buf); err != nil {
+			spans, err := obs.WriteChrome(&buf, rec.Events())
+			if err != nil {
 				t.Fatal(err)
 			}
-			spans, err := obs.ValidateChromeTrace(buf.Bytes())
+			validated, err := obs.ValidateChromeTrace(buf.Bytes())
 			if err != nil {
 				t.Fatalf("validate: %v", err)
 			}
-			if res.DoneQueries < 1 {
-				t.Fatalf("no completed queries")
+			if validated != spans || spans < 1 {
+				t.Errorf("validated %d spans, WriteChrome reported %d", validated, spans)
 			}
-			if int64(spans) < res.DoneQueries {
-				t.Errorf("spans = %d < completed queries = %d", spans, res.DoneQueries)
+			if snap == nil {
+				t.Fatal("Metrics snapshot is nil with a registry attached")
 			}
-			if res.Metrics == nil {
-				t.Fatal("Result.Metrics is nil with a registry attached")
-			}
-			if got := res.Metrics.Counters["punch_invocations"]; int64(spans) != got {
+			if got := snap.Counters["punch_invocations"]; int64(spans) != got {
 				t.Errorf("spans = %d, punch_invocations = %d", spans, got)
 			}
-			if res.Metrics.Counters["queries_done"] != res.DoneQueries {
-				t.Errorf("queries_done = %d, want %d",
-					res.Metrics.Counters["queries_done"], res.DoneQueries)
+			if done >= 0 && (int64(spans) < done || snap.Counters["queries_done"] != done) {
+				t.Errorf("spans = %d, queries_done = %d, completed queries = %d", spans, snap.Counters["queries_done"], done)
 			}
 		})
 	}
-
-	t.Run("dist", func(t *testing.T) {
-		tr := obs.NewChromeTracer()
-		m := obs.NewMetrics()
-		res := core.NewDistributed(prog, core.DistOptions{
-			Punch:          maymust.New(),
-			Nodes:          3,
-			ThreadsPerNode: 4,
-			Tracer:         tr,
-			Metrics:        m,
-		}).Run(core.AssertionQuestion(prog))
-		if res.Verdict == core.Unknown {
-			t.Fatalf("verdict Unknown (stop %v)", res.StopReason)
-		}
-		var buf bytes.Buffer
-		if err := tr.Export(&buf); err != nil {
-			t.Fatal(err)
-		}
-		spans, err := obs.ValidateChromeTrace(buf.Bytes())
-		if err != nil {
-			t.Fatalf("validate: %v", err)
-		}
-		if spans < 1 {
-			t.Error("no punch spans recorded")
-		}
-		if res.Metrics == nil {
-			t.Fatal("DistResult.Metrics is nil with a registry attached")
-		}
-		if res.Metrics.Counters["queries_spawned"] < 1 {
-			t.Error("no spawns counted")
-		}
-	})
 }

@@ -27,7 +27,7 @@ type WatchdogConfig struct {
 	// Probe is the live-state source to sample. Required.
 	Probe *Probe
 	// Flight, when set, is dumped into the StallReport on trigger.
-	Flight *FlightRecorder
+	Flight *Recording
 	// Tick is the sampling period (DefaultWatchdogTick when zero).
 	Tick time.Duration
 	// StallAfter is how long progress may flatline before the watchdog

@@ -2,6 +2,7 @@ package parser
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,10 +50,10 @@ func TestParseSample(t *testing.T) {
 		t.Fatalf("got %d procs", len(prog.Procs))
 	}
 	// __err must be added because of the assert.
-	if !prog.IsGlobal(ErrVar) {
+	if !slices.Contains(prog.Globals, ErrVar) {
 		t.Error("__err not added to globals")
 	}
-	if !prog.IsGlobal("g") || !prog.IsGlobal("h") {
+	if !slices.Contains(prog.Globals, "g") || !slices.Contains(prog.Globals, "h") {
 		t.Error("declared globals missing")
 	}
 	cg := prog.CallGraph()

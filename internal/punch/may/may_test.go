@@ -54,7 +54,7 @@ func TestReplaceRegionMigratesBookkeeping(t *testing.T) {
 	exit := b.NewNode()
 	b.AddEdge(b.Entry(), b.Entry(), lang.Havoc{V: "a"})
 	b.AddEdge(b.Entry(), exit, lang.Assign{Lhs: "a", Rhs: lang.C(1)})
-	proc := cfg.MustProgram("p", []lang.Var{"a"}, "main", b.Finish(exit)).MainProc()
+	proc := cfg.MustProgram("p", []lang.Var{"a"}, "main", b.Finish(exit)).Proc("main")
 	g := regions.New(proc, le("a", 5))
 	r, hit, miss := g.At(proc.Entry)[0], g.At(proc.Exit)[0], g.At(proc.Exit)[1]
 	loop, out := g.Edge(0, r, r), g.Edge(1, r, hit)

@@ -52,7 +52,7 @@ func stepperFor(t *testing.T, src string) *stepper {
 	db := summary.New(solver)
 	ctx := &punch.Context{Prog: prog, DB: db, Alloc: &query.Allocator{}, ModRef: prog.ModRef()}
 	q := ctx.Alloc.New(query.NoParent, summary.Question{Proc: prog.Main, Pre: logic.True, Post: logic.True})
-	o := newObj(prog.MainProc(), prog.Globals)
+	o := newObj(prog.Proc(prog.Main), prog.Globals)
 	o.g = regions.New(o.proc, q.Q.Post)
 	return &stepper{Meter: punch.Meter{Solver: solver}, a: New(), ctx: ctx, q: q, o: o}
 }
@@ -138,7 +138,7 @@ func TestReplaceRegionMigratesBookkeeping(t *testing.T) {
 	exit := b.NewNode()
 	b.AddEdge(b.Entry(), b.Entry(), lang.Havoc{V: "a"})
 	b.AddEdge(b.Entry(), exit, lang.Assign{Lhs: "a", Rhs: lang.C(1)})
-	proc := cfg.MustProgram("p", []lang.Var{"a"}, "main", b.Finish(exit)).MainProc()
+	proc := cfg.MustProgram("p", []lang.Var{"a"}, "main", b.Finish(exit)).Proc("main")
 	g := regions.New(proc, leIC("a", 5))
 	r, hit, miss := g.At(proc.Entry)[0], g.At(proc.Exit)[0], g.At(proc.Exit)[1]
 	loop, out := g.Edge(0, r, r), g.Edge(1, r, hit)
@@ -225,7 +225,7 @@ func TestPartitionPreservesUnion(t *testing.T) {
 		parts = append(parts, p.F)
 	}
 	union := logic.Disj(parts...)
-	if !st.Solver.Equivalent(union, base) {
+	if !st.Solver.Implies(union, base) || !st.Solver.Implies(base, union) {
 		t.Fatalf("partition changed the region:\n base=%v\n union=%v", base, union)
 	}
 	// ins must lie inside wp, outs outside it.

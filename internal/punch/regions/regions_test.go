@@ -25,7 +25,7 @@ func mainProc(t testing.TB, src string) *cfg.Proc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog.MainProc()
+	return prog.Proc(prog.Main)
 }
 
 func mustCheck(t testing.TB, g *Graph) {
@@ -49,7 +49,7 @@ func loopProc(t testing.TB) *cfg.Proc {
 	exit := b.NewNode()
 	b.AddEdge(b.Entry(), loop, lang.Assign{Lhs: "a", Rhs: lang.C(0)})
 	b.AddEdge(b.Entry(), loop, lang.Havoc{V: "a"})
-	b.AddEdge(loop, loop, lang.Assign{Lhs: "a", Rhs: lang.Plus(lang.V("a"), lang.C(1))})
+	b.AddEdge(loop, loop, lang.Assign{Lhs: "a", Rhs: lang.Add{X: lang.V("a"), Y: lang.C(1)}})
 	b.AddEdge(loop, loop, lang.Assume{Cond: lt3})
 	b.AddEdge(loop, after, lang.Call{Proc: "work"})
 	b.AddEdge(after, exit, lang.Assume{Cond: lang.NotE(lt3)})
@@ -60,7 +60,7 @@ func loopProc(t testing.TB) *cfg.Proc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog.MainProc()
+	return prog.Proc(prog.Main)
 }
 
 // refKey and refModel are the five per-query maps the region graph
@@ -442,7 +442,7 @@ func TestFindPathAndSweepPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := prog.MainProc()
+	proc := prog.Proc(prog.Main)
 	solver := smt.New()
 	m := &punch.Meter{Solver: solver}
 	g := New(proc, le("a", 5))

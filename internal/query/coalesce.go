@@ -57,9 +57,6 @@ func (t *Tree) AddWaiter(id, w ID) {
 // it.
 func (t *Tree) Waiters(id ID) []ID { return t.waiters[id] }
 
-// WaitingOn returns the queries w is registered as waiting on.
-func (t *Tree) WaitingOn(w ID) []ID { return t.waitingOn[w] }
-
 // EachWaiterEdge calls f for every registered edge "waiter waits on
 // twin" (the reducer's invariant check walks them).
 func (t *Tree) EachWaiterEdge(f func(twin, waiter ID)) {

@@ -54,15 +54,15 @@ func TestAddWaiterAndClear(t *testing.T) {
 	if ws := tr.Waiters(twin.ID); len(ws) != 2 {
 		t.Fatalf("Waiters = %v, want exactly {w1, w2}", ws)
 	}
-	if wo := tr.WaitingOn(w1.ID); len(wo) != 1 || wo[0] != twin.ID {
-		t.Fatalf("WaitingOn(w1) = %v, want [twin]", wo)
+	if wo := tr.waitingOn[w1.ID]; len(wo) != 1 || wo[0] != twin.ID {
+		t.Fatalf("waitingOn[w1] = %v, want [twin]", wo)
 	}
 
 	tr.ClearWaiters(twin.ID)
 	if ws := tr.Waiters(twin.ID); len(ws) != 0 {
 		t.Fatalf("Waiters after ClearWaiters = %v", ws)
 	}
-	if wo := tr.WaitingOn(w1.ID); len(wo) != 0 {
+	if wo := tr.waitingOn[w1.ID]; len(wo) != 0 {
 		t.Fatalf("reverse edge survived ClearWaiters: %v", wo)
 	}
 }
@@ -86,7 +86,7 @@ func TestRemoveUnlinksWaiterEdges(t *testing.T) {
 
 	tr.AddWaiter(twin.ID, twin.ID) // self edge just to exercise unlink on the twin side
 	tr.Remove(twin.ID)
-	if wo := tr.WaitingOn(twin.ID); len(wo) != 0 {
+	if wo := tr.waitingOn[twin.ID]; len(wo) != 0 {
 		t.Fatalf("removed twin still waiting on %v", wo)
 	}
 }
@@ -183,7 +183,7 @@ func TestMoveToCarriesCoalesceState(t *testing.T) {
 	if ws := dst.Waiters(twin.ID); len(ws) != 1 || ws[0] != w.ID {
 		t.Fatalf("waiters not migrated: %v", ws)
 	}
-	if wo := dst.WaitingOn(twin.ID); len(wo) != 1 || wo[0] != on.ID {
+	if wo := dst.waitingOn[twin.ID]; len(wo) != 1 || wo[0] != on.ID {
 		t.Fatalf("waitingOn not migrated: %v", wo)
 	}
 	if _, ok := src.Inflight(twin.Q.Key()); ok {

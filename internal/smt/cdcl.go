@@ -1,6 +1,7 @@
-// Conflict-driven clause learning over the propositional skeleton: the
-// production replacement for the restart-from-scratch recursive DPLL in
-// dpll.go. Two-watched-literal propagation, 1-UIP conflict analysis
+// Conflict-driven clause learning over the propositional skeleton
+// (skeleton.go): the production replacement for the restart-from-scratch
+// recursive DPLL that naive_test.go keeps as the differential-testing
+// reference. Two-watched-literal propagation, 1-UIP conflict analysis
 // with backjumping, VSIDS-style branching with phase saving, and a
 // backtrackable theory trail (theory.go) that prunes theory-
 // inconsistent partial assignments before they reach a full

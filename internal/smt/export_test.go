@@ -1,6 +1,55 @@
 package smt
 
+import (
+	"sync/atomic"
+
+	"repro/internal/logic"
+)
+
 // DisableStepMemos makes s compute every StepFeasible and Simplify answer
 // afresh. The switch exists for tests alone: there is no way to reach it
 // from outside this package's tests.
 func (s *Solver) DisableStepMemos() { s.noStepMemo = true }
+
+// Valid reports whether f is valid (holds in all integer states). Only a
+// proven-valid formula yields true. Verdicts are memoized when the
+// entailment cache is enabled, keyed by the hash-consed id — the cached
+// path does no string building.
+func (s *Solver) Valid(f logic.Formula) bool {
+	if !s.entailOn {
+		return s.validUncached(f)
+	}
+	id := logic.KeyID(f)
+	if id == 0 {
+		key := strKey("V\x1f" + logic.Key(f))
+		if v, ok := s.entailStr.get(key); ok {
+			atomic.AddInt64(&s.stats.EntailCacheHits, 1)
+			return v
+		}
+		atomic.AddInt64(&s.stats.EntailCacheMisses, 1)
+		v := s.validUncached(f)
+		s.entailStr.put(key, v)
+		return v
+	}
+	key := idKey{a: id} // an Implies key has b != 0
+	if v, ok := s.entail.get(key); ok {
+		atomic.AddInt64(&s.stats.EntailCacheHits, 1)
+		return v
+	}
+	atomic.AddInt64(&s.stats.EntailCacheMisses, 1)
+	v := s.validUncached(f)
+	s.entail.put(key, v)
+	return v
+}
+
+// Equivalent reports whether a ⇔ b is proven valid. Structurally
+// identical formulas short-circuit on id equality; otherwise both
+// directions go through the (cached) Implies path.
+func (s *Solver) Equivalent(a, b logic.Formula) bool {
+	if ida, idb := logic.KeyID(a), logic.KeyID(b); ida != 0 && ida == idb {
+		return true
+	} else if (ida == 0 || idb == 0) && logic.Key(a) == logic.Key(b) {
+		return true
+	}
+	return s.Implies(a, b) && s.Implies(b, a)
+}

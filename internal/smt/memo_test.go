@@ -59,7 +59,7 @@ func TestStepFeasibleIsTheSatCheck(t *testing.T) {
 	x := lang.Var("x")
 	le := func(k int64) logic.Formula { return logic.LEq(logic.LinVar(x), logic.LinConst(k)) }
 	stmts := []lang.Stmt{
-		lang.Assign{Lhs: x, Rhs: lang.Plus(lang.V("x"), lang.C(1))},
+		lang.Assign{Lhs: x, Rhs: lang.Add{X: lang.V("x"), Y: lang.C(1)}},
 		lang.Assume{Cond: lang.CmpE(lang.V("x"), lang.Ge, lang.C(3))},
 		lang.Havoc{V: x},
 		lang.Skip{},

@@ -123,9 +123,6 @@ func (s *Solver) EnableEntailmentCache() *Solver {
 	return s
 }
 
-// EntailmentCacheEnabled reports whether EnableEntailmentCache was called.
-func (s *Solver) EntailmentCacheEnabled() bool { return s.entailOn }
-
 // Ticks returns the cumulative abstract work units spent so far.
 func (s *Solver) Ticks() int64 { return atomic.LoadInt64(&s.stats.Ticks) }
 
@@ -373,37 +370,6 @@ func (s *Solver) findIntModel(c logic.Cube, vars map[lang.Var]bool, depth int) m
 	return try(logic.Under)
 }
 
-// Valid reports whether f is valid (holds in all integer states). Only a
-// proven-valid formula yields true. Verdicts are memoized when the
-// entailment cache is enabled, keyed by the hash-consed id — the cached
-// path does no string building.
-func (s *Solver) Valid(f logic.Formula) bool {
-	if !s.entailOn {
-		return s.validUncached(f)
-	}
-	id := logic.KeyID(f)
-	if id == 0 {
-		key := strKey("V\x1f" + logic.Key(f))
-		if v, ok := s.entailStr.get(key); ok {
-			atomic.AddInt64(&s.stats.EntailCacheHits, 1)
-			return v
-		}
-		atomic.AddInt64(&s.stats.EntailCacheMisses, 1)
-		v := s.validUncached(f)
-		s.entailStr.put(key, v)
-		return v
-	}
-	key := idKey{a: id} // an Implies key has b != 0
-	if v, ok := s.entail.get(key); ok {
-		atomic.AddInt64(&s.stats.EntailCacheHits, 1)
-		return v
-	}
-	atomic.AddInt64(&s.stats.EntailCacheMisses, 1)
-	v := s.validUncached(f)
-	s.entail.put(key, v)
-	return v
-}
-
 func (s *Solver) validUncached(f logic.Formula) bool {
 	r := s.Sat(logic.Not(f))
 	return r.Known && !r.Sat
@@ -464,18 +430,6 @@ func (s *Solver) impliesUncached(a, b logic.Formula) bool {
 		return true
 	}
 	return s.validUncached(logic.Disj(logic.Not(a), b))
-}
-
-// Equivalent reports whether a ⇔ b is proven valid. Structurally
-// identical formulas short-circuit on id equality; otherwise both
-// directions go through the (cached) Implies path.
-func (s *Solver) Equivalent(a, b logic.Formula) bool {
-	if ida, idb := logic.KeyID(a), logic.KeyID(b); ida != 0 && ida == idb {
-		return true
-	} else if (ida == 0 || idb == 0) && logic.Key(a) == logic.Key(b) {
-		return true
-	}
-	return s.Implies(a, b) && s.Implies(b, a)
 }
 
 // Model returns a verified model of f, or nil when none was found (which

@@ -54,7 +54,7 @@ func TestProvRoundTrip(t *testing.T) {
 		if r.Warm != want.Warm || r.Count != want.Count || r.Summary.Proc != want.Summary.Proc {
 			t.Fatalf("read %d changed: %+v want %+v", i, r, want)
 		}
-		if logic.CanonicalKey(r.Summary.Pre) != logic.CanonicalKey(want.Summary.Pre) {
+		if string(logic.AppendWire(nil, r.Summary.Pre)) != string(logic.AppendWire(nil, want.Summary.Pre)) {
 			t.Fatalf("read %d precondition changed across round trip", i)
 		}
 	}

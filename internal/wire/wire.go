@@ -1,7 +1,7 @@
 // Package wire defines the stable cross-process encoding of the
 // objects that may legitimately leave a process: summaries and
 // questions. It composes the canonical formula encoding of
-// internal/logic (logic.WireBytes) with length-prefixed strings and a
+// internal/logic (logic.AppendWire) with length-prefixed strings and a
 // record tag, and it is the single choke point where durability is
 // enforced: nothing resembling a process-local logic.Key — the
 // "#<intern-id>" render or the "!"-prefixed overflow fallback — may be
@@ -141,31 +141,6 @@ func AppendQuestion(dst []byte, q summary.Question) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeQuestion decodes one question and returns the bytes consumed.
-func DecodeQuestion(buf []byte) (summary.Question, int, error) {
-	var q summary.Question
-	if len(buf) < 1 || buf[0] != TagQuestion {
-		return q, 0, fmt.Errorf("wire: not a question record")
-	}
-	pos := 1
-	proc, n, err := decodeString(buf[pos:])
-	if err != nil {
-		return q, 0, err
-	}
-	pos += n
-	pre, n, err := decodeOptFormula(buf[pos:])
-	if err != nil {
-		return q, 0, err
-	}
-	pos += n
-	post, n, err := decodeOptFormula(buf[pos:])
-	if err != nil {
-		return q, 0, err
-	}
-	pos += n
-	return summary.Question{Proc: proc, Pre: pre, Post: post}, pos, nil
-}
-
 // AppendTombstone appends a tombstone record for proc to dst: tag,
 // proc. A tombstone marks every previously appended summary of proc as
 // deleted; segment readers drop the proc's live records when they scan
@@ -225,11 +200,4 @@ func appendOptFormula(dst []byte, f logic.Formula) []byte {
 		return append(dst, logic.WireNil)
 	}
 	return logic.AppendWire(dst, f)
-}
-
-func decodeOptFormula(buf []byte) (logic.Formula, int, error) {
-	if len(buf) > 0 && buf[0] == logic.WireNil {
-		return nil, 1, nil
-	}
-	return logic.DecodeWire(buf)
 }

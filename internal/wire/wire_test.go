@@ -38,8 +38,8 @@ func TestSummaryRoundTrip(t *testing.T) {
 		if got.Kind != s.Kind || got.Proc != s.Proc {
 			t.Fatalf("decoded %+v, want %+v", got, s)
 		}
-		if logic.CanonicalKey(got.Pre) != logic.CanonicalKey(s.Pre) ||
-			logic.CanonicalKey(got.Post) != logic.CanonicalKey(s.Post) {
+		if string(logic.AppendWire(nil, got.Pre)) != string(logic.AppendWire(nil, s.Pre)) ||
+			string(logic.AppendWire(nil, got.Post)) != string(logic.AppendWire(nil, s.Post)) {
 			t.Fatal("formulas changed across round trip")
 		}
 	}
