@@ -60,10 +60,11 @@ one-reduce:
 	$(GO) test -run TestOneReduce -count=1 ./internal/core
 
 # dead-exports is a structural lint: every exported function under
-# internal/ has a caller in the module's non-test code, or is on the
-# short, reasoned allowlist in deadexport_test.go.
+# internal/ has a caller in the module's non-test code, and every field
+# of the five option structs is set by a caller outside tests, or is on
+# the short, reasoned allowlists in deadexport_test.go.
 dead-exports:
-	$(GO) test -run TestNoDeadExports -count=1 .
+	$(GO) test -run 'TestNoDeadExports|TestNoDeadOptions' -count=1 .
 
 # alloc-pin holds the allocation of a check whose formulas all exist
 # already: parport/PowerDownFail on one thread, twice in one process, the

@@ -115,31 +115,6 @@ func BenchmarkFig7Concurrency(b *testing.B) {
 	}
 }
 
-// runAblation builds an engine with custom options on a fixed check.
-func runAblation(b *testing.B, mutate func(*core.Options)) core.Result {
-	b.Helper()
-	prog := drivers.Generate(drivers.NamedCheck("parport", "MarkPowerDown", false).Config)
-	o := core.Options{Punch: maymust.New(), MaxThreads: 8, VirtualCores: 8, MaxIterations: 1 << 19}
-	mutate(&o)
-	return core.New(prog, o).Run(core.AssertionQuestion(prog))
-}
-
-// BenchmarkAblationNoGC: REDUCE-stage garbage collection disabled.
-func BenchmarkAblationNoGC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := runAblation(b, func(o *core.Options) { o.DisableGC = true })
-		b.ReportMetric(float64(r.PeakLive), "peaklive")
-	}
-}
-
-// BenchmarkAblationSpeculation: the §7 speculative extension enabled.
-func BenchmarkAblationSpeculation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := runAblation(b, func(o *core.Options) { o.Speculate = true })
-		b.ReportMetric(float64(r.VirtualTicks), "vticks")
-	}
-}
-
 // BenchmarkAblationStepBudget: PUNCH preemption budget sweep.
 func BenchmarkAblationStepBudget(b *testing.B) {
 	for _, budget := range []int64{300, 900, 2700} {
@@ -153,17 +128,6 @@ func BenchmarkAblationStepBudget(b *testing.B) {
 				b.ReportMetric(float64(r.VirtualTicks), "vticks")
 			}
 		})
-	}
-}
-
-// BenchmarkAblationNoSumDB: summary reuse disabled on a call-free check
-// (with calls the engine cannot finish without SUMDB, by design).
-func BenchmarkAblationNoSumDB(b *testing.B) {
-	prog := parser.MustParse(`proc main { locals x; havoc x; if (x > 0) { assert(x >= 1); } }`)
-	for i := 0; i < b.N; i++ {
-		r := core.New(prog, core.Options{Punch: maymust.New(), MaxThreads: 4, DisableSumDB: true, MaxIterations: 1 << 16}).
-			Run(core.AssertionQuestion(prog))
-		b.ReportMetric(float64(r.VirtualTicks), "vticks")
 	}
 }
 
@@ -203,14 +167,11 @@ func BenchmarkAsyncVsBarrier(b *testing.B) {
 	}
 }
 
-// BenchmarkCoalesceDiamond: the cross-query redundancy ablation on a
-// diamond-shaped program — four branch arms each calling the same three
-// shared helpers, so concurrently-live arms keep asking questions that
-// are already in flight. "on" must answer duplicate spawns from the
-// in-flight twin (fewer PUNCH completions at an unchanged verdict);
-// "off" materializes every duplicate subtree and must not touch the
-// coalescing or entailment-cache machinery at all (the
-// zero-overhead-when-disabled contract).
+// BenchmarkCoalesceDiamond: in-flight coalescing on a diamond-shaped
+// program — four branch arms each calling the same three shared helpers,
+// so concurrently-live arms keep asking questions that are already in
+// flight. Duplicate spawns are answered from the in-flight twin (fewer
+// PUNCH completions at an unchanged verdict).
 func BenchmarkCoalesceDiamond(b *testing.B) {
 	var src strings.Builder
 	src.WriteString("globals g1, g2;\n")
@@ -225,29 +186,15 @@ func BenchmarkCoalesceDiamond(b *testing.B) {
   assert(g1 >= 0); }
 `)
 	prog := parser.MustParse(src.String())
-	want := core.New(prog, core.Options{Punch: maymust.New(), MaxThreads: 8, VirtualCores: 8, MaxIterations: 1 << 18}).
-		Run(core.AssertionQuestion(prog)).Verdict
-	for _, mode := range []string{"on", "off"} {
-		b.Run(mode, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := core.New(prog, core.Options{
-					Punch: maymust.New(), MaxThreads: 8, VirtualCores: 8, MaxIterations: 1 << 18,
-					DisableCoalesce:        mode == "off",
-					DisableEntailmentCache: mode == "off",
-				}).Run(core.AssertionQuestion(prog))
-				if r.Verdict != want {
-					b.Fatalf("verdict = %v, baseline said %v", r.Verdict, want)
-				}
-				if mode == "off" && (r.CoalesceHits != 0 ||
-					r.Solver.EntailCacheHits+r.Solver.EntailCacheMisses+r.Solver.EntailSynHits != 0) {
-					b.Fatalf("disabled run engaged the machinery: coalesce=%d cache=%+v",
-						r.CoalesceHits, r.Solver)
-				}
-				b.ReportMetric(float64(r.DoneQueries), "punchdone")
-				b.ReportMetric(float64(r.VirtualTicks), "vticks")
-				b.ReportMetric(float64(r.CoalesceHits), "coalesced")
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		r := core.New(prog, core.Options{Punch: maymust.New(), MaxThreads: 8, VirtualCores: 8, MaxIterations: 1 << 18}).
+			Run(core.AssertionQuestion(prog))
+		if r.Verdict != core.Safe {
+			b.Fatalf("verdict = %v, want %v", r.Verdict, core.Safe)
+		}
+		b.ReportMetric(float64(r.DoneQueries), "punchdone")
+		b.ReportMetric(float64(r.VirtualTicks), "vticks")
+		b.ReportMetric(float64(r.CoalesceHits), "coalesced")
 	}
 }
 

@@ -164,32 +164,20 @@ type Options struct {
 	// Threads is the paper's throttle: Ready queries processed per MAP
 	// stage and concurrent PUNCH instances. 1 = sequential. Default 1.
 	Threads int
-	// VirtualCores for the deterministic virtual clock (default: Threads).
+	// VirtualCores is the simulated core count of the deterministic
+	// virtual clock. 0, or any value above Threads, means Threads: a MAP
+	// stage never holds more queries than there are threads, so extra
+	// cores would sit idle.
 	VirtualCores int
 	// MaxVirtualTicks bounds virtual time (0 = unbounded).
 	MaxVirtualTicks int64
 	// Timeout bounds wall-clock time (0 = unbounded).
 	Timeout time.Duration
-	// Speculate enables the §7 speculative extension.
-	Speculate bool
 	// Async selects the streaming work-stealing engine: persistent
 	// workers, incremental REDUCE per completed query, and root-done
 	// cancellation instead of bulk-synchronous MAP/REDUCE batches. Same
 	// verdicts, lower wall-clock on straggler-heavy workloads.
 	Async bool
-	// DisableGC and DisableSumDB are the ablation switches.
-	DisableGC    bool
-	DisableSumDB bool
-	// DisableCoalesce turns off in-flight query coalescing: every spawned
-	// child grows its own subtree even when an identical question is
-	// already live. On by default because coalescing only drops provably
-	// duplicate work; disabling it reproduces the pre-coalescing engine
-	// byte for byte (the zero-overhead-when-disabled contract).
-	DisableCoalesce bool
-	// DisableEntailmentCache turns off the solver's sharded entailment
-	// memo (Implies/Valid results shared across concurrent PUNCH
-	// instances). Disabled runs never touch the cache.
-	DisableEntailmentCache bool
 	// StorePath, when set, names a directory holding the persistent
 	// summary store (created on first use). The run warm-starts from its
 	// contents and persists new summaries back, so a re-run of the same
@@ -279,8 +267,7 @@ type Result struct {
 	TimedOut     bool
 	Deadlocked   bool
 	// CoalesceHits counts spawned children answered by an in-flight twin
-	// query instead of growing a duplicate subtree (0 when
-	// Options.DisableCoalesce is set).
+	// query instead of growing a duplicate subtree.
 	CoalesceHits int64
 	// Witness is a concrete counterexample (present only when the verdict
 	// is ErrorReachable and Options.FindWitness was set, and the directed
@@ -377,24 +364,19 @@ func newPunch(a Analysis) punch.Punch {
 
 func (o Options) engine(prog *cfg.Program, tr obs.Tracer, m *obs.Metrics, st store.Store) *core.Engine {
 	return core.New(prog, core.Options{
-		Punch:                  newPunch(o.Analysis),
-		MaxThreads:             max(1, o.Threads),
-		VirtualCores:           o.VirtualCores,
-		MaxVirtualTicks:        o.MaxVirtualTicks,
-		RealTimeout:            o.Timeout,
-		Speculate:              o.Speculate,
-		Async:                  o.Async,
-		DisableGC:              o.DisableGC,
-		DisableSumDB:           o.DisableSumDB,
-		DisableCoalesce:        o.DisableCoalesce,
-		DisableEntailmentCache: o.DisableEntailmentCache,
-		Store:                  st,
-		Tracer:                 tr,
-		Metrics:                m,
-		CollectProvenance:      o.CollectProvenance,
-		Incremental:            o.Incremental,
-		PprofLabels:            o.PprofLabels,
-		Probe:                  o.Inspect.Probe(),
+		Punch:             newPunch(o.Analysis),
+		MaxThreads:        max(1, o.Threads),
+		VirtualCores:      o.VirtualCores,
+		MaxVirtualTicks:   o.MaxVirtualTicks,
+		RealTimeout:       o.Timeout,
+		Async:             o.Async,
+		Store:             st,
+		Tracer:            tr,
+		Metrics:           m,
+		CollectProvenance: o.CollectProvenance,
+		Incremental:       o.Incremental,
+		PprofLabels:       o.PprofLabels,
+		Probe:             o.Inspect.Probe(),
 	})
 }
 
@@ -647,10 +629,6 @@ type DistOptions struct {
 	Nodes int
 	// ThreadsPerNode is each node's MAP-stage throttle (default 4).
 	ThreadsPerNode int
-	// SyncEvery is the gossip period in rounds (default 1).
-	SyncEvery int
-	// SyncCost is the virtual-time cost per gossip exchange.
-	SyncCost int64
 	// MaxRounds bounds the simulation (0 = default).
 	MaxRounds int
 	// Timeout bounds wall-clock time (0 = unbounded).
@@ -659,10 +637,6 @@ type DistOptions struct {
 	// clause is optional and an empty spec injects nothing. See
 	// core.ParseFaults for the grammar.
 	Faults string
-	// DisableCoalesce and DisableEntailmentCache are the redundancy-
-	// elimination ablation switches; see Options.
-	DisableCoalesce        bool
-	DisableEntailmentCache bool
 	// StorePath and StoreReset mirror Options: a persistent summary store
 	// the cluster warm-starts from (summaries routed to their owning
 	// nodes) and persists its union of node databases back into.
@@ -764,8 +738,6 @@ func (p *Program) CheckDistributed(ctx context.Context, opts DistOptions) (DistR
 		Punch:             newPunch(opts.Analysis),
 		Nodes:             opts.Nodes,
 		ThreadsPerNode:    opts.ThreadsPerNode,
-		SyncEvery:         opts.SyncEvery,
-		SyncCost:          opts.SyncCost,
 		MaxRounds:         opts.MaxRounds,
 		RealTimeout:       opts.Timeout,
 		Faults:            faults,
@@ -776,9 +748,6 @@ func (p *Program) CheckDistributed(ctx context.Context, opts DistOptions) (DistR
 		Incremental:       opts.Incremental,
 		PprofLabels:       opts.PprofLabels,
 		Probe:             opts.Inspect.Probe(),
-
-		DisableCoalesce:        opts.DisableCoalesce,
-		DisableEntailmentCache: opts.DisableEntailmentCache,
 	})
 	r := eng.RunContext(ctx, core.AssertionQuestion(p.prog))
 	out := DistResult{

@@ -32,8 +32,6 @@ func main() {
 		wall      = flag.Duration("wall", 120*time.Second, "wall-clock safety budget per run")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the whole bench; expiry cancels in-flight checks (0 = none)")
 		async     = flag.Bool("async", false, "run every check with the streaming work-stealing engine")
-		coalesce  = flag.Bool("coalesce", true, "coalesce spawns onto identical in-flight queries (ablation: -coalesce=false)")
-		entCache  = flag.Bool("entailcache", true, "cache solver entailment checks across queries (ablation: -entailcache=false)")
 		pprofA    = flag.String("pprof", "", "serve /debug/pprof, /metrics and /debug/bolt/{state,flight,health} on this address for the bench's duration")
 	)
 	flag.Parse()
@@ -63,14 +61,12 @@ func main() {
 		defer cancel()
 	}
 	opts := harness.Options{
-		WallBudget:             *wall,
-		Async:                  *async,
-		Ctx:                    ctx,
-		DisableCoalesce:        !*coalesce,
-		DisableEntailmentCache: !*entCache,
-		MetricsInto:            liveReg,
-		Probe:                  insp.Probe(),
-		Tracer:                 flightTr,
+		WallBudget:  *wall,
+		Async:       *async,
+		Ctx:         ctx,
+		MetricsInto: liveReg,
+		Probe:       insp.Probe(),
+		Tracer:      flightTr,
 	}
 
 	did := false

@@ -40,8 +40,6 @@ func main() {
 		ticks    = flag.Int64("ticks", 0, "virtual-time budget (0 = none)")
 		dist     = flag.Int("dist", 0, "run on a simulated cluster with this many nodes (0 = single-machine engine)")
 		faults   = flag.String("faults", "", "fault plan for -dist: kill=N@R,drop=P,seed=S (all clauses optional)")
-		coalesce = flag.Bool("coalesce", true, "coalesce spawns onto identical in-flight queries (ablation: -coalesce=false)")
-		entCache = flag.Bool("entailcache", true, "cache solver entailment checks across queries (ablation: -entailcache=false)")
 		storeDir = flag.String("store", "", "persistent summary store directory: warm-start from it and persist new summaries back")
 		storeRst = flag.Bool("store-reset", false, "with -store, discard and recreate a store whose fingerprint does not match")
 		incrFlag = flag.Bool("incr", false, "with -store, incremental re-check: diff the program against the store's manifest, invalidate the edited cone, and reuse the verdict when the edit cannot affect it")
@@ -81,18 +79,11 @@ func main() {
 		fmt.Print(prog.Dot())
 		os.Exit(0)
 	}
-	if *faults != "" && *dist <= 0 {
-		fmt.Fprintln(os.Stderr, "boltcheck: -faults requires -dist")
+	checkFlags(givenFlags(flag.CommandLine))
+	an, ok := analyses[*analysis]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "boltcheck: unknown analysis %q\n", *analysis)
 		os.Exit(3)
-	}
-	if *incrFlag && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "boltcheck: -incr requires -store")
-		os.Exit(3)
-	}
-	if *dist > 0 {
-		given := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
-		rejectWithDist(given)
 	}
 	ob := newObsBundle(*pprofA, *watchT, *watchS, *flightD)
 	var traceOut *os.File
@@ -111,27 +102,22 @@ func main() {
 		}
 		defer traceJLOut.Close()
 	}
-	if *dist > 0 {
-		runDistributed(prog, *dist, *faults, *analysis, *threads, *timeout, *stats, traceOut, traceJLOut, *metrics, ob, !*coalesce, !*entCache, *storeDir, *storeRst, *incrFlag, *explain, *provOut)
-		return
-	}
 	opts := bolt.Options{
-		Threads:                *threads,
-		Timeout:                *timeout,
-		MaxVirtualTicks:        *ticks,
-		Async:                  *async,
-		FindWitness:            *wit,
-		CollectProvenance:      *explain || *provOut != "",
-		CollectMetrics:         *metrics,
-		MetricsInto:            ob.reg,
-		Inspect:                ob.insp,
-		FlightRecorder:         ob.flight,
-		PprofLabels:            *pprofA != "",
-		DisableCoalesce:        !*coalesce,
-		DisableEntailmentCache: !*entCache,
-		StorePath:              *storeDir,
-		StoreReset:             *storeRst,
-		Incremental:            *incrFlag,
+		Analysis:          an,
+		Threads:           *threads,
+		Timeout:           *timeout,
+		MaxVirtualTicks:   *ticks,
+		Async:             *async,
+		FindWitness:       *wit,
+		CollectProvenance: *explain || *provOut != "",
+		CollectMetrics:    *metrics,
+		MetricsInto:       ob.reg,
+		Inspect:           ob.insp,
+		FlightRecorder:    ob.flight,
+		PprofLabels:       *pprofA != "",
+		StorePath:         *storeDir,
+		StoreReset:        *storeRst,
+		Incremental:       *incrFlag,
 	}
 	if traceOut != nil {
 		opts.TraceTo = traceOut
@@ -139,15 +125,10 @@ func main() {
 	if traceJLOut != nil {
 		opts.TraceJSONLTo = traceJLOut
 	}
-	switch *analysis {
-	case "maymust":
-		opts.Analysis = bolt.MayMust
-	case "may":
-		opts.Analysis = bolt.May
-	case "must":
-		opts.Analysis = bolt.Must
-	default:
-		ob.fatalf("unknown analysis %q", *analysis)
+	rep := report{stats: *stats, explain: *explain, provOut: *provOut, trace: *trace, traceJL: *traceJL}
+	if *dist > 0 {
+		runDistributed(prog, opts, *dist, *faults, rep, ob)
+		return
 	}
 
 	var res bolt.Result
@@ -430,72 +411,101 @@ func reportTrace(chromePath, jsonlPath string, spans int, events int64, err erro
 	return nil
 }
 
-// rejectWithDist exits 3 naming the first flag on the command line that
-// runDistributed has no counterpart for: the cluster engine answers the
-// program's assertion question only, on its own clock and scheduler, and
-// searches for no witness. Dropping such a flag answers a question that
-// was not asked (ROADMAP item 5's Validate() is to take this over).
-func rejectWithDist(given map[string]bool) {
-	for _, name := range []string{"proc", "pre", "post", "ticks", "async", "witness"} {
-		if given[name] {
-			fmt.Fprintf(os.Stderr, "boltcheck: -%s is not supported with -dist\n", name)
-			osExit(3)
+// analyses maps the -analysis values onto the PUNCH instantiations.
+var analyses = map[string]bolt.Analysis{"maymust": bolt.MayMust, "may": bolt.May, "must": bolt.Must}
+
+// flagRules are the flag combinations boltcheck refuses rather than drop a
+// flag and answer a question that was not asked: flag needs other on the
+// command line, or (refused) flag has no meaning beside other. The
+// cluster engine answers the program's assertion question only, on its
+// own clock and scheduler, and searches for no witness.
+var flagRules = []struct {
+	flag, other string
+	refused     bool
+}{
+	{"proc", "dist", true},
+	{"pre", "dist", true},
+	{"post", "dist", true},
+	{"ticks", "dist", true},
+	{"async", "dist", true},
+	{"witness", "dist", true},
+	{"faults", "dist", false},
+	{"pre", "proc", false},
+	{"post", "proc", false},
+	{"incr", "store", false},
+	{"store-reset", "store", false},
+	{"watchdog-stall", "watchdog", false},
+}
+
+// givenFlags returns the flags set on fs's command line to a value that
+// asks for something: `-dist 0`, `-faults ""` or `-incr=false` do not.
+func givenFlags(fs *flag.FlagSet) map[string]bool {
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Value.String() {
+		case "", "0", "0s", "false":
+		default:
+			given[f.Name] = true
 		}
+	})
+	return given
+}
+
+// checkFlags exits 3 naming both flags of the first rule given breaks.
+func checkFlags(given map[string]bool) {
+	for _, r := range flagRules {
+		switch {
+		case r.refused && given[r.flag] && given[r.other]:
+			fmt.Fprintf(os.Stderr, "boltcheck: -%s is not supported with -%s\n", r.flag, r.other)
+		case !r.refused && given[r.flag] && !given[r.other]:
+			fmt.Fprintf(os.Stderr, "boltcheck: -%s requires -%s\n", r.flag, r.other)
+		default:
+			continue
+		}
+		osExit(3)
 	}
 }
 
+// report is what printing a run's outcome needs from the command line
+// beyond its options.
+type report struct {
+	stats, explain          bool
+	provOut, trace, traceJL string
+}
+
 // runDistributed verifies the whole-program assertion question on the
-// simulated cluster, optionally under an injected fault plan.
-func runDistributed(prog *bolt.Program, nodes int, faults, analysis string, threads int, timeout time.Duration, stats bool, traceOut, traceJLOut *os.File, metrics bool, ob *obsBundle, noCoalesce, noEntCache bool, storeDir string, storeReset, incremental bool, explain bool, provOut string) {
-	opts := bolt.DistOptions{
-		Nodes:                  nodes,
-		ThreadsPerNode:         threads,
-		Timeout:                timeout,
-		Faults:                 faults,
-		CollectProvenance:      explain || provOut != "",
-		CollectMetrics:         metrics,
-		MetricsInto:            ob.reg,
-		Inspect:                ob.insp,
-		FlightRecorder:         ob.flight,
-		PprofLabels:            ob.reg != nil,
-		DisableCoalesce:        noCoalesce,
-		DisableEntailmentCache: noEntCache,
-		StorePath:              storeDir,
-		StoreReset:             storeReset,
-		Incremental:            incremental,
-	}
-	tracePath := ""
-	if traceOut != nil {
-		opts.TraceTo = traceOut
-		tracePath = traceOut.Name()
-	}
-	traceJLPath := ""
-	if traceJLOut != nil {
-		opts.TraceJSONLTo = traceJLOut
-		traceJLPath = traceJLOut.Name()
-	}
-	switch analysis {
-	case "maymust":
-		opts.Analysis = bolt.MayMust
-	case "may":
-		opts.Analysis = bolt.May
-	case "must":
-		opts.Analysis = bolt.Must
-	default:
-		ob.fatalf("unknown analysis %q", analysis)
-	}
-	res, err := prog.CheckDistributed(context.Background(), opts)
+// simulated cluster with opts' analysis, budget, store and observability
+// settings, optionally under an injected fault plan.
+func runDistributed(prog *bolt.Program, o bolt.Options, nodes int, faults string, rep report, ob *obsBundle) {
+	res, err := prog.CheckDistributed(context.Background(), bolt.DistOptions{
+		Analysis:          o.Analysis,
+		Nodes:             nodes,
+		ThreadsPerNode:    o.Threads,
+		Timeout:           o.Timeout,
+		Faults:            faults,
+		StorePath:         o.StorePath,
+		StoreReset:        o.StoreReset,
+		Incremental:       o.Incremental,
+		TraceTo:           o.TraceTo,
+		TraceJSONLTo:      o.TraceJSONLTo,
+		CollectMetrics:    o.CollectMetrics,
+		MetricsInto:       o.MetricsInto,
+		PprofLabels:       o.PprofLabels,
+		CollectProvenance: o.CollectProvenance,
+		Inspect:           o.Inspect,
+		FlightRecorder:    o.FlightRecorder,
+	})
 	if err != nil {
 		ob.fatalf("%v", err)
 	}
 	ob.setProv(res.Provenance)
-	if err := reportStore(storeDir, res.WarmSummaries, res.PersistedSummaries, res.StoreErr); err != nil {
+	if err := reportStore(o.StorePath, res.WarmSummaries, res.PersistedSummaries, res.StoreErr); err != nil {
 		ob.fatalf("%v", err)
 	}
-	reportIncr(incremental, res.EditedProcs, res.InvalidatedSummaries, res.SurvivingSummaries, res.ReusedVerdict)
+	reportIncr(o.Incremental, res.EditedProcs, res.InvalidatedSummaries, res.SurvivingSummaries, res.ReusedVerdict)
 	fmt.Println(res.Verdict)
 	fmt.Printf("stop reason:  %s\n", res.StopReason)
-	if stats {
+	if rep.stats {
 		fmt.Printf("queries:      %d\n", res.TotalQueries)
 		fmt.Printf("rounds:       %d\n", res.Rounds)
 		fmt.Printf("virtual time: %d ticks\n", res.VirtualTicks)
@@ -508,13 +518,13 @@ func runDistributed(prog *bolt.Program, nodes int, faults, analysis string, thre
 				res.KilledNodes, res.ReroutedQueries, res.RecoveredSummaries)
 		}
 	}
-	if metrics {
+	if o.CollectMetrics {
 		printMetrics(res.Metrics, res.WorkerMetrics)
 	}
-	if err := reportProv(res.Provenance, explain, provOut); err != nil {
+	if err := reportProv(res.Provenance, rep.explain, rep.provOut); err != nil {
 		ob.fatalf("%v", err)
 	}
-	if err := reportTrace(tracePath, traceJLPath, res.TraceSpans, res.TraceEvents, res.TraceErr); err != nil {
+	if err := reportTrace(rep.trace, rep.traceJL, res.TraceSpans, res.TraceEvents, res.TraceErr); err != nil {
 		ob.fatalf("%v", err)
 	}
 	ob.exit(verdictCode(res.Verdict))

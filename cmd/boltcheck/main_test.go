@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -107,33 +108,65 @@ func TestFailedDumpTurnsSuccessIntoError(t *testing.T) {
 	}
 }
 
-// TestRejectWithDist: every flag the cluster engine has no counterpart
-// for is refused next to -dist (exit 3, the message names it) instead of
-// being dropped, and the flags runDistributed does take pass.
+// TestRejectWithDist: every flag combination boltcheck cannot honour is
+// refused (exit 3, the message names both flags) instead of a flag being
+// dropped: flags the cluster engine has no counterpart for next to -dist,
+// and flags that only mean something beside another one. Every
+// combination that asks for something consistent passes, and a flag set
+// to its zero value asks for nothing.
 func TestRejectWithDist(t *testing.T) {
 	captureExit(t)
 	for _, tc := range []struct {
-		given []string
-		named string // the flag the refusal names; "" = accepted
+		args []string
+		msg  string // the refusal; "" = accepted
 	}{
-		{[]string{"dist", "proc", "post"}, "-proc"},
-		{[]string{"dist", "pre"}, "-pre"},
-		{[]string{"dist", "post"}, "-post"},
-		{[]string{"dist", "ticks"}, "-ticks"},
-		{[]string{"dist", "async"}, "-async"},
-		{[]string{"dist", "witness"}, "-witness"},
-		{[]string{"dist", "faults", "threads", "witness"}, "-witness"},
-		{[]string{"dist"}, ""},
-		{[]string{"dist", "faults", "analysis", "threads", "timeout", "stats", "trace", "trace-jsonl", "metrics",
-			"coalesce", "entailcache", "store", "store-reset", "incr", "explain", "prov-out",
-			"pprof", "watchdog", "watchdog-stall", "flight-dump"}, ""},
+		{[]string{"-dist", "3", "-proc", "p", "-post", "g > 5"}, "-proc is not supported with -dist"},
+		{[]string{"-dist", "3", "-pre", "true"}, "-pre is not supported with -dist"},
+		{[]string{"-dist", "3", "-post", "g > 5"}, "-post is not supported with -dist"},
+		{[]string{"-dist", "3", "-ticks", "100"}, "-ticks is not supported with -dist"},
+		{[]string{"-dist", "3", "-async"}, "-async is not supported with -dist"},
+		{[]string{"-dist", "3", "-witness"}, "-witness is not supported with -dist"},
+		{[]string{"-dist", "3", "-faults", "kill=1@3", "-threads", "2", "-witness"}, "-witness is not supported with -dist"},
+		{[]string{"-post", "g > 5"}, "-post requires -proc"},
+		{[]string{"-pre", "g == 0"}, "-pre requires -proc"},
+		{[]string{"-faults", "kill=1@3"}, "-faults requires -dist"},
+		{[]string{"-dist", "0", "-faults", "kill=1@3"}, "-faults requires -dist"},
+		{[]string{"-incr"}, "-incr requires -store"},
+		{[]string{"-store-reset"}, "-store-reset requires -store"},
+		{[]string{"-watchdog-stall", "5s"}, "-watchdog-stall requires -watchdog"},
+		{[]string{"-watchdog", "0s", "-watchdog-stall", "5s"}, "-watchdog-stall requires -watchdog"},
+		{nil, ""},
+		{[]string{"-dist", "3"}, ""},
+		{[]string{"-dist", "3", "-faults", "kill=1@3,drop=0.2", "-analysis", "may", "-threads", "2", "-timeout", "5s",
+			"-stats", "-trace", "t.json", "-trace-jsonl", "t.jsonl", "-metrics", "-store", "d", "-store-reset", "-incr",
+			"-explain", "-prov-out", "p.json", "-pprof", "localhost:0", "-watchdog", "1s", "-watchdog-stall", "5s",
+			"-flight-dump", "f.jsonl"}, ""},
+		{[]string{"-proc", "p", "-pre", "g == 0", "-post", "g > 5", "-ticks", "100", "-async", "-witness",
+			"-store", "d", "-store-reset", "-incr", "-watchdog", "1s", "-watchdog-stall", "5s"}, ""},
+		{[]string{"-dist", "0", "-proc", "p", "-post", "g > 5", "-async"}, ""},
+		{[]string{"-dist", "3", "-ticks", "0", "-async=false", "-witness=false"}, ""},
+		{[]string{"-faults", "", "-incr=false", "-store-reset=false", "-watchdog-stall", "0s"}, ""},
 	} {
-		given := map[string]bool{}
-		for _, name := range tc.given {
-			given[name] = true
+		fs := flag.NewFlagSet("boltcheck", flag.ContinueOnError)
+		fs.Int("dist", 0, "")
+		fs.Int("threads", 8, "")
+		fs.Int64("ticks", 0, "")
+		for _, name := range []string{"timeout", "watchdog", "watchdog-stall"} {
+			fs.Duration(name, 0, "")
 		}
-		if tc.named == "" {
-			rejectWithDist(given) // an exit here panics through captureExit
+		for _, name := range []string{"faults", "analysis", "proc", "pre", "post", "trace", "trace-jsonl", "store",
+			"prov-out", "pprof", "flight-dump"} {
+			fs.String(name, "", "")
+		}
+		for _, name := range []string{"async", "witness", "stats", "metrics", "store-reset", "incr", "explain"} {
+			fs.Bool(name, false, "")
+		}
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		given := givenFlags(fs)
+		if tc.msg == "" {
+			checkFlags(given) // an exit here panics through captureExit
 			continue
 		}
 		r, w, err := os.Pipe()
@@ -142,12 +175,12 @@ func TestRejectWithDist(t *testing.T) {
 		}
 		stderr := os.Stderr
 		os.Stderr = w
-		code := expectExit(t, func() { rejectWithDist(given) })
+		code := expectExit(t, func() { checkFlags(given) })
 		os.Stderr = stderr
 		w.Close()
 		msg, _ := io.ReadAll(r)
-		if code != 3 || !strings.Contains(string(msg), tc.named+" is not supported with -dist") {
-			t.Errorf("%v: exit %d with %q, want 3 naming %s", tc.given, code, msg, tc.named)
+		if code != 3 || !strings.Contains(string(msg), tc.msg) {
+			t.Errorf("%v: exit %d with %q, want 3 with %q", tc.args, code, msg, tc.msg)
 		}
 	}
 }

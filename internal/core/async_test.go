@@ -75,8 +75,7 @@ func TestAsyncToyProgram(t *testing.T) {
 }
 
 // TestCorpusAllEnginesConfluence asserts that the barrier engine, the
-// streaming engine, the speculative barrier variant, and the
-// distributed simulation all return the expected verdict on every corpus
+// streaming engine and the distributed simulation all return the expected verdict on every corpus
 // program — the confluence obligation of §3.3 extended to every engine
 // this repository ships.
 func TestCorpusAllEnginesConfluence(t *testing.T) {
@@ -105,9 +104,8 @@ func TestCorpusAllEnginesConfluence(t *testing.T) {
 				t.Fatalf("corpus file %s has no verdict prefix", name)
 			}
 			configs := map[string]Options{
-				"barrier":     {MaxThreads: 8},
-				"async":       {MaxThreads: 8, Async: true},
-				"speculative": {MaxThreads: 8, Speculate: true},
+				"barrier": {MaxThreads: 8},
+				"async":   {MaxThreads: 8, Async: true},
 			}
 			for cname, o := range configs {
 				o.Punch = maymust.New()

@@ -76,50 +76,34 @@ func (p *diamondPunch) Step(ctx *punch.Context, qr *query.Query) punch.Result {
 }
 
 // TestCoalesceDiamondBarrier: exact accounting on the deterministic
-// barrier schedule. On: one coalesce hit, the shared subtree exists
-// once (4 queries total live and done). Off: the duplicate subtree is
-// materialized (5 of each). Either way the diamond terminates with the
-// root answered — the waiter wake after the shared query's Done is what
-// keeps the second arm alive.
+// barrier schedule: one coalesce hit, and the shared subtree exists once
+// (4 queries total live and done, one shared PUNCH run). The diamond
+// terminates with the root answered — the waiter wake after the shared
+// query's Done is what keeps the second arm alive.
 func TestCoalesceDiamondBarrier(t *testing.T) {
 	prog := parser.MustParse(`proc main { locals x; x = 1; assert(x > 0); }`)
-	for _, tc := range []struct {
-		name             string
-		disable          bool
-		hits, done, peak int64
-		sharedRuns       int
-	}{
-		{name: "coalesce-on", disable: false, hits: 1, done: 4, peak: 4, sharedRuns: 1},
-		{name: "coalesce-off", disable: true, hits: 0, done: 5, peak: 5, sharedRuns: 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := newDiamondPunch()
-			res := New(prog, Options{
-				Punch:           p,
-				MaxThreads:      2,
-				MaxIterations:   100,
-				DisableCoalesce: tc.disable,
-			}).Run(summary.Question{Proc: "main"})
-			if res.Verdict != Safe {
-				t.Fatalf("verdict = %v", res.Verdict)
-			}
-			if res.StopReason != StopRootAnswered {
-				t.Fatalf("stop reason = %v (a lost waiter wake deadlocks here)", res.StopReason)
-			}
-			if res.CoalesceHits != tc.hits {
-				t.Errorf("CoalesceHits = %d, want %d", res.CoalesceHits, tc.hits)
-			}
-			if res.DoneQueries != tc.done {
-				t.Errorf("DoneQueries = %d, want %d", res.DoneQueries, tc.done)
-			}
-			if int64(res.PeakLive) != tc.peak {
-				t.Errorf("PeakLive = %d, want %d", res.PeakLive, tc.peak)
-			}
-			if p.sharedRuns != tc.sharedRuns {
-				t.Errorf("shared PUNCH runs = %d, want %d", p.sharedRuns, tc.sharedRuns)
-			}
-		})
-	}
+	t.Run("coalesce-on", func(t *testing.T) {
+		p := newDiamondPunch()
+		res := New(prog, Options{Punch: p, MaxThreads: 2, MaxIterations: 100}).Run(summary.Question{Proc: "main"})
+		if res.Verdict != Safe {
+			t.Fatalf("verdict = %v", res.Verdict)
+		}
+		if res.StopReason != StopRootAnswered {
+			t.Fatalf("stop reason = %v (a lost waiter wake deadlocks here)", res.StopReason)
+		}
+		if res.CoalesceHits != 1 {
+			t.Errorf("CoalesceHits = %d, want 1", res.CoalesceHits)
+		}
+		if res.DoneQueries != 4 {
+			t.Errorf("DoneQueries = %d, want 4", res.DoneQueries)
+		}
+		if res.PeakLive != 4 {
+			t.Errorf("PeakLive = %d, want 4", res.PeakLive)
+		}
+		if p.sharedRuns != 1 {
+			t.Errorf("shared PUNCH runs = %d, want 1", p.sharedRuns)
+		}
+	})
 }
 
 // TestCoalesceDiamondAsync: the streaming schedule is nondeterministic
@@ -148,9 +132,8 @@ func TestCoalesceDiamondAsync(t *testing.T) {
 
 // TestCorpusCoalesceConfluence: on the regression corpus, coalescing
 // and the entailment cache must be invisible in the verdict — every
-// engine agrees with the filename's expectation with the optimizations
-// on (default) and off, including the distributed engine whose wake
-// fan-out crosses node-local trees.
+// engine agrees with the filename's expectation, including the
+// distributed engine whose wake fan-out crosses node-local trees.
 func TestCorpusCoalesceConfluence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus sweep is not short")
@@ -179,32 +162,21 @@ func TestCorpusCoalesceConfluence(t *testing.T) {
 			default:
 				t.Fatalf("corpus file %s has no verdict prefix", name)
 			}
-			for _, disable := range []bool{false, true} {
-				for _, async := range []bool{false, true} {
-					res := New(prog, Options{
-						Punch:                  maymust.New(),
-						MaxThreads:             8,
-						MaxIterations:          60000,
-						CheckContract:          true,
-						Async:                  async,
-						DisableCoalesce:        disable,
-						DisableEntailmentCache: disable,
-					}).Run(AssertionQuestion(prog))
-					if res.Verdict != want {
-						t.Errorf("async=%v disable=%v: verdict %v, want %v",
-							async, disable, res.Verdict, want)
-					}
-				}
-				dres := NewDistributed(prog, DistOptions{
-					Punch:                  maymust.New(),
-					Nodes:                  3,
-					DisableCoalesce:        disable,
-					DisableEntailmentCache: disable,
+			for _, async := range []bool{false, true} {
+				res := New(prog, Options{
+					Punch:         maymust.New(),
+					MaxThreads:    8,
+					MaxIterations: 60000,
+					CheckContract: true,
+					Async:         async,
 				}).Run(AssertionQuestion(prog))
-				if dres.Verdict != want {
-					t.Errorf("distributed disable=%v: verdict %v, want %v",
-						disable, dres.Verdict, want)
+				if res.Verdict != want {
+					t.Errorf("async=%v: verdict %v, want %v", async, res.Verdict, want)
 				}
+			}
+			dres := NewDistributed(prog, DistOptions{Punch: maymust.New(), Nodes: 3}).Run(AssertionQuestion(prog))
+			if dres.Verdict != want {
+				t.Errorf("distributed: verdict %v, want %v", dres.Verdict, want)
 			}
 		})
 	}

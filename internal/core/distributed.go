@@ -56,9 +56,6 @@ type DistOptions struct {
 	Nodes int
 	// ThreadsPerNode is each node's MAP-stage throttle. Default 4.
 	ThreadsPerNode int
-	// CoresPerNode is each node's simulated core count. Default equals
-	// ThreadsPerNode.
-	CoresPerNode int
 	// SyncEvery is how many rounds pass between summary gossip exchanges
 	// (1 = every round). Larger values model higher network latency /
 	// batching. Default 1.
@@ -71,12 +68,6 @@ type DistOptions struct {
 	RealTimeout time.Duration
 	// Faults is the injected fault plan (nil = fault-free run).
 	Faults *Faults
-	// DisableCoalesce turns off in-flight query coalescing (ablation);
-	// see Options.DisableCoalesce.
-	DisableCoalesce bool
-	// DisableEntailmentCache turns off the solver's entailment memo
-	// (ablation); see Options.DisableEntailmentCache.
-	DisableEntailmentCache bool
 	// Store, when non-nil, warm-starts the cluster: each stored summary
 	// is loaded into its owning node's database before round 0 (gossip
 	// spreads it from there), and the union of all node databases is
@@ -196,9 +187,6 @@ func NewDistributed(prog *cfg.Program, opts DistOptions) *DistEngine {
 	if opts.ThreadsPerNode <= 0 {
 		opts.ThreadsPerNode = 4
 	}
-	if opts.CoresPerNode <= 0 {
-		opts.CoresPerNode = opts.ThreadsPerNode
-	}
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = 1
 	}
@@ -250,18 +238,16 @@ func (e *DistEngine) RunContext(ctx context.Context, q0 summary.Question) DistRe
 		nodes[i] = &distNode{id: i, known: map[string]bool{}}
 	}
 	r := newReducer(e.prog, Options{
-		Punch:                  o.Punch,
-		DisableCoalesce:        o.DisableCoalesce,
-		DisableEntailmentCache: o.DisableEntailmentCache,
-		Store:                  o.Store,
-		RealTimeout:            o.RealTimeout,
-		CheckContract:          distCheckContract,
-		Tracer:                 o.Tracer,
-		Metrics:                o.Metrics,
-		PprofLabels:            o.PprofLabels,
-		Probe:                  o.Probe,
-		CollectProvenance:      o.CollectProvenance,
-		Incremental:            o.Incremental,
+		Punch:             o.Punch,
+		Store:             o.Store,
+		RealTimeout:       o.RealTimeout,
+		CheckContract:     distCheckContract,
+		Tracer:            o.Tracer,
+		Metrics:           o.Metrics,
+		PprofLabels:       o.PprofLabels,
+		Probe:             o.Probe,
+		CollectProvenance: o.CollectProvenance,
+		Incremental:       o.Incremental,
 	}, "dist", o.Nodes, o.ThreadsPerNode, func(proc string) int { return e.owner(nodes, proc) })
 	res := DistResult{PerNodeSummaries: make([]int, o.Nodes)}
 	if !r.begin(q0) {
@@ -342,8 +328,9 @@ func (e *DistEngine) RunContext(ctx context.Context, q0 summary.Question) DistRe
 			b.res, b.wall = r.step(ctx, b.node, b.q, r.depth[b.q.ID])
 		})
 		// The round's virtual time is the maximum of the per-node
-		// makespans (nodes genuinely run in parallel).
-		r.advance(batch, o.CoresPerNode)
+		// makespans (nodes genuinely run in parallel), each node's batch
+		// list-scheduled on ThreadsPerNode cores.
+		r.advance(batch, o.ThreadsPerNode)
 		for i := range batch {
 			b := &batch[i]
 			r.punchEnd(b.node, b.worker, b.q, b.res.Cost, b.wall)

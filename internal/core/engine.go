@@ -82,38 +82,17 @@ type Options struct {
 	RealTimeout time.Duration
 	// MaxIterations bounds MAP/REDUCE iterations (0 = 1 << 20).
 	MaxIterations int
-	// DisableGC turns off the REDUCE stage's removal of Done subtrees
-	// (ablation).
-	DisableGC bool
-	// DisableSumDB makes the summary database store and answer nothing
-	// (ablation). Note PUNCH then never terminates queries via reuse.
-	DisableSumDB bool
-	// DisableCoalesce turns off in-flight query coalescing (ablation):
-	// every spawned child grows its own subtree even when a live query is
-	// already computing the same canonical question. Coalescing is on by
-	// default; disabling it restores the exact pre-coalescing behavior
-	// with no key computation on the spawn path.
-	DisableCoalesce bool
-	// DisableEntailmentCache turns off the solver's sharded Implies/Valid
-	// memo and its syntactic subsumption pre-check (ablation). The cache
-	// is on by default.
-	DisableEntailmentCache bool
 	// Store, when non-nil, is the persistent summary store the run
 	// warm-starts from: its contents are loaded into SUMDB before the
 	// first MAP stage, and every summary SUMDB holds at run end is
 	// persisted back (deduplicated by canonical wire key). Summaries are
 	// sound facts about the program, so a warm run's verdict matches the
-	// cold run's — it just gets there with less work. Ignored when
-	// DisableSumDB is set; store failures land in Result.StoreErr.
+	// cold run's — it just gets there with less work. Store failures land
+	// in Result.StoreErr.
 	Store store.Store
 	// CheckContract validates the §3.2 PUNCH postcondition on every
 	// invocation (used by the test suite).
 	CheckContract bool
-	// Speculate enables the §7 speculative extension: when a MAP stage has
-	// spare thread slots, Blocked queries are also scheduled so they can
-	// re-examine SUMDB and fan out further work early. (Barrier engine
-	// only; the streaming engine keeps workers saturated by design.)
-	Speculate bool
 	// Async selects the streaming work-stealing engine (async.go): a
 	// persistent pool of MaxThreads workers pulls Ready queries from
 	// work-stealing deques and REDUCE happens incrementally per Done
@@ -195,8 +174,7 @@ type Result struct {
 	Steals    int64
 	IdleWaits int64
 	// CoalesceHits counts spawned children answered by a live in-flight
-	// twin instead of growing a duplicate subtree (zero when coalescing
-	// is disabled).
+	// twin instead of growing a duplicate subtree.
 	CoalesceHits int64
 	Trace        []IterSample
 	SumDB        summary.Stats
@@ -319,19 +297,6 @@ func (e *Engine) barrier(ctx context.Context, r *reducer) {
 		sel := ready
 		if len(sel) > o.MaxThreads {
 			sel = sel[:o.MaxThreads]
-		}
-		if o.Speculate && len(sel) < o.MaxThreads {
-			// §7 speculative extension: fill idle slots with Blocked
-			// queries, temporarily waking them so PUNCH can recheck SUMDB
-			// and fan out additional sub-queries ahead of demand.
-			blocked := tree.InState(query.Blocked)
-			for _, b := range blocked {
-				if len(sel) >= o.MaxThreads {
-					break
-				}
-				tree.SetState(b.ID, query.Ready)
-				sel = append(sel, b)
-			}
 		}
 
 		// MAP: run PUNCH on the selected queries in parallel. The summary

@@ -16,7 +16,7 @@ import (
 	"repro/internal/summary"
 )
 
-// TestEngineConfluence: sequential, parallel and speculative
+// TestEngineConfluence: sequential, parallel, streaming and cluster
 // configurations must agree on verdicts.
 func TestEngineConfluence(t *testing.T) {
 	cases := []struct {
@@ -35,8 +35,7 @@ func TestEngineConfluence(t *testing.T) {
 	configs := []Options{
 		{MaxThreads: 1},
 		{MaxThreads: 4},
-		{MaxThreads: 4, Speculate: true},
-		{MaxThreads: 4, DisableGC: true},
+		{MaxThreads: 4, Async: true},
 	}
 	for ci, c := range cases {
 		prog := parser.MustParse(c.src)
@@ -49,32 +48,13 @@ func TestEngineConfluence(t *testing.T) {
 				t.Errorf("case %d config %d: verdict %v, want %v", ci, oi, res.Verdict, c.want)
 			}
 		}
-	}
-}
-
-// TestNoSumDBAblation: without the summary database the engine cannot
-// finish call-dependent queries (children's answers are never visible),
-// but it must stay sound.
-func TestNoSumDBAblation(t *testing.T) {
-	prog := parser.MustParse(`
-globals g;
-proc main { g = 0; inc(); assert(g <= 1); }
-proc inc { g = g + 1; }`)
-	res := New(prog, Options{
-		Punch:         maymust.New(),
-		MaxThreads:    2,
-		MaxIterations: 60,
-		DisableSumDB:  true,
-	}).Run(AssertionQuestion(prog))
-	if res.Verdict == ErrorReachable {
-		t.Fatalf("unsound verdict without SUMDB: %v", res.Verdict)
-	}
-	// Call-free queries still work without the database.
-	prog2 := parser.MustParse(`proc main { locals x; x = 1; assert(x > 2); }`)
-	res2 := New(prog2, Options{Punch: maymust.New(), MaxThreads: 1, MaxIterations: 200, DisableSumDB: true}).
-		Run(AssertionQuestion(prog2))
-	if res2.Verdict != ErrorReachable {
-		t.Fatalf("call-free check without SUMDB: %v", res2.Verdict)
+		// The fourth configuration is a 3-node cluster (contract checked:
+		// distCheckContract).
+		dres := NewDistributed(prog, DistOptions{Punch: maymust.New(), Nodes: 3, ThreadsPerNode: 2, MaxRounds: 3000}).
+			Run(AssertionQuestion(prog))
+		if dres.Verdict != c.want {
+			t.Errorf("case %d cluster: verdict %v, want %v", ci, dres.Verdict, c.want)
+		}
 	}
 }
 

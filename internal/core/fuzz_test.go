@@ -135,10 +135,6 @@ func TestFuzzEngineConfluence(t *testing.T) {
 		{MaxThreads: 8},
 		{MaxThreads: 1, Async: true},
 		{MaxThreads: 8, Async: true},
-		// Redundancy-elimination ablation contrast: coalescing and the
-		// entailment cache must never change a verdict.
-		{MaxThreads: 8, DisableCoalesce: true, DisableEntailmentCache: true},
-		{MaxThreads: 8, Async: true, DisableCoalesce: true, DisableEntailmentCache: true},
 	}
 	for i := 0; i < 25; i++ {
 		src := randProgram(r)

@@ -147,7 +147,7 @@ func (r *reducer) begin(q0 summary.Question) bool {
 	r.q0 = q0
 	r.res = Result{Verdict: Unknown, CostByProc: map[string]int64{}}
 	o, res := &r.o, &r.res
-	stored := o.Store != nil && !o.DisableSumDB
+	stored := o.Store != nil
 
 	var prep incrPrep
 	if o.Incremental && stored {
@@ -170,23 +170,14 @@ func (r *reducer) begin(q0 summary.Question) bool {
 	}
 
 	r.solver = smt.New()
-	if !o.DisableEntailmentCache {
-		r.solver.EnableEntailmentCache()
-	}
+	r.solver.EnableEntailmentCache()
 	r.alloc = &query.Allocator{}
 	modref := r.prog.ModRef()
 	r.dbs = make([]*summary.DB, len(r.forest))
 	r.pctx = make([]punch.Context, len(r.forest))
 	for i := range r.forest {
-		if o.DisableSumDB {
-			r.dbs[i] = summary.NewDisabled(r.solver)
-		} else {
-			r.dbs[i] = summary.New(r.solver)
-		}
+		r.dbs[i] = summary.New(r.solver)
 		r.forest[i] = query.NewTree()
-		if !o.DisableCoalesce {
-			r.forest[i].TrackInflight()
-		}
 		r.pctx[i] = punch.Context{Prog: r.prog, DB: r.dbs[i], Alloc: r.alloc, ModRef: modref}
 	}
 	if o.CollectProvenance {
@@ -325,7 +316,7 @@ func (r *reducer) apply(node, worker int, q *query.Query, res punch.Result) []*q
 	if self.State != query.Done {
 		for _, c := range res.Children {
 			dst := r.route(c.Q.Proc)
-			if !r.o.DisableCoalesce && r.coalesce(dst, worker, self, c, &again) {
+			if r.coalesce(dst, worker, self, c, &again) {
 				continue
 			}
 			r.forest[dst].Add(c)
@@ -434,29 +425,27 @@ func (r *reducer) retire(node, worker int, done *query.Query) []*query.Query {
 		r.wake(worker, w)
 	}
 	tree.ClearWaiters(done.ID)
-	if !r.o.DisableGC {
-		// A tree severs the waiter edges of what it removes, but only its
-		// own: in a forest the other trees must forget the collected
-		// queries too, or their edges would name queries that no longer
-		// exist and pin branches nobody waits for.
-		var dying []query.ID
-		if len(r.forest) > 1 {
-			dying = tree.Descendants(done.ID)
-		}
-		removed := tree.RemoveSubtree(done.ID)
-		for _, id := range dying {
-			if tree.Get(id) != nil {
-				continue
-			}
-			for _, t := range r.forest {
-				if t != tree {
-					t.Forget(id)
-				}
-			}
-		}
-		r.collected += int64(removed)
-		r.note(obs.EvGC, node, worker, done, int64(removed))
+	// A tree severs the waiter edges of what it removes, but only its own:
+	// in a forest the other trees must forget the collected queries too, or
+	// their edges would name queries that no longer exist and pin branches
+	// nobody waits for.
+	var dying []query.ID
+	if len(r.forest) > 1 {
+		dying = tree.Descendants(done.ID)
 	}
+	removed := tree.RemoveSubtree(done.ID)
+	for _, id := range dying {
+		if tree.Get(id) != nil {
+			continue
+		}
+		for _, t := range r.forest {
+			if t != tree {
+				t.Forget(id)
+			}
+		}
+	}
+	r.collected += int64(removed)
+	r.note(obs.EvGC, node, worker, done, int64(removed))
 	if r.o.CheckContract {
 		r.checkInvariants()
 	}
@@ -637,7 +626,7 @@ func (r *reducer) end() {
 // key, so re-persisting loaded summaries or gossip replicas is a no-op
 // and PersistedSummaries counts only genuinely new facts.
 func (r *reducer) persistStore() {
-	if r.o.Store == nil || r.o.DisableSumDB {
+	if r.o.Store == nil {
 		return
 	}
 	res := &r.res
@@ -676,7 +665,7 @@ func (r *reducer) finishProv() {
 			m.ObserveConeSize(int64(cs.Size))
 		}
 	}
-	if r.o.Store == nil || r.o.DisableSumDB {
+	if r.o.Store == nil {
 		return
 	}
 	// An un-encodable question (scripted tests use nil-formula markers

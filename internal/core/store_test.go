@@ -3,11 +3,9 @@ package core
 import (
 	"testing"
 
-	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/punch/maymust"
 	"repro/internal/store"
-	"repro/internal/summary"
 )
 
 // warmSrc exercises the interprocedural path: summaries for the callees
@@ -224,36 +222,5 @@ func TestWarmStartVerdictConfluence(t *testing.T) {
 				})
 			}
 		})
-	}
-}
-
-// TestStoreDisabledWithSumDBOff: the ablation that disables the summary
-// database also disables the store (there is nothing sound to persist).
-func TestStoreDisabledWithSumDBOff(t *testing.T) {
-	mem := store.NewMem()
-	seed := summary.Summary{
-		Kind: summary.NotMay,
-		Proc: "shared",
-		Pre:  logic.LE(logic.LinVar("g").AddConst(-100)),
-		Post: logic.False,
-	}
-	if _, err := mem.Put(seed); err != nil {
-		t.Fatal(err)
-	}
-	prog, err := parser.Parse(warmSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := New(prog, Options{
-		Punch:         maymust.New(),
-		MaxThreads:    2,
-		MaxIterations: 3000,
-		DisableSumDB:  true,
-		Store:         mem,
-	})
-	res := eng.Run(AssertionQuestion(prog))
-	if res.WarmSummaries != 0 || res.PersistedSummaries != 0 {
-		t.Fatalf("store used despite DisableSumDB: warm=%d persisted=%d",
-			res.WarmSummaries, res.PersistedSummaries)
 	}
 }

@@ -18,22 +18,22 @@ import (
 	"repro/internal/core"
 	"repro/internal/drivers"
 	"repro/internal/obs"
-	"repro/internal/punch"
 	"repro/internal/punch/maymust"
 )
 
-// Options configure experiment runs.
+// paperCores is the simulated core count every experiment runs on: the
+// paper's machine has 8. A run with fewer threads uses as many cores as
+// threads.
+const paperCores = 8
+
+// Options configure experiment runs. Every run uses the may-must PUNCH,
+// as the paper's evaluation does.
 type Options struct {
-	// Cores is the simulated core count (the paper's machine: 8).
-	Cores int
 	// TickBudget is the virtual-time limit per check (the paper's 3000 s
 	// wall-clock budget scaled to ticks). 0 = no limit.
 	TickBudget int64
 	// WallBudget bounds real time per check as a safety net.
 	WallBudget time.Duration
-	// NewPunch builds a fresh intraprocedural analysis per run; nil uses
-	// the may-must instantiation, as the paper's evaluation does.
-	NewPunch func() punch.Punch
 	// Async runs every check with the streaming work-stealing engine
 	// instead of the paper's bulk-synchronous MAP/REDUCE loop.
 	Async bool
@@ -50,22 +50,11 @@ type Options struct {
 	Probe *obs.Probe
 	// Tracer, when set, receives every run's query-lifecycle events.
 	Tracer obs.Tracer
-	// DisableCoalesce and DisableEntailmentCache are the
-	// redundancy-elimination ablation switches (both features are on by
-	// default); see core.Options.
-	DisableCoalesce        bool
-	DisableEntailmentCache bool
 }
 
 func (o Options) withDefaults() Options {
-	if o.Cores == 0 {
-		o.Cores = 8
-	}
 	if o.WallBudget == 0 {
 		o.WallBudget = 60 * time.Second
-	}
-	if o.NewPunch == nil {
-		o.NewPunch = func() punch.Punch { return maymust.New() }
 	}
 	return o
 }
@@ -95,9 +84,9 @@ func RunCheck(check drivers.Check, threads int, opts Options) CheckResult {
 	opts = opts.withDefaults()
 	prog := drivers.Generate(check.Config)
 	eng := core.New(prog, core.Options{
-		Punch:           opts.NewPunch(),
+		Punch:           maymust.New(),
 		MaxThreads:      threads,
-		VirtualCores:    opts.Cores,
+		VirtualCores:    paperCores,
 		MaxVirtualTicks: opts.TickBudget,
 		RealTimeout:     opts.WallBudget,
 		MaxIterations:   1 << 19,
@@ -105,9 +94,6 @@ func RunCheck(check drivers.Check, threads int, opts Options) CheckResult {
 		Tracer:          opts.Tracer,
 		Metrics:         opts.MetricsInto,
 		Probe:           opts.Probe,
-
-		DisableCoalesce:        opts.DisableCoalesce,
-		DisableEntailmentCache: opts.DisableEntailmentCache,
 	})
 	ctx := opts.Ctx
 	if ctx == nil {

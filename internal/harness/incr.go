@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/incr"
 	"repro/internal/parser"
+	"repro/internal/punch/maymust"
 	"repro/internal/store"
 )
 
@@ -103,9 +104,9 @@ func runIncrEngine(prog *cfg.Program, threads int, engine string, st store.Store
 	switch engine {
 	case "barrier", "async":
 		eng := core.New(prog, core.Options{
-			Punch:           opts.NewPunch(),
+			Punch:           maymust.New(),
 			MaxThreads:      threads,
-			VirtualCores:    opts.Cores,
+			VirtualCores:    paperCores,
 			MaxVirtualTicks: opts.TickBudget,
 			RealTimeout:     opts.WallBudget,
 			MaxIterations:   1 << 19,
@@ -120,7 +121,7 @@ func runIncrEngine(prog *cfg.Program, threads int, engine string, st store.Store
 		return incrRun{verdict: r.Verdict, invalidated: r.InvalidatedSummaries}, nil
 	case "dist":
 		eng := core.NewDistributed(prog, core.DistOptions{
-			Punch:          opts.NewPunch(),
+			Punch:          maymust.New(),
 			Nodes:          3,
 			ThreadsPerNode: max(1, threads/3),
 			RealTimeout:    opts.WallBudget,

@@ -241,9 +241,11 @@ func TestWhatIfPredictionMatchesObserved(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real check (~3s)")
 	}
+	// Two threads simulate two cores: the engine never gives a run more
+	// virtual cores than threads.
 	const cores = 2
 	rec := &obs.Recording{}
-	opts := harness.Options{Async: true, Tracer: rec, Cores: cores}
+	opts := harness.Options{Async: true, Tracer: rec}
 	check := drivers.NamedCheck("parport", "PowerUpFail", false)
 	par := harness.RunCheck(check, cores, opts)
 	if par.Ticks <= 0 {

@@ -6,16 +6,6 @@
 // woken waiters always re-examine SUMDB rather than the twin itself.
 package query
 
-// TrackInflight enables the in-flight index keyed by canonical question
-// key. Engines call it once, before the root is added, when coalescing is
-// on; while disabled, Add does no key computation at all.
-func (t *Tree) TrackInflight() {
-	if t.inflight == nil {
-		t.inflight = map[string]ID{}
-		t.inflightKey = map[ID]string{}
-	}
-}
-
 // Inflight returns the live query registered for the canonical question
 // key, if any. Registration is first-wins: later twins (e.g. spawns that
 // skipped coalescing because of a cycle) never displace the entry.
@@ -25,7 +15,7 @@ func (t *Tree) Inflight(key string) (ID, bool) {
 }
 
 // InflightSize returns the number of canonical-question keys currently
-// registered in the in-flight index (0 when coalescing is disabled).
+// registered in the in-flight index.
 // Callers must hold whatever lock guards the tree.
 func (t *Tree) InflightSize() int { return len(t.inflight) }
 
@@ -104,12 +94,10 @@ func (t *Tree) Forget(id ID) {
 		}
 		delete(t.waiters, id)
 	}
-	if t.inflightKey != nil {
-		if k, ok := t.inflightKey[id]; ok {
-			delete(t.inflightKey, id)
-			if t.inflight[k] == id {
-				delete(t.inflight, k)
-			}
+	if k, ok := t.inflightKey[id]; ok {
+		delete(t.inflightKey, id)
+		if t.inflight[k] == id {
+			delete(t.inflight, k)
 		}
 	}
 }

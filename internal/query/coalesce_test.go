@@ -10,7 +10,6 @@ import (
 func TestInflightFirstWins(t *testing.T) {
 	a := &Allocator{}
 	tr := NewTree()
-	tr.TrackInflight()
 
 	first := a.New(NoParent, q("f"))
 	tr.Add(first)
@@ -40,7 +39,6 @@ func TestInflightFirstWins(t *testing.T) {
 func TestAddWaiterAndClear(t *testing.T) {
 	a := &Allocator{}
 	tr := NewTree()
-	tr.TrackInflight()
 	twin := a.New(NoParent, q("f"))
 	w1 := a.New(NoParent, q("g"))
 	w2 := a.New(NoParent, q("h"))
@@ -72,7 +70,6 @@ func TestAddWaiterAndClear(t *testing.T) {
 func TestRemoveUnlinksWaiterEdges(t *testing.T) {
 	a := &Allocator{}
 	tr := NewTree()
-	tr.TrackInflight()
 	twin := a.New(NoParent, q("f"))
 	w := a.New(NoParent, q("g"))
 	tr.Add(twin)
@@ -98,7 +95,6 @@ func TestRemoveUnlinksWaiterEdges(t *testing.T) {
 func TestRemoveSubtreeRetainsWaitedBranch(t *testing.T) {
 	a := &Allocator{}
 	tr := NewTree()
-	tr.TrackInflight()
 	root := a.New(NoParent, q("a"))
 	child := a.New(root.ID, q("b"))
 	ext := a.New(NoParent, q("c"))
@@ -125,7 +121,6 @@ func TestRemoveSubtreeRetainsWaitedBranch(t *testing.T) {
 func TestRemoveSubtreeRetentionFixpoint(t *testing.T) {
 	a := &Allocator{}
 	tr := NewTree()
-	tr.TrackInflight()
 	root := a.New(NoParent, q("r"))
 	qa := a.New(root.ID, q("a"))
 	qb := a.New(root.ID, q("b"))
@@ -162,8 +157,6 @@ func TestMoveToCarriesCoalesceState(t *testing.T) {
 	a := &Allocator{}
 	src := NewTree()
 	dst := NewTree()
-	src.TrackInflight()
-	dst.TrackInflight()
 
 	twin := a.New(NoParent, q("f"))
 	w := a.New(NoParent, q("g"))
@@ -197,7 +190,6 @@ func TestMoveToCarriesCoalesceState(t *testing.T) {
 func TestWouldCycle(t *testing.T) {
 	a := &Allocator{}
 	tr := NewTree()
-	tr.TrackInflight()
 	root := a.New(NoParent, q("r"))
 	qa := a.New(root.ID, q("a"))
 	qb := a.New(qa.ID, q("b"))
@@ -219,8 +211,6 @@ func TestWouldCycle(t *testing.T) {
 	// child lives in t2 and is the would-be spawner.
 	t1 := NewTree()
 	t2 := NewTree()
-	t1.TrackInflight()
-	t2.TrackInflight()
 	twin := a.New(NoParent, q("t"))
 	x := a.New(NoParent, q("x"))
 	t1.Add(twin)

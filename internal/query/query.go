@@ -124,8 +124,8 @@ type Tree struct {
 	// sever both sides. See coalesce.go.
 	waiters   map[ID][]ID
 	waitingOn map[ID][]ID
-	// inflight indexes live queries by canonical question key; nil until
-	// TrackInflight so the non-coalescing path pays no key computation.
+	// inflight indexes live queries by canonical question key, first
+	// registration wins; inflightKey is the reverse. See coalesce.go.
 	inflight    map[string]ID
 	inflightKey map[ID]string
 }
@@ -133,11 +133,13 @@ type Tree struct {
 // NewTree returns an empty tree.
 func NewTree() *Tree {
 	return &Tree{
-		queries:   map[ID]*Query{},
-		children:  map[ID][]ID{},
-		ready:     map[ID]*Query{},
-		waiters:   map[ID][]ID{},
-		waitingOn: map[ID][]ID{},
+		queries:     map[ID]*Query{},
+		children:    map[ID][]ID{},
+		ready:       map[ID]*Query{},
+		waiters:     map[ID][]ID{},
+		waitingOn:   map[ID][]ID{},
+		inflight:    map[string]ID{},
+		inflightKey: map[ID]string{},
 	}
 }
 
@@ -147,14 +149,17 @@ func (t *Tree) Add(q *Query) {
 	if q.Parent != NoParent {
 		t.children[q.Parent] = append(t.children[q.Parent], q.ID)
 	}
-	if t.inflight != nil {
-		k := q.Q.Key()
-		if _, taken := t.inflight[k]; !taken {
-			t.inflight[k] = q.ID
-			t.inflightKey[q.ID] = k
-		}
-	}
+	t.register(q.ID, q.Q.Key())
 	t.index(q)
+}
+
+// register makes id the in-flight query for key unless a live twin holds
+// it already.
+func (t *Tree) register(id ID, key string) {
+	if _, taken := t.inflight[key]; !taken {
+		t.inflight[key] = id
+		t.inflightKey[id] = key
+	}
 }
 
 // index refreshes q's membership in the Ready index.
@@ -243,7 +248,7 @@ func (t *Tree) MoveTo(dst *Tree, id ID) bool {
 	kids := t.children[id]
 	ws := append([]ID(nil), t.waiters[id]...)
 	wo := append([]ID(nil), t.waitingOn[id]...)
-	_, hadInflight := t.inflightKey[id]
+	key, registered := t.inflightKey[id]
 	t.Remove(id)
 	dst.queries[q.ID] = q
 	// When a parent and its child move to the same destination, the edge
@@ -263,12 +268,8 @@ func (t *Tree) MoveTo(dst *Tree, id ID) bool {
 	for _, tw := range wo {
 		dst.AddWaiter(tw, id)
 	}
-	if hadInflight && dst.inflight != nil {
-		k := q.Q.Key()
-		if _, taken := dst.inflight[k]; !taken {
-			dst.inflight[k] = id
-			dst.inflightKey[id] = k
-		}
+	if registered {
+		dst.register(id, key)
 	}
 	dst.index(q)
 	return true

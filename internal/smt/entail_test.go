@@ -64,8 +64,9 @@ func TestEquivalentShortCircuit(t *testing.T) {
 }
 
 // TestEntailmentCacheDisabledZeroStats: a solver that never called
-// EnableEntailmentCache must keep all cache counters at zero — the
-// zero-overhead-when-disabled contract the ablation flag relies on.
+// EnableEntailmentCache must keep all cache counters at zero, so the
+// uncached reference solver the hammer test compares against never
+// touches the cache.
 func TestEntailmentCacheDisabledZeroStats(t *testing.T) {
 	s := New()
 	x := v("x")

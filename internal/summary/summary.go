@@ -204,9 +204,8 @@ type shardCounters struct {
 // methods are safe for concurrent use; per the paper it is the only
 // resource shared by the parallel instances of PUNCH.
 type DB struct {
-	shards  [numShards]shard
-	solver  *smt.Solver
-	enabled bool
+	shards [numShards]shard
+	solver *smt.Solver
 	// Global read-path counters (atomics: the read paths hold no
 	// exclusive lock). Added/DupesSkip live per procShard under its
 	// write lock and are summed by StatsSnapshot. traffic carries the
@@ -220,18 +219,10 @@ type DB struct {
 
 // New returns an empty database using solver for the answering checks.
 func New(solver *smt.Solver) *DB {
-	db := &DB{solver: solver, enabled: true}
+	db := &DB{solver: solver}
 	for i := range db.shards {
 		db.shards[i].procs = map[string]*procShard{}
 	}
-	return db
-}
-
-// NewDisabled returns a database that stores nothing and answers nothing;
-// used by the no-SUMDB ablation.
-func NewDisabled(solver *smt.Solver) *DB {
-	db := New(solver)
-	db.enabled = false
 	return db
 }
 
@@ -299,9 +290,6 @@ func (db *DB) entry(proc string) *procShard {
 // procedure's version, which invalidates memoized "no answer" results
 // for that procedure.
 func (db *DB) Add(s Summary) {
-	if !db.enabled {
-		return
-	}
 	// Cheap concat over interned keys — this runs per summary insertion
 	// and used to pay a fmt.Sprintf over two full structural renders.
 	key := strconv.Itoa(int(s.Kind)) + "|" + logic.Key(s.Pre) + "|" + logic.Key(s.Post)
@@ -328,9 +316,6 @@ func questionKey(rule byte, q Question) string {
 // summary and a verified model of q.Post ∩ ψ2 (an exit state proven
 // reachable).
 func (db *DB) AnswerYes(q Question) (Summary, bool) {
-	if !db.enabled {
-		return Summary{}, false
-	}
 	si := shardIndex(q.Proc)
 	ps := db.lookupAt(si, q.Proc)
 	if ps == nil {
@@ -370,9 +355,6 @@ func (db *DB) AnswerYes(q Question) (Summary, bool) {
 // AnswerNo looks for a not-may summary (ψ1 ⇒¬may ψ2) answering q with
 // "no": q.Pre ⊆ ψ1 and q.Post ⊆ ψ2 (§3.1).
 func (db *DB) AnswerNo(q Question) (Summary, bool) {
-	if !db.enabled {
-		return Summary{}, false
-	}
 	si := shardIndex(q.Proc)
 	ps := db.lookupAt(si, q.Proc)
 	if ps == nil {
@@ -420,9 +402,6 @@ func (db *DB) Answer(q Question) (Summary, int) {
 // ForProc returns the summaries stored for proc as a stable read-only
 // view: callers may iterate it freely but must not mutate elements.
 func (db *DB) ForProc(proc string) []Summary {
-	if !db.enabled {
-		return nil
-	}
 	ps := db.lookup(proc)
 	if ps == nil {
 		return nil

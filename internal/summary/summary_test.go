@@ -99,17 +99,6 @@ func TestDeduplication(t *testing.T) {
 	}
 }
 
-func TestDisabledDB(t *testing.T) {
-	db := NewDisabled(smt.New())
-	db.Add(Summary{Kind: Must, Proc: "p", Pre: logic.True, Post: logic.True})
-	if db.Count() != 0 {
-		t.Fatal("disabled DB stored a summary")
-	}
-	if _, ok := db.AnswerYes(Question{Proc: "p", Pre: logic.True, Post: logic.True}); ok {
-		t.Fatal("disabled DB answered")
-	}
-}
-
 func TestConcurrentUse(t *testing.T) {
 	db := New(smt.New())
 	var wg sync.WaitGroup
