@@ -73,9 +73,12 @@ dead-exports:
 # return an existing node; a change that gives that back fails here. The
 # second pin is the region graph's: a path search on a settled graph
 # allocates the path it returns and nothing else (testing.AllocsPerRun).
+# The third is the cube kernel's: with its pool warm, enumerating a DNF and
+# a real-shadow check of a cube allocate nothing.
 alloc-pin:
 	$(GO) test -run TestAllocPin -count=1 .
 	$(GO) test -run TestFindPathAllocPin -count=1 ./internal/punch/regions
+	$(GO) test -run TestCubeKernelAllocPin -count=1 ./internal/logic
 
 # trace-smoke records a corpus program on all three engines, converts
 # each stream with obs.WriteChrome and validates the document, then
@@ -123,13 +126,17 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke gives each fuzzer a short budget: the solver against its
-# reference implementation, the wire codec's decode/re-encode round trip
-# on arbitrary bytes, and arbitrary bytes as the store's log (a typed
-# error or a clean open, never a panic).
+# reference implementation, the cube kernel (DNF enumeration and
+# Fourier–Motzkin projection) against its reference implementation, the
+# wire codec's decode/re-encode round trip on arbitrary bytes, arbitrary
+# bytes as the store's log, and arbitrary text as a program (each a typed
+# error or a clean result, never a panic).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDPLLAgainstReference -fuzztime 10s ./internal/smt
+	$(GO) test -run '^$$' -fuzz FuzzCubeKernelAgainstReference -fuzztime 10s ./internal/logic
 	$(GO) test -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/logic
 	$(GO) test -run '^$$' -fuzz FuzzStoreOpen -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/parser
 
 # bench runs every benchmark in the repo once (all packages, not just
 # the root: the harness, solver and store benches live in subpackages).

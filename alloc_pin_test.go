@@ -2,6 +2,8 @@ package bolt_test
 
 import (
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	bolt "repro"
@@ -10,14 +12,17 @@ import (
 )
 
 // allocPinBudget is what one warm one-thread check of parport/PowerDownFail
-// may allocate: the 15.48 MB measured when the budget was set (17.22 MB
-// before the region graph kept records of live edges only, 18.47 MB before
-// splits inherited shut marks and the run memoized one-step feasibility,
-// 40.4 MB before the intern table owned its nodes), plus 10 %. The figure
-// repeats to 0.03 % between runs and is 2 % higher under -race, so the
-// head-room is for changes elsewhere, not for noise. A change that lowers
-// the allocation on purpose lowers the budget with it.
-const allocPinBudget = 17_000_000
+// may allocate: the 5.91 MB measured when the budget was set (15.48 MB
+// before the cube kernel built its cubes and projections in pooled scratch
+// memory, 17.22 MB before the region graph kept records of live edges
+// only, 18.47 MB before splits inherited shut marks and the run memoized
+// one-step feasibility, 40.4 MB before the intern table owned its nodes),
+// plus 10 %. The figure repeats to 0.1 % between runs, so the head-room is
+// for changes elsewhere, not for noise. Under -race it is not held: the
+// race detector makes sync.Pool drop a quarter of what it is given, and the
+// scratch memory is allocated again. A change that lowers the allocation on
+// purpose lowers the budget with it.
+const allocPinBudget = 6_500_000
 
 // TestAllocPin holds the allocation of the formula constructors' hit path
 // still. The check runs twice: the first run fills the process-global
@@ -39,7 +44,16 @@ func TestAllocPin(t *testing.T) {
 	}
 	cold, warm := run(), run()
 	t.Logf("allocated %d bytes cold, %d warm (budget %d)", cold, warm, allocPinBudget)
+	if raceEnabled() {
+		t.Skip("the budget is not held under the race detector")
+	}
 	if warm > allocPinBudget {
 		t.Errorf("warm check allocates %d bytes, budget %d: the constructors' hit path allocates again, or a layer above it allocates more", warm, allocPinBudget)
 	}
+}
+
+// raceEnabled reports a test binary built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }

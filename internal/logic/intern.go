@@ -141,8 +141,15 @@ func hashLin(l Lin) uint64 {
 }
 
 // LinID interns the canonical linear term l and returns its id (0 when
-// the table is full).
+// the table is full). The table keeps a copy of l, never l itself.
 func LinID(l Lin) ID {
+	_, id := internLin(l)
+	return id
+}
+
+// internLin is LinID returning the table's copy of l too (past the cap, a
+// fresh copy that is not kept).
+func internLin(l Lin) (Lin, ID) {
 	h := hashLin(l)
 	sh := &internTab[h%internShards]
 	sh.mu.RLock()
@@ -150,7 +157,7 @@ func LinID(l Lin) ID {
 		if e.l.Equal(l) {
 			sh.mu.RUnlock()
 			sh.hits.Add(1)
-			return e.id
+			return e.l, e.id
 		}
 	}
 	sh.mu.RUnlock()
@@ -159,16 +166,17 @@ func LinID(l Lin) ID {
 		if e.l.Equal(l) {
 			sh.mu.Unlock()
 			sh.hits.Add(1)
-			return e.id
+			return e.l, e.id
 		}
 	}
+	own := l.clone()
 	id := allocID()
 	if id != 0 {
-		sh.lins[h] = append(sh.lins[h], linEntry{l: l, id: id})
+		sh.lins[h] = append(sh.lins[h], linEntry{l: own, id: id})
 	}
 	sh.mu.Unlock()
 	sh.misses.Add(1)
-	return id
+	return own, id
 }
 
 // idOf returns the id f carries: the reserved ids for the constants, the
@@ -310,8 +318,8 @@ func (sh *internShard) place(h uint64, f Formula) {
 // node with the given tag and child ids, creating it on a miss. A hit
 // allocates nothing. For an And/Or, ids are the ids of fs (all non-zero)
 // and a miss copies fs, so the caller's slice is never retained; for an
-// atom, ids is the one id of the term l. Past the table cap the node is
-// built with id 0 and not stored.
+// atom, ids is the one id of the term l, and l is the table's copy of it.
+// Past the table cap the node is built with id 0 and not stored.
 func intern(tag byte, ids []ID, fs []Formula, l Lin) Formula {
 	h := hashNode(tag, ids)
 	sh := &internTab[h>>nodeShardShift]
@@ -350,14 +358,15 @@ func intern(tag byte, ids []ID, fs []Formula, l Lin) Formula {
 	return f
 }
 
-// internAtom returns the canonical atom (l ≤ 0) or (l = 0).
+// internAtom returns the canonical atom (l ≤ 0) or (l = 0). The atom
+// holds the table's copy of l, so l may live in memory its owner reuses.
 func internAtom(l Lin, eq bool) Formula {
-	lid := LinID(l)
+	own, lid := internLin(l)
 	if lid == 0 {
-		return Atom{L: l, Eq: eq}
+		return Atom{L: own, Eq: eq}
 	}
 	ids := [1]ID{lid}
-	return intern(atomTag(eq), ids[:], nil, l)
+	return intern(atomTag(eq), ids[:], nil, own)
 }
 
 // canonical returns the interned node structurally equal to f: f itself

@@ -1,11 +1,8 @@
 package logic
 
 import (
-	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -294,45 +291,6 @@ func TestConstructorHitPathAllocFree(t *testing.T) {
 		if a := testing.AllocsPerRun(100, build); a != 0 {
 			t.Errorf("%s allocates %.0f times on the hit path, want 0", name, a)
 		}
-	}
-}
-
-// The one-pass cube of an all-atom conjunction equals what the general
-// product builds: same atoms, same order, an equality as its two halves
-// in place.
-func TestAtomsCubeMatchesProduct(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	vars := []Lin{internVar("x"), internVar("y"), internVar("z")}
-	for round := 0; round < 500; round++ {
-		var fs []Formula
-		for n := rng.Intn(7); n > 0; n-- {
-			l := LinConst(int64(rng.Intn(9) - 4))
-			for _, v := range vars {
-				l = l.Add(v.Scale(int64(rng.Intn(5) - 2)))
-			}
-			if l.IsConst() {
-				continue
-			}
-			fs = append(fs, Atom{L: l, Eq: rng.Intn(3) == 0})
-		}
-		fast, ok := atomsCube(fs)
-		if !ok {
-			t.Fatalf("round %d: atomsCube refused a conjunction of atoms", round)
-		}
-		slow, ok := productCubes(fs, MaxCubes)
-		if !ok || len(slow) != 1 {
-			t.Fatalf("round %d: product gave %d cubes, ok=%v", round, len(slow), ok)
-		}
-		if fmt.Sprint(fast) != fmt.Sprint(slow[0]) || len(fast) != len(slow[0]) {
-			t.Fatalf("round %d:\n one pass %v\n product  %v", round, fast, slow[0])
-		}
-		viaCubes, _ := cubesOf(And{Fs: fs}, MaxCubes)
-		if !reflect.DeepEqual(viaCubes, []Cube{fast}) {
-			t.Fatalf("round %d: cubesOf does not take the one-pass cube", round)
-		}
-	}
-	if _, ok := atomsCube([]Formula{LE(vars[0]), Disj(LE(vars[1]), LE(vars[2]))}); ok {
-		t.Fatal("atomsCube accepted a disjunction among the conjuncts")
 	}
 }
 

@@ -163,26 +163,39 @@ func (l Lin) Equal(r Lin) bool {
 	return true
 }
 
-// normalize divides l by the gcd of its coefficients and constant when that
-// keeps integrality (used to keep atom keys canonical).
+// normalizeLE divides l by the gcd of its coefficients when that keeps
+// integrality (used to keep atom keys canonical), in a copy.
 func (l Lin) normalizeLE() Lin {
-	if len(l.Vars) == 0 {
+	if l.coefGCD() <= 1 {
 		return l
 	}
-	g := int64(0)
+	return l.clone().divideGCD()
+}
+
+// divideGCD is normalizeLE in place, for a term whose coefficients the
+// caller owns. For an atom l ≤ 0 with all variable coefficients divisible
+// by g: k + g·t ≤ 0  ⇔  t ≤ ⌊-k/g⌋  ⇔  t - ⌊-k/g⌋ ≤ 0 over the integers.
+func (l Lin) divideGCD() Lin {
+	if g := l.coefGCD(); g > 1 {
+		for i := range l.Coefs {
+			l.Coefs[i] /= g
+		}
+		l.K = -floorDiv(-l.K, g)
+	}
+	return l
+}
+
+// coefGCD is the gcd of l's coefficients, 0 for a constant.
+func (l Lin) coefGCD() (g int64) {
 	for _, c := range l.Coefs {
 		g = gcd64(g, abs64(c))
 	}
-	if g <= 1 {
-		return l
-	}
-	// For an atom l ≤ 0 with all variable coefficients divisible by g:
-	// k + g·t ≤ 0  ⇔  t ≤ ⌊-k/g⌋  ⇔  t - ⌊-k/g⌋ ≤ 0 over the integers.
-	out := Lin{K: -floorDiv(-l.K, g), Vars: append([]lang.Var(nil), l.Vars...), Coefs: make([]int64, len(l.Coefs))}
-	for i, c := range l.Coefs {
-		out.Coefs[i] = c / g
-	}
-	return out
+	return g
+}
+
+// clone copies l into memory of its own.
+func (l Lin) clone() Lin {
+	return Lin{K: l.K, Vars: append([]lang.Var(nil), l.Vars...), Coefs: append([]int64(nil), l.Coefs...)}
 }
 
 func (l Lin) String() string {

@@ -217,13 +217,12 @@ func TestCubesPreserveSemantics(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 300; i++ {
 		f := FromBool(randBool(r, 3))
-		cubes, ok := Cubes(f, MaxCubes)
-		if !ok {
+		var fs []Formula
+		if !EachCube(f, MaxCubes, func(c Cube) bool {
+			fs = append(fs, c.Formula())
+			return true
+		}) {
 			continue
-		}
-		fs := make([]Formula, len(cubes))
-		for j, c := range cubes {
-			fs[j] = c.Formula()
 		}
 		g := Disj(fs...)
 		m := map[lang.Var]int64{

@@ -2,6 +2,8 @@ package logic
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/lang"
 )
@@ -40,254 +42,309 @@ const MaxCubes = 512
 // Fourier–Motzkin variable elimination.
 const maxCombinations = 4096
 
-// Cubes converts f to disjunctive normal form as a list of cubes. The
-// second result is false if the expansion exceeded max cubes (the returned
-// prefix is then meaningless and must not be used).
-func Cubes(f Formula, max int) ([]Cube, bool) {
-	cubes, ok := cubesOf(f, max)
-	if !ok {
-		return nil, false
+// EachCube calls yield with the cubes of f's DNF in expansion order (depth
+// first, conjuncts left to right, disjuncts in turn) until yield returns
+// false, each cube simplified: terms normalized, equalities split in two,
+// trivially-true and repeated atoms dropped, contradictory cubes skipped.
+// The cubes are counted first: when there are more than max, EachCube
+// yields nothing and returns false. A yielded cube lives in pooled memory
+// reused once yield returns; Formula and LinID copy what a caller keeps.
+func EachCube(f Formula, max int, yield func(Cube) bool) bool {
+	n, ok := countCubes(f, max)
+	if ok && n > 0 {
+		s := GetScratch()
+		defer s.Release()
+		s.walk(f, yield)
 	}
-	out := cubes[:0]
-	for _, c := range cubes {
-		// cubesOf built every cube afresh, so each is filtered in place.
-		if c, ok := simplifyCube(c[:0], c); ok {
-			out = append(out, c)
-		}
-	}
-	return out, true
+	return ok
 }
 
-func cubesOf(f Formula, max int) ([]Cube, bool) {
+// countCubes counts the cubes of f's DNF; false when a disjunction's
+// running total, or a conjunction's non-zero running product, passes max.
+// A conjunct after one with no cubes is still counted and can still fail.
+func countCubes(f Formula, max int) (int, bool) {
 	switch f := f.(type) {
-	case Bool:
-		if bool(f) {
-			return []Cube{{}}, true
+	case Bool, Atom:
+		if f == False {
+			return 0, true
 		}
-		return nil, true
-	case Atom:
-		return []Cube{appendAtom(nil, f)}, true
+		return 1, true
 	case Or:
-		var out []Cube
+		n := 0
 		for _, g := range f.Fs {
-			cs, ok := cubesOf(g, max)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, cs...)
-			if len(out) > max {
-				return nil, false
+			c, ok := countCubes(g, max)
+			if n += c; !ok || n > max {
+				return 0, false
 			}
 		}
-		return out, true
+		return n, true
 	case And:
-		if c, ok := atomsCube(f.Fs); ok && max >= 1 {
-			return []Cube{c}, true
+		n := 1
+		for _, g := range f.Fs {
+			c, ok := countCubes(g, max)
+			if n *= c; !ok || n > max && n > 0 {
+				return 0, false
+			}
 		}
-		return productCubes(f.Fs, max)
+		return n, true
 	default:
 		panic(fmt.Sprintf("logic: unknown Formula %T", f))
 	}
 }
 
-// appendAtom appends a's ≤-atoms to c: a itself, or for an equality
-// L = 0 the pair L ≤ 0, -L ≤ 0.
-func appendAtom(c Cube, a Atom) Cube {
-	if a.Eq {
-		return append(c, Atom{L: a.L}, Atom{L: a.L.Scale(-1)})
-	}
-	return append(c, a)
+// Scratch is the cube kernel's working memory: cubes, and an arena for
+// the terms their atoms point into, all dropped together by Release.
+type Scratch struct {
+	atoms []Atom
+	vars  []lang.Var // the term arena: vars and coefs grow in step
+	coefs []int64
+	names []lang.Var // Vars' lists
+	vcoef []int64    // eliminate's coefficients of v
+	// The DNF walk's raw cube, goal lists and entered disjunctions.
+	raw     []Atom
+	goals   []goal
+	choices []choice
 }
 
-// atomsCube is the common case of productCubes, a conjunction of atoms
-// only: its DNF is one cube, built here in one pass where the product
-// re-copies the growing cube once per conjunct. False when some conjunct
-// is not an atom.
-func atomsCube(fs []Formula) (Cube, bool) {
-	n := 0
-	for _, g := range fs {
-		a, ok := g.(Atom)
-		if !ok {
-			return nil, false
-		}
-		n++
-		if a.Eq {
-			n++
-		}
-	}
-	c := make(Cube, 0, n)
-	for _, g := range fs {
-		c = appendAtom(c, g.(Atom))
-	}
-	return c, true
+// goal is a formula the walk has still to conjoin, in a list linked by
+// index.
+type goal struct {
+	f    Formula
+	next int // -1 ends the list
 }
 
-// productCubes is the DNF of the conjunction of fs: the product of the
-// conjuncts' cube lists, each cube the concatenation of one cube per
-// conjunct in order.
-func productCubes(fs []Formula, max int) ([]Cube, bool) {
-	out := []Cube{{}}
-	for _, g := range fs {
-		cs, ok := cubesOf(g, max)
-		if !ok {
-			return nil, false
-		}
-		var next []Cube
-		for _, base := range out {
-			for _, c := range cs {
-				merged := make(Cube, 0, len(base)+len(c))
-				merged = append(merged, base...)
-				merged = append(merged, c...)
-				next = append(next, merged)
-				if len(next) > max {
-					return nil, false
-				}
+// choice is an entered disjunction: the disjunct to try next, the goal
+// list after it, and the fills of raw, goals and the arena on entry.
+type choice struct {
+	fs                            []Formula
+	next, rest, raw, goals, terms int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// GetScratch returns a scratch from the pool.
+func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// Release returns s to the pool; what s returned must not be used after.
+func (s *Scratch) Release() {
+	*s = Scratch{s.atoms[:0], s.vars[:0], s.coefs[:0], s.names[:0], s.vcoef, s.raw[:0], s.goals[:0], s.choices[:0]}
+	scratchPool.Put(s)
+}
+
+// term is l.Scale(k) in the arena.
+func (s *Scratch) term(l Lin, k int64) Lin {
+	from := len(s.vars)
+	s.vars = append(s.vars, l.Vars...)
+	for _, c := range l.Coefs {
+		s.coefs = append(s.coefs, c*k)
+	}
+	return Lin{K: l.K * k, Vars: s.vars[from:], Coefs: s.coefs[from:]}
+}
+
+// combine is x.Scale(a).Add(y.Scale(b)) without v's entry, merged into
+// the arena in one pass.
+func (s *Scratch) combine(x Lin, a int64, y Lin, b int64, v lang.Var) Lin {
+	from := len(s.vars)
+	i, j := 0, 0
+	for i < len(x.Vars) || j < len(y.Vars) {
+		var u lang.Var
+		var c int64
+		switch {
+		case j == len(y.Vars) || i < len(x.Vars) && x.Vars[i] < y.Vars[j]:
+			u, c = x.Vars[i], x.Coefs[i]*a
+			i++
+		case i == len(x.Vars) || y.Vars[j] < x.Vars[i]:
+			u, c = y.Vars[j], y.Coefs[j]*b
+			j++
+		default:
+			u, c = x.Vars[i], x.Coefs[i]*a+y.Coefs[j]*b
+			i, j = i+1, j+1
+			if c == 0 {
+				continue
 			}
 		}
-		out = next
+		if u != v {
+			s.vars, s.coefs = append(s.vars, u), append(s.coefs, c)
+		}
 	}
-	return out, true
+	return Lin{K: x.K*a + y.K*b, Vars: s.vars[from:], Coefs: s.coefs[from:]}
 }
 
-// simplifyCube appends c to dst without its trivially-true and repeated
-// atoms, every term normalized; the bool result is false when the cube is
-// contradictory by constant folding alone. A caller that owns c passes
-// c[:0] as dst and has it filtered in place; one that does not passes a
-// fresh slice.
-func simplifyCube(dst, c Cube) (Cube, bool) {
-	var idBuf [nodeScratch]ID
-	seen := idSet{ids: idBuf[:0]}
-	var seenStr map[string]bool // fallback for intern-table overflow
+// simplify filters the cube s.atoms[from:] in place: terms normalized,
+// trivially-true atoms dropped, of equal terms the first kept; false when
+// constant folding contradicts the cube. Cubes are small (at most 32 atoms
+// on the Table-1 checks), so a scan finds repeats.
+func (s *Scratch) simplify(from int) (Cube, bool) {
+	c, n := s.atoms[from:], 0
+next:
 	for _, a := range c {
-		l := a.L.normalizeLE()
+		l := a.L
+		if l.coefGCD() > 1 {
+			l = s.term(l, 1).divideGCD()
+		}
 		if l.IsConst() {
 			if l.K > 0 {
+				s.atoms = s.atoms[:from]
 				return nil, false
 			}
 			continue
 		}
-		if id := LinID(l); id != 0 {
-			var fresh bool
-			if seen, fresh = seen.insert(id); !fresh {
-				continue
+		for _, k := range c[:n] {
+			if k.L.Equal(l) {
+				continue next
 			}
-		} else {
-			if seenStr == nil {
-				seenStr = map[string]bool{}
-			}
-			k := l.String()
-			if seenStr[k] {
-				continue
-			}
-			seenStr[k] = true
 		}
-		dst = append(dst, Atom{L: l})
+		c[n] = Atom{L: l}
+		n++
 	}
-	return dst, true
+	s.atoms = s.atoms[:from+n]
+	return s.atoms[from:], true
 }
 
-// eliminateVar removes v from the cube by Fourier–Motzkin combination.
-// The exact result reports whether the projection is exact over the
-// integers (every combined pair had a unit coefficient).
-func eliminateVar(c Cube, v lang.Var, mode Shadow) (out Cube, exact bool, sat bool) {
-	var lowers, uppers []struct {
-		coef int64 // positive
-		rest Lin   // term without v
+func (s *Scratch) push(f Formula, next int) int {
+	s.goals = append(s.goals, goal{f, next})
+	return len(s.goals) - 1
+}
+
+// walk yields the cubes of f in EachCube's order: it conjoins goals onto
+// the raw cube until none is left (a cube), one is false or one is an Or,
+// then goes on with the next disjunct of the innermost Or with one left.
+func (s *Scratch) walk(f Formula, yield func(Cube) bool) {
+	cur := s.push(f, -1)
+	for {
+		ok := true
+		for ok && cur >= 0 {
+			g := s.goals[cur]
+			switch cur = g.next; g := g.f.(type) {
+			case Bool:
+				ok = bool(g)
+			case Atom:
+				s.raw = append(s.raw, Atom{L: g.L})
+				if g.Eq {
+					s.raw = append(s.raw, Atom{L: s.term(g.L, -1)})
+				}
+			case And:
+				for i := len(g.Fs) - 1; i >= 0; i-- {
+					cur = s.push(g.Fs[i], cur)
+				}
+			case Or:
+				s.choices = append(s.choices, choice{g.Fs, 0, cur, len(s.raw), len(s.goals), len(s.vars)})
+				ok = false
+			}
+		}
+		if ok {
+			s.atoms = append(s.atoms[:0], s.raw...)
+			if c, ok := s.simplify(0); ok && !yield(c) {
+				return
+			}
+		}
+		for len(s.choices) > 0 && s.choices[len(s.choices)-1].next == len(s.choices[len(s.choices)-1].fs) {
+			s.choices = s.choices[:len(s.choices)-1]
+		}
+		if len(s.choices) == 0 {
+			return
+		}
+		c := &s.choices[len(s.choices)-1]
+		s.raw, s.goals, s.vars, s.coefs = s.raw[:c.raw], s.goals[:c.goals], s.vars[:c.terms], s.coefs[:c.terms]
+		cur = s.push(c.fs[c.next], c.rest)
+		c.next++
 	}
-	exact = true
+}
+
+// Vars returns the variables of c, sorted and distinct, in s.
+func (s *Scratch) Vars(c Cube) []lang.Var {
+	from := len(s.names)
 	for _, a := range c {
-		coef := a.L.Coef(v)
-		if coef == 0 {
-			out = append(out, a)
-			continue
-		}
-		rest := a.L.Subst(v, LinConst(0))
-		if coef > 0 {
-			// coef·v + rest ≤ 0 : upper bound coef·v ≤ -rest.
-			uppers = append(uppers, struct {
-				coef int64
-				rest Lin
-			}{coef, rest})
-		} else {
-			// coef·v + rest ≤ 0 with coef<0 : lower bound (-coef)·v ≥ rest.
-			lowers = append(lowers, struct {
-				coef int64
-				rest Lin
-			}{-coef, rest})
-		}
+		s.names = append(s.names, a.L.Vars...)
 	}
-	if len(lowers) == 0 || len(uppers) == 0 {
-		// v is unbounded on one side: any value works, projection exact.
-		return out, true, true
-	}
-	if len(lowers)*len(uppers) > maxCombinations {
-		// Blow-up guard. For the over-approximating real shadow, dropping
-		// the combined constraints is sound (a larger set); for the
-		// under-approximating dark shadow the sound fallback is the empty
-		// set, reported as a contradictory cube.
-		if mode == Over {
-			return out, false, true
-		}
-		return nil, false, false
-	}
-	for _, lo := range lowers {
-		for _, up := range uppers {
-			// lo.rest ≤ a·v and c·v ≤ -up.rest with a=lo.coef, c=up.coef:
-			// real shadow c·lo.rest + a·up.rest ≤ 0.
-			comb := lo.rest.Scale(up.coef).Add(up.rest.Scale(lo.coef))
-			if lo.coef != 1 && up.coef != 1 {
-				exact = false
-				if mode == Under {
-					// dark shadow: guarantee an integer point between the
-					// rational bounds.
-					comb = comb.AddConst((lo.coef - 1) * (up.coef - 1))
-				}
-			}
-			comb = comb.normalizeLE()
-			if comb.IsConst() {
-				if comb.K > 0 {
-					return nil, exact, false
-				}
-				continue
-			}
-			out = append(out, Atom{L: comb})
-		}
-	}
-	out, ok := simplifyCube(out[:0], out) // out is this call's own
-	return out, exact, ok
+	slices.Sort(s.names[from:])
+	vs := slices.Compact(s.names[from:])
+	s.names = s.names[:from+len(vs)]
+	return vs
 }
 
-// ProjectCube eliminates all variables in elim from the cube. sat=false
-// means the projected cube is contradictory (by constant folding during
-// elimination).
-func ProjectCube(c Cube, elim map[lang.Var]bool, mode Shadow) (out Cube, exact bool, sat bool) {
-	out, ok := simplifyCube(make(Cube, 0, len(c)), c)
-	if !ok {
+// Project eliminates the variables of elim, sorted and distinct, from the
+// cube in order by Fourier–Motzkin elimination with the given shadow; the
+// result lives in s. exact reports whether it is the precise integer
+// projection; sat=false means constant folding found it contradictory.
+func (s *Scratch) Project(c Cube, elim []lang.Var, mode Shadow) (out Cube, exact, sat bool) {
+	from := len(s.atoms)
+	s.atoms = append(s.atoms, c...)
+	if out, sat = s.simplify(from); !sat {
 		return nil, true, false
 	}
 	exact = true
-	for _, v := range sortedVars(elim) {
+	for _, v := range elim {
 		var ex bool
-		out, ex, sat = eliminateVar(out, v, mode)
-		exact = exact && ex
-		if !sat {
+		out, ex, sat = s.eliminate(out, v, mode)
+		if exact = exact && ex; !sat {
 			return nil, exact, false
 		}
 	}
 	return out, exact, true
 }
 
-func sortedVars(set map[lang.Var]bool) []lang.Var {
-	out := make([]lang.Var, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+// eliminate removes v from the simplified cube c by Fourier–Motzkin
+// combination. exact reports whether the projection is exact over the
+// integers (every combined pair had a unit coefficient).
+func (s *Scratch) eliminate(c Cube, v lang.Var, mode Shadow) (out Cube, exact, sat bool) {
+	from := len(s.atoms)
+	s.vcoef = s.vcoef[:0]
+	lowers, uppers := 0, 0
+	for _, a := range c {
+		coef := a.L.Coef(v)
+		s.vcoef = append(s.vcoef, coef)
+		switch {
+		case coef == 0:
+			s.atoms = append(s.atoms, a)
+		case coef > 0:
+			uppers++
+		default:
+			lowers++
 		}
 	}
-	return out
+	if lowers == 0 || uppers == 0 {
+		// v is unbounded on one side: any value works, projection exact.
+		return s.atoms[from:], true, true
+	}
+	if lowers*uppers > maxCombinations {
+		// Blow-up guard. For the over-approximating real shadow, dropping
+		// the combined constraints is sound (a larger set); for the
+		// under-approximating dark shadow the sound fallback is the empty
+		// set, reported as a contradictory cube.
+		return s.atoms[from:], false, mode == Over
+	}
+	exact = true
+	for i, lo := range c {
+		for j, up := range c {
+			if s.vcoef[i] >= 0 || s.vcoef[j] <= 0 {
+				continue
+			}
+			a, b := -s.vcoef[i], s.vcoef[j]
+			// With r and r' the terms of lo and up without v: r ≤ a·v and
+			// b·v ≤ -r', real shadow b·r + a·r' ≤ 0.
+			terms := len(s.vars)
+			comb := s.combine(lo.L, b, up.L, a, v)
+			if a != 1 && b != 1 {
+				exact = false
+				if mode == Under {
+					// dark shadow: guarantee an integer point between the
+					// rational bounds.
+					comb.K += (a - 1) * (b - 1)
+				}
+			}
+			if comb = comb.divideGCD(); comb.IsConst() {
+				if comb.K > 0 {
+					return nil, exact, false
+				}
+				s.vars, s.coefs = s.vars[:terms], s.coefs[:terms]
+				continue
+			}
+			s.atoms = append(s.atoms, Atom{L: comb})
+		}
+	}
+	out, sat = s.simplify(from)
+	return out, exact, sat
 }
 
 // Exists existentially quantifies the variables in elim out of f using the
@@ -302,22 +359,21 @@ func Exists(f Formula, elim []lang.Var, mode Shadow) (Formula, bool) {
 	if !Mentions(f, set) {
 		return f, true
 	}
-	cubes, ok := Cubes(f, MaxCubes)
-	if !ok {
-		if mode == Over {
-			return True, false
-		}
-		return False, false
-	}
+	vars := slices.Clone(elim)
+	slices.Sort(vars)
+	vars = slices.Compact(vars)
 	exact := true
 	var out []Formula
-	for _, c := range cubes {
-		p, ex, sat := ProjectCube(c, set, mode)
-		exact = exact && ex
-		if !sat {
-			continue
+	if !EachCube(f, MaxCubes, func(c Cube) bool {
+		s := GetScratch()
+		p, ex, sat := s.Project(c, vars, mode)
+		if exact = exact && ex; sat {
+			out = append(out, p.Formula())
 		}
-		out = append(out, p.Formula())
+		s.Release()
+		return true
+	}) {
+		return Bool(mode == Over), false
 	}
 	return Disj(out...), exact
 }
@@ -330,7 +386,7 @@ func BoundsOn(c Cube, v lang.Var, model map[lang.Var]int64) (lo, hi int64, hasLo
 		if coef == 0 {
 			continue
 		}
-		rest := a.L.Subst(v, LinConst(0)).Eval(model)
+		rest := a.L.Eval(model) - coef*model[v] // a.L without v, under model
 		if coef > 0 {
 			// coef·v ≤ -rest → v ≤ ⌊-rest/coef⌋.
 			b := floorDiv(-rest, coef)

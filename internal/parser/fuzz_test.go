@@ -1,0 +1,60 @@
+package parser
+
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
+	"testing"
+)
+
+// FuzzParse feeds arbitrary text to the front end. Every input yields a
+// program or an error, never a panic and never both; the lexer and the
+// parser report a *Error with a position, and every number token carries
+// the value strconv gives its text.
+func FuzzParse(f *testing.F) {
+	f.Add(sample)
+	f.Add("proc main { x = 99999999999999999999; }")
+	f.Add("proc main { x = ٣ + 12٣; }")
+	f.Add("proc f(a) { return a * 2; } proc main { locals r; r = f(3); assert(r == 6); }")
+	f.Add("proc main { /* unterminated")
+	files, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "corpus", "*.bolt"))
+	for _, name := range files {
+		if src, err := os.ReadFile(name); err == nil {
+			f.Add(string(src))
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 4096 {
+			return // nesting is bounded by length; long inputs only slow the run
+		}
+		toks, err := tokenize(src)
+		var pe *Error
+		if err != nil && !errors.As(err, &pe) {
+			t.Fatalf("tokenize(%q): untyped error %v", src, err)
+		}
+		for _, tok := range toks {
+			if tok.kind != tokNumber {
+				continue
+			}
+			if v, err := strconv.ParseInt(tok.text, 10, 64); err != nil || v != tok.val {
+				t.Fatalf("number token %q carries %d, strconv gives %d (%v)", tok.text, tok.val, v, err)
+			}
+		}
+		if err == nil {
+			p := &parser{toks: toks}
+			if _, err := p.parseProgram(); err != nil && !errors.As(err, &pe) {
+				t.Fatalf("parse(%q): untyped error %v", src, err)
+			}
+		}
+		prog, err := Parse(src)
+		if (prog == nil) == (err == nil) {
+			t.Fatalf("Parse(%q) = %v, %v: want exactly one of a program and an error", src, prog, err)
+		}
+		if prog != nil {
+			if err := prog.Validate(); err != nil {
+				t.Fatalf("Parse(%q) returned a program that does not validate: %v", src, err)
+			}
+		}
+	})
+}

@@ -51,6 +51,7 @@ var keywords = map[string]bool{
 type token struct {
 	kind tokenKind
 	text string
+	val  int64 // a number's value
 	line int
 	col  int
 }
@@ -163,16 +164,17 @@ func (lx *lexer) next() (token, error) {
 			kind = tokKeyword
 		}
 		return token{kind: kind, text: text, line: line, col: col}, nil
-	case unicode.IsDigit(r):
+	case isDigit(r):
 		start := lx.pos
-		for lx.pos < len(lx.src) && unicode.IsDigit(lx.peekRune()) {
+		for lx.pos < len(lx.src) && isDigit(lx.peekRune()) {
 			lx.nextRune()
 		}
 		text := string(lx.src[start:lx.pos])
-		if _, err := strconv.ParseInt(text, 10, 64); err != nil {
+		val, err := strconv.ParseInt(text, 10, 64)
+		if err != nil {
 			return token{}, lx.errorf(line, col, "number %s out of range", text)
 		}
-		return token{kind: tokNumber, text: text, line: line, col: col}, nil
+		return token{kind: tokNumber, text: text, val: val, line: line, col: col}, nil
 	case r == '(' || r == ')' || r == '{' || r == '}' || r == ';' || r == ',':
 		lx.nextRune()
 		return token{kind: tokPunct, text: string(r), line: line, col: col}, nil
@@ -195,6 +197,9 @@ func (lx *lexer) next() (token, error) {
 		return token{}, lx.errorf(line, col, "unexpected character %q", r)
 	}
 }
+
+// isDigit accepts the ASCII digits only: a number is what strconv parses.
+func isDigit(r rune) bool { return '0' <= r && r <= '9' }
 
 // tokenize scans the whole input.
 func tokenize(src string) ([]token, error) {

@@ -572,9 +572,7 @@ func (p *parser) parseIntPrimary() (lang.IntExpr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.advance()
-		var v int64
-		fmt.Sscanf(t.text, "%d", &v)
-		return lang.Const{Val: v}, nil
+		return lang.Const{Val: t.val}, nil
 	case tokIdent:
 		p.advance()
 		return lang.Ref{V: lang.Var(t.text)}, nil

@@ -75,6 +75,8 @@ func TestParseErrors(t *testing.T) {
 		{"proc main { assume(x >); }", "expected integer expression"},
 		{"", "no procedures"},
 		{"proc main { x = 99999999999999999999; }", "out of range"},
+		{"proc main { x = ٣; }", "unexpected character '٣'"},
+		{"proc main { x = 12٣; }", "unexpected character '٣'"},
 		{"proc main { /* unterminated }", "unterminated block comment"},
 	}
 	for _, c := range cases {

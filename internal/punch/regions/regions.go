@@ -278,25 +278,23 @@ var auditSplit, auditStep = func(*Graph) {}, func(*Edge) {}
 // is a plain binary split.
 func (g *Graph) PartitionOn(m *punch.Meter, r *Region, wp logic.Formula) (ins, outs []*Region) {
 	mk := func(f logic.Formula) []*Region {
-		cubes, ok := logic.Cubes(f, 32)
-		if !ok {
-			m.Charge(8)
-			s := m.Solver.Simplify(f)
-			if sr := m.Sat(s); sr.Known && !sr.Sat {
-				return nil
-			}
-			return []*Region{g.NewRegion(r.Node, s, r.Target)}
-		}
 		var parts []*Region
-		for _, c := range cubes {
+		if logic.EachCube(f, 32, func(c logic.Cube) bool {
 			m.Charge(4)
 			cf := m.Solver.Simplify(c.Formula())
-			if sr := m.Sat(cf); sr.Known && !sr.Sat {
-				continue
+			if sr := m.Sat(cf); !sr.Known || sr.Sat {
+				parts = append(parts, g.NewRegion(r.Node, cf, r.Target))
 			}
-			parts = append(parts, g.NewRegion(r.Node, cf, r.Target))
+			return true
+		}) {
+			return parts
 		}
-		return parts
+		m.Charge(8)
+		s := m.Solver.Simplify(f)
+		if sr := m.Sat(s); sr.Known && !sr.Sat {
+			return nil
+		}
+		return []*Region{g.NewRegion(r.Node, s, r.Target)}
 	}
 	ins = mk(logic.Conj(r.F, wp))
 	outs = mk(logic.Conj(r.F, logic.Not(wp)))

@@ -156,8 +156,7 @@ func (sk *skeleton) blockingLits(s *Solver, assign []int8, provenUnsat bool) []i
 					trial = append(trial, la.atom)
 				}
 			}
-			vars := cubeVars(trial)
-			if !s.rationallySat(trial, vars) {
+			if !s.rationallySat(trial) {
 				kept = append(kept[:i:i], kept[i+1:]...)
 			} else {
 				i++

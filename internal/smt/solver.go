@@ -220,19 +220,22 @@ func (s *Solver) satUncached(f logic.Formula) Result {
 		}
 		return Result{Known: true}
 	}
-	// Fast path: small DNF, decide cube by cube.
-	if cubes, ok := logic.Cubes(f, s.maxDNF); ok {
-		unknown := false
-		for _, c := range cubes {
-			r := s.satCube(c)
-			if r.Sat && r.Known {
-				return r
-			}
-			if !r.Known {
-				unknown = true
-			}
+	// Fast path: small DNF, decide cube by cube until one has a model.
+	var found Result
+	unknown := false
+	if logic.EachCube(f, s.maxDNF, func(c logic.Cube) bool {
+		r := s.satCube(c)
+		if r.Sat && r.Known {
+			found = r
+			return false
 		}
-		if unknown {
+		unknown = unknown || !r.Known
+		return true
+	}) {
+		switch {
+		case found.Known:
+			return found
+		case unknown:
 			return Result{Sat: true}
 		}
 		return Result{Known: true}
@@ -261,18 +264,14 @@ func (s *Solver) satCube(c logic.Cube) Result {
 
 func (s *Solver) satCubeUncached(c logic.Cube) Result {
 	s.tick(int64(len(c)) + 1)
-	vars := cubeVars(c)
-	if !s.rationallySat(c, vars) {
+	if !s.rationallySat(c) {
 		return Result{Known: true}
 	}
-	model := s.findIntModel(c, vars, 0)
+	fm := logic.GetScratch()
+	model := s.findIntModel(fm, c, fm.Vars(c), 0)
+	fm.Release()
 	if model == nil {
 		return Result{Sat: true} // rational-sat, integer status unknown
-	}
-	for v := range vars {
-		if _, ok := model[v]; !ok {
-			model[v] = 0
-		}
 	}
 	if !logic.Eval(c.Formula(), model) {
 		// Defensive: a model we cannot verify is treated as unknown.
@@ -285,8 +284,9 @@ func (s *Solver) satCubeUncached(c logic.Cube) Result {
 // terms, packed into a string for map use. False when any term is not
 // internable (table cap) or the cube contains an equality.
 func cubeKey(c logic.Cube) (strKey, bool) {
-	ids := make([]uint64, len(c))
-	for i, a := range c {
+	var idBuf [32]logic.ID
+	ids := idBuf[:0]
+	for _, a := range c {
 		if a.Eq {
 			return "", false
 		}
@@ -294,7 +294,7 @@ func cubeKey(c logic.Cube) (strKey, bool) {
 		if id == 0 {
 			return "", false
 		}
-		ids[i] = uint64(id)
+		ids = append(ids, id)
 	}
 	// Insertion sort: cubes are small and nearly sorted.
 	for i := 1; i < len(ids); i++ {
@@ -302,7 +302,8 @@ func cubeKey(c logic.Cube) (strKey, bool) {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-	buf := make([]byte, 0, 8*len(ids))
+	var bufArr [8 * len(idBuf)]byte
+	buf := bufArr[:0]
 	for _, id := range ids {
 		buf = append(buf,
 			byte(id), byte(id>>8), byte(id>>16), byte(id>>24),
@@ -311,41 +312,45 @@ func cubeKey(c logic.Cube) (strKey, bool) {
 	return strKey(buf), true
 }
 
-// rationallySat runs real-shadow FM elimination to refute the cube over
-// the rationals. A false answer is a proof of integer unsatisfiability.
-func (s *Solver) rationallySat(c logic.Cube, vars map[lang.Var]bool) bool {
-	_, _, sat := logic.ProjectCube(c, vars, logic.Over)
+// rationallySat runs real-shadow FM elimination of every variable to
+// refute the cube over the rationals. A false answer is a proof of
+// integer unsatisfiability. The projection itself is not needed, so its
+// scratch is released here.
+func (s *Solver) rationallySat(c logic.Cube) bool {
+	fm := logic.GetScratch()
+	_, _, sat := fm.Project(c, fm.Vars(c), logic.Over)
+	fm.Release()
 	s.tick(int64(len(c)))
 	return sat
 }
 
-// findIntModel searches for an integer model of the cube. It eliminates
-// variables one at a time, first with the real shadow; if back-substitution
-// finds an empty integer interval it retries with the dark shadow, whose
-// result guarantees an integer witness for the eliminated variable.
-func (s *Solver) findIntModel(c logic.Cube, vars map[lang.Var]bool, depth int) map[lang.Var]int64 {
+// findIntModel searches for an integer model of the cube over vars, its
+// variables sorted; a model it returns assigns every one of them. It
+// eliminates them one at a time, first with the real shadow; if
+// back-substitution finds an empty integer interval it retries with the
+// dark shadow, whose result guarantees an integer witness for the
+// eliminated variable. Every projection lives in fm until the caller
+// releases it.
+func (s *Solver) findIntModel(fm *logic.Scratch, c logic.Cube, vars []lang.Var, depth int) map[lang.Var]int64 {
 	s.tick(1)
 	if depth > 64 {
 		return nil
 	}
-	v, ok := firstVar(vars)
-	if !ok {
-		// Ground cube: satisfiable iff no positive constant remains, which
-		// simplifyCube inside ProjectCube has already established.
-		if _, _, sat := logic.ProjectCube(c, nil, logic.Over); !sat {
+	if len(vars) == 0 {
+		// Ground cube: satisfiable iff no positive constant remains,
+		// which Project's simplification establishes.
+		if _, _, sat := fm.Project(c, nil, logic.Over); !sat {
 			return nil
 		}
 		return map[lang.Var]int64{}
 	}
-	rest := cloneVarSet(vars)
-	delete(rest, v)
-
+	v := vars[0]
 	try := func(mode logic.Shadow) map[lang.Var]int64 {
-		proj, _, sat := logic.ProjectCube(c, map[lang.Var]bool{v: true}, mode)
+		proj, _, sat := fm.Project(c, vars[:1], mode)
 		if !sat {
 			return nil
 		}
-		m := s.findIntModel(proj, rest, depth+1)
+		m := s.findIntModel(fm, proj, vars[1:], depth+1)
 		if m == nil {
 			return nil
 		}
@@ -483,36 +488,6 @@ func hasEq(f logic.Formula) bool {
 		}
 	}
 	return false
-}
-
-func cubeVars(c logic.Cube) map[lang.Var]bool {
-	out := map[lang.Var]bool{}
-	for _, a := range c {
-		for _, v := range a.L.Vars {
-			out[v] = true
-		}
-	}
-	return out
-}
-
-func cloneVarSet(m map[lang.Var]bool) map[lang.Var]bool {
-	out := make(map[lang.Var]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func firstVar(m map[lang.Var]bool) (lang.Var, bool) {
-	var best lang.Var
-	found := false
-	for v := range m {
-		if !found || v < best {
-			best = v
-			found = true
-		}
-	}
-	return best, found
 }
 
 func clamp(x, lo, hi int64) int64 {
