@@ -26,10 +26,12 @@ test:
 	$(GO) test ./...
 
 # race re-runs the concurrency-heavy packages under the race detector:
-# the streaming engine, the sharded summary database, the solver's
-# memos and fuzz seed corpus (shared interning table under concurrent
-# PUNCH), the PUNCH instantiations and the region graph (four streaming
-# workers on one solver's memos), the hash-consing table itself, the
+# the streaming engine and two overlapping checks in one process (the
+# intern table is dropped only when both have ended), the sharded summary
+# database, the solver's memos and fuzz seed corpus (shared interning
+# table under concurrent PUNCH), the PUNCH instantiations and the region
+# graph (four streaming workers on one solver's memos), the hash-consing
+# table itself (builders racing with drops), the
 # query tree's coalescing machinery, the persistent summary store (every
 # mutating method at once on one handle), and the observability layer (live probe, watchdog, flight recorder, debug
 # server — all sampled from outside the run's goroutines).
@@ -66,17 +68,23 @@ one-reduce:
 dead-exports:
 	$(GO) test -run 'TestNoDeadExports|TestNoDeadOptions' -count=1 .
 
-# alloc-pin holds the allocation of a check whose formulas all exist
-# already: parport/PowerDownFail on one thread, twice in one process, the
-# second run's runtime.MemStats.TotalAlloc against the budget committed in
-# alloc_pin_test.go. The formula constructors allocate nothing when they
-# return an existing node; a change that gives that back fails here. The
-# second pin is the region graph's: a path search on a settled graph
-# allocates the path it returns and nothing else (testing.AllocsPerRun).
-# The third is the cube kernel's: with its pool warm, enumerating a DNF and
-# a real-shadow check of a cube allocate nothing.
+# alloc-pin holds the allocation of a check: parport/PowerDownFail on one
+# thread, twice in one process, the second run's
+# runtime.MemStats.TotalAlloc against the budget committed in
+# alloc_pin_test.go (the first run drops the intern table, so the second
+# interns its formulas again). Beside it, the heap pin: five different
+# Table-1 checks in a row leave no more heap in use after a collection
+# than the first did, because what a check interns ends with it. The
+# formula constructors, and the term arithmetic on the way to them,
+# allocate nothing when they return an existing node, nor does keying a
+# formula of a dropped generation once it is interned again
+# (testing.AllocsPerRun). The region graph's pin: a path search on a
+# settled graph allocates the path it returns and nothing else. The cube
+# kernel's: with its pool warm, enumerating a DNF and a real-shadow check
+# of a cube allocate nothing.
 alloc-pin:
-	$(GO) test -run TestAllocPin -count=1 .
+	$(GO) test -run 'TestAllocPin|TestHeapPin' -count=1 .
+	$(GO) test -run TestConstructorHitPathAllocFree -count=1 ./internal/logic
 	$(GO) test -run TestFindPathAllocPin -count=1 ./internal/punch/regions
 	$(GO) test -run TestCubeKernelAllocPin -count=1 ./internal/logic
 
@@ -128,7 +136,8 @@ bench-smoke:
 # fuzz-smoke gives each fuzzer a short budget: the solver against its
 # reference implementation, the cube kernel (DNF enumeration and
 # Fourier–Motzkin projection) against its reference implementation, the
-# wire codec's decode/re-encode round trip on arbitrary bytes, arbitrary
+# wire codec's decode/re-encode round trip on arbitrary bytes (with the
+# intern table dropped in between), arbitrary
 # bytes as the store's log, and arbitrary text as a program (each a typed
 # error or a clean result, never a panic).
 fuzz-smoke:

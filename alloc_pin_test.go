@@ -11,25 +11,30 @@ import (
 	"repro/internal/harness"
 )
 
-// allocPinBudget is what one warm one-thread check of parport/PowerDownFail
-// may allocate: the 5.91 MB measured when the budget was set (15.48 MB
-// before the cube kernel built its cubes and projections in pooled scratch
-// memory, 17.22 MB before the region graph kept records of live edges
-// only, 18.47 MB before splits inherited shut marks and the run memoized
-// one-step feasibility, 40.4 MB before the intern table owned its nodes),
-// plus 10 %. The figure repeats to 0.1 % between runs, so the head-room is
-// for changes elsewhere, not for noise. Under -race it is not held: the
-// race detector makes sync.Pool drop a quarter of what it is given, and the
-// scratch memory is allocated again. A change that lowers the allocation on
-// purpose lowers the budget with it.
-const allocPinBudget = 6_500_000
+// allocPinBudget is what the second of two one-thread checks of
+// parport/PowerDownFail in one process may allocate: the 5.53 MB measured
+// when the intern table came to live as long as a run and term arithmetic
+// and child lists moved to the stack (5.91 MB before, when the second
+// check found every formula interned by the first; 15.48
+// MB before the cube kernel built its cubes and projections in pooled
+// scratch memory, 17.22 MB before the region graph kept records of live
+// edges only, 18.47 MB before splits inherited shut marks and the run
+// memoized one-step feasibility, 40.4 MB before the intern table owned its
+// nodes), plus 10 %. The figure repeats to 0.1 % between runs, so the
+// head-room is for changes elsewhere, not for noise. Under -race it is not
+// held: the race detector makes sync.Pool drop a quarter of what it is
+// given, and the scratch memory is allocated again. A change that lowers
+// the allocation on purpose lowers the budget with it.
+const allocPinBudget = 6_100_000
 
-// TestAllocPin holds the allocation of the formula constructors' hit path
-// still. The check runs twice: the first run fills the process-global
-// intern table, whatever ran in this process before it, so the second
-// builds hardly a formula that does not exist and allocates what the
-// analysis itself needs — cubes, region-graph edges, solver memos. Giving
-// back a child slice or a boxed node per Conj shows here as megabytes.
+// TestAllocPin holds the allocation of a check still. The check runs
+// twice. The first run ends by dropping the intern table, so the second
+// interns every formula it builds again, as a run in a new process does;
+// what differs from the first is only that the runtime and the cube
+// kernel's scratch pool are warm. It is the second that is held against
+// the budget: constructors that allocate on a hit, term arithmetic that
+// goes to the heap on the way to the table, or a layer above that
+// allocates more show here as megabytes.
 func TestAllocPin(t *testing.T) {
 	prog := bolt.MustParse(drivers.Source(harness.Table1Checks()[3].Config))
 	run := func() uint64 {
@@ -42,13 +47,46 @@ func TestAllocPin(t *testing.T) {
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	cold, warm := run(), run()
-	t.Logf("allocated %d bytes cold, %d warm (budget %d)", cold, warm, allocPinBudget)
+	first, second := run(), run()
+	t.Logf("allocated %d bytes in the first check, %d in the second (budget %d)", first, second, allocPinBudget)
 	if raceEnabled() {
 		t.Skip("the budget is not held under the race detector")
 	}
-	if warm > allocPinBudget {
-		t.Errorf("warm check allocates %d bytes, budget %d: the constructors' hit path allocates again, or a layer above it allocates more", warm, allocPinBudget)
+	if second > allocPinBudget {
+		t.Errorf("second check allocates %d bytes, budget %d: the constructors' hit path or the term arithmetic allocates again, or a layer above it allocates more", second, allocPinBudget)
+	}
+}
+
+// heapPinSlack is how far the live heap after the fifth check may lie
+// above that after the first: span fragmentation moves HeapInuse after a
+// collection by a few hundred kilobytes from check to check. A table that
+// kept every run's formulas grows it by megabytes a check (17 to 34 MB
+// over these five).
+const heapPinSlack = 1 << 20
+
+// TestHeapPin holds the lifetime of formulas: five different Table-1
+// checks in a row, on one thread, leave no more heap in use after a
+// collection than the first one did. What a check interns is dropped when
+// it ends; only the table's slot arrays, sized for the largest check so
+// far, stay.
+func TestHeapPin(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the live heap is not held under the race detector")
+	}
+	var inuse []uint64
+	for _, c := range harness.Table1Checks()[:5] {
+		r := bolt.MustParse(drivers.Source(c.Config)).Check(bolt.Options{Threads: 1})
+		if r.Verdict != bolt.Safe {
+			t.Fatalf("%s: %v, want Safe", c.ID(), r.Verdict)
+		}
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		inuse = append(inuse, m.HeapInuse)
+	}
+	t.Logf("HeapInuse after each check: %v", inuse)
+	if inuse[4] > inuse[0]+heapPinSlack {
+		t.Errorf("HeapInuse grows from %d bytes after the first check to %d after the fifth: formulas outlive their run", inuse[0], inuse[4])
 	}
 }
 

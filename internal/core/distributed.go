@@ -33,19 +33,20 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"sort"
 	"time"
 
 	"repro/internal/cfg"
+	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/prov"
 	"repro/internal/punch"
 	"repro/internal/query"
 	"repro/internal/store"
 	"repro/internal/summary"
+	"repro/internal/wire"
 )
 
 // DistOptions configure a simulated cluster run.
@@ -161,8 +162,8 @@ type distNode struct {
 	id    int
 	db    *summary.DB
 	tree  *query.Tree
-	known map[string]bool // summary keys already received via gossip
-	dead  bool            // killed by fault injection
+	known map[gossipKey]bool // summaries already received via gossip
+	dead  bool               // killed by fault injection
 }
 
 // distCheckContract makes every cluster run validate the PUNCH contract
@@ -235,7 +236,7 @@ func (e *DistEngine) RunContext(ctx context.Context, q0 summary.Question) DistRe
 	o := &e.opts
 	nodes := make([]*distNode, o.Nodes)
 	for i := range nodes {
-		nodes[i] = &distNode{id: i, known: map[string]bool{}}
+		nodes[i] = &distNode{id: i, known: map[gossipKey]bool{}}
 	}
 	r := newReducer(e.prog, Options{
 		Punch:             o.Punch,
@@ -466,6 +467,7 @@ func (e *DistEngine) failNode(r *reducer, nodes []*distNode, victim int, res *Di
 		r.in.emit(obs.Event{Type: obs.EvNodeKill, Node: victim, VTime: r.vtime})
 	}
 
+	var buf []byte
 	for _, s := range dead.db.All() {
 		key := summaryKey(s)
 		for _, to := range nodes {
@@ -475,7 +477,8 @@ func (e *DistEngine) failNode(r *reducer, nodes []*distNode, victim int, res *Di
 			to.known[key] = true
 			to.db.Add(s)
 			res.RecoveredSummaries++
-			r.in.deliver(victim, to.id, s.Proc, len(key), r.vtime)
+			buf, _ = wire.AppendSummary(buf[:0], s)
+			r.in.deliver(victim, to.id, s.Proc, len(buf), r.vtime)
 		}
 	}
 	for _, q := range dead.tree.All() {
@@ -499,8 +502,17 @@ func (e *DistEngine) failNode(r *reducer, nodes []*distNode, victim int, res *Di
 	}
 }
 
-func summaryKey(s summary.Summary) string {
-	return fmt.Sprintf("%d|%s|%s|%s", s.Kind, s.Proc, s.Pre, s.Post)
+// gossipKey identifies a summary within a run: its kind, its procedure
+// and the interned ids of Pre and Post. A delivery is counted at the
+// summary's wire size, what a real cluster would ship.
+type gossipKey struct {
+	kind      summary.Kind
+	proc      string
+	pre, post logic.ID
+}
+
+func summaryKey(s summary.Summary) gossipKey {
+	return gossipKey{s.Kind, s.Proc, logic.KeyID(s.Pre), logic.KeyID(s.Post)}
 }
 
 // gossip copies summaries between all live node pairs (full exchange),
@@ -519,6 +531,7 @@ func (e *DistEngine) gossip(r *reducer, nodes []*distNode, rng *rand.Rand, res *
 	}
 	moved := 0
 	deferred := make([]int64, len(nodes))
+	var buf []byte
 	for _, from := range nodes {
 		if from.dead {
 			continue
@@ -537,7 +550,8 @@ func (e *DistEngine) gossip(r *reducer, nodes []*distNode, rng *rand.Rand, res *
 				to.known[key] = true
 				to.db.Add(s)
 				moved++
-				r.in.deliver(from.id, to.id, s.Proc, len(key), r.vtime)
+				buf, _ = wire.AppendSummary(buf[:0], s)
+				r.in.deliver(from.id, to.id, s.Proc, len(buf), r.vtime)
 			}
 		}
 	}

@@ -17,14 +17,14 @@ import (
 // attachProbe registers the run's snapshot function: the LiveState's
 // folds and published gauges plus live SUMDB shard occupancy —
 // aggregated over every tree's database, so a cluster's summary counts
-// include gossip replicas — and solver counters. db.StatsSnapshot and solver.StatsSnapshot are safe to
-// call concurrently with a running analysis, so the closure may fire
-// from any goroutine at any time.
-func attachProbe(p *obs.Probe, ls *obs.LiveState, dbs []*summary.DB, solver *smt.Solver) {
+// include gossip replicas — and solver counters. db.StatsSnapshot and
+// solver are safe to call concurrently with a running analysis, so the
+// closure may fire from any goroutine at any time.
+func attachProbe(p *obs.Probe, ls *obs.LiveState, dbs []*summary.DB, solver func() smt.Stats) {
 	p.Attach(func() *obs.StateSnapshot {
 		s := ls.Snapshot()
 		s.SumDB = sumdbState(aggregateStats(dbs))
-		s.Solver = solverState(solver.StatsSnapshot())
+		s.Solver = solverState(solver())
 		return s
 	})
 }

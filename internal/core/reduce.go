@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/cfg"
+	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/prov"
 	"repro/internal/punch"
@@ -50,7 +51,9 @@ type reducer struct {
 	start  time.Time
 
 	solver *smt.Solver
-	alloc  *query.Allocator
+	// hits0 is the intern table's hit count when the run began.
+	hits0 int64
+	alloc *query.Allocator
 	// forest is one tree for the shared-memory engines, one per node for
 	// the cluster; dbs and pctx are indexed alike. home routes a procedure
 	// to the tree owning its queries and summaries (nil: the only tree).
@@ -141,8 +144,11 @@ func (r *reducer) note(t obs.EventType, node, worker int, q *query.Query, n int6
 // begin sets the run up and reports whether there is anything to
 // schedule: false means an incremental re-check reused the persisted
 // verdict and r.res is final. The reuse decision comes first, so a
-// re-check answered from the store builds no solver, SUMDB or tree.
+// re-check answered from the store builds no solver, SUMDB or tree. From
+// begin to end the run holds the formula intern table (logic.BeginRun).
 func (r *reducer) begin(q0 summary.Question) bool {
+	logic.BeginRun()
+	r.hits0, _ = logic.InternStats()
 	r.start = time.Now()
 	r.q0 = q0
 	r.res = Result{Verdict: Unknown, CostByProc: map[string]int64{}}
@@ -165,6 +171,7 @@ func (r *reducer) begin(q0 summary.Question) bool {
 			res.SurvivingSummaries = prep.surviving
 			res.setStop(StopVerdictReused)
 			res.WallTime = time.Since(r.start)
+			logic.EndRun()
 			return false
 		}
 	}
@@ -218,7 +225,7 @@ func (r *reducer) begin(q0 summary.Question) bool {
 	r.created++
 	r.rec.Root(root.ID, q0.Proc)
 	if ls != nil {
-		attachProbe(o.Probe, ls, r.dbs, r.solver)
+		attachProbe(o.Probe, ls, r.dbs, r.solverStats)
 		r.publish(0, 0)
 	}
 	if r.in.labels || r.in.tr != nil {
@@ -598,10 +605,20 @@ func (r *reducer) publish(iterations, running int64) {
 	r.in.ls.Publish(g)
 }
 
+// solverStats is the solver's counters with the run's intern-table hits.
+func (r *reducer) solverStats() smt.Stats {
+	sv := r.solver.StatsSnapshot()
+	hits, _ := logic.InternStats()
+	sv.HashConsHits = hits - r.hits0
+	return sv
+}
+
 // end tears the run down into r.res: counters, the final SUMDB content,
 // the store write-back, provenance and the metrics snapshot. The
-// scheduler has recorded the stop reason.
+// scheduler has recorded the stop reason. The last run to end drops the
+// intern table: what the result holds is re-interned when next used.
 func (r *reducer) end() {
+	defer logic.EndRun()
 	res := &r.res
 	if r.o.Probe != nil {
 		r.o.Probe.Detach()
@@ -612,7 +629,7 @@ func (r *reducer) end() {
 	res.PeakLive = r.peak[0]
 	res.WallTime = time.Since(r.start)
 	res.SumDB = aggregateStats(r.dbs)
-	res.Solver = r.solver.StatsSnapshot()
+	res.Solver = r.solverStats()
 	for _, db := range r.dbs {
 		res.Summaries = append(res.Summaries, db.All()...)
 	}

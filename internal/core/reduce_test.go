@@ -129,6 +129,7 @@ func TestReducerScript(t *testing.T) {
 			if !r.begin(summary.Question{Proc: "main"}) {
 				t.Fatal("begin reported nothing to schedule")
 			}
+			defer r.end()
 			r.running, r.rewake = map[query.ID]bool{}, map[query.ID]bool{}
 			byName := map[string]*query.Query{"main": r.forest[0].Get(r.root)}
 			nameOf := map[query.ID]string{r.root: "main"}
@@ -327,6 +328,7 @@ func TestOneReduce(t *testing.T) {
 		"RemoveSubtree(", "AddWaiter(", "ClearWaiters(", "WouldCycle(",
 		"rec.Spawn(", "rec.Coalesce(", "rec.Frame(", "rec.Finish(",
 		"prepareIncr(", "Store.Load()", "Store.Put(",
+		"logic.BeginRun(", "logic.EndRun(",
 	}
 	files, err := filepath.Glob("*.go")
 	if err != nil {

@@ -1,6 +1,10 @@
 package logic
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/lang"
+)
 
 // DecodeWireAll is DecodeWire requiring the whole buffer to be one
 // formula with no trailing bytes.
@@ -19,3 +23,13 @@ func DecodeWireAll(buf []byte) (Formula, error) {
 func WireBytes(f Formula) []byte {
 	return AppendWire(nil, f)
 }
+
+// Subst returns l with every occurrence of v replaced by r, in memory of
+// its own.
+func (l Lin) Subst(v lang.Var, r Lin) Lin {
+	var b [2]termBuf
+	return l.subst(v, r, &b).clone()
+}
+
+// DropTable drops the intern table as the end of the last run does.
+func DropTable() { dropTable() }

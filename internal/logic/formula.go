@@ -23,15 +23,20 @@ type Bool bool
 // Atom is the inequality L ≤ 0, or the equality L = 0 when Eq is set.
 // The unexported id is the hash-consed identity assigned by the package
 // constructors (0 for literal-built atoms, which are interned lazily by
-// KeyID); lid is the id of L, by which the intern table finds the atom
-// (ids stay below maxInternedIDs, so 32 bits hold it and the struct is no
-// larger for it).
+// KeyID); lid is the counter half of the id of L, by which the intern
+// table finds the atom (see termID).
 type Atom struct {
 	L   Lin
 	Eq  bool
 	lid uint32
 	id  ID
 }
+
+// termID is the id of an interned atom's term. The term was interned in
+// the atom's own generation, so the generation half is the atom's. The
+// struct keeps only the counter half: at 80 bytes instead of 72, every
+// type switch that copies an atom out of a Formula took a block move.
+func (a Atom) termID() ID { return a.id&^(1<<32-1) | ID(a.lid) }
 
 // And is the conjunction of Fs (true when empty). Fs of a node that came
 // from a constructor is shared with every other holder of the same
@@ -86,11 +91,16 @@ const (
 	False = Bool(false)
 )
 
-// LE returns the atom l ≤ 0 with constant folding.
+// LE returns the atom l ≤ 0 with constant folding, l divided by the gcd
+// of its coefficients.
 func LE(l Lin) Formula {
-	l = l.normalizeLE()
 	if l.IsConst() {
 		return Bool(l.K <= 0)
+	}
+	if l.coefGCD() > 1 {
+		var cs [termScratch]int64
+		l.Coefs = append(cs[:0], l.Coefs...)
+		l = l.divideGCD()
 	}
 	return internAtom(l, false)
 }
@@ -104,13 +114,22 @@ func EQ(l Lin) Formula {
 }
 
 // LEq returns the formula x ≤ y.
-func LEq(x, y Lin) Formula { return LE(x.Sub(y)) }
+func LEq(x, y Lin) Formula {
+	var b termBuf
+	return LE(b.sum(x, -1, y))
+}
 
 // Lt returns the formula x < y (over the integers: x - y + 1 ≤ 0).
-func Lt(x, y Lin) Formula { return LE(x.Sub(y).AddConst(1)) }
+func Lt(x, y Lin) Formula {
+	var b termBuf
+	return LE(b.sum(x, -1, y).AddConst(1))
+}
 
 // Eq returns the formula x = y.
-func Eq(x, y Lin) Formula { return EQ(x.Sub(y)) }
+func Eq(x, y Lin) Formula {
+	var b termBuf
+	return EQ(b.sum(x, -1, y))
+}
 
 // idSet is a set of interned ids sized for what formula construction
 // meets: a handful of members, found by scanning a slice. Only a set that
@@ -165,64 +184,61 @@ func Disj(fs ...Formula) Formula { return junction(tagOr, fs) }
 // neutral constant is dropped, the absorbing one decides the result, and
 // duplicates keep their first occurrence. What is left is looked up in
 // the intern table; when the node exists already nothing is allocated.
+// When the table is dropped while the children are interned, it starts
+// over.
 func junction(tag byte, fs []Formula) Formula {
 	var kidBuf [nodeScratch]Formula
 	var idBuf [nodeScratch]ID
-	kids := kidBuf[:0]            // the children kept so far
-	seen := idSet{ids: idBuf[:0]} // their ids, in step with kids while allIn
-	var seenStr map[string]bool   // prints of children past the table cap
-	allIn := true                 // every kept child has an id
 	absorbing := Bool(tag == tagOr)
-	add := func(g Formula) bool {
-		if c, ok := g.(Bool); ok {
-			return c != absorbing
-		}
-		g = canonical(g)
-		fresh := false
-		if id := idOf(g); id != 0 {
-			seen, fresh = seen.insert(id)
-		} else {
-			allIn = false
-			if seenStr == nil {
-				seenStr = map[string]bool{}
+	for {
+		kids := kidBuf[:0]            // the children kept so far
+		seen := idSet{ids: idBuf[:0]} // their ids, in step with kids
+		add := func(g Formula) bool {
+			if c, ok := g.(Bool); ok {
+				return c != absorbing
 			}
-			k := g.String()
-			fresh = !seenStr[k]
-			seenStr[k] = true
-		}
-		if fresh {
-			kids = append(kids, g)
-		}
-		return true
-	}
-	for _, f := range fs {
-		ftag, inner := kidsOf(f)
-		if ftag != tag { // not a node of the kind being built: one child
-			if !add(f) {
-				return absorbing
+			g = canonical(g)
+			var fresh bool
+			if seen, fresh = seen.insert(idOf(g)); fresh {
+				kids = append(kids, g)
 			}
-			continue
+			return true
 		}
-		for _, g := range inner {
-			if !add(g) {
-				return absorbing
+		for _, f := range fs {
+			ftag, inner := kidsOf(f)
+			if ftag != tag { // not a node of the kind being built: one child
+				if !add(f) {
+					return absorbing
+				}
+				continue
+			}
+			for _, g := range inner {
+				if !add(g) {
+					return absorbing
+				}
 			}
 		}
+		switch len(kids) {
+		case 0:
+			return !absorbing
+		case 1:
+			return kids[0]
+		}
+		if f := intern(tag, seen.ids, kids, Lin{}); f != nil {
+			return f
+		}
 	}
-	switch {
-	case len(kids) == 0:
-		return !absorbing
-	case len(kids) == 1:
-		return kids[0]
-	case allIn:
-		return intern(tag, seen.ids, kids, Lin{})
+}
+
+// mapKids is the junction with the given tag of fn applied to each of fs,
+// gathered on the stack.
+func mapKids(tag byte, fs []Formula, fn func(Formula) Formula) Formula {
+	var kidBuf [nodeScratch]Formula
+	out := kidBuf[:0]
+	for _, g := range fs {
+		out = append(out, fn(g))
 	}
-	// Some child is past the table cap: an uninterned node of its own.
-	own := append([]Formula(nil), kids...)
-	if tag == tagAnd {
-		return And{Fs: own}
-	}
-	return Or{Fs: own}
+	return junction(tag, out)
 }
 
 // Not returns the negation of f, pushed down to the atoms. Over the
@@ -233,22 +249,16 @@ func Not(f Formula) Formula {
 	case Bool:
 		return Bool(!bool(f))
 	case Atom:
+		var b termBuf
+		neg := b.sum(LinConst(1), -1, f.L) // 1 - L
 		if f.Eq {
-			return Disj(LE(f.L.AddConst(1)), LE(f.L.Scale(-1).AddConst(1)))
+			return Disj(LE(f.L.AddConst(1)), LE(neg))
 		}
-		return LE(f.L.Scale(-1).AddConst(1))
+		return LE(neg)
 	case And:
-		neg := make([]Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			neg[i] = Not(g)
-		}
-		return Disj(neg...)
+		return mapKids(tagOr, f.Fs, Not)
 	case Or:
-		neg := make([]Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			neg[i] = Not(g)
-		}
-		return Conj(neg...)
+		return mapKids(tagAnd, f.Fs, Not)
 	default:
 		panic(fmt.Sprintf("logic: unknown Formula %T", f))
 	}
@@ -293,27 +303,23 @@ func Subst(f Formula, v lang.Var, r Lin) Formula {
 	case Bool:
 		return f
 	case Atom:
-		l := f.L.Subst(v, r)
+		var b [2]termBuf
+		l := f.L.subst(v, r, &b)
 		if f.Eq {
 			return EQ(l)
 		}
 		return LE(l)
 	case And:
-		out := make([]Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = Subst(g, v, r)
-		}
-		return Conj(out...)
+		return mapKids(tagAnd, f.Fs, func(g Formula) Formula { return Subst(g, v, r) })
 	case Or:
-		out := make([]Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = Subst(g, v, r)
-		}
-		return Disj(out...)
+		return mapKids(tagOr, f.Fs, func(g Formula) Formula { return Subst(g, v, r) })
 	default:
 		panic(fmt.Sprintf("logic: unknown Formula %T", f))
 	}
 }
+
+// unitCoef is the coefficient list of a term 1·v; read only.
+var unitCoef = [1]int64{1}
 
 // SubstMap applies all substitutions in sub simultaneously.
 func SubstMap(f Formula, sub map[lang.Var]Lin) Formula {
@@ -321,30 +327,25 @@ func SubstMap(f Formula, sub map[lang.Var]Lin) Formula {
 	case Bool:
 		return f
 	case Atom:
+		// The partial sums alternate between two buffers: each is built
+		// from the one before it.
+		var b [2]termBuf
 		l := LinConst(f.L.K)
 		for i, v := range f.L.Vars {
-			if r, ok := sub[v]; ok {
-				l = l.Add(r.Scale(f.L.Coefs[i]))
-			} else {
-				l = l.Add(LinVar(v).Scale(f.L.Coefs[i]))
+			r, ok := sub[v]
+			if !ok {
+				r = Lin{Vars: f.L.Vars[i : i+1], Coefs: unitCoef[:]}
 			}
+			l = b[i%2].sum(l, f.L.Coefs[i], r)
 		}
 		if f.Eq {
 			return EQ(l)
 		}
 		return LE(l)
 	case And:
-		out := make([]Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = SubstMap(g, sub)
-		}
-		return Conj(out...)
+		return mapKids(tagAnd, f.Fs, func(g Formula) Formula { return SubstMap(g, sub) })
 	case Or:
-		out := make([]Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = SubstMap(g, sub)
-		}
-		return Disj(out...)
+		return mapKids(tagOr, f.Fs, func(g Formula) Formula { return SubstMap(g, sub) })
 	default:
 		panic(fmt.Sprintf("logic: unknown Formula %T", f))
 	}
@@ -358,17 +359,9 @@ func Rename(f Formula, ren map[lang.Var]lang.Var) Formula {
 	case Atom:
 		return internAtom(f.L.Rename(ren), f.Eq)
 	case And:
-		out := make([]Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = Rename(g, ren)
-		}
-		return Conj(out...)
+		return mapKids(tagAnd, f.Fs, func(g Formula) Formula { return Rename(g, ren) })
 	case Or:
-		out := make([]Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = Rename(g, ren)
-		}
-		return Disj(out...)
+		return mapKids(tagOr, f.Fs, func(g Formula) Formula { return Rename(g, ren) })
 	default:
 		panic(fmt.Sprintf("logic: unknown Formula %T", f))
 	}

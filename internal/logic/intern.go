@@ -1,18 +1,27 @@
 // Hash-consing: a process-global, sharded intern table that owns the
 // canonical copy of every linear term and formula node. Structurally
-// equal values always resolve to the same node and the same small integer
-// id, so the id doubles as a canonical map key — logic.Key, the solver's
-// memos, the SUMDB answer memo and the DPLL skeleton's atom interning are
-// integer operations — and building a structure that already exists
-// returns the existing node without allocating.
+// equal values always resolve to the same node and the same id, so the id
+// doubles as a canonical map key — logic.Key, the solver's memos, the
+// SUMDB answer memo and the DPLL skeleton's atom interning are integer
+// operations — and building a structure that already exists returns the
+// existing node without allocating.
+//
+// Lifetime: the table lives as long as a run. BeginRun and EndRun count
+// the runs in progress; the EndRun of the last one drops every entry in
+// place (the slot arrays and map buckets stay for the next run) and
+// starts a new generation. An id carries the generation that issued it in
+// its high 32 bits, so ids of two generations never compare equal, and a
+// node of a dropped generation counts as not interned: canonical
+// re-interns it when it is next used, as it does a literal-built node. A
+// formula that outlives its run — in a store, in a run's result, in a
+// question built before the run began — therefore stays safe to use.
 //
 // Invariant: interned values are immutable and shared. The Fs of an
 // interned And/Or is the one array every holder of that node sees; it is
 // never written or appended to in place (its capacity equals its length,
-// so an append always copies). An id, once assigned, remains valid for the
-// process lifetime. Ids are assigned in first-intern order: they are
-// stable within a process but carry no meaning across processes, which is
-// fine because every consumer uses them only as identity.
+// so an append always copies). Ids are assigned in first-intern order:
+// they carry no meaning outside their generation, which is fine because
+// every consumer uses them only as identity.
 package logic
 
 import (
@@ -21,12 +30,12 @@ import (
 	"sync/atomic"
 )
 
-// ID identifies an interned term or formula node. The zero ID means
-// "not interned" (the table cap was reached); callers must fall back to
-// string keys for such values.
+// ID identifies an interned term or formula node: the generation that
+// issued it in the high 32 bits, a counter in the low 32. The zero ID is
+// a literal-built node's: not interned.
 type ID uint64
 
-// Reserved ids for the constant formulas.
+// Reserved ids for the constant formulas, live in every generation.
 const (
 	idFalse ID = 1
 	idTrue  ID = 2
@@ -43,11 +52,6 @@ const (
 	nodeShardShift = 64 - 6
 	// minNodeSlots is a shard's initial slot count (a power of two).
 	minNodeSlots = 256
-	// maxInternedIDs caps the table. Past the cap new structures get
-	// ID 0 and key construction falls back to strings; already-interned
-	// structures keep resolving. The cap only guards pathological runs —
-	// the Table-1 checks peak at a few hundred thousand distinct nodes.
-	maxInternedIDs = 1 << 21
 	// Node tags distinguishing the interned kinds in one namespace.
 	tagAtom = byte('a')
 	tagEq   = byte('e')
@@ -82,9 +86,19 @@ type internShard struct {
 
 var internTab [internShards]internShard
 
-var internNext uint64 // atomic; allocated ids are internNext+2
+var (
+	// generation is the table's current generation (from 1); it changes
+	// only while every shard is locked for writing.
+	generation atomic.Uint32
+	// internNext is the generation's last allocated counter (atomic).
+	internNext uint64
+	// liveRuns counts the runs between BeginRun and EndRun.
+	liveMu   sync.Mutex
+	liveRuns int
+)
 
 func init() {
+	generation.Store(1)
 	for i := range internTab {
 		sh := &internTab[i]
 		sh.lins = map[uint64][]linEntry{}
@@ -93,10 +107,49 @@ func init() {
 	}
 }
 
-// InternStats reports the global table's cumulative hit/miss counters: a
-// hit is an intern request answered by an existing entry, a miss is a
-// fresh insertion. Engines snapshot the pair at run start and fold the
-// delta into the run's metrics as hashcons_hits.
+// BeginRun marks a run in progress: the table is not dropped until it
+// ends.
+func BeginRun() {
+	liveMu.Lock()
+	liveRuns++
+	liveMu.Unlock()
+}
+
+// EndRun marks a run ended. The last run in progress drops the table.
+func EndRun() {
+	liveMu.Lock()
+	defer liveMu.Unlock()
+	if liveRuns--; liveRuns == 0 {
+		dropTable()
+	}
+}
+
+// dropTable empties every shard in place and starts a new generation.
+func dropTable() {
+	for i := range internTab {
+		internTab[i].mu.Lock()
+	}
+	generation.Add(1)
+	atomic.StoreUint64(&internNext, 0)
+	for i := range internTab {
+		sh := &internTab[i]
+		clear(sh.lins)
+		clear(sh.nodes)
+		sh.used = 0
+		sh.mu.Unlock()
+	}
+}
+
+// live reports whether id was issued by the current generation (or is a
+// constant's): false for a literal-built node and for one whose
+// generation was dropped.
+func live(id ID) bool {
+	return id>>32 == ID(generation.Load()) || id == idFalse || id == idTrue
+}
+
+// InternStats reports the table's hit/miss counters, cumulative over
+// every generation: a hit is an intern request answered by an existing
+// entry, a miss is a fresh insertion.
 func InternStats() (hits, misses int64) {
 	for i := range internTab {
 		hits += internTab[i].hits.Load()
@@ -105,12 +158,12 @@ func InternStats() (hits, misses int64) {
 	return hits, misses
 }
 
+// allocID returns a fresh id of the current generation. The caller holds
+// a shard lock, so the generation cannot change under it. Issued ids
+// start at 3: 1 and 2 are False's and True's. A run would need hundreds of
+// gigabytes of nodes to exhaust its generation's 32-bit counter.
 func allocID() ID {
-	n := atomic.AddUint64(&internNext, 1)
-	if n > maxInternedIDs-2 {
-		return 0
-	}
-	return ID(n + 2) // 1 and 2 are reserved for False/True
+	return ID(generation.Load())<<32 | ID(atomic.AddUint64(&internNext, 1)+2)
 }
 
 const (
@@ -140,15 +193,14 @@ func hashLin(l Lin) uint64 {
 	return h
 }
 
-// LinID interns the canonical linear term l and returns its id (0 when
-// the table is full). The table keeps a copy of l, never l itself.
+// LinID interns the canonical linear term l and returns its id. The table
+// keeps a copy of l, never l itself.
 func LinID(l Lin) ID {
 	_, id := internLin(l)
 	return id
 }
 
-// internLin is LinID returning the table's copy of l too (past the cap, a
-// fresh copy that is not kept).
+// internLin is LinID returning the table's copy of l too.
 func internLin(l Lin) (Lin, ID) {
 	h := hashLin(l)
 	sh := &internTab[h%internShards]
@@ -171,16 +223,15 @@ func internLin(l Lin) (Lin, ID) {
 	}
 	own := l.clone()
 	id := allocID()
-	if id != 0 {
-		sh.lins[h] = append(sh.lins[h], linEntry{l: own, id: id})
-	}
+	sh.lins[h] = append(sh.lins[h], linEntry{l: own, id: id})
 	sh.mu.Unlock()
 	sh.misses.Add(1)
 	return own, id
 }
 
 // idOf returns the id f carries: the reserved ids for the constants, the
-// stored id of a node (0 for a literal-built or overflowed one).
+// stored id of a node (0 for a literal-built one, a dropped generation's
+// for a node that outlived its run).
 func idOf(f Formula) ID {
 	switch f := f.(type) {
 	case Bool:
@@ -231,7 +282,7 @@ func hashOf(f Formula) uint64 {
 	var idBuf [nodeScratch]ID
 	ids := idBuf[:0]
 	if a, ok := f.(Atom); ok {
-		return hashNode(atomTag(a.Eq), append(ids, ID(a.lid)))
+		return hashNode(atomTag(a.Eq), append(ids, a.termID()))
 	}
 	tag, fs := kidsOf(f)
 	for _, g := range fs {
@@ -253,7 +304,7 @@ func nodeIs(f Formula, tag byte, ids []ID) bool {
 	var fs []Formula
 	switch f := f.(type) {
 	case Atom:
-		return tag == atomTag(f.Eq) && ID(f.lid) == ids[0]
+		return tag == atomTag(f.Eq) && f.termID() == ids[0]
 	case And:
 		if tag != tagAnd {
 			return false
@@ -316,25 +367,28 @@ func (sh *internShard) place(h uint64, f Formula) {
 
 // intern is the one way into the node table: it returns the canonical
 // node with the given tag and child ids, creating it on a miss. A hit
-// allocates nothing. For an And/Or, ids are the ids of fs (all non-zero)
-// and a miss copies fs, so the caller's slice is never retained; for an
-// atom, ids is the one id of the term l, and l is the table's copy of it.
-// Past the table cap the node is built with id 0 and not stored.
+// allocates nothing. For an And/Or, ids are the ids of fs and a miss
+// copies fs, so the caller's slice is never retained; for an atom, ids is
+// the one id of the term l, and l is the table's copy of it. It returns
+// nil when a child id is not live — the table was dropped since the
+// caller interned that child — and the caller interns the children again.
 func intern(tag byte, ids []ID, fs []Formula, l Lin) Formula {
 	h := hashNode(tag, ids)
 	sh := &internTab[h>>nodeShardShift]
-	sh.mu.RLock()
+	if f := sh.lookup(h, tag, ids); f != nil {
+		return f
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	f := sh.find(h, tag, ids)
-	sh.mu.RUnlock()
 	if f != nil {
 		sh.hits.Add(1)
 		return f
 	}
-	sh.mu.Lock()
-	if f = sh.find(h, tag, ids); f != nil {
-		sh.mu.Unlock()
-		sh.hits.Add(1)
-		return f
+	for _, k := range ids {
+		if !live(k) {
+			return nil
+		}
 	}
 	id := allocID()
 	if tag == tagAnd || tag == tagOr {
@@ -350,38 +404,49 @@ func intern(tag byte, ids []ID, fs []Formula, l Lin) Formula {
 	} else {
 		f = Atom{L: l, Eq: tag == tagEq, id: id, lid: uint32(ids[0])}
 	}
-	if id != 0 {
-		sh.insert(h, f)
-	}
-	sh.mu.Unlock()
+	sh.insert(h, f)
 	sh.misses.Add(1)
+	return f
+}
+
+// lookup is intern's hit path: the stored node with this tag and these
+// child ids, whose hash is h, or nil.
+func (sh *internShard) lookup(h uint64, tag byte, ids []ID) Formula {
+	sh.mu.RLock()
+	f := sh.find(h, tag, ids)
+	sh.mu.RUnlock()
+	if f != nil {
+		sh.hits.Add(1)
+	}
 	return f
 }
 
 // internAtom returns the canonical atom (l ≤ 0) or (l = 0). The atom
 // holds the table's copy of l, so l may live in memory its owner reuses.
 func internAtom(l Lin, eq bool) Formula {
-	own, lid := internLin(l)
-	if lid == 0 {
-		return Atom{L: own, Eq: eq}
+	for {
+		own, lid := internLin(l)
+		ids := [1]ID{lid}
+		if f := intern(atomTag(eq), ids[:], nil, own); f != nil {
+			return f
+		}
 	}
-	ids := [1]ID{lid}
-	return intern(atomTag(eq), ids[:], nil, own)
 }
 
 // canonical returns the interned node structurally equal to f: f itself
-// when it carries an id, otherwise the node internLiteral finds or makes.
-// The result has id 0 only when f or a subterm overflowed the table.
+// when it carries a live id, otherwise the node internLiteral finds or
+// makes.
 func canonical(f Formula) Formula {
-	if idOf(f) != 0 {
+	if live(idOf(f)) {
 		return f
 	}
 	return internLiteral(f)
 }
 
-// internLiteral interns a node written as a literal (id 0), children
-// first — as written, without the flattening and folding Conj and Disj
-// do, because the id is an identity of structure.
+// internLiteral interns a node written as a literal (or one whose
+// generation was dropped), children first — as written, without the
+// flattening and folding Conj and Disj do, because the id is an identity
+// of structure.
 func internLiteral(f Formula) Formula {
 	if a, ok := f.(Atom); ok {
 		return internAtom(a.L, a.Eq)
@@ -392,34 +457,29 @@ func internLiteral(f Formula) Formula {
 	}
 	var kidBuf [nodeScratch]Formula
 	var idBuf [nodeScratch]ID
-	kids, ids := kidBuf[:0], idBuf[:0]
-	for _, g := range fs {
-		g = canonical(g)
-		id := idOf(g)
-		if id == 0 {
-			return f
+	for {
+		kids, ids := kidBuf[:0], idBuf[:0]
+		for _, g := range fs {
+			g = canonical(g)
+			kids, ids = append(kids, g), append(ids, idOf(g))
 		}
-		kids, ids = append(kids, g), append(ids, id)
+		if g := intern(tag, ids, kids, Lin{}); g != nil {
+			return g
+		}
 	}
-	return intern(tag, ids, kids, Lin{})
 }
 
-// KeyID returns the structural identity of f as an interned id, or 0
-// when f (or a subterm) overflowed the intern table. Nodes built by the
-// package constructors carry their id; literal-built nodes are interned
+// KeyID returns the structural identity of f as an interned id of the
+// current generation. Nodes built by the package constructors carry their
+// id; literal-built nodes and those of a dropped generation are interned
 // lazily here.
 func KeyID(f Formula) ID {
 	return idOf(canonical(f))
 }
 
 // Key returns a canonical string for f, usable as a map key for
-// deduplication. Logically equal formulas may have different keys; the
-// key is only required to be injective on structure. Interned formulas
-// key as "#<id>"; overflow falls back to the structural print with a
-// distinguishing prefix.
+// deduplication within a run: "#<id>". Logically equal formulas may have
+// different keys; the key is only required to be injective on structure.
 func Key(f Formula) string {
-	if id := KeyID(f); id != 0 {
-		return "#" + strconv.FormatUint(uint64(id), 10)
-	}
-	return "!" + f.String()
+	return "#" + strconv.FormatUint(uint64(KeyID(f)), 10)
 }

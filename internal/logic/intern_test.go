@@ -169,9 +169,9 @@ func TestInternLiteralReachesConstructorID(t *testing.T) {
 	checkTableInvariants(t)
 }
 
-// checkTableInvariants walks the node table: every entry carries an id,
-// sits in the shard and on the probe path its hash says, and holds only
-// children that carry ids themselves.
+// checkTableInvariants walks the node table: every entry carries a live
+// id, sits in the shard and on the probe path its hash says, and holds
+// only children that carry live ids themselves.
 func checkTableInvariants(t *testing.T) {
 	t.Helper()
 	for i := range internTab {
@@ -183,15 +183,15 @@ func checkTableInvariants(t *testing.T) {
 				continue
 			}
 			used++
-			if idOf(f) == 0 {
-				t.Errorf("shard %d holds a node without an id: %v", i, f)
+			if !live(idOf(f)) {
+				t.Errorf("shard %d holds a node without a live id: %v", i, f)
 			}
-			if a, ok := f.(Atom); ok && a.lid == 0 {
-				t.Errorf("shard %d holds an atom without a term id: %v", i, f)
+			if a, ok := f.(Atom); ok && !live(a.termID()) {
+				t.Errorf("shard %d holds an atom without a live term id: %v", i, f)
 			}
 			for _, g := range childrenOf(f) {
-				if idOf(g) == 0 {
-					t.Errorf("shard %d: node %v holds the id-0 child %v", i, f, g)
+				if !live(idOf(g)) {
+					t.Errorf("shard %d: node %v holds the child %v without a live id", i, f, g)
 				}
 			}
 			h := hashOf(f)
@@ -272,20 +272,39 @@ func TestInternGrowthKeepsNodesAndSpreadsThem(t *testing.T) {
 }
 
 // The constructors' hit path is free of allocation: two to four existing
-// children whose node exists, and an atom over an existing term.
+// children whose node exists, an atom over an existing term, and the
+// term arithmetic on the way to one — comparison, negation, substitution
+// — which builds its term on the stack. So is keying a formula of a
+// dropped generation, once its nodes are in the new table: a walk of hits.
 func TestConstructorHitPathAllocFree(t *testing.T) {
+	old := dropFixture()
+	dropTable()
 	x, y := internVar("x"), internVar("y")
 	region := Conj(LEq(x, LinConst(4)), LEq(LinConst(0), x))
 	wp, pre := LEq(y.Add(x), LinConst(9)), LEq(LinConst(1), y)
 	term := y.Add(x).Sub(LinConst(9))
+	yx, six := y.Add(x), term.Scale(6)
+	eq, gcd := EQ(term), LE(six)
+	sub := map[lang.Var]Lin{"x": y.Scale(2).AddConst(1), "y": x}
+	cube := Cube{{L: term}, {L: x.AddConst(-4)}, {L: y.Scale(-1)}}
 	for name, build := range map[string]func(){
-		"Conj of 2":           func() { conjSink = Conj(wp, pre) },
-		"Conj of 3":           func() { conjSink = Conj(pre, wp, LEq(x, LinConst(4))) },
-		"Conj of 4, one And":  func() { conjSink = Conj(region, wp, pre, wp) },
-		"Disj of 3":           func() { conjSink = Disj(pre, wp, region) },
-		"LE of a known term":  func() { conjSink = LE(term) },
-		"EQ of a known term":  func() { conjSink = EQ(term) },
-		"KeyID of a built id": func() { _ = KeyID(region) },
+		"Conj of 2":                               func() { conjSink = Conj(wp, pre) },
+		"Conj of 3":                               func() { conjSink = Conj(pre, wp, LEq(x, LinConst(4))) },
+		"Conj of 4, one And":                      func() { conjSink = Conj(region, wp, pre, wp) },
+		"Disj of 3":                               func() { conjSink = Disj(pre, wp, region) },
+		"LE of a known term":                      func() { conjSink = LE(term) },
+		"EQ of a known term":                      func() { conjSink = EQ(term) },
+		"KeyID of a built id":                     func() { _ = KeyID(region) },
+		"LEq of known terms":                      func() { conjSink = LEq(yx, LinConst(9)) },
+		"Lt of known terms":                       func() { conjSink = Lt(x, y) },
+		"Eq of known terms":                       func() { conjSink = Eq(x, y) },
+		"LE dividing by 6":                        func() { conjSink = LE(six) },
+		"Not of an atom":                          func() { conjSink = Not(wp) },
+		"Not of an equality":                      func() { conjSink = Not(eq) },
+		"Subst into an atom":                      func() { conjSink = Subst(gcd, "x", y.AddConst(2)) },
+		"SubstMap of an atom":                     func() { conjSink = SubstMap(wp, sub) },
+		"ID of a known cube":                      func() { _ = cube.ID() },
+		"KeyID of a dropped generation's formula": func() { _ = KeyID(old) },
 	} {
 		build() // the first call may insert
 		if a := testing.AllocsPerRun(100, build); a != 0 {

@@ -69,43 +69,67 @@ func (l Lin) Add(r Lin) Lin {
 	if len(l.Vars) == 0 {
 		return r.AddConst(l.K)
 	}
-	n := len(l.Vars) + len(r.Vars)
-	out := Lin{K: l.K + r.K, Vars: make([]lang.Var, 0, n), Coefs: make([]int64, 0, n)}
-	i, j := 0, 0
-	for i < len(l.Vars) && j < len(r.Vars) {
-		switch {
-		case l.Vars[i] < r.Vars[j]:
-			out.Vars, out.Coefs = append(out.Vars, l.Vars[i]), append(out.Coefs, l.Coefs[i])
-			i++
-		case l.Vars[i] > r.Vars[j]:
-			out.Vars, out.Coefs = append(out.Vars, r.Vars[j]), append(out.Coefs, r.Coefs[j])
-			j++
-		default:
-			if c := l.Coefs[i] + r.Coefs[j]; c != 0 {
-				out.Vars, out.Coefs = append(out.Vars, l.Vars[i]), append(out.Coefs, c)
-			}
-			i++
-			j++
-		}
-	}
-	out.Vars = append(append(out.Vars, l.Vars[i:]...), r.Vars[j:]...)
-	out.Coefs = append(append(out.Coefs, l.Coefs[i:]...), r.Coefs[j:]...)
-	return out
+	return l.plus(1, r)
 }
 
 // Sub returns l - r.
-func (l Lin) Sub(r Lin) Lin { return l.Add(r.Scale(-1)) }
+func (l Lin) Sub(r Lin) Lin { return l.plus(-1, r) }
+
+// plus is l + k·r, k non-zero, in memory of its own.
+func (l Lin) plus(k int64, r Lin) Lin {
+	n := len(l.Vars) + len(r.Vars)
+	return l.addScaled(k, r, make([]lang.Var, 0, n), make([]int64, 0, n))
+}
+
+// addScaled returns l + k·r, k non-zero, appending its variables and
+// coefficients to vs and cs (both empty): a merge of the two sorted
+// variable lists.
+func (l Lin) addScaled(k int64, r Lin, vs []lang.Var, cs []int64) Lin {
+	i, j := 0, 0
+	for i < len(l.Vars) || j < len(r.Vars) {
+		var v lang.Var
+		var c int64
+		switch {
+		case j == len(r.Vars) || i < len(l.Vars) && l.Vars[i] < r.Vars[j]:
+			v, c = l.Vars[i], l.Coefs[i]
+			i++
+		case i == len(l.Vars) || r.Vars[j] < l.Vars[i]:
+			v, c = r.Vars[j], k*r.Coefs[j]
+			j++
+		default:
+			v, c = l.Vars[i], l.Coefs[i]+k*r.Coefs[j]
+			i, j = i+1, j+1
+			if c == 0 {
+				continue
+			}
+		}
+		vs, cs = append(vs, v), append(cs, c)
+	}
+	return Lin{K: l.K + k*r.K, Vars: vs, Coefs: cs}
+}
+
+// termScratch is the width up to which a constructor builds a term on its
+// own stack on the way to the intern table, which copies it only when it
+// is new; a wider term spills to the heap through append.
+const termScratch = 16
+
+// termBuf is room for one term of up to termScratch variables.
+type termBuf struct {
+	vs [termScratch]lang.Var
+	cs [termScratch]int64
+}
+
+// sum is l + k·r, k non-zero, in b.
+func (b *termBuf) sum(l Lin, k int64, r Lin) Lin {
+	return l.addScaled(k, r, b.vs[:0], b.cs[:0])
+}
 
 // Scale returns k·l.
 func (l Lin) Scale(k int64) Lin {
 	if k == 0 {
 		return Lin{}
 	}
-	out := Lin{K: l.K * k, Vars: append([]lang.Var(nil), l.Vars...), Coefs: make([]int64, len(l.Coefs))}
-	for i, c := range l.Coefs {
-		out.Coefs[i] = c * k
-	}
-	return out
+	return Lin{}.plus(k, l)
 }
 
 // AddConst returns l + k.
@@ -115,16 +139,15 @@ func (l Lin) AddConst(k int64) Lin {
 	return out
 }
 
-// Subst returns l with every occurrence of v replaced by r.
-func (l Lin) Subst(v lang.Var, r Lin) Lin {
+// subst returns l with every occurrence of v replaced by r, in b.
+func (l Lin) subst(v lang.Var, r Lin, b *[2]termBuf) Lin {
 	i := sort.Search(len(l.Vars), func(i int) bool { return l.Vars[i] >= v })
 	if i == len(l.Vars) || l.Vars[i] != v {
 		return l
 	}
-	base := Lin{K: l.K, Vars: make([]lang.Var, 0, len(l.Vars)-1), Coefs: make([]int64, 0, len(l.Vars)-1)}
-	base.Vars = append(append(base.Vars, l.Vars[:i]...), l.Vars[i+1:]...)
-	base.Coefs = append(append(base.Coefs, l.Coefs[:i]...), l.Coefs[i+1:]...)
-	return base.Add(r.Scale(l.Coefs[i]))
+	base := Lin{K: l.K, Vars: append(append(b[0].vs[:0], l.Vars[:i]...), l.Vars[i+1:]...),
+		Coefs: append(append(b[0].cs[:0], l.Coefs[:i]...), l.Coefs[i+1:]...)}
+	return b[1].sum(base, l.Coefs[i], r)
 }
 
 // Rename returns l with variables renamed by ren (identity for missing
@@ -163,18 +186,10 @@ func (l Lin) Equal(r Lin) bool {
 	return true
 }
 
-// normalizeLE divides l by the gcd of its coefficients when that keeps
-// integrality (used to keep atom keys canonical), in a copy.
-func (l Lin) normalizeLE() Lin {
-	if l.coefGCD() <= 1 {
-		return l
-	}
-	return l.clone().divideGCD()
-}
-
-// divideGCD is normalizeLE in place, for a term whose coefficients the
-// caller owns. For an atom l ≤ 0 with all variable coefficients divisible
-// by g: k + g·t ≤ 0  ⇔  t ≤ ⌊-k/g⌋  ⇔  t - ⌊-k/g⌋ ≤ 0 over the integers.
+// divideGCD divides l by the gcd of its coefficients (which keeps atom
+// keys canonical) in place, for a term whose coefficients the caller
+// owns. For an atom l ≤ 0 with all variable coefficients divisible by g:
+// k + g·t ≤ 0  ⇔  t ≤ ⌊-k/g⌋  ⇔  t - ⌊-k/g⌋ ≤ 0 over the integers.
 func (l Lin) divideGCD() Lin {
 	if g := l.coefGCD(); g > 1 {
 		for i := range l.Coefs {

@@ -34,6 +34,46 @@ func (c Cube) Formula() Formula {
 	return Conj(fs...)
 }
 
+// ID returns the identity of c's atom set: the id of the conjunction of
+// its atoms ordered by id, so two cubes that hold the same atoms in any
+// order share it. An atom the kernel took over from a formula unchanged
+// still carries its id; only the others are looked up. When the cube is
+// known already it allocates nothing.
+func (c Cube) ID() ID {
+	var idBuf [2 * nodeScratch]ID
+	var atBuf [2 * nodeScratch]int
+	for {
+		ids, at := idBuf[:0], atBuf[:0]
+		for i, a := range c {
+			id := a.id
+			if !live(id) {
+				id = idOf(internAtom(a.L, a.Eq))
+			}
+			ids, at = append(ids, id), append(at, i)
+		}
+		// Insertion sort: cubes are small.
+		for i := 1; i < len(ids); i++ {
+			for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
+				ids[j], ids[j-1] = ids[j-1], ids[j]
+				at[j], at[j-1] = at[j-1], at[j]
+			}
+		}
+		h := hashNode(tagAnd, ids)
+		if f := internTab[h>>nodeShardShift].lookup(h, tagAnd, ids); f != nil {
+			return idOf(f)
+		}
+		// A new atom set: its node holds the atoms' nodes.
+		var kidBuf [2 * nodeScratch]Formula
+		kids := kidBuf[:0]
+		for _, i := range at {
+			kids = append(kids, internAtom(c[i].L, c[i].Eq))
+		}
+		if f := intern(tagAnd, ids, kids, Lin{}); f != nil {
+			return idOf(f)
+		}
+	}
+}
+
 // MaxCubes caps DNF expansion; beyond it Exists falls back to the trivial
 // sound answer for the requested shadow.
 const MaxCubes = 512
@@ -172,29 +212,29 @@ func (s *Scratch) combine(x Lin, a int64, y Lin, b int64, v lang.Var) Lin {
 
 // simplify filters the cube s.atoms[from:] in place: terms normalized,
 // trivially-true atoms dropped, of equal terms the first kept; false when
-// constant folding contradicts the cube. Cubes are small (at most 32 atoms
-// on the Table-1 checks), so a scan finds repeats.
+// constant folding contradicts the cube. An atom that stays as it was
+// keeps its id. Cubes are small (at most 32 atoms on the Table-1 checks),
+// so a scan finds repeats.
 func (s *Scratch) simplify(from int) (Cube, bool) {
 	c, n := s.atoms[from:], 0
 next:
 	for _, a := range c {
-		l := a.L
-		if l.coefGCD() > 1 {
-			l = s.term(l, 1).divideGCD()
+		if a.L.coefGCD() > 1 {
+			a = Atom{L: s.term(a.L, 1).divideGCD()}
 		}
-		if l.IsConst() {
-			if l.K > 0 {
+		if a.L.IsConst() {
+			if a.L.K > 0 {
 				s.atoms = s.atoms[:from]
 				return nil, false
 			}
 			continue
 		}
 		for _, k := range c[:n] {
-			if k.L.Equal(l) {
+			if k.L.Equal(a.L) {
 				continue next
 			}
 		}
-		c[n] = Atom{L: l}
+		c[n] = a
 		n++
 	}
 	s.atoms = s.atoms[:from+n]
@@ -219,9 +259,10 @@ func (s *Scratch) walk(f Formula, yield func(Cube) bool) {
 			case Bool:
 				ok = bool(g)
 			case Atom:
-				s.raw = append(s.raw, Atom{L: g.L})
 				if g.Eq {
-					s.raw = append(s.raw, Atom{L: s.term(g.L, -1)})
+					s.raw = append(s.raw, Atom{L: g.L}, Atom{L: s.term(g.L, -1)})
+				} else {
+					s.raw = append(s.raw, g)
 				}
 			case And:
 				for i := len(g.Fs) - 1; i >= 0; i-- {

@@ -131,7 +131,7 @@ func simplifyCube(dst, c Cube) (Cube, bool) {
 	seen := idSet{ids: idBuf[:0]}
 	var seenStr map[string]bool // fallback for intern-table overflow
 	for _, a := range c {
-		l := a.L.normalizeLE()
+		l := normalizeLE(a.L)
 		if l.IsConst() {
 			if l.K > 0 {
 				return nil, false
@@ -215,7 +215,7 @@ func eliminateVar(c Cube, v lang.Var, mode Shadow) (out Cube, exact bool, sat bo
 					comb = comb.AddConst((lo.coef - 1) * (up.coef - 1))
 				}
 			}
-			comb = comb.normalizeLE()
+			comb = normalizeLE(comb)
 			if comb.IsConst() {
 				if comb.K > 0 {
 					return nil, exact, false
@@ -260,4 +260,12 @@ func sortedVars(set map[lang.Var]bool) []lang.Var {
 		}
 	}
 	return out
+}
+
+// normalizeLE divides l by the gcd of its coefficients, in a copy.
+func normalizeLE(l Lin) Lin {
+	if l.coefGCD() <= 1 {
+		return l
+	}
+	return l.clone().divideGCD()
 }

@@ -190,7 +190,8 @@ func decodeWire(buf []byte, depth int) (Formula, int, error) {
 	case wireTrue:
 		return True, pos, nil
 	case wireLE, wireEQ:
-		l, n, err := decodeWireLin(buf[pos:])
+		var b [2]termBuf
+		l, n, err := decodeWireLin(buf[pos:], &b)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -226,7 +227,8 @@ func decodeWire(buf []byte, depth int) (Formula, int, error) {
 	}
 }
 
-func decodeWireLin(buf []byte) (Lin, int, error) {
+// decodeWireLin decodes a term into b, where it lives until b is reused.
+func decodeWireLin(buf []byte, b *[2]termBuf) (Lin, int, error) {
 	k, pos := binary.Varint(buf)
 	if pos <= 0 {
 		return Lin{}, 0, fmt.Errorf("logic: wire: bad term constant")
@@ -239,7 +241,7 @@ func decodeWireLin(buf []byte) (Lin, int, error) {
 	if nvars > maxWireVars {
 		return Lin{}, 0, fmt.Errorf("logic: wire: %d variables exceeds %d", nvars, maxWireVars)
 	}
-	l := LinConst(k)
+	l, sums := LinConst(k), 0
 	for i := uint64(0); i < nvars; i++ {
 		nameLen, n := binary.Uvarint(buf[pos:])
 		if n <= 0 {
@@ -257,11 +259,13 @@ func decodeWireLin(buf []byte) (Lin, int, error) {
 		}
 		pos += n
 		if coef != 0 {
-			// Add canonicalizes: duplicate names merge, zero
+			// The sum canonicalizes: duplicate names merge, zero
 			// coefficients drop, variables sort. Decoding therefore
 			// accepts any byte-level spelling but always yields the
-			// canonical term.
-			l = l.Add(LinVar(name).Scale(coef))
+			// canonical term. Each sum is built from the one before it,
+			// in the other buffer.
+			l = b[sums%2].sum(l, coef, Lin{Vars: []lang.Var{name}, Coefs: unitCoef[:]})
+			sums++
 		}
 	}
 	return l, pos, nil

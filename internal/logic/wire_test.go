@@ -2,6 +2,7 @@ package logic_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -252,9 +253,42 @@ func TestWireCrossProcessStability(t *testing.T) {
 	}
 }
 
+// A term on the wire may spell its variables in any order, repeat them
+// and give some a zero coefficient; decoding sums them into the
+// canonical term whatever the spelling.
+func TestWireDecodeCanonicalizesTerms(t *testing.T) {
+	spell := func(k int64, vars ...any) []byte {
+		b := binary.AppendVarint([]byte{0x03}, k) // LE
+		b = binary.AppendUvarint(b, uint64(len(vars)/2))
+		for i := 0; i < len(vars); i += 2 {
+			name := vars[i].(string)
+			b = binary.AppendUvarint(b, uint64(len(name)))
+			b = binary.AppendVarint(append(b, name...), int64(vars[i+1].(int)))
+		}
+		return b
+	}
+	want := logic.LE(logic.LinVar("a").Add(logic.LinVar("c").Scale(2)).Add(logic.LinVar("d").Scale(3)).AddConst(-1))
+	for _, b := range [][]byte{
+		spell(-1, "a", 1, "c", 2, "d", 3),
+		spell(-1, "d", 3, "b", 0, "c", 2, "e", 0, "a", 1),
+		spell(-1, "c", 1, "a", 1, "x", 0, "d", 3, "c", 1),
+		spell(-1, "d", 1, "c", 2, "b", 5, "a", 1, "d", 2, "b", -5),
+	} {
+		got, err := logic.DecodeWireAll(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if logic.KeyID(got) != logic.KeyID(want) {
+			t.Errorf("%x decodes to %v, want %v", b, got, want)
+		}
+	}
+}
+
 // FuzzWireRoundTrip: any bytes that decode must re-encode canonically
 // and round-trip to the same canonical key; bytes that don't decode must
-// error rather than panic.
+// error rather than panic. The intern table is dropped between decode
+// and re-encode: a formula that outlives its generation encodes to the
+// same bytes.
 func FuzzWireRoundTrip(f *testing.F) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 32; i++ {
@@ -267,13 +301,21 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
+		before := logic.WireBytes(g)
+		logic.DropTable()
 		b := logic.WireBytes(g)
+		if !bytes.Equal(b, before) {
+			t.Fatalf("encoding changed across a table drop: %x vs %x", b, before)
+		}
 		h, err := logic.DecodeWireAll(b)
 		if err != nil {
 			t.Fatalf("canonical re-encoding does not decode: %v (%x)", err, b)
 		}
 		if !bytes.Equal(logic.WireBytes(h), b) {
 			t.Fatalf("encoding not idempotent: %x vs %x", logic.WireBytes(h), b)
+		}
+		if again, _, _ := logic.DecodeWire(data); logic.KeyID(g) != logic.KeyID(again) {
+			t.Fatalf("decoded before the drop keys as %#x, decoded after it as %#x", logic.KeyID(g), logic.KeyID(again))
 		}
 	})
 }

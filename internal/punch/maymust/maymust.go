@@ -663,13 +663,9 @@ func conjunctiveHull(fs []logic.Formula) logic.Formula {
 	if len(sets) == 0 {
 		return logic.True
 	}
-	// A conjunct past the intern-table cap has no id and is left out: a
-	// weaker hull is still a hull.
 	common := map[logic.ID]bool{}
 	for _, g := range sets[0] {
-		if id := logic.KeyID(g); id != 0 {
-			common[id] = true
-		}
+		common[logic.KeyID(g)] = true
 	}
 	for _, set := range sets[1:] {
 		have := map[logic.ID]bool{}
@@ -751,9 +747,7 @@ func (st *stepper) projectGlobals(f logic.Formula) logic.Formula {
 // satisfiability-based application at call sites is sound.
 func (st *stepper) isPointPre(s summary.Summary) bool {
 	// The verdict depends only on the precondition, so the memo keys on
-	// its interned identity — summaries sharing a Pre share the check. A
-	// precondition past the intern-table cap has no id; it is never
-	// stored and so checked every time.
+	// its interned identity — summaries sharing a Pre share the check.
 	id := logic.KeyID(s.Pre)
 	if v := st.o.pointPre[id]; v != 0 {
 		return v > 0
@@ -772,11 +766,9 @@ func (st *stepper) isPointPre(s summary.Summary) bool {
 		}
 		ok = st.Implies(s.Pre, logic.Conj(fs...))
 	}
-	if id != 0 {
-		st.o.pointPre[id] = -1
-		if ok {
-			st.o.pointPre[id] = 1
-		}
+	st.o.pointPre[id] = -1
+	if ok {
+		st.o.pointPre[id] = 1
 	}
 	return ok
 }

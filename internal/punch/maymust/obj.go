@@ -96,17 +96,12 @@ func (o *obj) addMust(node cfg.NodeID, e *mustElem, cap int) bool {
 
 // key identifies the element up to structure for deduplication: the
 // interned identity of the path condition and of every store term in
-// variable order (a term that overflowed the intern table prints in full).
+// variable order.
 func (e *mustElem) key(o *obj) string {
 	k := []byte(logic.Key(e.path))
 	for _, vars := range [2][]lang.Var{o.globals, o.locals} {
 		for _, v := range vars {
-			k = append(k, '|')
-			if id := logic.LinID(e.store[v]); id != 0 {
-				k = strconv.AppendUint(k, uint64(id), 10)
-			} else {
-				k = append(append(k, '!'), e.store[v].String()...)
-			}
+			k = strconv.AppendUint(append(k, '|'), uint64(logic.LinID(e.store[v])), 10)
 		}
 	}
 	return string(k)

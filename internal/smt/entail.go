@@ -29,9 +29,7 @@ func syntacticImplies(a, b logic.Formula) bool {
 	}
 	keys := make(map[logic.ID]bool, len(ac))
 	for _, g := range ac {
-		if id := logic.KeyID(g); id != 0 {
-			keys[id] = true
-		}
+		keys[logic.KeyID(g)] = true
 	}
 	for _, g := range bc {
 		if !conjunctEntailed(ac, keys, g) {
@@ -54,7 +52,7 @@ func conjunctsOf(f logic.Formula) []logic.Formula {
 // conjunctEntailed reports whether some conjunct of a entails g
 // syntactically.
 func conjunctEntailed(ac []logic.Formula, keys map[logic.ID]bool, g logic.Formula) bool {
-	if id := logic.KeyID(g); id != 0 && keys[id] {
+	if keys[logic.KeyID(g)] {
 		return true
 	}
 	ga, ok := g.(logic.Atom)
@@ -67,7 +65,7 @@ func conjunctEntailed(ac []logic.Formula, keys map[logic.ID]bool, g logic.Formul
 			continue
 		}
 		// h: L ≤ 0 entails g: L + c ≤ 0 whenever c ≤ 0.
-		if d := ga.L.Sub(ha.L); d.IsConst() && d.K <= 0 {
+		if ga.L.K <= ha.L.K && ga.L.AddConst(-ga.L.K).Equal(ha.L.AddConst(-ha.L.K)) {
 			return true
 		}
 	}

@@ -19,19 +19,7 @@ func (s *Solver) Valid(f logic.Formula) bool {
 	if !s.entailOn {
 		return s.validUncached(f)
 	}
-	id := logic.KeyID(f)
-	if id == 0 {
-		key := strKey("V\x1f" + logic.Key(f))
-		if v, ok := s.entailStr.get(key); ok {
-			atomic.AddInt64(&s.stats.EntailCacheHits, 1)
-			return v
-		}
-		atomic.AddInt64(&s.stats.EntailCacheMisses, 1)
-		v := s.validUncached(f)
-		s.entailStr.put(key, v)
-		return v
-	}
-	key := idKey{a: id} // an Implies key has b != 0
+	key := idKey{a: logic.KeyID(f)} // an Implies key has b != 0
 	if v, ok := s.entail.get(key); ok {
 		atomic.AddInt64(&s.stats.EntailCacheHits, 1)
 		return v
@@ -46,9 +34,7 @@ func (s *Solver) Valid(f logic.Formula) bool {
 // identical formulas short-circuit on id equality; otherwise both
 // directions go through the (cached) Implies path.
 func (s *Solver) Equivalent(a, b logic.Formula) bool {
-	if ida, idb := logic.KeyID(a), logic.KeyID(b); ida != 0 && ida == idb {
-		return true
-	} else if (ida == 0 || idb == 0) && logic.Key(a) == logic.Key(b) {
+	if logic.KeyID(a) == logic.KeyID(b) {
 		return true
 	}
 	return s.Implies(a, b) && s.Implies(b, a)

@@ -13,35 +13,15 @@ import (
 // corpus check allocated 320 of them and the check took 10–40 % longer.
 const memoStripes = 16
 
-// memoKey is what a memo can be keyed on: a comparable value that picks
-// its own stripe.
-type memoKey interface {
-	comparable
-	stripe() uint32
-}
-
 // idKey keys a memo on up to three interned ids (unused ones zero). Ids
-// are canonical for the life of the process, so a probe builds no string
-// and boxes nothing.
+// are canonical within their generation of the intern table and never
+// equal an id of another, so a probe builds no string and boxes nothing.
 type idKey struct{ a, b, c logic.ID }
 
 func (k idKey) stripe() uint32 {
 	h := (uint64(k.a)*0x9e3779b97f4a7c15 ^ uint64(k.b)) * 0x9e3779b97f4a7c15
 	h = (h ^ uint64(k.c)) * 0x9e3779b97f4a7c15
 	return uint32(h >> 33)
-}
-
-// strKey keys a memo on a string: a cube's packed atom ids, or the
-// structural print of a formula past the intern-table cap, which has no
-// id.
-type strKey string
-
-func (k strKey) stripe() uint32 {
-	h := uint32(2166136261) // FNV-1a
-	for i := 0; i < len(k); i++ {
-		h = (h ^ uint32(k[i])) * 16777619
-	}
-	return h
 }
 
 // memo is one of a solver's result tables: striped, and bounded without
@@ -51,17 +31,17 @@ func (k strKey) stripe() uint32 {
 // pure function of its key, so a hit, a miss and a turned-away result all
 // give the same answer; only the work differs. A solver belongs to one
 // run, and its memos die with it.
-type memo[K memoKey, V any] struct {
+type memo[V any] struct {
 	max    int64
 	n      atomic.Int64 // results kept
 	turned atomic.Int64 // results turned away at max
 	shards [memoStripes]struct {
 		mu sync.RWMutex
-		m  map[K]V
+		m  map[idKey]V
 	}
 }
 
-func (c *memo[K, V]) get(k K) (V, bool) {
+func (c *memo[V]) get(k idKey) (V, bool) {
 	sh := &c.shards[k.stripe()%memoStripes]
 	sh.mu.RLock()
 	v, ok := sh.m[k]
@@ -73,7 +53,7 @@ func (c *memo[K, V]) get(k K) (V, bool) {
 // is inserted, under its stripe's lock: two workers that missed on the
 // same key count it once, and the bound is reserved before the insert, so
 // it holds exactly under any interleaving.
-func (c *memo[K, V]) put(k K, v V) {
+func (c *memo[V]) put(k idKey, v V) {
 	sh := &c.shards[k.stripe()%memoStripes]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -86,7 +66,7 @@ func (c *memo[K, V]) put(k K, v V) {
 		return
 	}
 	if sh.m == nil {
-		sh.m = make(map[K]V)
+		sh.m = make(map[idKey]V)
 	}
 	sh.m[k] = v
 }
@@ -97,11 +77,6 @@ type MemoStats struct {
 	Entries, Capacity, TurnedAway int64
 }
 
-func (c *memo[K, V]) stats() MemoStats {
+func (c *memo[V]) stats() MemoStats {
 	return MemoStats{Entries: c.n.Load(), Capacity: c.max, TurnedAway: c.turned.Load()}
-}
-
-// add folds a memo's string-keyed overflow twin into its statistics.
-func (s MemoStats) add(o MemoStats) MemoStats {
-	return MemoStats{s.Entries + o.Entries, s.Capacity, s.TurnedAway + o.TurnedAway}
 }

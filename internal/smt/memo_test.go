@@ -9,7 +9,7 @@ import (
 )
 
 // held is the number of results the memo's stripes really hold.
-func (c *memo[K, V]) held() (n int64) {
+func (c *memo[V]) held() (n int64) {
 	for i := range c.shards {
 		n += int64(len(c.shards[i].m))
 	}
@@ -23,7 +23,7 @@ func (c *memo[K, V]) held() (n int64) {
 func TestMemoCountsInsertsAndHoldsItsBound(t *testing.T) {
 	const workers, keys, bound = 8, 3000, 1000
 	for _, max := range []int64{keys * 2, bound} {
-		c := memo[idKey, int]{max: max}
+		c := memo[int]{max: max}
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)

@@ -28,7 +28,7 @@ func (s *Solver) Simplify(f logic.Formula) logic.Formula {
 		return f
 	}
 	k := idKey{a: logic.KeyID(f)}
-	keyed := k.a != 0 && !s.noStepMemo
+	keyed := !s.noStepMemo
 	if keyed {
 		if g, ok := s.simp.get(k); ok {
 			return g

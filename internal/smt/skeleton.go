@@ -12,8 +12,7 @@ type skeleton struct {
 	atoms    []logic.Atom
 	atomVars []int // boolean variable index of atoms[i]
 	index    map[logic.ID]int
-	indexStr map[string]int // fallback for intern-table overflow
-	clauses  [][]int        // literals: +v+1 (positive), -(v+1) (negative)
+	clauses  [][]int // literals: +v+1 (positive), -(v+1) (negative)
 	nvars    int
 }
 
@@ -29,17 +28,6 @@ func newSkeleton(f logic.Formula) *skeleton {
 // instead of the string render this used to pay per encode.
 func (sk *skeleton) atomVar(a logic.Atom) int {
 	id := logic.LinID(a.L)
-	if id == 0 {
-		key := a.L.String()
-		if i, ok := sk.indexStr[key]; ok {
-			return i
-		}
-		if sk.indexStr == nil {
-			sk.indexStr = map[string]int{}
-		}
-		sk.indexStr[key] = sk.addAtom(a)
-		return sk.indexStr[key]
-	}
 	if i, ok := sk.index[id]; ok {
 		return i
 	}

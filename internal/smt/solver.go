@@ -51,8 +51,8 @@ type Stats struct {
 	DPLLConflicts  int64 // propositional conflicts analyzed by the CDCL core
 	LearnedClauses int64 // clauses learned (1-UIP, theory-trail, blocking)
 	Propagations   int64 // literals propagated by the two-watched scheme
-	// HashConsHits is the process-global intern-table hit delta since
-	// this solver was created (snapshot-only; see StatsSnapshot).
+	// HashConsHits is the run's intern-table hits, counted from its start
+	// (filled in by the engine; StatsSnapshot leaves it zero).
 	HashConsHits int64
 	// Fill of the solver's memos (snapshot-only): the Sat, satCube and
 	// entailment memos, and the one-step-feasibility and Simplify memos.
@@ -67,31 +67,24 @@ type Solver struct {
 	// maxConflicts caps theory-conflict iterations before giving up.
 	maxConflicts int
 	// The run's memos (memo.go). sat keeps Sat results by formula id and
-	// cubes keeps satCube verdicts by the sorted interned ids of the
-	// cube's atoms: Fourier–Motzkin over a cube is a pure function of the
-	// atom set, so elimination work is shared across the near-identical
-	// assignments successive DPLL iterations produce. entail keeps
-	// Implies verdicts by id pair and Valid verdicts by one id; it is used
-	// only after EnableEntailmentCache. steps keeps one-step feasibility
-	// by (statement, source, destination) and simp keeps Simplify results
-	// by formula id. satStr and entailStr serve formulas past the
-	// intern-table cap, which have no id and key by their structural
-	// print.
-	sat       memo[idKey, Result]
-	satStr    memo[strKey, Result]
-	cubes     memo[strKey, Result]
-	entail    memo[idKey, bool]
-	entailStr memo[strKey, bool]
-	entailOn  bool
-	steps     memo[idKey, bool]
-	simp      memo[idKey, logic.Formula]
+	// cubes keeps satCube verdicts by the id of the cube's atom set
+	// (logic.Cube.ID): Fourier–Motzkin over a cube is a pure function of
+	// the atom set, so elimination work is shared across the
+	// near-identical assignments successive DPLL iterations produce.
+	// entail keeps Implies verdicts by id pair and Valid verdicts by one
+	// id; it is used only after EnableEntailmentCache. steps keeps
+	// one-step feasibility by (statement, source, destination) and simp
+	// keeps Simplify results by formula id.
+	sat      memo[Result]
+	cubes    memo[Result]
+	entail   memo[bool]
+	entailOn bool
+	steps    memo[bool]
+	simp     memo[logic.Formula]
 	// noStepMemo makes StepFeasible and Simplify compute every answer
 	// afresh. Only tests set it, to show that the two memos change no
 	// answer.
 	noStepMemo bool
-	// internHitsBase is the global hash-cons hit counter at New time,
-	// so StatsSnapshot can report the per-solver-lifetime delta.
-	internHitsBase int64
 }
 
 // Bounds on the memos. None evicts, so each is sized to hold what the
@@ -107,10 +100,8 @@ const (
 // New returns a solver with default resource limits. The entailment
 // cache starts disabled; callers opt in with EnableEntailmentCache.
 func New() *Solver {
-	hits, _ := logic.InternStats()
-	s := &Solver{maxDNF: 256, maxConflicts: 1500, internHitsBase: hits}
-	s.sat.max, s.satStr.max, s.cubes.max = maxSatMemo, maxSatMemo, maxCubeMemo
-	s.entail.max, s.entailStr.max = maxEntailMemo, maxEntailMemo
+	s := &Solver{maxDNF: 256, maxConflicts: 1500}
+	s.sat.max, s.cubes.max, s.entail.max = maxSatMemo, maxCubeMemo, maxEntailMemo
 	s.steps.max, s.simp.max = maxStepMemo, maxSimpMemo
 	return s
 }
@@ -126,13 +117,8 @@ func (s *Solver) EnableEntailmentCache() *Solver {
 // Ticks returns the cumulative abstract work units spent so far.
 func (s *Solver) Ticks() int64 { return atomic.LoadInt64(&s.stats.Ticks) }
 
-// StatsSnapshot returns a copy of the operation counters. HashConsHits
-// is the process-global intern-table hit delta since New — with one
-// solver per run this attributes the run's hash-consing traffic, with
-// concurrent runs in one process the windows overlap (metrics only;
-// never used for decisions).
+// StatsSnapshot returns a copy of the operation counters.
 func (s *Solver) StatsSnapshot() Stats {
-	hits, _ := logic.InternStats()
 	return Stats{
 		SatCalls:          atomic.LoadInt64(&s.stats.SatCalls),
 		TheoryChecks:      atomic.LoadInt64(&s.stats.TheoryChecks),
@@ -144,10 +130,9 @@ func (s *Solver) StatsSnapshot() Stats {
 		DPLLConflicts:     atomic.LoadInt64(&s.stats.DPLLConflicts),
 		LearnedClauses:    atomic.LoadInt64(&s.stats.LearnedClauses),
 		Propagations:      atomic.LoadInt64(&s.stats.Propagations),
-		HashConsHits:      hits - s.internHitsBase,
-		SatMemo:           s.sat.stats().add(s.satStr.stats()),
+		SatMemo:           s.sat.stats(),
 		CubeMemo:          s.cubes.stats(),
-		EntailMemo:        s.entail.stats().add(s.entailStr.stats()),
+		EntailMemo:        s.entail.stats(),
 		StepMemo:          s.steps.stats(),
 		SimplifyMemo:      s.simp.stats(),
 	}
@@ -156,25 +141,15 @@ func (s *Solver) StatsSnapshot() Stats {
 func (s *Solver) tick(n int64) { atomic.AddInt64(&s.stats.Ticks, n) }
 
 // Sat decides satisfiability of f over the integers. Results are
-// memoized by formula structure: the hash-consed id when available,
-// falling back to the structural string past the intern-table cap.
+// memoized by formula structure: the hash-consed id.
 func (s *Solver) Sat(f logic.Formula) Result {
 	atomic.AddInt64(&s.stats.SatCalls, 1)
 	s.tick(1)
-	id := logic.KeyID(f)
-	if id == 0 {
-		k := strKey(logic.Key(f))
-		r, ok := s.satStr.get(k)
-		if !ok {
-			r = s.satUncached(f)
-			s.satStr.put(k, r)
-		}
-		return r
-	}
-	r, ok := s.sat.get(idKey{a: id})
+	k := idKey{a: logic.KeyID(f)}
+	r, ok := s.sat.get(k)
 	if !ok {
 		r = s.satUncached(f)
-		s.sat.put(idKey{a: id}, r)
+		s.sat.put(k, r)
 	}
 	return r
 }
@@ -188,7 +163,7 @@ func (s *Solver) Sat(f logic.Formula) Result {
 // every query over the procedure and by every edge that carries it.
 func (s *Solver) StepFeasible(stmtID uint32, stmt lang.Stmt, from, to logic.Formula) bool {
 	k := idKey{logic.ID(stmtID), logic.KeyID(from), logic.KeyID(to)}
-	keyed := k.a != 0 && k.b != 0 && k.c != 0 && !s.noStepMemo
+	keyed := k.a != 0 && !s.noStepMemo
 	if keyed {
 		if open, ok := s.steps.get(k); ok {
 			return open
@@ -244,21 +219,17 @@ func (s *Solver) satUncached(f logic.Formula) Result {
 }
 
 // satCube decides a single conjunction of ≤-atoms. Verdicts are
-// memoized by the cube's atom-set identity (sorted interned term ids):
-// a hit costs one tick instead of re-running elimination.
+// memoized by the cube's atom-set identity: a hit costs one tick instead
+// of re-running elimination.
 func (s *Solver) satCube(c logic.Cube) Result {
 	atomic.AddInt64(&s.stats.TheoryChecks, 1)
-	key, keyed := cubeKey(c)
-	if keyed {
-		if r, ok := s.cubes.get(key); ok {
-			s.tick(1)
-			return r
-		}
+	key := idKey{a: c.ID()}
+	if r, ok := s.cubes.get(key); ok {
+		s.tick(1)
+		return r
 	}
 	r := s.satCubeUncached(c)
-	if keyed {
-		s.cubes.put(key, r)
-	}
+	s.cubes.put(key, r)
 	return r
 }
 
@@ -278,38 +249,6 @@ func (s *Solver) satCubeUncached(c logic.Cube) Result {
 		return Result{Sat: true}
 	}
 	return Result{Sat: true, Model: model, Known: true}
-}
-
-// cubeKey canonicalizes a cube as the sorted interned ids of its atom
-// terms, packed into a string for map use. False when any term is not
-// internable (table cap) or the cube contains an equality.
-func cubeKey(c logic.Cube) (strKey, bool) {
-	var idBuf [32]logic.ID
-	ids := idBuf[:0]
-	for _, a := range c {
-		if a.Eq {
-			return "", false
-		}
-		id := logic.LinID(a.L)
-		if id == 0 {
-			return "", false
-		}
-		ids = append(ids, id)
-	}
-	// Insertion sort: cubes are small and nearly sorted.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	var bufArr [8 * len(idBuf)]byte
-	buf := bufArr[:0]
-	for _, id := range ids {
-		buf = append(buf,
-			byte(id), byte(id>>8), byte(id>>16), byte(id>>24),
-			byte(id>>32), byte(id>>40), byte(id>>48), byte(id>>56))
-	}
-	return strKey(buf), true
 }
 
 // rationallySat runs real-shadow FM elimination of every variable to
@@ -387,11 +326,8 @@ func (s *Solver) validUncached(f logic.Formula) bool {
 // runs before DPLL.
 func (s *Solver) Implies(a, b logic.Formula) bool {
 	ida, idb := logic.KeyID(a), logic.KeyID(b)
-	if ida != 0 && ida == idb {
+	if ida == idb {
 		return true
-	}
-	if ida == 0 || idb == 0 {
-		return s.impliesFallback(a, b)
 	}
 	if !s.entailOn {
 		return s.validUncached(logic.Disj(logic.Not(a), b))
@@ -404,27 +340,6 @@ func (s *Solver) Implies(a, b logic.Formula) bool {
 	atomic.AddInt64(&s.stats.EntailCacheMisses, 1)
 	v := s.impliesUncached(a, b)
 	s.entail.put(key, v)
-	return v
-}
-
-// impliesFallback is the string-keyed path for formulas past the
-// intern-table cap.
-func (s *Solver) impliesFallback(a, b logic.Formula) bool {
-	ka, kb := logic.Key(a), logic.Key(b)
-	if ka == kb {
-		return true
-	}
-	if !s.entailOn {
-		return s.validUncached(logic.Disj(logic.Not(a), b))
-	}
-	key := strKey(ka + "\x1f" + kb)
-	if v, ok := s.entailStr.get(key); ok {
-		atomic.AddInt64(&s.stats.EntailCacheHits, 1)
-		return v
-	}
-	atomic.AddInt64(&s.stats.EntailCacheMisses, 1)
-	v := s.impliesUncached(a, b)
-	s.entailStr.put(key, v)
 	return v
 }
 

@@ -318,7 +318,7 @@ func (d *Disk) append(payload []byte) error {
 
 // Put appends one summary record, deduplicated by canonical wire key.
 // The wire encoder is the durability guard: a summary whose fields
-// carry a process-local "#id"/"!" key is refused before any byte
+// carry a process-local "#id" key is refused before any byte
 // reaches disk.
 func (d *Disk) Put(s summary.Summary) (bool, error) {
 	payload, err := wire.AppendSummary(nil, s)

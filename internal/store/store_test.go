@@ -283,7 +283,7 @@ func TestMemMatchesDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := put[0]
-	s.Proc = "!volatile"
+	s.Proc = logic.Key(s.Pre)
 	if _, err := m.Put(s); !errors.Is(err, wire.ErrVolatileKey) {
 		t.Fatalf("Mem accepted a volatile key: %v", err)
 	}

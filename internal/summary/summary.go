@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -134,14 +133,21 @@ type memoEntry struct {
 // set, and a bounded memo of answered questions.
 type procShard struct {
 	mu      sync.RWMutex
-	keys    map[string]struct{}
+	keys    map[pairKey]struct{}
 	sums    []Summary // append-only; elements are never mutated in place
 	version uint64    // bumped on every successful Add
 	added   int64     // guarded by mu
 	dupes   int64     // guarded by mu
 
 	memoMu sync.Mutex
-	memo   map[string]memoEntry
+	memo   map[pairKey]memoEntry
+}
+
+// pairKey identifies a summary within a run — its kind and the interned
+// ids of Pre and Post — or a question answered under a rule.
+type pairKey struct {
+	tag       byte
+	pre, post logic.ID
 }
 
 // view returns the current stable prefix of the append-only summary
@@ -165,7 +171,7 @@ func (ps *procShard) currentVersion() uint64 {
 // memoGet looks up a memoized answer. A hit is returned only when still
 // valid: positive entries always, negative entries only at the recorded
 // summary-set version.
-func (ps *procShard) memoGet(key string, version uint64) (memoEntry, bool) {
+func (ps *procShard) memoGet(key pairKey, version uint64) (memoEntry, bool) {
 	ps.memoMu.Lock()
 	defer ps.memoMu.Unlock()
 	e, ok := ps.memo[key]
@@ -179,11 +185,11 @@ func (ps *procShard) memoGet(key string, version uint64) (memoEntry, bool) {
 	return e, true
 }
 
-func (ps *procShard) memoPut(key string, e memoEntry) {
+func (ps *procShard) memoPut(key pairKey, e memoEntry) {
 	ps.memoMu.Lock()
 	defer ps.memoMu.Unlock()
 	if ps.memo == nil || len(ps.memo) >= memoBound {
-		ps.memo = make(map[string]memoEntry)
+		ps.memo = make(map[pairKey]memoEntry)
 	}
 	ps.memo[key] = e
 }
@@ -280,7 +286,7 @@ func (db *DB) entry(proc string) *procShard {
 	defer sh.mu.Unlock()
 	ps := sh.procs[proc]
 	if ps == nil {
-		ps = &procShard{keys: map[string]struct{}{}}
+		ps = &procShard{keys: map[pairKey]struct{}{}}
 		sh.procs[proc] = ps
 	}
 	return ps
@@ -290,9 +296,7 @@ func (db *DB) entry(proc string) *procShard {
 // procedure's version, which invalidates memoized "no answer" results
 // for that procedure.
 func (db *DB) Add(s Summary) {
-	// Cheap concat over interned keys — this runs per summary insertion
-	// and used to pay a fmt.Sprintf over two full structural renders.
-	key := strconv.Itoa(int(s.Kind)) + "|" + logic.Key(s.Pre) + "|" + logic.Key(s.Post)
+	key := pairKey{byte(s.Kind), logic.KeyID(s.Pre), logic.KeyID(s.Post)}
 	ps := db.entry(s.Proc)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -307,8 +311,8 @@ func (db *DB) Add(s Summary) {
 }
 
 // questionKey builds the memo key for q under the given answering rule.
-func questionKey(rule byte, q Question) string {
-	return string(rule) + "|" + logic.Key(q.Pre) + "|" + logic.Key(q.Post)
+func questionKey(rule byte, q Question) pairKey {
+	return pairKey{rule, logic.KeyID(q.Pre), logic.KeyID(q.Post)}
 }
 
 // AnswerYes looks for a must summary (ψ1 ⇒must ψ2) answering q with "yes":

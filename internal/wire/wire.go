@@ -4,8 +4,7 @@
 // internal/logic (logic.AppendWire) with length-prefixed strings and a
 // record tag, and it is the single choke point where durability is
 // enforced: nothing resembling a process-local logic.Key — the
-// "#<intern-id>" render or the "!"-prefixed overflow fallback — may be
-// written into a persisted artifact. Only canonical wire bytes cross
+// "#<intern-id>" render — may be written into a persisted artifact. Only canonical wire bytes cross
 // the process boundary.
 package wire
 
@@ -41,9 +40,8 @@ const maxStringLen = 1 << 16
 var ErrVolatileKey = fmt.Errorf("wire: process-local logic.Key leaked into a durable artifact")
 
 // CheckDurable rejects strings that carry a process-local formula
-// identity: the "#<id>" render of an interned logic.Key and the
-// "!"-prefixed structural fallback. Such strings are only meaningful
-// inside the process that produced them; persisting or shipping one is
+// identity: the "#<id>" render of an interned logic.Key. Such strings are
+// only meaningful inside the run that produced them; persisting or shipping one is
 // always a bug. The encoders below run this check on every string they
 // write, so the store encoder cannot emit one even if a caller
 // mistakenly threads a Key through a name field.
@@ -55,13 +53,7 @@ func CheckDurable(s string) error {
 }
 
 func looksVolatile(s string) bool {
-	if len(s) == 0 {
-		return false
-	}
-	if s[0] == '!' {
-		return true
-	}
-	if s[0] != '#' || len(s) < 2 {
+	if len(s) < 2 || s[0] != '#' {
 		return false
 	}
 	for i := 1; i < len(s); i++ {

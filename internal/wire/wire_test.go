@@ -92,13 +92,13 @@ func TestSummaryKeyIsProcessOrderFree(t *testing.T) {
 }
 
 func TestCheckDurable(t *testing.T) {
-	volatile := []string{"#0", "#12", "#4294967296", "!x ≤ 3", "!"}
+	volatile := []string{"#0", "#12", "#4294967296"}
 	for _, s := range volatile {
 		if err := wire.CheckDurable(s); !errors.Is(err, wire.ErrVolatileKey) {
 			t.Errorf("CheckDurable(%q) = %v, want ErrVolatileKey", s, err)
 		}
 	}
-	durable := []string{"", "main", "proc_12", "#", "#12a", "x#12", "12#"}
+	durable := []string{"", "main", "proc_12", "#", "#12a", "x#12", "12#", "!x ≤ 3", "!"}
 	for _, s := range durable {
 		if err := wire.CheckDurable(s); err != nil {
 			t.Errorf("CheckDurable(%q) = %v, want nil", s, err)
@@ -112,7 +112,7 @@ func TestCheckDurable(t *testing.T) {
 func TestEncoderRefusesVolatileKeys(t *testing.T) {
 	s := testSummary()
 	s.Proc = logic.Key(s.Pre) // "#<intern-id>": the classic leak
-	if !strings.HasPrefix(s.Proc, "#") && !strings.HasPrefix(s.Proc, "!") {
+	if !strings.HasPrefix(s.Proc, "#") {
 		t.Fatalf("fixture assumption broken: logic.Key = %q", s.Proc)
 	}
 	if _, err := wire.AppendSummary(nil, s); !errors.Is(err, wire.ErrVolatileKey) {
@@ -121,7 +121,7 @@ func TestEncoderRefusesVolatileKeys(t *testing.T) {
 	if _, err := wire.SummaryKey(s); !errors.Is(err, wire.ErrVolatileKey) {
 		t.Fatalf("SummaryKey accepted a volatile proc key: %v", err)
 	}
-	q := summary.Question{Proc: "!fallback-render"}
+	q := summary.Question{Proc: s.Proc}
 	if _, err := wire.AppendQuestion(nil, q); !errors.Is(err, wire.ErrVolatileKey) {
 		t.Fatalf("AppendQuestion accepted a volatile proc key: %v", err)
 	}
