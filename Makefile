@@ -29,7 +29,8 @@ test:
 # the streaming engine and two overlapping checks in one process (the
 # intern table is dropped only when both have ended), the sharded summary
 # database, the solver's memos and fuzz seed corpus (shared interning
-# table under concurrent PUNCH), the PUNCH instantiations and the region
+# table under concurrent PUNCH; eight goroutines simplifying overlapping
+# cubes on one solver), the PUNCH instantiations and the region
 # graph (four streaming workers on one solver's memos), the hash-consing
 # table itself (builders racing with drops), the
 # query tree's coalescing machinery, the persistent summary store (every
@@ -80,13 +81,16 @@ dead-exports:
 # formula of a dropped generation once it is interned again
 # (testing.AllocsPerRun). The region graph's pin: a path search on a
 # settled graph allocates the path it returns and nothing else. The cube
-# kernel's: with its pool warm, enumerating a DNF and a real-shadow check
-# of a cube allocate nothing.
+# kernel's: with its pool warm, enumerating a DNF, a real-shadow check
+# of a cube and the refutation that a cube entails an atom allocate
+# nothing. The solver's: an Implies miss that the subsumption rule settles
+# allocates nothing, nor does simplifying a cube whose result exists.
 alloc-pin:
 	$(GO) test -run 'TestAllocPin|TestHeapPin' -count=1 .
 	$(GO) test -run TestConstructorHitPathAllocFree -count=1 ./internal/logic
 	$(GO) test -run TestFindPathAllocPin -count=1 ./internal/punch/regions
 	$(GO) test -run TestCubeKernelAllocPin -count=1 ./internal/logic
+	$(GO) test -run TestSolverAllocPin -count=1 ./internal/smt
 
 # trace-smoke records a corpus program on all three engines, converts
 # each stream with obs.WriteChrome and validates the document, then
@@ -134,7 +138,8 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke gives each fuzzer a short budget: the solver against its
-# reference implementation, the cube kernel (DNF enumeration and
+# reference implementation, Simplify on cubes against the formula-level
+# filter it replaced, the cube kernel (DNF enumeration and
 # Fourier–Motzkin projection) against its reference implementation, the
 # wire codec's decode/re-encode round trip on arbitrary bytes (with the
 # intern table dropped in between), arbitrary
@@ -142,6 +147,7 @@ bench-smoke:
 # error or a clean result, never a panic).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDPLLAgainstReference -fuzztime 10s ./internal/smt
+	$(GO) test -run '^$$' -fuzz FuzzSimplifyAgainstReference -fuzztime 10s ./internal/smt
 	$(GO) test -run '^$$' -fuzz FuzzCubeKernelAgainstReference -fuzztime 10s ./internal/logic
 	$(GO) test -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/logic
 	$(GO) test -run '^$$' -fuzz FuzzStoreOpen -fuzztime 10s ./internal/store

@@ -12,9 +12,11 @@ import (
 )
 
 // allocPinBudget is what the second of two one-thread checks of
-// parport/PowerDownFail in one process may allocate: the 5.53 MB measured
-// when the intern table came to live as long as a run and term arithmetic
-// and child lists moved to the stack (5.91 MB before, when the second
+// parport/PowerDownFail in one process may allocate: the 3.89 MB measured
+// when Simplify came to run only where its result is kept and to decide
+// cubes in the cube kernel (5.53 MB before, when the intern table came to
+// live as long as a run and term arithmetic and child lists moved to the
+// stack; 5.91 MB before that, when the second
 // check found every formula interned by the first; 15.48
 // MB before the cube kernel built its cubes and projections in pooled
 // scratch memory, 17.22 MB before the region graph kept records of live
@@ -25,7 +27,7 @@ import (
 // held: the race detector makes sync.Pool drop a quarter of what it is
 // given, and the scratch memory is allocated again. A change that lowers
 // the allocation on purpose lowers the budget with it.
-const allocPinBudget = 6_100_000
+const allocPinBudget = 4_300_000
 
 // TestAllocPin holds the allocation of a check still. The check runs
 // twice. The first run ends by dropping the intern table, so the second

@@ -371,8 +371,9 @@ func TestNestedEnumerationConcurrent(t *testing.T) {
 }
 
 // TestCubeKernelAllocPin holds the kernel to its purpose: with the pool
-// warm, enumerating an interned DNF and a real-shadow check of a cube
-// allocate nothing. What a caller keeps it copies out itself.
+// warm, enumerating an interned DNF, a real-shadow check of a cube and
+// the refutation by which a cube entails an atom allocate nothing. What
+// a caller keeps it copies out itself.
 func TestCubeKernelAllocPin(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
@@ -394,7 +395,14 @@ func TestCubeKernelAllocPin(t *testing.T) {
 		}
 		s.Release()
 	}
-	for name, op := range map[string]func(){"EachCube over a 2×3 DNF": enumerate, "a real-shadow check": check} {
+	refute := func() {
+		s := GetScratch()
+		if !s.Entails(cube[:3], Atom{L: y.AddConst(-8)}) {
+			t.Fatal("a ≤ 4, 1 ≤ a, 2b ≤ 2a do not entail b ≤ 8")
+		}
+		s.Release()
+	}
+	for name, op := range map[string]func(){"EachCube over a 2×3 DNF": enumerate, "a real-shadow check": check, "a refutation of an atom's negation": refute} {
 		op() // fills the pool
 		if a := testing.AllocsPerRun(100, op); a != 0 {
 			t.Errorf("%s allocates %.1f times with the pool warm, want 0", name, a)

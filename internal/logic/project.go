@@ -325,6 +325,20 @@ func (s *Scratch) Project(c Cube, elim []lang.Var, mode Shadow) (out Cube, exact
 	return out, exact, true
 }
 
+// Entails reports whether the cube c implies the ≤-atom a: whether
+// c ∧ ¬a, with ¬(L ≤ 0) the integer negation 1 − L ≤ 0, is refuted by
+// real-shadow elimination of every variable. True is a proof over the
+// integers; false means none was found. No formula is built, and s is
+// left as it was found.
+func (s *Scratch) Entails(c Cube, a Atom) bool {
+	atoms, terms, names := len(s.atoms), len(s.vars), len(s.names)
+	s.atoms = append(append(s.atoms, c...), Atom{L: s.term(a.L, -1).AddConst(1)})
+	q := s.atoms[atoms:]
+	_, _, sat := s.Project(q, s.Vars(q), Over)
+	s.atoms, s.vars, s.coefs, s.names = s.atoms[:atoms], s.vars[:terms], s.coefs[:terms], s.names[:names]
+	return !sat
+}
+
 // eliminate removes v from the simplified cube c by Fourier–Motzkin
 // combination. exact reports whether the projection is exact over the
 // integers (every combined pair had a unit coefficient).

@@ -179,7 +179,7 @@ func (st *stepper) refuteOrConfirm(path []*regions.Edge) (punch.Result, bool) {
 		}
 		st.Charge(2)
 		wp := logic.Pre(e.Stmt, cur.F, logic.Over)
-		f1 := st.Solver.Simplify(logic.Conj(stp.From.F, wp))
+		f1 := logic.Conj(stp.From.F, wp)
 		r1 := st.Sat(f1)
 		if r1.Known && !r1.Sat {
 			// No state in the source region can enter the suffix.
@@ -187,7 +187,7 @@ func (st *stepper) refuteOrConfirm(path []*regions.Edge) (punch.Result, bool) {
 			st.debugf("refuted path at step %d (edge n%d->n%d)", i, e.From, e.To)
 			return punch.Result{}, false
 		}
-		f2 := st.Solver.Simplify(logic.Conj(stp.From.F, logic.Not(wp)))
+		f2 := logic.Conj(stp.From.F, logic.Not(wp))
 		r2 := st.Sat(f2)
 		if r2.Known && !r2.Sat {
 			// The whole region can enter: no refinement here, keep walking.
@@ -223,14 +223,14 @@ func (st *stepper) backwardCall(prefix []*regions.Edge, stp *regions.Edge, cur *
 	}
 	st.Charge(6)
 	wf, _ := logic.Exists(cur.F, modG, logic.Over)
-	f1 := st.Solver.Simplify(logic.Conj(stp.From.F, wf))
+	f1 := logic.Conj(stp.From.F, wf)
 	r1 := st.Sat(f1)
 	if r1.Known && !r1.Sat {
 		o.g.Kill(k)
 		st.debugf("frame-refuted call edge %v", k)
 		return nil, true
 	}
-	f2 := st.Solver.Simplify(logic.Conj(stp.From.F, logic.Not(wf)))
+	f2 := logic.Conj(stp.From.F, logic.Not(wf))
 	if r2 := st.Sat(f2); r2.Known && r2.Sat {
 		_, outs := o.g.PartitionOn(&st.Meter, stp.From, wf)
 		o.g.Eliminate(stp.CFG, outs, cur)
@@ -272,12 +272,12 @@ func (st *stepper) backwardCall(prefix []*regions.Edge, stp *regions.Edge, cur *
 		if !st.Implies(postG, s.Post) {
 			continue
 		}
-		g1 := st.Solver.Simplify(logic.Conj(stp.From.F, s.Pre))
+		g1 := logic.Conj(stp.From.F, s.Pre)
 		rg1 := st.Sat(g1)
 		if rg1.Known && !rg1.Sat {
 			continue
 		}
-		g2 := st.Solver.Simplify(logic.Conj(stp.From.F, logic.Not(s.Pre)))
+		g2 := logic.Conj(stp.From.F, logic.Not(s.Pre))
 		rg2 := st.Sat(g2)
 		if rg2.Known && !rg2.Sat {
 			o.g.Kill(k)

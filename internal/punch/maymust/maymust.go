@@ -386,8 +386,8 @@ func (st *stepper) handleSimpleFrontier(stp *regions.Edge, s lang.Stmt) {
 	st.Charge(2)
 	wp := logic.Pre(s, stp.To.F, logic.Over)
 	st.Charge(8)
-	f1 := st.Solver.Simplify(logic.Conj(stp.From.F, wp))
-	f2 := st.Solver.Simplify(logic.Conj(stp.From.F, logic.Not(wp)))
+	f1 := logic.Conj(stp.From.F, wp)
+	f2 := logic.Conj(stp.From.F, logic.Not(wp))
 	sat1 := st.Sat(f1)
 	if sat1.Known && !sat1.Sat {
 		// ρ ∩ pre(s, ρ') = ∅: the whole edge is infeasible.
@@ -473,8 +473,8 @@ func (st *stepper) handleCallFrontier(stp *regions.Edge, callee string) {
 	}
 	st.Charge(6)
 	wpFrame, _ := logic.Exists(stp.To.F, modG, logic.Over)
-	f1 := st.Solver.Simplify(logic.Conj(stp.From.F, wpFrame))
-	f2 := st.Solver.Simplify(logic.Conj(stp.From.F, logic.Not(wpFrame)))
+	f1 := logic.Conj(stp.From.F, wpFrame)
+	f2 := logic.Conj(stp.From.F, logic.Not(wpFrame))
 	if r1 := st.Sat(f1); r1.Known && !r1.Sat {
 		st.debugf("frame: eliminated call edge %v (no state can land in R%d)", stp, stp.To.ID)
 		o.g.Kill(stp)
@@ -537,12 +537,12 @@ func (st *stepper) handleCallFrontier(stp *regions.Edge, callee string) {
 			continue
 		}
 		st.Charge(8)
-		f1 := st.Solver.Simplify(logic.Conj(stp.From.F, s.Pre))
+		f1 := logic.Conj(stp.From.F, s.Pre)
 		r1 := st.Sat(f1)
 		if r1.Known && !r1.Sat {
 			continue // summary covers none of ρ
 		}
-		f2 := st.Solver.Simplify(logic.Conj(stp.From.F, logic.Not(s.Pre)))
+		f2 := logic.Conj(stp.From.F, logic.Not(s.Pre))
 		r2 := st.Sat(f2)
 		if r2.Known && !r2.Sat {
 			// All of ρ is covered: eliminate the edge outright.

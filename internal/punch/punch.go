@@ -121,6 +121,15 @@ func CheckContract(in *query.Query, r Result) error {
 // Meter accounts the abstract work of one PUNCH invocation and fronts the
 // solver calls that are charged for: an instantiation embeds it in its
 // per-Step state and reports Cost in its Result.
+//
+// The units are uncalibrated: a Charge prices what the code at its site
+// did when the units were set. The 8 units may-must charges before it
+// tests a region against a pre-image (handleSimpleFrontier) or a not-may
+// summary's precondition (handleCallFrontier), and each complement, were
+// set when both conjunctions were simplified before their Sat; Simplify
+// now runs only where its result is kept, so they price two conjunctions
+// and nothing else. The may analysis charged nothing for the same
+// simplifications.
 type Meter struct {
 	Solver *smt.Solver
 	Cost   int64

@@ -13,9 +13,8 @@ const maxSynConjuncts = 16
 
 // syntacticImplies is the cheap literal-subsumption pre-check run before
 // DPLL: it proves a ⇒ b when every conjunct of b is entailed by some
-// conjunct of a, where "entailed" is structural equality or, for ≤-atoms,
-// a constant-offset comparison (L ≤ 0 entails L + c ≤ 0 for c ≤ 0).
-// A true answer is always sound; false means "fall through to the solver".
+// conjunct of a (conjunctEntailed). A true answer is always sound; false
+// means "fall through to the solver". It allocates nothing.
 func syntacticImplies(a, b logic.Formula) bool {
 	if bb, ok := b.(logic.Bool); ok {
 		return bool(bb)
@@ -23,49 +22,42 @@ func syntacticImplies(a, b logic.Formula) bool {
 	if ab, ok := a.(logic.Bool); ok && !bool(ab) {
 		return true
 	}
-	ac, bc := conjunctsOf(a), conjunctsOf(b)
+	var aOne, bOne [1]logic.Formula
+	ac, bc := conjunctsOf(a, &aOne), conjunctsOf(b, &bOne)
 	if len(ac) > maxSynConjuncts || len(bc) > maxSynConjuncts {
 		return false
 	}
-	keys := make(map[logic.ID]bool, len(ac))
-	for _, g := range ac {
-		keys[logic.KeyID(g)] = true
-	}
 	for _, g := range bc {
-		if !conjunctEntailed(ac, keys, g) {
+		if !conjunctEntailed(ac, g) {
 			return false
 		}
 	}
 	return true
 }
 
-// conjunctsOf returns the top-level conjuncts of f (f itself when it is
-// not a conjunction). Conj flattens at construction, so one level is
-// enough.
-func conjunctsOf(f logic.Formula) []logic.Formula {
+// conjunctsOf returns the top-level conjuncts of f: f itself, in one,
+// when it is not a conjunction. Conj flattens at construction, so one
+// level is enough.
+func conjunctsOf(f logic.Formula, one *[1]logic.Formula) []logic.Formula {
 	if and, ok := f.(logic.And); ok {
 		return and.Fs
 	}
-	return []logic.Formula{f}
+	one[0] = f
+	return one[:]
 }
 
-// conjunctEntailed reports whether some conjunct of a entails g
-// syntactically.
-func conjunctEntailed(ac []logic.Formula, keys map[logic.ID]bool, g logic.Formula) bool {
-	if keys[logic.KeyID(g)] {
-		return true
-	}
-	ga, ok := g.(logic.Atom)
-	if !ok || ga.Eq {
-		return false
-	}
+// conjunctEntailed is the subsumption rule: some conjunct of ac entails g
+// syntactically, by structural equality or, for ≤-atoms, by a constant
+// offset (L ≤ 0 entails L + c ≤ 0 for c ≤ 0). One scan over ac.
+func conjunctEntailed(ac []logic.Formula, g logic.Formula) bool {
+	gid := logic.KeyID(g)
+	ga, isLE := g.(logic.Atom)
+	isLE = isLE && !ga.Eq
 	for _, h := range ac {
-		ha, ok := h.(logic.Atom)
-		if !ok || ha.Eq {
-			continue
+		if logic.KeyID(h) == gid {
+			return true
 		}
-		// h: L ≤ 0 entails g: L + c ≤ 0 whenever c ≤ 0.
-		if ga.L.K <= ha.L.K && ga.L.AddConst(-ga.L.K).Equal(ha.L.AddConst(-ha.L.K)) {
+		if ha, ok := h.(logic.Atom); ok && isLE && !ha.Eq && ga.L.K <= ha.L.K && ga.L.AddConst(-ga.L.K).Equal(ha.L.AddConst(-ha.L.K)) {
 			return true
 		}
 	}
