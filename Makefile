@@ -79,8 +79,9 @@ dead-exports:
 # formula constructors, and the term arithmetic on the way to them,
 # allocate nothing when they return an existing node, nor does keying a
 # formula of a dropped generation once it is interned again
-# (testing.AllocsPerRun). The region graph's pin: a path search on a
-# settled graph allocates the path it returns and nothing else. The cube
+# (testing.AllocsPerRun). The region graph's pins: a path search on a
+# settled graph allocates the path it returns and nothing else, and an
+# edge record holds no field of a kind that holds a pointer. The cube
 # kernel's: with its pool warm, enumerating a DNF, a real-shadow check
 # of a cube and the refutation that a cube entails an atom allocate
 # nothing. The solver's: an Implies miss that the subsumption rule settles
@@ -88,7 +89,7 @@ dead-exports:
 alloc-pin:
 	$(GO) test -run 'TestAllocPin|TestHeapPin' -count=1 .
 	$(GO) test -run TestConstructorHitPathAllocFree -count=1 ./internal/logic
-	$(GO) test -run TestFindPathAllocPin -count=1 ./internal/punch/regions
+	$(GO) test -run 'TestFindPathAllocPin|TestEdgeRecordPointerFree' -count=1 ./internal/punch/regions
 	$(GO) test -run TestCubeKernelAllocPin -count=1 ./internal/logic
 	$(GO) test -run TestSolverAllocPin -count=1 ./internal/smt
 

@@ -153,13 +153,13 @@ func (st *stepper) initialize() (bool, punch.Result) {
 // refuteOrConfirm walks the abstract path backwards splitting regions on
 // suffix preimages; if the path survives to the entry it is confirmed by
 // exact forward symbolic execution. done=true ends the query.
-func (st *stepper) refuteOrConfirm(path []*regions.Edge) (punch.Result, bool) {
+func (st *stepper) refuteOrConfirm(path []regions.EdgeID) (punch.Result, bool) {
 	o, q := st.o, st.q
 	// cur is the refined suffix-reaching set at the current position,
 	// represented by a live region.
-	cur := path[len(path)-1].To
+	cur := o.g.Step(path[len(path)-1]).To
 	for i := len(path) - 1; i >= 0; i-- {
-		stp := path[i]
+		stp := o.g.Step(path[i])
 		// The path may reference regions retired by earlier splits in this
 		// very walk; restart the search in that case.
 		if !stp.From.Live() || !cur.Live() {
@@ -211,7 +211,7 @@ func (st *stepper) refuteOrConfirm(path []*regions.Edge) (punch.Result, bool) {
 // reports that a refinement was applied (restart path search); otherwise
 // the returned region is the refined position before the call (nil to
 // abort the walk).
-func (st *stepper) backwardCall(prefix []*regions.Edge, stp *regions.Edge, cur *regions.Region, callee string) (*regions.Region, bool) {
+func (st *stepper) backwardCall(prefix []regions.EdgeID, stp regions.Step, cur *regions.Region, callee string) (*regions.Region, bool) {
 	o := st.o
 	k := o.g.Edge(stp.CFG, stp.From, cur)
 	mr := st.ctx.ModRefOf(callee)
@@ -227,14 +227,14 @@ func (st *stepper) backwardCall(prefix []*regions.Edge, stp *regions.Edge, cur *
 	r1 := st.Sat(f1)
 	if r1.Known && !r1.Sat {
 		o.g.Kill(k)
-		st.debugf("frame-refuted call edge %v", k)
+		st.debugf("frame-refuted call edge %v", stp)
 		return nil, true
 	}
 	f2 := logic.Conj(stp.From.F, logic.Not(wf))
 	if r2 := st.Sat(f2); r2.Known && r2.Sat {
 		_, outs := o.g.PartitionOn(&st.Meter, stp.From, wf)
 		o.g.Eliminate(stp.CFG, outs, cur)
-		st.debugf("frame-split call edge %v", k)
+		st.debugf("frame-split call edge %v", stp)
 		return nil, true
 	}
 
@@ -281,12 +281,12 @@ func (st *stepper) backwardCall(prefix []*regions.Edge, stp *regions.Edge, cur *
 		rg2 := st.Sat(g2)
 		if rg2.Known && !rg2.Sat {
 			o.g.Kill(k)
-			st.debugf("summary-refuted call edge %v via %v", k, s)
+			st.debugf("summary-refuted call edge %v via %v", stp, s)
 			return nil, true
 		}
 		ins, _ := o.g.PartitionOn(&st.Meter, stp.From, s.Pre)
 		o.g.Eliminate(stp.CFG, ins, cur)
-		st.debugf("summary-split call edge %v via %v", k, s)
+		st.debugf("summary-split call edge %v via %v", stp, s)
 		return nil, true
 	}
 
@@ -302,10 +302,9 @@ func (st *stepper) backwardCall(prefix []*regions.Edge, stp *regions.Edge, cur *
 	// the path prefix (the counterexample-guided context of a software
 	// model checker); the region projection is the fallback when the
 	// prefix itself cannot be followed yet.
-	k.Attempts++
-	if k.Attempts > st.a.MaxAttempts {
-		k.Stuck = true
-		st.debugf("call edge %v STUCK", k)
+	if o.g.Attempt(k) > st.a.MaxAttempts {
+		o.g.SetStuck(k)
+		st.debugf("call edge %v STUCK", stp)
 		return nil, true
 	}
 	question := summary.Question{Proc: callee, Pre: pre, Post: postG}
@@ -334,12 +333,12 @@ func (st *stepper) projectGlobals(f logic.Formula) logic.Formula {
 // followPath forward-executes the abstract path symbolically, crossing
 // calls with point-applicable must summaries. ok=false when a call could
 // not be crossed or the path condition became unsatisfiable.
-func (st *stepper) followPath(path []*regions.Edge) (logic.Formula, map[lang.Var]logic.Lin, bool) {
+func (st *stepper) followPath(path []regions.EdgeID) (logic.Formula, map[lang.Var]logic.Lin, bool) {
 	cond, store, _, ok := st.followPathFull(path, false)
 	return cond, store, ok
 }
 
-func (st *stepper) followPathFull(path []*regions.Edge, penalize bool) (logic.Formula, map[lang.Var]logic.Lin, map[lang.Var]lang.Var, bool) {
+func (st *stepper) followPathFull(path []regions.EdgeID, penalize bool) (logic.Formula, map[lang.Var]logic.Lin, map[lang.Var]lang.Var, bool) {
 	o, q := st.o, st.q
 	store := map[lang.Var]logic.Lin{}
 	initSyms := map[lang.Var]lang.Var{}
@@ -352,7 +351,8 @@ func (st *stepper) followPathFull(path []*regions.Edge, penalize bool) (logic.Fo
 		ren[v] = s
 	}
 	cond := logic.Rename(q.Q.Pre, ren)
-	for _, stp := range path {
+	for _, id := range path {
+		stp := o.g.Step(id)
 		e := o.proc.Edges[stp.CFG]
 		switch stmt := e.Stmt.(type) {
 		case lang.Assign:
@@ -401,9 +401,8 @@ func (st *stepper) followPathFull(path []*regions.Edge, penalize bool) (logic.Fo
 					// The abstraction believes the path feasible but no
 					// exact crossing is available; penalize this call edge
 					// so the search tries elsewhere.
-					stp.Attempts++
-					if stp.Attempts > st.a.MaxAttempts {
-						stp.Stuck = true
+					if o.g.Attempt(id) > st.a.MaxAttempts {
+						o.g.SetStuck(id)
 					}
 				}
 				return nil, nil, nil, false
@@ -421,7 +420,7 @@ func (st *stepper) followPathFull(path []*regions.Edge, penalize bool) (logic.Fo
 
 // confirmForward re-executes the abstract path exactly (symbolically) and
 // finishes the query with a must summary on success.
-func (st *stepper) confirmForward(path []*regions.Edge) (punch.Result, bool) {
+func (st *stepper) confirmForward(path []regions.EdgeID) (punch.Result, bool) {
 	cond, store, initSyms, ok := st.followPathFull(path, true)
 	if !ok {
 		return punch.Result{}, false

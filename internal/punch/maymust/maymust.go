@@ -275,7 +275,7 @@ func (st *stepper) emitMustSummary(e *mustElem, m map[lang.Var]int64) {
 // errorPath searches the region graph for an abstract error path (see
 // regions.Graph.FindPath); looking at an entry region costs one unit on
 // top of its satisfiability check.
-func (st *stepper) errorPath(avoid bool) []*regions.Edge {
+func (st *stepper) errorPath(avoid bool) []regions.EdgeID {
 	st.Charge(int64(len(st.o.g.At(st.o.proc.Entry))))
 	return st.o.g.FindPath(&st.Meter, st.q.Q.Pre, avoid)
 }
@@ -326,10 +326,11 @@ func (st *stepper) fanOut() {
 				continue
 			}
 			for _, ae := range o.g.Out(ei, from) {
-				if !bwd[ae.To.ID] || ae.Stuck || ae.Pending != nil {
+				to := o.g.Step(ae).To
+				if !bwd[to.ID] || o.g.Blocked(ae) {
 					continue
 				}
-				postG := st.projectGlobals(ae.To.F)
+				postG := st.projectGlobals(to.F)
 				question := summary.Question{Proc: c.Proc, Pre: st.projectGlobals(from.F), Post: postG}
 				if _, verdict := st.ctx.DB.Answer(question); verdict != 0 {
 					continue
@@ -347,17 +348,17 @@ func (st *stepper) fanOut() {
 // whose source region is must-reached — and advances the analysis across
 // it: test extension or region refinement for simple edges, the three
 // summary cases of §4 for call edges.
-func (st *stepper) handleFrontier(path []*regions.Edge) {
+func (st *stepper) handleFrontier(path []regions.EdgeID) {
 	// The entry region of the path is must-reached by the initial element,
 	// so a frontier always exists.
 	fi := 0
 	for i := len(path) - 1; i >= 0; i-- {
-		if st.mustReached(path[i].From) {
+		if st.mustReached(st.o.g.Step(path[i]).From) {
 			fi = i
 			break
 		}
 	}
-	stp := path[fi]
+	stp := st.o.g.Step(path[fi])
 	e := st.o.proc.Edges[stp.CFG]
 	st.debugf("frontier at path[%d/%d]: edge n%d->n%d (%v), from R%d{%v} to R%d{%v}", fi, len(path)-1, e.From, e.To, e.Stmt, stp.From.ID, stp.From.F, stp.To.ID, stp.To.F)
 	if c, isCall := e.Stmt.(lang.Call); isCall {
@@ -371,7 +372,7 @@ func (st *stepper) handleFrontier(path []*regions.Edge) {
 // edge; if no element can cross, the source region is split on the
 // preimage of the destination region, eliminating the abstract edge from
 // the half that provably cannot cross (§4, may-analysis refinement).
-func (st *stepper) handleSimpleFrontier(stp *regions.Edge, s lang.Stmt) {
+func (st *stepper) handleSimpleFrontier(stp regions.Step, s lang.Stmt) {
 	o := st.o
 	for _, el := range o.musts[stp.From.Node] {
 		if !st.elemIn(el, stp.From) {
@@ -391,16 +392,15 @@ func (st *stepper) handleSimpleFrontier(stp *regions.Edge, s lang.Stmt) {
 	sat1 := st.Sat(f1)
 	if sat1.Known && !sat1.Sat {
 		// ρ ∩ pre(s, ρ') = ∅: the whole edge is infeasible.
-		o.g.Kill(stp)
+		o.g.Kill(stp.ID)
 		return
 	}
 	sat2 := st.Sat(f2)
 	if sat2.Known && !sat2.Sat {
 		// ρ ⊆ wp yet no element crossed: the preimage was inexact (havoc
 		// over non-unit coefficients). No sound elimination is available.
-		stp.Attempts++
-		if stp.Attempts >= st.a.MaxChildAttempts {
-			stp.Stuck = true
+		if o.g.Attempt(stp.ID) >= st.a.MaxChildAttempts {
+			o.g.SetStuck(stp.ID)
 		}
 		return
 	}
@@ -412,7 +412,7 @@ func (st *stepper) handleSimpleFrontier(stp *regions.Edge, s lang.Stmt) {
 
 // extendElem symbolically executes s from el constrained to the frontier's
 // source region, landing in its destination region; nil when infeasible.
-func (st *stepper) extendElem(el *mustElem, stp *regions.Edge, s lang.Stmt) *mustElem {
+func (st *stepper) extendElem(el *mustElem, stp regions.Step, s lang.Stmt) *mustElem {
 	base := logic.Conj(el.path, logic.SubstMap(stp.From.F, el.store))
 	store := el.store
 	switch s := s.(type) {
@@ -449,7 +449,7 @@ func (st *stepper) extendElem(el *mustElem, stp *regions.Edge, s lang.Stmt) *mus
 //     from the covered half;
 //  3. otherwise a child sub-query ((O ∧ ρ)^G ⇒?_P ρ'^G) is issued and the
 //     edge waits for its answer.
-func (st *stepper) handleCallFrontier(stp *regions.Edge, callee string) {
+func (st *stepper) handleCallFrontier(stp regions.Step, callee string) {
 	o, q := st.o, st.q
 	var elems []*mustElem
 	for _, el := range o.musts[stp.From.Node] {
@@ -477,7 +477,7 @@ func (st *stepper) handleCallFrontier(stp *regions.Edge, callee string) {
 	f2 := logic.Conj(stp.From.F, logic.Not(wpFrame))
 	if r1 := st.Sat(f1); r1.Known && !r1.Sat {
 		st.debugf("frame: eliminated call edge %v (no state can land in R%d)", stp, stp.To.ID)
-		o.g.Kill(stp)
+		o.g.Kill(stp.ID)
 		return
 	}
 	if r2 := st.Sat(f2); r2.Known && r2.Sat {
@@ -547,7 +547,7 @@ func (st *stepper) handleCallFrontier(stp *regions.Edge, callee string) {
 		if r2.Known && !r2.Sat {
 			// All of ρ is covered: eliminate the edge outright.
 			st.debugf("case2: eliminated call edge %v outright via %v", stp, s)
-			o.g.Kill(stp)
+			o.g.Kill(stp.ID)
 			return
 		}
 		ins, _ := o.g.PartitionOn(&st.Meter, stp.From, s.Pre)
@@ -557,16 +557,16 @@ func (st *stepper) handleCallFrontier(stp *regions.Edge, callee string) {
 	}
 
 	// Case 3: issue a child sub-query.
-	stp.Attempts++
-	if stp.Attempts > st.a.MaxChildAttempts {
-		st.debugf("call edge %v STUCK after %d attempts", stp, stp.Attempts)
-		stp.Stuck = true
+	attempts := o.g.Attempt(stp.ID)
+	if attempts > st.a.MaxChildAttempts {
+		st.debugf("call edge %v STUCK after %d attempts", stp, attempts)
+		o.g.SetStuck(stp.ID)
 		return
 	}
 	pre, ok := st.childPre(elems, stp.From, callee, postG)
 	if !ok {
 		st.debugf("call edge %v: no usable child precondition", stp)
-		stp.Stuck = true
+		o.g.SetStuck(stp.ID)
 		return
 	}
 	if _, yes := st.ctx.DB.AnswerYes(summary.Question{Proc: callee, Pre: pre, Post: postG}); yes {
@@ -580,9 +580,9 @@ func (st *stepper) handleCallFrontier(stp *regions.Edge, callee string) {
 	}
 	question := summary.Question{Proc: callee, Pre: pre, Post: postG}
 	child := st.ctx.Alloc.New(q.ID, question)
-	st.debugf("child Q%d for %s: pre=%v post=%v (attempt %d)", child.ID, callee, pre, postG, stp.Attempts)
+	st.debugf("child Q%d for %s: pre=%v post=%v (attempt %d)", child.ID, callee, pre, postG, attempts)
 	st.children = append(st.children, child)
-	o.g.SetPending(stp, &question)
+	o.g.SetPending(stp.ID, &question)
 }
 
 // childPre computes the child query precondition (O ∧ ρ)^G as a small

@@ -24,7 +24,7 @@ func AuditAbsent(fail func(error), dead func(ce *cfg.Edge, from, to logic.Formul
 			}
 			for _, from := range g.at[ce.From] {
 				for _, to := range g.at[ce.To] {
-					if g.Edge(ci, from, to) == nil {
+					if g.Edge(ci, from, to) == 0 {
 						dead(ce, from.F, to.F)
 					}
 				}

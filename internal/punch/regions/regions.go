@@ -3,7 +3,7 @@
 // may-must instantiations of PUNCH. Every control location carries a
 // partition of its state space into regions (the may-map Σ of §4); an
 // abstract edge is a CFG edge with a source and a destination region. It is
-// either live — one Edge record, listed at its source and its destination,
+// either live — one edge record, listed at its source and its destination,
 // holding what the analyses know about it (one-step feasible, stuck,
 // waiting for a child sub-query, how often one was tried) — or dead
 // (eliminated, the set Ē, or found one-step infeasible) and without a
@@ -13,6 +13,11 @@
 // region, so it gets an edge, with the region's marks, where the region had
 // a live one and none where it had none; the region is retired and its
 // records unlinked: no list ever mentions a region outside the partitions.
+//
+// Records and lists hold no pointer: an edge is an EdgeID into chunks the
+// graph owns, its regions are IDs resolved through the graph. So the
+// collector has nothing to scan in them, however many edges a refinement
+// makes.
 package regions
 
 import (
@@ -46,48 +51,62 @@ type Region struct {
 	// adj[out][i] and adj[in][i] hold the live abstract edges over the i-th
 	// outgoing and incoming CFG edge of Node, always a subsequence of the far
 	// node's partition: a search meets the far regions in partition order.
-	adj [2][][]*Edge
+	adj [2][][]EdgeID
 }
 
 // Live reports whether r is still a member of its node's partition.
 func (r *Region) Live() bool { return !r.retired }
 
-// Edge is the state of one live abstract edge. Stuck and Attempts are the
-// analyses' to set. A record is never reused for another edge: a path may
-// still hold it after a split or Kill unlinked it.
-type Edge struct {
-	CFG      int // index into the procedure's Edges
-	From, To *Region
+// EdgeID names the record of an abstract edge in its graph; 0 names none.
+// A record is never reused for another edge: a path may still hold an ID
+// after a split or Kill unlinked its edge, and reads the edge it had.
+type EdgeID int32
 
-	// Stuck: the analysis has given up advancing across the edge.
-	Stuck bool
-	// Attempts counts child sub-queries (or inexact refinements) tried.
-	Attempts int
-	// Pending is the question of the outstanding child sub-query, nil
-	// when none is; Graph.SetPending writes it.
-	Pending *summary.Question
-
-	open bool // the one-step feasibility check was made and passed
+// edge is the record of one abstract edge. It holds no pointer, so chunks
+// of records are memory the collector does not scan: cfg indexes the
+// procedure's Edges, from and to are region IDs.
+type edge struct {
+	cfg, from, to int32
+	// attempts counts child sub-queries (or inexact refinements) tried.
+	attempts int32
+	// stuck: the analysis has given up advancing across the edge.
+	stuck bool
+	// open: the one-step feasibility check was made and passed.
+	open bool
+	// asked: the edge waits for a child's answer; Graph.asked holds the
+	// question. The searches read this bit, never the map.
+	asked bool
 }
 
-func (e *Edge) String() string { return fmt.Sprintf("e%d:R%d→R%d", e.CFG, e.From.ID, e.To.ID) }
+// Records live in chunks of chunkLen, so that the index inside a chunk
+// needs no bounds check.
+const chunkBits = 6
+const chunkLen = 1 << chunkBits
 
-// end returns the region that lists e in direction dir: its source for
-// out, its destination for in.
-func (e *Edge) end(dir int) *Region { return [2]*Region{e.From, e.To}[dir] }
+// Step is what the analyses read of an abstract edge: its CFG edge and its
+// two regions, which stay resolvable after a split retired them. Writes go
+// through the graph: Attempt, SetStuck, SetPending, Kill.
+type Step struct {
+	ID       EdgeID
+	CFG      int // index into the procedure's Edges
+	From, To *Region
+}
+
+func (s Step) String() string { return fmt.Sprintf("e%d:R%d→R%d", s.CFG, s.From.ID, s.To.ID) }
 
 // Graph is the region graph of one procedure for one query.
 type Graph struct {
-	proc    *cfg.Proc
-	nextID  int32
-	at      [][]*Region // node → partition; order is part of the trajectory
-	slot    [][2]int32  // CFG edge → its position in proc.Out[From], proc.In[To]
-	slab    []Edge      // records not handed out yet
-	pending []*Edge     // the live edges with a Pending question
+	proc   *cfg.Proc
+	regs   []*Region                    // region ID → region, retired ones included
+	at     [][]*Region                  // node → partition; order is part of the trajectory
+	slot   [][2]int32                   // CFG edge → its position in proc.Out[From], proc.In[To]
+	chunks []*[chunkLen]edge            // the records; EdgeID e is chunks[e/chunkLen][e%chunkLen]
+	nEdges int32                        // records handed out, the unused record 0 included
+	asked  map[EdgeID]*summary.Question // the live edges with a question
 
 	// Search scratch; seen, via and reach (per direction) go by region ID.
 	seen  []bool
-	via   []*Edge
+	via   []EdgeID
 	queue []*Region
 	reach [2][]bool
 }
@@ -97,7 +116,7 @@ type Graph struct {
 // location starts with the single region ⊤ (§4), and every pair of regions
 // across a CFG edge is a live abstract edge.
 func New(proc *cfg.Proc, post logic.Formula) *Graph {
-	g := &Graph{proc: proc, at: make([][]*Region, proc.NNodes), slot: make([][2]int32, len(proc.Edges))}
+	g := &Graph{proc: proc, at: make([][]*Region, proc.NNodes), slot: make([][2]int32, len(proc.Edges)), nEdges: 1, asked: map[EdgeID]*summary.Question{}}
 	for n := range g.at {
 		for i, ei := range proc.Out[n] {
 			g.slot[ei][out] = int32(i)
@@ -112,8 +131,6 @@ func New(proc *cfg.Proc, post logic.Formula) *Graph {
 			g.at[n] = []*Region{g.NewRegion(node, logic.True, false)}
 		}
 	}
-	// The first chunk is the initial edges exactly; a small graph cuts no other.
-	g.slab = make([]Edge, len(proc.Edges)+len(proc.In[proc.Exit]))
 	for ei, ce := range proc.Edges {
 		for _, from := range g.at[ce.From] {
 			for _, to := range g.at[ce.To] {
@@ -130,29 +147,48 @@ func (g *Graph) At(n cfg.NodeID) []*Region { return g.at[n] }
 // NewRegion mints a region that is not yet part of any partition; Split
 // puts it there.
 func (g *Graph) NewRegion(node cfg.NodeID, f logic.Formula, target bool) *Region {
-	if g.nextID == math.MaxInt32 {
+	if len(g.regs) == math.MaxInt32 {
 		panic("regions: region IDs exhausted")
 	}
 	nOut := len(g.proc.Out[node])
-	lists := make([][]*Edge, nOut+len(g.proc.In[node]))
-	r := &Region{ID: g.nextID, Node: node, F: f, Target: target, adj: [2][][]*Edge{lists[:nOut:nOut], lists[nOut:]}}
-	g.nextID++
+	lists := make([][]EdgeID, nOut+len(g.proc.In[node]))
+	r := &Region{ID: int32(len(g.regs)), Node: node, F: f, Target: target, adj: [2][][]EdgeID{lists[:nOut:nOut], lists[nOut:]}}
+	g.regs = append(g.regs, r)
 	return r
 }
 
-// list returns the list that holds e at its end in direction dir.
-func (g *Graph) list(e *Edge, dir int) *[]*Edge { return &e.end(dir).adj[dir][g.slot[e.CFG][dir]] }
+// rec returns the record of e, which the graph has handed out.
+func (g *Graph) rec(e EdgeID) *edge { return &g.chunks[e>>chunkBits][e&(chunkLen-1)] }
 
-// link makes from → to over CFG edge cfgEdge live: a blank record, cut from
-// the slab, at the end of both of its lists.
-func (g *Graph) link(cfgEdge int, from, to *Region) *Edge {
-	if len(g.slab) == 0 {
-		g.slab = make([]Edge, 64)
+// must returns the record of e for an accessor: e = 0, no edge, is a bug
+// in the caller, as a nil record was.
+func (g *Graph) must(e EdgeID) *edge {
+	if e <= 0 || int32(e) >= g.nEdges {
+		panic(fmt.Sprintf("regions: no abstract edge %d", e))
 	}
-	e := &g.slab[0]
-	g.slab = g.slab[1:]
-	e.CFG, e.From, e.To = cfgEdge, from, to
-	for dir := range e.From.adj {
+	return g.rec(e)
+}
+
+// list returns the list that holds e at its end in direction dir.
+func (g *Graph) list(e EdgeID, dir int) *[]EdgeID {
+	r := g.rec(e)
+	end := [2]int32{r.from, r.to}[dir]
+	return &g.regs[end].adj[dir][g.slot[r.cfg][dir]]
+}
+
+// link makes from → to over CFG edge cfgEdge live: a blank record, the
+// next one of the last chunk, at the end of both of its lists.
+func (g *Graph) link(cfgEdge int, from, to *Region) EdgeID {
+	if g.nEdges == math.MaxInt32 {
+		panic("regions: edge IDs exhausted")
+	}
+	if int(g.nEdges>>chunkBits) == len(g.chunks) {
+		g.chunks = append(g.chunks, new([chunkLen]edge))
+	}
+	e := EdgeID(g.nEdges)
+	g.nEdges++
+	*g.rec(e) = edge{cfg: int32(cfgEdge), from: from.ID, to: to.ID}
+	for dir := range from.adj {
 		l := g.list(e, dir)
 		*l = append(*l, e)
 	}
@@ -162,7 +198,7 @@ func (g *Graph) link(cfgEdge int, from, to *Region) *Edge {
 // drop removes e from list, if it is there, keeping the order of the rest:
 // a swap-remove would change the order in which a later search meets the
 // far regions, and with it what that search evaluates and finds first.
-func drop(list *[]*Edge, e *Edge) {
+func drop(list *[]EdgeID, e EdgeID) {
 	if i := slices.Index(*list, e); i >= 0 {
 		*list = slices.Delete(*list, i, i+1)
 	}
@@ -170,27 +206,54 @@ func drop(list *[]*Edge, e *Edge) {
 
 // Out returns the live abstract edges from from over CFG edge cfgEdge, in
 // the partition order of their destinations. The slice is the graph's own.
-func (g *Graph) Out(cfgEdge int, from *Region) []*Edge { return from.adj[out][g.slot[cfgEdge][out]] }
+func (g *Graph) Out(cfgEdge int, from *Region) []EdgeID { return from.adj[out][g.slot[cfgEdge][out]] }
 
-// Edge returns the record of the abstract edge from → to over CFG edge
-// cfgEdge, nil when the edge is dead.
-func (g *Graph) Edge(cfgEdge int, from, to *Region) *Edge {
+// Edge returns the abstract edge from → to over CFG edge cfgEdge, 0 when
+// the edge is dead.
+func (g *Graph) Edge(cfgEdge int, from, to *Region) EdgeID {
 	if ce := g.proc.Edges[cfgEdge]; from.retired || to.retired || ce.From != from.Node || ce.To != to.Node {
 		panic(fmt.Sprintf("regions: abstract edge e%d:R%d→R%d on a retired region or off its CFG edge", cfgEdge, from.ID, to.ID))
 	}
 	for _, e := range g.Out(cfgEdge, from) {
-		if e.To == to {
+		if g.rec(e).to == to.ID {
 			return e
 		}
 	}
-	return nil
+	return 0
+}
+
+// Step returns what the analyses read of e.
+func (g *Graph) Step(e EdgeID) Step {
+	r := g.must(e)
+	return Step{ID: e, CFG: int(r.cfg), From: g.regs[r.from], To: g.regs[r.to]}
+}
+
+// Attempt counts one more child sub-query (or inexact refinement) tried
+// across e and returns the count.
+func (g *Graph) Attempt(e EdgeID) int {
+	r := g.must(e)
+	r.attempts++
+	return int(r.attempts)
+}
+
+// SetStuck records that the analysis has given up advancing across e.
+func (g *Graph) SetStuck(e EdgeID) { g.must(e).stuck = true }
+
+// Blocked reports whether e is stuck or waits for a child's answer: an
+// edge an actionable search does not follow.
+func (g *Graph) Blocked(e EdgeID) bool {
+	r := g.must(e)
+	return r.stuck || r.asked
 }
 
 // Kill eliminates e (puts it into Ē): proven infeasible, it leaves both its
-// lists for good. A nil e, a dead one and one whose region was split in the
-// meantime are left alone.
-func (g *Graph) Kill(e *Edge) {
-	if e == nil || e.From.retired || e.To.retired {
+// lists for good. No edge (0), a dead one and one whose region was split in
+// the meantime are left alone.
+func (g *Graph) Kill(e EdgeID) {
+	if e == 0 {
+		return
+	}
+	if r := g.must(e); g.regs[r.from].retired || g.regs[r.to].retired {
 		return
 	}
 	drop(g.list(e, out), e)
@@ -214,13 +277,14 @@ func (g *Graph) Eliminate(cfgEdge int, froms []*Region, to *Region) {
 
 // SetPending records q as the question of e's outstanding child sub-query,
 // nil when it was answered.
-func (g *Graph) SetPending(e *Edge, q *summary.Question) {
-	if q != nil && e.Pending == nil {
-		g.pending = append(g.pending, e)
-	} else if q == nil && e.Pending != nil {
-		drop(&g.pending, e)
+func (g *Graph) SetPending(e EdgeID, q *summary.Question) {
+	r := g.must(e)
+	if q != nil {
+		g.asked[e] = q
+	} else if r.asked {
+		delete(g.asked, e)
 	}
-	e.Pending = q
+	r.asked = q != nil
 }
 
 // Split replaces r by parts in its node's partition. Each part denotes a
@@ -238,38 +302,46 @@ func (g *Graph) SetPending(e *Edge, q *summary.Question) {
 func (g *Graph) Split(r *Region, parts ...*Region) {
 	g.at[r.Node] = append(slices.DeleteFunc(g.at[r.Node], func(x *Region) bool { return x == r }), parts...)
 	r.retired = true
-	for pass, lists := range [3][][]*Edge{r.adj[out], r.adj[in], r.adj[out]} { // to others, from others, self-loops
+	for pass, lists := range [3][][]EdgeID{r.adj[out], r.adj[in], r.adj[out]} { // to others, from others, self-loops
 		for _, list := range lists {
-			for _, e := range list {
+			for _, id := range list {
+				e := g.rec(id)
 				froms, tos := parts, parts
 				switch {
-				case (e.From == e.To) != (pass == 2):
+				case (e.from == e.to) != (pass == 2):
 					continue
-				case e.From != r:
-					froms = []*Region{e.From}
-					drop(g.list(e, out), e)
-				case e.To != r:
-					tos = []*Region{e.To}
-					drop(g.list(e, in), e)
+				case e.from != r.ID:
+					froms = g.regs[e.from : e.from+1]
+					drop(g.list(id, out), id)
+				case e.to != r.ID:
+					tos = g.regs[e.to : e.to+1]
+					drop(g.list(id, in), id)
+				}
+				var q *summary.Question
+				if e.asked {
+					q = g.asked[id]
+					g.SetPending(id, nil)
 				}
 				for _, f := range froms {
 					for _, t := range tos {
-						n := g.link(e.CFG, f, t)
-						n.Stuck, n.Attempts = e.Stuck, e.Attempts
-						g.SetPending(n, e.Pending)
+						n := g.link(int(e.cfg), f, t)
+						ne := g.rec(n)
+						ne.stuck, ne.attempts = e.stuck, e.attempts
+						if q != nil {
+							g.SetPending(n, q)
+						}
 					}
 				}
 			}
 		}
 	}
-	r.adj = [2][][]*Edge{}
-	g.pending = slices.DeleteFunc(g.pending, func(e *Edge) bool { return e.From.retired || e.To.retired })
+	r.adj = [2][][]EdgeID{}
 	auditSplit(g)
 }
 
 // auditSplit and auditStep are shown the graph after every split and every
 // edge whose one-step check is about to be made; tests replace them.
-var auditSplit, auditStep = func(*Graph) {}, func(*Edge) {}
+var auditSplit, auditStep = func(*Graph) {}, func(*Graph, EdgeID) {}
 
 // PartitionOn replaces region r by conjunctive cube regions partitioning
 // it along wp, returning the parts inside wp and outside it. Keeping every
@@ -312,23 +384,24 @@ func (g *Graph) entryRegions(m *punch.Meter, pre logic.Formula, queue []*Region)
 	return queue
 }
 
-// isOpen makes the one-step semantic feasibility check of an edge that has
-// not had it, and caches that it passed: a simple edge ρ→ρ' is shut when
-// ρ ∧ pre(stmt, ρ') is unsatisfiable — a sound elimination without an
-// explicit split; the search that finds it unlinks the edge. Call edges are
-// open until a summary eliminates them. The check costs what building the
-// pre-image (2) and a satisfiability check (4) cost, also when the run's
-// solver has met the same triple before and answers from its memo.
-func (g *Graph) isOpen(m *punch.Meter, e *Edge) bool {
-	ce := &g.proc.Edges[e.CFG]
+// isOpen makes the one-step semantic feasibility check of e, whose record
+// is r and has not had it, and caches that it passed: a simple edge ρ→ρ' is
+// shut when ρ ∧ pre(stmt, ρ') is unsatisfiable — a sound elimination
+// without an explicit split; the search that finds it unlinks the edge.
+// Call edges are open until a summary eliminates them. The check costs
+// what building the pre-image (2) and a satisfiability check (4) cost,
+// also when the run's solver has met the same triple before and answers
+// from its memo.
+func (g *Graph) isOpen(m *punch.Meter, e EdgeID, r *edge) bool {
+	ce := &g.proc.Edges[r.cfg]
 	if _, isCall := ce.Stmt.(lang.Call); !isCall {
-		auditStep(e)
+		auditStep(g, e)
 		m.Charge(2 + 4)
-		if !m.Solver.StepFeasible(ce.StmtID, ce.Stmt, e.From.F, e.To.F) {
+		if !m.Solver.StepFeasible(ce.StmtID, ce.Stmt, g.regs[r.from].F, g.regs[r.to].F) {
 			return false
 		}
 	}
-	e.open = true
+	r.open = true
 	return true
 }
 
@@ -338,7 +411,7 @@ func (g *Graph) isOpen(m *punch.Meter, e *Edge) bool {
 // the first target region at exit and returns it. With avoid set, edges
 // pending a child answer or stuck are not followed. An edge to a region not
 // reached yet that the one-step check finds shut is unlinked on the spot.
-func (g *Graph) search(m *punch.Meter, queue []*Region, seen []bool, via []*Edge, avoid bool, dir int) *Region {
+func (g *Graph) search(m *punch.Meter, queue []*Region, seen []bool, via []EdgeID, avoid bool, dir int) *Region {
 	for _, r := range queue {
 		seen[r.ID] = true
 	}
@@ -349,33 +422,31 @@ func (g *Graph) search(m *punch.Meter, queue []*Region, seen []bool, via []*Edge
 			return cur
 		}
 		for slot, list := range cur.adj[dir] {
-			n := 0 // list[:n] is what stays; nothing is written until an edge goes
-			for _, e := range list {
-				far := e.To
+			n := 0 // list[:n] is what stays
+			for _, id := range list {
+				e := g.rec(id)
+				far := e.to
 				if dir == in {
-					far = e.From
+					far = e.from
 				}
 				switch {
-				case seen[far.ID]:
-				case avoid && (e.Stuck || e.Pending != nil):
-				case !e.open && !g.isOpen(m, e):
-					drop(g.list(e, 1-dir), e)
-					g.SetPending(e, nil)
+				case seen[far]:
+				case avoid && (e.stuck || e.asked):
+				case !e.open && !g.isOpen(m, id, e):
+					drop(g.list(id, 1-dir), id)
+					g.SetPending(id, nil)
 					continue
 				default:
-					seen[far.ID] = true
+					seen[far] = true
 					if via != nil {
-						via[far.ID] = e
+						via[far] = id
 					}
-					queue = append(queue, far)
+					queue = append(queue, g.regs[far])
 				}
-				if list[n] != e {
-					list[n] = e
-				}
+				list[n] = id
 				n++
 			}
 			if n < len(list) {
-				clear(list[n:])
 				cur.adj[dir][slot] = list[:n]
 			}
 		}
@@ -391,22 +462,22 @@ func (g *Graph) search(m *punch.Meter, queue []*Region, seen []bool, via []*Edge
 // search decides whether any abstract path remains at all (none = proof).
 // The result, nil when there is none, is all a search allocates once its
 // scratch has grown to the graph.
-func (g *Graph) FindPath(m *punch.Meter, pre logic.Formula, avoid bool) []*Edge {
-	n := int(g.nextID)
+func (g *Graph) FindPath(m *punch.Meter, pre logic.Formula, avoid bool) []EdgeID {
+	n := len(g.regs)
 	g.seen = slices.Grow(g.seen[:0], n)[:n]
 	g.via = slices.Grow(g.via[:0], n)[:n]
 	clear(g.seen)
-	clear(g.via) // also lets go of the edges the last search went through
+	clear(g.via)
 	end := g.search(m, g.entryRegions(m, pre, g.queue), g.seen, g.via, avoid, out)
 	if end == nil {
 		return nil
 	}
 	steps := 0
-	for e := g.via[end.ID]; e != nil; e = g.via[e.From.ID] {
+	for e := g.via[end.ID]; e != 0; e = g.via[g.rec(e).from] {
 		steps++
 	}
-	path := make([]*Edge, steps)
-	for e := g.via[end.ID]; e != nil; e = g.via[e.From.ID] {
+	path := make([]EdgeID, steps)
+	for e := g.via[end.ID]; e != 0; e = g.via[g.rec(e).from] {
 		steps--
 		path[steps] = e
 	}
@@ -430,7 +501,7 @@ func (g *Graph) Reachable(m *punch.Meter, pre logic.Formula, reverse bool) []boo
 	} else {
 		queue = g.entryRegions(m, pre, queue)
 	}
-	n := int(g.nextID)
+	n := len(g.regs)
 	g.reach[dir] = slices.Grow(g.reach[dir][:0], n)[:n]
 	clear(g.reach[dir])
 	g.search(m, queue, g.reach[dir], nil, false, dir)
@@ -441,54 +512,64 @@ func (g *Graph) Reachable(m *punch.Meter, pre logic.Formula, reverse bool) []boo
 // can now answer, reopening those call edges for the frontier machinery.
 // Edges are asked in (CFG edge, source, destination) order.
 func (g *Graph) SweepPending(db punch.DB) {
-	if len(g.pending) == 0 {
+	if len(g.asked) == 0 {
 		return
 	}
-	slices.SortFunc(g.pending, func(a, b *Edge) int {
-		return cmp.Or(cmp.Compare(a.CFG, b.CFG), cmp.Compare(a.From.ID, b.From.ID), cmp.Compare(a.To.ID, b.To.ID))
+	ids := make([]EdgeID, 0, len(g.asked))
+	for e := range g.asked {
+		ids = append(ids, e)
+	}
+	slices.SortFunc(ids, func(a, b EdgeID) int {
+		ra, rb := g.rec(a), g.rec(b)
+		return cmp.Or(cmp.Compare(ra.cfg, rb.cfg), cmp.Compare(ra.from, rb.from), cmp.Compare(ra.to, rb.to))
 	})
-	g.pending = slices.DeleteFunc(g.pending, func(e *Edge) bool {
-		if _, verdict := db.Answer(*e.Pending); verdict != 0 {
-			e.Pending = nil
+	for _, e := range ids {
+		if _, verdict := db.Answer(*g.asked[e]); verdict != 0 {
+			g.SetPending(e, nil)
 		}
-		return e.Pending == nil
-	})
+	}
 }
 
 // Check walks the whole graph and reports the first violation of its
 // invariants: partitions hold only live regions of their own node; every
-// list holds edges over its own CFG edge from (or to) its own region, in
-// the order of the far partition — so the far end is live — each also in
-// the matching list at its far end; the pending list holds exactly the
-// listed edges with a question. Tests call it after every split. ("No call
-// edge is shut" has no record left to read: isOpen evaluates none, and the
-// tests' audit of absent pairs skips call statements.)
+// list holds handed-out edges over its own CFG edge from (or to) its own
+// region, in the order of the far partition — so the far end is live —
+// each also in the matching list at its far end, with its asked bit set
+// exactly when the graph holds a question for it; every question belongs
+// to a listed edge. Tests call it after every split. ("No call edge is
+// shut" has no record left to read: isOpen evaluates none, and the tests'
+// audit of absent pairs skips call statements.)
 func (g *Graph) Check() error {
 	for n, regs := range g.at {
 		for i, r := range regs {
-			if r.retired || r.Node != cfg.NodeID(n) || slices.Contains(regs[:i], r) {
-				return fmt.Errorf("regions: partition of n%d holds R%d (retired=%v, node n%d, or twice)", n, r.ID, r.retired, r.Node)
+			if r.retired || r.Node != cfg.NodeID(n) || slices.Contains(regs[:i], r) || g.regs[r.ID] != r {
+				return fmt.Errorf("regions: partition of n%d holds R%d (retired=%v, node n%d, twice, or not the graph's)", n, r.ID, r.retired, r.Node)
 			}
 			for dir, incident := range [2][]int{g.proc.Out[n], g.proc.In[n]} {
 				for slot, ci := range incident {
 					order := g.at[[2]cfg.NodeID{g.proc.Edges[ci].To, g.proc.Edges[ci].From}[dir]]
-					for _, e := range r.adj[dir][slot] {
-						i := slices.Index(order, e.end(1-dir))
-						if e.CFG != ci || e.end(dir) != r || i < 0 || !slices.Contains(*g.list(e, 1-dir), e) {
-							return fmt.Errorf("regions: R%d lists %v under CFG edge %d: not its own, out of partition order (or twice, or to a retired region), or not listed at the far end", r.ID, e, ci)
+					for _, id := range r.adj[dir][slot] {
+						if id <= 0 || int32(id) >= g.nEdges {
+							return fmt.Errorf("regions: R%d lists edge %d under CFG edge %d, outside [1, %d)", r.ID, id, ci, g.nEdges)
+						}
+						e := g.rec(id)
+						ends := [2]int32{e.from, e.to}
+						i := slices.Index(order, g.regs[ends[1-dir]])
+						if int(e.cfg) != ci || ends[dir] != r.ID || i < 0 || !slices.Contains(*g.list(id, 1-dir), id) {
+							return fmt.Errorf("regions: R%d lists %v under CFG edge %d: not its own, out of partition order (or twice, or to a retired region), or not listed at the far end", r.ID, g.Step(id), ci)
 						}
 						order = order[i+1:]
-						if e.Pending != nil && !slices.Contains(g.pending, e) {
-							return fmt.Errorf("regions: %v has a question and is not in the pending list", e)
+						if q, ok := g.asked[id]; e.asked != ok || ok && q == nil {
+							return fmt.Errorf("regions: %v has its asked bit %v and question %v", g.Step(id), e.asked, q)
 						}
 					}
 				}
 			}
 		}
 	}
-	for i, e := range g.pending {
-		if e.Pending == nil || e.From.retired || !slices.Contains(*g.list(e, out), e) || slices.Contains(g.pending[:i], e) {
-			return fmt.Errorf("regions: the pending list holds %v, which has no question, is not listed or is there twice", e)
+	for id := range g.asked {
+		if id <= 0 || int32(id) >= g.nEdges || g.regs[g.rec(id).from].retired || !slices.Contains(*g.list(id, out), id) {
+			return fmt.Errorf("regions: a question is held for edge %d, which is not listed", id)
 		}
 	}
 	return nil

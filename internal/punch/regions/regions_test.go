@@ -3,6 +3,7 @@ package regions
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -244,7 +245,10 @@ func (m *refModel) search(proc *cfg.Proc, solver *smt.Solver, pre logic.Formula,
 	return seen, nil, evals
 }
 
-func keyOf(e *Edge) refKey { return refKey{e.CFG, int(e.From.ID), int(e.To.ID)} }
+func keyOf(g *Graph, e EdgeID) refKey {
+	r := g.rec(e)
+	return refKey{int(r.cfg), int(r.from), int(r.to)}
+}
 
 // TestTableAgainstFiveMapModel drives the graph and the reference model
 // through the same random sequence of edge updates and splits — self-loop
@@ -258,8 +262,8 @@ func TestTableAgainstFiveMapModel(t *testing.T) {
 	proc := loopProc(t)
 	pre := logic.Not(le("a", 5)) // some entry regions below are outside it
 	var evals []refKey
-	defer func(old func(*Edge)) { auditStep = old }(auditStep)
-	auditStep = func(e *Edge) { evals = append(evals, keyOf(e)) }
+	defer func(old func(*Graph, EdgeID)) { auditStep = old }(auditStep)
+	auditStep = func(g *Graph, e EdgeID) { evals = append(evals, keyOf(g, e)) }
 	searches, evaluated, paths := 0, 0, 0
 	for seed := int64(1); seed <= 32; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -283,12 +287,15 @@ func TestTableAgainstFiveMapModel(t *testing.T) {
 					for _, to := range ref.at[ce.To] {
 						k := refKey{ci, int(f.ID), int(to.ID)}
 						e, dead := g.Edge(ci, f, to), ref.elim[k] || ref.open[k] < 0
-						if (e == nil) != dead {
-							t.Fatalf("seed %d step %d (%s): edge %v has record %v, model has {elim %v open %d}", seed, step, what, k, e, ref.elim[k], ref.open[k])
+						if (e == 0) != dead {
+							t.Fatalf("seed %d step %d (%s): edge %v has record %d, model has {elim %v open %d}", seed, step, what, k, e, ref.elim[k], ref.open[k])
 						}
-						if e != nil && (e.Stuck != ref.stuck[k] || e.Attempts != ref.attempts[k] || e.Pending != ref.pending[k] || e.open != (ref.open[k] > 0)) {
-							t.Fatalf("seed %d step %d (%s): edge %v is {stuck %v attempts %d pending %p open %v}, model has {%v %d %p %d}",
-								seed, step, what, k, e.Stuck, e.Attempts, e.Pending, e.open,
+						if e == 0 {
+							continue
+						}
+						if r := g.rec(e); r.stuck != ref.stuck[k] || int(r.attempts) != ref.attempts[k] || g.asked[e] != ref.pending[k] || r.asked != (ref.pending[k] != nil) || r.open != (ref.open[k] > 0) {
+							t.Fatalf("seed %d step %d (%s): edge %v is {stuck %v attempts %d pending %p asked %v open %v}, model has {%v %d %p %d}",
+								seed, step, what, k, r.stuck, r.attempts, g.asked[e], r.asked, r.open,
 								ref.stuck[k], ref.attempts[k], ref.pending[k], ref.open[k])
 						}
 					}
@@ -319,7 +326,7 @@ func TestTableAgainstFiveMapModel(t *testing.T) {
 				}
 				k := refKey{ci, int(from.ID), int(to.ID)}
 				e := g.Edge(ci, from, to)
-				if e == nil {
+				if e == 0 {
 					continue // dead, and nothing is said about a dead edge
 				}
 				switch op {
@@ -329,7 +336,7 @@ func TestTableAgainstFiveMapModel(t *testing.T) {
 					ref.elim[k] = true
 				case 1:
 					what = "stuck"
-					e.Stuck = true
+					g.SetStuck(e)
 					ref.stuck[k] = true
 				case 2:
 					what = "pending"
@@ -342,12 +349,14 @@ func TestTableAgainstFiveMapModel(t *testing.T) {
 					delete(ref.pending, k)
 				case 4:
 					what = "attempt"
-					e.Attempts++
+					if n := g.Attempt(e); n != ref.attempts[k]+1 {
+						t.Fatalf("seed %d step %d: Attempt returned %d, want %d", seed, step, n, ref.attempts[k]+1)
+					}
 					ref.attempts[k]++
 				case 5:
 					what = "open"
 					if ref.open[k] = int8(1 - 2*rng.Intn(2)); ref.open[k] > 0 {
-						e.open = true
+						g.rec(e).open = true
 					} else {
 						g.Kill(e) // as a search does with an edge it finds shut
 					}
@@ -361,7 +370,7 @@ func TestTableAgainstFiveMapModel(t *testing.T) {
 			_, wantPath, wantEvals := ref.search(proc, solver, pre, avoid, false, true)
 			var gotPath []refKey
 			for _, e := range path {
-				gotPath = append(gotPath, keyOf(e))
+				gotPath = append(gotPath, keyOf(g, e))
 			}
 			if (path == nil) != (wantPath == nil) || !slices.Equal(gotPath, wantPath) || !slices.Equal(evals, wantEvals) {
 				t.Fatalf("seed %d step %d (%s): FindPath(avoid=%v) = %v after checking %v, model finds %v after %v", seed, step, what, avoid, gotPath, evals, wantPath, wantEvals)
@@ -392,12 +401,132 @@ func TestTableAgainstFiveMapModel(t *testing.T) {
 	t.Logf("%d searches, %d one-step checks, %d paths, all as the model's", searches, evaluated, paths)
 }
 
+// TestReplaceRegionMigratesBookkeeping: what an analysis recorded on a
+// region's edges — stuck, tried, waiting for a child — reaches the edges of
+// every part a split leaves behind, a self-loop's every pair of parts, and
+// an eliminated edge stays dead for every part.
+func TestReplaceRegionMigratesBookkeeping(t *testing.T) {
+	// n0 ─havoc a─▶ n0 (CFG edge 0, a self-loop), n0 ─a=1─▶ n1 (edge 1).
+	b := cfg.NewProc("main")
+	exit := b.NewNode()
+	b.AddEdge(b.Entry(), b.Entry(), lang.Havoc{V: "a"})
+	b.AddEdge(b.Entry(), exit, lang.Assign{Lhs: "a", Rhs: lang.C(1)})
+	proc := cfg.MustProgram("p", []lang.Var{"a"}, "main", b.Finish(exit)).Proc("main")
+	g := New(proc, le("a", 5))
+	r, hit, miss := g.At(proc.Entry)[0], g.At(proc.Exit)[0], g.At(proc.Exit)[1]
+	loop, out := g.Edge(0, r, r), g.Edge(1, r, hit)
+	g.SetStuck(loop)
+	for range 3 {
+		g.Attempt(loop)
+	}
+	q := &summary.Question{Proc: "p", Pre: logic.True, Post: logic.True}
+	g.SetPending(out, q)
+	g.Kill(g.Edge(1, r, miss))
+
+	parts := []*Region{g.NewRegion(r.Node, le("a", 0), true), g.NewRegion(r.Node, logic.Not(le("a", 0)), true)}
+	g.Split(r, parts...)
+	mustCheck(t, g)
+	for _, part := range parts {
+		if !part.Target {
+			t.Errorf("target flag lost on R%d", part.ID)
+		}
+		for _, to := range parts {
+			if e := g.Edge(0, part, to); e == 0 || !g.Blocked(e) || g.asked[e] != nil || g.rec(e).attempts != 3 {
+				t.Errorf("R%d→R%d did not inherit stuck and 3 attempts from the self-loop: edge %d", part.ID, to.ID, e)
+			}
+		}
+		if e := g.Edge(1, part, hit); e == 0 || g.asked[e] != q || g.rec(e).stuck || g.rec(e).attempts != 0 {
+			t.Errorf("R%d→R%d did not inherit the outstanding child (and nothing else): edge %d", part.ID, hit.ID, e)
+		}
+		if e := g.Edge(1, part, miss); e != 0 {
+			t.Errorf("eliminated edge is live for part R%d: %v", part.ID, g.Step(e))
+		}
+	}
+	// The retired region's own question went with it.
+	if g.asked[out] != nil || g.rec(out).asked {
+		t.Errorf("the retired edge %v still holds its question", g.Step(out))
+	}
+	// Answering every child finds them all among the questions.
+	db := summary.New(smt.New())
+	db.Add(summary.Summary{Kind: summary.NotMay, Proc: "p", Pre: logic.True, Post: logic.True})
+	g.SweepPending(db)
+	for _, part := range parts {
+		if e := g.Edge(1, part, hit); g.Blocked(e) || len(g.asked) != 0 {
+			t.Errorf("answered child still pending on R%d", part.ID)
+		}
+	}
+	mustCheck(t, g)
+}
+
+// TestNoEdgeFailsLoudly: 0 names no edge, as nil did, and an accessor
+// handed it panics instead of writing a record that belongs to no edge;
+// Kill alone takes it and does nothing, which Eliminate relies on for the
+// pairs that are dead already.
+func TestNoEdgeFailsLoudly(t *testing.T) {
+	proc := loopProc(t)
+	g := New(proc, le("a", 7))
+	for name, use := range map[string]func(){
+		"Step":       func() { g.Step(0) },
+		"Attempt":    func() { g.Attempt(0) },
+		"SetStuck":   func() { g.SetStuck(0) },
+		"Blocked":    func() { g.Blocked(0) },
+		"SetPending": func() { g.SetPending(0, &summary.Question{Proc: "work"}) },
+		"beyond":     func() { g.Step(EdgeID(g.nEdges)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(no edge) did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+	if *g.rec(0) != (edge{}) || len(g.asked) != 0 {
+		t.Fatalf("record 0 was written: %+v, questions %v", *g.rec(0), g.asked)
+	}
+	n := g.nEdges
+	g.Kill(0)
+	r := g.At(proc.Entry)[0]
+	g.Eliminate(0, []*Region{r}, g.At(proc.Edges[0].To)[0])
+	g.Eliminate(0, []*Region{r}, g.At(proc.Edges[0].To)[0]) // the pair is dead now: Kill(0)
+	if g.nEdges != n || *g.rec(0) != (edge{}) {
+		t.Fatalf("Kill(0) changed the graph: %d records (was %d), record 0 %+v", g.nEdges, n, *g.rec(0))
+	}
+	mustCheck(t, g)
+}
+
+// TestEdgeRecordPointerFree: an edge record holds no pointer, so the chunks
+// the graph keeps its records in are memory the collector never scans. A
+// field of a kind that holds one — pointer, slice, map, interface, string,
+// channel, function — fails it, at any depth.
+func TestEdgeRecordPointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Interface, reflect.String, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %v: the record holds a pointer", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("chunk", reflect.TypeFor[[chunkLen]edge]())
+	if size := reflect.TypeFor[edge]().Size(); size > 20 {
+		t.Errorf("an edge record takes %d bytes, more than its 20", size)
+	}
+}
+
 func TestEdgeOnRetiredRegionPanics(t *testing.T) {
 	proc := mainProc(t, `globals a; proc main { a = 1; }`)
 	g := New(proc, logic.True)
 	r := g.At(proc.Entry)[0]
 	next := g.At(proc.Edges[0].To)[0]
-	if g.Edge(0, r, next) == nil {
+	if g.Edge(0, r, next) == 0 {
 		t.Fatal("no initial edge over the first statement")
 	}
 	g.Split(r, g.NewRegion(r.Node, logic.True, false))
@@ -416,7 +545,7 @@ func TestEliminateAfterSelfLoopSplit(t *testing.T) {
 	g := New(proc, logic.True)
 	const loop = 2 // n2 ─a=a+1─▶ n2
 	r := g.At(proc.Edges[loop].From)[0]
-	if g.Edge(loop, r, r) == nil {
+	if g.Edge(loop, r, r) == 0 {
 		t.Fatal("no initial self-loop edge")
 	}
 	a, b := g.NewRegion(r.Node, le("a", 0), false), g.NewRegion(r.Node, logic.Not(le("a", 0)), false)
@@ -425,14 +554,14 @@ func TestEliminateAfterSelfLoopSplit(t *testing.T) {
 	mustCheck(t, g)
 	for _, f := range []*Region{a, b} {
 		for _, to := range []*Region{a, b} {
-			if g.Edge(loop, f, to) == nil {
+			if g.Edge(loop, f, to) == 0 {
 				t.Fatalf("R%d→R%d died with the retired destination", f.ID, to.ID)
 			}
 		}
 	}
 	g.Eliminate(loop, []*Region{b}, a)
 	mustCheck(t, g)
-	if g.Edge(loop, b, a) != nil || g.Edge(loop, a, a) == nil || g.Edge(loop, b, b) == nil {
+	if g.Edge(loop, b, a) != 0 || g.Edge(loop, a, a) == 0 || g.Edge(loop, b, b) == 0 {
 		t.Fatal("live destination not marked, or more than it")
 	}
 }
@@ -447,7 +576,7 @@ func TestFindPathAndSweepPending(t *testing.T) {
 	m := &punch.Meter{Solver: solver}
 	g := New(proc, le("a", 5))
 	path := g.FindPath(m, logic.True, true)
-	if len(path) != len(proc.Edges) || path[0].From.Node != proc.Entry || !path[len(path)-1].To.Target {
+	if len(path) != len(proc.Edges) || g.Step(path[0]).From.Node != proc.Entry || !g.Step(path[len(path)-1]).To.Target {
 		t.Fatalf("path = %v", path)
 	}
 	if m.Cost == 0 {
@@ -465,12 +594,12 @@ func TestFindPathAndSweepPending(t *testing.T) {
 	// The mark survives a sweep until SUMDB can answer the question.
 	db := summary.New(solver)
 	g.SweepPending(db)
-	if call.Pending == nil {
+	if g.asked[call] == nil || !g.Blocked(call) {
 		t.Fatal("unanswered child swept")
 	}
 	db.Add(summary.Summary{Kind: summary.NotMay, Proc: "work", Pre: logic.True, Post: le("a", 5)})
 	g.SweepPending(db)
-	if call.Pending != nil {
+	if g.asked[call] != nil || g.Blocked(call) {
 		t.Fatal("answered child still pending")
 	}
 	// Eliminating the edge leaves no path at all, forward or backward.
@@ -479,7 +608,7 @@ func TestFindPathAndSweepPending(t *testing.T) {
 		t.Fatal("path through an eliminated edge")
 	}
 	fwd, bwd := g.Reachable(m, logic.True, false), g.Reachable(m, logic.True, true)
-	if !fwd[call.From.ID] || fwd[call.To.ID] || bwd[call.From.ID] || !bwd[call.To.ID] {
+	if stp := g.Step(call); !fwd[stp.From.ID] || fwd[stp.To.ID] || bwd[stp.From.ID] || !bwd[stp.To.ID] {
 		t.Fatalf("reachability across an eliminated edge: fwd=%v bwd=%v", fwd, bwd)
 	}
 	mustCheck(t, g)
@@ -507,7 +636,7 @@ func benchGraph(tb testing.TB) (*Graph, *punch.Meter) {
 		for i, f := range g.At(ce.From) {
 			for j, to := range g.At(ce.To) {
 				e := g.Edge(ci, f, to)
-				e.open = true
+				g.rec(e).open = true
 				if to.Target || (i+j)%3 == 0 {
 					g.Kill(e)
 				}
