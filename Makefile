@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt vet build cross test race traj-pin traj-diff one-reduce dead-exports alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-smoke fuzz-smoke bench
+.PHONY: ci fmt vet build cross test race traj-pin traj-diff verdict-sweep one-reduce dead-exports alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-smoke fuzz-smoke bench
 
 # ci is the tier-1 gate: everything must pass before a change lands.
-ci: fmt vet build cross test race traj-pin one-reduce dead-exports alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-smoke fuzz-smoke
+ci: fmt vet build cross test race traj-pin verdict-sweep one-reduce dead-exports alloc-pin trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-smoke fuzz-smoke
 
 # fmt fails when any tracked file is not gofmt-clean (prints offenders).
 fmt:
@@ -53,6 +53,15 @@ traj-pin:
 # column totals. It fails only when a verdict changed.
 traj-diff:
 	$(GO) test -run TestTrajectoryPin -count=1 -traj-diff .
+
+# verdict-sweep runs the seven named drivers against every property, safe
+# and buggy, under may-must on one thread with a 300 000-tick budget, and
+# fails on any definite verdict that contradicts the check's known answer.
+# It prints how many checks each side decided: an Unknown is allowed, a
+# wrong verdict is not. The test skips itself without -sweep, so `test`
+# does not run it a second time.
+verdict-sweep:
+	$(GO) test ./internal/harness -run TestVerdictSweep -count=1 -v -sweep
 
 # one-reduce is a structural lint: the operations REDUCE and a run's
 # set-up and tear-down are made of (child insertion, coalescing, Done

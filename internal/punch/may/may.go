@@ -113,7 +113,8 @@ func (st *stepper) run() punch.Result {
 		path := st.o.g.FindPath(&st.Meter, st.q.Q.Pre, true)
 		if path == nil {
 			if st.o.g.FindPath(&st.Meter, st.q.Q.Pre, false) == nil {
-				st.ctx.DB.Add(summary.Summary{Kind: summary.NotMay, Proc: st.q.Q.Proc, Pre: st.q.Q.Pre, Post: st.q.Q.Post})
+				pre := st.o.g.ProvedPre(&st.Meter, st.q.Q.Pre, st.o.globals)
+				st.ctx.DB.Add(summary.Summary{Kind: summary.NotMay, Proc: st.q.Q.Proc, Pre: pre, Post: st.q.Q.Post})
 				st.debugf("DONE unreachable (no abstract path)")
 				return st.finish(query.Done, query.Unreachable)
 			}
@@ -260,7 +261,7 @@ func (st *stepper) backwardCall(prefix []regions.EdgeID, stp regions.Step, cur *
 		proj, _ := logic.Exists(full, elimVars, logic.Over)
 		st.Charge(8)
 		proj = st.Solver.Simplify(proj)
-		if r := st.Sat(proj); !(r.Known && !r.Sat) && logic.Size(proj) < 160 {
+		if r := st.Sat(proj); !(r.Known && !r.Sat) && logic.Size(proj) < regions.MaxPreSize {
 			pre = proj
 		}
 	}

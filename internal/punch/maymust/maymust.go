@@ -32,10 +32,6 @@ func New() *Analysis {
 	return &Analysis{Budget: 900, MaxMustElems: 24, MaxChildAttempts: 6}
 }
 
-// maxChildPreSize bounds the formula size of an over-projected child
-// precondition before falling back to a concrete entry point.
-const maxChildPreSize = 160
-
 // Name implements punch.Punch.
 func (a *Analysis) Name() string { return "may-must" }
 
@@ -117,11 +113,12 @@ func (st *stepper) run() punch.Result {
 		if path == nil {
 			if st.errorPath(false) == nil {
 				st.debugf("DONE unreachable (no abstract path)")
-				// No abstract error path at all: proof.
+				// No abstract error path at all: proof, for the whole
+				// entry regions the search started from.
 				st.ctx.DB.Add(summary.Summary{
 					Kind: summary.NotMay,
 					Proc: st.q.Q.Proc,
-					Pre:  st.q.Q.Pre,
+					Pre:  st.o.g.ProvedPre(&st.Meter, st.q.Q.Pre, st.o.globals),
 					Post: st.q.Q.Post,
 				})
 				return st.finish(query.Done, query.Unreachable)
@@ -612,7 +609,7 @@ func (st *stepper) childPre(elems []*mustElem, from *regions.Region, callee stri
 		projs = append(projs, proj)
 	}
 	out := st.filterRelevant(conjunctiveHull(projs), callee, postG)
-	if logic.Size(out) > maxChildPreSize {
+	if logic.Size(out) > regions.MaxPreSize {
 		st.Charge(8)
 		out = st.Solver.Simplify(out)
 	}
@@ -731,10 +728,10 @@ func (st *stepper) projectGlobals(f logic.Formula) logic.Formula {
 		st.Charge(6)
 		f, _ = logic.Exists(f, elim, logic.Over)
 	}
-	if logic.Size(f) > maxChildPreSize {
+	if logic.Size(f) > regions.MaxPreSize {
 		st.Charge(8)
 		f = st.Solver.Simplify(f)
-		if logic.Size(f) > maxChildPreSize {
+		if logic.Size(f) > regions.MaxPreSize {
 			f = conjunctiveHull([]logic.Formula{f})
 		}
 	}

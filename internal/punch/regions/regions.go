@@ -384,6 +384,56 @@ func (g *Graph) entryRegions(m *punch.Meter, pre logic.Formula, queue []*Region)
 	return queue
 }
 
+// MaxPreSize bounds the formula size of a precondition the analyses
+// derive rather than take from a question: a child question's
+// over-projected precondition and a widened not-may precondition.
+const MaxPreSize = 160
+
+// ProvedPre returns the precondition a not-may summary claims once
+// FindPath(m, pre, false) has found no abstract error path: no edge is
+// eliminated for pre's sake, only per region, so every state of the whole
+// entry regions the search started from is safe. The entry regions
+// partition every entry state, so those meeting pre hold it. A caller in
+// global state s is safe when the callee's non-globals (its locals,
+// uninitialised on entry) put s into one of them whatever their values:
+// when the regions mention a non-global, the result is the universal
+// projection ∀ non-globals. ∨ regions, taken as ¬∃ non-globals. ¬∨ regions
+// with the over-approximating shadow, which under-approximates it. The
+// plain ∃-projection would claim states where some local value leads out
+// of the regions. The projection can lose states of pre, so it is kept
+// only when the solver shows pre inside it, pre ∨ projection when not. A
+// result larger than MaxPreSize gives way to pre.
+func (g *Graph) ProvedPre(m *punch.Meter, pre logic.Formula, globals []lang.Var) logic.Formula {
+	queue := g.entryRegions(m, pre, g.queue)
+	covered := make([]logic.Formula, len(queue))
+	for i, r := range queue {
+		covered[i] = r.F
+	}
+	g.queue = queue[:0]
+	proved := logic.Disj(covered...)
+	var locals []lang.Var
+	for _, v := range logic.FreeVars(proved) {
+		if !slices.Contains(globals, v) {
+			locals = append(locals, v)
+		}
+	}
+	if len(locals) > 0 {
+		m.Charge(6)
+		escape, _ := logic.Exists(logic.Not(proved), locals, logic.Over)
+		proved = logic.Not(escape)
+		if logic.Size(proved) > MaxPreSize {
+			return pre
+		}
+		if !m.Implies(pre, proved) {
+			proved = logic.Disj(pre, proved)
+		}
+	}
+	if logic.Size(proved) > MaxPreSize {
+		return pre
+	}
+	return proved
+}
+
 // isOpen makes the one-step semantic feasibility check of e, whose record
 // is r and has not had it, and caches that it passed: a simple edge ρ→ρ' is
 // shut when ρ ∧ pre(stmt, ρ') is unsatisfiable — a sound elimination
