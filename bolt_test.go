@@ -463,12 +463,15 @@ func TestUnchangedRechecksLeaveTheLogAlone(t *testing.T) {
 	}
 }
 
-// TestClauseLearningCoreEngages is why internal/smt keeps its CDCL core
-// although smt.dpll_conflicts reads 0 on every committed benchmark
-// workload: ten two-way choices make 2^10 cubes, past the solver's DNF
-// cap, and the formula goes to the clause-learning search. With the
-// naive DPLL loop in its place this input ran for minutes under every
-// analysis; here must proves it Safe at once.
+// TestClauseLearningCoreEngages is why internal/smt keeps its CDCL core.
+// Two inputs reach it. Ten two-way choices make 2^10 cubes, past the
+// solver's DNF cap, and the formula goes to the clause-learning search;
+// with the naive DPLL loop in its place this input ran for minutes under
+// every analysis, and here must proves it Safe at once. And not-may
+// summaries project locals out universally (regions.Graph.ProvedPre):
+// the proof of local_split below splits p's entry region on its
+// uninitialised local, and then asks the solver about formulas whose DNF
+// is past the cap, under may and may-must alike.
 func TestClauseLearningCoreEngages(t *testing.T) {
 	const n = 10
 	var globals, havocs, choices, sum []string
@@ -479,21 +482,34 @@ func TestClauseLearningCoreEngages(t *testing.T) {
 		choices = append(choices, fmt.Sprintf("(%s == 0 || %s == 2)", v, v))
 		sum = append(sum, v)
 	}
-	src := fmt.Sprintf("globals %s;\nproc main {\n  %s\n  assume(%s);\n  assert(%s <= %d);\n}\n",
+	choiceSrc := fmt.Sprintf("globals %s;\nproc main {\n  %s\n  assume(%s);\n  assert(%s <= %d);\n}\n",
 		strings.Join(globals, ", "), strings.Join(havocs, " "), strings.Join(choices, " && "), strings.Join(sum, " + "), 2*n)
-	prog, err := bolt.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	res := prog.Check(bolt.Options{Analysis: bolt.Must, Threads: 1, Timeout: 20 * time.Second})
-	if res.Verdict != bolt.Safe {
-		t.Fatalf("verdict %v (stop %v), want Safe", res.Verdict, res.StopReason)
-	}
-	if res.Solver.DPLLConflicts == 0 {
-		t.Fatal("no CDCL conflict: the formula never reached the clause-learning core")
-	}
-	if wall := time.Since(start); wall > 5*time.Second {
-		t.Fatalf("took %v, want well under 5s", wall)
+	const localSplitSrc = `globals g, r;
+proc main { g = 0; r = 0; p(); assert(r == 0); }
+proc p { locals x; if (x <= 0) { if (g != 0) { r = 1; } } }`
+	for _, c := range []struct {
+		name     string
+		src      string
+		analysis bolt.Analysis
+	}{
+		{"ten choices, must", choiceSrc, bolt.Must},
+		{"local_split, may", localSplitSrc, bolt.May},
+		{"local_split, may-must", localSplitSrc, bolt.MayMust},
+	} {
+		prog, err := bolt.Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		res := prog.Check(bolt.Options{Analysis: c.analysis, Threads: 1, Timeout: 20 * time.Second})
+		if res.Verdict != bolt.Safe {
+			t.Fatalf("%s: verdict %v (stop %v), want Safe", c.name, res.Verdict, res.StopReason)
+		}
+		if res.Solver.DPLLConflicts == 0 {
+			t.Fatalf("%s: no CDCL conflict: the formula never reached the clause-learning core", c.name)
+		}
+		if wall := time.Since(start); wall > 5*time.Second {
+			t.Fatalf("%s: took %v, want well under 5s", c.name, wall)
+		}
 	}
 }

@@ -3,8 +3,10 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -181,6 +183,33 @@ func TestRejectWithDist(t *testing.T) {
 		msg, _ := io.ReadAll(r)
 		if code != 3 || !strings.Contains(string(msg), tc.msg) {
 			t.Errorf("%v: exit %d with %q, want 3 with %q", tc.args, code, msg, tc.msg)
+		}
+	}
+}
+
+// TestProgramWithoutAssertExitsSafe runs boltcheck in a child process on
+// programs with no assert: they have no error state, so each engine
+// prints the Safe verdict and exits 0. The child is this test binary
+// with BOLTCHECK_ARGS set, which runs main on those arguments.
+func TestProgramWithoutAssertExitsSafe(t *testing.T) {
+	if args := os.Getenv("BOLTCHECK_ARGS"); args != "" {
+		os.Args = append([]string{"boltcheck"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	dir := t.TempDir()
+	for i, src := range []string{`proc main { }`, `globals g; proc main { g = 0; }`} {
+		path := filepath.Join(dir, fmt.Sprintf("p%d.bolt", i))
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, engine := range []string{"-threads 1", "-threads 2 -async", "-dist 2 -threads 2"} {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestProgramWithoutAssertExitsSafe$")
+			cmd.Env = append(os.Environ(), "BOLTCHECK_ARGS="+engine+" "+path)
+			out, err := cmd.Output()
+			if err != nil || !strings.HasPrefix(string(out), "Program is Safe") {
+				t.Errorf("%q %s: %v, output %q", src, engine, err, out)
+			}
 		}
 	}
 }

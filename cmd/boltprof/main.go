@@ -162,12 +162,28 @@ func runSelftest(corpusDir string) int {
 }
 
 // validateTrace loads one run's JSONL stream and asserts the analyzer's
-// structural invariants on the resulting report; honestClock adds the one
-// that ties the run's own clock to the trace, span <= makespan.
+// structural invariants on the resulting report; honestClock adds the two
+// that tie the run's own clock to the trace: every punch span lasts at
+// least its cost in virtual time, and span <= makespan.
 func validateTrace(buf *bytes.Buffer, honestClock bool) error {
 	events, err := analyze.LoadJSONL(buf)
 	if err != nil {
 		return err
+	}
+	if honestClock {
+		open := map[[2]int]int64{} // (node, worker) -> punch-start vtime
+		for _, ev := range events {
+			track := [2]int{ev.Node, ev.Worker}
+			switch ev.Type {
+			case obs.EvPunchStart:
+				open[track] = ev.VTime
+			case obs.EvPunchEnd:
+				if start := open[track]; ev.VTime < start+ev.Cost {
+					return fmt.Errorf("query %d's punch span ends at vtime %d, before its start %d + cost %d",
+						ev.Query, ev.VTime, start, ev.Cost)
+				}
+			}
+		}
 	}
 	rep, err := analyze.Analyze(events)
 	if err != nil {

@@ -120,7 +120,6 @@ var optionStructs = []struct{ dir, pkg, typ string }{
 // kept for the reason given. Any other such field goes.
 var unsetOptions = map[string]string{
 	"core.Options.CheckContract": "the test suite's PUNCH-contract and reducer-invariant assertions",
-	"core.Options.OnIteration":   "the per-iteration hook the instrumentation tests observe",
 	"core.DistOptions.SyncEvery": "the gossip period TestDistributedSyncLatency varies",
 	"core.DistOptions.SyncCost":  "the gossip latency TestDistributedSyncLatency charges",
 	"harness.Options.TickBudget": "Table 3 calibrates it per run",

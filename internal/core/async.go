@@ -1,5 +1,6 @@
-// Streaming BOLT: an asynchronous work-stealing alternative to the
-// bulk-synchronous Fig. 4 loop. The barrier engine's MAP stage waits for
+// Streaming BOLT, the second of the two schedulers: an asynchronous
+// work-stealing alternative to the bulk-synchronous Fig. 4 loop (the
+// round loop in engine.go). The barrier engine's MAP stage waits for
 // its slowest PUNCH before REDUCE may wake any parent, so one
 // long-running query idles the whole fleet — the straggler effect that
 // asynchronous task pools eliminate. Here a persistent pool of
@@ -7,8 +8,8 @@
 // (LIFO-local for cache affinity and depth-first flavour, FIFO-steal for
 // breadth when idle), and REDUCE happens incrementally per completion:
 // under the scheduler lock each result is applied and, when Done, retired
-// at once (reduce.go's apply and retire — the same REDUCE the barrier
-// engine runs per batch), so a finished query wakes its Blocked parent
+// at once (reduce.go's apply and retire — the same REDUCE the round loop
+// runs per batch), so a finished query wakes its Blocked parent
 // and has its subtree collected without waiting for the rest of any
 // batch. This file is only the scheduler: deques, stealing, parking,
 // budgets and the event-driven clock. When the root query completes,
@@ -99,7 +100,7 @@ func (e *Engine) stream(ctx context.Context, r *reducer) {
 		ctx:    ctx,
 		deques: make([][]*query.Query, e.opts.MaxThreads),
 		queued: map[query.ID]bool{},
-		// The barrier engine's MaxIterations bounds batches of up to
+		// The round loop's bound, MaxIterations, bounds rounds of up to
 		// MaxThreads invocations; bound completion events equivalently.
 		maxEvents: int64(e.opts.MaxIterations) * int64(e.opts.MaxThreads),
 		clock:     newCoreClock(e.opts.VirtualCores),

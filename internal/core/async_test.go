@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/punch/maymust"
 )
@@ -131,19 +132,20 @@ func TestCorpusAllEnginesConfluence(t *testing.T) {
 
 // TestAsyncInstrumentation: the streaming engine must provide the same
 // Result/IterSample instrumentation contract as the barrier engine —
-// OnIteration observes exactly the trace, one sample per completion
-// event, with a monotone done count and an advancing virtual clock.
+// the trace holds one sample per completion event, as many as the event
+// stream closes punch spans, with a monotone done count and an advancing
+// virtual clock.
 func TestAsyncInstrumentation(t *testing.T) {
 	prog := parser.MustParse(`globals g;
 proc main { g = 0; inc(); assert(g <= 1); }
 proc inc { g = g + 1; }`)
-	var seen []IterSample
+	rec := &obs.Recording{}
 	res := New(prog, Options{
 		Punch:         maymust.New(),
 		MaxThreads:    4,
 		MaxIterations: 2000,
 		Async:         true,
-		OnIteration:   func(s IterSample) { seen = append(seen, s) },
+		Tracer:        rec,
 	}).Run(AssertionQuestion(prog))
 	if res.Verdict != Safe {
 		t.Fatalf("verdict = %v", res.Verdict)
@@ -151,13 +153,14 @@ proc inc { g = g + 1; }`)
 	if len(res.Trace) == 0 {
 		t.Fatal("no trace samples")
 	}
-	if len(seen) != len(res.Trace) {
-		t.Fatalf("hook saw %d samples, trace has %d", len(seen), len(res.Trace))
-	}
-	for i := range seen {
-		if seen[i] != res.Trace[i] {
-			t.Fatalf("sample %d differs", i)
+	spans := 0
+	for _, ev := range rec.Events() {
+		if ev.Type == obs.EvPunchEnd {
+			spans++
 		}
+	}
+	if spans != len(res.Trace) {
+		t.Fatalf("stream closes %d punch spans, trace has %d samples", spans, len(res.Trace))
 	}
 	var lastDone int64 = -1
 	for i, s := range res.Trace {

@@ -25,10 +25,11 @@
 //
 // REDUCE is reduce.go's, run once over the forest of all nodes' trees
 // (this is a one-process simulation, and the coalescer's cycle check
-// walks the whole forest anyway): a round is the barrier discipline —
-// step every node's batch in parallel, apply every result, check the
-// root, retire every Done result. What this file adds is what a cluster
-// adds: procedure routing, gossip, and failover.
+// walks the whole forest anyway), and the scheduler is the round loop in
+// engine.go — the barrier engine is the same loop over one node: step
+// every node's batch in parallel, apply every result, check the root,
+// retire every Done result. What this file adds is what a cluster adds
+// once a node has a peer: procedure routing, gossip, and failover.
 package core
 
 import (
@@ -156,13 +157,14 @@ type DistResult struct {
 	PerNodeInvalidated   []int
 }
 
-// distNode is one simulated machine: its tree and summary database are
-// the run's forest[id] and dbs[id].
+// distNode is one simulated machine — the barrier engine's only node, or
+// one of a cluster's: its tree and summary database are the run's
+// forest[id] and dbs[id].
 type distNode struct {
 	id    int
 	db    *summary.DB
 	tree  *query.Tree
-	known map[gossipKey]bool // summaries already received via gossip
+	known map[gossipKey]bool // summaries already received via gossip (nil without a peer)
 	dead  bool               // killed by fault injection
 }
 
@@ -201,27 +203,46 @@ func NewDistributed(prog *cfg.Program, opts DistOptions) *DistEngine {
 	return &DistEngine{prog: prog, opts: opts}
 }
 
-// nodeOf routes a procedure to its home node. The modulo is taken in
-// uint32 space like summary.shardIndex: int(h.Sum32()) is negative for
-// hashes above MaxInt32 on 32-bit platforms, and a signed modulo would
-// then yield a negative index.
-func (e *DistEngine) nodeOf(proc string) int {
+// newNodes returns n live nodes; the round loop binds their trees and
+// databases once the run has built them.
+func newNodes(n int) []*distNode {
+	nodes := make([]*distNode, n)
+	for i := range nodes {
+		nodes[i] = &distNode{id: i}
+	}
+	return nodes
+}
+
+// nodeOf routes a procedure to its home among n nodes. The modulo is
+// taken in uint32 space like summary.shardIndex: int(h.Sum32()) is
+// negative for hashes above MaxInt32 on 32-bit platforms, and a signed
+// modulo would then yield a negative index.
+func nodeOf(proc string, n int) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(proc))
-	return int(h.Sum32() % uint32(e.opts.Nodes))
+	return int(h.Sum32() % uint32(n))
 }
 
 // owner resolves proc's serving node: its hash home when alive, else the
 // next live node in ring order (failover re-routing). Returns -1 when
 // every node is dead.
-func (e *DistEngine) owner(nodes []*distNode, proc string) int {
-	home := e.nodeOf(proc)
+func owner(nodes []*distNode, proc string) int {
+	home := nodeOf(proc, len(nodes))
 	for off := 0; off < len(nodes); off++ {
 		if n := nodes[(home+off)%len(nodes)]; !n.dead {
 			return n.id
 		}
 	}
 	return -1
+}
+
+// router is the reducer's home function over nodes: nil for one node,
+// which owns every procedure, so that nothing is hashed.
+func router(nodes []*distNode) func(string) int {
+	if len(nodes) == 1 {
+		return nil
+	}
+	return func(proc string) int { return owner(nodes, proc) }
 }
 
 // Run answers q0 on the simulated cluster with no external cancellation;
@@ -231,13 +252,12 @@ func (e *DistEngine) Run(q0 summary.Question) DistResult {
 }
 
 // RunContext answers q0 on the simulated cluster. Cancelling ctx stops
-// the run at the next round boundary with StopReason StopCancelled.
+// the run at the next round boundary with StopReason StopCancelled. A
+// one-node cluster neither routes nor gossips: its run is the barrier
+// engine's.
 func (e *DistEngine) RunContext(ctx context.Context, q0 summary.Question) DistResult {
 	o := &e.opts
-	nodes := make([]*distNode, o.Nodes)
-	for i := range nodes {
-		nodes[i] = &distNode{id: i, known: map[gossipKey]bool{}}
-	}
+	nodes := newNodes(o.Nodes)
 	r := newReducer(e.prog, Options{
 		Punch:             o.Punch,
 		Store:             o.Store,
@@ -249,127 +269,13 @@ func (e *DistEngine) RunContext(ctx context.Context, q0 summary.Question) DistRe
 		Probe:             o.Probe,
 		CollectProvenance: o.CollectProvenance,
 		Incremental:       o.Incremental,
-	}, "dist", o.Nodes, o.ThreadsPerNode, func(proc string) int { return e.owner(nodes, proc) })
-	res := DistResult{PerNodeSummaries: make([]int, o.Nodes)}
-	if !r.begin(q0) {
-		return e.result(r, res)
+	}, "dist", o.Nodes, o.ThreadsPerNode, router(nodes))
+	var res DistResult
+	if r.begin(q0) {
+		rounds{threads: o.ThreadsPerNode, cores: o.ThreadsPerNode, max: o.MaxRounds,
+			syncEvery: o.SyncEvery, syncCost: o.SyncCost, faults: o.Faults}.run(ctx, r, nodes, &res)
+		r.end()
 	}
-	for _, n := range nodes {
-		n.db, n.tree = r.dbs[n.id], r.forest[n.id]
-		// A warm-started summary is marked known at its owner, so the first
-		// gossip exchange spreads it cluster-wide without re-delivering it
-		// there.
-		for _, s := range n.db.All() {
-			n.known[summaryKey(s)] = true
-		}
-	}
-	faults := o.Faults
-	var rng *rand.Rand
-	if faults != nil {
-		rng = rand.New(rand.NewSource(faults.Seed))
-	}
-
-	for round := 0; round < o.MaxRounds; round++ {
-		if stop := r.exhausted(ctx); stop != StopNone {
-			r.res.setStop(stop)
-			break
-		}
-		// Fault injection: the victim dies at the start of its round,
-		// before MAP, so no in-flight work complicates recovery.
-		if faults != nil && faults.KillNode >= 0 && round == faults.KillRound {
-			e.failNode(r, nodes, faults.KillNode, &res)
-		}
-		if e.owner(nodes, q0.Proc) < 0 {
-			r.res.setStop(StopNodeFailure)
-			break
-		}
-		res.Rounds = round + 1
-
-		// Each live node selects one MAP batch from its own shard. Punch
-		// spans are emitted from the round loop (start here, end at merge
-		// below), so each (node, worker) track holds at most one open span.
-		var batch []slot
-		for _, n := range nodes {
-			if n.dead {
-				continue
-			}
-			sel := n.tree.InState(query.Ready)
-			if len(sel) > o.ThreadsPerNode {
-				sel = sel[:o.ThreadsPerNode]
-			}
-			for w, q := range sel {
-				r.punchStart(n.id, w, q)
-				batch = append(batch, slot{node: n.id, worker: w, q: q})
-			}
-		}
-		if len(batch) == 0 {
-			// All nodes are blocked: answers may be stranded in remote
-			// shards, so force a gossip exchange and wake blocked queries
-			// to re-examine their databases. The forced exchange is exempt
-			// from injected loss (a reliable anti-entropy repair): drops
-			// may delay the cluster but must never wedge it. If nothing
-			// new flowed, the cluster is genuinely deadlocked.
-			res.SyncExchanges++
-			r.vtime += o.SyncCost
-			moved := e.gossip(r, nodes, nil, &res)
-			if moved > 0 {
-				wakeBlocked(r, nodes)
-			}
-			r.publish(int64(round+1), 0)
-			if moved == 0 {
-				r.res.setStop(StopDeadlocked)
-				break
-			}
-			continue
-		}
-		// All nodes' batches run in parallel; the depth map is read-only
-		// meanwhile.
-		fanOut(len(batch), func(i int) {
-			b := &batch[i]
-			b.res, b.wall = r.step(ctx, b.node, b.q, r.depth[b.q.ID])
-		})
-		// The round's virtual time is the maximum of the per-node
-		// makespans (nodes genuinely run in parallel), each node's batch
-		// list-scheduled on ThreadsPerNode cores.
-		r.advance(batch, o.ThreadsPerNode)
-		for i := range batch {
-			b := &batch[i]
-			r.punchEnd(b.node, b.worker, b.q, b.res.Cost, b.wall)
-		}
-		// REDUCE over the whole round: merging a result routes its children
-		// to their owning node (a remote dispatch in a real deployment);
-		// retiring a Done query wakes parents and waiters that may live on
-		// another node.
-		answered := r.reduceBatch(batch)
-
-		// Gossip: every SyncEvery rounds nodes exchange new summaries,
-		// subject to the injected loss plan.
-		if !answered && (round+1)%o.SyncEvery == 0 {
-			res.SyncExchanges++
-			r.vtime += o.SyncCost
-			// A summary arrival is a wake event: queries that blocked before
-			// the delivery must re-examine their databases, or the deadlock
-			// detector above would declare a fully-replicated-but-sleeping
-			// cluster dead. (The barrier engine gets this ordering for free
-			// from its shared database.)
-			if e.gossip(r, nodes, rng, &res) > 0 {
-				wakeBlocked(r, nodes)
-			}
-		}
-		r.publish(int64(round+1), 0)
-		if answered {
-			r.res.setStop(StopRootAnswered)
-			break
-		}
-	}
-
-	// Falling out of the loop without a recorded reason means the round
-	// budget ran dry.
-	r.res.setStop(StopEventBudget)
-	for i, db := range r.dbs {
-		res.PerNodeSummaries[i] = db.Count()
-	}
-	r.end()
 	return e.result(r, res)
 }
 
@@ -378,10 +284,15 @@ func (e *DistEngine) result(r *reducer, res DistResult) DistResult {
 	rr := &r.res
 	res.Verdict = rr.Verdict
 	res.StopReason, res.TimedOut, res.Deadlocked = rr.StopReason, rr.TimedOut, rr.Deadlocked
+	res.Rounds = rr.Iterations
 	res.TotalQueries = rr.TotalQueries
 	res.VirtualTicks = rr.VirtualTicks
 	res.WallTime = rr.WallTime
 	res.PerNodePeakLive = r.peak
+	res.PerNodeSummaries = make([]int, len(r.forest))
+	for i, db := range r.dbs {
+		res.PerNodeSummaries[i] = db.Count()
+	}
 	res.CoalesceHits = rr.CoalesceHits
 	res.Metrics = rr.Metrics
 	res.Provenance = rr.Provenance
@@ -456,7 +367,7 @@ func wakeBlocked(r *reducer, nodes []*distNode) {
 // queries are re-routed to their new owners, with Blocked survivors woken
 // so they re-examine the recovered databases. No-op when the victim is
 // out of range or already dead.
-func (e *DistEngine) failNode(r *reducer, nodes []*distNode, victim int, res *DistResult) {
+func failNode(r *reducer, nodes []*distNode, victim int, res *DistResult) {
 	if victim < 0 || victim >= len(nodes) || nodes[victim].dead {
 		return
 	}
@@ -482,7 +393,7 @@ func (e *DistEngine) failNode(r *reducer, nodes []*distNode, victim int, res *Di
 		}
 	}
 	for _, q := range dead.tree.All() {
-		at := e.owner(nodes, q.Q.Proc)
+		at := owner(nodes, q.Q.Proc)
 		if at < 0 {
 			return // cluster is gone; the caller stops with StopNodeFailure
 		}
@@ -515,20 +426,21 @@ func summaryKey(s summary.Summary) gossipKey {
 	return gossipKey{s.Kind, s.Proc, logic.KeyID(s.Pre), logic.KeyID(s.Post)}
 }
 
-// gossip copies summaries between all live node pairs (full exchange),
-// returning how many summary deliveries occurred. Real deployments would
-// batch deltas; the simulation keys on summary structure to avoid
-// rebroadcast. With a non-nil rng, each delivery is dropped with the
-// fault plan's probability; a dropped delivery stays unacknowledged and
-// is retried at the next exchange (drop-as-delay). Each receiver's
-// deferred-delivery count for this exchange is published as its live
-// gossip backlog.
-func (e *DistEngine) gossip(r *reducer, nodes []*distNode, rng *rand.Rand, res *DistResult) int {
+// gossip is one exchange, charged cost virtual ticks: it copies summaries
+// between all live node pairs (full exchange) and returns how many
+// summary deliveries occurred. Real deployments would batch deltas; the
+// simulation keys on summary structure to avoid rebroadcast. Each
+// delivery is dropped with probability drop, drawn from rng; a dropped
+// delivery stays unacknowledged and is retried at the next exchange
+// (drop-as-delay). Each receiver's deferred-delivery count for this
+// exchange is published as its live gossip backlog. A summary arrival is
+// a wake event: queries that blocked before the delivery must re-examine
+// their databases, or the all-blocked check would declare a
+// fully-replicated-but-sleeping cluster dead.
+func gossip(r *reducer, nodes []*distNode, rng *rand.Rand, drop float64, cost int64, res *DistResult) int {
+	res.SyncExchanges++
+	r.vtime += cost
 	r.in.m.Inc(obs.GossipRounds)
-	drop := 0.0
-	if rng != nil && e.opts.Faults != nil {
-		drop = e.opts.Faults.GossipDrop
-	}
 	moved := 0
 	deferred := make([]int64, len(nodes))
 	var buf []byte
@@ -557,6 +469,9 @@ func (e *DistEngine) gossip(r *reducer, nodes []*distNode, rng *rand.Rand, res *
 	}
 	for i := range r.nodes {
 		r.nodes[i].GossipBacklog = deferred[i]
+	}
+	if moved > 0 {
+		wakeBlocked(r, nodes)
 	}
 	return moved
 }

@@ -8,21 +8,24 @@
 // Besides real wall-clock execution with goroutines, the engine maintains
 // a deterministic virtual clock: each PUNCH invocation reports its
 // abstract cost, and a MAP stage advances virtual time by the makespan of
-// its batch (the maximum cost, since the batch size never exceeds the
-// thread count). The virtual clock is what reproduces the paper's speedup
+// its batch list-scheduled on the simulated cores. The virtual clock is what reproduces the paper's speedup
 // tables independently of the host (the paper's machine has 8 cores, a
 // test box may have 2); the goroutines exercise true concurrency, and
 // the repository benchmark (bench/) measures their wall clock.
 //
-// REDUCE exists once, in reduce.go, under all three engines. This file
-// holds the option and result types and the barrier scheduler: select a
-// batch, step it in parallel, apply every result, check the root, retire
-// every Done result.
+// REDUCE exists once, in reduce.go, under both schedulers. This file
+// holds the option and result types and the one batch scheduler, the
+// round loop: every live node selects a batch, all batches are stepped in
+// parallel, every result is applied, the root checked, every Done result
+// retired. The barrier engine runs it over one node; the cluster
+// simulation (distributed.go) over many, adding routing, gossip and
+// failover. The streaming pool (async.go) is the other scheduler.
 package core
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -101,10 +104,6 @@ type Options struct {
 	// identical to the barrier engine; scheduling (and hence trace
 	// shapes) is nondeterministic.
 	Async bool
-	// OnIteration, when set, observes per-iteration samples. Under Async
-	// each sample is one PUNCH completion event rather than one
-	// MAP/REDUCE batch.
-	OnIteration func(IterSample)
 	// Tracer, when non-nil, receives the run's query-lifecycle event
 	// stream (see internal/obs). A nil tracer costs one branch per
 	// would-be event.
@@ -259,17 +258,20 @@ func (e *Engine) Run(q0 summary.Question) Result {
 
 // RunContext answers the verification question q0 (Fig. 4). With
 // Options.Async it schedules with the streaming work-stealing pool;
-// otherwise it runs the paper's bulk-synchronous MAP/REDUCE loop.
-// Cancelling ctx stops the run with StopReason StopCancelled; since PUNCH
-// invocations are not preemptible, cancellation is observed at stage
-// boundaries (one PUNCH slice is bounded by the step budget, so the
-// latency is small).
+// otherwise it runs the paper's bulk-synchronous MAP/REDUCE loop, the
+// cluster's round loop over one node. Cancelling ctx stops the run with
+// StopReason StopCancelled; since PUNCH invocations are not preemptible,
+// cancellation is observed at stage boundaries (one PUNCH slice is bounded
+// by the step budget, so the latency is small).
 func (e *Engine) RunContext(ctx context.Context, q0 summary.Question) Result {
-	engine, schedule := "barrier", e.barrier
-	if e.opts.Async {
+	o := &e.opts
+	engine, schedule := "barrier", func(ctx context.Context, r *reducer) {
+		rounds{threads: o.MaxThreads, cores: o.VirtualCores, max: o.MaxIterations}.run(ctx, r, newNodes(1), &DistResult{})
+	}
+	if o.Async {
 		engine, schedule = "async", e.stream
 	}
-	r := newReducer(e.prog, e.opts, engine, 1, e.opts.MaxThreads, nil)
+	r := newReducer(e.prog, *o, engine, 1, o.MaxThreads, nil)
 	if r.begin(q0) {
 		schedule(ctx, r)
 		r.end()
@@ -277,59 +279,127 @@ func (e *Engine) RunContext(ctx context.Context, q0 summary.Question) Result {
 	return r.res
 }
 
-// barrier is the bulk-synchronous scheduler: each iteration selects up to
-// MaxThreads Ready queries, steps them in parallel, and reduces the batch
-// in two phases.
-func (e *Engine) barrier(ctx context.Context, r *reducer) {
-	o, res, tree := &e.opts, &r.res, r.forest[0]
-	for iter := 0; iter < o.MaxIterations; iter++ {
+// rounds configures the batch scheduler for one run: per node, the MAP
+// throttle and the simulated cores its batch is list-scheduled on; the
+// round bound; and, for a cluster, the gossip period, the virtual cost of
+// one exchange and the fault plan.
+type rounds struct {
+	threads, cores, max, syncEvery int
+	syncCost                       int64
+	faults                         *Faults
+}
+
+// run is the batch scheduler: Fig. 4's loop, in rounds over the nodes of
+// a cluster — the barrier engine is a cluster of one node. Each round
+// every live node selects up to threads Ready queries from its own tree,
+// all batches are stepped in parallel, the clock advances by the largest
+// per-node makespan, and the whole round is reduced at once (§3.3). Every
+// syncEvery rounds the nodes gossip fresh summaries; a node without a
+// peer never does. tally receives the cluster's own counters.
+func (c rounds) run(ctx context.Context, r *reducer, nodes []*distNode, tally *DistResult) {
+	peers := len(nodes) > 1
+	for _, n := range nodes {
+		n.db, n.tree = r.dbs[n.id], r.forest[n.id]
+		if peers {
+			// A warm-started summary is known at its owner, so the first
+			// exchange spreads it cluster-wide without re-delivering it there.
+			n.known = map[gossipKey]bool{}
+			for _, s := range n.db.All() {
+				n.known[summaryKey(s)] = true
+			}
+		}
+	}
+	var rng *rand.Rand
+	drop := 0.0
+	if c.faults != nil {
+		rng, drop = rand.New(rand.NewSource(c.faults.Seed)), c.faults.GossipDrop
+	}
+	var batch []slot
+	for round := 0; round < c.max; round++ {
 		if stop := r.exhausted(ctx); stop != StopNone {
-			res.setStop(stop)
+			r.res.setStop(stop)
 			break
 		}
-		ready := tree.InState(query.Ready)
-		if len(ready) == 0 {
-			// Every live query is Blocked: no child can ever answer (the
-			// query tree has no cycles), so the analysis is stuck.
-			res.setStop(StopDeadlocked)
-			break
-		}
-		sel := ready
-		if len(sel) > o.MaxThreads {
-			sel = sel[:o.MaxThreads]
+		// Fault injection: the victim dies at the start of its round,
+		// before MAP, so no in-flight work complicates recovery.
+		if f := c.faults; f != nil && f.KillNode >= 0 && round == f.KillRound {
+			failNode(r, nodes, f.KillNode, tally)
+			if owner(nodes, r.q0.Proc) < 0 {
+				r.res.setStop(StopNodeFailure)
+				break
+			}
 		}
 
-		// MAP: run PUNCH on the selected queries in parallel. The summary
-		// database is the only shared state (§3.3). Worker slot i is the
-		// event track; the depth map is read-only while the batch runs.
-		batch := make([]slot, len(sel))
-		fanOut(len(sel), func(i int) {
+		// Each live node selects one MAP batch from its own tree. Punch
+		// spans open here and close once the clock has passed the stage,
+		// so each (node, worker) track holds at most one open span.
+		batch, ready := batch[:0], 0
+		for _, n := range nodes {
+			if n.dead {
+				continue
+			}
+			sel := n.tree.InState(query.Ready)
+			ready += len(sel)
+			if len(sel) > c.threads {
+				sel = sel[:c.threads]
+			}
+			for w, q := range sel {
+				r.punchStart(n.id, w, q)
+				batch = append(batch, slot{node: n.id, worker: w, q: q})
+			}
+		}
+		vtime, created := r.vtime, r.created
+		if len(batch) == 0 {
+			// Every live query is Blocked. On one node no child can ever
+			// answer (the query tree has no cycles): the analysis is stuck.
+			// In a cluster answers may be stranded in remote shards: force
+			// an exchange, exempt from injected loss (a reliable anti-entropy
+			// repair: drops may delay the cluster but never wedge it). If
+			// nothing flowed, the cluster is stuck too.
+			if !peers {
+				r.res.setStop(StopDeadlocked)
+				break
+			}
+			moved := gossip(r, nodes, nil, 0, c.syncCost, tally)
+			r.sample(IterSample{Iter: round, VTime: vtime, Ready: ready}, created, 0)
+			if moved == 0 {
+				r.res.setStop(StopDeadlocked)
+				break
+			}
+			continue
+		}
+
+		// MAP: every node's batch runs in parallel. The summary databases
+		// are the only shared state (§3.3); the depth map is read-only
+		// meanwhile.
+		fanOut(len(batch), func(i int) {
 			b := &batch[i]
-			b.worker, b.q = i, sel[i]
-			r.punchStart(0, i, b.q)
-			b.res, b.wall = r.step(ctx, 0, b.q, r.depth[b.q.ID])
-			r.punchEnd(0, i, b.q, b.res.Cost, b.wall)
+			b.res, b.wall = r.step(ctx, b.node, b.q, r.depth[b.q.ID])
 		})
-		// Virtual time: the stage advances the clock by the makespan of
-		// its batch on the simulated cores.
-		stageCost := r.advance(batch, o.VirtualCores)
-		created := r.created
+		stage := r.advance(batch, c.cores)
+		for i := range batch {
+			b := &batch[i]
+			r.punchEnd(b.node, b.worker, b.q, b.res.Cost, b.wall)
+		}
+		// REDUCE over the whole round: merging a result routes its children
+		// to their owning node (a remote dispatch in a real deployment);
+		// retiring a Done query wakes parents and waiters that may live on
+		// another node.
 		answered := r.reduceBatch(batch)
-		r.sample(IterSample{
-			Iter:      iter,
-			VTime:     r.vtime - stageCost,
-			StageCost: stageCost,
-			Ready:     len(ready),
-			Processed: len(sel),
-		}, created, 0)
+
+		// Gossip, subject to the injected loss plan.
+		if peers && !answered && (round+1)%c.syncEvery == 0 {
+			gossip(r, nodes, rng, drop, c.syncCost, tally)
+		}
+		r.sample(IterSample{Iter: round, VTime: vtime, StageCost: stage, Ready: ready, Processed: len(batch)}, created, 0)
 		if answered {
-			res.setStop(StopRootAnswered)
+			r.res.setStop(StopRootAnswered)
 			break
 		}
 	}
-	// Falling out of the loop without a recorded reason means the
-	// iteration budget ran dry.
-	res.setStop(StopEventBudget)
+	// Falling out of the loop without a recorded reason means the round
+	// budget ran dry.
+	r.res.setStop(StopEventBudget)
 }
 
 // fanOut runs f(0) … f(n-1) concurrently and returns when all have
@@ -354,11 +424,7 @@ func fanOut(n int, f func(i int)) {
 // makespan computes the greedy list-scheduling completion time of the
 // given task costs on n identical machines (tasks assigned in order to
 // the least-loaded machine): the streaming engine's event-driven clock
-// (coreClock) fed the whole batch at once. The machine loads live in a
-// binary min-heap, so each assignment is O(log n) instead of the former
-// O(n) scan; since the machines are identical, which min-loaded machine
-// receives a task does not change the resulting load multiset, so the
-// value is unchanged.
+// (coreClock) fed the whole batch at once.
 func makespan(costs []int64, n int) int64 {
 	c := newCoreClock(min(n, len(costs)))
 	for _, cost := range costs {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/drivers"
 	"repro/internal/interp"
 	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/punch"
 	"repro/internal/punch/may"
@@ -201,29 +202,49 @@ proc bump { a = a + 1; b = a; }`)
 	}
 }
 
-// TestOnIterationHook: the per-iteration observer receives the same
-// samples the result trace records.
-func TestOnIterationHook(t *testing.T) {
+// TestBarrierTraceMatchesEvents: the barrier engine's Result.Trace is one
+// sample per round, and it agrees with the event stream of the same run:
+// each round handles as many queries as punch spans close in it, its
+// stage starts where the previous one ended, and the last ends at the
+// run's virtual time.
+func TestBarrierTraceMatchesEvents(t *testing.T) {
 	prog := parser.MustParse(`globals g;
 proc main { g = 0; inc(); assert(g <= 1); }
 proc inc { g = g + 1; }`)
-	var seen []IterSample
+	rec := &obs.Recording{}
 	res := New(prog, Options{
 		Punch:         maymust.New(),
 		MaxThreads:    2,
 		MaxIterations: 2000,
-		OnIteration:   func(s IterSample) { seen = append(seen, s) },
+		Tracer:        rec,
 	}).Run(AssertionQuestion(prog))
 	if res.Verdict != Safe {
 		t.Fatalf("verdict = %v", res.Verdict)
 	}
-	if len(seen) != len(res.Trace) {
-		t.Fatalf("hook saw %d samples, trace has %d", len(seen), len(res.Trace))
+	if len(res.Trace) == 0 || res.Iterations != len(res.Trace) {
+		t.Fatalf("%d samples over %d iterations", len(res.Trace), res.Iterations)
 	}
-	for i := range seen {
-		if seen[i] != res.Trace[i] {
-			t.Fatalf("sample %d differs", i)
+	ends := map[int64]int{} // punch-end vtime -> spans closed there
+	for _, ev := range rec.Events() {
+		if ev.Type == obs.EvPunchEnd {
+			ends[ev.VTime]++
 		}
+	}
+	var vtime int64
+	for i, s := range res.Trace {
+		if s.Iter != i || s.VTime != vtime {
+			t.Fatalf("sample %d: iter %d at vtime %d, want %d at %d", i, s.Iter, s.VTime, i, vtime)
+		}
+		if s.Processed == 0 || s.Processed > 2 || s.Processed > s.Ready {
+			t.Fatalf("sample %d: %d processed of %d ready", i, s.Processed, s.Ready)
+		}
+		vtime += s.StageCost
+		if ends[vtime] != s.Processed {
+			t.Fatalf("sample %d: %d spans end at vtime %d, want %d", i, ends[vtime], vtime, s.Processed)
+		}
+	}
+	if vtime != res.VirtualTicks {
+		t.Fatalf("trace ends at vtime %d, the run at %d", vtime, res.VirtualTicks)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/drivers"
+	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/punch"
 	"repro/internal/punch/maymust"
@@ -103,10 +104,8 @@ func TestNodeOfUint32Modulo(t *testing.T) {
 	if int(int32(sum))%3 >= 0 {
 		t.Fatalf("%q does not demonstrate the 32-bit signed-modulo bug", name)
 	}
-	prog := parser.MustParse(`proc main { locals x; x = 1; assert(x > 0); }`)
 	for _, nodes := range []int{2, 3, 7} {
-		eng := NewDistributed(prog, DistOptions{Punch: maymust.New(), Nodes: nodes})
-		got := eng.nodeOf(name)
+		got := nodeOf(name, nodes)
 		if got < 0 || got >= nodes {
 			t.Fatalf("nodeOf(%q) with %d nodes = %d, out of range", name, nodes, got)
 		}
@@ -441,7 +440,11 @@ func TestAsyncRewakeUnderCancellation(t *testing.T) {
 	p := newRewakePunch()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	events := make(chan IterSample, 64)
+	// One event per retired Done query: retire wakes the parent (or arms
+	// its rewake) before it emits EvGC. The tracer runs under the
+	// scheduler lock, so the buffer holds more than the run's few EvGCs
+	// and a send never blocks.
+	retired := make(chan struct{}, 64)
 	resCh := make(chan Result, 1)
 	go func() {
 		resCh <- New(prog, Options{
@@ -449,7 +452,11 @@ func TestAsyncRewakeUnderCancellation(t *testing.T) {
 			MaxThreads:    2,
 			MaxIterations: 1000,
 			Async:         true,
-			OnIteration:   func(s IterSample) { events <- s },
+			Tracer: tracerFunc(func(ev obs.Event) {
+				if ev.Type == obs.EvGC {
+					retired <- struct{}{}
+				}
+			}),
 		}).RunContext(ctx, summary.Question{Proc: "main"})
 	}()
 
@@ -462,17 +469,14 @@ func TestAsyncRewakeUnderCancellation(t *testing.T) {
 	}
 	await(p.rootInFlight, "root's second PUNCH slice")
 	close(p.c2Release) // c2 completes while the root is mid-PUNCH → rewake armed
-	for {
+	// Wait until c1 and c2 are both retired.
+	for n := 0; n < 2; n++ {
 		select {
-		case s := <-events:
-			if s.DoneSoFar >= 2 { // c1 and c2 both reduced
-				goto armed
-			}
+		case <-retired:
 		case <-time.After(10 * time.Second):
 			t.Fatal("timed out waiting for c2's completion event")
 		}
 	}
-armed:
 	cancel()
 	// Give the cancellation watcher time to halt the scheduler before the
 	// root's PUNCH returns Blocked with its rewake flag set.

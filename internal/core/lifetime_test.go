@@ -8,6 +8,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/drivers"
 	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/punch/maymust"
 	"repro/internal/store"
 	"repro/internal/summary"
@@ -26,11 +27,16 @@ func trajOf(r Result) trajectory {
 }
 
 // runOne checks prog on one thread of the barrier engine, warm from st
-// when it is not nil.
-func runOne(prog *cfg.Program, st store.Store, onIter func(IterSample)) Result {
-	o := Options{Punch: maymust.New(), MaxThreads: 1, Store: st, OnIteration: onIter}
+// when it is not nil, with tr (nil: none) receiving its events.
+func runOne(prog *cfg.Program, st store.Store, tr obs.Tracer) Result {
+	o := Options{Punch: maymust.New(), MaxThreads: 1, Store: st, Tracer: tr}
 	return New(prog, o).Run(AssertionQuestion(prog))
 }
+
+// tracerFunc is a function taking a run's events.
+type tracerFunc func(obs.Event)
+
+func (f tracerFunc) Event(ev obs.Event) { f(ev) }
 
 // wireKeys is the set of s's durable keys, sorted: summaries of two runs
 // compare by these, never by logic.Key, whose ids live as long as a run.
@@ -145,9 +151,9 @@ func TestOverlappingRunsKeepTheirTrajectories(t *testing.T) {
 	}
 	probe := logic.Conj(logic.LEq(logic.LinVar("overlap"), logic.LinConst(1)), logic.EQ(logic.LinVar("probe")))
 	id := logic.KeyID(probe)
-	// Each run waits at its first iteration until the other has begun, so
-	// the two are in progress together; each notes the probe's id on
-	// every iteration: a drop while either runs would change it.
+	// Each run waits at its first PUNCH invocation until the other has
+	// begun, so the two are in progress together; each notes the probe's
+	// id after every invocation: a drop while either runs would change it.
 	var started sync.WaitGroup
 	started.Add(len(progs))
 	got := make([]trajectory, len(progs))
@@ -157,13 +163,17 @@ func TestOverlappingRunsKeepTheirTrajectories(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = trajOf(runOne(p, nil, func(s IterSample) {
-				if s.Iter == 0 {
+			first := true
+			got[i] = trajOf(runOne(p, nil, tracerFunc(func(ev obs.Event) {
+				switch {
+				case ev.Type == obs.EvPunchStart && first:
+					first = false
 					started.Done()
 					started.Wait()
+				case ev.Type == obs.EvPunchEnd:
+					seen[i] = append(seen[i], logic.KeyID(probe))
 				}
-				seen[i] = append(seen[i], logic.KeyID(probe))
-			}))
+			})))
 		}()
 	}
 	wg.Wait()

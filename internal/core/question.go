@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/cfg"
 	"repro/internal/logic"
 	"repro/internal/parser"
@@ -9,11 +11,13 @@ import (
 
 // AssertionQuestion builds the verification question for a program whose
 // safety property was compiled from assert/abort statements: can main,
-// from any input, reach its exit with the error flag raised?
+// from any input, reach its exit with the error flag raised? A program
+// with no assert or abort never declares the flag, so it has no error
+// state to reach: its question asks for false.
 func AssertionQuestion(prog *cfg.Program) summary.Question {
-	return summary.Question{
-		Proc: prog.Main,
-		Pre:  logic.True,
-		Post: logic.LEq(logic.LinConst(1), logic.LinVar(parser.ErrVar)),
+	post := logic.Formula(logic.False)
+	if slices.Contains(prog.Globals, parser.ErrVar) {
+		post = logic.LEq(logic.LinConst(1), logic.LinVar(parser.ErrVar))
 	}
+	return summary.Question{Proc: prog.Main, Pre: logic.True, Post: post}
 }

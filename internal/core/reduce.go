@@ -1,11 +1,12 @@
-// One REDUCE under three schedulers. Fig. 4 of the paper has a single
+// One REDUCE under two schedulers. Fig. 4 of the paper has a single
 // REDUCE stage parameterised by PUNCH; the reducer is that stage plus what
 // every run shares whoever schedules it: set-up (incremental prep, SUMDB,
 // store hydration, probe, root spawn), the PUNCH call wrapper, and
-// tear-down (store persist, provenance, metrics). The barrier loop
-// (engine.go), the streaming pool (async.go) and the cluster simulation
-// (distributed.go) only decide which query runs when, and schedule what
-// apply and retire hand back; DESIGN.md §3.6 has the contract.
+// tear-down (store persist, provenance, metrics). The batch loop
+// (engine.go), which the barrier engine runs over one node and the
+// cluster simulation (distributed.go) over many, and the streaming pool
+// (async.go) only decide which query runs when, and schedule what apply
+// and retire hand back; DESIGN.md §3.6 has the contract.
 //
 // REDUCE is two-phase on purpose. apply folds one PUNCH result into the
 // forest (replace the query, insert or coalesce its children); retire
@@ -16,9 +17,9 @@
 // Retiring i first would spawn that child as a fresh query and move
 // ticks and query counts.
 //
-// The reducer does no locking: the batch schedulers call it from their
-// loop goroutine between MAP stages, the streaming scheduler under
-// asyncState.mu. Only step, punchStart and punchEnd run on MAP goroutines.
+// The reducer does no locking: the batch loop calls it from its own
+// goroutine between MAP stages, the streaming pool under asyncState.mu.
+// Only step runs on MAP goroutines.
 package core
 
 import (
@@ -42,10 +43,13 @@ import (
 type reducer struct {
 	prog *cfg.Program
 	// o is the run's configuration; the cluster engine maps its
-	// DistOptions onto the same struct.
+	// DistOptions onto the same struct. The batch loop's own settings
+	// (threads and cores per node, round bound, gossip, faults) are its
+	// rounds value, not part of the reducer.
 	o Options
 	// engine labels live state, pprof samples and persisted provenance:
-	// "barrier", "async" or "dist".
+	// "barrier" (the batch loop over one node), "async" (the streaming
+	// pool) or "dist" (the batch loop over a cluster).
 	engine string
 	q0     summary.Question
 	start  time.Time
@@ -72,8 +76,9 @@ type reducer struct {
 	// when pprof labels or a tracer are on (a spawn event carries it).
 	depth map[query.ID]int
 	// nodes holds the per-node gauges that are not events — gossip
-	// backlog and cumulative MAP makespan — for a cluster run with a
-	// probe attached (nil otherwise); publish fills in the rest.
+	// backlog and cumulative MAP makespan — for a run over more than one
+	// node with a probe attached (nil otherwise); publish fills in the
+	// rest.
 	nodes []obs.NodeState
 
 	root query.ID
@@ -83,8 +88,8 @@ type reducer struct {
 	// running holds the queries inside PUNCH right now, rewake those among
 	// them whose child completed mid-flight: such a query is made Ready
 	// again at once if it returns Blocked, so the wake-up is never lost.
-	// Only the streaming scheduler fills running (nothing runs during a
-	// batch scheduler's REDUCE), so both stay nil elsewhere.
+	// Only the streaming scheduler fills running (nothing runs during the
+	// batch loop's REDUCE), so both stay nil elsewhere.
 	running map[query.ID]bool
 	rewake  map[query.ID]bool
 
@@ -459,7 +464,7 @@ func (r *reducer) retire(node, worker int, done *query.Query) []*query.Query {
 	return r.woken
 }
 
-// slot is one MAP slot of a batch scheduler's stage: worker of node ran q.
+// slot is one MAP slot of a round of the batch loop: worker of node ran q.
 type slot struct {
 	node, worker int
 	q            *query.Query
@@ -490,7 +495,7 @@ func (r *reducer) advance(batch []slot, cores int) int64 {
 	return stage
 }
 
-// reduceBatch is REDUCE for a batch scheduler, phase by phase: every
+// reduceBatch is REDUCE for a round of the batch loop, phase by phase: every
 // result is applied — including results that land in the same batch as
 // the root's completion — and the root checked before anything is
 // collected; then, unless the root is answered (which it reports), every
@@ -559,30 +564,29 @@ func (r *reducer) checkInvariants() {
 	}
 }
 
-// sample closes one scheduling step of a shared-memory engine — a barrier
-// iteration or a streaming completion event: it completes the step's
-// instrumentation record (created is the creation count before the
-// step, running the queries inside PUNCH right now), folds it into the
-// peak gauges, publishes the live state, and hands the record on.
+// sample closes one scheduling step — a round of the batch loop or a
+// streaming completion event: it completes the step's instrumentation
+// record (created is the creation count before the step, running the
+// queries inside PUNCH right now), folds it into the peak gauges,
+// publishes the live state, and appends the record to the trace.
 func (r *reducer) sample(s IterSample, created, running int64) {
-	s.Live = r.forest[0].Len()
+	for _, t := range r.forest {
+		s.Live += t.Len()
+	}
 	s.DoneSoFar = r.done
 	s.NewQueries = int(r.created - created)
 	r.res.Iterations = s.Iter + 1
 	r.res.PeakReady = max(r.res.PeakReady, s.Ready)
 	r.publish(int64(s.Iter+1), running)
 	r.res.Trace = append(r.res.Trace, s)
-	if r.o.OnIteration != nil {
-		r.o.OnIteration(s)
-	}
 }
 
 // publish hands the live state the gauges that are not events, as one
 // value: clock, forest occupancy, progress, coalescer and, on a cluster,
 // per-node occupancy and SUMDB size beside the backlog and busy ledger
 // the scheduler keeps in r.nodes. running is the number of queries
-// inside PUNCH right now (0 for the batch schedulers, which publish
-// between stages). The caller holds whatever lock guards the forest.
+// inside PUNCH right now (0 for the batch loop, which publishes between
+// stages). The caller holds whatever lock guards the forest.
 func (r *reducer) publish(iterations, running int64) {
 	if r.in.ls == nil {
 		return

@@ -321,8 +321,10 @@ func TestDoneTwinCoalesceReadsAlikeOnBatchEngines(t *testing.T) {
 // Done fan-out, waiter clearing, subtree GC, the PUNCH wrapper,
 // incremental prep, store hydration and persist, provenance finish — may
 // be called from reduce.go only. The three engines once each carried a
-// copy; a fourth cannot grow back unnoticed. Comments and the definition
-// of prepareIncr do not count.
+// copy; a fourth cannot grow back unnoticed. Likewise there is one batch
+// scheduler: the MAP fan-out, the stage clock and batch REDUCE each have
+// exactly one call site, the round loop in engine.go. Comments and
+// definitions do not count.
 func TestOneReduce(t *testing.T) {
 	calls := []string{
 		"RemoveSubtree(", "AddWaiter(", "ClearWaiters(", "WouldCycle(",
@@ -330,6 +332,7 @@ func TestOneReduce(t *testing.T) {
 		"prepareIncr(", "Store.Load()", "Store.Put(",
 		"logic.BeginRun(", "logic.EndRun(",
 	}
+	batchCalls := map[string][]string{"fanOut(": nil, "advance(": nil, "reduceBatch(": nil}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
@@ -358,9 +361,19 @@ func TestOneReduce(t *testing.T) {
 					t.Errorf("%s:%d calls %s — only reduce.go may", file, i+1, c)
 				}
 			}
+			for c := range batchCalls {
+				for n := strings.Count(code, c); n > 0; n-- {
+					batchCalls[c] = append(batchCalls[c], fmt.Sprintf("%s:%d", file, i+1))
+				}
+			}
 		}
 	}
 	if !seen {
 		t.Error("reduce.go calls none of the guarded operations: the lint is looking at the wrong files")
+	}
+	for c, sites := range batchCalls {
+		if len(sites) != 1 || !strings.HasPrefix(sites[0], "engine.go:") {
+			t.Errorf("%s is called at %v, want once, in the round loop in engine.go", c, sites)
+		}
 	}
 }

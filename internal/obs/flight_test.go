@@ -68,8 +68,8 @@ func TestFlightRecorderNil(t *testing.T) {
 }
 
 // TestFlightRecorderConcurrent exercises the ring from many writers at
-// once (the barrier engine emits from all MAP goroutines); run under
-// -race it is the recorder's thread-safety proof.
+// once (several runs may share one recorder); run under -race it is the
+// recorder's thread-safety proof.
 func TestFlightRecorderConcurrent(t *testing.T) {
 	const (
 		writers = 8

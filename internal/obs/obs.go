@@ -108,11 +108,14 @@ type Event struct {
 	N int64
 }
 
-// Tracer receives the event stream of a run. Implementations must be
-// safe for concurrent use: the barrier engine emits from its MAP
-// goroutines, and the distributed simulation from every node's workers
-// at once. A nil Tracer disables tracing — engines guard each emission
-// with a single nil check and build no Event behind it.
+// Tracer receives the event stream of a run. A run emits from one
+// goroutine at a time — the batch loop from its own goroutine between
+// MAP stages, the streaming pool under its scheduler lock — so the stream
+// is totally ordered. Implementations must still be safe for concurrent
+// use: several runs may share one tracer, and the live probe and the
+// flight recorder are read while a run writes. A nil Tracer disables
+// tracing — engines guard each emission with a single nil check and
+// build no Event behind it.
 type Tracer interface {
 	Event(Event)
 }
