@@ -31,7 +31,8 @@ test:
 # database, the solver's memos and fuzz seed corpus (shared interning
 # table under concurrent PUNCH; eight goroutines simplifying overlapping
 # cubes on one solver), the PUNCH instantiations and the region
-# graph (four streaming workers on one solver's memos), the hash-consing
+# graph (four streaming workers on one solver's memos and one shelf of
+# region graphs), the hash-consing
 # table itself (builders racing with drops), the
 # query tree's coalescing machinery, the persistent summary store (every
 # mutating method at once on one handle), and the observability layer (live probe, watchdog, flight recorder, debug
@@ -89,8 +90,10 @@ dead-exports:
 # allocate nothing when they return an existing node, nor does keying a
 # formula of a dropped generation once it is interned again
 # (testing.AllocsPerRun). The region graph's pins: a path search on a
-# settled graph allocates the path it returns and nothing else, and an
-# edge record holds no field of a kind that holds a pointer. The cube
+# settled graph allocates the path it returns and nothing else, an edge
+# record holds no field of a kind that holds a pointer, and taking a
+# finished query's graph off its shelf allocates nothing (a move, never a
+# copy). The cube
 # kernel's: with its pool warm, enumerating a DNF, a real-shadow check
 # of a cube and the refutation that a cube entails an atom allocate
 # nothing. The solver's: an Implies miss that the subsumption rule settles
@@ -98,7 +101,7 @@ dead-exports:
 alloc-pin:
 	$(GO) test -run 'TestAllocPin|TestHeapPin' -count=1 .
 	$(GO) test -run TestConstructorHitPathAllocFree -count=1 ./internal/logic
-	$(GO) test -run 'TestFindPathAllocPin|TestEdgeRecordPointerFree' -count=1 ./internal/punch/regions
+	$(GO) test -run 'TestFindPathAllocPin|TestEdgeRecordPointerFree|TestShelfTakeAllocFree' -count=1 ./internal/punch/regions
 	$(GO) test -run TestCubeKernelAllocPin -count=1 ./internal/logic
 	$(GO) test -run TestSolverAllocPin -count=1 ./internal/smt
 

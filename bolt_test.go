@@ -14,6 +14,7 @@ import (
 
 	bolt "repro"
 	"repro/internal/drivers"
+	"repro/internal/harness"
 	"repro/internal/obs"
 )
 
@@ -308,6 +309,26 @@ func TestDistObservabilityFacade(t *testing.T) {
 	}
 	if res.Metrics["workers"] != 4 {
 		t.Errorf("workers = %d, want 4 (2 nodes x 2 threads)", res.Metrics["workers"])
+	}
+}
+
+// TestShelfEngagementInMetrics: a Table-1 check reports its region-graph
+// shelves in the metrics, on Result and on DistResult alike: queries took
+// graphs that earlier queries of the same procedure and postcondition left
+// behind, and no graph was taken or dropped that was not shelved.
+func TestShelfEngagementInMetrics(t *testing.T) {
+	c := harness.Table1Checks()[3] // parport/PowerDownFail
+	prog := bolt.MustParse(drivers.Source(c.Config))
+	res := prog.Check(bolt.Options{Threads: 1, CollectMetrics: true})
+	dres, err := prog.CheckDistributed(context.Background(), bolt.DistOptions{Nodes: 2, ThreadsPerNode: 2, CollectMetrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]map[string]int64{"Check": res.Metrics, "CheckDistributed": dres.Metrics} {
+		shelved, taken, evicted := m["shelf_shelved"], m["shelf_taken"], m["shelf_evicted"]
+		if taken < 1 || shelved < taken+evicted {
+			t.Errorf("%s of %s: shelf_shelved %d, shelf_taken %d, shelf_evicted %d", name, c.ID(), shelved, taken, evicted)
+		}
 	}
 }
 

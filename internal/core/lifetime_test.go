@@ -16,20 +16,23 @@ import (
 )
 
 // trajectory is what a one-thread run is compared by: the figures
-// testdata/traj_pin.golden pins.
+// testdata/traj_pin.golden pins, and the traffic of the run's shelf of
+// region graphs.
 type trajectory struct {
-	verdict             Verdict
-	ticks, queries, sat int64
+	verdict                 Verdict
+	ticks, queries, sat     int64
+	shelved, taken, evicted int64
 }
 
 func trajOf(r Result) trajectory {
-	return trajectory{r.Verdict, r.VirtualTicks, r.TotalQueries, r.Solver.SatCalls}
+	c := r.Metrics.Counters
+	return trajectory{r.Verdict, r.VirtualTicks, r.TotalQueries, r.Solver.SatCalls, c["shelf_shelved"], c["shelf_taken"], c["shelf_evicted"]}
 }
 
 // runOne checks prog on one thread of the barrier engine, warm from st
 // when it is not nil, with tr (nil: none) receiving its events.
 func runOne(prog *cfg.Program, st store.Store, tr obs.Tracer) Result {
-	o := Options{Punch: maymust.New(), MaxThreads: 1, Store: st, Tracer: tr}
+	o := Options{Punch: maymust.New(), MaxThreads: 1, Store: st, Tracer: tr, Metrics: obs.NewMetrics()}
 	return New(prog, o).Run(AssertionQuestion(prog))
 }
 
@@ -139,7 +142,10 @@ func TestFormulasOutliveTheirRun(t *testing.T) {
 
 // Two runs in one process that overlap share the intern table: it is not
 // dropped while either is in progress, and each does exactly what it
-// does alone.
+// does alone. Each has its own shelf of region graphs: the two checks ask
+// about the same procedures under the same interned postconditions, so a
+// graph of one taken by the other would move both trajectories and the
+// shelf counts.
 func TestOverlappingRunsKeepTheirTrajectories(t *testing.T) {
 	progs := []*cfg.Program{
 		drivers.Generate(drivers.NamedCheck("parport", "PowerDownFail", false).Config),
@@ -178,6 +184,9 @@ func TestOverlappingRunsKeepTheirTrajectories(t *testing.T) {
 	}
 	wg.Wait()
 	for i := range progs {
+		if solo[i].taken == 0 {
+			t.Errorf("run %d alone took no shelved graph: the runs cannot tell their shelves apart", i)
+		}
 		if got[i] != solo[i] {
 			t.Errorf("run %d overlapping another: %+v, alone: %+v", i, got[i], solo[i])
 		}

@@ -231,8 +231,8 @@ func TestFoldsAgreeWithEvents(t *testing.T) {
 }
 
 // TestBarrierMetricsGossipFree: the single-machine engines must leave the
-// cluster counters untouched, and the snapshot must fold in sumdb_* and
-// the fill of the solver's memos.
+// cluster counters untouched, and the snapshot must fold in sumdb_*, the
+// fill of the solver's memos and the shelf's takes.
 func TestBarrierMetricsGossipFree(t *testing.T) {
 	prog := drivers.Generate(drivers.NamedCheck("toastmon", "PendedCompletedRequest", false).Config)
 	m := obs.NewMetrics()
@@ -257,6 +257,9 @@ func TestBarrierMetricsGossipFree(t *testing.T) {
 	if _, ok := snap.Counters["sumdb_added"]; !ok {
 		t.Error("snapshot missing sumdb_added")
 	}
+	if snap.Counters["shelf_taken"] < 1 {
+		t.Errorf("shelf_taken = %d: no query started from a shelved region graph", snap.Counters["shelf_taken"])
+	}
 	for _, name := range []string{"sat", "cube", "entail", "step", "simplify"} {
 		n, max := snap.Counters["solver_memo_"+name+"_entries"], snap.Counters["solver_memo_"+name+"_capacity"]
 		if n < 1 || n > max {
@@ -269,7 +272,8 @@ func TestBarrierMetricsGossipFree(t *testing.T) {
 }
 
 // TestDistributedMetrics: the cluster run populates gossip accounting
-// and aggregates summary-database traffic across nodes.
+// and aggregates summary-database traffic and the shelves' takes across
+// nodes.
 func TestDistributedMetrics(t *testing.T) {
 	prog := drivers.Generate(drivers.NamedCheck("toastmon", "PendedCompletedRequest", false).Config)
 	m := obs.NewMetrics()
@@ -295,5 +299,8 @@ func TestDistributedMetrics(t *testing.T) {
 	}
 	if snap.MakespanTicks != res.VirtualTicks {
 		t.Errorf("makespan_ticks = %d, want %d", snap.MakespanTicks, res.VirtualTicks)
+	}
+	if snap.Counters["shelf_taken"] < 1 {
+		t.Errorf("shelf_taken = %d summed over the nodes: no query started from a shelved region graph", snap.Counters["shelf_taken"])
 	}
 }

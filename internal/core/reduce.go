@@ -190,7 +190,7 @@ func (r *reducer) begin(q0 summary.Question) bool {
 	for i := range r.forest {
 		r.dbs[i] = summary.New(r.solver)
 		r.forest[i] = query.NewTree()
-		r.pctx[i] = punch.Context{Prog: r.prog, DB: r.dbs[i], Alloc: r.alloc, ModRef: modref}
+		r.pctx[i] = punch.Context{Prog: r.prog, DB: r.dbs[i], Alloc: r.alloc, ModRef: modref, Shelf: &punch.Shelf{}}
 	}
 	if o.CollectProvenance {
 		r.rec = prov.NewRecorder(o.Metrics)
@@ -617,10 +617,11 @@ func (r *reducer) solverStats() smt.Stats {
 	return sv
 }
 
-// end tears the run down into r.res: counters, the final SUMDB content,
-// the store write-back, provenance and the metrics snapshot. The
-// scheduler has recorded the stop reason. The last run to end drops the
-// intern table: what the result holds is re-interned when next used.
+// end tears the run down into r.res: counters (the nodes' shelf counts go
+// to the metrics registry), the final SUMDB content, the store write-back,
+// provenance and the metrics snapshot. The scheduler has recorded the
+// stop reason. The last run to end drops the intern table: what the
+// result holds is re-interned when next used.
 func (r *reducer) end() {
 	defer logic.EndRun()
 	res := &r.res
@@ -636,6 +637,12 @@ func (r *reducer) end() {
 	res.Solver = r.solverStats()
 	for _, db := range r.dbs {
 		res.Summaries = append(res.Summaries, db.All()...)
+	}
+	for i := range r.pctx {
+		shelved, taken, evicted := r.pctx[i].Shelf.Counts()
+		r.in.m.Add(obs.ShelfShelved, shelved)
+		r.in.m.Add(obs.ShelfTaken, taken)
+		r.in.m.Add(obs.ShelfEvicted, evicted)
 	}
 	r.persistStore()
 	r.finishProv()

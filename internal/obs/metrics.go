@@ -58,6 +58,13 @@ const (
 	ProvSummaryWrites
 	ProvProcReads
 	ProvCoalesceReuse
+	// ShelfShelved counts region graphs finished queries left on their
+	// node's shelf, ShelfTaken those a later query of the same procedure
+	// and postcondition started from, ShelfEvicted those dropped untaken
+	// (punch.Shelf): summed over nodes when the run ends.
+	ShelfShelved
+	ShelfTaken
+	ShelfEvicted
 
 	numCounters
 )
@@ -69,6 +76,7 @@ var counterNames = [numCounters]string{
 	"gossip_deliveries", "gossip_bytes", "node_kills",
 	"coalesce_hits", "prov_summary_reads", "prov_summary_writes",
 	"prov_proc_reads", "prov_coalesce_reuse",
+	"shelf_shelved", "shelf_taken", "shelf_evicted",
 }
 
 func (c Counter) String() string {
@@ -158,9 +166,10 @@ type workerCell struct {
 // PUNCH invocations with both histograms and the per-worker ledger,
 // gossip deliveries, node kills, coalesce hits — is a fold over the
 // event stream (Event); the rest (steal scans, parks, gossip rounds,
-// provenance traffic) are written directly through Inc and Add. A nil
-// *Metrics is disabled: Inc, Add, Get, EnsureWorkers and Snapshot are
-// nil-receiver safe. All methods are safe for concurrent use.
+// provenance traffic, the region-graph shelves) are written directly
+// through Inc and Add. A nil *Metrics is disabled: Inc, Add, Get,
+// EnsureWorkers and Snapshot are nil-receiver safe. All methods are safe
+// for concurrent use.
 type Metrics struct {
 	counters  [numCounters]atomic.Int64
 	punchCost Histogram

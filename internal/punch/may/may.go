@@ -85,6 +85,12 @@ func (st *stepper) finish(state query.State, outcome query.Outcome) punch.Result
 	children := st.children
 	if state == query.Done {
 		children = nil
+		// The refinement outlives the query: the next one of the same
+		// procedure and postcondition starts from it.
+		if st.o.g != nil {
+			st.o.g.Shelve(st.ctx.Shelf)
+			st.o.g = nil
+		}
 	}
 	return punch.Result{Self: st.q, Children: children, Cost: st.Cost}
 }
@@ -146,7 +152,7 @@ func (st *stepper) initialize() (bool, punch.Result) {
 		o.initialized = true
 		return true, st.finish(query.Done, query.Unreachable)
 	}
-	o.g = regions.New(o.proc, q.Q.Post)
+	o.g = regions.Take(st.ctx.Shelf, o.proc, q.Q.Post)
 	o.initialized = true
 	return false, punch.Result{}
 }

@@ -69,6 +69,12 @@ func (st *stepper) finish(state query.State, outcome query.Outcome) punch.Result
 	children := st.children
 	if state == query.Done {
 		children = nil
+		// The refinement outlives the query: the next one of the same
+		// procedure and postcondition starts from it.
+		if st.o.g != nil {
+			st.o.g.Shelve(st.ctx.Shelf)
+			st.o.g = nil
+		}
 	}
 	return punch.Result{Self: st.q, Children: children, Cost: st.Cost}
 }
@@ -148,8 +154,9 @@ func (st *stepper) initialize() (bool, punch.Result) {
 		return true, st.finish(query.Done, query.Unreachable)
 	}
 	// May-map Σ: exit is partitioned into {φ2, ¬φ2}; every other node
-	// starts with the single partition ⊤ (§4).
-	o.g = regions.New(o.proc, q.Q.Post)
+	// starts with the single partition ⊤ (§4) — or the refinement an
+	// earlier query of the same procedure and φ2 found.
+	o.g = regions.Take(st.ctx.Shelf, o.proc, q.Q.Post)
 	// Must-map O: one symbolic element at entry — globals constrained by
 	// φ1, locals unconstrained (fresh symbols).
 	store := map[lang.Var]logic.Lin{}

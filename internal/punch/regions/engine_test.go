@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cfg"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/drivers"
 	"repro/internal/lang"
 	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/punch"
 	"repro/internal/punch/may"
@@ -27,7 +29,9 @@ import (
 // birth because a part inherits the death of its whole — a solver of its
 // own (nothing charged to the run, nothing shared with its memos) proves
 // ρ ∧ pre(stmt, ρ') unsatisfiable. Call statements are left out: only a
-// summary kills a call edge, and isOpen never evaluates one.
+// summary kills a call edge, and isOpen never evaluates one. Graphs a
+// query takes from its node's shelf are audited as they are taken: what
+// the query that shelved them eliminated holds for the next one.
 func TestShutInheritanceAgreesWithSolver(t *testing.T) {
 	files, err := filepath.Glob("../../../testdata/corpus/*.bolt")
 	if err != nil || len(files) == 0 {
@@ -46,7 +50,7 @@ func TestShutInheritanceAgreesWithSolver(t *testing.T) {
 		from, to logic.ID
 	}
 	ref := smt.New()
-	absent, wrong, derived := 0, 0, map[triple]bool{}
+	absent, wrong, takes, derived := 0, 0, 0, map[triple]bool{}
 	defer regions.AuditAbsent(func(err error) { t.Error(err) }, func(ce *cfg.Edge, from, to logic.Formula) {
 		absent++
 		k := triple{ce.Stmt, logic.KeyID(from), logic.KeyID(to)}
@@ -58,7 +62,7 @@ func TestShutInheritanceAgreesWithSolver(t *testing.T) {
 			wrong++
 			t.Errorf("no live edge over %v from %v to %v: the solver says %+v", ce.Stmt, from, to, r)
 		}
-	})()
+	}, func() { takes++ })()
 	for name, prog := range progs {
 		for _, p := range []punch.Punch{may.New(), maymust.New()} {
 			res := core.New(prog, core.Options{Punch: p, MaxThreads: 1, MaxVirtualTicks: 100000, CheckContract: true}).Run(core.AssertionQuestion(prog))
@@ -70,7 +74,36 @@ func TestShutInheritanceAgreesWithSolver(t *testing.T) {
 	if len(derived) < 8964 {
 		t.Fatalf("%d dead edges re-derived, fewer than the 8964 inherited shut marks this test checked before eliminations were included", len(derived))
 	}
-	t.Logf("%d absent pairs, %d distinct (statement, ρ, ρ') re-derived, %d disagreements", absent, len(derived), wrong)
+	if takes == 0 {
+		t.Fatal("no query took a shelved graph: the handoff went unaudited")
+	}
+	t.Logf("%d absent pairs, %d distinct (statement, ρ, ρ') re-derived, %d disagreements, %d shelved graphs taken", absent, len(derived), wrong, takes)
+}
+
+// TestShelfMovesBetweenStreamingWorkers runs toastmon/PendedCompletedRequest
+// on the streaming engine with four workers, which finish queries and
+// start new ones at the same time against their node's one shelf; its
+// fan-out puts several queries of one procedure and postcondition in
+// flight together. Every graph goes from one holder to the shelf and from
+// there to one next holder: none is shelved while on the shelf, none taken
+// twice. Under the race detector (make race) two queries touching one
+// graph would also show as a race.
+func TestShelfMovesBetweenStreamingWorkers(t *testing.T) {
+	prog := drivers.Generate(drivers.NamedCheck("toastmon", "PendedCompletedRequest", false).Config)
+	for _, p := range []punch.Punch{maymust.New(), may.New()} {
+		var mu sync.Mutex
+		takes := 0
+		stop := regions.AuditHands(func(err error) { t.Error(err) }, func() { mu.Lock(); takes++; mu.Unlock() })
+		m := obs.NewMetrics()
+		res := core.New(prog, core.Options{Punch: p, MaxThreads: 4, VirtualCores: 4, Async: true, MaxVirtualTicks: 100000, Metrics: m}).Run(core.AssertionQuestion(prog))
+		stop()
+		if res.Verdict == core.ErrorReachable {
+			t.Fatalf("%s: verdict %v on a safe program", p.Name(), res.Verdict)
+		}
+		if n := res.Metrics.Counters["shelf_taken"]; takes == 0 || int64(takes) != n {
+			t.Errorf("%s: %d takes audited, shelf_taken %d; want the same, above 0", p.Name(), takes, n)
+		}
+	}
 }
 
 // TestStreamingWorkersShareTheMemos runs parport/PowerDownFail on the

@@ -94,9 +94,12 @@ type Step struct {
 
 func (s Step) String() string { return fmt.Sprintf("e%d:R%d→R%d", s.CFG, s.From.ID, s.To.ID) }
 
-// Graph is the region graph of one procedure for one query.
+// Graph is the region graph of one procedure and postcondition: built for
+// one query, and handed on through a punch.Shelf to the next query with
+// the same two when the first is Done (Take, Shelve).
 type Graph struct {
 	proc   *cfg.Proc
+	post   logic.ID                     // the postcondition's interned id, the shelf key with proc
 	regs   []*Region                    // region ID → region, retired ones included
 	at     [][]*Region                  // node → partition; order is part of the trajectory
 	slot   [][2]int32                   // CFG edge → its position in proc.Out[From], proc.In[To]
@@ -116,7 +119,7 @@ type Graph struct {
 // location starts with the single region ⊤ (§4), and every pair of regions
 // across a CFG edge is a live abstract edge.
 func New(proc *cfg.Proc, post logic.Formula) *Graph {
-	g := &Graph{proc: proc, at: make([][]*Region, proc.NNodes), slot: make([][2]int32, len(proc.Edges)), nEdges: 1, asked: map[EdgeID]*summary.Question{}}
+	g := &Graph{proc: proc, post: logic.KeyID(post), at: make([][]*Region, proc.NNodes), slot: make([][2]int32, len(proc.Edges)), nEdges: 1, asked: map[EdgeID]*summary.Question{}}
 	for n := range g.at {
 		for i, ei := range proc.Out[n] {
 			g.slot[ei][out] = int32(i)
@@ -139,6 +142,35 @@ func New(proc *cfg.Proc, post logic.Formula) *Graph {
 		}
 	}
 	return g
+}
+
+// Take returns the graph an earlier query of proc and post left on shelf,
+// or New(proc, post) when the shelf has none. A taken graph keeps its
+// partitions, its live edges and their open marks: every edge it lacks was
+// removed by a fact that holds for every entry state — a one-step check, a
+// pre-image split, the frame rule or a not-may summary in SUMDB — so it
+// serves any precondition. What belonged to the query that left it is
+// cleared: the questions its edges waited on, their stuck marks and
+// attempt counts. Taking a shelved graph allocates nothing.
+func Take(shelf *punch.Shelf, proc *cfg.Proc, post logic.Formula) *Graph {
+	g, ok := shelf.Take(proc.Name, logic.KeyID(post)).(*Graph)
+	if !ok {
+		return New(proc, post)
+	}
+	clear(g.asked)
+	for e := EdgeID(1); int32(e) < g.nEdges; e++ {
+		r := g.rec(e)
+		r.asked, r.stuck, r.attempts = false, false, 0
+	}
+	auditHand(g, true)
+	return g
+}
+
+// Shelve hands g to the next query of its procedure and postcondition; the
+// caller must not touch it again.
+func (g *Graph) Shelve(shelf *punch.Shelf) {
+	auditHand(g, false)
+	shelf.Put(g.proc.Name, g.post, g)
 }
 
 // At returns the partition of node n. The slice is the graph's own.
@@ -340,8 +372,10 @@ func (g *Graph) Split(r *Region, parts ...*Region) {
 }
 
 // auditSplit and auditStep are shown the graph after every split and every
-// edge whose one-step check is about to be made; tests replace them.
-var auditSplit, auditStep = func(*Graph) {}, func(*Graph, EdgeID) {}
+// edge whose one-step check is about to be made, auditHand every graph
+// Take hands out of a shelf (taken) and Shelve puts on one; tests replace
+// them.
+var auditSplit, auditStep, auditHand = func(*Graph) {}, func(*Graph, EdgeID) {}, func(*Graph, bool) {}
 
 // PartitionOn replaces region r by conjunctive cube regions partitioning
 // it along wp, returning the parts inside wp and outside it. Keeping every

@@ -27,6 +27,15 @@ import (
 // provenance of the verdicts computed over them, and the manifest of
 // the program they were computed from. All methods are safe for
 // concurrent use.
+//
+// The crash model is a process crash, not a power loss. A process that
+// dies at any point leaves a disk store that opens to the state after
+// some prefix of the records put. Disk.rewrite, the compaction an open
+// may make, fsyncs neither its tmp file before the rename nor the
+// directory after it, so after a power loss or kernel crash that
+// followed a compaction the log may be empty, torn, or the one from
+// before the compaction, and Flush's fsync covers the log file only. No
+// fsync is added: an edit session reopens the store after every edit.
 type Store interface {
 	// Load returns every stored summary. The engines feed the result
 	// into a fresh SUMDB before the first MAP stage (warm start).
@@ -53,8 +62,9 @@ type Store interface {
 	// ever written — the caller must then treat every stored summary as
 	// potentially stale.
 	LoadManifest() (map[string]Fingerprint, error)
-	// Flush makes everything put so far durable (fsync for the disk
-	// backend; a no-op for the in-memory backend).
+	// Flush makes everything put so far durable (fsync of the log for
+	// the disk backend, within the crash model above; a no-op for the
+	// in-memory backend).
 	Flush() error
 	// Close flushes and releases the store.
 	Close() error
