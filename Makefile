@@ -86,6 +86,9 @@ dead-exports:
 # interns its formulas again). Beside it, the heap pin: five different
 # Table-1 checks in a row leave no more heap in use after a collection
 # than the first did, because what a check interns ends with it. The
+# warm pin: a re-check of an unchanged program that reuses its stored
+# verdict interns nothing beyond its root question, never renders the
+# program, and allocates no more than its budget in warm_pin_test.go. The
 # formula constructors, and the term arithmetic on the way to them,
 # allocate nothing when they return an existing node, nor does keying a
 # formula of a dropped generation once it is interned again
@@ -98,12 +101,14 @@ dead-exports:
 # of a cube and the refutation that a cube entails an atom allocate
 # nothing. The solver's: an Implies miss that the subsumption rule settles
 # allocates nothing, nor does simplifying a cube whose result exists.
+# The manifest's: a snapshot renders each distinct statement once.
 alloc-pin:
-	$(GO) test -run 'TestAllocPin|TestHeapPin' -count=1 .
+	$(GO) test -run 'TestAllocPin|TestHeapPin|TestWarmRecheckPin' -count=1 .
 	$(GO) test -run TestConstructorHitPathAllocFree -count=1 ./internal/logic
 	$(GO) test -run 'TestFindPathAllocPin|TestEdgeRecordPointerFree|TestShelfTakeAllocFree' -count=1 ./internal/punch/regions
 	$(GO) test -run TestCubeKernelAllocPin -count=1 ./internal/logic
 	$(GO) test -run TestSolverAllocPin -count=1 ./internal/smt
+	$(GO) test -run TestSnapshotAllocPin -count=1 ./internal/incr
 
 # trace-smoke records a corpus program on all three engines, converts
 # each stream with obs.WriteChrome and validates the document, then

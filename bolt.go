@@ -408,16 +408,16 @@ func incrFingerprint(a Analysis) store.Fingerprint {
 
 // openStore opens the persistent summary store named by dir, or returns
 // (nil, nil) when dir is empty (no store configured). Incremental runs
-// use the edit-stable fingerprint.
+// use the edit-stable fingerprint; only the other kind renders the
+// program text.
 func (p *Program) openStore(dir string, a Analysis, reset, incremental bool) (store.Store, error) {
 	if dir == "" {
 		return nil, nil
 	}
-	fp := p.storeFingerprint(a)
 	if incremental {
-		fp = incrFingerprint(a)
+		return store.OpenDisk(dir, incrFingerprint(a), reset)
 	}
-	return store.OpenDisk(dir, fp, reset)
+	return store.OpenDisk(dir, p.storeFingerprint(a), reset)
 }
 
 // closeStore folds the store's Close error into the result's StoreErr

@@ -45,7 +45,8 @@ type incrPrep struct {
 // of prog. It must run before the engine hydrates its database. A store
 // with no manifest (or one that fails to load) means full invalidation;
 // a store with no provenance leaves the static call graph alone to drive
-// the cone (still sound — see the incr package comment).
+// the cone (still sound — see the incr package comment). Of the
+// provenance records it reads only their heads: no formula is decoded.
 func prepareIncr(prog *cfg.Program, st store.Store, q0 summary.Question) incrPrep {
 	var p incrPrep
 	note := func(err error) {
@@ -55,35 +56,16 @@ func prepareIncr(prog *cfg.Program, st store.Store, q0 summary.Question) incrPre
 	}
 	newMan := incr.Snapshot(prog)
 	oldMan, err := st.LoadManifest()
-	note(err)
-	p.full = err != nil || len(oldMan) == 0
-	if p.full {
-		p.edited = make([]string, 0, len(newMan))
-		for name := range newMan {
-			p.edited = append(p.edited, name)
-		}
-		sort.Strings(p.edited)
-	} else {
-		p.edited = incr.Diff(oldMan, newMan)
+	if err != nil {
+		note(err)
+		oldMan = nil // no usable manifest: everything is stale
 	}
-
-	// The dependency graph for the cone: the edited program's static
-	// call graph unioned with every persisted provenance adjacency.
-	// latest is the newest record on file per root question: the answer
-	// that stands for it.
-	deps := prog.CallGraph()
-	latest := map[string]int{}
-	recs, err := st.LoadProv()
+	recs, err := st.LoadProv(false)
 	note(err)
-	for i := range recs {
-		deps = incr.MergeDeps(deps, recs[i].Deps)
-		if recs[i].RootKey != "" {
-			latest[recs[i].RootKey] = i // records are oldest-first
-		}
-	}
-	plan := incr.PlanInvalidation(p.edited, deps, q0.Proc)
+	pl := planIncr(prog, newMan, oldMan, recs, q0)
+	p.edited, p.full = pl.edited, pl.full
 
-	if stale := plan.Stale; p.full || len(stale) > 0 {
+	if stale := pl.stale; p.full || len(stale) > 0 {
 		if p.full {
 			stale = nil // nil = everything
 		}
@@ -100,13 +82,8 @@ func prepareIncr(prog *cfg.Program, st store.Store, q0 summary.Question) incrPre
 	// question — before the new manifest is put, so a run that dies
 	// between the manifest and its own provenance record cannot leave the
 	// old answer standing beside the new program.
-	for i, rec := range recs {
-		if j, ok := latest[rec.RootKey]; !ok || j != i || !(p.full || slices.Contains(plan.Stale, rec.Root)) {
-			continue
-		}
-		if _, standing := parseVerdict(rec.Verdict); standing {
-			note(st.PutProv(wire.ProvRecord{Root: rec.Root, RootKey: rec.RootKey, Verdict: retractedVerdict}))
-		}
+	for _, i := range pl.retract {
+		note(st.PutProv(wire.ProvRecord{Root: recs[i].Root, RootKey: recs[i].RootKey, Verdict: retractedVerdict}))
 	}
 
 	// The manifest is replaced right after invalidation, not at run end:
@@ -120,19 +97,75 @@ func prepareIncr(prog *cfg.Program, st store.Store, q0 summary.Question) incrPre
 		note(st.PutManifest(newMan))
 	}
 
+	if pl.reuse {
+		p.reuse = true
+		p.verdict = pl.verdict
+		p.surviving = st.Count()
+	}
+	return p
+}
+
+// incrPlan is what a re-check decides before it touches the store.
+type incrPlan struct {
+	// edited and full are incrPrep's.
+	edited []string
+	full   bool
+	// stale is the invalidation cone; retract indexes the provenance
+	// records whose standing verdicts it reaches.
+	stale   []string
+	retract []int
+	// reuse is set when the persisted verdict answers the root question.
+	reuse   bool
+	verdict Verdict
+}
+
+// planIncr decides a re-check of prog from the store's manifest (nil when
+// there is none) and provenance records (oldest first) without changing
+// anything. The cone is taken over the program's static
+// call graph unioned with every record's adjacency; the newest record of
+// a root question is the answer that stands for it.
+func planIncr(prog *cfg.Program, newMan, oldMan incr.Manifest, recs []wire.ProvRecord, q0 summary.Question) incrPlan {
+	var pl incrPlan
+	pl.full = len(oldMan) == 0
+	if pl.full {
+		pl.edited = make([]string, 0, len(newMan))
+		for name := range newMan {
+			pl.edited = append(pl.edited, name)
+		}
+		sort.Strings(pl.edited)
+	} else {
+		pl.edited = incr.Diff(oldMan, newMan)
+	}
+
+	deps := prog.CallGraph()
+	latest := map[string]int{}
+	for i := range recs {
+		deps = incr.MergeDeps(deps, recs[i].Deps)
+		if recs[i].RootKey != "" {
+			latest[recs[i].RootKey] = i // records are oldest-first
+		}
+	}
+	plan := incr.PlanInvalidation(pl.edited, deps, q0.Proc)
+	pl.stale = plan.Stale
+
+	for i, rec := range recs {
+		if j, ok := latest[rec.RootKey]; !ok || j != i || !(pl.full || slices.Contains(plan.Stale, rec.Root)) {
+			continue
+		}
+		if _, standing := parseVerdict(rec.Verdict); standing {
+			pl.retract = append(pl.retract, i)
+		}
+	}
+
 	// Verdict reuse: nothing the root (transitively) depends on was
 	// edited, so the persisted verdict for this exact question is still
 	// the answer. Unknown verdicts are never reused — a re-run may have
 	// more budget.
 	rootKey, _ := wire.QuestionKey(q0)
-	if i, ok := latest[rootKey]; ok && !p.full && !plan.RootAffected {
-		if v, ok := parseVerdict(recs[i].Verdict); ok {
-			p.reuse = true
-			p.verdict = v
-			p.surviving = st.Count()
-		}
+	if i, ok := latest[rootKey]; ok && !pl.full && !plan.RootAffected {
+		pl.verdict, pl.reuse = parseVerdict(recs[i].Verdict)
 	}
-	return p
+	return pl
 }
 
 // retractedVerdict is what a provenance record carries in place of a

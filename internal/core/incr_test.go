@@ -2,6 +2,9 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -16,6 +19,7 @@ import (
 	"repro/internal/punch/maymust"
 	"repro/internal/store"
 	"repro/internal/summary"
+	"repro/internal/wire"
 )
 
 // incrTestProg has a procedure (idle) the root never reaches, so an
@@ -291,5 +295,185 @@ func TestEditRetractsEveryAffectedVerdict(t *testing.T) {
 	res := ask(edited, leftReachesThree)
 	if res.ReusedVerdict || res.Verdict != ErrorReachable {
 		t.Fatalf("left after the edit: verdict %v, reused %v; want a fresh Error Reachable", res.Verdict, res.ReusedVerdict)
+	}
+}
+
+// shadowStore records every provenance record put through it, as a log
+// that never folds would hold it.
+type shadowStore struct {
+	*store.Disk
+	log *[]wire.ProvRecord
+}
+
+func (s shadowStore) PutProv(rec wire.ProvRecord) error {
+	b, err := wire.AppendProv(nil, rec)
+	if err != nil {
+		return err
+	}
+	head, _, err := wire.DecodeProv(b, false)
+	if err != nil {
+		return err
+	}
+	*s.log = append(*s.log, head)
+	return s.Disk.PutProv(rec)
+}
+
+// TestProvFoldKeepsEveryPlan runs a 20-edit session over one disk store
+// under two root questions; one edit removes a call, so the adjacency of
+// superseded records matters. Before every check it plans the re-check
+// twice, from the store's provenance (folded whenever an open rewrites
+// the log) and from every record ever put: the edited set, the stale
+// cone, the verdicts to retract and the reuse decision must agree, and
+// after the open no root question has more than one record on file.
+func TestProvFoldKeepsEveryPlan(t *testing.T) {
+	// deep's second statement is toggled between adding 0 and adding 1:
+	// with 1, left reaches acc >= 3 from acc == 0.
+	src := strings.Replace(incrTestProg, "proc deep { acc = acc + 1; }", "proc deep { acc = acc + 1; acc = 0 + acc; }", 1)
+	acc := logic.LinVar("acc")
+	questions := []func(*cfg.Program) summary.Question{
+		AssertionQuestion,
+		func(*cfg.Program) summary.Question {
+			return summary.Question{Proc: "left", Pre: logic.EQ(acc), Post: logic.LEq(logic.LinConst(3), acc)}
+		},
+	}
+	dir := t.TempDir()
+	fp := store.NewFingerprint("fold-session")
+	var all []wire.ProvRecord
+	reused := 0
+	ask := func(step string, prog *cfg.Program, q summary.Question) {
+		t.Helper()
+		d, err := store.OpenDisk(dir, fp, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		folded, err := d.LoadProv(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, rec := range folded {
+			if seen[rec.RootKey] {
+				t.Fatalf("%s: two provenance records of one root question after the open", step)
+			}
+			seen[rec.RootKey] = true
+		}
+		oldMan, err := d.LoadManifest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		newMan := incr.Snapshot(prog)
+		got, want := planIncr(prog, newMan, oldMan, folded, q), planIncr(prog, newMan, oldMan, all, q)
+		retracted := func(recs []wire.ProvRecord, idx []int) []string {
+			var keys []string
+			for _, i := range idx {
+				keys = append(keys, recs[i].RootKey)
+			}
+			sort.Strings(keys)
+			return keys
+		}
+		if fmt.Sprint(got.edited, got.full, got.stale, got.reuse, got.verdict, retracted(folded, got.retract)) !=
+			fmt.Sprint(want.edited, want.full, want.stale, want.reuse, want.verdict, retracted(all, want.retract)) {
+			t.Fatalf("%s: folded provenance plans %+v, every record %+v", step, got, want)
+		}
+		res := New(prog, incrOpts(shadowStore{d, &all}, false)).Run(q)
+		if res.StoreErr != nil {
+			t.Fatalf("%s: %v", step, res.StoreErr)
+		}
+		if res.ReusedVerdict != want.reuse {
+			t.Fatalf("%s: planned reuse %v, the run reused %v", step, want.reuse, res.ReusedVerdict)
+		}
+		if res.ReusedVerdict {
+			reused++
+		}
+	}
+
+	procs := []string{"main", "left", "right", "deep", "idle"}
+	for k := 0; k <= 20; k++ {
+		if k > 0 {
+			var err error
+			if src, err = incr.MutateSource(src, procs[k%len(procs)], int64(k)); err != nil {
+				t.Fatal(err)
+			}
+			if k == 7 {
+				// left stops calling deep: from here on only the
+				// adjacency on file links them, and an edit to deep must
+				// still reach left through it.
+				src = strings.Replace(src, "deep();", "skip;", 1)
+			}
+			if k%3 == 0 {
+				if strings.Contains(src, "acc = 0 + acc;") {
+					src = strings.Replace(src, "acc = 0 + acc;", "acc = 1 + acc;", 1)
+				} else {
+					src = strings.Replace(src, "acc = 1 + acc;", "acc = 0 + acc;", 1)
+				}
+			}
+		}
+		prog := parser.MustParse(src)
+		for i, q := range questions {
+			ask(fmt.Sprintf("edit %d, question %d", k, i), prog, q(prog))
+			ask(fmt.Sprintf("edit %d, question %d again", k, i), prog, q(prog))
+		}
+	}
+	t.Logf("reused %d, records %d", reused, len(all))
+	if reused == 0 || len(all) < 4*len(questions) {
+		t.Fatalf("the session reused %d verdicts over %d provenance records: too few to show the fold", reused, len(all))
+	}
+}
+
+// TestDamagedSummaryRunsCold: a summary record whose checksum holds over
+// a formula that does not decode opens (the open reads procedure names
+// only); the warm start's Load reports it as a *store.CorruptError, and
+// the run goes on cold to the right verdict.
+func TestDamagedSummaryRunsCold(t *testing.T) {
+	raw, err := os.ReadFile("../../testdata/corpus/safe_shared_helper.bolt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := parser.MustParse(string(raw))
+	dir, fp := t.TempDir(), store.NewFingerprint("damaged-summary")
+	run := func() Result {
+		t.Helper()
+		d, err := store.OpenDisk(dir, fp, false)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		defer d.Close()
+		return New(prog, Options{Punch: maymust.New(), MaxThreads: 1, Store: d}).Run(AssertionQuestion(prog))
+	}
+	if cold := run(); cold.Verdict != Safe || cold.PersistedSummaries == 0 || cold.StoreErr != nil {
+		t.Fatalf("cold: verdict %v, persisted %d, store error %v", cold.Verdict, cold.PersistedSummaries, cold.StoreErr)
+	}
+
+	// Give the first summary record a precondition tag no formula has,
+	// and a checksum that matches.
+	log := filepath.Join(dir, store.SegName)
+	data, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := 8 + 1 + len(store.Fingerprint{}) // magic, version, fingerprint
+	for {
+		plen, n := binary.Uvarint(data[pos:])
+		payload := data[pos+n : pos+n+int(plen)]
+		if payload[0] == wire.TagSummary {
+			nameLen, w := binary.Uvarint(payload[2:])
+			payload[2+w+int(nameLen)] = 0x7f
+			binary.LittleEndian.PutUint32(data[pos+n+int(plen):], crc32.ChecksumIEEE(payload))
+			break
+		}
+		pos += n + int(plen) + 4
+	}
+	if err := os.WriteFile(log, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	res := run()
+	var ce *store.CorruptError
+	if !errors.As(res.StoreErr, &ce) {
+		t.Fatalf("store error %v, want a *store.CorruptError", res.StoreErr)
+	}
+	if res.Verdict != Safe || res.WarmSummaries != 0 || res.TotalQueries == 0 {
+		t.Fatalf("verdict %v, warm summaries %d, queries %d: want a cold run to Safe", res.Verdict, res.WarmSummaries, res.TotalQueries)
 	}
 }

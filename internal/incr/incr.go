@@ -3,13 +3,22 @@
 // were computed, and deciding which summaries that edit invalidates.
 //
 // Edit detection is content-based. Snapshot renders every procedure's
-// CFG into a canonical text (name, entry/exit, locals, every edge with
-// its statement — the same render cfg.Program.String uses) and hashes
-// it, together with the program's global declarations and the wire
-// version, into a store.Fingerprint. The resulting Manifest is
-// persisted beside the summaries (store.Store.PutManifest); Diff of the
-// stored manifest against the current program's yields the edited set —
+// CFG into a canonical text (name, entry/exit, node count, locals, every
+// edge with its statement) and hashes it, together with the program's
+// global declarations and the wire version, into a store.Fingerprint.
+// A statement is rendered once per program, by its cfg.Edge.StmtID, and
+// the edges around it are framed with strconv; the bytes are those of
+// the fmt render every stored manifest was written with, so a store
+// outlives the change of renderer. The resulting Manifest is persisted
+// beside the summaries (store.Store.PutManifest); Diff of the stored
+// manifest against the current program's yields the edited set —
 // procedures whose bodies changed, plus additions and removals.
+//
+// A re-check of an unchanged program needs the snapshot, the stored
+// manifest and, of each provenance record, its root question, verdict
+// and dependency adjacency — never a formula: it reads the records
+// without their read sets (wire.DecodeProv) and, when the verdict is
+// reused, never loads a summary.
 //
 // Invalidation is cone-based, at procedure granularity. A summary for
 // procedure p may encode facts about everything p transitively calls,
@@ -29,7 +38,6 @@
 package incr
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 
@@ -42,40 +50,86 @@ import (
 // Manifest maps each procedure of a program to its content fingerprint.
 type Manifest = map[string]store.Fingerprint
 
-// ProcFingerprint hashes one procedure's canonical CFG render, the
-// program's globals (a procedure's semantics can depend on the global
-// environment), and the wire version into a content fingerprint.
-func ProcFingerprint(prog *cfg.Program, p *cfg.Proc) store.Fingerprint {
-	return store.NewFingerprint(
-		"bolt/proc-fp",
-		strconv.Itoa(wire.Version),
-		lang.FormatVars(prog.Globals),
-		canonicalProc(p),
-	)
-}
-
-// canonicalProc renders a procedure deterministically: header, locals,
-// then every edge in declaration order with its statement. Any change
-// to the procedure's control flow or statements changes the render.
-func canonicalProc(p *cfg.Proc) string {
-	var b []byte
-	b = append(b, fmt.Sprintf("proc %s entry n%d exit n%d nodes %d\n", p.Name, p.Entry, p.Exit, p.NNodes)...)
-	if len(p.Locals) > 0 {
-		b = append(b, fmt.Sprintf("locals %s\n", lang.FormatVars(p.Locals))...)
-	}
-	for _, e := range p.Edges {
-		b = append(b, fmt.Sprintf("n%d -> n%d : %s\n", e.From, e.To, e.Stmt)...)
-	}
-	return string(b)
-}
-
-// Snapshot fingerprints every procedure of prog.
+// Snapshot fingerprints every procedure of prog: it hashes the
+// procedure's canonical render (appendProc), the program's globals (a
+// procedure's semantics can depend on the global environment) and the
+// wire version. Each distinct statement is rendered once, however many
+// edges it labels.
 func Snapshot(prog *cfg.Program) Manifest {
+	version, globals := strconv.Itoa(wire.Version), lang.FormatVars(prog.Globals)
+	stmts := newStmtText(prog)
 	m := make(Manifest, len(prog.Procs))
+	var buf []byte
 	for name, p := range prog.Procs {
-		m[name] = ProcFingerprint(prog, p)
+		buf = appendProc(buf[:0], p, stmts)
+		m[name] = store.NewFingerprint("bolt/proc-fp", version, globals, string(buf))
 	}
 	return m
+}
+
+// appendProc renders a procedure deterministically: header, locals, then
+// every edge in declaration order with its statement. Any change to the
+// procedure's control flow or statements changes the render. The bytes
+// are those of the fmt render
+//
+//	proc %s entry n%d exit n%d nodes %d\n
+//	locals %s\n            (when there are locals)
+//	n%d -> n%d : %s\n      (one line per edge)
+//
+// which every stored manifest was written with; they must never change.
+func appendProc(b []byte, p *cfg.Proc, stmts stmtText) []byte {
+	b = append(b, "proc "...)
+	b = append(b, p.Name...)
+	b = appendNode(append(b, " entry "...), p.Entry)
+	b = appendNode(append(b, " exit "...), p.Exit)
+	b = strconv.AppendInt(append(b, " nodes "...), int64(p.NNodes), 10)
+	b = append(b, '\n')
+	if len(p.Locals) > 0 {
+		b = append(b, "locals "...)
+		b = append(b, lang.FormatVars(p.Locals)...)
+		b = append(b, '\n')
+	}
+	for i := range p.Edges {
+		e := &p.Edges[i]
+		b = appendNode(b, e.From)
+		b = appendNode(append(b, " -> "...), e.To)
+		b = append(b, " : "...)
+		b = append(b, stmts.of(e)...)
+		b = append(b, '\n')
+	}
+	return b
+}
+
+func appendNode(b []byte, n cfg.NodeID) []byte {
+	return strconv.AppendInt(append(b, 'n'), int64(n), 10)
+}
+
+// stmtText holds the render of each distinct statement of a program,
+// indexed by cfg.Edge.StmtID and filled on first use: a driver labels
+// hundreds of edges with a few dozen distinct statements.
+type stmtText []string
+
+func newStmtText(prog *cfg.Program) stmtText {
+	var top uint32
+	for _, p := range prog.Procs {
+		for i := range p.Edges {
+			top = max(top, p.Edges[i].StmtID)
+		}
+	}
+	return make(stmtText, top+1)
+}
+
+// of returns the render of e's statement. An edge outside a program
+// (StmtID 0) is rendered on the spot.
+func (t stmtText) of(e *cfg.Edge) string {
+	id := e.StmtID
+	if id == 0 || int(id) >= len(t) {
+		return e.Stmt.String()
+	}
+	if t[id] == "" {
+		t[id] = e.Stmt.String()
+	}
+	return t[id]
 }
 
 // Diff returns the edited procedure set between two manifests, sorted:

@@ -124,7 +124,10 @@ func EndRun() {
 	}
 }
 
-// dropTable empties every shard in place and starts a new generation.
+// dropTable empties every shard in place and starts a new generation. A
+// shard the generation left empty is not cleared: its slot array keeps the
+// size of the largest run so far, and a run that interned almost nothing
+// would otherwise pay to clear it.
 func dropTable() {
 	for i := range internTab {
 		internTab[i].mu.Lock()
@@ -133,9 +136,11 @@ func dropTable() {
 	atomic.StoreUint64(&internNext, 0)
 	for i := range internTab {
 		sh := &internTab[i]
-		clear(sh.lins)
-		clear(sh.nodes)
-		sh.used = 0
+		if sh.used != 0 || len(sh.lins) != 0 {
+			clear(sh.lins)
+			clear(sh.nodes)
+			sh.used = 0
+		}
 		sh.mu.Unlock()
 	}
 }

@@ -172,10 +172,21 @@ func appendWireLin(dst []byte, l Lin) []byte {
 // package constructors, so the result is interned and canonical in this
 // process; malformed input returns an error, never a panic.
 func DecodeWire(buf []byte) (Formula, int, error) {
-	return decodeWire(buf, 0)
+	return decodeWire(buf, 0, true)
 }
 
-func decodeWire(buf []byte, depth int) (Formula, int, error) {
+// SkipWire reports the length of the formula at the start of buf without
+// building it: it accepts exactly the input DecodeWire accepts, and it
+// interns and allocates nothing. A reader that needs only what follows a
+// formula steps over it with SkipWire.
+func SkipWire(buf []byte) (int, error) {
+	_, n, err := decodeWire(buf, 0, false)
+	return n, err
+}
+
+// decodeWire walks one formula; with build false it checks the structure
+// and returns a nil formula.
+func decodeWire(buf []byte, depth int, build bool) (Formula, int, error) {
 	if depth > maxWireDepth {
 		return nil, 0, fmt.Errorf("logic: wire: formula nesting exceeds %d", maxWireDepth)
 	}
@@ -191,12 +202,15 @@ func decodeWire(buf []byte, depth int) (Formula, int, error) {
 		return True, pos, nil
 	case wireLE, wireEQ:
 		var b [2]termBuf
-		l, n, err := decodeWireLin(buf[pos:], &b)
+		l, n, err := decodeWireLin(buf[pos:], &b, build)
 		if err != nil {
 			return nil, 0, err
 		}
 		pos += n
-		if tag == wireEQ {
+		switch {
+		case !build:
+			return nil, pos, nil
+		case tag == wireEQ:
 			return EQ(l), pos, nil
 		}
 		return LE(l), pos, nil
@@ -209,16 +223,24 @@ func decodeWire(buf []byte, depth int) (Formula, int, error) {
 		if count > maxWireChildren {
 			return nil, 0, fmt.Errorf("logic: wire: %d children exceeds %d", count, maxWireChildren)
 		}
-		fs := make([]Formula, 0, count)
+		var fs []Formula
+		if build {
+			fs = make([]Formula, 0, count)
+		}
 		for i := uint64(0); i < count; i++ {
-			f, n, err := decodeWire(buf[pos:], depth+1)
+			f, n, err := decodeWire(buf[pos:], depth+1, build)
 			if err != nil {
 				return nil, 0, err
 			}
 			pos += n
-			fs = append(fs, f)
+			if build {
+				fs = append(fs, f)
+			}
 		}
-		if tag == wireAnd {
+		switch {
+		case !build:
+			return nil, pos, nil
+		case tag == wireAnd:
 			return Conj(fs...), pos, nil
 		}
 		return Disj(fs...), pos, nil
@@ -228,7 +250,8 @@ func decodeWire(buf []byte, depth int) (Formula, int, error) {
 }
 
 // decodeWireLin decodes a term into b, where it lives until b is reused.
-func decodeWireLin(buf []byte, b *[2]termBuf) (Lin, int, error) {
+// With build false it checks the term's structure and sums nothing.
+func decodeWireLin(buf []byte, b *[2]termBuf, build bool) (Lin, int, error) {
 	k, pos := binary.Varint(buf)
 	if pos <= 0 {
 		return Lin{}, 0, fmt.Errorf("logic: wire: bad term constant")
@@ -251,20 +274,20 @@ func decodeWireLin(buf []byte, b *[2]termBuf) (Lin, int, error) {
 		if nameLen > maxWireName || uint64(len(buf)-pos) < nameLen {
 			return Lin{}, 0, fmt.Errorf("logic: wire: variable name length %d out of range", nameLen)
 		}
-		name := lang.Var(buf[pos : pos+int(nameLen)])
+		name := buf[pos : pos+int(nameLen)]
 		pos += int(nameLen)
 		coef, n := binary.Varint(buf[pos:])
 		if n <= 0 {
 			return Lin{}, 0, fmt.Errorf("logic: wire: bad coefficient")
 		}
 		pos += n
-		if coef != 0 {
+		if build && coef != 0 {
 			// The sum canonicalizes: duplicate names merge, zero
 			// coefficients drop, variables sort. Decoding therefore
 			// accepts any byte-level spelling but always yields the
 			// canonical term. Each sum is built from the one before it,
 			// in the other buffer.
-			l = b[sums%2].sum(l, coef, Lin{Vars: []lang.Var{name}, Coefs: unitCoef[:]})
+			l = b[sums%2].sum(l, coef, Lin{Vars: []lang.Var{lang.Var(name)}, Coefs: unitCoef[:]})
 			sums++
 		}
 	}

@@ -286,9 +286,10 @@ func TestWireDecodeCanonicalizesTerms(t *testing.T) {
 
 // FuzzWireRoundTrip: any bytes that decode must re-encode canonically
 // and round-trip to the same canonical key; bytes that don't decode must
-// error rather than panic. The intern table is dropped between decode
-// and re-encode: a formula that outlives its generation encodes to the
-// same bytes.
+// error rather than panic. SkipWire accepts exactly what DecodeWire
+// accepts and steps over the same number of bytes. The intern table is
+// dropped between decode and re-encode: a formula that outlives its
+// generation encodes to the same bytes.
 func FuzzWireRoundTrip(f *testing.F) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 32; i++ {
@@ -297,7 +298,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, _, err := logic.DecodeWire(data)
+		g, n, err := logic.DecodeWire(data)
+		if sn, serr := logic.SkipWire(data); (serr == nil) != (err == nil) || err == nil && sn != n {
+			t.Fatalf("SkipWire = %d, %v; DecodeWire = %d, %v", sn, serr, n, err)
+		}
 		if err != nil {
 			return
 		}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"strconv"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind int
@@ -73,31 +74,49 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("parse error at %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
+// lexer scans the source in place: a token's text is a substring of it.
+// pos is a byte offset; columns count runes. ASCII is read a byte at a
+// time and anything else decoded as UTF-8, an invalid byte as one
+// utf8.RuneError, so every rune meets the same unicode classes: outside
+// a comment a non-ASCII letter may spell an identifier and a non-ASCII
+// space separates tokens, and any other non-ASCII rune is an error.
 type lexer struct {
-	src  []rune
+	src  string
 	pos  int
 	line int
 	col  int
 }
 
 func newLexer(src string) *lexer {
-	return &lexer{src: []rune(src), line: 1, col: 1}
+	return &lexer{src: src, line: 1, col: 1}
 }
 
 func (lx *lexer) errorf(line, col int, format string, args ...any) *Error {
 	return &Error{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (lx *lexer) peekRune() rune {
+// peek returns the rune at pos and its width in bytes; width 0 at the end.
+func (lx *lexer) peek() (rune, int) {
 	if lx.pos >= len(lx.src) {
+		return 0, 0
+	}
+	if c := lx.src[lx.pos]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(lx.src[lx.pos:])
+}
+
+// peekByte returns the byte at pos+k, or 0 past the end.
+func (lx *lexer) peekByte(k int) byte {
+	if lx.pos+k >= len(lx.src) {
 		return 0
 	}
-	return lx.src[lx.pos]
+	return lx.src[lx.pos+k]
 }
 
 func (lx *lexer) nextRune() rune {
-	r := lx.peekRune()
-	lx.pos++
+	r, w := lx.peek()
+	lx.pos += max(w, 1)
 	if r == '\n' {
 		lx.line++
 		lx.col = 1
@@ -109,15 +128,15 @@ func (lx *lexer) nextRune() rune {
 
 func (lx *lexer) skipSpaceAndComments() error {
 	for lx.pos < len(lx.src) {
-		r := lx.peekRune()
+		r, _ := lx.peek()
 		switch {
 		case unicode.IsSpace(r):
 			lx.nextRune()
-		case r == '/' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '/':
-			for lx.pos < len(lx.src) && lx.peekRune() != '\n' {
+		case r == '/' && lx.peekByte(1) == '/':
+			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
 				lx.nextRune()
 			}
-		case r == '/' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '*':
+		case r == '/' && lx.peekByte(1) == '*':
 			line, col := lx.line, lx.col
 			lx.nextRune()
 			lx.nextRune()
@@ -125,7 +144,7 @@ func (lx *lexer) skipSpaceAndComments() error {
 				if lx.pos >= len(lx.src) {
 					return lx.errorf(line, col, "unterminated block comment")
 				}
-				if lx.peekRune() == '*' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '/' {
+				if lx.src[lx.pos] == '*' && lx.peekByte(1) == '/' {
 					lx.nextRune()
 					lx.nextRune()
 					break
@@ -147,29 +166,28 @@ func (lx *lexer) next() (token, error) {
 	if lx.pos >= len(lx.src) {
 		return token{kind: tokEOF, line: line, col: col}, nil
 	}
-	r := lx.peekRune()
+	start := lx.pos
+	r, _ := lx.peek()
 	switch {
 	case unicode.IsLetter(r) || r == '_':
-		start := lx.pos
 		for lx.pos < len(lx.src) {
-			r := lx.peekRune()
+			r, _ := lx.peek()
 			if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' {
 				break
 			}
 			lx.nextRune()
 		}
-		text := string(lx.src[start:lx.pos])
+		text := lx.src[start:lx.pos]
 		kind := tokIdent
 		if keywords[text] {
 			kind = tokKeyword
 		}
 		return token{kind: kind, text: text, line: line, col: col}, nil
 	case isDigit(r):
-		start := lx.pos
-		for lx.pos < len(lx.src) && isDigit(lx.peekRune()) {
+		for lx.pos < len(lx.src) && isDigit(rune(lx.src[lx.pos])) {
 			lx.nextRune()
 		}
-		text := string(lx.src[start:lx.pos])
+		text := lx.src[start:lx.pos]
 		val, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
 			return token{}, lx.errorf(line, col, "number %s out of range", text)
@@ -177,22 +195,20 @@ func (lx *lexer) next() (token, error) {
 		return token{kind: tokNumber, text: text, val: val, line: line, col: col}, nil
 	case r == '(' || r == ')' || r == '{' || r == '}' || r == ';' || r == ',':
 		lx.nextRune()
-		return token{kind: tokPunct, text: string(r), line: line, col: col}, nil
+		return token{kind: tokPunct, text: lx.src[start:lx.pos], line: line, col: col}, nil
 	default:
-		two := ""
-		if lx.pos+1 < len(lx.src) {
-			two = string(lx.src[lx.pos : lx.pos+2])
-		}
-		switch two {
-		case "==", "!=", "<=", ">=", "&&", "||":
-			lx.nextRune()
-			lx.nextRune()
-			return token{kind: tokOp, text: two, line: line, col: col}, nil
+		if lx.pos+2 <= len(lx.src) {
+			switch two := lx.src[lx.pos : lx.pos+2]; two {
+			case "==", "!=", "<=", ">=", "&&", "||":
+				lx.nextRune()
+				lx.nextRune()
+				return token{kind: tokOp, text: two, line: line, col: col}, nil
+			}
 		}
 		switch r {
 		case '+', '-', '*', '=', '<', '>', '!':
 			lx.nextRune()
-			return token{kind: tokOp, text: string(r), line: line, col: col}, nil
+			return token{kind: tokOp, text: lx.src[start:lx.pos], line: line, col: col}, nil
 		}
 		return token{}, lx.errorf(line, col, "unexpected character %q", r)
 	}
@@ -201,10 +217,12 @@ func (lx *lexer) next() (token, error) {
 // isDigit accepts the ASCII digits only: a number is what strconv parses.
 func isDigit(r rune) bool { return '0' <= r && r <= '9' }
 
-// tokenize scans the whole input.
+// tokenize scans the whole input. The token slice starts at one token
+// per three bytes of source, a little denser than the drivers and the
+// corpus are, so it seldom grows.
 func tokenize(src string) ([]token, error) {
 	lx := newLexer(src)
-	var out []token
+	out := make([]token, 0, len(src)/3+2)
 	for {
 		t, err := lx.next()
 		if err != nil {

@@ -5,19 +5,24 @@
 //
 //	S  summary     (wire.AppendSummary)    live until a later T names its procedure
 //	T  tombstone   (wire.AppendTombstone)  kills every earlier S of one procedure
-//	P  provenance  (wire.AppendProv)       kept forever, oldest first
+//	P  provenance  (wire.AppendProv)       live until a later P of the same root question
 //	M  manifest    (appendManifest)        the last one wins
 //
 // OpenDisk reads the file once and replays it into memory; after that the
-// handle only appends, and reads are served from memory. The log grows by
+// handle only appends, and reads are served from memory. The replay
+// decodes no formula: of a summary it reads the procedure from the
+// header, and of a provenance record everything but the read set
+// (wire.DecodeProv), which it steps over. Load decodes summaries, once,
+// and a re-check that reuses its verdict never does. The log grows by
 // whole-record appends and is replaced only by tmp+rename, so a crash
 // leaves a prefix of the records appended plus, at most, part of the last
 // one, which the next open trims: a record that is present implies every
 // record appended before it (DESIGN.md §7.3). Damage anywhere else is a
 // *CorruptError, never a silent drop. An open that met dead records
-// rewrites the log without them, and an exclusive flock on the directory,
-// held until Close, keeps a second handle from appending or rewriting
-// underneath.
+// rewrites the log without them, folding superseded provenance into the
+// newest record of its root question as it goes, and an exclusive flock
+// on the directory, held until Close, keeps a second handle from
+// appending or rewriting underneath.
 package store
 
 import (
@@ -25,8 +30,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"syscall"
@@ -55,6 +62,21 @@ var (
 	errTorn   = errors.New("record runs past the end of the log")
 )
 
+// provEntry is one provenance record: its payload and, decoded at open or
+// put, the record without its read set — or the error that decode met,
+// which LoadProv reports.
+type provEntry struct {
+	payload string
+	head    wire.ProvRecord
+	err     error
+}
+
+func newProvEntry(payload []byte) provEntry {
+	e := provEntry{payload: string(payload)}
+	e.head, _, e.err = wire.DecodeProv(payload, false)
+	return e
+}
+
 // Disk is the disk-backed Store. All methods are safe for concurrent
 // use.
 type Disk struct {
@@ -65,7 +87,7 @@ type Disk struct {
 	f      *os.File            // the log, opened for append
 	keys   map[string]struct{} // live summary payloads: the dedup set
 	byProc map[string][]string // live summary payloads per procedure, in append order
-	prov   []string            // provenance payloads, oldest first
+	prov   []provEntry         // provenance records, oldest first
 	man    string              // live manifest payload, "" when none was written
 	werr   error               // first failed append: the tail may be torn, so no further append may follow it
 	closed bool
@@ -125,6 +147,8 @@ func OpenDisk(dir string, fp Fingerprint, reset bool) (_ *Disk, err error) {
 			fresh = true
 		} else if stale, err = d.replay(data); err != nil {
 			return nil, err
+		} else if d.foldProv() {
+			stale = true
 		}
 	}
 	if fresh {
@@ -146,7 +170,7 @@ func OpenDisk(dir string, fp Fingerprint, reset bool) (_ *Disk, err error) {
 // replay applies every record of data, in order, to the in-memory state
 // and reports whether the file holds anything a rewrite would drop: a
 // dead or duplicate summary, a tombstone, a superseded manifest, a torn
-// tail.
+// tail. Superseded provenance is foldProv's to find.
 func (d *Disk) replay(data []byte) (stale bool, err error) {
 	for pos := headerSize; pos < len(data); {
 		payload, next, err := parseRecord(data, pos)
@@ -180,16 +204,17 @@ func (d *Disk) corrupt(pos int, err error) error {
 }
 
 // apply replays one record and reports whether it made an earlier
-// record (or itself) dead weight. Provenance stays undecoded: it is the
-// bulk of a long-lived log and only an incremental re-check reads it.
+// record (or itself) dead weight. A provenance record that does not
+// decode is kept: LoadProv reports it, typed, an incremental re-check then
+// reuses no verdict, and the summaries stay usable.
 func (d *Disk) apply(payload []byte) (dropped bool, err error) {
 	switch payload[0] {
 	case wire.TagSummary:
-		s, _, err := wire.DecodeSummary(payload)
+		proc, err := wire.SummaryProc(payload)
 		if err != nil {
 			return false, err
 		}
-		return !d.addSummary(string(payload), s.Proc), nil
+		return !d.addSummary(string(payload), proc), nil
 	case wire.TagTomb:
 		proc, _, err := wire.DecodeTombstone(payload)
 		if err != nil {
@@ -198,7 +223,7 @@ func (d *Disk) apply(payload []byte) (dropped bool, err error) {
 		d.dropProc(proc)
 		return true, nil
 	case wire.TagProv:
-		d.prov = append(d.prov, string(payload))
+		d.prov = append(d.prov, newProvEntry(payload))
 		return false, nil
 	default: // tagManifest: parseRecord admits no other kind
 		if _, err := decodeManifest(payload); err != nil {
@@ -228,6 +253,71 @@ func (d *Disk) dropProc(proc string) int {
 	}
 	delete(d.byProc, proc)
 	return len(keys)
+}
+
+// foldProv keeps one provenance record per root question, the newest, in
+// its place, and folds into it the dependency adjacency of every record
+// of that question before it; their read sets are dropped. The union of
+// every record's adjacency, which is all an incremental re-check takes
+// from superseded records, is therefore unchanged. It reports whether it
+// dropped a record. A record that did not decode, or one without a root
+// key, is kept as it is: LoadProv reports the first, and the second
+// names no question to be superseded on.
+func (d *Disk) foldProv() bool {
+	type root struct {
+		newest, n int
+		deps      map[string]map[string]bool
+	}
+	roots := map[string]*root{}
+	for i, e := range d.prov {
+		if e.err != nil || e.head.RootKey == "" {
+			continue
+		}
+		r := roots[e.head.RootKey]
+		if r == nil {
+			r = &root{deps: map[string]map[string]bool{}}
+			roots[e.head.RootKey] = r
+		}
+		r.newest, r.n = i, r.n+1
+		for proc, callees := range e.head.Deps {
+			if r.deps[proc] == nil {
+				r.deps[proc] = map[string]bool{}
+			}
+			for _, c := range callees {
+				r.deps[proc][c] = true
+			}
+		}
+	}
+	folded := map[string]provEntry{}
+	for key, r := range roots {
+		if r.n == 1 {
+			continue
+		}
+		deps := make(map[string][]string, len(r.deps))
+		for proc, callees := range r.deps {
+			deps[proc] = sortedKeys(callees)
+		}
+		// A record that does not re-encode keeps its predecessors.
+		if p, err := wire.ProvWithDeps([]byte(d.prov[r.newest].payload), deps); err == nil {
+			folded[key] = newProvEntry(p)
+		}
+	}
+	if len(folded) == 0 {
+		return false
+	}
+	kept := d.prov[:0]
+	for i, e := range d.prov {
+		if f, ok := folded[e.head.RootKey]; ok {
+			if i != roots[e.head.RootKey].newest {
+				continue
+			}
+			e = f
+		}
+		kept = append(kept, e)
+	}
+	clear(d.prov[len(kept):])
+	d.prov = kept
+	return true
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -275,7 +365,7 @@ func appendRecord(dst, payload []byte) []byte {
 }
 
 // rewrite replaces the log with exactly the in-memory state — live
-// summaries, every provenance record, the live manifest — via tmp+rename,
+// summaries, live provenance, the live manifest — via tmp+rename,
 // so a crash leaves the old file or the new one.
 func (d *Disk) rewrite() error {
 	buf := make([]byte, 0, headerSize)
@@ -287,8 +377,8 @@ func (d *Disk) rewrite() error {
 			buf = appendRecord(buf, []byte(key))
 		}
 	}
-	for _, p := range d.prov {
-		buf = appendRecord(buf, []byte(p))
+	for _, e := range d.prov {
+		buf = appendRecord(buf, []byte(e.payload))
 	}
 	if d.man != "" {
 		buf = appendRecord(buf, []byte(d.man))
@@ -341,7 +431,8 @@ func (d *Disk) Put(s summary.Summary) (bool, error) {
 }
 
 // Load returns every live summary, by procedure and then in the order
-// they were put.
+// they were put. It decodes their formulas, which the open did not: one
+// that does not decode is a *CorruptError.
 func (d *Disk) Load() ([]summary.Summary, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -350,10 +441,10 @@ func (d *Disk) Load() ([]summary.Summary, error) {
 	}
 	out := make([]summary.Summary, 0, len(d.keys))
 	for _, proc := range sortedKeys(d.byProc) {
-		for _, key := range d.byProc[proc] {
+		for i, key := range d.byProc[proc] {
 			s, _, err := wire.DecodeSummary([]byte(key))
 			if err != nil {
-				return nil, fmt.Errorf("store: %w", err)
+				return nil, &CorruptError{Path: d.path, Err: fmt.Errorf("summary %d of %s: %w", i, proc, err)}
 			}
 			out = append(out, s)
 		}
@@ -415,22 +506,34 @@ func (d *Disk) PutProv(rec wire.ProvRecord) error {
 	if err := d.append(payload); err != nil {
 		return err
 	}
-	d.prov = append(d.prov, string(payload))
+	d.prov = append(d.prov, newProvEntry(payload))
 	return d.sync()
 }
 
-// LoadProv returns every persisted provenance record, oldest first.
-func (d *Disk) LoadProv() ([]wire.ProvRecord, error) {
+// LoadProv returns every persisted provenance record, oldest first; with
+// reads false, without their read sets, which takes no decode: the open
+// decoded the rest.
+func (d *Disk) LoadProv(reads bool) ([]wire.ProvRecord, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil, errClosed
 	}
 	out := make([]wire.ProvRecord, 0, len(d.prov))
-	for i, p := range d.prov {
-		rec, _, err := wire.DecodeProv([]byte(p))
+	for i, e := range d.prov {
+		rec, err := e.head, e.err
+		if reads && err == nil {
+			rec, _, err = wire.DecodeProv([]byte(e.payload), true)
+		}
 		if err != nil {
 			return nil, &CorruptError{Path: d.path, Err: fmt.Errorf("provenance record %d: %w", i, err)}
+		}
+		if !reads {
+			// The caller owns what it is given.
+			rec.Deps = maps.Clone(rec.Deps)
+			for proc, callees := range rec.Deps {
+				rec.Deps[proc] = slices.Clone(callees)
+			}
 		}
 		out = append(out, rec)
 	}

@@ -53,7 +53,9 @@ type Store interface {
 	// PutProv persists one verdict's provenance record.
 	PutProv(rec wire.ProvRecord) error
 	// LoadProv returns every stored provenance record, oldest first.
-	LoadProv() ([]wire.ProvRecord, error)
+	// With reads false the records come without their read sets
+	// (wire.DecodeProv): no formula is decoded.
+	LoadProv(reads bool) ([]wire.ProvRecord, error)
 	// PutManifest replaces the stored manifest: each procedure of the
 	// analyzed program mapped to its content fingerprint, for the next
 	// run to diff the program it sees against.
@@ -195,11 +197,18 @@ func (m *Mem) PutProv(rec wire.ProvRecord) error {
 	return nil
 }
 
-// LoadProv returns the stored provenance records, oldest first.
-func (m *Mem) LoadProv() ([]wire.ProvRecord, error) {
+// LoadProv returns the stored provenance records, oldest first; with
+// reads false, without their read sets.
+func (m *Mem) LoadProv(reads bool) ([]wire.ProvRecord, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]wire.ProvRecord(nil), m.prov...), nil
+	out := append([]wire.ProvRecord(nil), m.prov...)
+	if !reads {
+		for i := range out {
+			out[i].Reads = nil
+		}
+	}
+	return out, nil
 }
 
 // Flush is a no-op for the in-memory backend.
@@ -245,7 +254,10 @@ func (e *BusyError) Error() string {
 
 // CorruptError reports a log whose bytes are present and wrong: a bad
 // header, a failed checksum, an unknown record kind, a record that does
-// not decode. Nothing is recovered from such a log.
+// not decode. Nothing is recovered from such a log. Damage the open
+// cannot see — formulas inside a summary or provenance record with a
+// good checksum, which the open does not decode — is reported by the
+// Load or LoadProv that decodes them.
 type CorruptError struct {
 	Path string
 	Err  error

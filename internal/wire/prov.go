@@ -83,8 +83,14 @@ func AppendProv(dst []byte, p ProvRecord) ([]byte, error) {
 	// RootKey is wire bytes (a QuestionKey), not a name — it is durable
 	// by construction and skips the volatility check.
 	dst = appendString(dst, p.RootKey)
-	procs := make([]string, 0, len(p.Deps))
-	for proc := range p.Deps {
+	return appendDeps(dst, p.Deps)
+}
+
+// appendDeps encodes a dependency adjacency: a uvarint count, then per
+// procedure in name order its name and its sorted callees.
+func appendDeps(dst []byte, deps map[string][]string) ([]byte, error) {
+	procs := make([]string, 0, len(deps))
+	for proc := range deps {
 		procs = append(procs, proc)
 	}
 	sort.Strings(procs)
@@ -94,7 +100,7 @@ func AppendProv(dst []byte, p ProvRecord) ([]byte, error) {
 			return dst, fmt.Errorf("provenance dep: %w", err)
 		}
 		dst = appendString(dst, proc)
-		callees := append([]string(nil), p.Deps[proc]...)
+		callees := append([]string(nil), deps[proc]...)
 		sort.Strings(callees)
 		dst = binary.AppendUvarint(dst, uint64(len(callees)))
 		for _, c := range callees {
@@ -108,76 +114,104 @@ func AppendProv(dst []byte, p ProvRecord) ([]byte, error) {
 }
 
 // DecodeProv decodes one provenance record and returns the bytes
-// consumed.
-func DecodeProv(buf []byte) (ProvRecord, int, error) {
-	var p ProvRecord
+// consumed. The caller chooses whether it needs the read set: with reads
+// false every read is still checked for structure, but no formula is
+// decoded or interned and Reads stays nil. Root, Verdict, Engine, RootKey
+// and Deps are decoded either way.
+func DecodeProv(buf []byte, reads bool) (ProvRecord, int, error) {
+	p, _, n, err := decodeProv(buf, reads)
+	return p, n, err
+}
+
+// ProvWithDeps returns a copy of the provenance record payload whose
+// dependency adjacency is deps. The bytes ahead of the adjacency (root,
+// verdict, engine, read set, root key) are copied as they are, so no
+// formula is decoded.
+func ProvWithDeps(payload []byte, deps map[string][]string) ([]byte, error) {
+	_, depsAt, n, err := decodeProv(payload, false)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(payload) {
+		return nil, fmt.Errorf("wire: %d bytes after the provenance record", len(payload)-n)
+	}
+	return appendDeps(append([]byte(nil), payload[:depsAt]...), deps)
+}
+
+// decodeProv is DecodeProv that also returns the offset at which the
+// record's dependency adjacency starts.
+func decodeProv(buf []byte, reads bool) (p ProvRecord, depsAt, end int, err error) {
+	fail := func(err error) (ProvRecord, int, int, error) { return ProvRecord{}, 0, 0, err }
 	if len(buf) < 1 || buf[0] != TagProv {
-		return p, 0, fmt.Errorf("wire: not a provenance record")
+		return fail(fmt.Errorf("wire: not a provenance record"))
 	}
 	pos := 1
 	for _, field := range []*string{&p.Root, &p.Verdict, &p.Engine} {
 		s, n, err := decodeString(buf[pos:])
 		if err != nil {
-			return p, 0, err
+			return fail(err)
 		}
 		*field = s
 		pos += n
 	}
 	count, n := binary.Uvarint(buf[pos:])
 	if n <= 0 || count > uint64(len(buf)) {
-		return p, 0, fmt.Errorf("wire: bad provenance read count")
+		return fail(fmt.Errorf("wire: bad provenance read count"))
 	}
 	pos += n
 	for i := uint64(0); i < count; i++ {
 		if pos >= len(buf) {
-			return p, 0, fmt.Errorf("wire: truncated provenance read")
+			return fail(fmt.Errorf("wire: truncated provenance read"))
 		}
 		r := ProvRead{Warm: buf[pos] == 1}
 		if buf[pos] > 1 {
-			return p, 0, fmt.Errorf("wire: bad provenance warm flag %d", buf[pos])
+			return fail(fmt.Errorf("wire: bad provenance warm flag %d", buf[pos]))
 		}
 		pos++
 		hits, n := binary.Uvarint(buf[pos:])
 		if n <= 0 {
-			return p, 0, fmt.Errorf("wire: bad provenance read count")
+			return fail(fmt.Errorf("wire: bad provenance read count"))
 		}
 		r.Count = int64(hits)
 		pos += n
-		s, n, err := DecodeSummary(buf[pos:])
+		s, n, err := decodeSummary(buf[pos:], reads)
 		if err != nil {
-			return p, 0, err
+			return fail(err)
 		}
-		r.Summary = s
 		pos += n
-		p.Reads = append(p.Reads, r)
+		if reads {
+			r.Summary = s
+			p.Reads = append(p.Reads, r)
+		}
 	}
 	rootKey, n, err := decodeString(buf[pos:])
 	if err != nil {
-		return p, 0, err
+		return fail(err)
 	}
 	p.RootKey = rootKey
 	pos += n
+	depsAt = pos
 	nprocs, n := binary.Uvarint(buf[pos:])
 	if n <= 0 || nprocs > uint64(len(buf)) {
-		return p, 0, fmt.Errorf("wire: bad provenance dep count")
+		return fail(fmt.Errorf("wire: bad provenance dep count"))
 	}
 	pos += n
 	for i := uint64(0); i < nprocs; i++ {
 		proc, n, err := decodeString(buf[pos:])
 		if err != nil {
-			return p, 0, err
+			return fail(err)
 		}
 		pos += n
 		ncallees, n := binary.Uvarint(buf[pos:])
 		if n <= 0 || ncallees > uint64(len(buf)) {
-			return p, 0, fmt.Errorf("wire: bad provenance dep callee count")
+			return fail(fmt.Errorf("wire: bad provenance dep callee count"))
 		}
 		pos += n
 		callees := make([]string, 0, ncallees)
 		for j := uint64(0); j < ncallees; j++ {
 			c, n, err := decodeString(buf[pos:])
 			if err != nil {
-				return p, 0, err
+				return fail(err)
 			}
 			callees = append(callees, c)
 			pos += n
@@ -187,5 +221,5 @@ func DecodeProv(buf []byte) (ProvRecord, int, error) {
 		}
 		p.Deps[proc] = callees
 	}
-	return p, pos, nil
+	return p, depsAt, pos, nil
 }

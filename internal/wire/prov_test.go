@@ -1,6 +1,8 @@
 package wire_test
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -36,7 +38,7 @@ func TestProvRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, n, err := wire.DecodeProv(b)
+	got, n, err := wire.DecodeProv(b, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestProvEmptyReadSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, n, err := wire.DecodeProv(b)
+	got, n, err := wire.DecodeProv(b, true)
 	if err != nil || n != len(b) {
 		t.Fatalf("decode: n=%d err=%v", n, err)
 	}
@@ -147,7 +149,7 @@ func TestDecodeProvRejectsGarbage(t *testing.T) {
 		"short hdr": good[:2],
 	}
 	for name, buf := range cases {
-		if _, _, err := wire.DecodeProv(buf); err == nil {
+		if _, _, err := wire.DecodeProv(buf, true); err == nil {
 			t.Fatalf("%s: decode accepted corrupt input", name)
 		}
 	}
@@ -156,7 +158,76 @@ func TestDecodeProvRejectsGarbage(t *testing.T) {
 	mut := append([]byte(nil), good...)
 	idx := strings.Index(string(mut), "async") + len("async")
 	mut[idx+1] = 7 // first read's warm byte follows the count uvarint
-	if _, _, err := wire.DecodeProv(mut); err == nil {
+	if _, _, err := wire.DecodeProv(mut, true); err == nil {
 		t.Fatal("bad warm flag accepted")
+	}
+}
+
+// TestDecodeProvWithoutReads: a caller that declines the read set gets
+// every other field as the full decode gives it, steps over the same
+// bytes, and is refused on exactly the inputs the full decode refuses,
+// including a read whose formula is malformed.
+func TestDecodeProvWithoutReads(t *testing.T) {
+	good, err := wire.AppendProv(nil, testProvRecord())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, n, err := wire.DecodeProv(good, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heads, hn, err := wire.DecodeProv(good, false)
+	if err != nil || hn != n {
+		t.Fatalf("without reads: consumed %d (%v), full decode %d", hn, err, n)
+	}
+	full.Reads = nil
+	if !reflect.DeepEqual(heads, full) {
+		t.Fatalf("without reads decoded %+v, want %+v", heads, full)
+	}
+	bad := append([]byte(nil), good...)
+	pre := strings.Index(string(bad), "worker") + len("worker") // the first read's precondition
+	if pre < len("worker") {
+		t.Fatal("no read summary to damage")
+	}
+	bad[pre] = 0x7f // an unknown formula tag
+	variants := [][]byte{bad}
+	for k := 0; k < len(good); k++ {
+		variants = append(variants, good[:k])
+	}
+	for i, buf := range variants {
+		_, _, ferr := wire.DecodeProv(buf, true)
+		_, _, herr := wire.DecodeProv(buf, false)
+		if (ferr == nil) != (herr == nil) {
+			t.Fatalf("variant %d: full decode says %v, without reads %v", i, ferr, herr)
+		}
+	}
+	if _, _, err := wire.DecodeProv(bad, false); err == nil {
+		t.Fatal("a read with a malformed formula passed")
+	}
+}
+
+// TestProvWithDeps: replacing a record's adjacency keeps every byte ahead
+// of it and encodes as AppendProv would have encoded the record with the
+// new adjacency.
+func TestProvWithDeps(t *testing.T) {
+	p := testProvRecord()
+	old, err := wire.AppendProv(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Deps = map[string][]string{"main": {"p", "other", "q"}, "q": {"r"}}
+	want, err := wire.AppendProv(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := wire.ProvWithDeps(old, p.Deps)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("ProvWithDeps = %x, %v; want %x", got, err, want)
+	}
+	if _, err := wire.ProvWithDeps(append(old, 0), p.Deps); err == nil {
+		t.Fatal("trailing bytes accepted")
+	}
+	if _, err := wire.ProvWithDeps(old, map[string][]string{"#7": nil}); err == nil {
+		t.Fatal("volatile procedure name accepted")
 	}
 }

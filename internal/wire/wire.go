@@ -82,31 +82,54 @@ func AppendSummary(dst []byte, s summary.Summary) ([]byte, error) {
 
 // DecodeSummary decodes one summary and returns the bytes consumed.
 func DecodeSummary(buf []byte) (summary.Summary, int, error) {
-	var s summary.Summary
+	return decodeSummary(buf, true)
+}
+
+// SummaryProc returns the procedure a summary record is about. It reads
+// the record's header only: neither formula is decoded or checked.
+func SummaryProc(buf []byte) (string, error) {
+	_, proc, _, err := decodeSummaryHead(buf)
+	return proc, err
+}
+
+// decodeSummary decodes one summary; with build false it checks both
+// formulas' structure (logic.SkipWire) and leaves them nil.
+func decodeSummary(buf []byte, build bool) (summary.Summary, int, error) {
+	kind, proc, pos, err := decodeSummaryHead(buf)
+	if err != nil {
+		return summary.Summary{}, 0, err
+	}
+	s := summary.Summary{Kind: kind, Proc: proc}
+	for _, f := range []*logic.Formula{&s.Pre, &s.Post} {
+		var n int
+		if build {
+			*f, n, err = logic.DecodeWire(buf[pos:])
+		} else {
+			n, err = logic.SkipWire(buf[pos:])
+		}
+		if err != nil {
+			return summary.Summary{}, 0, err
+		}
+		pos += n
+	}
+	return s, pos, nil
+}
+
+// decodeSummaryHead decodes a summary record's tag, kind and procedure
+// and returns the offset of its first formula.
+func decodeSummaryHead(buf []byte) (summary.Kind, string, int, error) {
 	if len(buf) < 2 || buf[0] != TagSummary {
-		return s, 0, fmt.Errorf("wire: not a summary record")
+		return 0, "", 0, fmt.Errorf("wire: not a summary record")
 	}
 	kind := summary.Kind(buf[1])
 	if kind != summary.Must && kind != summary.NotMay {
-		return s, 0, fmt.Errorf("wire: unknown summary kind %d", buf[1])
+		return 0, "", 0, fmt.Errorf("wire: unknown summary kind %d", buf[1])
 	}
-	pos := 2
-	proc, n, err := decodeString(buf[pos:])
+	proc, n, err := decodeString(buf[2:])
 	if err != nil {
-		return s, 0, err
+		return 0, "", 0, err
 	}
-	pos += n
-	pre, n, err := logic.DecodeWire(buf[pos:])
-	if err != nil {
-		return s, 0, err
-	}
-	pos += n
-	post, n, err := logic.DecodeWire(buf[pos:])
-	if err != nil {
-		return s, 0, err
-	}
-	pos += n
-	return summary.Summary{Kind: kind, Proc: proc, Pre: pre, Post: post}, pos, nil
+	return kind, proc, 2 + n, nil
 }
 
 // SummaryKey is the canonical cross-process identity of a summary: its

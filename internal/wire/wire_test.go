@@ -159,3 +159,28 @@ func TestDecodeSummaryRejectsGarbage(t *testing.T) {
 		t.Fatal("unknown kind decoded successfully")
 	}
 }
+
+// TestSummaryProc: the procedure comes from the record's header alone, so
+// a record whose formulas are damaged still names it, and only the full
+// decode refuses it.
+func TestSummaryProc(t *testing.T) {
+	good, err := wire.AppendSummary(nil, testSummary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), good...)
+	bad[2+1+len("worker")] = 0x7f // the precondition's tag, after tag, kind and the name
+	for _, b := range [][]byte{good, bad} {
+		if proc, err := wire.SummaryProc(b); err != nil || proc != "worker" {
+			t.Fatalf("SummaryProc = %q, %v", proc, err)
+		}
+	}
+	if _, _, err := wire.DecodeSummary(bad); err == nil {
+		t.Fatal("a damaged precondition decoded")
+	}
+	for _, b := range [][]byte{nil, {wire.TagQuestion, 0}, {wire.TagSummary, 9, 0}, good[:3]} {
+		if _, err := wire.SummaryProc(b); err == nil {
+			t.Fatalf("SummaryProc(%x) accepted a bad header", b)
+		}
+	}
+}
