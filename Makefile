@@ -68,9 +68,13 @@ verdict-sweep:
 # set-up and tear-down are made of (child insertion, coalescing, Done
 # fan-out, subtree GC, the PUNCH wrapper, store hydration and persist,
 # provenance finish) may be called from internal/core/reduce.go only, so
-# no engine can grow a private copy again.
+# no engine can grow a private copy again. Likewise for the three PUNCH
+# instantiations: the statement image, the renaming of a call crossing,
+# the pins of a must summary and the store copy are written once, in
+# internal/punch/kernel.go, never in must/, may/ or maymust/.
 one-reduce:
 	$(GO) test -run TestOneReduce -count=1 ./internal/core
+	$(GO) test -run TestOnePunchKernel -count=1 ./internal/punch
 
 # dead-exports is a structural lint: every exported function under
 # internal/ has a caller in the module's non-test code, and every field

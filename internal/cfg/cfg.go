@@ -108,20 +108,18 @@ func (p *Program) Validate() error {
 		}
 		declared[g] = true
 	}
+	var used []lang.Var // the variables of one statement
 	for _, name := range p.ProcNames() {
 		proc := p.Procs[name]
 		if proc.Name != name {
 			return fmt.Errorf("cfg: procedure map key %q does not match name %q", name, proc.Name)
 		}
-		scope := map[lang.Var]bool{}
-		for g := range declared {
-			scope[g] = true
-		}
+		locals := make(map[lang.Var]bool, len(proc.Locals))
 		for _, l := range proc.Locals {
-			if scope[l] {
+			if declared[l] || locals[l] {
 				return fmt.Errorf("cfg: %s: variable %q shadows a global or duplicates a local", name, l)
 			}
-			scope[l] = true
+			locals[l] = true
 		}
 		if proc.Entry < 0 || int(proc.Entry) >= proc.NNodes {
 			return fmt.Errorf("cfg: %s: entry node %d out of range", name, proc.Entry)
@@ -136,8 +134,9 @@ func (p *Program) Validate() error {
 			if e.From == proc.Exit {
 				return fmt.Errorf("cfg: %s: edge %d leaves the exit node", name, i)
 			}
-			for _, v := range lang.VarsOfStmt(e.Stmt, nil) {
-				if !scope[v] {
+			used = lang.VarsOfStmt(e.Stmt, used[:0])
+			for _, v := range used {
+				if !declared[v] && !locals[v] {
 					return fmt.Errorf("cfg: %s: edge %d uses undeclared variable %q", name, i, v)
 				}
 			}

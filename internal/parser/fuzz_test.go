@@ -16,6 +16,8 @@ func FuzzParse(f *testing.F) {
 	f.Add(sample)
 	f.Add("proc main { x = 99999999999999999999; }")
 	f.Add("proc main { x = ٣ + 12٣; }")
+	f.Add("proc main { locals café; café = 1; }")
+	f.Add("proc main {\u00a0skip; }")
 	f.Add("proc f(a) { return a * 2; } proc main { locals r; r = f(3); assert(r == 6); }")
 	f.Add("proc main { /* unterminated")
 	files, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "corpus", "*.bolt"))

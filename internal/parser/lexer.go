@@ -13,6 +13,11 @@
 //	          | "if" "(" bexpr ")" block ["else" block]
 //	          | "while" "(" bexpr ")" block
 //	block    := "{" stmt* "}"
+//	ident    := [A-Za-z_][A-Za-z0-9_]*
+//
+// Outside comments a program is ASCII: tokens are separated by spaces,
+// tabs, CRs and LFs, and any other character is a parse error, so two
+// variables that look alike are never two variables.
 //
 // Procedure parameters and returns are syntactic sugar lowered onto
 // dedicated globals (the §3.1 model communicates through globals);
@@ -27,7 +32,6 @@ package parser
 import (
 	"fmt"
 	"strconv"
-	"unicode"
 	"unicode/utf8"
 )
 
@@ -77,9 +81,10 @@ func (e *Error) Error() string {
 // lexer scans the source in place: a token's text is a substring of it.
 // pos is a byte offset; columns count runes. ASCII is read a byte at a
 // time and anything else decoded as UTF-8, an invalid byte as one
-// utf8.RuneError, so every rune meets the same unicode classes: outside
-// a comment a non-ASCII letter may spell an identifier and a non-ASCII
-// space separates tokens, and any other non-ASCII rune is an error.
+// utf8.RuneError. Outside a comment the language is ASCII: an identifier
+// is [A-Za-z_][A-Za-z0-9_]*, a blank one of space, tab, CR and LF, and
+// any other rune an error, so two names that look alike are one name.
+// Comments are free text.
 type lexer struct {
 	src  string
 	pos  int
@@ -130,7 +135,7 @@ func (lx *lexer) skipSpaceAndComments() error {
 	for lx.pos < len(lx.src) {
 		r, _ := lx.peek()
 		switch {
-		case unicode.IsSpace(r):
+		case r == ' ' || r == '\t' || r == '\r' || r == '\n':
 			lx.nextRune()
 		case r == '/' && lx.peekByte(1) == '/':
 			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
@@ -169,12 +174,8 @@ func (lx *lexer) next() (token, error) {
 	start := lx.pos
 	r, _ := lx.peek()
 	switch {
-	case unicode.IsLetter(r) || r == '_':
-		for lx.pos < len(lx.src) {
-			r, _ := lx.peek()
-			if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' {
-				break
-			}
+	case isLetter(r):
+		for lx.pos < len(lx.src) && (isLetter(rune(lx.src[lx.pos])) || isDigit(rune(lx.src[lx.pos]))) {
 			lx.nextRune()
 		}
 		text := lx.src[start:lx.pos]
@@ -216,6 +217,9 @@ func (lx *lexer) next() (token, error) {
 
 // isDigit accepts the ASCII digits only: a number is what strconv parses.
 func isDigit(r rune) bool { return '0' <= r && r <= '9' }
+
+// isLetter accepts what may start an identifier: an ASCII letter or '_'.
+func isLetter(r rune) bool { return 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || r == '_' }
 
 // tokenize scans the whole input. The token slice starts at one token
 // per three bytes of source, a little denser than the drivers and the

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"strings"
@@ -77,6 +78,8 @@ func TestParseErrors(t *testing.T) {
 		{"proc main { x = 99999999999999999999; }", "out of range"},
 		{"proc main { x = ٣; }", "unexpected character '٣'"},
 		{"proc main { x = 12٣; }", "unexpected character '٣'"},
+		{"proc main { locals café; café = 1; }", "1:23: unexpected character 'é'"},
+		{"proc main {\u00a0skip; }", "1:12: unexpected character '\\u00a0'"},
 		{"proc main { /* unterminated }", "unterminated block comment"},
 	}
 	for _, c := range cases {
@@ -88,6 +91,20 @@ func TestParseErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Parse(%q) error = %v, want substring %q", c.src, err, c.want)
 		}
+	}
+}
+
+// TestASCIIOutsideComments: a comment may hold any text, the program
+// outside it only ASCII; a stray rune is a *Error at its line and column
+// (counted in runes) that names it.
+func TestASCIIOutsideComments(t *testing.T) {
+	if _, err := Parse("// café\u00a0\nproc main { /* ünïcode */ skip; }"); err != nil {
+		t.Fatalf("non-ASCII comments rejected: %v", err)
+	}
+	_, err := Parse("/* é */ proc main {\n  x\u00a0= 1; }")
+	var pe *Error
+	if !errors.As(err, &pe) || pe.Line != 2 || pe.Col != 4 || !strings.Contains(pe.Msg, `'\u00a0'`) {
+		t.Fatalf("error = %#v, want a *Error at 2:4 naming U+00A0", err)
 	}
 }
 

@@ -25,8 +25,8 @@ type checked struct {
 
 func (c checked) Step(ctx *punch.Context, q *query.Query) punch.Result {
 	res := c.Analysis.Step(ctx, q)
-	if o, ok := res.Self.Obj.(*obj); ok && o.g != nil {
-		if err := o.g.Check(); err != nil {
+	if o, ok := res.Self.Obj.(*obj); ok && o.G != nil {
+		if err := o.G.Check(); err != nil {
 			c.t.Errorf("Q%d %s: %v", q.ID, q.Q.Proc, err)
 		}
 	}

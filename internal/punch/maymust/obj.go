@@ -8,12 +8,12 @@
 package maymust
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/cfg"
 	"repro/internal/lang"
 	"repro/internal/logic"
+	"repro/internal/punch"
 	"repro/internal/punch/regions"
 	"repro/internal/query"
 )
@@ -24,7 +24,7 @@ import (
 // is { σ(v) : v ⊨ path }, an under-approximation of the reachable states.
 type mustElem struct {
 	path  logic.Formula
-	store map[lang.Var]logic.Lin
+	store punch.Store
 	// reach caches region-membership checks: region ID → +1 / -1.
 	reach map[int32]int8
 	// exitChecked marks exit elements already tested against φ2.
@@ -39,13 +39,13 @@ type obj struct {
 	locals  []lang.Var
 
 	// May side: the region graph, built by initialize.
-	g *regions.Graph
+	regions.Hold
 
 	// Must side.
 	musts    map[cfg.NodeID][]*mustElem
 	mustKeys map[cfg.NodeID]map[string]bool
-	symCount int
-	initSyms map[lang.Var]lang.Var // initial symbol of each variable
+	syms     punch.Syms
+	entry    map[lang.Var]lang.Var // each variable's entry symbol
 
 	// pointPre caches whether a must summary's precondition denotes a
 	// single state: +1 / -1, keyed by the precondition's interned id.
@@ -54,25 +54,16 @@ type obj struct {
 	initialized bool
 }
 
-func newObj(proc *cfg.Proc, globals []lang.Var) *obj {
+func newObj(proc *cfg.Proc, globals []lang.Var, q query.ID) *obj {
 	return &obj{
 		proc:     proc,
 		globals:  globals,
 		locals:   proc.Locals,
 		musts:    map[cfg.NodeID][]*mustElem{},
 		mustKeys: map[cfg.NodeID]map[string]bool{},
-		initSyms: map[lang.Var]lang.Var{},
+		syms:     punch.NewSyms("$", q),
 		pointPre: map[logic.ID]int8{},
 	}
-}
-
-// freshSym mints a fresh symbolic variable for program variable v of query
-// qid. The "$" prefix cannot appear in parsed programs, so symbols never
-// collide with program variables.
-func (o *obj) freshSym(qid query.ID, v lang.Var) lang.Var {
-	s := lang.Var(fmt.Sprintf("$%d_%d_%s", qid, o.symCount, v))
-	o.symCount++
-	return s
 }
 
 // addMust appends a must element at node, respecting the per-node cap and
@@ -105,12 +96,4 @@ func (e *mustElem) key(o *obj) string {
 		}
 	}
 	return string(k)
-}
-
-func cloneStore(s map[lang.Var]logic.Lin) map[lang.Var]logic.Lin {
-	out := make(map[lang.Var]logic.Lin, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
 }

@@ -52,9 +52,9 @@ func stepperFor(t *testing.T, src string) *stepper {
 	db := summary.New(solver)
 	ctx := &punch.Context{Prog: prog, DB: db, Alloc: &query.Allocator{}, ModRef: prog.ModRef()}
 	q := ctx.Alloc.New(query.NoParent, summary.Question{Proc: prog.Main, Pre: logic.True, Post: logic.True})
-	o := newObj(prog.Proc(prog.Main), prog.Globals)
-	o.g = regions.New(o.proc, q.Q.Post)
-	return &stepper{Meter: punch.Meter{Solver: solver}, a: New(), ctx: ctx, q: q, o: o}
+	o := newObj(prog.Proc(prog.Main), prog.Globals, q.ID)
+	o.G = regions.New(o.proc, q.Q.Post)
+	return &stepper{Stepper: punch.NewStepper(ctx, q, "", nil), a: New(), o: o}
 }
 
 // checkGraph fails the test when the region graph's lists mention a
@@ -76,8 +76,8 @@ type checked struct {
 
 func (c checked) Step(ctx *punch.Context, q *query.Query) punch.Result {
 	res := c.Analysis.Step(ctx, q)
-	if o, ok := res.Self.Obj.(*obj); ok && o.g != nil {
-		if err := o.g.Check(); err != nil {
+	if o, ok := res.Self.Obj.(*obj); ok && o.G != nil {
+		if err := o.G.Check(); err != nil {
 			c.t.Errorf("Q%d %s: %v", q.ID, q.Q.Proc, err)
 		}
 	}
@@ -101,11 +101,11 @@ proc touch { a = a + 1; }
 func TestPartitionOnKeepsRegionsConjunctive(t *testing.T) {
 	st := stepperFor(t, `globals a; proc main { a = 1; }`)
 	node := st.o.proc.Entry
-	r := st.o.g.At(node)[0]
+	r := st.o.G.At(node)[0]
 	// Split ⊤ on (a ≤ 3 ∧ a ≥ 0): outside = ¬(…) = two cubes.
 	wp := logic.Conj(leIC("a", 3), logic.LEq(logic.LinConst(0), logic.LinVar("a")))
-	ins, outs := st.o.g.PartitionOn(&st.Meter, r, wp)
-	checkGraph(t, st.o.g)
+	ins, outs := st.o.G.PartitionOn(&st.Meter, r, wp)
+	checkGraph(t, st.o.G)
 	if len(ins) != 1 {
 		t.Fatalf("ins = %d", len(ins))
 	}
@@ -118,7 +118,7 @@ func TestPartitionOnKeepsRegionsConjunctive(t *testing.T) {
 		}
 	}
 	// The retired region must be gone from the partition.
-	for _, x := range st.o.g.At(node) {
+	for _, x := range st.o.G.At(node) {
 		if x == r {
 			t.Fatal("retired region still attached")
 		}
@@ -247,11 +247,11 @@ func TestPartitionPreservesUnion(t *testing.T) {
 	st := stepperFor(t, `globals a, b; proc main { a = 1; }`)
 	node := st.o.proc.Entry
 	base := logic.Conj(leIC("a", 10), logic.LEq(logic.LinConst(-10), logic.LinVar("a")))
-	r := st.o.g.NewRegion(node, base, false)
-	st.o.g.Split(st.o.g.At(node)[0], r)
+	r := st.o.G.NewRegion(node, base, false)
+	st.o.G.Split(st.o.G.At(node)[0], r)
 	wp := logic.Disj(leIC("a", -2), logic.Conj(leIC("b", 0), leIC("a", 5)))
-	ins, outs := st.o.g.PartitionOn(&st.Meter, r, wp)
-	checkGraph(t, st.o.g)
+	ins, outs := st.o.G.PartitionOn(&st.Meter, r, wp)
+	checkGraph(t, st.o.G)
 	var parts []logic.Formula
 	for _, p := range append(append([]*regions.Region{}, ins...), outs...) {
 		parts = append(parts, p.F)

@@ -12,7 +12,6 @@
 package must
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 
@@ -21,7 +20,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/punch"
 	"repro/internal/query"
-	"repro/internal/smt"
 	"repro/internal/summary"
 )
 
@@ -49,7 +47,7 @@ func (a *Analysis) Name() string { return "must (DART-style)" }
 type symState struct {
 	node   cfg.NodeID
 	path   logic.Formula
-	store  map[lang.Var]logic.Lin
+	store  punch.Store
 	visits map[int]int // edge index → times taken on this path
 }
 
@@ -58,8 +56,8 @@ type obj struct {
 	stack    []*symState
 	blocked  map[string][]*symState // pending child key → waiting states
 	pending  map[string]summary.Question
-	initSyms map[lang.Var]lang.Var
-	symCount int
+	entry    map[lang.Var]lang.Var // each variable's entry symbol
+	syms     punch.Syms
 	explored int
 	// complete stays true while the exploration is exhaustive: no loop
 	// truncation, no state-cap hit, and no call crossed via an
@@ -70,68 +68,49 @@ type obj struct {
 
 // Step implements punch.Punch.
 func (a *Analysis) Step(ctx *punch.Context, q *query.Query) punch.Result {
-	st := &stepper{a: a, ctx: ctx, q: q, solver: ctx.DB.Solver()}
+	st := &stepper{Stepper: punch.NewStepper(ctx, q, "must ", a.Debug), a: a}
 	return st.run()
 }
 
 type stepper struct {
-	a        *Analysis
-	ctx      *punch.Context
-	q        *query.Query
-	o        *obj
-	solver   *smt.Solver
-	cost     int64
-	children []*query.Query
-}
-
-func (st *stepper) charge(n int64) { st.cost += n }
-
-func (st *stepper) debugf(format string, args ...any) {
-	if st.a.Debug == nil {
-		return
-	}
-	fmt.Fprintf(st.a.Debug, "[must Q%d %s] ", st.q.ID, st.q.Q.Proc)
-	fmt.Fprintf(st.a.Debug, format, args...)
-	fmt.Fprintln(st.a.Debug)
-}
-
-func (st *stepper) sat(f logic.Formula) smt.Result {
-	st.charge(4)
-	return st.solver.Sat(f)
+	punch.Stepper
+	a *Analysis
+	o *obj
 }
 
 func (st *stepper) finish(state query.State, outcome query.Outcome) punch.Result {
-	st.q.State = state
-	st.q.Outcome = outcome
-	st.q.Obj = st.o
-	children := st.children
-	if state == query.Done {
-		children = nil
-	}
-	return punch.Result{Self: st.q, Children: children, Cost: st.cost}
+	return st.Finish(state, outcome, st.o)
 }
 
-func (st *stepper) proc() *cfg.Proc { return st.ctx.Prog.Proc(st.q.Q.Proc) }
+func (st *stepper) proc() *cfg.Proc { return st.Ctx.Prog.Proc(st.Q.Q.Proc) }
 
 func (st *stepper) run() punch.Result {
-	if _, verdict := st.ctx.DB.Answer(st.q.Q); verdict != 0 {
-		st.charge(4)
-		st.ensureObj()
-		if verdict > 0 {
-			return st.finish(query.Done, query.Reachable)
+	if o, ok := st.Q.Obj.(*obj); ok && o != nil {
+		st.o = o
+	} else {
+		st.o = &obj{
+			blocked:  map[string][]*symState{},
+			pending:  map[string]summary.Question{},
+			syms:     punch.NewSyms("$m", st.Q.ID),
+			complete: true,
 		}
-		return st.finish(query.Done, query.Unreachable)
 	}
-	st.ensureObj()
+	if outcome, ok := st.Answered(); ok {
+		return st.finish(query.Done, outcome)
+	}
 	if !st.o.initialized {
-		if done, res := st.initialize(); done {
-			return res
+		st.o.initialized = true
+		if st.EmptyPre() {
+			return st.finish(query.Done, query.Unreachable)
 		}
+		path, store, entry := punch.Entry(st.Q.Q.Pre, &st.o.syms, st.Ctx.Prog.Globals, st.proc().Locals)
+		st.o.entry = entry
+		st.o.stack = append(st.o.stack, &symState{node: st.proc().Entry, path: path, store: store, visits: map[int]int{}})
 	}
 	st.sweepBlocked()
 
 	for {
-		if st.cost >= st.a.Budget {
+		if st.Cost >= st.a.Budget {
 			return st.finish(query.Ready, query.Pending)
 		}
 		if len(st.o.stack) == 0 {
@@ -149,64 +128,15 @@ func (st *stepper) run() punch.Result {
 	}
 	if st.o.complete {
 		// Exhaustive exploration found no witness: a sound proof.
-		st.ctx.DB.Add(summary.Summary{Kind: summary.NotMay, Proc: st.q.Q.Proc, Pre: st.q.Q.Pre, Post: st.q.Q.Post})
-		st.debugf("DONE unreachable (exhaustive exploration)")
+		st.NotMay(st.Q.Q.Pre)
+		st.Debugf("DONE unreachable (exhaustive exploration)")
 		return st.finish(query.Done, query.Unreachable)
 	}
 	// Truncated exploration with no witness: a must-analysis cannot
 	// conclude anything; the query stays Blocked (resource exhaustion at
 	// the engine decides the final verdict).
-	st.debugf("BLOCKED (truncated exploration, no witness)")
+	st.Debugf("BLOCKED (truncated exploration, no witness)")
 	return st.finish(query.Blocked, query.Pending)
-}
-
-func (st *stepper) ensureObj() {
-	if st.o != nil {
-		return
-	}
-	if o, ok := st.q.Obj.(*obj); ok && o != nil {
-		st.o = o
-		return
-	}
-	st.o = &obj{
-		blocked:  map[string][]*symState{},
-		pending:  map[string]summary.Question{},
-		initSyms: map[lang.Var]lang.Var{},
-		complete: true,
-	}
-}
-
-func (st *stepper) freshSym(v lang.Var) lang.Var {
-	s := lang.Var(fmt.Sprintf("$m%d_%d_%s", st.q.ID, st.o.symCount, v))
-	st.o.symCount++
-	return s
-}
-
-func (st *stepper) initialize() (bool, punch.Result) {
-	o, q := st.o, st.q
-	pre := st.sat(q.Q.Pre)
-	if pre.Known && !pre.Sat {
-		st.ctx.DB.Add(summary.Summary{Kind: summary.NotMay, Proc: q.Q.Proc, Pre: q.Q.Pre, Post: q.Q.Post})
-		o.initialized = true
-		return true, st.finish(query.Done, query.Unreachable)
-	}
-	store := map[lang.Var]logic.Lin{}
-	ren := map[lang.Var]lang.Var{}
-	vars := append(append([]lang.Var{}, st.ctx.Prog.Globals...), st.proc().Locals...)
-	for _, v := range vars {
-		s := st.freshSym(v)
-		o.initSyms[v] = s
-		store[v] = logic.LinVar(s)
-		ren[v] = s
-	}
-	o.stack = append(o.stack, &symState{
-		node:   st.proc().Entry,
-		path:   logic.Rename(q.Q.Pre, ren),
-		store:  store,
-		visits: map[int]int{},
-	})
-	o.initialized = true
-	return false, punch.Result{}
 }
 
 // sweepBlocked re-activates states whose pending child question SUMDB can
@@ -217,7 +147,7 @@ func (st *stepper) sweepBlocked() {
 		if !ok {
 			continue
 		}
-		if _, verdict := st.ctx.DB.Answer(pq); verdict == 0 {
+		if _, verdict := st.Ctx.DB.Answer(pq); verdict == 0 {
 			continue
 		}
 		delete(st.o.pending, key)
@@ -229,7 +159,7 @@ func (st *stepper) sweepBlocked() {
 // expand processes one symbolic state. done=true means the query finished
 // (a witness was found).
 func (st *stepper) expand(s *symState) (punch.Result, bool) {
-	o, q := st.o, st.q
+	o, q := st.o, st.Q
 	proc := st.proc()
 	o.explored++
 	if o.explored > st.a.MaxStates {
@@ -238,10 +168,13 @@ func (st *stepper) expand(s *symState) (punch.Result, bool) {
 	}
 	if s.node == proc.Exit {
 		hit := logic.Conj(s.path, logic.SubstMap(q.Q.Post, s.store))
-		r := st.sat(hit)
+		r := st.Sat(hit)
 		if r.Model != nil {
-			st.emitMustSummary(s, r.Model)
-			st.debugf("DONE reachable after %d states", o.explored)
+			st.Ctx.DB.Add(st.MustSummary(punch.Witness{
+				Proc: q.Q.Proc, Mod: st.Ctx.ModRefOf(q.Q.Proc), Globals: st.Ctx.Prog.Globals,
+				Entry: o.entry, Store: s.store, Hit: hit, Model: r.Model,
+			}, false))
+			st.Debugf("DONE reachable after %d states", o.explored)
 			return st.finish(query.Done, query.Reachable), true
 		}
 		return punch.Result{}, false
@@ -256,75 +189,38 @@ func (st *stepper) expand(s *symState) (punch.Result, bool) {
 			st.crossCall(s, ei, e, c.Proc)
 			continue
 		}
-		ns := st.execSimple(s, ei, e)
-		if ns != nil {
-			o.stack = append(o.stack, ns)
+		path, store := punch.Image(s.path, s.store, e.Stmt, &o.syms)
+		if _, isAssume := e.Stmt.(lang.Assume); isAssume {
+			if r := st.Sat(path); r.Known && !r.Sat {
+				continue
+			}
 		}
+		o.stack = append(o.stack, &symState{node: e.To, path: path, store: store, visits: bumpVisit(s.visits, ei)})
 	}
 	return punch.Result{}, false
-}
-
-// execSimple symbolically executes a non-call edge, returning nil when the
-// resulting path condition is unsatisfiable.
-func (st *stepper) execSimple(s *symState, ei int, e cfg.Edge) *symState {
-	path := s.path
-	store := s.store
-	switch stmt := e.Stmt.(type) {
-	case lang.Assign:
-		store = cloneStore(store)
-		rhs := logic.FromInt(stmt.Rhs)
-		val := logic.LinConst(rhs.K)
-		for i, v := range rhs.Vars {
-			val = val.Add(s.store[v].Scale(rhs.Coefs[i]))
-		}
-		store[stmt.Lhs] = val
-	case lang.Assume:
-		path = logic.Conj(path, logic.SubstMap(logic.FromBool(stmt.Cond), s.store))
-		r := st.sat(path)
-		if r.Known && !r.Sat {
-			return nil
-		}
-	case lang.Havoc:
-		store = cloneStore(store)
-		store[stmt.V] = logic.LinVar(st.freshSym(stmt.V))
-	case lang.Skip:
-	default:
-		panic(fmt.Sprintf("must: unexpected statement %T", e.Stmt))
-	}
-	return &symState{node: e.To, path: path, store: store, visits: bumpVisit(s.visits, ei)}
 }
 
 // crossCall crosses a call edge using applicable must summaries; when none
 // applies, it issues a child sub-query and parks the state.
 func (st *stepper) crossCall(s *symState, ei int, e cfg.Edge, callee string) {
 	o := st.o
-	calleeMR := st.ctx.ModRefOf(callee)
+	calleeMR := st.Ctx.ModRefOf(callee)
 	crossed := false
-	for _, sum := range st.ctx.DB.ForProc(callee) {
+	for _, sum := range st.Ctx.DB.ForProc(callee) {
 		if sum.Kind != summary.Must {
 			continue
 		}
-		if !st.pointApplicable(sum, s) {
+		if point, _ := st.IsPoint(sum.Pre); !point {
 			continue
 		}
 		cond := logic.Conj(s.path, logic.SubstMap(sum.Pre, s.store))
-		r := st.sat(cond)
+		r := st.Sat(cond)
 		if !(r.Known && r.Sat) {
 			continue
 		}
-		store := cloneStore(s.store)
-		ren := map[lang.Var]lang.Var{}
-		for _, g := range st.ctx.Prog.Globals {
-			if !calleeMR.Mod[g] {
-				continue
-			}
-			sym := st.freshSym(g)
-			store[g] = logic.LinVar(sym)
-			ren[g] = sym
-		}
-		postC := logic.SubstMap(logic.Rename(sum.Post, ren), s.store)
-		after := logic.Conj(cond, postC)
-		ra := st.sat(after)
+		store, post := punch.Cross(s.store, sum.Post, st.Ctx.Prog.Globals, calleeMR, &o.syms)
+		after := logic.Conj(cond, post)
+		ra := st.Sat(after)
 		if ra.Known && ra.Sat {
 			o.stack = append(o.stack, &symState{node: e.To, path: after, store: store, visits: bumpVisit(s.visits, ei)})
 			crossed = true
@@ -337,89 +233,21 @@ func (st *stepper) crossCall(s *symState, ei int, e cfg.Edge, callee string) {
 		return
 	}
 	// No applicable summary: issue a child for a concrete entry point.
-	r := st.sat(s.path)
+	r := st.Sat(s.path)
 	if r.Model == nil {
 		return
 	}
-	var prefs []logic.Formula
-	for _, g := range st.ctx.Prog.Globals {
-		prefs = append(prefs, logic.Eq(logic.LinVar(g), logic.LinConst(s.store[g].Eval(r.Model))))
-	}
-	question := summary.Question{Proc: callee, Pre: logic.Conj(prefs...), Post: logic.True}
+	question := summary.Question{Proc: callee, Pre: punch.PointEntry(st.Ctx.Prog.Globals, s.store, r.Model), Post: logic.True}
 	key := question.Key() + "|edge" + strconv.Itoa(ei)
 	if _, dup := st.o.pending[key]; !dup {
-		child := st.ctx.Alloc.New(st.q.ID, question)
-		st.children = append(st.children, child)
+		child := st.Ask(question)
 		st.o.pending[key] = question
-		st.debugf("child Q%d for %s at edge %d", child.ID, callee, ei)
+		st.Debugf("child Q%d for %s at edge %d", child.ID, callee, ei)
 	}
 	// Park a copy that retries the call once the child has answered.
 	parked := &symState{node: s.node, path: s.path, store: s.store, visits: s.visits}
 	st.o.blocked[key] = append(st.o.blocked[key], parked)
 	o.complete = false
-}
-
-// pointApplicable reports whether the summary precondition denotes a
-// single state over its mentioned globals (cached per solver in the
-// summary key space is unnecessary here: preconditions are small).
-func (st *stepper) pointApplicable(sum summary.Summary, s *symState) bool {
-	vars := logic.FreeVars(sum.Pre)
-	if len(vars) == 0 {
-		return true
-	}
-	m := st.solver.Model(sum.Pre)
-	if m == nil {
-		return false
-	}
-	st.charge(4)
-	var fs []logic.Formula
-	for _, g := range vars {
-		fs = append(fs, logic.Eq(logic.LinVar(g), logic.LinConst(m[g])))
-	}
-	return st.solver.Implies(sum.Pre, logic.Conj(fs...))
-}
-
-// emitMustSummary mirrors the frame-aware generation of the may-must
-// instantiation.
-func (st *stepper) emitMustSummary(s *symState, m map[lang.Var]int64) {
-	o, q := st.o, st.q
-	mr := st.ctx.ModRefOf(q.Q.Proc)
-	fullConj := logic.Conj(s.path, logic.SubstMap(q.Q.Post, s.store))
-	constrained := map[lang.Var]bool{}
-	for _, v := range logic.FreeVars(fullConj) {
-		constrained[v] = true
-	}
-	for _, g := range st.ctx.Prog.Globals {
-		if mr.Mod[g] {
-			for _, v := range s.store[g].Vars {
-				constrained[v] = true
-			}
-		}
-	}
-	var prefs, framePosts []logic.Formula
-	for _, g := range st.ctx.Prog.Globals {
-		if !constrained[o.initSyms[g]] {
-			continue
-		}
-		v := m[o.initSyms[g]]
-		prefs = append(prefs, logic.Eq(logic.LinVar(g), logic.LinConst(v)))
-		if !mr.Mod[g] {
-			framePosts = append(framePosts, logic.Eq(logic.LinVar(g), logic.LinConst(v)))
-		}
-	}
-	var posts []logic.Formula
-	for _, g := range st.ctx.Prog.Globals {
-		if mr.Mod[g] {
-			posts = append(posts, logic.Eq(logic.LinVar(g), logic.LinConst(s.store[g].Eval(m))))
-		}
-	}
-	posts = append(posts, framePosts...)
-	st.ctx.DB.Add(summary.Summary{
-		Kind: summary.Must,
-		Proc: q.Q.Proc,
-		Pre:  logic.Conj(prefs...),
-		Post: logic.Conj(posts...),
-	})
 }
 
 func bumpVisit(visits map[int]int, ei int) map[int]int {
@@ -428,13 +256,5 @@ func bumpVisit(visits map[int]int, ei int) map[int]int {
 		out[k] = v
 	}
 	out[ei]++
-	return out
-}
-
-func cloneStore(s map[lang.Var]logic.Lin) map[lang.Var]logic.Lin {
-	out := make(map[lang.Var]logic.Lin, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
 	return out
 }

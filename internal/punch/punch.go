@@ -2,6 +2,15 @@
 // PUNCH (§3.2): an analysis that takes a Ready query and either finishes
 // it (adding an answering summary to SUMDB as its only side effect) or
 // returns it Ready/Blocked together with fresh Ready child sub-queries.
+//
+// It also holds the kernel the three instantiations (must, may,
+// maymust) are written over, as Crab's top-down and bottom-up analyzers
+// are over one abstract transformer: the symbolic image of a statement,
+// the crossing of a call with a must summary, the point test, the must
+// summary a witness proves, and the glue of a Step (kernel.go). An
+// instantiation keeps what makes it that analysis: must its path stack,
+// may its backward walk and forward confirmation, may-must its frontier
+// and must-map. The region-graph parts live in punch/regions.
 package punch
 
 import (

@@ -173,6 +173,20 @@ func (g *Graph) Shelve(shelf *punch.Shelf) {
 	shelf.Put(g.proc.Name, g.post, g)
 }
 
+// Hold is the place of a region graph in a verification object: the
+// query's first Step fills it (New or Take), and Shelve, which
+// punch.Stepper.Finish calls once the query is Done, empties it.
+type Hold struct{ G *Graph }
+
+// Shelve hands the held graph, if any, on to the next query of its
+// procedure and postcondition: the refinement outlives the query.
+func (h *Hold) Shelve(shelf *punch.Shelf) {
+	if h.G != nil {
+		h.G.Shelve(shelf)
+		h.G = nil
+	}
+}
+
 // At returns the partition of node n. The slice is the graph's own.
 func (g *Graph) At(n cfg.NodeID) []*Region { return g.at[n] }
 
@@ -418,6 +432,60 @@ func (g *Graph) entryRegions(m *punch.Meter, pre logic.Formula, queue []*Region)
 	return queue
 }
 
+// FrameSplit refines the call edge s (s.To the destination it is refined
+// against) by the frame rule: the callee changes only the globals mod
+// holds, so a caller state that lands in s.To already lies, before the
+// call, in s.To with those globals forgotten (wf). When no state of s.From
+// is in wf the edge is killed; when some are and some are not, s.From is
+// split on wf and the edge eliminated from the parts outside it. It
+// reports whether it refined the graph.
+func (g *Graph) FrameSplit(m *punch.Meter, s Step, globals []lang.Var, mod *cfg.ModRef) bool {
+	var modG []lang.Var
+	for _, v := range globals {
+		if mod.Mod[v] {
+			modG = append(modG, v)
+		}
+	}
+	m.Charge(6)
+	wf, _ := logic.Exists(s.To.F, modG, logic.Over)
+	if r := m.Sat(logic.Conj(s.From.F, wf)); r.Known && !r.Sat {
+		g.Kill(s.ID)
+		return true
+	}
+	if r := m.Sat(logic.Conj(s.From.F, logic.Not(wf))); r.Known && r.Sat {
+		_, outs := g.PartitionOn(m, s.From, wf)
+		g.Eliminate(s.CFG, outs, s.To)
+		return true
+	}
+	return false
+}
+
+// SummarySplit refines the call edge s by the first not-may summary of
+// callee in db whose postcondition covers post, the question's about
+// s.To, and whose precondition meets s.From: the edge is killed when the
+// precondition holds all of s.From, and eliminated from the parts of s.From
+// inside it when it holds some. It reports whether it refined the graph,
+// and how many summaries it tested against s.From.
+func (g *Graph) SummarySplit(m *punch.Meter, db punch.DB, callee string, post logic.Formula, s Step) (refined bool, tested int64) {
+	for _, sum := range db.ForProc(callee) {
+		if sum.Kind != summary.NotMay || !m.Implies(post, sum.Post) {
+			continue
+		}
+		tested++
+		if r := m.Sat(logic.Conj(s.From.F, sum.Pre)); r.Known && !r.Sat {
+			continue
+		}
+		if r := m.Sat(logic.Conj(s.From.F, logic.Not(sum.Pre))); r.Known && !r.Sat {
+			g.Kill(s.ID)
+			return true, tested
+		}
+		ins, _ := g.PartitionOn(m, s.From, sum.Pre)
+		g.Eliminate(s.CFG, ins, s.To)
+		return true, tested
+	}
+	return false, tested
+}
+
 // MaxPreSize bounds the formula size of a precondition the analyses
 // derive rather than take from a question: a child question's
 // over-projected precondition and a widened not-may precondition.
@@ -445,13 +513,7 @@ func (g *Graph) ProvedPre(m *punch.Meter, pre logic.Formula, globals []lang.Var)
 	}
 	g.queue = queue[:0]
 	proved := logic.Disj(covered...)
-	var locals []lang.Var
-	for _, v := range logic.FreeVars(proved) {
-		if !slices.Contains(globals, v) {
-			locals = append(locals, v)
-		}
-	}
-	if len(locals) > 0 {
+	if locals := punch.NonGlobals(proved, globals); len(locals) > 0 {
 		m.Charge(6)
 		escape, _ := logic.Exists(logic.Not(proved), locals, logic.Over)
 		proved = logic.Not(escape)
