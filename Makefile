@@ -145,12 +145,16 @@ watchdog-smoke:
 prov-smoke:
 	$(GO) test -run 'TestProvSmoke|TestConeInvalidationConfluence' -count=1 ./internal/core
 
-# incr-smoke asserts end-to-end soundness of cone-based invalidation: on
+# incr-smoke asserts end-to-end soundness of incremental re-checks: on
 # every corpus program and every engine, mutate each procedure once in
 # an edit session and re-check incrementally over the surviving
-# summaries; every step's verdict must match a from-scratch run.
+# summaries; every step's verdict must match a from-scratch run. The
+# semantic edits (TestSemanticEdits) do the same for edits that flip a
+# verdict, grow a Mod set or contradict a stored summary, on the corpus
+# and the parport four, and check that the cutoff at the edited
+# procedure falls back when it must.
 incr-smoke:
-	$(GO) test -run TestIncrSmoke -count=1 ./internal/incr
+	$(GO) test -run 'TestIncrSmoke|TestSemanticEdits' -count=1 ./internal/incr
 
 # bench-smoke vets and tests the benchmark pipeline. bench/ is its own
 # module, so `go test ./...` at the root never compiles it: an API change

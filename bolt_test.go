@@ -422,9 +422,26 @@ func TestIncrementalFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re := prog2.Check(opts)
+	// The edit changes nothing step does: re-proving step's interface
+	// stops it there, and the verdict on file stands.
+	noop := prog2.Check(opts)
+	if !noop.ReusedVerdict || noop.Verdict != bolt.Safe || noop.StoreErr != nil || !strings.HasPrefix(noop.Cutoff, "held, ") {
+		t.Fatalf("no-op edit: reused=%v verdict=%v cutoff=%q (err %v)", noop.ReusedVerdict, noop.Verdict, noop.Cutoff, noop.StoreErr)
+	}
+
+	// This one changes what step does from a negative g, which main never
+	// passes it: the verdict holds, step's interface does not.
+	edited = strings.Replace(edited, "proc step { assume(1 > 0);", "proc step { if (g < 0) { g = 7; }", 1)
+	prog3, err := bolt.Parse(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := prog3.Check(opts)
 	if re.ReusedVerdict {
 		t.Fatal("edit to step reaches main, must not reuse the verdict")
+	}
+	if !strings.HasPrefix(re.Cutoff, "fell back (") {
+		t.Fatalf("re-check: cutoff %q, want it to fall back", re.Cutoff)
 	}
 	if re.Verdict != bolt.Safe || re.StoreErr != nil {
 		t.Fatalf("re-check: verdict %v, store err %v", re.Verdict, re.StoreErr)

@@ -144,7 +144,7 @@ func main() {
 	if err := reportStore(*storeDir, res.WarmSummaries, res.PersistedSummaries, res.StoreErr); err != nil {
 		ob.fatalf("%v", err)
 	}
-	reportIncr(*incrFlag, res.EditedProcs, res.InvalidatedSummaries, res.SurvivingSummaries, res.ReusedVerdict)
+	reportIncr(*incrFlag, res.EditedProcs, res.InvalidatedSummaries, res.SurvivingSummaries, res.ReusedVerdict, res.Cutoff)
 
 	fmt.Println(res.Verdict)
 	if res.Verdict == bolt.Unknown || *stats {
@@ -380,9 +380,10 @@ func reportStore(dir string, warm, persisted int, err error) error {
 }
 
 // reportIncr confirms the -incr edit-diff accounting: what changed,
-// what was invalidated, what survived, and whether the persisted
-// verdict answered the question without a run.
-func reportIncr(on bool, edited []string, invalidated, surviving int, reused bool) {
+// what was invalidated, what survived, whether the persisted verdict
+// answered the question without a run of it, and, when an edit reached
+// the root, whether re-proving the edited procedure stopped it there.
+func reportIncr(on bool, edited []string, invalidated, surviving int, reused bool, cutoff string) {
 	if !on {
 		return
 	}
@@ -391,6 +392,9 @@ func reportIncr(on bool, edited []string, invalidated, surviving int, reused boo
 		fmt.Fprint(os.Stderr, ", verdict reused (no re-run)")
 	}
 	fmt.Fprintln(os.Stderr)
+	if cutoff != "" {
+		fmt.Fprintf(os.Stderr, "cutoff: %s\n", cutoff)
+	}
 }
 
 // reportTrace confirms the -trace / -trace-jsonl outputs; a failed
@@ -502,7 +506,7 @@ func runDistributed(prog *bolt.Program, o bolt.Options, nodes int, faults string
 	if err := reportStore(o.StorePath, res.WarmSummaries, res.PersistedSummaries, res.StoreErr); err != nil {
 		ob.fatalf("%v", err)
 	}
-	reportIncr(o.Incremental, res.EditedProcs, res.InvalidatedSummaries, res.SurvivingSummaries, res.ReusedVerdict)
+	reportIncr(o.Incremental, res.EditedProcs, res.InvalidatedSummaries, res.SurvivingSummaries, res.ReusedVerdict, res.Cutoff)
 	fmt.Println(res.Verdict)
 	fmt.Printf("stop reason:  %s\n", res.StopReason)
 	if rep.stats {

@@ -7,7 +7,7 @@ package cfg
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/lang"
 )
@@ -153,22 +153,78 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// String renders the program in a readable edge-list form.
+// String renders the program in a readable edge-list form:
+//
+//	program %s\nglobals %s\n
+//	proc %s (entry n%d, exit n%d[, locals %s])\n     (per procedure, by name)
+//	  n%d -> n%d : %s\n                              (per edge)
+//
+// Each distinct statement is rendered once and the rest is framed with
+// strconv; a non-incremental store's fingerprint hashes these bytes, so
+// they must never change.
 func (p *Program) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "program %s\nglobals %s\n", p.Name, lang.FormatVars(p.Globals))
+	stmts := NewStmtText(p)
+	b := make([]byte, 0, 4096)
+	b = append(b, "program "...)
+	b = append(b, p.Name...)
+	b = append(b, "\nglobals "...)
+	b = append(b, lang.FormatVars(p.Globals)...)
+	b = append(b, '\n')
 	for _, name := range p.ProcNames() {
 		proc := p.Procs[name]
-		fmt.Fprintf(&b, "proc %s (entry n%d, exit n%d", name, proc.Entry, proc.Exit)
+		b = append(b, "proc "...)
+		b = append(b, name...)
+		b = AppendNode(append(b, " (entry "...), proc.Entry)
+		b = AppendNode(append(b, ", exit "...), proc.Exit)
 		if len(proc.Locals) > 0 {
-			fmt.Fprintf(&b, ", locals %s", lang.FormatVars(proc.Locals))
+			b = append(b, ", locals "...)
+			b = append(b, lang.FormatVars(proc.Locals)...)
 		}
-		fmt.Fprintf(&b, ")\n")
-		for _, e := range proc.Edges {
-			fmt.Fprintf(&b, "  n%d -> n%d : %s\n", e.From, e.To, e.Stmt)
+		b = append(b, ")\n"...)
+		for i := range proc.Edges {
+			e := &proc.Edges[i]
+			b = AppendNode(append(b, "  "...), e.From)
+			b = AppendNode(append(b, " -> "...), e.To)
+			b = append(b, " : "...)
+			b = append(b, stmts.Of(e)...)
+			b = append(b, '\n')
 		}
 	}
-	return b.String()
+	return string(b)
+}
+
+// AppendNode appends n as "n<id>".
+func AppendNode(b []byte, n NodeID) []byte {
+	return strconv.AppendInt(append(b, 'n'), int64(n), 10)
+}
+
+// StmtText holds the render of each distinct statement of a program,
+// indexed by Edge.StmtID and filled on first use: a driver labels
+// hundreds of edges with a few dozen distinct statements.
+type StmtText []string
+
+// NewStmtText returns an empty render table for p's statements.
+func NewStmtText(p *Program) StmtText {
+	var top uint32
+	for _, proc := range p.Procs {
+		for i := range proc.Edges {
+			top = max(top, proc.Edges[i].StmtID)
+		}
+	}
+	return make(StmtText, top+1)
+}
+
+// Of returns the render of e's statement. An edge outside a program
+// (StmtID 0) is rendered on the spot.
+func (t StmtText) Of(e *Edge) string {
+	id := e.StmtID
+	if id == 0 || int(id) >= len(t) {
+		return e.Stmt.String()
+	}
+	if t[id] == "" {
+		t[id] = e.Stmt.String()
+	}
+	return t[id]
 }
 
 // Builder incrementally constructs a procedure.

@@ -235,7 +235,7 @@ func TestCoreClock(t *testing.T) {
 		{[]int64{1, 2, 3, 4, 5}, 3, 7}, // greedy list scheduling, not OPT
 	}
 	for _, c := range cases {
-		clk := newCoreClock(c.cores)
+		clk := newCoreClock(c.cores, 0)
 		var got int64
 		for _, cost := range c.costs {
 			got = clk.assign(cost)

@@ -65,6 +65,13 @@ const (
 	ShelfShelved
 	ShelfTaken
 	ShelfEvicted
+	// IncrCutoffHits counts incremental re-checks whose re-proof of the
+	// edited procedure's interface held, so the edit stopped there;
+	// IncrCutoffFallbacks those that tried and fell back to the whole
+	// cone; IncrReproofs the interface questions they asked.
+	IncrCutoffHits
+	IncrCutoffFallbacks
+	IncrReproofs
 
 	numCounters
 )
@@ -77,6 +84,7 @@ var counterNames = [numCounters]string{
 	"coalesce_hits", "prov_summary_reads", "prov_summary_writes",
 	"prov_proc_reads", "prov_coalesce_reuse",
 	"shelf_shelved", "shelf_taken", "shelf_evicted",
+	"incr_cutoff_hits", "incr_cutoff_fallbacks", "incr_reproofs",
 }
 
 func (c Counter) String() string {

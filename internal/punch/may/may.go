@@ -31,15 +31,13 @@ type Analysis struct {
 	// MaxAttempts bounds child re-issues per call edge before it is
 	// declared stuck.
 	MaxAttempts int
-	// LoopBound caps edge repetitions during forward confirmation.
-	LoopBound int
 	// Debug, when non-nil, receives a trace of analysis decisions.
 	Debug io.Writer
 }
 
 // New returns a may analysis with default limits.
 func New() *Analysis {
-	return &Analysis{Budget: 900, MaxAttempts: 8, LoopBound: 6}
+	return &Analysis{Budget: 900, MaxAttempts: 8}
 }
 
 // Name implements punch.Punch.

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -188,18 +189,23 @@ func TestManifestParity(t *testing.T) {
 		"main": store.NewFingerprint("m1"),
 		"aux":  store.NewFingerprint("m2"),
 	}
+	mod := map[string][]string{"main": {"g", "h"}, "aux": {"h"}}
+	same := func(got map[string]store.Fingerprint, gotMod map[string][]string) bool {
+		return len(got) == 2 && got["main"] == man["main"] && got["aux"] == man["aux"] &&
+			fmt.Sprint(gotMod) == fmt.Sprint(mod)
+	}
 	t.Run("mem", func(t *testing.T) {
 		m := store.NewMem()
-		got, err := m.LoadManifest()
+		got, _, err := m.LoadManifest()
 		if err != nil || got != nil {
 			t.Fatalf("fresh store manifest = %v, %v; want nil, nil", got, err)
 		}
-		if err := m.PutManifest(man); err != nil {
+		if err := m.PutManifest(man, mod); err != nil {
 			t.Fatal(err)
 		}
-		got, err = m.LoadManifest()
-		if err != nil || len(got) != 2 || got["main"] != man["main"] || got["aux"] != man["aux"] {
-			t.Fatalf("manifest round trip = %v, %v", got, err)
+		got, gotMod, err := m.LoadManifest()
+		if err != nil || !same(got, gotMod) {
+			t.Fatalf("manifest round trip = %v, %v, %v", got, gotMod, err)
 		}
 	})
 	t.Run("disk", func(t *testing.T) {
@@ -209,11 +215,19 @@ func TestManifestParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := d.LoadManifest()
+		got, _, err := d.LoadManifest()
 		if err != nil || got != nil {
 			t.Fatalf("fresh store manifest = %v, %v; want nil, nil", got, err)
 		}
-		if err := d.PutManifest(man); err != nil {
+		// A manifest without Mod sets, as stores written before they were
+		// recorded hold, reads back with none.
+		if err := d.PutManifest(man, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got, gotMod, err := d.LoadManifest(); err != nil || len(got) != 2 || gotMod != nil {
+			t.Fatalf("manifest without Mod sets = %v, %v, %v", got, gotMod, err)
+		}
+		if err := d.PutManifest(man, mod); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Close(); err != nil {
@@ -223,9 +237,9 @@ func TestManifestParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = d.LoadManifest()
-		if err != nil || len(got) != 2 || got["main"] != man["main"] || got["aux"] != man["aux"] {
-			t.Fatalf("manifest round trip = %v, %v", got, err)
+		got, gotMod, err := d.LoadManifest()
+		if err != nil || !same(got, gotMod) {
+			t.Fatalf("manifest round trip = %v, %v, %v", got, gotMod, err)
 		}
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
@@ -236,7 +250,7 @@ func TestManifestParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer d.Close()
-		got, err = d.LoadManifest()
+		got, _, err = d.LoadManifest()
 		if err != nil || got != nil {
 			t.Fatalf("manifest survived a store reset: %v, %v", got, err)
 		}

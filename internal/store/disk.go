@@ -6,7 +6,7 @@
 //	S  summary     (wire.AppendSummary)    live until a later T names its procedure
 //	T  tombstone   (wire.AppendTombstone)  kills every earlier S of one procedure
 //	P  provenance  (wire.AppendProv)       live until a later P of the same root question
-//	M  manifest    (appendManifest)        the last one wins
+//	M  manifest    (appendManifest)        the last one wins; carries the Mod sets when recorded
 //
 // OpenDisk reads the file once and replays it into memory; after that the
 // handle only appends, and reads are served from memory. The replay
@@ -226,7 +226,7 @@ func (d *Disk) apply(payload []byte) (dropped bool, err error) {
 		d.prov = append(d.prov, newProvEntry(payload))
 		return false, nil
 	default: // tagManifest: parseRecord admits no other kind
-		if _, err := decodeManifest(payload); err != nil {
+		if _, _, err := decodeManifest(payload); err != nil {
 			return false, err
 		}
 		dropped = d.man != ""
@@ -459,9 +459,11 @@ func (d *Disk) Count() int {
 	return len(d.keys)
 }
 
-// DeleteProcs discards every summary of the given procedures (of all
-// when procs is empty) by appending one tombstone per affected procedure;
-// the next open rewrites the log without the dead records.
+// DeleteProcs discards every summary of the given procedures (of all,
+// in name order, when procs is empty) by appending one tombstone per
+// affected procedure, in the order given: a crash between two leaves the
+// earlier ones dead. The next open rewrites the log without the dead
+// records.
 func (d *Disk) DeleteProcs(procs []string) (map[string]int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -470,9 +472,6 @@ func (d *Disk) DeleteProcs(procs []string) (map[string]int, error) {
 	}
 	if len(procs) == 0 {
 		procs = sortedKeys(d.byProc)
-	} else {
-		procs = append([]string(nil), procs...)
-		sort.Strings(procs)
 	}
 	removed := map[string]int{}
 	for _, proc := range procs {
@@ -540,11 +539,10 @@ func (d *Disk) LoadProv(reads bool) ([]wire.ProvRecord, error) {
 	return out, nil
 }
 
-// PutManifest appends m as the live manifest. A manifest equal to the
-// live one appends nothing, so a re-check of an unchanged program leaves
-// the log as it found it.
-func (d *Disk) PutManifest(m map[string]Fingerprint) error {
-	payload := appendManifest(nil, m)
+// PutManifest appends m, with the Mod sets mod, as the live manifest. A
+// manifest equal to the live one appends nothing.
+func (d *Disk) PutManifest(m map[string]Fingerprint, mod map[string][]string) error {
+	payload := appendManifest(nil, m, mod)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -560,60 +558,120 @@ func (d *Disk) PutManifest(m map[string]Fingerprint) error {
 	return nil
 }
 
-// LoadManifest returns the live manifest, or nil when none was ever
-// written.
-func (d *Disk) LoadManifest() (map[string]Fingerprint, error) {
+// LoadManifest returns the live manifest and its Mod sets, or nil when
+// none was ever written.
+func (d *Disk) LoadManifest() (map[string]Fingerprint, map[string][]string, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return nil, errClosed
+		return nil, nil, errClosed
 	}
 	if d.man == "" {
-		return nil, nil
+		return nil, nil, nil
 	}
 	return decodeManifest([]byte(d.man))
 }
 
 // appendManifest encodes m: tag, uvarint count, then per procedure (in
 // name order, so equal manifests encode equally) its length-prefixed
-// name and content fingerprint.
-func appendManifest(dst []byte, m map[string]Fingerprint) []byte {
+// name and content fingerprint. When mod is not nil the Mod sets follow:
+// uvarint count, then per procedure, in name order, its length-prefixed
+// name, a uvarint count and as many length-prefixed globals, sorted. A
+// manifest written before the Mod sets were recorded ends after the
+// fingerprints, and decodes with a nil mod.
+func appendManifest(dst []byte, m map[string]Fingerprint, mod map[string][]string) []byte {
 	dst = append(dst, tagManifest)
 	dst = binary.AppendUvarint(dst, uint64(len(m)))
 	for _, p := range sortedKeys(m) {
-		dst = binary.AppendUvarint(dst, uint64(len(p)))
-		dst = append(dst, p...)
+		dst = appendString(dst, p)
 		fp := m[p]
 		dst = append(dst, fp[:]...)
+	}
+	if mod == nil {
+		return dst
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(mod)))
+	for _, p := range sortedKeys(mod) {
+		gs := slices.Clone(mod[p])
+		sort.Strings(gs)
+		dst = appendString(dst, p)
+		dst = binary.AppendUvarint(dst, uint64(len(gs)))
+		for _, g := range gs {
+			dst = appendString(dst, g)
+		}
 	}
 	return dst
 }
 
+func appendString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
 // decodeManifest decodes a payload that starts with tagManifest.
-func decodeManifest(buf []byte) (map[string]Fingerprint, error) {
+func decodeManifest(buf []byte) (map[string]Fingerprint, map[string][]string, error) {
 	bad := errors.New("malformed manifest record")
 	buf = buf[1:]
-	n, w := binary.Uvarint(buf)
-	if w <= 0 || n > uint64(len(buf)) {
-		return nil, bad
+	str := func() (string, bool) {
+		l, w := binary.Uvarint(buf)
+		if w <= 0 || l > uint64(len(buf)-w) {
+			return "", false
+		}
+		s := string(buf[w : w+int(l)])
+		buf = buf[w+int(l):]
+		return s, true
 	}
-	buf = buf[w:]
+	count := func() (uint64, bool) {
+		n, w := binary.Uvarint(buf)
+		if w <= 0 || n > uint64(len(buf)) {
+			return 0, false
+		}
+		buf = buf[w:]
+		return n, true
+	}
+	n, ok := count()
+	if !ok {
+		return nil, nil, bad
+	}
 	out := make(map[string]Fingerprint, n)
 	for ; n > 0; n-- {
-		l, w := binary.Uvarint(buf)
-		if w <= 0 || l > uint64(len(buf)-w) || len(buf)-w-int(l) < len(Fingerprint{}) {
-			return nil, bad
+		name, ok := str()
+		if !ok || len(buf) < len(Fingerprint{}) {
+			return nil, nil, bad
 		}
-		name := string(buf[w : w+int(l)])
-		buf = buf[w+int(l):]
 		var fp Fingerprint
 		buf = buf[copy(fp[:], buf):]
 		out[name] = fp
 	}
-	if len(buf) != 0 {
-		return nil, bad
+	if len(buf) == 0 {
+		return out, nil, nil
 	}
-	return out, nil
+	if n, ok = count(); !ok {
+		return nil, nil, bad
+	}
+	mod := make(map[string][]string, n)
+	for ; n > 0; n-- {
+		name, ok := str()
+		if !ok {
+			return nil, nil, bad
+		}
+		k, ok := count()
+		if !ok {
+			return nil, nil, bad
+		}
+		gs := make([]string, 0, k)
+		for ; k > 0; k-- {
+			g, ok := str()
+			if !ok {
+				return nil, nil, bad
+			}
+			gs = append(gs, g)
+		}
+		mod[name] = gs
+	}
+	if len(buf) != 0 {
+		return nil, nil, bad
+	}
+	return out, mod, nil
 }
 
 // Flush fsyncs the log: every record appended so far is durable.

@@ -59,7 +59,7 @@ func stateOf(t testing.TB, d *store.Disk) state {
 		keys = append(keys, sumKey(s))
 	}
 	sort.Strings(keys)
-	man, err := d.LoadManifest()
+	man, _, err := d.LoadManifest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +98,10 @@ func buildLog(t testing.TB) (data []byte, ends []int, states []state) {
 		return func() error { _, err := d.DeleteProcs([]string{proc}); return err }
 	}
 	steps := []func() error{
-		func() error { return d.PutManifest(oldManifest) },
+		func() error { return d.PutManifest(oldManifest, nil) },
 		put("a", 0), put("a", 1), put("b", 2), put("b", 3), put("c", 4), put("c", 5),
 		del("a"), del("c"),
-		func() error { return d.PutManifest(newManifest) },
+		func() error { return d.PutManifest(newManifest, nil) },
 		put("a", 6), put("c", 7),
 		func() error { return d.PutProv(provRec("main", "barrier", 2)) },
 	}
@@ -244,19 +244,19 @@ func TestPutManifestEqualAppendsNothing(t *testing.T) {
 		}
 		return fi.Size()
 	}
-	if err := d.PutManifest(oldManifest); err != nil {
+	if err := d.PutManifest(oldManifest, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := size()
 	for i := 0; i < 3; i++ {
-		if err := d.PutManifest(oldManifest); err != nil {
+		if err := d.PutManifest(oldManifest, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if after := size(); after != before {
 		t.Fatalf("equal manifest grew the log: %d -> %d bytes", before, after)
 	}
-	if err := d.PutManifest(newManifest); err != nil {
+	if err := d.PutManifest(newManifest, nil); err != nil {
 		t.Fatal(err)
 	}
 	if after := size(); after <= before {
@@ -437,7 +437,7 @@ func TestConcurrentMutation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				fail(d.PutManifest(map[string]store.Fingerprint{proc: store.NewFingerprint(proc, fmt.Sprint(i))}))
+				fail(d.PutManifest(map[string]store.Fingerprint{proc: store.NewFingerprint(proc, fmt.Sprint(i))}, nil))
 				fail(d.Flush())
 			}
 		}()
@@ -485,7 +485,7 @@ func FuzzStoreOpen(f *testing.F) {
 			t.Fatalf("Load: untyped error %v", err)
 		}
 		sums := d.Count()
-		man, err := d.LoadManifest()
+		man, _, err := d.LoadManifest()
 		if err != nil {
 			t.Fatalf("LoadManifest after a clean open: %v", err)
 		}
@@ -501,7 +501,7 @@ func FuzzStoreOpen(f *testing.F) {
 			t.Fatalf("second open: %v", err)
 		}
 		defer d.Close()
-		man2, _ := d.LoadManifest()
+		man2, _, _ := d.LoadManifest()
 		recs2, _ := d.LoadProv(true)
 		if d.Count() != sums || len(man2) != len(man) || len(recs2) != len(recs) {
 			t.Fatalf("second open: %d summaries, %d manifest entries, %d provenance records; first had %d, %d, %d",

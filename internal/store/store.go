@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/summary"
@@ -43,10 +44,10 @@ type Store interface {
 	// Put persists one summary, deduplicated by canonical wire key;
 	// added reports whether the summary was new to the store.
 	Put(s summary.Summary) (added bool, err error)
-	// DeleteProcs discards every summary of the given procedures; nil or
-	// empty means all of them (a re-check with no manifest to diff
-	// against). It returns the number removed per procedure, which the
-	// distributed engine routes to the owning nodes.
+	// DeleteProcs discards every summary of the given procedures, in the
+	// order given; nil or empty means all of them (a re-check with no
+	// manifest to diff against). It returns the number removed per
+	// procedure, which the distributed engine routes to the owning nodes.
 	DeleteProcs(procs []string) (map[string]int, error)
 	// Count returns the number of stored summaries.
 	Count() int
@@ -58,12 +59,14 @@ type Store interface {
 	LoadProv(reads bool) ([]wire.ProvRecord, error)
 	// PutManifest replaces the stored manifest: each procedure of the
 	// analyzed program mapped to its content fingerprint, for the next
-	// run to diff the program it sees against.
-	PutManifest(m map[string]Fingerprint) error
-	// LoadManifest returns the stored manifest, or nil when none was
-	// ever written — the caller must then treat every stored summary as
-	// potentially stale.
-	LoadManifest() (map[string]Fingerprint, error)
+	// run to diff the program it sees against, and, in the same record,
+	// mod: each procedure's transitive Mod set (nil records none).
+	PutManifest(m map[string]Fingerprint, mod map[string][]string) error
+	// LoadManifest returns the stored manifest and Mod sets, or nil
+	// when none was ever written — the caller must then treat every
+	// stored summary as potentially stale. A manifest written without
+	// Mod sets comes with a nil mod.
+	LoadManifest() (map[string]Fingerprint, map[string][]string, error)
 	// Flush makes everything put so far durable (fsync of the log for
 	// the disk backend, within the crash model above; a no-op for the
 	// in-memory backend).
@@ -105,6 +108,7 @@ type Mem struct {
 	db       *summary.DB
 	prov     []wire.ProvRecord
 	manifest map[string]Fingerprint
+	mod      map[string][]string
 }
 
 // NewMem returns an empty in-memory store.
@@ -166,22 +170,35 @@ func (m *Mem) DeleteProcs(procs []string) (map[string]int, error) {
 	return removed, nil
 }
 
-// PutManifest replaces the stored manifest with a copy of m2.
-func (m *Mem) PutManifest(m2 map[string]Fingerprint) error {
+// PutManifest replaces the stored manifest and Mod sets with copies of
+// m2 and mod.
+func (m *Mem) PutManifest(m2 map[string]Fingerprint, mod map[string][]string) error {
 	cp := make(map[string]Fingerprint, len(m2))
 	maps.Copy(cp, m2)
+	mcp := cloneMod(mod)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.manifest = cp
+	m.manifest, m.mod = cp, mcp
 	return nil
 }
 
-// LoadManifest returns a copy of the stored manifest, or nil when none
-// was ever written.
-func (m *Mem) LoadManifest() (map[string]Fingerprint, error) {
+// LoadManifest returns copies of the stored manifest and Mod sets, or
+// nil when none was ever written.
+func (m *Mem) LoadManifest() (map[string]Fingerprint, map[string][]string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return maps.Clone(m.manifest), nil
+	return maps.Clone(m.manifest), cloneMod(m.mod), nil
+}
+
+func cloneMod(mod map[string][]string) map[string][]string {
+	if mod == nil {
+		return nil
+	}
+	out := make(map[string][]string, len(mod))
+	for p, gs := range mod {
+		out[p] = slices.Clone(gs)
+	}
+	return out
 }
 
 // PutProv stores one provenance record. The record is validated by a

@@ -97,7 +97,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	if err := d2.PutProv(provRec("main", "barrier", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.PutManifest(map[string]store.Fingerprint{"main": fp}); err != nil {
+	if err := d2.PutManifest(map[string]store.Fingerprint{"main": fp}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := d2.Close(); err != nil {
