@@ -96,7 +96,9 @@ type Faults struct {
 	// KillNode is the node to kill (-1 = no kill).
 	KillNode int
 	// KillRound is the round at whose start the node dies. Rounds are
-	// 0-based; a kill round the run never reaches injects nothing.
+	// 0-based and numbered over the whole run, an incremental re-check's
+	// re-proofs included; a kill round the run never reaches injects
+	// nothing.
 	KillRound int
 	// GossipDrop is the probability in [0,1) that one summary delivery is
 	// dropped (deferred to a later exchange) during a periodic gossip.
