@@ -105,7 +105,9 @@ dead-exports:
 # of a cube and the refutation that a cube entails an atom allocate
 # nothing. The solver's: an Implies miss that the subsumption rule settles
 # allocates nothing, nor does simplifying a cube whose result exists.
-# The manifest's: a snapshot renders each distinct statement once.
+# The manifest's: a snapshot allocates nothing per edge or statement.
+# The front end's: parsing parport/PowerUpFail allocates no more than its
+# budget in internal/parser/bench_test.go.
 alloc-pin:
 	$(GO) test -run 'TestAllocPin|TestHeapPin|TestWarmRecheckPin' -count=1 .
 	$(GO) test -run TestConstructorHitPathAllocFree -count=1 ./internal/logic
@@ -113,6 +115,7 @@ alloc-pin:
 	$(GO) test -run TestCubeKernelAllocPin -count=1 ./internal/logic
 	$(GO) test -run TestSolverAllocPin -count=1 ./internal/smt
 	$(GO) test -run TestSnapshotAllocPin -count=1 ./internal/incr
+	$(GO) test -run TestParseAllocPin -count=1 ./internal/parser
 
 # trace-smoke records a corpus program on all three engines, converts
 # each stream with obs.WriteChrome and validates the document, then
@@ -170,14 +173,17 @@ bench-smoke:
 # wire codec's decode/re-encode round trip on arbitrary bytes (with the
 # intern table dropped in between), arbitrary
 # bytes as the store's log, and arbitrary text as a program (each a typed
-# error or a clean result, never a panic).
+# error or a clean result, never a panic), and arbitrary text through the
+# front end and through its reference (the same program, or the same
+# error at the same line and column).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDPLLAgainstReference -fuzztime 10s ./internal/smt
 	$(GO) test -run '^$$' -fuzz FuzzSimplifyAgainstReference -fuzztime 10s ./internal/smt
 	$(GO) test -run '^$$' -fuzz FuzzCubeKernelAgainstReference -fuzztime 10s ./internal/logic
 	$(GO) test -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/logic
 	$(GO) test -run '^$$' -fuzz FuzzStoreOpen -fuzztime 10s ./internal/store
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/parser
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/parser
+	$(GO) test -run '^$$' -fuzz FuzzParseAgainstReference -fuzztime 10s ./internal/parser
 
 # bench runs every benchmark in the repo once (all packages, not just
 # the root: the harness, solver and store benches live in subpackages).

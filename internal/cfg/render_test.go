@@ -14,8 +14,8 @@ import (
 )
 
 // referenceString is the fmt render every non-incremental store's
-// fingerprint was taken over. Program.String frames edges with strconv
-// and renders each statement once, but must give exactly these bytes.
+// fingerprint was taken over. Program.String appends through lang's
+// printer and strconv, but must give exactly these bytes.
 func referenceString(p *cfg.Program) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "program %s\nglobals %s\n", p.Name, lang.FormatVars(p.Globals))

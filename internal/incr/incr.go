@@ -6,19 +6,22 @@
 // CFG into a canonical text (name, entry/exit, node count, locals, every
 // edge with its statement) and hashes it, together with the program's
 // global declarations and the wire version, into a store.Fingerprint.
-// A statement is rendered once per program, by its cfg.Edge.StmtID, and
-// the edges around it are framed with strconv; the bytes are those of
+// Each procedure is appended into one buffer, its statements through
+// lang's printer and its numbers through strconv; the bytes are those of
 // the fmt render every stored manifest was written with, so a store
 // outlives the change of renderer. The resulting Manifest is persisted
 // beside the summaries (store.Store.PutManifest); Diff of the stored
 // manifest against the current program's yields the edited set —
 // procedures whose bodies changed, plus additions and removals.
 //
-// A re-check of an unchanged program needs the snapshot, the stored
-// manifest and, of each provenance record, its root question, verdict
-// and dependency adjacency — never a formula: it reads the records
-// without their read sets (wire.DecodeProv) and, when the verdict is
-// reused, never loads a summary.
+// A re-check of an unchanged program pays for reading: the parse of its
+// text (one pass, internal/parser), the open of the store (one read of
+// the log, every frame and checksum checked, nothing decoded and no
+// payload copied), the snapshot, the stored manifest and, of each
+// provenance record, its root question, verdict and dependency adjacency
+// — never a formula: it reads the records without their read sets
+// (wire.DecodeProv) and, when the verdict is reused, never loads a
+// summary, writes nothing and syncs nothing.
 //
 // Invalidation is cone-based, at procedure granularity. A summary for
 // procedure p may encode facts about everything p transitively calls,
@@ -59,15 +62,13 @@ type Manifest = map[string]store.Fingerprint
 // Snapshot fingerprints every procedure of prog: it hashes the
 // procedure's canonical render (appendProc), the program's globals (a
 // procedure's semantics can depend on the global environment) and the
-// wire version. Each distinct statement is rendered once, however many
-// edges it labels.
+// wire version. It allocates nothing per edge.
 func Snapshot(prog *cfg.Program) Manifest {
 	version, globals := strconv.Itoa(wire.Version), lang.FormatVars(prog.Globals)
-	stmts := cfg.NewStmtText(prog)
 	m := make(Manifest, len(prog.Procs))
 	var buf []byte
 	for name, p := range prog.Procs {
-		buf = appendProc(buf[:0], p, stmts)
+		buf = appendProc(buf[:0], p)
 		m[name] = store.NewFingerprint("bolt/proc-fp", version, globals, string(buf))
 	}
 	return m
@@ -83,7 +84,7 @@ func Snapshot(prog *cfg.Program) Manifest {
 //	n%d -> n%d : %s\n      (one line per edge)
 //
 // which every stored manifest was written with; they must never change.
-func appendProc(b []byte, p *cfg.Proc, stmts cfg.StmtText) []byte {
+func appendProc(b []byte, p *cfg.Proc) []byte {
 	b = append(b, "proc "...)
 	b = append(b, p.Name...)
 	b = cfg.AppendNode(append(b, " entry "...), p.Entry)
@@ -91,17 +92,14 @@ func appendProc(b []byte, p *cfg.Proc, stmts cfg.StmtText) []byte {
 	b = strconv.AppendInt(append(b, " nodes "...), int64(p.NNodes), 10)
 	b = append(b, '\n')
 	if len(p.Locals) > 0 {
-		b = append(b, "locals "...)
-		b = append(b, lang.FormatVars(p.Locals)...)
-		b = append(b, '\n')
+		b = append(lang.AppendVars(append(b, "locals "...), p.Locals), '\n')
 	}
 	for i := range p.Edges {
 		e := &p.Edges[i]
 		b = cfg.AppendNode(b, e.From)
 		b = cfg.AppendNode(append(b, " -> "...), e.To)
 		b = append(b, " : "...)
-		b = append(b, stmts.Of(e)...)
-		b = append(b, '\n')
+		b = append(lang.AppendStmt(b, e.Stmt), '\n')
 	}
 	return b
 }

@@ -30,12 +30,10 @@ func FuzzParse(f *testing.F) {
 		if len(src) > 4096 {
 			return // nesting is bounded by length; long inputs only slow the run
 		}
-		toks, err := tokenize(src)
 		var pe *Error
-		if err != nil && !errors.As(err, &pe) {
-			t.Fatalf("tokenize(%q): untyped error %v", src, err)
-		}
-		for _, tok := range toks {
+		lx := newLexer(src)
+		var tok token
+		for lx.scan(&tok); tok.kind != tokEOF; lx.scan(&tok) {
 			if tok.kind != tokNumber {
 				continue
 			}
@@ -43,11 +41,10 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("number token %q carries %d, strconv gives %d (%v)", tok.text, tok.val, v, err)
 			}
 		}
-		if err == nil {
-			p := &parser{toks: toks}
-			if _, err := p.parseProgram(); err != nil && !errors.As(err, &pe) {
-				t.Fatalf("parse(%q): untyped error %v", src, err)
-			}
+		p := newParser(src)
+		_, err := p.parseProgram()
+		if err = p.finish(err); err != nil && !errors.As(err, &pe) {
+			t.Fatalf("parse(%q): untyped error %v", src, err)
 		}
 		prog, err := Parse(src)
 		if (prog == nil) == (err == nil) {

@@ -19,6 +19,17 @@
 // tabs, CRs and LFs, and any other character is a parse error, so two
 // variables that look alike are never two variables.
 //
+// The front end reads the source once. The parser pulls tokens from the
+// lexer as it needs them, one token of lookahead, and keeps no token
+// list; a parenthesised guard that turns out to be an integer operand
+// rewinds the lexer to the parenthesis. The lexer reads a byte at a time
+// and decodes UTF-8 only inside comments and to name a stray character.
+// The first lexical error in the source is the error of the parse, even
+// when the parser met a syntax error before reaching it, so the parser
+// lexes the rest of the input before it reports one. The parse builds a
+// statement tree per procedure; the lowering turns it into the CFG of
+// each procedure and cfg.NewProgram numbers and validates the result.
+//
 // Procedure parameters and returns are syntactic sugar lowered onto
 // dedicated globals (the §3.1 model communicates through globals);
 // recursion through sugared procedures is rejected.
@@ -35,7 +46,7 @@ import (
 	"unicode/utf8"
 )
 
-type tokenKind int
+type tokenKind uint8
 
 const (
 	tokEOF tokenKind = iota
@@ -43,22 +54,24 @@ const (
 	tokNumber
 	tokPunct   // ( ) { } ; ,
 	tokOp      // + - * = == != < <= > >= && || !
-	tokKeyword // program globals proc locals if else while assume assert havoc skip abort true false
+	tokKeyword // program globals proc locals if else while assume assert havoc skip abort true false return
 )
 
-var keywords = map[string]bool{
-	"program": true, "globals": true, "proc": true, "locals": true,
-	"if": true, "else": true, "while": true, "assume": true,
-	"assert": true, "havoc": true, "skip": true, "abort": true,
-	"true": true, "false": true, "return": true,
+func isKeyword(s string) bool {
+	switch s {
+	case "program", "globals", "proc", "locals", "if", "else", "while", "assume",
+		"assert", "havoc", "skip", "abort", "true", "false", "return":
+		return true
+	}
+	return false
 }
 
 type token struct {
+	text string // a substring of the source; "" at the end
+	val  int64  // a number's value
+	line int32
+	col  int32
 	kind tokenKind
-	text string
-	val  int64 // a number's value
-	line int
-	col  int
 }
 
 func (t token) String() string {
@@ -78,163 +91,167 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("parse error at %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
+// Byte classes of the characters that start or continue a token.
+const (
+	cLetter = 1 << iota // [A-Za-z_]
+	cDigit              // [0-9]
+)
+
+var class = func() (t [256]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = cLetter, cLetter
+	}
+	t['_'] = cLetter
+	for c := '0'; c <= '9'; c++ {
+		t[c] = cDigit
+	}
+	return t
+}()
+
 // lexer scans the source in place: a token's text is a substring of it.
-// pos is a byte offset; columns count runes. ASCII is read a byte at a
-// time and anything else decoded as UTF-8, an invalid byte as one
-// utf8.RuneError. Outside a comment the language is ASCII: an identifier
-// is [A-Za-z_][A-Za-z0-9_]*, a blank one of space, tab, CR and LF, and
-// any other rune an error, so two names that look alike are one name.
-// Comments are free text.
+// pos is a byte offset; columns count runes, an invalid UTF-8 byte as
+// one. A lexical error sticks: every later token is the end of input and
+// err names the error.
 type lexer struct {
 	src  string
 	pos  int
-	line int
-	col  int
+	line int32
+	col  int32
+	err  *Error
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
+func newLexer(src string) lexer {
+	return lexer{src: src, line: 1, col: 1}
 }
 
-func (lx *lexer) errorf(line, col int, format string, args ...any) *Error {
-	return &Error{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
-}
-
-// peek returns the rune at pos and its width in bytes; width 0 at the end.
-func (lx *lexer) peek() (rune, int) {
-	if lx.pos >= len(lx.src) {
-		return 0, 0
-	}
-	if c := lx.src[lx.pos]; c < utf8.RuneSelf {
-		return rune(c), 1
-	}
-	return utf8.DecodeRuneInString(lx.src[lx.pos:])
-}
-
-// peekByte returns the byte at pos+k, or 0 past the end.
-func (lx *lexer) peekByte(k int) byte {
-	if lx.pos+k >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.pos+k]
-}
-
-func (lx *lexer) nextRune() rune {
-	r, w := lx.peek()
-	lx.pos += max(w, 1)
-	if r == '\n' {
-		lx.line++
-		lx.col = 1
+// skipRune steps over the rune at pos, which is not a newline.
+func (lx *lexer) skipRune() {
+	if lx.src[lx.pos] < utf8.RuneSelf {
+		lx.pos++
 	} else {
-		lx.col++
+		_, w := utf8.DecodeRuneInString(lx.src[lx.pos:])
+		lx.pos += w
 	}
-	return r
+	lx.col++
 }
 
-func (lx *lexer) skipSpaceAndComments() error {
-	for lx.pos < len(lx.src) {
-		r, _ := lx.peek()
-		switch {
-		case r == ' ' || r == '\t' || r == '\r' || r == '\n':
-			lx.nextRune()
-		case r == '/' && lx.peekByte(1) == '/':
-			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
-				lx.nextRune()
+// skipBlank steps over blanks and comments. It fails only on a block
+// comment that does not end.
+func (lx *lexer) skipBlank() *Error {
+	src := lx.src
+	for lx.pos < len(src) {
+		switch src[lx.pos] {
+		case ' ', '\t', '\r':
+			lx.pos++
+			lx.col++
+			continue
+		case '\n':
+			lx.pos++
+			lx.line++
+			lx.col = 1
+			continue
+		case '/':
+			if lx.pos+1 >= len(src) {
+				return nil
 			}
-		case r == '/' && lx.peekByte(1) == '*':
-			line, col := lx.line, lx.col
-			lx.nextRune()
-			lx.nextRune()
-			for {
-				if lx.pos >= len(lx.src) {
-					return lx.errorf(line, col, "unterminated block comment")
+			switch src[lx.pos+1] {
+			case '/':
+				for lx.pos < len(src) && src[lx.pos] != '\n' {
+					lx.skipRune()
 				}
-				if lx.src[lx.pos] == '*' && lx.peekByte(1) == '/' {
-					lx.nextRune()
-					lx.nextRune()
-					break
+				continue
+			case '*':
+				line, col := int(lx.line), int(lx.col)
+				lx.pos += 2
+				lx.col += 2
+				for {
+					if lx.pos >= len(src) {
+						return &Error{Line: line, Col: col, Msg: "unterminated block comment"}
+					}
+					if src[lx.pos] == '*' && lx.pos+1 < len(src) && src[lx.pos+1] == '/' {
+						lx.pos += 2
+						lx.col += 2
+						break
+					}
+					if src[lx.pos] == '\n' {
+						lx.pos++
+						lx.line++
+						lx.col = 1
+					} else {
+						lx.skipRune()
+					}
 				}
-				lx.nextRune()
+				continue
 			}
-		default:
-			return nil
 		}
+		return nil
 	}
 	return nil
 }
 
-func (lx *lexer) next() (token, error) {
-	if err := lx.skipSpaceAndComments(); err != nil {
-		return token{}, err
+// scan reads the next token into t.
+func (lx *lexer) scan(t *token) {
+	if lx.err == nil {
+		lx.err = lx.skipBlank()
 	}
-	line, col := lx.line, lx.col
-	if lx.pos >= len(lx.src) {
-		return token{kind: tokEOF, line: line, col: col}, nil
+	*t = token{line: lx.line, col: lx.col}
+	if lx.err != nil || lx.pos >= len(lx.src) {
+		return
 	}
-	start := lx.pos
-	r, _ := lx.peek()
+	src, start := lx.src, lx.pos
+	c := src[start]
 	switch {
-	case isLetter(r):
-		for lx.pos < len(lx.src) && (isLetter(rune(lx.src[lx.pos])) || isDigit(rune(lx.src[lx.pos]))) {
-			lx.nextRune()
+	case class[c]&cLetter != 0:
+		end := start + 1
+		for end < len(src) && class[src[end]] != 0 {
+			end++
 		}
-		text := lx.src[start:lx.pos]
-		kind := tokIdent
-		if keywords[text] {
-			kind = tokKeyword
+		t.text, t.kind = src[start:end], tokIdent
+		if isKeyword(t.text) {
+			t.kind = tokKeyword
 		}
-		return token{kind: kind, text: text, line: line, col: col}, nil
-	case isDigit(r):
-		for lx.pos < len(lx.src) && isDigit(rune(lx.src[lx.pos])) {
-			lx.nextRune()
+	case class[c] == cDigit:
+		end := start + 1
+		for end < len(src) && class[src[end]] == cDigit {
+			end++
 		}
-		text := lx.src[start:lx.pos]
-		val, err := strconv.ParseInt(text, 10, 64)
-		if err != nil {
-			return token{}, lx.errorf(line, col, "number %s out of range", text)
+		t.text, t.kind = src[start:end], tokNumber
+		if len(t.text) <= 18 { // below 10^18: no overflow
+			for i := 0; i < len(t.text); i++ {
+				t.val = t.val*10 + int64(t.text[i]-'0')
+			}
+		} else if v, err := strconv.ParseInt(t.text, 10, 64); err == nil {
+			t.val = v
+		} else {
+			lx.err = &Error{Line: int(t.line), Col: int(t.col), Msg: fmt.Sprintf("number %s out of range", t.text)}
+			*t = token{line: t.line, col: t.col}
+			return
 		}
-		return token{kind: tokNumber, text: text, val: val, line: line, col: col}, nil
-	case r == '(' || r == ')' || r == '{' || r == '}' || r == ';' || r == ',':
-		lx.nextRune()
-		return token{kind: tokPunct, text: lx.src[start:lx.pos], line: line, col: col}, nil
+	case c == '(' || c == ')' || c == '{' || c == '}' || c == ';' || c == ',':
+		t.text, t.kind = src[start:start+1], tokPunct
 	default:
-		if lx.pos+2 <= len(lx.src) {
-			switch two := lx.src[lx.pos : lx.pos+2]; two {
+		t.kind = tokOp
+		if start+1 < len(src) {
+			switch two := src[start : start+2]; two {
 			case "==", "!=", "<=", ">=", "&&", "||":
-				lx.nextRune()
-				lx.nextRune()
-				return token{kind: tokOp, text: two, line: line, col: col}, nil
+				t.text = two
 			}
 		}
-		switch r {
-		case '+', '-', '*', '=', '<', '>', '!':
-			lx.nextRune()
-			return token{kind: tokOp, text: lx.src[start:lx.pos], line: line, col: col}, nil
-		}
-		return token{}, lx.errorf(line, col, "unexpected character %q", r)
-	}
-}
-
-// isDigit accepts the ASCII digits only: a number is what strconv parses.
-func isDigit(r rune) bool { return '0' <= r && r <= '9' }
-
-// isLetter accepts what may start an identifier: an ASCII letter or '_'.
-func isLetter(r rune) bool { return 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || r == '_' }
-
-// tokenize scans the whole input. The token slice starts at one token
-// per three bytes of source, a little denser than the drivers and the
-// corpus are, so it seldom grows.
-func tokenize(src string) ([]token, error) {
-	lx := newLexer(src)
-	out := make([]token, 0, len(src)/3+2)
-	for {
-		t, err := lx.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.kind == tokEOF {
-			return out, nil
+		if t.text == "" {
+			switch c {
+			case '+', '-', '*', '=', '<', '>', '!':
+				t.text = src[start : start+1]
+			default:
+				r := rune(c)
+				if c >= utf8.RuneSelf {
+					r, _ = utf8.DecodeRuneInString(src[start:])
+				}
+				lx.err = &Error{Line: int(t.line), Col: int(t.col), Msg: fmt.Sprintf("unexpected character %q", r)}
+				*t = token{line: t.line, col: t.col}
+				return
+			}
 		}
 	}
+	lx.pos += len(t.text)
+	lx.col += int32(len(t.text))
 }

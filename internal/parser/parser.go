@@ -2,19 +2,17 @@ package parser
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/lang"
 )
 
-// Statement-level AST produced by the parser, lowered to a CFG afterwards.
+// Statement-level AST produced by the parser, lowered to a CFG
+// afterwards. A statement that lowers to one edge labelled with itself —
+// an assignment, a havoc, an assume — is that lang.Stmt, built once;
+// every other statement is one of the node types below.
+type stmtNode any
 
-type stmtNode interface{ isStmtNode() }
-
-type assignNode struct {
-	v lang.Var
-	e lang.IntExpr
-}
-type havocNode struct{ v lang.Var }
 type callNode struct {
 	proc string
 	args []lang.IntExpr
@@ -26,7 +24,6 @@ type callAssignNode struct {
 }
 type returnNode struct{ e lang.IntExpr }
 type skipNode struct{}
-type assumeNode struct{ b lang.BoolExpr }
 type assertNode struct{ b lang.BoolExpr }
 type abortNode struct{}
 type ifNode struct {
@@ -37,18 +34,6 @@ type whileNode struct {
 	cond lang.BoolExpr
 	body []stmtNode
 }
-
-func (assignNode) isStmtNode()     {}
-func (havocNode) isStmtNode()      {}
-func (callNode) isStmtNode()       {}
-func (callAssignNode) isStmtNode() {}
-func (returnNode) isStmtNode()     {}
-func (skipNode) isStmtNode()       {}
-func (assumeNode) isStmtNode()     {}
-func (assertNode) isStmtNode()     {}
-func (abortNode) isStmtNode()      {}
-func (ifNode) isStmtNode()         {}
-func (whileNode) isStmtNode()      {}
 
 type procAST struct {
 	name   string
@@ -63,21 +48,81 @@ type programAST struct {
 	procs   []procAST
 }
 
+// parser reads tokens from its lexer as it goes: tok is the current one,
+// ahead the one after it once peek has read it.
 type parser struct {
-	toks []token
-	pos  int
+	lx    lexer
+	tok   token
+	ahead token
+	have  bool       // ahead is read
+	stack []stmtNode // the statements of the blocks being parsed
 }
 
-func (p *parser) cur() token { return p.toks[p.pos] }
-func (p *parser) advance()   { p.pos++ }
+func newParser(src string) *parser {
+	p := &parser{lx: newLexer(src)}
+	p.lx.scan(&p.tok)
+	return p
+}
+
+func (p *parser) cur() token { return p.tok }
+
+func (p *parser) advance() {
+	if p.have {
+		p.tok, p.have = p.ahead, false
+		return
+	}
+	p.lx.scan(&p.tok)
+}
+
+// peek returns the token after the current one.
+func (p *parser) peek() token {
+	if !p.have {
+		p.lx.scan(&p.ahead)
+		p.have = true
+	}
+	return p.ahead
+}
+
 func (p *parser) at(kind tokenKind, text string) bool {
-	t := p.cur()
-	return t.kind == kind && t.text == text
+	return p.tok.kind == kind && p.tok.text == text
+}
+
+// mark and rewind return the parser to a token it has passed; the lexer
+// scans the same tokens again. A lexical error met in between stays
+// the error of the parse.
+type mark struct {
+	tok, ahead token
+	have       bool
+	pos        int
+	line, col  int32
+}
+
+func (p *parser) mark() mark {
+	return mark{p.tok, p.ahead, p.have, p.lx.pos, p.lx.line, p.lx.col}
+}
+
+func (p *parser) rewind(m mark) {
+	p.tok, p.ahead, p.have = m.tok, m.ahead, m.have
+	p.lx.pos, p.lx.line, p.lx.col = m.pos, m.line, m.col
+}
+
+// finish settles the error of a parse that returned err: the first
+// lexical error in the source, wherever the parser stopped, else err.
+func (p *parser) finish(err error) error {
+	if err != nil {
+		var t token
+		for p.lx.err == nil && p.lx.pos < len(p.lx.src) {
+			p.lx.scan(&t)
+		}
+	}
+	if p.lx.err != nil {
+		return p.lx.err
+	}
+	return err
 }
 
 func (p *parser) errorf(format string, args ...any) error {
-	t := p.cur()
-	return &Error{Line: t.line, Col: t.col, Msg: fmt.Sprintf(format, args...)}
+	return &Error{Line: int(p.tok.line), Col: int(p.tok.col), Msg: fmt.Sprintf(format, args...)}
 }
 
 func (p *parser) expect(kind tokenKind, text string) error {
@@ -126,7 +171,7 @@ func (p *parser) parseProgram() (*programAST, error) {
 		if err != nil {
 			return nil, err
 		}
-		prog.procs = append(prog.procs, *proc)
+		prog.procs = append(prog.procs, proc)
 	}
 	if len(prog.procs) == 0 {
 		return nil, p.errorf("program has no procedures")
@@ -152,52 +197,59 @@ func (p *parser) parseIdentList() ([]lang.Var, error) {
 	return out, nil
 }
 
-func (p *parser) parseProc() (*procAST, error) {
+func (p *parser) parseProc() (procAST, error) {
 	if err := p.expect(tokKeyword, "proc"); err != nil {
-		return nil, err
+		return procAST{}, err
 	}
 	name, err := p.expectIdent()
 	if err != nil {
-		return nil, err
+		return procAST{}, err
 	}
-	proc := &procAST{name: name}
+	proc := procAST{name: name}
 	if p.at(tokPunct, "(") {
 		p.advance()
 		if !p.at(tokPunct, ")") {
 			params, err := p.parseIdentList()
 			if err != nil {
-				return nil, err
+				return procAST{}, err
 			}
 			proc.params = params
 		}
 		if err := p.expect(tokPunct, ")"); err != nil {
-			return nil, err
+			return procAST{}, err
 		}
 	}
 	if err := p.expect(tokPunct, "{"); err != nil {
-		return nil, err
+		return procAST{}, err
 	}
 	if p.at(tokKeyword, "locals") {
 		p.advance()
 		vars, err := p.parseIdentList()
 		if err != nil {
-			return nil, err
+			return procAST{}, err
 		}
 		proc.locals = vars
 		if err := p.expect(tokPunct, ";"); err != nil {
-			return nil, err
+			return procAST{}, err
 		}
 	}
 	body, err := p.parseStmtsUntilBrace()
 	if err != nil {
-		return nil, err
+		return procAST{}, err
 	}
 	proc.body = body
 	return proc, nil
 }
 
+// parseStmtsUntilBrace parses statements up to and including a "}". The
+// statements of a block gather on the parser's stack, above those of the
+// blocks around it, and leave it as one slice of their own.
 func (p *parser) parseStmtsUntilBrace() ([]stmtNode, error) {
-	var out []stmtNode
+	base := len(p.stack)
+	defer func() {
+		clear(p.stack[base:])
+		p.stack = p.stack[:base]
+	}()
 	for !p.at(tokPunct, "}") {
 		if p.cur().kind == tokEOF {
 			return nil, p.errorf("unexpected end of input, expected \"}\"")
@@ -206,10 +258,13 @@ func (p *parser) parseStmtsUntilBrace() ([]stmtNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, s)
+		p.stack = append(p.stack, s)
 	}
 	p.advance() // consume "}"
-	return out, nil
+	if len(p.stack) == base {
+		return nil, nil
+	}
+	return slices.Clone(p.stack[base:]), nil
 }
 
 func (p *parser) parseBlock() ([]stmtNode, error) {
@@ -247,7 +302,7 @@ func (p *parser) parseStmt() (stmtNode, error) {
 			if err != nil {
 				return nil, err
 			}
-			return havocNode{v: lang.Var(name)}, p.expect(tokPunct, ";")
+			return lang.Havoc{V: lang.Var(name)}, p.expect(tokPunct, ";")
 		case "assume", "assert":
 			p.advance()
 			if err := p.expect(tokPunct, "("); err != nil {
@@ -264,7 +319,7 @@ func (p *parser) parseStmt() (stmtNode, error) {
 				return nil, err
 			}
 			if t.text == "assume" {
-				return assumeNode{b: b}, nil
+				return lang.Assume{Cond: b}, nil
 			}
 			return assertNode{b: b}, nil
 		case "if":
@@ -325,8 +380,7 @@ func (p *parser) parseStmt() (stmtNode, error) {
 			return nil, err
 		}
 		// `x = f(...)` assigns the callee's return value.
-		if p.cur().kind == tokIdent && p.pos+1 < len(p.toks) &&
-			p.toks[p.pos+1].kind == tokPunct && p.toks[p.pos+1].text == "(" {
+		if p.cur().kind == tokIdent && p.peek().kind == tokPunct && p.peek().text == "(" {
 			callee := p.cur().text
 			p.advance()
 			args, err := p.parseCallArgs()
@@ -339,7 +393,7 @@ func (p *parser) parseStmt() (stmtNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return assignNode{v: lang.Var(name), e: e}, p.expect(tokPunct, ";")
+		return lang.Assign{Lhs: lang.Var(name), Rhs: e}, p.expect(tokPunct, ";")
 	default:
 		return nil, p.errorf("unexpected token %s at start of statement", t)
 	}
@@ -422,7 +476,7 @@ func (p *parser) parseBoolUnary() (lang.BoolExpr, error) {
 		// relation; try boolean first by lookahead for a relation operator
 		// after the matching paren is hard, so parse a full boolean and
 		// fall back.
-		save := p.pos
+		save := p.mark()
 		p.advance()
 		b, err := p.parseBool()
 		if err == nil && p.at(tokPunct, ")") {
@@ -431,7 +485,7 @@ func (p *parser) parseBoolUnary() (lang.BoolExpr, error) {
 				return b, nil
 			}
 		}
-		p.pos = save
+		p.rewind(save)
 	}
 	return p.parseRelation()
 }
@@ -532,7 +586,7 @@ func (p *parser) parseIntMul() (lang.IntExpr, error) {
 		} else if k, ok := constValue(right); ok {
 			left = lang.Mul{K: k, X: left}
 		} else {
-			return nil, &Error{Line: opTok.line, Col: opTok.col,
+			return nil, &Error{Line: int(opTok.line), Col: int(opTok.col),
 				Msg: "nonlinear multiplication: one operand of * must be a constant"}
 		}
 	}

@@ -84,16 +84,15 @@ type Fingerprint [sha256.Size]byte
 // the wire version, the analysis name, and the full program text, so
 // any change to what the summaries mean invalidates the store.
 func NewFingerprint(parts ...string) Fingerprint {
-	h := sha256.New()
-	var lenBuf [binary.MaxVarintLen64]byte
+	n := 0
 	for _, p := range parts {
-		n := binary.PutUvarint(lenBuf[:], uint64(len(p)))
-		h.Write(lenBuf[:n])
-		h.Write([]byte(p))
+		n += binary.MaxVarintLen64 + len(p)
 	}
-	var fp Fingerprint
-	copy(fp[:], h.Sum(nil))
-	return fp
+	b := make([]byte, 0, n)
+	for _, p := range parts {
+		b = append(binary.AppendUvarint(b, uint64(len(p))), p...)
+	}
+	return sha256.Sum256(b)
 }
 
 func (fp Fingerprint) String() string { return hex.EncodeToString(fp[:8]) }
