@@ -81,6 +81,7 @@ func TestParseErrors(t *testing.T) {
 		{"proc main { locals café; café = 1; }", "1:23: unexpected character 'é'"},
 		{"proc main {\u00a0skip; }", "1:12: unexpected character '\\u00a0'"},
 		{"proc main { /* unterminated }", "unterminated block comment"},
+		{"proc f(a) { skip; } proc f { skip; } proc main { skip; }", `duplicate procedure "f"`},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)
