@@ -33,7 +33,8 @@ test:
 # cubes on one solver), the PUNCH instantiations and the region
 # graph (four streaming workers on one solver's memos and one shelf of
 # region graphs), the hash-consing
-# table itself (builders racing with drops), the
+# table itself (builders racing with drops), readers of a solver memo
+# probing while writers grow it, the
 # query tree's coalescing machinery, the persistent summary store (every
 # mutating method at once on one handle), and the observability layer (live probe, watchdog, flight recorder, debug
 # server — all sampled from outside the run's goroutines).
@@ -104,7 +105,8 @@ dead-exports:
 # kernel's: with its pool warm, enumerating a DNF, a real-shadow check
 # of a cube and the refutation that a cube entails an atom allocate
 # nothing. The solver's: an Implies miss that the subsumption rule settles
-# allocates nothing, nor does simplifying a cube whose result exists.
+# allocates nothing, nor does simplifying a cube whose result exists, nor
+# does a memo hit; a memo slot holds no pointer.
 # The manifest's: a snapshot allocates nothing per edge or statement.
 # The front end's: parsing parport/PowerUpFail allocates no more than its
 # budget in internal/parser/bench_test.go.
@@ -113,7 +115,7 @@ alloc-pin:
 	$(GO) test -run TestConstructorHitPathAllocFree -count=1 ./internal/logic
 	$(GO) test -run 'TestFindPathAllocPin|TestEdgeRecordPointerFree|TestShelfTakeAllocFree' -count=1 ./internal/punch/regions
 	$(GO) test -run TestCubeKernelAllocPin -count=1 ./internal/logic
-	$(GO) test -run TestSolverAllocPin -count=1 ./internal/smt
+	$(GO) test -run 'TestSolverAllocPin|TestMemoSlotsPointerFree' -count=1 ./internal/smt
 	$(GO) test -run TestSnapshotAllocPin -count=1 ./internal/incr
 	$(GO) test -run TestParseAllocPin -count=1 ./internal/parser
 
@@ -168,7 +170,8 @@ bench-smoke:
 
 # fuzz-smoke gives each fuzzer a short budget: the solver against its
 # reference implementation, Simplify on cubes against the formula-level
-# filter it replaced, the cube kernel (DNF enumeration and
+# filter it replaced, the one-step check decided in the cube kernel
+# against Sat on the formula it no longer builds, the cube kernel (DNF enumeration and
 # Fourier–Motzkin projection) against its reference implementation, the
 # wire codec's decode/re-encode round trip on arbitrary bytes (with the
 # intern table dropped in between), arbitrary
@@ -179,6 +182,7 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDPLLAgainstReference -fuzztime 10s ./internal/smt
 	$(GO) test -run '^$$' -fuzz FuzzSimplifyAgainstReference -fuzztime 10s ./internal/smt
+	$(GO) test -run '^$$' -fuzz FuzzStepKernelAgainstFormula -fuzztime 10s ./internal/smt
 	$(GO) test -run '^$$' -fuzz FuzzCubeKernelAgainstReference -fuzztime 10s ./internal/logic
 	$(GO) test -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/logic
 	$(GO) test -run '^$$' -fuzz FuzzStoreOpen -fuzztime 10s ./internal/store

@@ -12,23 +12,20 @@ import (
 )
 
 // allocPinBudget is what the second of two one-thread checks of
-// parport/PowerDownFail in one process may allocate: the 3.20 MB measured
-// when the region graph's edge records and lists came to hold no pointer
-// (3.89 MB before, when Simplify came to run only where its result is kept
-// and to decide cubes in the cube kernel; 5.53 MB before that, when the
-// intern table came to live as long as a run and term arithmetic and child
-// lists moved to the stack; 5.91 MB before that, when the second check
-// found every formula interned by the first; 15.48 MB before the cube
-// kernel built its cubes and projections in pooled scratch memory, 17.22
-// MB before the region graph kept records of live edges only, 18.47 MB
-// before splits inherited shut marks and the run memoized one-step
-// feasibility, 40.4 MB before the intern table owned its nodes), plus
-// 10 %. The figure repeats to 0.5 % between runs, so the head-room is for
+// parport/PowerDownFail in one process may allocate: the 2.18 MB measured
+// when the solver memos came to keep compact slots, the one-step check
+// came to be decided in the cube kernel and the must side stopped copying
+// the stores of images it drops (2.97 MB before; 3.20 MB when the region
+// graph's edge records and lists came to hold no pointer, 3.89 MB before
+// that, 5.53 MB before the intern table came to live as long as a run,
+// 15.48 MB before the cube kernel built its cubes in pooled scratch
+// memory, 40.4 MB before the intern table owned its nodes), plus 10 %.
+// The figure repeats to 0.5 % between runs, so the head-room is for
 // changes elsewhere, not for noise. Under -race it is not held: the race
 // detector makes sync.Pool drop a quarter of what it is given, and the
 // scratch memory is allocated again. A change that lowers the allocation
 // on purpose lowers the budget with it.
-const allocPinBudget = 3_520_000
+const allocPinBudget = 2_400_000
 
 // TestAllocPin holds the allocation of a check still. The check runs
 // twice. The first run ends by dropping the intern table, so the second

@@ -322,7 +322,16 @@ func Subst(f Formula, v lang.Var, r Lin) Formula {
 var unitCoef = [1]int64{1}
 
 // SubstMap applies all substitutions in sub simultaneously.
-func SubstMap(f Formula, sub map[lang.Var]Lin) Formula {
+func SubstMap(f Formula, sub map[lang.Var]Lin) Formula { return substMap(f, sub, "", Lin{}) }
+
+// SubstBound is SubstMap under sub with v bound to r instead, without a
+// copy of sub.
+func SubstBound(f Formula, sub map[lang.Var]Lin, v lang.Var, r Lin) Formula {
+	return substMap(f, sub, v, r)
+}
+
+// substMap is SubstMap with u bound to ur when u is not empty.
+func substMap(f Formula, sub map[lang.Var]Lin, u lang.Var, ur Lin) Formula {
 	switch f := f.(type) {
 	case Bool:
 		return f
@@ -332,7 +341,10 @@ func SubstMap(f Formula, sub map[lang.Var]Lin) Formula {
 		var b [2]termBuf
 		l := LinConst(f.L.K)
 		for i, v := range f.L.Vars {
-			r, ok := sub[v]
+			r, ok := ur, u != "" && v == u
+			if !ok {
+				r, ok = sub[v]
+			}
 			if !ok {
 				r = Lin{Vars: f.L.Vars[i : i+1], Coefs: unitCoef[:]}
 			}
@@ -343,9 +355,9 @@ func SubstMap(f Formula, sub map[lang.Var]Lin) Formula {
 		}
 		return LE(l)
 	case And:
-		return mapKids(tagAnd, f.Fs, func(g Formula) Formula { return SubstMap(g, sub) })
+		return mapKids(tagAnd, f.Fs, func(g Formula) Formula { return substMap(g, sub, u, ur) })
 	case Or:
-		return mapKids(tagOr, f.Fs, func(g Formula) Formula { return SubstMap(g, sub) })
+		return mapKids(tagOr, f.Fs, func(g Formula) Formula { return substMap(g, sub, u, ur) })
 	default:
 		panic(fmt.Sprintf("logic: unknown Formula %T", f))
 	}

@@ -339,6 +339,122 @@ func (s *Scratch) Entails(c Cube, a Atom) bool {
 	return !sat
 }
 
+// EachStepCube calls yield with the cubes of from ∧ pre(stmt, to), built
+// in s, until yield returns false: the cubes EachCube yields on
+// Conj(from, Pre(stmt, to, Over)), as sets of atoms, without building
+// that formula. It decides only where that holds for certain: from and to
+// hold no disjunction (an assumed condition may), there are at most max
+// cubes, and the formula's Size is at most maxSize. Otherwise, or for a
+// call, it yields nothing and returns false. s must be fresh from
+// GetScratch.
+func (s *Scratch) EachStepCube(stmt lang.Stmt, from, to Formula, max, maxSize int, yield func(Cube) bool) bool {
+	if !s.conjoin(from) {
+		return false
+	}
+	mark := len(s.raw)
+	if !s.conjoin(to) {
+		return false
+	}
+	size := 1 + Size(from) + Size(to)
+	var cond Formula = True
+	switch st := stmt.(type) {
+	case lang.Skip:
+	case lang.Assign:
+		r := FromInt(st.Rhs)
+		for i := mark; i < len(s.raw); i++ {
+			if slices.Contains(s.raw[i].L.Vars, st.Lhs) {
+				s.raw[i] = Atom{L: s.subst(s.raw[i].L, st.Lhs, r)}
+			}
+		}
+	case lang.Havoc:
+		elim := [1]lang.Var{st.V}
+		proj, _, sat := s.Project(s.raw[mark:], elim[:], Over)
+		if !sat {
+			return true
+		}
+		s.raw = append(s.raw[:mark], proj...)
+		size += 1 + len(proj)
+	case lang.Assume:
+		cond = FromBool(st.Cond)
+		size += Size(cond)
+	default:
+		return false
+	}
+	if n, ok := countCubes(cond, max); !ok || size > maxSize {
+		return false
+	} else if n == 0 {
+		return true
+	}
+	if cond != True {
+		s.walk(cond, yield)
+		return true
+	}
+	s.atoms = append(s.atoms[:0], s.raw...)
+	if c, ok := s.simplify(0); ok {
+		yield(c)
+	}
+	return true
+}
+
+// conjoin appends the atoms of f to the raw cube, an equality as the two
+// inequalities walk makes of it; false when f holds a disjunction. A
+// false constant is left to simplify: an atom 1 ≤ 0 stands for it.
+func (s *Scratch) conjoin(f Formula) bool {
+	switch g := f.(type) {
+	case Bool:
+		if !g {
+			s.raw = append(s.raw, Atom{L: LinConst(1)})
+		}
+	case Atom:
+		if g.Eq {
+			s.raw = append(s.raw, Atom{L: g.L}, Atom{L: s.term(g.L, -1)})
+		} else {
+			s.raw = append(s.raw, g)
+		}
+	case And:
+		for _, k := range g.Fs {
+			if !s.conjoin(k) {
+				return false
+			}
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// subst is l, which holds v, with v replaced by r, merged into the arena
+// in one pass as Subst merges it.
+func (s *Scratch) subst(l Lin, v lang.Var, r Lin) Lin {
+	at := slices.Index(l.Vars, v)
+	k, from := l.Coefs[at], len(s.vars)
+	i, j := 0, 0
+	for i < len(l.Vars) || j < len(r.Vars) {
+		if i == at {
+			i++
+			continue
+		}
+		var u lang.Var
+		var c int64
+		switch {
+		case j == len(r.Vars) || i < len(l.Vars) && l.Vars[i] < r.Vars[j]:
+			u, c = l.Vars[i], l.Coefs[i]
+			i++
+		case i == len(l.Vars) || r.Vars[j] < l.Vars[i]:
+			u, c = r.Vars[j], k*r.Coefs[j]
+			j++
+		default:
+			u, c = l.Vars[i], l.Coefs[i]+k*r.Coefs[j]
+			i, j = i+1, j+1
+			if c == 0 {
+				continue
+			}
+		}
+		s.vars, s.coefs = append(s.vars, u), append(s.coefs, c)
+	}
+	return Lin{K: l.K + k*r.K, Vars: s.vars[from:], Coefs: s.coefs[from:]}
+}
+
 // eliminate removes v from the simplified cube c by Fourier–Motzkin
 // combination. exact reports whether the projection is exact over the
 // integers (every combined pair had a unit coefficient).

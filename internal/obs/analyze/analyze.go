@@ -51,6 +51,8 @@ type Span struct {
 	StartVTime int64 `json:"start_vtime"`
 	EndVTime   int64 `json:"end_vtime"`
 	Cost       int64 `json:"cost"`
+	// WallNs is the invocation's wall nanoseconds (the punch-end's N).
+	WallNs int64 `json:"wall_ns"`
 
 	// finish is the earliest-finish time of this span under the DAG's
 	// precedence (critical-path recurrence); bestDep the dependency that
@@ -210,6 +212,7 @@ func (b *builder) addSpan(start, end obs.Event) {
 		StartVTime: start.VTime,
 		EndVTime:   end.VTime,
 		Cost:       end.Cost,
+		WallNs:     end.N,
 		bestDep:    -1,
 	}
 	b.slices[end.Query]++
@@ -328,6 +331,8 @@ func (b *builder) report(events int) (*Report, error) {
 	if r.SpanTicks > 0 {
 		r.MaxSpeedup = float64(r.WorkTicks) / float64(r.SpanTicks)
 	}
+
+	r.Meter = fitMeter(b.spans)
 
 	// Blocking attribution: the distribution of per-query blocked time.
 	var hist obs.Histogram

@@ -265,3 +265,41 @@ func TestWhatIfPredictionMatchesObserved(t *testing.T) {
 			cores, pred, par.Ticks, diff*100)
 	}
 }
+
+// TestMeterFit: ns per tick is the steps' wall time over their cost, the
+// rank correlation is taken with ties at their mean rank, and the worst
+// predicted steps come largest error first.
+func TestMeterFit(t *testing.T) {
+	var events []obs.Event
+	step := func(q query.ID, proc string, cost, wallNs int64) {
+		events = append(events,
+			obs.Event{Type: obs.EvPunchStart, Query: q, Proc: proc},
+			obs.Event{Type: obs.EvPunchEnd, Query: q, Proc: proc, Cost: cost, N: wallNs})
+	}
+	step(1, "main", 10, 1000)
+	step(2, "a", 20, 2000)
+	step(3, "b", 20, 2000)
+	step(4, "c", 40, 9000) // the clock's slowest, and the one cost misses most
+	step(5, "d", 10, 0)    // no wall time: not a step of the fit
+	rep, err := analyze.Analyze(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := rep.Meter
+	if m == nil || m.Steps != 4 {
+		t.Fatalf("meter fit %+v, want 4 steps", m)
+	}
+	if want := 14000.0 / 90; m.NsPerTick != want {
+		t.Fatalf("ns per tick %v, want %v", m.NsPerTick, want)
+	}
+	if m.Spearman < 0.999 {
+		t.Fatalf("cost and wall rank the steps alike, Spearman %v", m.Spearman)
+	}
+	if len(m.Worst) != 4 || m.Worst[0].Proc != "c" || m.Worst[0].PredictedNs != int64(40*m.NsPerTick) {
+		t.Fatalf("worst predicted %+v, want c first", m.Worst)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteText(&buf); err != nil || !bytes.Contains(buf.Bytes(), []byte("ns per tick")) {
+		t.Fatalf("text report lacks the meter section (%v):\n%s", err, buf.String())
+	}
+}

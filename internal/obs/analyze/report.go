@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -117,6 +119,10 @@ type Report struct {
 
 	WhatIf []WhatIfRow `json:"what_if"`
 
+	// Meter holds the cost model against the wall clock; nil when no
+	// span carries a wall time.
+	Meter *MeterFit `json:"meter,omitempty"`
+
 	TotalBlockedTicks int64            `json:"total_blocked_ticks"`
 	BlockedTimes      obs.HistSnapshot `json:"blocked_times"`
 	TopBlocked        []BlockedQuery   `json:"top_blocked,omitempty"`
@@ -126,6 +132,101 @@ type Report struct {
 	// NodeSkew is max/avg per-node busy ticks (1.0 = perfectly even;
 	// meaningful only for multi-node traces).
 	NodeSkew float64 `json:"node_skew,omitempty"`
+}
+
+// MeterFit checks the abstract cost of each PUNCH invocation, the unit
+// every virtual time is made of, against the wall time it took. A stream
+// is one run, so every step belongs to the run's analysis.
+type MeterFit struct {
+	// Steps counts the spans with a wall time; NsPerTick is their wall
+	// time over their cost.
+	Steps     int     `json:"steps"`
+	NsPerTick float64 `json:"ns_per_tick"`
+	// Spearman is the rank correlation of cost with wall time over the
+	// steps, ties at their mean rank: 1 when the meter orders the steps
+	// as the clock does.
+	Spearman float64 `json:"spearman"`
+	// Worst are the steps whose wall time the cost predicts worst at
+	// NsPerTick, largest absolute error first (at most five).
+	Worst []MeterMiss `json:"worst,omitempty"`
+}
+
+// MeterMiss is one step's cost against its wall time.
+type MeterMiss struct {
+	Query       query.ID `json:"query"`
+	Proc        string   `json:"proc"`
+	Slice       int      `json:"slice"`
+	Cost        int64    `json:"cost"`
+	WallNs      int64    `json:"wall_ns"`
+	PredictedNs int64    `json:"predicted_ns"`
+}
+
+// fitMeter fits spans' costs to their wall times; nil when no span has
+// a wall time.
+func fitMeter(spans []Span) *MeterFit {
+	var steps []Span
+	var cost, wall int64
+	for _, sp := range spans {
+		if sp.WallNs > 0 {
+			steps = append(steps, sp)
+			cost, wall = cost+sp.Cost, wall+sp.WallNs
+		}
+	}
+	if len(steps) == 0 || cost == 0 {
+		return nil
+	}
+	m := &MeterFit{Steps: len(steps), NsPerTick: float64(wall) / float64(cost)}
+	costs, walls := make([]float64, len(steps)), make([]float64, len(steps))
+	for i, sp := range steps {
+		costs[i], walls[i] = float64(sp.Cost), float64(sp.WallNs)
+	}
+	m.Spearman = pearson(ranks(costs), ranks(walls))
+	miss := func(sp Span) float64 { return math.Abs(float64(sp.WallNs) - float64(sp.Cost)*m.NsPerTick) }
+	sort.SliceStable(steps, func(i, j int) bool { return miss(steps[i]) > miss(steps[j]) })
+	for _, sp := range steps[:min(5, len(steps))] {
+		m.Worst = append(m.Worst, MeterMiss{Query: sp.Query, Proc: sp.Proc, Slice: sp.Slice, Cost: sp.Cost,
+			WallNs: sp.WallNs, PredictedNs: int64(float64(sp.Cost) * m.NsPerTick)})
+	}
+	return m
+}
+
+// ranks returns the rank of each of xs from 1, ties at their mean rank.
+func ranks(xs []float64) []float64 {
+	order := make([]int, len(xs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return xs[order[i]] < xs[order[j]] })
+	r := make([]float64, len(xs))
+	for i := 0; i < len(order); {
+		j := i
+		for j+1 < len(order) && xs[order[j+1]] == xs[order[i]] {
+			j++
+		}
+		for k := i; k <= j; k++ {
+			r[order[k]] = float64(i+j)/2 + 1
+		}
+		i = j + 1
+	}
+	return r
+}
+
+// pearson is the correlation of xs with ys; 0 when either is constant.
+func pearson(xs, ys []float64) float64 {
+	var mx, my float64
+	for i := range xs {
+		mx, my = mx+xs[i], my+ys[i]
+	}
+	mx, my = mx/float64(len(xs)), my/float64(len(ys))
+	var sxy, sxx, syy float64
+	for i := range xs {
+		dx, dy := xs[i]-mx, ys[i]-my
+		sxy, sxx, syy = sxy+dx*dy, sxx+dx*dx, syy+dy*dy
+	}
+	if sxx == 0 || syy == 0 {
+		return 0
+	}
+	return sxy / math.Sqrt(sxx*syy)
 }
 
 // PredictMakespan is the what-if lower bound at p workers:
@@ -204,6 +305,15 @@ func (r *Report) WriteText(w io.Writer) error {
 	}
 	if n > show {
 		p("  ... %d more spans\n", n-show)
+	}
+
+	if m := r.Meter; m != nil {
+		p("\nmeter against the wall clock: %d steps, %.1f ns per tick, Spearman rank correlation of cost with wall %.3f\n",
+			m.Steps, m.NsPerTick, m.Spearman)
+		for _, w := range m.Worst {
+			p("  worst predicted: query %-6d slice %-3d %-28s cost %-8d wall %10d ns, predicted %10d ns\n",
+				w.Query, w.Slice, w.Proc, w.Cost, w.WallNs, w.PredictedNs)
+		}
 	}
 
 	p("\nblocking: %d ticks total blocked time across %d queries\n",

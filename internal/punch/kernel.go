@@ -136,11 +136,13 @@ func Entry(pre logic.Formula, syms *Syms, vars ...[]lang.Var) (path logic.Formul
 }
 
 // Image is the symbolic image of a simple statement: Assign rebinds its
-// variable to the right-hand side over store and Havoc to a fresh symbol,
-// each in a copy of store; Assume conjoins its condition over store to
-// path; Skip changes nothing. It asks the solver nothing: whether the
-// image is empty is the caller's to check. Calls are crossed with Cross.
-func Image(path logic.Formula, store Store, stmt lang.Stmt, syms *Syms) (logic.Formula, Store) {
+// variable to the right-hand side over store and Havoc to a fresh symbol;
+// Assume conjoins its condition over store to path; Skip changes nothing.
+// The rebinding is returned, not applied: store is copied only by
+// Rebind.Apply, once the caller knows the image is not empty. It asks the
+// solver nothing: whether the image is empty is the caller's to check.
+// Calls are crossed with Cross.
+func Image(path logic.Formula, store Store, stmt lang.Stmt, syms *Syms) (logic.Formula, Rebind) {
 	switch stmt := stmt.(type) {
 	case lang.Assign:
 		rhs := logic.FromInt(stmt.Rhs)
@@ -148,18 +150,42 @@ func Image(path logic.Formula, store Store, stmt lang.Stmt, syms *Syms) (logic.F
 		for i, v := range rhs.Vars {
 			val = val.Add(store[v].Scale(rhs.Coefs[i]))
 		}
-		store = maps.Clone(store)
-		store[stmt.Lhs] = val
+		return path, Rebind{V: stmt.Lhs, Val: val}
 	case lang.Assume:
-		path = logic.Conj(path, logic.SubstMap(logic.FromBool(stmt.Cond), store))
+		return logic.Conj(path, logic.SubstMap(logic.FromBool(stmt.Cond), store)), Rebind{}
 	case lang.Havoc:
-		store = maps.Clone(store)
-		store[stmt.V] = logic.LinVar(syms.Fresh(stmt.V))
+		return path, Rebind{V: stmt.V, Val: logic.LinVar(syms.Fresh(stmt.V))}
 	case lang.Skip:
+		return path, Rebind{}
 	default:
 		panic(fmt.Sprintf("punch: no image of %T; a call is crossed with Cross", stmt))
 	}
-	return path, store
+}
+
+// Rebind is what a simple statement does to a store: V bound to Val, or
+// nothing when V is empty.
+type Rebind struct {
+	V   lang.Var
+	Val logic.Lin
+}
+
+// Apply returns store after the rebinding: a copy of store with V bound,
+// or store itself when there is nothing to bind.
+func (b Rebind) Apply(store Store) Store {
+	if b.V == "" {
+		return store
+	}
+	store = maps.Clone(store)
+	store[b.V] = b.Val
+	return store
+}
+
+// SubstMap is logic.SubstMap(f, b.Apply(store)) without the copy.
+func (b Rebind) SubstMap(f logic.Formula, store Store) logic.Formula {
+	if b.V == "" {
+		return logic.SubstMap(f, store)
+	}
+	return logic.SubstBound(f, store, b.V, b.Val)
 }
 
 // Cross crosses a call with a must summary whose postcondition is post:

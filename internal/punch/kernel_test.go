@@ -130,7 +130,14 @@ func TestKernelAgainstInterp(t *testing.T) {
 				after, post = Cross(store, c.post, globals, prog.ModRef()["c"], &syms)
 				path = logic.Conj(path, post)
 			} else {
-				path, after = Image(path, store, c.stmt, &syms)
+				var bind Rebind
+				path, bind = Image(path, store, c.stmt, &syms)
+				after = bind.Apply(store)
+				// The image of a formula under the rebinding, without a copy.
+				probe := logic.Conj(logic.LEq(logic.LinVar(g), logic.LinVar(h)), logic.Not(logic.Eq(lin(h, 2), logic.LinVar(k))))
+				if got, want := bind.SubstMap(probe, store), logic.SubstMap(probe, after); logic.KeyID(got) != logic.KeyID(want) {
+					t.Fatalf("%v over the rebinding is %v, over the copied store %v", probe, got, want)
+				}
 			}
 			if c.callee == nil && c.post != nil {
 				checkMustSummary(t, m, prog, c.post, c.under, entry, after, path, vals)

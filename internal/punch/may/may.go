@@ -239,7 +239,8 @@ func (st *stepper) followPath(path []regions.EdgeID, penalize bool) (logic.Formu
 	for _, id := range path {
 		stp := o.G.Step(id)
 		e := o.proc.Edges[stp.CFG]
-		if c, isCall := e.Stmt.(lang.Call); isCall {
+		c, isCall := e.Stmt.(lang.Call)
+		if isCall {
 			ok := false
 			for _, s := range st.Ctx.DB.ForProc(c.Proc) {
 				if s.Kind != summary.Must {
@@ -270,15 +271,18 @@ func (st *stepper) followPath(path []regions.EdgeID, penalize bool) (logic.Formu
 				}
 				return nil, nil, nil, false
 			}
-		} else {
-			cond, store = punch.Image(cond, store, e.Stmt, &o.syms)
+		}
+		var bind punch.Rebind
+		if !isCall {
+			cond, bind = punch.Image(cond, store, e.Stmt, &o.syms)
 		}
 		// Land in the step's destination region.
-		cond = logic.Conj(cond, logic.SubstMap(stp.To.F, store))
+		cond = logic.Conj(cond, bind.SubstMap(stp.To.F, store))
 		r := st.Sat(cond)
 		if r.Known && !r.Sat {
 			return nil, nil, nil, false
 		}
+		store = bind.Apply(store)
 	}
 	return cond, store, entry, true
 }

@@ -155,6 +155,9 @@ func (st *stepper) elemIn(e *mustElem, r *regions.Region) bool {
 	if v, ok := e.reach[r.ID]; ok {
 		return v > 0
 	}
+	if e.reach == nil {
+		e.reach = map[int32]int8{}
+	}
 	s := st.Sat(logic.Conj(e.path, logic.SubstMap(r.F, e.store)))
 	if s.Known && !s.Sat {
 		e.reach[r.ID] = -1
@@ -283,13 +286,13 @@ func (st *stepper) handleSimpleFrontier(stp regions.Step, s lang.Stmt) {
 // source region, landing in its destination region; nil when infeasible.
 func (st *stepper) extendElem(el *mustElem, stp regions.Step, s lang.Stmt) *mustElem {
 	base := logic.Conj(el.path, logic.SubstMap(stp.From.F, el.store))
-	base, store := punch.Image(base, el.store, s, &st.o.syms)
-	landed := logic.Conj(base, logic.SubstMap(stp.To.F, store))
+	base, bind := punch.Image(base, el.store, s, &st.o.syms)
+	landed := logic.Conj(base, bind.SubstMap(stp.To.F, el.store))
 	r := st.Sat(landed)
 	if !(r.Known && r.Sat) {
 		return nil
 	}
-	return &mustElem{path: landed, store: store}
+	return &mustElem{path: landed, store: bind.Apply(el.store)}
 }
 
 // handleCallFrontier implements the three cases of §4 for an abstract

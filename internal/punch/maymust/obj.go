@@ -8,8 +8,6 @@
 package maymust
 
 import (
-	"strconv"
-
 	"repro/internal/cfg"
 	"repro/internal/lang"
 	"repro/internal/logic"
@@ -25,6 +23,8 @@ import (
 type mustElem struct {
 	path  logic.Formula
 	store punch.Store
+	// pathID is path's interned id, set by addMust.
+	pathID logic.ID
 	// reach caches region-membership checks: region ID → +1 / -1.
 	reach map[int32]int8
 	// exitChecked marks exit elements already tested against φ2.
@@ -42,10 +42,9 @@ type obj struct {
 	regions.Hold
 
 	// Must side.
-	musts    map[cfg.NodeID][]*mustElem
-	mustKeys map[cfg.NodeID]map[string]bool
-	syms     punch.Syms
-	entry    map[lang.Var]lang.Var // each variable's entry symbol
+	musts map[cfg.NodeID][]*mustElem
+	syms  punch.Syms
+	entry map[lang.Var]lang.Var // each variable's entry symbol
 
 	// pointPre caches whether a must summary's precondition denotes a
 	// single state: +1 / -1, keyed by the precondition's interned id.
@@ -60,40 +59,40 @@ func newObj(proc *cfg.Proc, globals []lang.Var, q query.ID) *obj {
 		globals:  globals,
 		locals:   proc.Locals,
 		musts:    map[cfg.NodeID][]*mustElem{},
-		mustKeys: map[cfg.NodeID]map[string]bool{},
 		syms:     punch.NewSyms("$", q),
 		pointPre: map[logic.ID]int8{},
 	}
 }
 
 // addMust appends a must element at node, respecting the per-node cap and
-// skipping structural duplicates.
+// skipping structural duplicates: an element with the same path condition
+// and the same term for every variable. The cap keeps the scan short.
 func (o *obj) addMust(node cfg.NodeID, e *mustElem, cap int) bool {
 	if len(o.musts[node]) >= cap {
 		return false
 	}
-	key := e.key(o)
-	if o.mustKeys[node] == nil {
-		o.mustKeys[node] = map[string]bool{}
+	e.pathID = logic.KeyID(e.path)
+	for _, d := range o.musts[node] {
+		if d.same(e, o) {
+			return false
+		}
 	}
-	if o.mustKeys[node][key] {
-		return false
-	}
-	o.mustKeys[node][key] = true
-	e.reach = map[int32]int8{}
 	o.musts[node] = append(o.musts[node], e)
 	return true
 }
 
-// key identifies the element up to structure for deduplication: the
-// interned identity of the path condition and of every store term in
-// variable order.
-func (e *mustElem) key(o *obj) string {
-	k := []byte(logic.Key(e.path))
+// same reports whether d and e are equal up to structure: the same
+// interned path condition, and equal store terms in every variable.
+func (d *mustElem) same(e *mustElem, o *obj) bool {
+	if d.pathID != e.pathID {
+		return false
+	}
 	for _, vars := range [2][]lang.Var{o.globals, o.locals} {
 		for _, v := range vars {
-			k = strconv.AppendUint(append(k, '|'), uint64(logic.LinID(e.store[v])), 10)
+			if !d.store[v].Equal(e.store[v]) {
+				return false
+			}
 		}
 	}
-	return string(k)
+	return true
 }

@@ -189,13 +189,13 @@ func (st *stepper) expand(s *symState) (punch.Result, bool) {
 			st.crossCall(s, ei, e, c.Proc)
 			continue
 		}
-		path, store := punch.Image(s.path, s.store, e.Stmt, &o.syms)
+		path, bind := punch.Image(s.path, s.store, e.Stmt, &o.syms)
 		if _, isAssume := e.Stmt.(lang.Assume); isAssume {
 			if r := st.Sat(path); r.Known && !r.Sat {
 				continue
 			}
 		}
-		o.stack = append(o.stack, &symState{node: e.To, path: path, store: store, visits: bumpVisit(s.visits, ei)})
+		o.stack = append(o.stack, &symState{node: e.To, path: path, store: bind.Apply(s.store), visits: bumpVisit(s.visits, ei)})
 	}
 	return punch.Result{}, false
 }

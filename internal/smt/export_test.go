@@ -19,14 +19,14 @@ func (s *Solver) Valid(f logic.Formula) bool {
 	if !s.entailOn {
 		return s.validUncached(f)
 	}
-	key := idKey{a: logic.KeyID(f)} // an Implies key has b != 0
-	if v, ok := s.entail.get(key); ok {
+	key := key2{logic.KeyID(f)} // an Implies key has a second id
+	if v, _, ok := s.entail.get(0, key); ok {
 		atomic.AddInt64(&s.stats.EntailCacheHits, 1)
-		return v
+		return v != 0
 	}
 	atomic.AddInt64(&s.stats.EntailCacheMisses, 1)
 	v := s.validUncached(f)
-	s.entail.put(key, v)
+	s.entail.put(0, key, verdict(v), struct{}{}, false)
 	return v
 }
 

@@ -29,10 +29,10 @@ func (s *Solver) Simplify(f logic.Formula) logic.Formula {
 	if len(fs) == 0 || len(fs) > maxSimplifyParts {
 		return f
 	}
-	k := idKey{a: logic.KeyID(f)}
+	k := key1(logic.KeyID(f))
 	keyed := !s.noStepMemo
 	if keyed {
-		if g, ok := s.simp.get(k); ok {
+		if _, g, ok := s.simp.get(0, k); ok {
 			return g
 		}
 	}
@@ -43,7 +43,7 @@ func (s *Solver) Simplify(f logic.Formula) logic.Formula {
 		out = s.simplifyJunction(fs, isAnd)
 	}
 	if keyed {
-		s.simp.put(k, out)
+		s.simp.put(0, k, 0, out, true)
 	}
 	return out
 }

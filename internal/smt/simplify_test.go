@@ -157,6 +157,27 @@ func TestSolverAllocPin(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { s.Implies(a, b) }); n != 0 {
 		t.Errorf("an Implies miss settled by the subsumption rule allocates %.1f times, want 0", n)
 	}
+	// A memo hit allocates nothing: Sat, one-step feasibility, Simplify
+	// and Implies asked again.
+	hit := New().EnableEntailmentCache()
+	var step lang.Stmt = lang.Assign{Lhs: "x", Rhs: lang.Add{X: lang.V("y"), Y: lang.C(1)}}
+	modelled := logic.Conj(le(x, k(5)), le(k(0), x))
+	if r := hit.Sat(modelled); r.Model == nil {
+		t.Fatalf("Sat(%v) found no model", modelled)
+	}
+	hit.StepFeasible(1, step, a, b)
+	hit.Simplify(a)
+	hit.Implies(b, a)
+	for name, ask := range map[string]func(){
+		"Sat":          func() { hit.Sat(modelled) },
+		"StepFeasible": func() { hit.StepFeasible(1, step, a, b) },
+		"Simplify":     func() { hit.Simplify(a) },
+		"Implies":      func() { hit.Implies(b, a) },
+	} {
+		if n := testing.AllocsPerRun(100, ask); n != 0 {
+			t.Errorf("a %s memo hit allocates %.1f times, want 0", name, n)
+		}
+	}
 	if raceEnabled() {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}

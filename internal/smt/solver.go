@@ -75,12 +75,12 @@ type Solver struct {
 	// id; it is used only after EnableEntailmentCache. steps keeps
 	// one-step feasibility by (statement, source, destination) and simp
 	// keeps Simplify results by formula id.
-	sat      memo[Result]
-	cubes    memo[Result]
-	entail   memo[bool]
+	sat      resultMemo
+	cubes    resultMemo
+	entail   memo[key2, struct{}]
 	entailOn bool
-	steps    memo[bool]
-	simp     memo[logic.Formula]
+	steps    memo[key2, struct{}]
+	simp     memo[key1, logic.Formula]
 	// noStepMemo makes StepFeasible and Simplify compute every answer
 	// afresh. Only tests set it, to show that the two memos change no
 	// answer.
@@ -145,13 +145,46 @@ func (s *Solver) tick(n int64) { atomic.AddInt64(&s.stats.Ticks, n) }
 func (s *Solver) Sat(f logic.Formula) Result {
 	atomic.AddInt64(&s.stats.SatCalls, 1)
 	s.tick(1)
-	k := idKey{a: logic.KeyID(f)}
+	k := key1(logic.KeyID(f))
 	r, ok := s.sat.get(k)
 	if !ok {
 		r = s.satUncached(f)
 		s.sat.put(k, r)
 	}
 	return r
+}
+
+// resultMemo keeps Results: the verdict in the slot's bits, a model out
+// of line.
+type resultMemo struct{ memo[key1, map[lang.Var]int64] }
+
+const (
+	bitSat   = 1
+	bitKnown = 2
+)
+
+func (c *resultMemo) get(k key1) (Result, bool) {
+	bits, model, ok := c.memo.get(0, k)
+	return Result{Sat: bits&bitSat != 0, Known: bits&bitKnown != 0, Model: model}, ok
+}
+
+func (c *resultMemo) put(k key1, r Result) {
+	var bits uint32
+	if r.Sat {
+		bits |= bitSat
+	}
+	if r.Known {
+		bits |= bitKnown
+	}
+	c.memo.put(0, k, bits, r.Model, r.Model != nil)
+}
+
+// verdict packs a bool memo's value into a slot's bits.
+func verdict(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // StepFeasible reports whether some state of from may step across stmt
@@ -162,19 +195,45 @@ func (s *Solver) Sat(f logic.Formula) Result {
 // same statement between the same two region formulas is asked again by
 // every query over the procedure and by every edge that carries it.
 func (s *Solver) StepFeasible(stmtID uint32, stmt lang.Stmt, from, to logic.Formula) bool {
-	k := idKey{logic.ID(stmtID), logic.KeyID(from), logic.KeyID(to)}
-	keyed := k.a != 0 && !s.noStepMemo
+	k := key2{logic.KeyID(from), logic.KeyID(to)}
+	keyed := stmtID != 0 && !s.noStepMemo
 	if keyed {
-		if open, ok := s.steps.get(k); ok {
-			return open
+		if open, _, ok := s.steps.get(stmtID, k); ok {
+			return open != 0
 		}
 	}
-	r := s.Sat(logic.Conj(from, logic.Pre(stmt, to, logic.Over)))
-	open := r.Sat || !r.Known
+	open, decided := s.stepKernel(stmt, from, to)
+	if !decided {
+		r := s.Sat(logic.Conj(from, logic.Pre(stmt, to, logic.Over)))
+		open = r.Sat || !r.Known
+	}
 	if keyed {
-		s.steps.put(k, open)
+		s.steps.put(stmtID, k, verdict(open), struct{}{}, false)
 	}
 	return open
+}
+
+// stepKernel decides StepFeasible's Sat check on the cubes of from ∧
+// pre(stmt, to) in the cube kernel (logic.Scratch.EachStepCube), without
+// building or interning the formula: the check is proven unsatisfiable
+// exactly when real-shadow elimination refutes every cube, which is the
+// verdict Sat reaches on that formula through satCube. It counts one Sat
+// call, as the check it replaces. decided is false where the kernel
+// cannot vouch for the same cubes, and the caller asks Sat.
+func (s *Solver) stepKernel(stmt lang.Stmt, from, to logic.Formula) (open, decided bool) {
+	fm := logic.GetScratch()
+	defer fm.Release()
+	decided = fm.EachStepCube(stmt, from, to, s.maxDNF, maxFormulaSize, func(c logic.Cube) bool {
+		atomic.AddInt64(&s.stats.TheoryChecks, 1)
+		s.tick(1)
+		open = s.rationallySat(c)
+		return !open
+	})
+	if decided {
+		atomic.AddInt64(&s.stats.SatCalls, 1)
+		s.tick(1)
+	}
+	return open, decided
 }
 
 // maxFormulaSize bounds the formulas the solver will attempt; beyond it
@@ -223,7 +282,7 @@ func (s *Solver) satUncached(f logic.Formula) Result {
 // of re-running elimination.
 func (s *Solver) satCube(c logic.Cube) Result {
 	atomic.AddInt64(&s.stats.TheoryChecks, 1)
-	key := idKey{a: c.ID()}
+	key := key1(c.ID())
 	if r, ok := s.cubes.get(key); ok {
 		s.tick(1)
 		return r
@@ -332,14 +391,14 @@ func (s *Solver) Implies(a, b logic.Formula) bool {
 	if !s.entailOn {
 		return s.validUncached(logic.Disj(logic.Not(a), b))
 	}
-	key := idKey{a: ida, b: idb}
-	if v, ok := s.entail.get(key); ok {
+	key := key2{ida, idb}
+	if v, _, ok := s.entail.get(0, key); ok {
 		atomic.AddInt64(&s.stats.EntailCacheHits, 1)
-		return v
+		return v != 0
 	}
 	atomic.AddInt64(&s.stats.EntailCacheMisses, 1)
 	v := s.impliesUncached(a, b)
-	s.entail.put(key, v)
+	s.entail.put(0, key, verdict(v), struct{}{}, false)
 	return v
 }
 
