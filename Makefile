@@ -146,9 +146,13 @@ watchdog-smoke:
 # every verdict's cone is non-empty, closed under spawn and dependency
 # edges, and byte-stable across the barrier, async, and distributed
 # schedules — and invalidating prov.Cone(p) for any procedure leaves a
-# warm re-check confluent with a from-scratch run.
+# warm re-check confluent with a from-scratch run. TestProvPin holds the
+# whole provenance record of every corpus program under may and
+# may-must, one thread, barrier engine, to testdata/prov_pin.golden
+# (regenerate with `go test -run TestProvPin -update-prov .`).
 prov-smoke:
 	$(GO) test -run 'TestProvSmoke|TestConeInvalidationConfluence' -count=1 ./internal/core
+	$(GO) test -run TestProvPin -count=1 .
 
 # incr-smoke asserts end-to-end soundness of incremental re-checks: on
 # every corpus program and every engine, mutate each procedure once in

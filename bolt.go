@@ -223,9 +223,10 @@ type Options struct {
 	// invocation consumed and produced, and assembles them into the
 	// verdict's dependency record (Result.Provenance): the procedure
 	// cone the answer rests on, warm-vs-fresh read attribution, and the
-	// invalidation cone of every procedure. Off by default; when off the
-	// engines pay one nil check per PUNCH invocation. With StorePath set,
-	// the verdict's read set is also persisted beside the summaries.
+	// invalidation cone of every procedure. Off by default. The record
+	// is a fold over the run's event stream, so a run that collects it
+	// is traced. With StorePath set, the verdict's procedure dependency
+	// graph is also persisted beside the summaries.
 	CollectProvenance bool
 	// Incremental turns a store-backed run into an edit-aware re-check
 	// (implies CollectProvenance; no effect without StorePath). The store

@@ -3,11 +3,15 @@ package bolt_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +19,11 @@ import (
 	bolt "repro"
 	"repro/internal/drivers"
 	"repro/internal/harness"
+	"repro/internal/logic"
 	"repro/internal/obs"
+	"repro/internal/store"
+	"repro/internal/summary"
+	"repro/internal/wire"
 )
 
 const apiSample = `
@@ -549,5 +557,76 @@ proc p { locals x; if (x <= 0) { if (g != 0) { r = 1; } } }`
 		if wall := time.Since(start); wall > 5*time.Second {
 			t.Fatalf("%s: took %v, want well under 5s", c.name, wall)
 		}
+	}
+}
+
+// TestWireV2StoreIsRefused: a store written before provenance records
+// lost their read set — its header carries the wire-v2 fingerprint and
+// it holds a provenance record with a read set — is refused with a
+// *store.MismatchError, and opening it with reset gives an empty store.
+func TestWireV2StoreIsRefused(t *testing.T) {
+	prog, err := bolt.Parse(apiSample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := func(version int) store.Fingerprint {
+		return store.NewFingerprint("bolt/incr-store", strconv.Itoa(version), bolt.MayMust.String())
+	}
+	// The recipe is the incremental store's: an empty store made with it
+	// under this build's version opens.
+	dir := t.TempDir()
+	d, err := store.OpenDisk(dir, fp(wire.Version), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	opts := bolt.Options{Threads: 1, StorePath: dir, Incremental: true}
+	if r := prog.Check(opts); r.StoreErr != nil || r.Verdict != bolt.Safe {
+		t.Fatalf("store under the current fingerprint: verdict %v, store err %v", r.Verdict, r.StoreErr)
+	}
+
+	dir = t.TempDir()
+	if d, err = store.OpenDisk(dir, fp(2), false); err != nil {
+		t.Fatal(err)
+	}
+	s := summary.Summary{Kind: summary.NotMay, Proc: "step", Pre: logic.True, Post: logic.False}
+	if _, err := d.Put(s); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	// A v2 provenance record: root, verdict and engine, one read (warm
+	// flag, hit count, the summary), an empty root key, no adjacency.
+	payload := []byte{wire.TagProv}
+	for _, f := range []string{"main", "Program is Safe", "barrier"} {
+		payload = append(binary.AppendUvarint(payload, uint64(len(f))), f...)
+	}
+	payload = binary.AppendUvarint(append(binary.AppendUvarint(payload, 1), 1), 3)
+	if payload, err = wire.AppendSummary(payload, s); err != nil {
+		t.Fatal(err)
+	}
+	payload = binary.AppendUvarint(binary.AppendUvarint(payload, 0), 0)
+	rec := append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
+	f, err := os.OpenFile(filepath.Join(dir, store.SegName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(rec); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	opts.StorePath = dir
+	r := prog.Check(opts)
+	var mm *store.MismatchError
+	if !errors.As(r.StoreErr, &mm) || r.Verdict != bolt.Unknown {
+		t.Fatalf("wire-v2 store: verdict %v, store err %v; want Unknown and a *store.MismatchError", r.Verdict, r.StoreErr)
+	}
+	if d, err = store.OpenDisk(dir, fp(wire.Version), true); err != nil {
+		t.Fatalf("wire-v2 store with reset: %v", err)
+	}
+	defer d.Close()
+	if recs, err := d.LoadProv(); d.Count() != 0 || len(recs) != 0 || err != nil {
+		t.Fatalf("reset store holds %d summaries and %d provenance records (%v)", d.Count(), len(recs), err)
 	}
 }

@@ -84,34 +84,10 @@ func writeProvReport(w io.Writer, p *prov.Provenance) error {
 		}
 	}
 
-	type fanIn struct {
-		proc    string
-		readers int
-		reads   int64
-	}
-	var hot []fanIn
-	for _, s := range p.Summaries {
-		if s.Reads > 0 {
-			hot = append(hot, fanIn{s.Proc + " [" + s.Kind + "] " + s.Pre + " => " + s.Post, s.Readers, s.Reads})
-		}
-	}
-	sort.SliceStable(hot, func(i, j int) bool {
-		if hot[i].readers != hot[j].readers {
-			return hot[i].readers > hot[j].readers
-		}
-		if hot[i].reads != hot[j].reads {
-			return hot[i].reads > hot[j].reads
-		}
-		return hot[i].proc < hot[j].proc
-	})
-	if len(hot) > 0 {
+	if hot := p.Hot(10); len(hot) > 0 {
 		fmt.Fprintf(w, "\nhot summaries by fan-in (distinct reading procedures):\n")
-		n := len(hot)
-		if n > 10 {
-			n = 10
-		}
-		for _, h := range hot[:n] {
-			fmt.Fprintf(w, "  %3d readers %5d reads  %s\n", h.readers, h.reads, h.proc)
+		for _, s := range hot {
+			fmt.Fprintf(w, "  %3d readers %5d reads  %s [%s] %s => %s\n", s.Readers, s.Reads, s.Proc, s.Kind, s.Pre, s.Post)
 		}
 	}
 	return nil

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/prov"
 	"repro/internal/punch"
 	"repro/internal/query"
 )
@@ -186,11 +187,11 @@ func (s *asyncState) worker(id int) {
 		r.punchStart(0, id, q)
 		d := r.depth[q.ID]
 		s.mu.Unlock()
-		res, wall := r.step(s.ctx, 0, q, d)
+		res, wall, log := r.step(s.ctx, 0, q, d)
 		s.mu.Lock()
 		s.busy--
 		delete(r.running, q.ID)
-		s.complete(id, q, res, wall)
+		s.complete(id, q, res, wall, log)
 	}
 	s.mu.Unlock()
 }
@@ -271,12 +272,12 @@ func (s *asyncState) pop(id int) *query.Query {
 // complete books one finished PUNCH invocation and reduces its result at
 // once: apply, root check, retire when Done, pushing whatever became
 // runnable onto this worker's deque. Called with mu held.
-func (s *asyncState) complete(id int, q *query.Query, res punch.Result, wall time.Duration) {
+func (s *asyncState) complete(id int, q *query.Query, res punch.Result, wall time.Duration, log []prov.Access) {
 	r := s.r
 	s.events++
 	vtimeBefore := r.vtime
 	r.vtime = s.clock.assign(res.Cost)
-	r.punchEnd(0, id, q, res.Cost, wall)
+	r.punchEnd(0, id, q, res.Cost, wall, log)
 	created := r.created
 	for _, w := range r.apply(0, id, q, res) {
 		s.push(id, w)

@@ -126,9 +126,9 @@ type Options struct {
 	Probe *obs.Probe
 	// CollectProvenance records each query's summary read/write sets and
 	// the run's procedure dependency DAG into Result.Provenance (see
-	// internal/prov). Off by default; when off the engines pay one nil
-	// check per PUNCH invocation. With a Store attached, the verdict's
-	// read set is also persisted beside the summaries.
+	// internal/prov), folded from the run's event stream. Off by
+	// default. With a Store attached, the verdict's procedure dependency
+	// graph is also persisted beside the summaries.
 	CollectProvenance bool
 	// Incremental turns the warm start into an incremental re-check:
 	// before hydration the program is diffed against the store's
@@ -341,7 +341,8 @@ func (c rounds) run(ctx context.Context, r *reducer, nodes []*distNode, tally *D
 		// Each live node selects one MAP batch from its own tree. Punch
 		// spans open here and close once the clock has passed the stage,
 		// so each (node, worker) track holds at most one open span.
-		batch, ready := batch[:0], 0
+		batch = batch[:0]
+		ready := 0
 		for _, n := range nodes {
 			if n.dead {
 				continue
@@ -382,12 +383,12 @@ func (c rounds) run(ctx context.Context, r *reducer, nodes []*distNode, tally *D
 		// meanwhile.
 		fanOut(len(batch), func(i int) {
 			b := &batch[i]
-			b.res, b.wall = r.step(ctx, b.node, b.q, r.depth[b.q.ID])
+			b.res, b.wall, b.log = r.step(ctx, b.node, b.q, r.depth[b.q.ID])
 		})
 		stage := r.advance(batch, c.cores)
 		for i := range batch {
 			b := &batch[i]
-			r.punchEnd(b.node, b.worker, b.q, b.res.Cost, b.wall)
+			r.punchEnd(b.node, b.worker, b.q, b.res.Cost, b.wall, b.log)
 		}
 		// REDUCE over the whole round: merging a result routes its children
 		// to their owning node (a remote dispatch in a real deployment);

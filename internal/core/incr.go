@@ -81,7 +81,7 @@ func prepareIncr(prog *cfg.Program, st store.Store, q0 summary.Question) *incrPr
 		p.note(err)
 		oldMan, oldMod = nil, nil // no usable manifest: everything is stale
 	}
-	p.recs, err = st.LoadProv(false)
+	p.recs, err = st.LoadProv()
 	p.note(err)
 	p.incrPlan = planIncr(prog, p.newMan, oldMan, oldMod, p.recs, q0)
 	if p.cut == "" {

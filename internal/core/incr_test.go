@@ -603,7 +603,7 @@ func (s shadowStore) PutProv(rec wire.ProvRecord) error {
 	if err != nil {
 		return err
 	}
-	head, _, err := wire.DecodeProv(b, false)
+	head, _, err := wire.DecodeProv(b)
 	if err != nil {
 		return err
 	}
@@ -640,7 +640,7 @@ func TestProvFoldKeepsEveryPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer d.Close()
-		folded, err := d.LoadProv(false)
+		folded, err := d.LoadProv()
 		if err != nil {
 			t.Fatal(err)
 		}

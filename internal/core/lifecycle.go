@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/prov"
 	"repro/internal/smt"
 	"repro/internal/summary"
 )
@@ -114,11 +115,12 @@ type Faults struct {
 const NoFaultNode = -1
 
 // instr bundles one run's observability hooks, shared by the three
-// engines. tr is the run's one Tracer: the caller's tracer, the metrics
-// registry and the live state composed, nil when all three are absent,
-// so every emission site pays one `if in.tr != nil` branch and builds no
-// Event behind it. The registry and the live state are folds over that
-// stream; m and ls are kept beside it only for what is not an event
+// engines. tr is the run's one Tracer: the caller's tracer, the
+// provenance fold, the metrics registry and the live state composed, nil
+// when all four are absent, so every emission site pays one
+// `if in.tr != nil` branch and builds no Event behind it. The fold, the
+// registry and the live state are folds over that stream; m and ls are
+// kept beside it only for what is not an event
 // (steal scans, parks, gossip rounds, the published gauges, the final
 // snapshot). The zero instr is fully disabled.
 type instr struct {
@@ -130,9 +132,12 @@ type instr struct {
 }
 
 // newInstr composes the hooks for a run of nodes × width worker slots.
-func newInstr(tr obs.Tracer, m *obs.Metrics, ls *obs.LiveState, nodes, width int, epoch time.Time, labels bool) instr {
+func newInstr(tr obs.Tracer, fold *prov.Fold, m *obs.Metrics, ls *obs.LiveState, nodes, width int, epoch time.Time, labels bool) instr {
 	m.EnsureWorkers(nodes, width)
 	sinks := []obs.Tracer{tr}
+	if fold != nil {
+		sinks = append(sinks, fold)
+	}
 	if m != nil {
 		sinks = append(sinks, m)
 	}

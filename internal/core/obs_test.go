@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"slices"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/drivers"
 	"repro/internal/obs"
 	"repro/internal/parser"
+	"repro/internal/prov"
 	"repro/internal/punch/maymust"
 	"repro/internal/query"
 )
@@ -124,14 +126,22 @@ func TestAsyncTraceOrdering(t *testing.T) {
 // it: each folded counter is the count (or ΣN) of its event type, the
 // PUNCH histograms and worker ledger count and sum the punch-ends, the
 // probe's workers ran as many punches, its max depth is the deepest
-// spawn and the nodes it calls dead are exactly killed.
+// spawn and the nodes it calls dead are exactly killed. The provenance
+// counters count the summary events: reads, scans and the adds of a
+// query.
 func checkFolds(t *testing.T, evs []obs.Event, snap *obs.Snapshot, state *obs.StateSnapshot, killed []int) {
 	t.Helper()
 	count := map[obs.EventType]int64{}
-	var gcd, rewakes, bytes, costSum, wallSum, depth int64
+	var gcd, rewakes, bytes, costSum, wallSum, depth, scans, warm int64
 	for _, ev := range evs {
 		count[ev.Type]++
 		switch ev.Type {
+		case obs.EvSumRead:
+			scans += min(ev.N, 1)
+		case obs.EvSumAdd:
+			if ev.Query == query.NoParent {
+				warm++
+			}
 		case obs.EvGC:
 			gcd += ev.N
 		case obs.EvWake:
@@ -153,6 +163,8 @@ func checkFolds(t *testing.T, evs []obs.Event, snap *obs.Snapshot, state *obs.St
 		"steals_succeeded": count[obs.EvSteal], "punch_invocations": ends,
 		"gossip_deliveries": count[obs.EvGossipSend], "gossip_bytes": bytes,
 		"node_kills": count[obs.EvNodeKill], "coalesce_hits": count[obs.EvCoalesce],
+		"prov_summary_reads": count[obs.EvSumRead] - scans, "prov_proc_reads": scans,
+		"prov_summary_writes": count[obs.EvSumAdd] - warm,
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, the stream says %d", name, got, want)
@@ -191,8 +203,10 @@ func checkFolds(t *testing.T, evs []obs.Event, snap *obs.Snapshot, state *obs.St
 
 // TestFoldsAgreeWithEvents runs a corpus program on the barrier engine,
 // the streaming engine and a cluster that loses node 1 at round 2, each
-// with a recording, a registry and a probe attached, and checks that the
-// registry and the probe are folds over the recorded stream.
+// collecting provenance with a recording, a registry and a probe
+// attached, and checks that the registry, the probe and the provenance
+// are folds over the recorded stream: a fold of the recording, made
+// after the run, writes the same provenance bytes as the run's own.
 func TestFoldsAgreeWithEvents(t *testing.T) {
 	src, err := os.ReadFile("../../testdata/corpus/bug_deep_call.bolt")
 	if err != nil {
@@ -200,32 +214,50 @@ func TestFoldsAgreeWithEvents(t *testing.T) {
 	}
 	prog := parser.MustParse(string(src))
 	q0 := AssertionQuestion(prog)
-	runs := map[string]func(obs.Tracer, *obs.Metrics, *obs.Probe) []int{
-		"barrier": func(tr obs.Tracer, m *obs.Metrics, p *obs.Probe) []int {
-			New(prog, Options{Punch: maymust.New(), MaxThreads: 4, Tracer: tr, Metrics: m, Probe: p}).Run(q0)
-			return nil
+	runs := map[string]func(obs.Tracer, *obs.Metrics, *obs.Probe) ([]int, *prov.Provenance){
+		"barrier": func(tr obs.Tracer, m *obs.Metrics, p *obs.Probe) ([]int, *prov.Provenance) {
+			res := New(prog, Options{Punch: maymust.New(), MaxThreads: 4, Tracer: tr, Metrics: m, Probe: p, CollectProvenance: true}).Run(q0)
+			return nil, res.Provenance
 		},
-		"async": func(tr obs.Tracer, m *obs.Metrics, p *obs.Probe) []int {
-			New(prog, Options{Punch: maymust.New(), MaxThreads: 4, Async: true, Tracer: tr, Metrics: m, Probe: p}).Run(q0)
-			return nil
+		"async": func(tr obs.Tracer, m *obs.Metrics, p *obs.Probe) ([]int, *prov.Provenance) {
+			res := New(prog, Options{Punch: maymust.New(), MaxThreads: 4, Async: true, Tracer: tr, Metrics: m, Probe: p, CollectProvenance: true}).Run(q0)
+			return nil, res.Provenance
 		},
-		"dist": func(tr obs.Tracer, m *obs.Metrics, p *obs.Probe) []int {
+		"dist": func(tr obs.Tracer, m *obs.Metrics, p *obs.Probe) ([]int, *prov.Provenance) {
 			res := NewDistributed(prog, DistOptions{Punch: maymust.New(), Nodes: 3, ThreadsPerNode: 2, Tracer: tr, Metrics: m, Probe: p,
-				Faults: &Faults{KillNode: 1, KillRound: 2}}).Run(q0)
+				Faults: &Faults{KillNode: 1, KillRound: 2}, CollectProvenance: true}).Run(q0)
 			if len(res.KilledNodes) != 1 {
 				t.Fatalf("killed nodes %v, want [1]", res.KilledNodes)
 			}
-			return res.KilledNodes
+			return res.KilledNodes, res.Provenance
 		},
 	}
 	for name, run := range runs {
 		t.Run(name, func(t *testing.T) {
 			rec, m, p := &obs.Recording{}, obs.NewMetrics(), &obs.Probe{}
-			killed := run(rec, m, p)
+			killed, got := run(rec, m, p)
 			if p.State().Forest.MaxDepth < 2 {
 				t.Fatalf("max depth %d: the program exercises too little", p.State().Forest.MaxDepth)
 			}
-			checkFolds(t, rec.Events(), m.Snapshot(), p.State(), killed)
+			evs, snap := rec.Events(), m.Snapshot()
+			checkFolds(t, evs, snap, p.State(), killed)
+			if snap.Counters["prov_summary_reads"] == 0 || snap.Counters["prov_summary_writes"] == 0 {
+				t.Fatalf("no summary traffic in the stream: %v", snap.Counters)
+			}
+			fold := prov.NewFold()
+			for _, ev := range evs {
+				fold.Event(ev)
+			}
+			var want, have bytes.Buffer
+			if err := fold.Finish(got.Verdict).WriteJSON(&want); err != nil {
+				t.Fatal(err)
+			}
+			if err := got.WriteJSON(&have); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(have.Bytes(), want.Bytes()) {
+				t.Fatalf("Result.Provenance is not the fold of the stream:\n run  %s\n fold %s", have.Bytes(), want.Bytes())
+			}
 		})
 	}
 }

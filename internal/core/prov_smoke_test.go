@@ -61,9 +61,9 @@ func TestProvSmoke(t *testing.T) {
 				stable  []byte
 			}
 			var runs []run
-			// The registry's counter and the record's own total are bumped
-			// side by side in the recorder; a run that reports them apart
-			// took them from two places.
+			// The registry's counter and the record's own total are two
+			// folds over the same summary events; a run that reports them
+			// apart took them from two places.
 			checkReads := func(engine string, snap *obs.Snapshot, p *prov.Provenance) {
 				t.Helper()
 				if got := snap.Counters["prov_summary_reads"]; got != p.SummaryReads {

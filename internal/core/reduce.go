@@ -83,9 +83,13 @@ type reducer struct {
 	home   func(proc string) int
 	width  int
 
-	// rec is the provenance recorder (nil unless CollectProvenance).
-	rec *prov.Recorder
-	in  instr
+	// fold folds the event stream into provenance (nil unless
+	// CollectProvenance).
+	fold *prov.Fold
+	// warmed holds the summaries loaded from the store, for askRoot to
+	// announce (nil without provenance).
+	warmed []*summary.Summary
+	in     instr
 	// depth is each live query's distance from the root, maintained only
 	// when pprof labels or a tracer are on (a spawn event carries it).
 	depth map[query.ID]int
@@ -234,7 +238,7 @@ func (r *reducer) begin(q0 summary.Question) bool {
 		r.pctx[i] = punch.Context{Prog: r.prog, DB: r.dbs[i], Alloc: r.alloc, ModRef: modref, Shelf: &punch.Shelf{}}
 	}
 	if o.CollectProvenance {
-		r.rec = prov.NewRecorder(o.Metrics)
+		r.fold = prov.NewFold()
 	}
 
 	// Warm start: every summary the store holds is a sound fact about
@@ -259,10 +263,10 @@ func (r *reducer) begin(q0 summary.Question) bool {
 			}
 		}
 		var iface []summary.Summary
-		for _, s := range sums {
+		for i, s := range sums {
 			switch {
 			case !cone[s.Proc]:
-				r.warm(s)
+				r.warm(&sums[i])
 			case s.Kind != summary.NotMay:
 			case s.Proc == cut:
 				iface = append(iface, s)
@@ -293,7 +297,7 @@ func (r *reducer) begin(q0 summary.Question) bool {
 		}
 		ls = obs.NewLiveState(r.engine, len(r.forest)*r.width, len(r.nodes), r.start)
 	}
-	r.in = newInstr(o.Tracer, o.Metrics, ls, len(r.forest), r.width, r.start, o.PprofLabels)
+	r.in = newInstr(o.Tracer, r.fold, o.Metrics, ls, len(r.forest), r.width, r.start, o.PprofLabels)
 	if ls != nil {
 		attachProbe(o.Probe, ls, r.dbs, r.solverStats)
 		r.publish(0, 0)
@@ -307,10 +311,14 @@ func (r *reducer) begin(q0 summary.Question) bool {
 	return true
 }
 
-// warm seeds s, loaded from the store, into its owner's SUMDB.
-func (r *reducer) warm(s summary.Summary) {
-	r.dbs[r.route(s.Proc)].Add(s)
-	r.rec.MarkWarm(s)
+// warm seeds s, loaded from the store, into its owner's SUMDB. With
+// provenance on, askRoot announces it as an add with no query: a run
+// that reuses its verdict asks no root and leaves no events.
+func (r *reducer) warm(s *summary.Summary) {
+	r.dbs[r.route(s.Proc)].Add(*s)
+	if r.fold != nil {
+		r.warmed = append(r.warmed, s)
+	}
 	r.res.WarmSummaries++
 }
 
@@ -363,8 +371,8 @@ func (r *reducer) reprove(ctx context.Context, schedule func(context.Context, *r
 		r.askRoot()
 		return false
 	}
-	for _, s := range r.kept {
-		r.warm(s)
+	for i := range r.kept {
+		r.warm(&r.kept[i])
 	}
 	res.SurvivingSummaries = res.WarmSummaries
 	_, no := r.dbs[r.route(r.q0.Proc)].AnswerNo(r.q0)
@@ -392,10 +400,13 @@ func (r *reducer) reprove(ctx context.Context, schedule func(context.Context, *r
 	return true
 }
 
-// askRoot spawns the run's root question.
+// askRoot announces the warm summaries and spawns the run's root
+// question.
 func (r *reducer) askRoot() {
+	for _, s := range r.warmed {
+		r.in.emit(obs.Event{Type: obs.EvSumAdd, Query: query.NoParent, Proc: s.Proc, Sum: s})
+	}
 	r.spawnRoot(r.q0)
-	r.rec.Root(r.root, r.q0.Proc)
 }
 
 // spawnRoot adds q as the root the scheduler runs next.
@@ -449,17 +460,20 @@ func (r *reducer) punchStart(node, worker int, q *query.Query) {
 // step is the one PUNCH call site: it runs the analysis on q against its
 // tree's SUMDB — through a recording frame when provenance is on, under
 // pprof labels when asked — and returns the result with the wall time
-// spent (zero when nothing traces the run). depth is q's distance from the
+// spent (zero when nothing traces the run) and the frame's log of SUMDB
+// traffic (nil without provenance). depth is q's distance from the
 // root, read by the caller while the depth map is quiescent.
-func (r *reducer) step(ctx context.Context, node int, q *query.Query, depth int) (punch.Result, time.Duration) {
+func (r *reducer) step(ctx context.Context, node int, q *query.Query, depth int) (punch.Result, time.Duration, []prov.Access) {
 	var t0 time.Time
 	if r.in.tr != nil {
 		t0 = time.Now()
 	}
 	pctx := &r.pctx[node]
-	if r.rec != nil {
+	var frame *prov.Frame
+	if r.fold != nil {
+		frame = &prov.Frame{DB: r.dbs[node]}
 		ic := *pctx
-		ic.DB = r.rec.Frame(r.dbs[node], q.ID, q.Q.Proc)
+		ic.DB = frame
 		pctx = &ic
 	}
 	var res punch.Result
@@ -474,14 +488,32 @@ func (r *reducer) step(ctx context.Context, node int, q *query.Query, depth int)
 	if r.in.tr != nil {
 		wall = time.Since(t0)
 	}
-	return res, wall
+	if frame == nil {
+		return res, wall, nil
+	}
+	return res, wall, frame.Log
 }
 
 // punchEnd closes what punchStart opened: the event carries the
-// invocation's abstract cost and its wall time in N.
-func (r *reducer) punchEnd(node, worker int, q *query.Query, cost int64, wall time.Duration) {
-	if r.in.tr != nil {
-		r.in.emit(obs.Event{Type: obs.EvPunchEnd, Query: q.ID, Proc: q.Q.Proc, Node: node, Worker: worker, VTime: r.vtime, Cost: cost, N: int64(wall)})
+// invocation's abstract cost and its wall time in N. The invocation's
+// SUMDB traffic, log, follows it as summary events.
+func (r *reducer) punchEnd(node, worker int, q *query.Query, cost int64, wall time.Duration, log []prov.Access) {
+	if r.in.tr == nil {
+		return
+	}
+	ev := obs.Event{Type: obs.EvPunchEnd, Query: q.ID, Proc: q.Q.Proc, Node: node, Worker: worker, VTime: r.vtime, Cost: cost, N: int64(wall)}
+	r.in.emit(ev)
+	ev.Cost = 0
+	for i := range log {
+		a := &log[i]
+		ev.Type, ev.Sum, ev.N = obs.EvSumRead, &a.Sum, 0
+		switch {
+		case a.Add:
+			ev.Type = obs.EvSumAdd
+		case a.Scan:
+			ev.N = 1
+		}
+		r.in.emit(ev)
 	}
 }
 
@@ -520,7 +552,6 @@ func (r *reducer) apply(node, worker int, q *query.Query, res punch.Result) []*q
 			r.forest[dst].Add(c)
 			r.created++
 			r.woken = append(r.woken, c)
-			r.rec.Spawn(self.ID, self.Q.Proc, c.ID, c.Q.Proc)
 			if r.depth != nil {
 				r.depth[c.ID] = r.depth[self.ID] + 1
 			}
@@ -581,7 +612,6 @@ func (r *reducer) coalesce(dst, worker int, parent, c *query.Query, again *bool)
 		tree.AddWaiter(twinID, parent.ID)
 	}
 	r.res.CoalesceHits++
-	r.rec.Coalesce(parent.ID, parent.Q.Proc, c.Q.Proc)
 	r.note(obs.EvCoalesce, dst, worker, c, int64(twinID))
 	return true
 }
@@ -656,6 +686,7 @@ type slot struct {
 	q            *query.Query
 	res          punch.Result
 	wall         time.Duration
+	log          []prov.Access
 }
 
 // advance moves the virtual clock past a stage whose batch is grouped by
@@ -887,16 +918,16 @@ func (r *reducer) persistStore(sums []summary.Summary) {
 	}
 }
 
-// finishProv freezes the recorder into the result, feeds the cone-size
-// histogram, and persists the verdict's read set beside the summaries.
-// The record carries the root question's durable key and
-// the run's procedure dependency adjacency, which the next incremental
-// re-check consumes for verdict reuse and invalidation planning.
+// finishProv freezes the fold into the result, feeds the cone-size
+// histogram, and persists the verdict's record beside the summaries: the
+// root question's durable key and the run's procedure dependency
+// adjacency, which the next incremental re-check consumes for verdict
+// reuse and invalidation planning.
 func (r *reducer) finishProv() {
-	if r.rec == nil {
+	if r.fold == nil {
 		return
 	}
-	p := r.rec.Finish(r.res.Verdict.String())
+	p := r.fold.Finish(r.res.Verdict.String())
 	r.res.Provenance = p
 	if m := r.o.Metrics; m != nil {
 		for _, cs := range p.ConeSizes() {
@@ -911,14 +942,6 @@ func (r *reducer) finishProv() {
 	// reuse fast path, never the record.
 	rootKey, _ := wire.QuestionKey(r.q0)
 	wrec := wire.ProvRecord{Root: p.Root, Verdict: p.Verdict, Engine: r.engine, RootKey: rootKey, Deps: p.Deps}
-	for _, rd := range p.Reads() {
-		if rd.Summary.Pre == nil || rd.Summary.Post == nil {
-			// Scripted test summaries carry nil formulas and are not
-			// durable; the persisted read set covers only real facts.
-			continue
-		}
-		wrec.Reads = append(wrec.Reads, wire.ProvRead{Summary: rd.Summary, Warm: rd.Warm, Count: rd.Count})
-	}
 	if err := r.o.Store.PutProv(wrec); err != nil && r.res.StoreErr == nil {
 		r.res.StoreErr = err
 	}

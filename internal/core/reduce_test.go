@@ -318,9 +318,9 @@ func TestDoneTwinCoalesceReadsAlikeOnBatchEngines(t *testing.T) {
 
 // TestOneReduce is a structural lint: the operations that make up REDUCE
 // and a run's set-up and tear-down — child insertion and coalescing, the
-// Done fan-out, waiter clearing, subtree GC, the PUNCH wrapper,
-// incremental prep, store hydration and persist, provenance finish — may
-// be called from reduce.go only. The three engines once each carried a
+// Done fan-out, waiter clearing, subtree GC, the PUNCH wrapper and its
+// recording frame, the summary events, incremental prep, store hydration
+// and persist, provenance finish — may be called from reduce.go only. The three engines once each carried a
 // copy; a fourth cannot grow back unnoticed. Likewise there is one batch
 // scheduler: the MAP fan-out, the stage clock and batch REDUCE each have
 // exactly one call site, the round loop in engine.go. Comments and
@@ -328,7 +328,7 @@ func TestDoneTwinCoalesceReadsAlikeOnBatchEngines(t *testing.T) {
 func TestOneReduce(t *testing.T) {
 	calls := []string{
 		"RemoveSubtree(", "AddWaiter(", "ClearWaiters(", "WouldCycle(",
-		"rec.Spawn(", "rec.Coalesce(", "rec.Frame(", "rec.Finish(",
+		"obs.EvSumRead", "obs.EvSumAdd", "prov.Frame{", "fold.Finish(",
 		"prepareIncr(", "Store.Load()", "Store.Put(",
 		"logic.BeginRun(", "logic.EndRun(",
 	}

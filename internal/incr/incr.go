@@ -19,9 +19,9 @@
 // the log, every frame and checksum checked, nothing decoded and no
 // payload copied), the snapshot, the stored manifest and, of each
 // provenance record, its root question, verdict and dependency adjacency
-// — never a formula: it reads the records without their read sets
-// (wire.DecodeProv) and, when the verdict is reused, never loads a
-// summary, writes nothing and syncs nothing.
+// — never a formula: a provenance record holds none, and when the
+// verdict is reused no summary is loaded, nothing is written and nothing
+// is synced.
 //
 // Invalidation is cone-based, at procedure granularity. A summary for
 // procedure p may encode facts about everything p transitively calls,

@@ -172,21 +172,10 @@ func appendWireLin(dst []byte, l Lin) []byte {
 // package constructors, so the result is interned and canonical in this
 // process; malformed input returns an error, never a panic.
 func DecodeWire(buf []byte) (Formula, int, error) {
-	return decodeWire(buf, 0, true)
+	return decodeWire(buf, 0)
 }
 
-// SkipWire reports the length of the formula at the start of buf without
-// building it: it accepts exactly the input DecodeWire accepts, and it
-// interns and allocates nothing. A reader that needs only what follows a
-// formula steps over it with SkipWire.
-func SkipWire(buf []byte) (int, error) {
-	_, n, err := decodeWire(buf, 0, false)
-	return n, err
-}
-
-// decodeWire walks one formula; with build false it checks the structure
-// and returns a nil formula.
-func decodeWire(buf []byte, depth int, build bool) (Formula, int, error) {
+func decodeWire(buf []byte, depth int) (Formula, int, error) {
 	if depth > maxWireDepth {
 		return nil, 0, fmt.Errorf("logic: wire: formula nesting exceeds %d", maxWireDepth)
 	}
@@ -202,15 +191,12 @@ func decodeWire(buf []byte, depth int, build bool) (Formula, int, error) {
 		return True, pos, nil
 	case wireLE, wireEQ:
 		var b [2]termBuf
-		l, n, err := decodeWireLin(buf[pos:], &b, build)
+		l, n, err := decodeWireLin(buf[pos:], &b)
 		if err != nil {
 			return nil, 0, err
 		}
 		pos += n
-		switch {
-		case !build:
-			return nil, pos, nil
-		case tag == wireEQ:
+		if tag == wireEQ {
 			return EQ(l), pos, nil
 		}
 		return LE(l), pos, nil
@@ -223,24 +209,16 @@ func decodeWire(buf []byte, depth int, build bool) (Formula, int, error) {
 		if count > maxWireChildren {
 			return nil, 0, fmt.Errorf("logic: wire: %d children exceeds %d", count, maxWireChildren)
 		}
-		var fs []Formula
-		if build {
-			fs = make([]Formula, 0, count)
-		}
+		fs := make([]Formula, 0, count)
 		for i := uint64(0); i < count; i++ {
-			f, n, err := decodeWire(buf[pos:], depth+1, build)
+			f, n, err := decodeWire(buf[pos:], depth+1)
 			if err != nil {
 				return nil, 0, err
 			}
 			pos += n
-			if build {
-				fs = append(fs, f)
-			}
+			fs = append(fs, f)
 		}
-		switch {
-		case !build:
-			return nil, pos, nil
-		case tag == wireAnd:
+		if tag == wireAnd {
 			return Conj(fs...), pos, nil
 		}
 		return Disj(fs...), pos, nil
@@ -250,8 +228,7 @@ func decodeWire(buf []byte, depth int, build bool) (Formula, int, error) {
 }
 
 // decodeWireLin decodes a term into b, where it lives until b is reused.
-// With build false it checks the term's structure and sums nothing.
-func decodeWireLin(buf []byte, b *[2]termBuf, build bool) (Lin, int, error) {
+func decodeWireLin(buf []byte, b *[2]termBuf) (Lin, int, error) {
 	k, pos := binary.Varint(buf)
 	if pos <= 0 {
 		return Lin{}, 0, fmt.Errorf("logic: wire: bad term constant")
@@ -281,7 +258,7 @@ func decodeWireLin(buf []byte, b *[2]termBuf, build bool) (Lin, int, error) {
 			return Lin{}, 0, fmt.Errorf("logic: wire: bad coefficient")
 		}
 		pos += n
-		if build && coef != 0 {
+		if coef != 0 {
 			// The sum canonicalizes: duplicate names merge, zero
 			// coefficients drop, variables sort. Decoding therefore
 			// accepts any byte-level spelling but always yields the

@@ -27,8 +27,8 @@ func us(d int64) float64 { return float64(d) / 1e3 } // ns → µs
 // WriteChrome converts an event stream (in arrival order) to Chrome
 // trace-event JSON and writes it to w as one array: one process per
 // node, one track (thread) per worker, one complete span per PUNCH
-// invocation, and instant events for the rest of the query lifecycle.
-// Metadata comes first, then everything by timestamp. The document
+// invocation, and instant events for the rest of the query lifecycle
+// (SUMDB traffic, EvSumRead and EvSumAdd, is left out). Metadata comes first, then everything by timestamp. The document
 // loads directly in Perfetto (ui.perfetto.dev) or chrome://tracing. It
 // returns the number of PUNCH spans written; a punch-end whose start is
 // missing becomes a zero-length span.
@@ -39,6 +39,9 @@ func WriteChrome(w io.Writer, evs []Event) (int, error) {
 	procs := map[int]bool{}
 	spans := 0
 	for _, ev := range evs {
+		if ev.Type == EvSumRead || ev.Type == EvSumAdd {
+			continue
+		}
 		key := [2]int{ev.Node, ev.Worker}
 		if !procs[ev.Node] {
 			procs[ev.Node] = true

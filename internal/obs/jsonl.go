@@ -13,7 +13,9 @@ import (
 
 // wireEvent is the JSONL wire form of an Event: one JSON object per
 // line, with the event type spelled out as its String name so the
-// stream is greppable and stable across EventType renumbering.
+// stream is greppable and stable across EventType renumbering. A
+// summary event's summary is rendered as text, for a reader: it does
+// not load back.
 type wireEvent struct {
 	Type   string `json:"type"`
 	Query  int64  `json:"query"`
@@ -25,6 +27,7 @@ type wireEvent struct {
 	WallNs int64  `json:"wall_ns,omitempty"`
 	Cost   int64  `json:"cost,omitempty"`
 	N      int64  `json:"n,omitempty"`
+	Sum    string `json:"sum,omitempty"`
 }
 
 // ParseEventType resolves an event-type name produced by
@@ -41,6 +44,14 @@ func ParseEventType(name string) (EventType, bool) {
 // MarshalEventJSON renders one event in the JSONL wire form (no
 // trailing newline).
 func MarshalEventJSON(ev Event) ([]byte, error) {
+	sum := ""
+	switch s := ev.Sum; {
+	case s == nil:
+	case s.Pre == nil || s.Post == nil:
+		sum = s.Proc // a ForProc scan names only the procedure
+	default:
+		sum = s.String()
+	}
 	return json.Marshal(wireEvent{
 		Type:   ev.Type.String(),
 		Query:  int64(ev.Query),
@@ -52,10 +63,12 @@ func MarshalEventJSON(ev Event) ([]byte, error) {
 		WallNs: int64(ev.Wall),
 		Cost:   ev.Cost,
 		N:      ev.N,
+		Sum:    sum,
 	})
 }
 
-// UnmarshalEventJSON parses one JSONL line back into an Event.
+// UnmarshalEventJSON parses one JSONL line back into an Event, without
+// the summary of a summary event.
 func UnmarshalEventJSON(line []byte) (Event, error) {
 	var w wireEvent
 	if err := json.Unmarshal(line, &w); err != nil {

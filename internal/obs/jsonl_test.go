@@ -2,13 +2,19 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/logic"
+	"repro/internal/query"
+	"repro/internal/summary"
 )
 
 // TestEventJSONRoundTrip: every event type survives the JSONL wire form
-// with all fields intact.
+// with all fields intact, but a summary event's summary, which is
+// rendered as text and does not load back.
 func TestEventJSONRoundTrip(t *testing.T) {
 	for typ := EvSpawn; int(typ) < len(eventNames); typ++ {
 		in := Event{
@@ -33,6 +39,33 @@ func TestEventJSONRoundTrip(t *testing.T) {
 		}
 		if out != in {
 			t.Errorf("%v: round trip changed event:\n in  %+v\n out %+v", typ, in, out)
+		}
+	}
+	sum := summary.Summary{Kind: summary.NotMay, Proc: "leaf", Pre: logic.True, Post: logic.False}
+	for _, in := range []Event{
+		{Type: EvSumRead, Query: 4, Proc: "dispatch", Sum: &sum},
+		{Type: EvSumAdd, Query: query.NoParent, Proc: "leaf", Sum: &sum},
+		{Type: EvSumRead, Query: 4, Proc: "dispatch", N: 1, Sum: &summary.Summary{Proc: "leaf"}},
+	} {
+		data, err := MarshalEventJSON(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := sum.String()
+		if in.N == 1 {
+			text = "leaf"
+		}
+		var w wireEvent
+		if err := json.Unmarshal(data, &w); err != nil || w.Sum != text {
+			t.Errorf("%v renders as %s, want the summary %q in it", in.Type, data, text)
+		}
+		out, err := UnmarshalEventJSON(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Sum = nil
+		if out != in {
+			t.Errorf("%v: round trip changed event:\n in  %+v\n out %+v", in.Type, in, out)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/query"
 )
 
 // Counter indexes one engine counter in the Metrics registry.
@@ -47,17 +49,13 @@ const (
 	// CoalesceHits counts spawned children coalesced onto a live
 	// in-flight twin instead of growing a duplicate subtree.
 	CoalesceHits
-	// ProvSummaryReads counts SUMDB summaries recorded into a query's
-	// provenance read set (AnswerYes/AnswerNo/Answer hits under a
-	// recording frame); ProvSummaryWrites counts summaries recorded
-	// into a write set; ProvProcReads counts procedure-granularity
-	// ForProc scans; ProvCoalesceReuse counts coalesce edges recorded
-	// (a parent's dependency satisfied by an in-flight twin's subtree).
-	// All four stay zero unless provenance collection is on.
+	// ProvSummaryReads counts summaries that answered a question
+	// (EvSumRead), ProvProcReads ForProc scans (EvSumRead with N = 1),
+	// ProvSummaryWrites summaries PUNCH published (EvSumAdd with a
+	// query). All three stay zero unless provenance collection is on.
 	ProvSummaryReads
 	ProvSummaryWrites
 	ProvProcReads
-	ProvCoalesceReuse
 	// ShelfShelved counts region graphs finished queries left on their
 	// node's shelf, ShelfTaken those a later query of the same procedure
 	// and postcondition started from, ShelfEvicted those dropped untaken
@@ -82,7 +80,7 @@ var counterNames = [numCounters]string{
 	"idle_parks", "punch_invocations", "gossip_rounds",
 	"gossip_deliveries", "gossip_bytes", "node_kills",
 	"coalesce_hits", "prov_summary_reads", "prov_summary_writes",
-	"prov_proc_reads", "prov_coalesce_reuse",
+	"prov_proc_reads",
 	"shelf_shelved", "shelf_taken", "shelf_evicted",
 	"incr_cutoff_hits", "incr_cutoff_fallbacks", "incr_reproofs",
 }
@@ -172,9 +170,9 @@ type workerCell struct {
 // Metrics is the engine metrics registry. Every counter whose fact is a
 // lifecycle event — spawns, answers, collections, blocks, wakes, steals,
 // PUNCH invocations with both histograms and the per-worker ledger,
-// gossip deliveries, node kills, coalesce hits — is a fold over the
-// event stream (Event); the rest (steal scans, parks, gossip rounds,
-// provenance traffic, the region-graph shelves) are written directly
+// gossip deliveries, node kills, coalesce hits, provenance traffic — is
+// a fold over the event stream (Event); the rest (steal scans, parks,
+// gossip rounds, the region-graph shelves) are written directly
 // through Inc and Add. A nil *Metrics is disabled: Inc, Add, Get,
 // EnsureWorkers and Snapshot are nil-receiver safe. All methods are safe
 // for concurrent use.
@@ -283,6 +281,16 @@ func (m *Metrics) Event(ev Event) {
 		c[NodeKills].Add(1)
 	case EvCoalesce:
 		c[CoalesceHits].Add(1)
+	case EvSumRead:
+		if ev.N != 0 {
+			c[ProvProcReads].Add(1)
+		} else {
+			c[ProvSummaryReads].Add(1)
+		}
+	case EvSumAdd:
+		if ev.Query != query.NoParent {
+			c[ProvSummaryWrites].Add(1)
+		}
 	}
 }
 

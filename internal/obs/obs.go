@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/query"
+	"repro/internal/summary"
 )
 
 // EventType labels a query-lifecycle event.
@@ -63,6 +64,14 @@ const (
 	// Query is the duplicate child that was dropped, Parent the spawning
 	// parent registered as a waiter, N the twin query answering for both.
 	EvCoalesce
+	// EvSumRead and EvSumAdd: one PUNCH invocation's SUMDB traffic,
+	// emitted right after its EvPunchEnd and only when provenance is
+	// collected. A read is a summary that answered a question, or, with
+	// N = 1, a ForProc scan of Sum.Proc (Sum carries only the procedure);
+	// an add is a summary the invocation published. A warm load from the
+	// store is an add with Query = query.NoParent.
+	EvSumRead
+	EvSumAdd
 
 	numEventTypes
 )
@@ -70,7 +79,7 @@ const (
 var eventNames = [numEventTypes]string{
 	"spawn", "ready", "punch-start", "punch-end", "block", "wake",
 	"steal", "done", "gc", "gossip-send", "gossip-recv", "node-kill",
-	"coalesce",
+	"coalesce", "sum-read", "sum-add",
 }
 
 func (t EventType) String() string {
@@ -104,8 +113,10 @@ type Event struct {
 	// N is the event's payload: depth for EvSpawn, wall nanoseconds for
 	// EvPunchEnd, the rewake mark for EvWake, victim worker for EvSteal,
 	// queries collected for EvGC, payload bytes for the gossip events,
-	// the twin for EvCoalesce.
+	// the twin for EvCoalesce, the scan mark for EvSumRead.
 	N int64
+	// Sum is the summary of EvSumRead and EvSumAdd (nil otherwise).
+	Sum *summary.Summary
 }
 
 // Tracer receives the event stream of a run. A run emits from one

@@ -1,13 +1,13 @@
-// Package prov records verdict provenance: which SUMDB summaries and
-// procedures an engine's answer actually depends on. A Recorder is
-// threaded through an engine run (all three engines share the same hook
-// points); per PUNCH invocation it interposes a recording frame behind
-// the punch.DB interface that captures the invocation's read set
-// (summaries consumed via AnswerYes/AnswerNo/Answer, procedure scans
-// via ForProc) and write set (summaries produced via Add), while the
-// engine itself reports the structural edges PUNCH cannot see — spawned
-// children, coalesce-twin reuse, and warm-start loads. Finish assembles
-// everything into a Provenance value: the verdict→summary→procedure
+// Package prov derives verdict provenance — which SUMDB summaries and
+// procedures an engine's answer actually depends on — from the run's one
+// event stream. Two pieces do it. A Frame is one PUNCH invocation's view
+// of the summary database: it delegates every call and logs the
+// invocation's SUMDB traffic (summaries that answered a question, ForProc
+// scans, summaries published), which the reducer emits as EvSumRead and
+// EvSumAdd events right after the invocation's EvPunchEnd. A Fold is the
+// tracer that turns the stream into provenance: spawn and coalesce events
+// give the structural edges PUNCH cannot see, summary events the traffic,
+// and Finish assembles a Provenance value — the verdict→summary→procedure
 // dependency DAG, the verdict's procedure cone, and the per-procedure
 // invalidation cones that seed incremental re-analysis.
 //
@@ -16,38 +16,84 @@
 // stored summary, a fresh spawned child, or an in-flight twin, so the
 // procedure set is schedule-invariant — identical across the barrier,
 // async, and distributed engines even though their query DAGs differ.
-//
-// A nil *Recorder is fully disabled: every method is nil-receiver safe
-// and Frame returns its input database untouched, so engines pay one
-// pointer comparison per invocation when provenance is off.
 package prov
 
 import (
-	"sync"
-
 	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/punch"
 	"repro/internal/query"
-	"repro/internal/smt"
 	"repro/internal/summary"
 )
 
-// localKey is the process-local canonical identity of a summary — the
-// same identity SUMDB dedups on, extended with the procedure. It may
-// embed interned "#id" renders and must never be persisted; durable
-// artifacts go through wire.SummaryKey instead.
-func localKey(s summary.Summary) string {
-	return s.Kind.String() + "|" + s.Proc + "|" + fkey(s.Pre) + "|" + fkey(s.Post)
+// Access is one SUMDB call a Frame logged: a summary read (with Scan, a
+// ForProc scan of Sum.Proc, whose other fields are empty) or, with Add,
+// a summary published.
+type Access struct {
+	Sum       summary.Summary
+	Add, Scan bool
 }
 
-// fkey is logic.Key made safe for the nil formulas scripted test
-// punches leave in their summaries.
-func fkey(f logic.Formula) string {
-	if f == nil {
-		return "<nil>"
+// Frame is the recording view of the summary database for one PUNCH
+// invocation. It is used by that invocation's goroutine only, so its log
+// takes no lock. Because the entailment cache and the per-shard memo sit
+// behind AnswerYes/AnswerNo (a memo hit still returns the answering
+// summary), cache-served answers are logged at summary granularity too.
+type Frame struct {
+	punch.DB
+	Log []Access
+}
+
+func (f *Frame) Add(s summary.Summary) {
+	f.DB.Add(s)
+	f.Log = append(f.Log, Access{Sum: s, Add: true})
+}
+
+func (f *Frame) AnswerYes(q summary.Question) (summary.Summary, bool) {
+	s, ok := f.DB.AnswerYes(q)
+	if ok {
+		f.Log = append(f.Log, Access{Sum: s})
 	}
-	return logic.Key(f)
+	return s, ok
+}
+
+func (f *Frame) AnswerNo(q summary.Question) (summary.Summary, bool) {
+	s, ok := f.DB.AnswerNo(q)
+	if ok {
+		f.Log = append(f.Log, Access{Sum: s})
+	}
+	return s, ok
+}
+
+func (f *Frame) Answer(q summary.Question) (summary.Summary, int) {
+	s, v := f.DB.Answer(q)
+	if v != 0 {
+		f.Log = append(f.Log, Access{Sum: s})
+	}
+	return s, v
+}
+
+func (f *Frame) ForProc(proc string) []summary.Summary {
+	f.Log = append(f.Log, Access{Sum: summary.Summary{Proc: proc}, Scan: true})
+	return f.DB.ForProc(proc)
+}
+
+// sumKey is the identity of a summary within one run — the identity
+// SUMDB dedups on, extended with the procedure. Formula ids are
+// process-local: durable artifacts go through wire.SummaryKey instead.
+type sumKey struct {
+	kind      summary.Kind
+	proc      string
+	pre, post logic.ID
+}
+
+// formulaID is logic.KeyID made safe for the nil formulas scripted test
+// punches leave in their summaries (no interned formula has id 0).
+func formulaID(f logic.Formula) logic.ID {
+	if f == nil {
+		return 0
+	}
+	return logic.KeyID(f)
 }
 
 // sumRec accumulates one distinct summary's traffic across the run.
@@ -59,246 +105,113 @@ type sumRec struct {
 	readers map[string]bool // distinct reader procedures
 }
 
-// queryRec is one query's provenance record: its read and write sets at
-// summary granularity plus the structural edges the engine reported.
-type queryRec struct {
-	proc      string
-	reads     int
-	procReads int
-	writes    int
+// Fold is the tracer that folds one run's event stream into its
+// provenance. A run emits from one goroutine at a time, and the fold
+// belongs to that run alone, so it takes no lock.
+type Fold struct {
+	root   string
+	procs  map[query.ID]string // every spawned query's procedure
+	sums   map[sumKey]*sumRec
+	deps   map[string]map[string]bool // proc -> procs it depends on (all edge kinds)
+	spawns map[string]map[string]bool // proc -> child procs (spawn + coalesce edges)
+
+	warmLoaded                                            int
+	summaryReads, summaryWrites, procReads, coalesceReuse int64
 }
 
-// Recorder collects provenance for one engine run. Safe for concurrent
-// use by any number of PUNCH workers; the critical sections are short
-// map updates, acceptable for an opt-in observability feature.
-type Recorder struct {
-	mu sync.Mutex
-	m  *obs.Metrics // optional: live bolt_prov_* counters
-
-	rootProc string
-	queries  map[query.ID]*queryRec
-	sums     map[string]*sumRec
-	deps     map[string]map[string]bool // proc -> procs it depends on (all edge kinds)
-	spawns   map[string]map[string]bool // proc -> child procs (spawn + coalesce edges)
-	warm     map[string]bool            // localKey -> loaded from the store
-
-	summaryReads  int64
-	summaryWrites int64
-	procReads     int64
-	coalesceReuse int64
-}
-
-// NewRecorder returns an empty recorder. m is optional; when non-nil
-// the recorder feeds the live prov_* counters as it records.
-func NewRecorder(m *obs.Metrics) *Recorder {
-	return &Recorder{
-		m:       m,
-		queries: map[query.ID]*queryRec{},
-		sums:    map[string]*sumRec{},
-		deps:    map[string]map[string]bool{},
-		spawns:  map[string]map[string]bool{},
-		warm:    map[string]bool{},
+// NewFold returns an empty fold.
+func NewFold() *Fold {
+	return &Fold{
+		procs:  map[query.ID]string{},
+		sums:   map[sumKey]*sumRec{},
+		deps:   map[string]map[string]bool{},
+		spawns: map[string]map[string]bool{},
 	}
 }
 
-// Root registers the run's root query. The verdict cone is the
-// dependency closure from its procedure.
-func (r *Recorder) Root(id query.ID, proc string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.rootProc = proc
-	r.query(id, proc)
-	r.touch(proc)
-	r.mu.Unlock()
-}
-
-// Spawn records a parent→child edge for a freshly spawned sub-query.
-func (r *Recorder) Spawn(parent query.ID, parentProc string, child query.ID, childProc string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.query(parent, parentProc)
-	r.query(child, childProc)
-	r.edge(parentProc, childProc)
-	r.spawnEdge(parentProc, childProc)
-	r.mu.Unlock()
-}
-
-// Coalesce records a parent's dependency satisfied by an in-flight twin
-// instead of a fresh subtree: the same procedure-level edge a spawn
-// would have produced, so cones stay schedule-invariant, plus the reuse
-// counter.
-func (r *Recorder) Coalesce(parent query.ID, parentProc, childProc string) {
-	if r == nil {
-		return
-	}
-	r.m.Inc(obs.ProvCoalesceReuse)
-	r.mu.Lock()
-	r.query(parent, parentProc)
-	r.edge(parentProc, childProc)
-	r.spawnEdge(parentProc, childProc)
-	r.coalesceReuse++
-	r.mu.Unlock()
-}
-
-// MarkWarm registers a summary hydrated from the persistent store, so
-// reads of it are attributed to the warm set.
-func (r *Recorder) MarkWarm(s summary.Summary) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	k := localKey(s)
-	r.warm[k] = true
-	sr := r.sum(k, s)
-	sr.warm = true
-	r.mu.Unlock()
-}
-
-// Frame wraps db in a recording frame attributed to query id running
-// proc. On a nil recorder it returns db unchanged — the whole cost of
-// disabled provenance.
-func (r *Recorder) Frame(db punch.DB, id query.ID, proc string) punch.DB {
-	if r == nil {
-		return db
-	}
-	return &frame{db: db, r: r, id: id, proc: proc}
-}
-
-// query returns (creating if needed) the record for id. Caller holds mu.
-func (r *Recorder) query(id query.ID, proc string) *queryRec {
-	q := r.queries[id]
-	if q == nil {
-		q = &queryRec{proc: proc}
-		r.queries[id] = q
-	}
-	return q
-}
-
-// touch ensures proc has a node in the dependency graph. Caller holds mu.
-func (r *Recorder) touch(proc string) {
-	if r.deps[proc] == nil {
-		r.deps[proc] = map[string]bool{}
+// Event implements obs.Tracer. The root is the last query spawned
+// without a parent: an incremental re-check's re-proofs are spawned
+// before it.
+func (f *Fold) Event(ev obs.Event) {
+	switch ev.Type {
+	case obs.EvSpawn:
+		f.procs[ev.Query] = ev.Proc
+		if ev.Parent == query.NoParent {
+			f.root = ev.Proc
+		} else {
+			f.spawn(f.procs[ev.Parent], ev.Proc)
+		}
+	case obs.EvCoalesce:
+		// A dependency satisfied by an in-flight twin: the same edge a
+		// spawn would have produced, so cones stay schedule-invariant.
+		f.spawn(f.procs[ev.Parent], ev.Proc)
+		f.coalesceReuse++
+	case obs.EvSumRead:
+		f.edge(ev.Proc, ev.Sum.Proc)
+		if ev.N != 0 {
+			f.procReads++
+			return
+		}
+		sr := f.sum(ev.Sum)
+		sr.reads++
+		sr.readers[ev.Proc] = true
+		f.summaryReads++
+	case obs.EvSumAdd:
+		sr := f.sum(ev.Sum)
+		if ev.Query == query.NoParent {
+			if !sr.warm {
+				sr.warm = true
+				f.warmLoaded++
+			}
+			return
+		}
+		sr.written = true
+		f.touch(ev.Sum.Proc)
+		f.summaryWrites++
 	}
 }
 
-// edge records proc -> dep in the dependency graph. Caller holds mu.
-func (r *Recorder) edge(proc, dep string) {
-	r.touch(proc)
-	r.touch(dep)
-	// Self-edges are dropped: whether a procedure consults its own
-	// summary is schedule-dependent (a coalesce hit on one schedule is a
-	// fresh read on another), and a p->p edge adds nothing to any
-	// invalidation cone — p is always in its own cone. Dropping them
-	// keeps StableBytes identical across engine schedules.
+// touch ensures proc has a node in the dependency graph.
+func (f *Fold) touch(proc string) {
+	if f.deps[proc] == nil {
+		f.deps[proc] = map[string]bool{}
+	}
+}
+
+// edge records proc -> dep in the dependency graph. Self-edges are
+// dropped: whether a procedure consults its own summary is
+// schedule-dependent (a coalesce hit on one schedule is a fresh read on
+// another), and a p->p edge adds nothing to any invalidation cone — p is
+// always in its own cone. Dropping them keeps StableBytes identical
+// across engine schedules.
+func (f *Fold) edge(proc, dep string) {
+	f.touch(proc)
+	f.touch(dep)
 	if proc != dep {
-		r.deps[proc][dep] = true
+		f.deps[proc][dep] = true
 	}
 }
 
-func (r *Recorder) spawnEdge(proc, child string) {
+// spawn records a parent→child procedure edge, in the dependency graph
+// and among the spawn edges.
+func (f *Fold) spawn(proc, child string) {
+	f.edge(proc, child)
 	if proc == child {
-		return // see edge: self-edges are schedule noise
+		return
 	}
-	if r.spawns[proc] == nil {
-		r.spawns[proc] = map[string]bool{}
+	if f.spawns[proc] == nil {
+		f.spawns[proc] = map[string]bool{}
 	}
-	r.spawns[proc][child] = true
+	f.spawns[proc][child] = true
 }
 
-// sum returns (creating if needed) the record for a summary. Caller
-// holds mu.
-func (r *Recorder) sum(k string, s summary.Summary) *sumRec {
-	sr := r.sums[k]
+// sum returns (creating if needed) the record for a summary.
+func (f *Fold) sum(s *summary.Summary) *sumRec {
+	k := sumKey{s.Kind, s.Proc, formulaID(s.Pre), formulaID(s.Post)}
+	sr := f.sums[k]
 	if sr == nil {
-		sr = &sumRec{s: s, warm: r.warm[k], readers: map[string]bool{}}
-		r.sums[k] = sr
+		sr = &sumRec{s: *s, readers: map[string]bool{}}
+		f.sums[k] = sr
 	}
 	return sr
-}
-
-// read records query id (running proc) consuming summary s.
-func (r *Recorder) read(id query.ID, proc string, s summary.Summary) {
-	r.m.Inc(obs.ProvSummaryReads)
-	r.mu.Lock()
-	r.query(id, proc).reads++
-	sr := r.sum(localKey(s), s)
-	sr.reads++
-	sr.readers[proc] = true
-	r.edge(proc, s.Proc)
-	r.summaryReads++
-	r.mu.Unlock()
-}
-
-// readProc records query id (running proc) scanning callee's summaries.
-func (r *Recorder) readProc(id query.ID, proc, callee string) {
-	r.m.Inc(obs.ProvProcReads)
-	r.mu.Lock()
-	r.query(id, proc).procReads++
-	r.edge(proc, callee)
-	r.procReads++
-	r.mu.Unlock()
-}
-
-// write records query id (running proc) producing summary s.
-func (r *Recorder) write(id query.ID, proc string, s summary.Summary) {
-	r.m.Inc(obs.ProvSummaryWrites)
-	r.mu.Lock()
-	r.query(id, proc).writes++
-	sr := r.sum(localKey(s), s)
-	sr.written = true
-	r.touch(s.Proc)
-	r.summaryWrites++
-	r.mu.Unlock()
-}
-
-// frame is the per-invocation recording view of the summary database.
-// It implements punch.DB by delegating every call and recording the
-// hits. Because the entailment cache and the per-shard memo sit behind
-// AnswerYes/AnswerNo (a memo hit still returns the answering summary),
-// cache-served answers carry summary-granularity provenance for free.
-type frame struct {
-	db   punch.DB
-	r    *Recorder
-	id   query.ID
-	proc string
-}
-
-func (f *frame) Solver() *smt.Solver { return f.db.Solver() }
-
-func (f *frame) Add(s summary.Summary) {
-	f.db.Add(s)
-	f.r.write(f.id, f.proc, s)
-}
-
-func (f *frame) AnswerYes(q summary.Question) (summary.Summary, bool) {
-	s, ok := f.db.AnswerYes(q)
-	if ok {
-		f.r.read(f.id, f.proc, s)
-	}
-	return s, ok
-}
-
-func (f *frame) AnswerNo(q summary.Question) (summary.Summary, bool) {
-	s, ok := f.db.AnswerNo(q)
-	if ok {
-		f.r.read(f.id, f.proc, s)
-	}
-	return s, ok
-}
-
-func (f *frame) Answer(q summary.Question) (summary.Summary, int) {
-	s, v := f.db.Answer(q)
-	if v != 0 {
-		f.r.read(f.id, f.proc, s)
-	}
-	return s, v
-}
-
-func (f *frame) ForProc(proc string) []summary.Summary {
-	f.r.readProc(f.id, f.proc, proc)
-	return f.db.ForProc(proc)
 }

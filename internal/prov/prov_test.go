@@ -3,11 +3,13 @@ package prov
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/lang"
 	"repro/internal/logic"
-	"repro/internal/punch"
+	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/smt"
 	"repro/internal/summary"
 )
@@ -33,52 +35,72 @@ func (d *stubDB) AnswerNo(summary.Question) (summary.Summary, bool) {
 }
 func (d *stubDB) ForProc(string) []summary.Summary { return []summary.Summary{d.s} }
 
-// TestNilRecorderIsFree locks the zero-cost-when-disabled contract: a
-// nil recorder's methods are no-ops and Frame returns the database
-// untouched, so engines pay one pointer comparison per invocation.
-func TestNilRecorderIsFree(t *testing.T) {
-	var r *Recorder
-	db := &stubDB{s: mkSum("f", 0, 1)}
-	if got := r.Frame(db, 1, "main"); got != punch.DB(db) {
-		t.Fatalf("nil recorder must return the db unchanged, got %T", got)
-	}
-	r.Root(1, "main")
-	r.Spawn(1, "main", 2, "f")
-	r.Coalesce(1, "main", "f")
-	r.MarkWarm(mkSum("f", 0, 1))
-	if p := r.Finish("x"); p != nil {
-		t.Fatalf("nil recorder Finish must be nil, got %+v", p)
-	}
-	if p := (*Provenance)(nil); p.Verify() == nil {
-		t.Fatal("nil provenance must not verify")
+// run is a hand-written event stream: the events a reducer would emit.
+type run struct{ f *Fold }
+
+func newRun() run { return run{NewFold()} }
+
+func (r run) spawn(parent, id query.ID, proc string) {
+	r.f.Event(obs.Event{Type: obs.EvSpawn, Query: id, Parent: parent, Proc: proc})
+}
+
+func (r run) coalesce(parent, dup query.ID, proc string) {
+	r.f.Event(obs.Event{Type: obs.EvCoalesce, Query: dup, Parent: parent, Proc: proc})
+}
+
+func (r run) warm(s summary.Summary) {
+	r.f.Event(obs.Event{Type: obs.EvSumAdd, Query: query.NoParent, Proc: s.Proc, Sum: &s})
+}
+
+// punch emits what query id of proc logged in fr, as the reducer does
+// after the invocation's punch-end.
+func (r run) punch(id query.ID, proc string, fr *Frame) {
+	for i := range fr.Log {
+		a := &fr.Log[i]
+		ev := obs.Event{Type: obs.EvSumRead, Query: id, Proc: proc, Sum: &a.Sum}
+		switch {
+		case a.Add:
+			ev.Type = obs.EvSumAdd
+		case a.Scan:
+			ev.N = 1
+		}
+		r.f.Event(ev)
 	}
 }
 
-// TestRecorderScenario runs a three-procedure scenario through the
-// recorder and checks every derived view of the Finish artifact.
-func TestRecorderScenario(t *testing.T) {
-	r := NewRecorder(nil)
+// TestFoldScenario runs a three-procedure scenario through frames and
+// the fold and checks every derived view of the Finish artifact.
+func TestFoldScenario(t *testing.T) {
+	r := newRun()
 	warm := mkSum("leaf", 0, 1)
-	r.MarkWarm(warm)
+	r.warm(warm)
 
-	r.Root(1, "main")
-	r.Spawn(1, "main", 2, "mid")
-	r.Spawn(2, "mid", 3, "leaf")
+	r.spawn(query.NoParent, 1, "main")
+	r.spawn(1, 2, "mid")
+	r.spawn(2, 3, "leaf")
 
 	// mid's PUNCH invocation consumes leaf's warm summary and produces
 	// its own; main scans mid's summaries.
-	f := r.Frame(&stubDB{s: warm}, 2, "mid")
+	f := &Frame{DB: &stubDB{s: warm}}
 	if _, ok := f.AnswerYes(summary.Question{Proc: "leaf", Pre: g(0), Post: g(1)}); !ok {
 		t.Fatal("stub must answer")
 	}
+	if _, ok := f.AnswerNo(summary.Question{Proc: "leaf", Pre: g(0), Post: g(2)}); ok {
+		t.Fatal("stub must not answer no")
+	}
 	f.Add(mkSum("mid", 0, 1))
-	rootFrame := r.Frame(&stubDB{s: mkSum("mid", 0, 1)}, 1, "main")
+	r.punch(2, "mid", f)
+	rootFrame := &Frame{DB: &stubDB{s: mkSum("mid", 0, 1)}}
 	if got := rootFrame.ForProc("mid"); len(got) != 1 {
 		t.Fatalf("ForProc passthrough broken: %d summaries", len(got))
 	}
+	if len(f.Log) != 2 || len(rootFrame.Log) != 1 {
+		t.Fatalf("frames logged %d and %d calls, want 2 and 1 (a miss is not a read)", len(f.Log), len(rootFrame.Log))
+	}
+	r.punch(1, "main", rootFrame)
 
-	p := r.Finish("Program is Safe")
-	if p.Root != "main" || p.Verdict != "Program is Safe" {
+	p := r.f.Finish("Program is Safe")
+	if p.Root != "main" || p.Verdict != "Program is Safe" || p.Queries != 3 {
 		t.Fatalf("header wrong: %+v", p)
 	}
 	if want := []string{"leaf", "main", "mid"}; !reflect.DeepEqual(p.Procedures, want) {
@@ -97,8 +119,9 @@ func TestRecorderScenario(t *testing.T) {
 	if err := p.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	if len(p.Reads()) != 1 || !p.Reads()[0].Warm || p.Reads()[0].Count != 1 {
-		t.Fatalf("read set wrong: %+v", p.Reads())
+	if len(p.Summaries) != 2 || p.Summaries[0].Proc != "leaf" || !p.Summaries[0].Warm || p.Summaries[0].Reads != 1 ||
+		p.Summaries[1].Proc != "mid" || !p.Summaries[1].Written || p.Summaries[1].Reads != 0 {
+		t.Fatalf("summaries wrong: %+v", p.Summaries)
 	}
 
 	// Invalidation cones: editing leaf invalidates everything upstream;
@@ -126,16 +149,16 @@ func TestRecorderScenario(t *testing.T) {
 // spawn — the schedule-invariance property prov-smoke asserts end to
 // end.
 func TestCoalesceEdgeMatchesSpawnEdge(t *testing.T) {
-	spawned := NewRecorder(nil)
-	spawned.Root(1, "main")
-	spawned.Spawn(1, "main", 2, "f")
+	spawned := newRun()
+	spawned.spawn(query.NoParent, 1, "main")
+	spawned.spawn(1, 2, "f")
 
-	coalesced := NewRecorder(nil)
-	coalesced.Root(1, "main")
-	coalesced.Coalesce(1, "main", "f")
+	coalesced := newRun()
+	coalesced.spawn(query.NoParent, 1, "main")
+	coalesced.coalesce(1, 2, "f")
 
-	a := spawned.Finish("v")
-	b := coalesced.Finish("v")
+	a := spawned.f.Finish("v")
+	b := coalesced.f.Finish("v")
 	if !bytes.Equal(a.StableBytes(), b.StableBytes()) {
 		t.Fatalf("spawn vs coalesce cones differ:\n%s\n%s", a.StableBytes(), b.StableBytes())
 	}
@@ -144,28 +167,64 @@ func TestCoalesceEdgeMatchesSpawnEdge(t *testing.T) {
 	}
 }
 
-// TestStableBytesOrderInvariant: recording the same edges in a
-// different order yields identical canonical bytes.
+// TestStableBytesOrderInvariant: the same edges in a different order
+// yield identical canonical bytes.
 func TestStableBytesOrderInvariant(t *testing.T) {
-	a := NewRecorder(nil)
-	a.Root(1, "main")
-	a.Spawn(1, "main", 2, "f")
-	a.Spawn(1, "main", 3, "g")
-	a.Spawn(2, "f", 4, "h")
+	a := newRun()
+	a.spawn(query.NoParent, 1, "main")
+	a.spawn(1, 2, "f")
+	a.spawn(1, 3, "g")
+	a.spawn(2, 4, "h")
 
-	b := NewRecorder(nil)
-	b.Root(1, "main")
-	b.Spawn(1, "main", 3, "g")
-	b.Spawn(2, "f", 4, "h")
-	b.Spawn(1, "main", 2, "f")
+	b := newRun()
+	b.spawn(query.NoParent, 1, "main")
+	b.spawn(1, 3, "g")
+	b.spawn(1, 2, "f")
+	b.spawn(2, 4, "h")
 
-	if !bytes.Equal(a.Finish("v").StableBytes(), b.Finish("v").StableBytes()) {
-		t.Fatal("StableBytes must be insensitive to recording order")
+	if !bytes.Equal(a.f.Finish("v").StableBytes(), b.f.Finish("v").StableBytes()) {
+		t.Fatal("StableBytes must be insensitive to event order")
+	}
+}
+
+// TestHotRanksByFanIn: a summary read once by each of three procedures
+// ranks above one read five times by a single procedure, in Hot and in
+// the report's "hot summaries by fan-in".
+func TestHotRanksByFanIn(t *testing.T) {
+	r := newRun()
+	r.spawn(query.NoParent, 1, "main")
+	procs := []string{"a", "b", "c"}
+	for i, proc := range procs {
+		r.spawn(1, query.ID(i+2), proc)
+	}
+	often, wide := mkSum("x", 0, 1), mkSum("y", 0, 1)
+	f := &Frame{DB: &stubDB{s: often}}
+	for i := 0; i < 5; i++ {
+		f.AnswerYes(summary.Question{Proc: "x"})
+	}
+	r.punch(2, "a", f)
+	for i, proc := range procs {
+		f := &Frame{DB: &stubDB{s: wide}}
+		f.AnswerYes(summary.Question{Proc: "y"})
+		r.punch(query.ID(i+2), proc, f)
+	}
+	p := r.f.Finish("v")
+	hot := p.Hot(5)
+	if len(hot) != 2 || hot[0].Proc != "y" || hot[0].Readers != 3 || hot[1].Proc != "x" || hot[1].Reads != 5 {
+		t.Fatalf("Hot = %+v, want y (3 readers) before x (5 reads, 1 reader)", hot)
+	}
+	out := p.Explain()
+	_, list, _ := strings.Cut(out, "hot summaries by fan-in:\n")
+	if !strings.HasPrefix(list, "    3x (3 readers, fresh) must y") {
+		t.Fatalf("report does not rank by fan-in:\n%s", out)
 	}
 }
 
 // TestVerifyViolations: each structural invariant fails loudly.
 func TestVerifyViolations(t *testing.T) {
+	if p := (*Provenance)(nil); p.Verify() == nil {
+		t.Fatal("nil provenance must not verify")
+	}
 	if err := (&Provenance{Root: "a"}).Verify(); err == nil {
 		t.Fatal("empty cone must not verify")
 	}
@@ -198,12 +257,13 @@ func TestVerifyViolations(t *testing.T) {
 // TestJSONRoundTrip: the serialized artifact reloads with the
 // schedule-invariant part intact.
 func TestJSONRoundTrip(t *testing.T) {
-	r := NewRecorder(nil)
-	r.Root(1, "main")
-	r.Spawn(1, "main", 2, "f")
-	f := r.Frame(&stubDB{s: mkSum("f", 0, 1)}, 1, "main")
+	r := newRun()
+	r.spawn(query.NoParent, 1, "main")
+	r.spawn(1, 2, "f")
+	f := &Frame{DB: &stubDB{s: mkSum("f", 0, 1)}}
 	f.Answer(summary.Question{Proc: "f", Pre: g(0), Post: g(1)})
-	p := r.Finish("Error Reachable")
+	r.punch(1, "main", f)
+	p := r.f.Finish("Error Reachable")
 
 	var buf bytes.Buffer
 	if err := p.WriteJSON(&buf); err != nil {
@@ -227,12 +287,13 @@ func TestJSONRoundTrip(t *testing.T) {
 // TestExplainMentionsCone: the human report names the verdict, the cone
 // size, and the hot summaries.
 func TestExplainMentionsCone(t *testing.T) {
-	r := NewRecorder(nil)
-	r.Root(1, "main")
-	r.Spawn(1, "main", 2, "f")
-	fr := r.Frame(&stubDB{s: mkSum("f", 0, 1)}, 1, "main")
+	r := newRun()
+	r.spawn(query.NoParent, 1, "main")
+	r.spawn(1, 2, "f")
+	fr := &Frame{DB: &stubDB{s: mkSum("f", 0, 1)}}
 	fr.AnswerYes(summary.Question{Proc: "f", Pre: g(0), Post: g(1)})
-	p := r.Finish("Program is Safe")
+	r.punch(1, "main", fr)
+	p := r.f.Finish("Program is Safe")
 	out := p.Explain()
 	for _, want := range []string{"Program is Safe", "main", "2 procedure(s)", "hot summaries"} {
 		if !bytes.Contains([]byte(out), []byte(want)) {

@@ -1,4 +1,4 @@
-// The assembled provenance artifact: Finish freezes a Recorder into a
+// The assembled provenance artifact: Finish freezes a Fold into a
 // Provenance — the verdict→summary→procedure dependency DAG plus the
 // derived views (the verdict's procedure cone, per-procedure
 // invalidation cones, warm-vs-fresh attribution, and the explain
@@ -12,8 +12,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-
-	"repro/internal/summary"
 )
 
 // SummaryNode is one distinct summary in the provenance DAG with its
@@ -29,18 +27,10 @@ type SummaryNode struct {
 	// one produced (or re-produced) by this run.
 	Warm    bool `json:"warm,omitempty"`
 	Written bool `json:"written,omitempty"`
-	// Reads counts read-set hits on this summary; Readers the distinct
-	// procedures that consumed it (its fan-in).
+	// Reads counts the questions this summary answered; Readers the
+	// distinct procedures that consumed it (its fan-in).
 	Reads   int64 `json:"reads"`
 	Readers int   `json:"readers"`
-}
-
-// Read pairs a consumed summary with its warm flag and hit count — the
-// unit the engines persist beside the summaries themselves.
-type Read struct {
-	Summary summary.Summary
-	Warm    bool
-	Count   int64
 }
 
 // Provenance is a frozen verdict-provenance record.
@@ -74,43 +64,32 @@ type Provenance struct {
 	// distinct warm summaries the run actually consumed.
 	WarmLoaded int `json:"warm_loaded"`
 	WarmRead   int `json:"warm_read"`
-
-	reads []Read // full summaries for persistence; not serialized
 }
 
-// Finish freezes the recorder into a Provenance. Nil on a nil recorder
-// (so Result.Provenance is nil exactly when collection was off).
-func (r *Recorder) Finish(verdict string) *Provenance {
-	if r == nil {
-		return nil
+// Finish freezes the fold into a Provenance.
+func (f *Fold) Finish(verdict string) *Provenance {
+	if f.root != "" {
+		f.touch(f.root)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	p := &Provenance{
-		Root:          r.rootProc,
+		Root:          f.root,
 		Verdict:       verdict,
-		Queries:       len(r.queries),
+		Queries:       len(f.procs),
 		Deps:          map[string][]string{},
 		Spawns:        map[string][]string{},
-		SummaryReads:  r.summaryReads,
-		SummaryWrites: r.summaryWrites,
-		ProcReads:     r.procReads,
-		CoalesceReuse: r.coalesceReuse,
-		WarmLoaded:    len(r.warm),
+		SummaryReads:  f.summaryReads,
+		SummaryWrites: f.summaryWrites,
+		ProcReads:     f.procReads,
+		CoalesceReuse: f.coalesceReuse,
+		WarmLoaded:    f.warmLoaded,
 	}
-	for proc, deps := range r.deps {
+	for proc, deps := range f.deps {
 		p.Deps[proc] = sortedKeys(deps)
 	}
-	for proc, kids := range r.spawns {
+	for proc, kids := range f.spawns {
 		p.Spawns[proc] = sortedKeys(kids)
 	}
-	keys := make([]string, 0, len(r.sums))
-	for k := range r.sums {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		sr := r.sums[k]
+	for _, sr := range f.sums {
 		n := SummaryNode{
 			Proc:    sr.s.Proc,
 			Kind:    sr.s.Kind.String(),
@@ -126,11 +105,8 @@ func (r *Recorder) Finish(verdict string) *Provenance {
 			n.Post = sr.s.Post.String()
 		}
 		p.Summaries = append(p.Summaries, n)
-		if sr.reads > 0 {
-			p.reads = append(p.reads, Read{Summary: sr.s, Warm: sr.warm, Count: sr.reads})
-			if sr.warm {
-				p.WarmRead++
-			}
+		if sr.reads > 0 && sr.warm {
+			p.WarmRead++
 		}
 	}
 	sort.Slice(p.Summaries, func(i, j int) bool { return summaryNodeLess(p.Summaries[i], p.Summaries[j]) })
@@ -185,26 +161,7 @@ func closure(root string, deps map[string][]string) ([]string, int) {
 		}
 		frontier = next
 	}
-	return sortedKeysFrom(seen), depth
-}
-
-func sortedKeysFrom(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Reads returns the distinct summaries the verdict consumed, with warm
-// flags and hit counts — what the engines persist beside the summaries.
-// Empty after a JSON round trip (the full formulas are not serialized).
-func (p *Provenance) Reads() []Read {
-	if p == nil {
-		return nil
-	}
-	return p.reads
+	return sortedKeys(seen), depth
 }
 
 // Cone is the invalidation cone of one (edited) procedure: everything
@@ -254,7 +211,7 @@ func (p *Provenance) Cone(proc string) Cone {
 		}
 		frontier = next
 	}
-	c.Procedures = sortedKeysFrom(seen)
+	c.Procedures = sortedKeys(seen)
 	c.RootAffected = seen[p.Root]
 	for _, s := range p.Summaries {
 		if seen[s.Proc] {
@@ -394,8 +351,7 @@ func (p *Provenance) Explain() string {
 	fmt.Fprintf(&b, "summaries: %d distinct read (%d warm, %d fresh), %d written; %d read(s), %d proc scan(s), %d coalesce reuse\n",
 		fresh+warm, warm, fresh, written, p.SummaryReads, p.ProcReads, p.CoalesceReuse)
 	fmt.Fprintf(&b, "warm attribution: %d of %d loaded warm summaries read\n", p.WarmRead, p.WarmLoaded)
-	hot := hotSummaries(p.Summaries, 5)
-	if len(hot) > 0 {
+	if hot := p.Hot(5); len(hot) > 0 {
 		fmt.Fprintf(&b, "hot summaries by fan-in:\n")
 		for _, s := range hot {
 			src := "fresh"
@@ -409,16 +365,20 @@ func (p *Provenance) Explain() string {
 	return b.String()
 }
 
-// hotSummaries returns the top-n read summaries by hit count (ties
-// broken by the canonical node order, so the report is deterministic).
-func hotSummaries(nodes []SummaryNode, n int) []SummaryNode {
-	read := make([]SummaryNode, 0, len(nodes))
-	for _, s := range nodes {
+// Hot returns the n summaries with the largest fan-in: the most distinct
+// reading procedures, then the most reads, then the canonical node
+// order, so the report is deterministic.
+func (p *Provenance) Hot(n int) []SummaryNode {
+	read := make([]SummaryNode, 0, len(p.Summaries))
+	for _, s := range p.Summaries {
 		if s.Reads > 0 {
 			read = append(read, s)
 		}
 	}
-	sort.SliceStable(read, func(i, j int) bool {
+	sort.Slice(read, func(i, j int) bool {
+		if read[i].Readers != read[j].Readers {
+			return read[i].Readers > read[j].Readers
+		}
 		if read[i].Reads != read[j].Reads {
 			return read[i].Reads > read[j].Reads
 		}

@@ -16,21 +16,21 @@
 // one string copy of the buffer, and only the few provenance and
 // manifest payloads are copied out of it. It decodes no formula: of a
 // summary it reads the procedure from the header, a manifest it decodes
-// to check it, and a provenance record it does not decode at all —
-// LoadProv decodes what it is asked for, and the open decodes provenance
-// only when two records may share a root question (foldProv). Load
-// decodes summaries, once, and a re-check that reuses its verdict never
-// does. Flush and Close fsync the log only when the handle wrote to it
-// since the last fsync, so such a re-check syncs nothing either. The log
-// grows by whole-record appends and is replaced only by tmp+rename, so a
-// crash leaves a prefix of the records appended plus, at most, part of
-// the last one, which the next open trims: a record that is present
-// implies every record appended before it (DESIGN.md §7.3). Damage
-// anywhere else is a *CorruptError, never a silent drop. An open that
-// met dead records rewrites the log without them, folding superseded
-// provenance into the newest record of its root question as it goes, and
-// an exclusive flock on the directory, held until Close, keeps a second
-// handle from appending or rewriting underneath.
+// to check it, and a provenance record (which holds no formula) it
+// leaves to LoadProv, unless two records may share a root question
+// (foldProv). Load decodes summaries, once, and a re-check that reuses
+// its verdict never does. Flush and Close fsync the log only when the
+// handle wrote to it since the last fsync, so such a re-check syncs
+// nothing either. The log grows by whole-record appends and is replaced
+// only by tmp+rename, so a crash leaves a prefix of the records appended
+// plus, at most, part of the last one, which the next open trims: a
+// record that is present implies every record appended before it
+// (DESIGN.md §7.3). Damage anywhere else is a *CorruptError, never a
+// silent drop. An open that met dead records rewrites the log without
+// them, folding superseded provenance into the newest record of its root
+// question as it goes, and an exclusive flock on the directory, held
+// until Close, keeps a second handle from appending or rewriting
+// underneath.
 package store
 
 import (
@@ -311,7 +311,7 @@ func (d *Disk) dropProc(proc string) int {
 
 // foldProv keeps one provenance record per root question, the newest, in
 // its place, and folds into it the dependency adjacency of every record
-// of that question before it; their read sets are dropped. The union of
+// of that question before it. The union of
 // every record's adjacency, which is all an incremental re-check takes
 // from superseded records, is therefore unchanged. It reports whether it
 // dropped a record. A record that did not decode, or one without a root
@@ -329,7 +329,7 @@ func (d *Disk) foldProv() bool {
 	roots := map[string]*root{}
 	keys := make([]string, len(d.prov)) // each record's root key, "" when it has none or did not decode
 	for i, payload := range d.prov {
-		head, _, err := wire.DecodeProv(payload, false)
+		head, _, err := wire.DecodeProv(payload)
 		if err != nil || head.RootKey == "" {
 			continue
 		}
@@ -573,10 +573,8 @@ func (d *Disk) PutProv(rec wire.ProvRecord) error {
 }
 
 // LoadProv returns every persisted provenance record, oldest first,
-// decoded afresh for the caller; with reads false, without their read
-// sets, which decodes no formula. A record whose part without the read
-// set does not decode is reported as such, whether or not reads is set.
-func (d *Disk) LoadProv(reads bool) ([]wire.ProvRecord, error) {
+// decoded afresh for the caller.
+func (d *Disk) LoadProv() ([]wire.ProvRecord, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -584,10 +582,7 @@ func (d *Disk) LoadProv(reads bool) ([]wire.ProvRecord, error) {
 	}
 	out := make([]wire.ProvRecord, 0, len(d.prov))
 	for i, payload := range d.prov {
-		rec, _, err := wire.DecodeProv(payload, false)
-		if reads && err == nil {
-			rec, _, err = wire.DecodeProv(payload, true)
-		}
+		rec, _, err := wire.DecodeProv(payload)
 		if err != nil {
 			return nil, &CorruptError{Path: d.path, Err: fmt.Errorf("provenance record %d: %w", i, err)}
 		}

@@ -68,7 +68,7 @@ func stateOf(t testing.TB, d *store.Disk) state {
 		ents = append(ents, p+"="+fp.String())
 	}
 	sort.Strings(ents)
-	recs, err := d.LoadProv(true)
+	recs, err := d.LoadProv()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func buildLog(t testing.TB) (data []byte, ends []int, states []state) {
 		del("a"), del("c"),
 		func() error { return d.PutManifest(newManifest, nil) },
 		put("a", 6), put("c", 7),
-		func() error { return d.PutProv(provRec("main", "barrier", 2)) },
+		func() error { return d.PutProv(provRec("main", "barrier")) },
 	}
 	path := filepath.Join(dir, store.SegName)
 	mark := func() {
@@ -424,7 +424,7 @@ func TestConcurrentMutation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				fail(d.PutProv(provRec(proc, "async", 1)))
+				fail(d.PutProv(provRec(proc, "async")))
 			}
 		}()
 		go func() {
@@ -478,9 +478,9 @@ func FuzzStoreOpen(f *testing.F) {
 			}
 			return
 		}
-		// Formulas are decoded on demand, so a summary or provenance
-		// record that carries a good checksum over bad bytes surfaces
-		// here, typed.
+		// Summaries and provenance are decoded on demand, so a record
+		// that carries a good checksum over bad bytes surfaces here,
+		// typed.
 		if _, err := d.Load(); err != nil && !typed(err) {
 			t.Fatalf("Load: untyped error %v", err)
 		}
@@ -489,7 +489,7 @@ func FuzzStoreOpen(f *testing.F) {
 		if err != nil {
 			t.Fatalf("LoadManifest after a clean open: %v", err)
 		}
-		recs, perr := d.LoadProv(true)
+		recs, perr := d.LoadProv()
 		if perr != nil && !typed(perr) {
 			t.Fatalf("LoadProv: untyped error %v", perr)
 		}
@@ -502,7 +502,7 @@ func FuzzStoreOpen(f *testing.F) {
 		}
 		defer d.Close()
 		man2, _, _ := d.LoadManifest()
-		recs2, _ := d.LoadProv(true)
+		recs2, _ := d.LoadProv()
 		if d.Count() != sums || len(man2) != len(man) || len(recs2) != len(recs) {
 			t.Fatalf("second open: %d summaries, %d manifest entries, %d provenance records; first had %d, %d, %d",
 				d.Count(), len(man2), len(recs2), sums, len(man), len(recs))

@@ -16,14 +16,9 @@ import (
 	"repro/internal/wire"
 )
 
-func provRec(root, engine string, n int) wire.ProvRecord {
-	rec := wire.ProvRecord{Root: root, Verdict: "Program is Safe", Engine: engine}
-	for i := 0; i < n; i++ {
-		rec.Reads = append(rec.Reads, wire.ProvRead{
-			Summary: sum(root, int64(i)), Warm: i%2 == 0, Count: int64(i + 1),
-		})
-	}
-	return rec
+func provRec(root, engine string) wire.ProvRecord {
+	return wire.ProvRecord{Root: root, Verdict: "Program is Safe", Engine: engine,
+		Deps: map[string][]string{root: {"callee"}, "callee": {}}}
 }
 
 func TestDiskProvSidecarRoundTrip(t *testing.T) {
@@ -34,13 +29,13 @@ func TestDiskProvSidecarRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No provenance reads as empty, not as an error.
-	if recs, err := d.LoadProv(true); err != nil || len(recs) != 0 {
+	if recs, err := d.LoadProv(); err != nil || len(recs) != 0 {
 		t.Fatalf("fresh store LoadProv = %v, %v", recs, err)
 	}
-	if err := d.PutProv(provRec("main", "barrier", 2)); err != nil {
+	if err := d.PutProv(provRec("main", "barrier")); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutProv(provRec("main", "async", 1)); err != nil {
+	if err := d.PutProv(provRec("main", "async")); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -53,15 +48,12 @@ func TestDiskProvSidecarRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	recs, err := d2.LoadProv(true)
+	recs, err := d2.LoadProv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[0].Engine != "barrier" || recs[1].Engine != "async" {
+	if len(recs) != 2 || !reflect.DeepEqual(recs[0], provRec("main", "barrier")) || !reflect.DeepEqual(recs[1], provRec("main", "async")) {
 		t.Fatalf("LoadProv = %+v", recs)
-	}
-	if len(recs[0].Reads) != 2 || !recs[0].Reads[0].Warm || recs[0].Reads[0].Count != 1 {
-		t.Fatalf("read set lost: %+v", recs[0].Reads)
 	}
 }
 
@@ -72,13 +64,13 @@ func TestDiskProvTrimsTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutProv(provRec("main", "barrier", 1)); err != nil {
+	if err := d.PutProv(provRec("main", "barrier")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Put(sum("main", 7)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutProv(provRec("main", "async", 1)); err != nil {
+	if err := d.PutProv(provRec("main", "async")); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
@@ -98,7 +90,7 @@ func TestDiskProvTrimsTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	recs, err := d2.LoadProv(true)
+	recs, err := d2.LoadProv()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,41 +109,41 @@ func TestResetDiscardsProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutProv(provRec("main", "barrier", 1)); err != nil {
+	if err := d.PutProv(provRec("main", "barrier")); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
 	// Re-open under a different program with reset: the old store is
-	// discarded, and its provenance (which refers to summaries that no
-	// longer exist) must go with it.
+	// discarded, and its provenance (about summaries that no longer
+	// exist) must go with it.
 	d2, err := store.OpenDisk(dir, store.NewFingerprint("test", "prog-b"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if recs, err := d2.LoadProv(true); err != nil || len(recs) != 0 {
+	if recs, err := d2.LoadProv(); err != nil || len(recs) != 0 {
 		t.Fatalf("after reset LoadProv = %v, %v", recs, err)
 	}
 }
 
 func TestMemProvMatchesDisk(t *testing.T) {
 	m := store.NewMem()
-	if recs, err := m.LoadProv(true); err != nil || len(recs) != 0 {
+	if recs, err := m.LoadProv(); err != nil || len(recs) != 0 {
 		t.Fatalf("fresh Mem LoadProv = %v, %v", recs, err)
 	}
-	if err := m.PutProv(provRec("main", "dist", 2)); err != nil {
+	if err := m.PutProv(provRec("main", "dist")); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := m.LoadProv(true)
+	recs, err := m.LoadProv()
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("LoadProv = %v, %v", recs, err)
 	}
-	if recs[0].Engine != "dist" || len(recs[0].Reads) != 2 {
+	if !reflect.DeepEqual(recs[0], provRec("main", "dist")) {
 		t.Fatalf("record changed: %+v", recs[0])
 	}
 	// Mem applies the same durability guard as Disk.
-	bad := provRec("main", "dist", 1)
-	bad.Reads[0].Summary.Pre = nil
+	bad := provRec("main", "dist")
+	bad.Deps["#3"] = nil // a process-local formula key render
 	if err := m.PutProv(bad); err == nil {
 		t.Fatal("Mem must reject undurable records")
 	}
@@ -159,8 +151,8 @@ func TestMemProvMatchesDisk(t *testing.T) {
 
 // TestOpenFoldsSupersededProv: the rewrite an open makes keeps one
 // provenance record per root question, the newest, in its place, with the
-// union of the adjacencies of every record of that question and its own
-// read set; records of other questions, and records without a root key,
+// union of the adjacencies of every record of that question; records of
+// other questions, and records without a root key,
 // stay as they were. An open of the folded log leaves it byte for byte.
 func TestOpenFoldsSupersededProv(t *testing.T) {
 	dir := t.TempDir()
@@ -169,17 +161,17 @@ func TestOpenFoldsSupersededProv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keyed := func(key, verdict string, reads int, deps map[string][]string) wire.ProvRecord {
-		rec := provRec("main", "barrier", reads)
+	keyed := func(key, verdict string, deps map[string][]string) wire.ProvRecord {
+		rec := provRec("main", "barrier")
 		rec.RootKey, rec.Verdict, rec.Deps = key, verdict, deps
 		return rec
 	}
 	for _, rec := range []wire.ProvRecord{
-		keyed("qa", "Program is Safe", 2, map[string][]string{"main": {"a"}, "a": {"x"}}),
-		keyed("qb", "Program is Safe", 1, map[string][]string{"main": {"b"}}),
-		keyed("qa", "retracted", 0, nil),
-		provRec("main", "async", 1), // no root key: never folded
-		keyed("qa", "Error Reachable", 1, map[string][]string{"main": {"c"}, "sub": {"d"}}),
+		keyed("qa", "Program is Safe", map[string][]string{"main": {"a"}, "a": {"x"}}),
+		keyed("qb", "Program is Safe", map[string][]string{"main": {"b"}}),
+		keyed("qa", "retracted", nil),
+		provRec("main", "async"), // no root key: never folded
+		keyed("qa", "Error Reachable", map[string][]string{"main": {"c"}, "sub": {"d"}}),
 	} {
 		if err := d.PutProv(rec); err != nil {
 			t.Fatal(err)
@@ -191,19 +183,19 @@ func TestOpenFoldsSupersededProv(t *testing.T) {
 	if d, err = store.OpenDisk(dir, fp, false); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := d.LoadProv(true)
+	recs, err := d.LoadProv()
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
 	var got []string
 	for _, r := range recs {
-		got = append(got, fmt.Sprintf("%s %s %s reads=%d deps=%v", r.RootKey, r.Engine, r.Verdict, len(r.Reads), r.Deps))
+		got = append(got, fmt.Sprintf("%s %s %s deps=%v", r.RootKey, r.Engine, r.Verdict, r.Deps))
 	}
 	want := []string{
-		"qb barrier Program is Safe reads=1 deps=map[main:[b]]",
-		" async Program is Safe reads=1 deps=map[]",
-		"qa barrier Error Reachable reads=1 deps=map[a:[x] main:[a c] sub:[d]]",
+		"qb barrier Program is Safe deps=map[main:[b]]",
+		" async Program is Safe deps=map[callee:[] main:[callee]]",
+		"qa barrier Error Reachable deps=map[a:[x] main:[a c] sub:[d]]",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("after the fold:\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

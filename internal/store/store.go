@@ -54,9 +54,7 @@ type Store interface {
 	// PutProv persists one verdict's provenance record.
 	PutProv(rec wire.ProvRecord) error
 	// LoadProv returns every stored provenance record, oldest first.
-	// With reads false the records come without their read sets
-	// (wire.DecodeProv): no formula is decoded.
-	LoadProv(reads bool) ([]wire.ProvRecord, error)
+	LoadProv() ([]wire.ProvRecord, error)
 	// PutManifest replaces the stored manifest: each procedure of the
 	// analyzed program mapped to its content fingerprint, for the next
 	// run to diff the program it sees against, and, in the same record,
@@ -213,18 +211,11 @@ func (m *Mem) PutProv(rec wire.ProvRecord) error {
 	return nil
 }
 
-// LoadProv returns the stored provenance records, oldest first; with
-// reads false, without their read sets.
-func (m *Mem) LoadProv(reads bool) ([]wire.ProvRecord, error) {
+// LoadProv returns the stored provenance records, oldest first.
+func (m *Mem) LoadProv() ([]wire.ProvRecord, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := append([]wire.ProvRecord(nil), m.prov...)
-	if !reads {
-		for i := range out {
-			out[i].Reads = nil
-		}
-	}
-	return out, nil
+	return append([]wire.ProvRecord(nil), m.prov...), nil
 }
 
 // Flush is a no-op for the in-memory backend.
@@ -271,7 +262,7 @@ func (e *BusyError) Error() string {
 // CorruptError reports a log whose bytes are present and wrong: a bad
 // header, a failed checksum, an unknown record kind, a record that does
 // not decode. Nothing is recovered from such a log. Damage the open
-// cannot see — formulas inside a summary or provenance record with a
+// cannot see — formulas inside a summary, or a provenance record, with a
 // good checksum, which the open does not decode — is reported by the
 // Load or LoadProv that decodes them.
 type CorruptError struct {

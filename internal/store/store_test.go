@@ -94,7 +94,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	sameSet(t, got, put)
 
 	// Summaries, provenance and manifest share the one file.
-	if err := d2.PutProv(provRec("main", "barrier", 1)); err != nil {
+	if err := d2.PutProv(provRec("main", "barrier")); err != nil {
 		t.Fatal(err)
 	}
 	if err := d2.PutManifest(map[string]store.Fingerprint{"main": fp}, nil); err != nil {

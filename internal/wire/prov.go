@@ -1,10 +1,9 @@
-// Provenance records: the durable encoding of a verdict's read set,
-// persisted beside the summaries it refers to so a warm start can
-// report which stored summaries the previous run actually consumed.
-// Summaries inside a provenance record are identified by their full
-// canonical wire encoding (SummaryKey bytes), never by process-local
-// logic.Key strings — the same durability discipline as every other
-// record in this package.
+// Provenance records: the durable part of a verdict's provenance,
+// persisted beside the summaries — what an incremental re-check reads:
+// the root question's durable key (QuestionKey bytes, never a
+// process-local logic.Key), the verdict, and the procedure dependency
+// adjacency it plans invalidation from. The summary-level read set stays
+// in the run's Provenance; no formula is persisted here.
 
 package wire
 
@@ -12,30 +11,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-
-	"repro/internal/summary"
 )
 
-// ProvRead is one consumed summary in a provenance record.
-type ProvRead struct {
-	// Summary is the consumed fact (round-trips through the canonical
-	// summary encoding).
-	Summary summary.Summary
-	// Warm marks a summary that was hydrated from the store rather than
-	// derived fresh by the recording run.
-	Warm bool
-	// Count is the number of read-set hits the run recorded on it.
-	Count int64
-}
-
-// ProvRecord is a verdict's persisted read set.
+// ProvRecord is a verdict's persisted provenance.
 type ProvRecord struct {
 	// Root is the root procedure the verdict answers for; Verdict the
 	// answer; Engine the engine that produced it.
 	Root    string
 	Verdict string
 	Engine  string
-	Reads   []ProvRead
 	// RootKey is the durable identity of the root question (QuestionKey
 	// bytes). It lets an incremental re-check match a persisted verdict
 	// to the question it is about to re-ask; empty on records persisted
@@ -49,10 +33,7 @@ type ProvRecord struct {
 }
 
 // AppendProv appends the canonical encoding of p to dst: tag, root,
-// verdict, engine, then a uvarint count of reads, each as warm byte,
-// count uvarint, and the summary's own wire record. Summaries whose
-// formulas cannot be durably encoded (nil formulas from scripted test
-// punches) are rejected — callers filter those out before persisting.
+// verdict, engine, root key, then the dependency adjacency.
 func AppendProv(dst []byte, p ProvRecord) ([]byte, error) {
 	for _, s := range []string{p.Root, p.Verdict, p.Engine} {
 		if err := CheckDurable(s); err != nil {
@@ -63,23 +44,6 @@ func AppendProv(dst []byte, p ProvRecord) ([]byte, error) {
 	dst = appendString(dst, p.Root)
 	dst = appendString(dst, p.Verdict)
 	dst = appendString(dst, p.Engine)
-	dst = binary.AppendUvarint(dst, uint64(len(p.Reads)))
-	for _, r := range p.Reads {
-		warm := byte(0)
-		if r.Warm {
-			warm = 1
-		}
-		dst = append(dst, warm)
-		if r.Count < 0 {
-			return dst, fmt.Errorf("wire: negative provenance read count %d", r.Count)
-		}
-		dst = binary.AppendUvarint(dst, uint64(r.Count))
-		var err error
-		dst, err = AppendSummary(dst, r.Summary)
-		if err != nil {
-			return dst, fmt.Errorf("provenance read: %w", err)
-		}
-	}
 	// RootKey is wire bytes (a QuestionKey), not a name — it is durable
 	// by construction and skips the volatility check.
 	dst = appendString(dst, p.RootKey)
@@ -114,21 +78,17 @@ func appendDeps(dst []byte, deps map[string][]string) ([]byte, error) {
 }
 
 // DecodeProv decodes one provenance record and returns the bytes
-// consumed. The caller chooses whether it needs the read set: with reads
-// false every read is still checked for structure, but no formula is
-// decoded or interned and Reads stays nil. Root, Verdict, Engine, RootKey
-// and Deps are decoded either way.
-func DecodeProv(buf []byte, reads bool) (ProvRecord, int, error) {
-	p, _, n, err := decodeProv(buf, reads)
+// consumed.
+func DecodeProv(buf []byte) (ProvRecord, int, error) {
+	p, _, n, err := decodeProv(buf)
 	return p, n, err
 }
 
 // ProvWithDeps returns a copy of the provenance record payload whose
 // dependency adjacency is deps. The bytes ahead of the adjacency (root,
-// verdict, engine, read set, root key) are copied as they are, so no
-// formula is decoded.
+// verdict, engine, root key) are copied as they are.
 func ProvWithDeps(payload []byte, deps map[string][]string) ([]byte, error) {
-	_, depsAt, n, err := decodeProv(payload, false)
+	_, depsAt, n, err := decodeProv(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +100,7 @@ func ProvWithDeps(payload []byte, deps map[string][]string) ([]byte, error) {
 
 // decodeProv is DecodeProv that also returns the offset at which the
 // record's dependency adjacency starts.
-func decodeProv(buf []byte, reads bool) (p ProvRecord, depsAt, end int, err error) {
+func decodeProv(buf []byte) (p ProvRecord, depsAt, end int, err error) {
 	fail := func(err error) (ProvRecord, int, int, error) { return ProvRecord{}, 0, 0, err }
 	if len(buf) < 1 || buf[0] != TagProv {
 		return fail(fmt.Errorf("wire: not a provenance record"))
@@ -153,36 +113,6 @@ func decodeProv(buf []byte, reads bool) (p ProvRecord, depsAt, end int, err erro
 		}
 		*field = s
 		pos += n
-	}
-	count, n := binary.Uvarint(buf[pos:])
-	if n <= 0 || count > uint64(len(buf)) {
-		return fail(fmt.Errorf("wire: bad provenance read count"))
-	}
-	pos += n
-	for i := uint64(0); i < count; i++ {
-		if pos >= len(buf) {
-			return fail(fmt.Errorf("wire: truncated provenance read"))
-		}
-		r := ProvRead{Warm: buf[pos] == 1}
-		if buf[pos] > 1 {
-			return fail(fmt.Errorf("wire: bad provenance warm flag %d", buf[pos]))
-		}
-		pos++
-		hits, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return fail(fmt.Errorf("wire: bad provenance read count"))
-		}
-		r.Count = int64(hits)
-		pos += n
-		s, n, err := decodeSummary(buf[pos:], reads)
-		if err != nil {
-			return fail(err)
-		}
-		pos += n
-		if reads {
-			r.Summary = s
-			p.Reads = append(p.Reads, r)
-		}
 	}
 	rootKey, n, err := decodeString(buf[pos:])
 	if err != nil {

@@ -3,27 +3,16 @@ package wire_test
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
-	"repro/internal/logic"
-	"repro/internal/summary"
 	"repro/internal/wire"
 )
 
 func testProvRecord() wire.ProvRecord {
-	s := testSummary()
-	t := testSummary()
-	t.Proc = "other"
-	t.Kind = summary.Must
 	return wire.ProvRecord{
 		Root:    "main",
 		Verdict: "Program is Safe",
 		Engine:  "async",
-		Reads: []wire.ProvRead{
-			{Summary: s, Warm: true, Count: 3},
-			{Summary: t, Warm: false, Count: 1},
-		},
 		RootKey: "\x51qkey-bytes",
 		Deps: map[string][]string{
 			"main":  {"other", "p"},
@@ -38,34 +27,15 @@ func TestProvRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, n, err := wire.DecodeProv(b, true)
+	got, n, err := wire.DecodeProv(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(b) {
 		t.Fatalf("consumed %d of %d bytes", n, len(b))
 	}
-	if got.Root != p.Root || got.Verdict != p.Verdict || got.Engine != p.Engine {
-		t.Fatalf("header changed: %+v", got)
-	}
-	if len(got.Reads) != 2 {
-		t.Fatalf("got %d reads, want 2", len(got.Reads))
-	}
-	for i, r := range got.Reads {
-		want := p.Reads[i]
-		if r.Warm != want.Warm || r.Count != want.Count || r.Summary.Proc != want.Summary.Proc {
-			t.Fatalf("read %d changed: %+v want %+v", i, r, want)
-		}
-		if string(logic.AppendWire(nil, r.Summary.Pre)) != string(logic.AppendWire(nil, want.Summary.Pre)) {
-			t.Fatalf("read %d precondition changed across round trip", i)
-		}
-	}
-	if got.RootKey != p.RootKey {
-		t.Fatalf("root key changed: %q want %q", got.RootKey, p.RootKey)
-	}
-	if len(got.Deps) != 2 || strings.Join(got.Deps["main"], ",") != "other,p" ||
-		strings.Join(got.Deps["other"], ",") != "p" {
-		t.Fatalf("deps changed: %v", got.Deps)
+	if !reflect.DeepEqual(got, p) {
+		t.Fatalf("round trip changed the record:\n got  %+v\n want %+v", got, p)
 	}
 }
 
@@ -104,33 +74,25 @@ func TestTombstoneRoundTrip(t *testing.T) {
 	}
 }
 
-func TestProvEmptyReadSet(t *testing.T) {
+// TestProvHeaderOnlyRoundTrip: a record with neither a root key nor an
+// adjacency round-trips.
+func TestProvHeaderOnlyRoundTrip(t *testing.T) {
 	p := wire.ProvRecord{Root: "main", Verdict: "v", Engine: "barrier"}
 	b, err := wire.AppendProv(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, n, err := wire.DecodeProv(b, true)
+	got, n, err := wire.DecodeProv(b)
 	if err != nil || n != len(b) {
 		t.Fatalf("decode: n=%d err=%v", n, err)
 	}
-	if got.Root != "main" || len(got.Reads) != 0 {
+	if !reflect.DeepEqual(got, p) {
 		t.Fatalf("decoded %+v", got)
 	}
 }
 
-func TestProvRefusesUndurableSummary(t *testing.T) {
+func TestProvRefusesVolatileRoot(t *testing.T) {
 	p := testProvRecord()
-	p.Reads[0].Summary.Pre = nil // scripted-test summary: not durable
-	if _, err := wire.AppendProv(nil, p); err == nil {
-		t.Fatal("nil-formula summary must be rejected")
-	}
-	p = testProvRecord()
-	p.Reads[0].Count = -1
-	if _, err := wire.AppendProv(nil, p); err == nil {
-		t.Fatal("negative read count must be rejected")
-	}
-	p = testProvRecord()
 	p.Root = "#42" // process-local interned key render
 	if _, err := wire.AppendProv(nil, p); err == nil {
 		t.Fatal("volatile root string must be rejected")
@@ -149,60 +111,14 @@ func TestDecodeProvRejectsGarbage(t *testing.T) {
 		"short hdr": good[:2],
 	}
 	for name, buf := range cases {
-		if _, _, err := wire.DecodeProv(buf, true); err == nil {
+		if _, _, err := wire.DecodeProv(buf); err == nil {
 			t.Fatalf("%s: decode accepted corrupt input", name)
 		}
 	}
-	// Flipping the warm flag byte to an out-of-range value must fail,
-	// not silently decode.
-	mut := append([]byte(nil), good...)
-	idx := strings.Index(string(mut), "async") + len("async")
-	mut[idx+1] = 7 // first read's warm byte follows the count uvarint
-	if _, _, err := wire.DecodeProv(mut, true); err == nil {
-		t.Fatal("bad warm flag accepted")
-	}
-}
-
-// TestDecodeProvWithoutReads: a caller that declines the read set gets
-// every other field as the full decode gives it, steps over the same
-// bytes, and is refused on exactly the inputs the full decode refuses,
-// including a read whose formula is malformed.
-func TestDecodeProvWithoutReads(t *testing.T) {
-	good, err := wire.AppendProv(nil, testProvRecord())
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, n, err := wire.DecodeProv(good, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heads, hn, err := wire.DecodeProv(good, false)
-	if err != nil || hn != n {
-		t.Fatalf("without reads: consumed %d (%v), full decode %d", hn, err, n)
-	}
-	full.Reads = nil
-	if !reflect.DeepEqual(heads, full) {
-		t.Fatalf("without reads decoded %+v, want %+v", heads, full)
-	}
-	bad := append([]byte(nil), good...)
-	pre := strings.Index(string(bad), "worker") + len("worker") // the first read's precondition
-	if pre < len("worker") {
-		t.Fatal("no read summary to damage")
-	}
-	bad[pre] = 0x7f // an unknown formula tag
-	variants := [][]byte{bad}
 	for k := 0; k < len(good); k++ {
-		variants = append(variants, good[:k])
-	}
-	for i, buf := range variants {
-		_, _, ferr := wire.DecodeProv(buf, true)
-		_, _, herr := wire.DecodeProv(buf, false)
-		if (ferr == nil) != (herr == nil) {
-			t.Fatalf("variant %d: full decode says %v, without reads %v", i, ferr, herr)
+		if _, _, err := wire.DecodeProv(good[:k]); err == nil {
+			t.Fatalf("a record cut to %d of %d bytes decoded", k, len(good))
 		}
-	}
-	if _, _, err := wire.DecodeProv(bad, false); err == nil {
-		t.Fatal("a read with a malformed formula passed")
 	}
 }
 

@@ -23,7 +23,8 @@ import (
 // v2: provenance records carry the root question's durable key and the
 // procedure dependency adjacency (incremental invalidation planning);
 // segment files may contain tombstone records.
-const Version = 2
+// v3: provenance records no longer carry the summaries the verdict read.
+const Version = 3
 
 // Record tags: the first byte of every encoded record. The store's log
 // dispatches on them, so a record's kind is written exactly once.
@@ -82,19 +83,6 @@ func AppendSummary(dst []byte, s summary.Summary) ([]byte, error) {
 
 // DecodeSummary decodes one summary and returns the bytes consumed.
 func DecodeSummary(buf []byte) (summary.Summary, int, error) {
-	return decodeSummary(buf, true)
-}
-
-// SummaryProc returns the procedure a summary record is about. It reads
-// the record's header only: neither formula is decoded or checked.
-func SummaryProc(buf []byte) (string, error) {
-	_, proc, _, err := decodeSummaryHead(buf)
-	return proc, err
-}
-
-// decodeSummary decodes one summary; with build false it checks both
-// formulas' structure (logic.SkipWire) and leaves them nil.
-func decodeSummary(buf []byte, build bool) (summary.Summary, int, error) {
 	kind, proc, pos, err := decodeSummaryHead(buf)
 	if err != nil {
 		return summary.Summary{}, 0, err
@@ -102,17 +90,19 @@ func decodeSummary(buf []byte, build bool) (summary.Summary, int, error) {
 	s := summary.Summary{Kind: kind, Proc: proc}
 	for _, f := range []*logic.Formula{&s.Pre, &s.Post} {
 		var n int
-		if build {
-			*f, n, err = logic.DecodeWire(buf[pos:])
-		} else {
-			n, err = logic.SkipWire(buf[pos:])
-		}
-		if err != nil {
+		if *f, n, err = logic.DecodeWire(buf[pos:]); err != nil {
 			return summary.Summary{}, 0, err
 		}
 		pos += n
 	}
 	return s, pos, nil
+}
+
+// SummaryProc returns the procedure a summary record is about. It reads
+// the record's header only: neither formula is decoded or checked.
+func SummaryProc(buf []byte) (string, error) {
+	_, proc, _, err := decodeSummaryHead(buf)
+	return proc, err
 }
 
 // decodeSummaryHead decodes a summary record's tag, kind and procedure
