@@ -98,10 +98,12 @@ dead-exports:
 # allocate nothing when they return an existing node, nor does keying a
 # formula of a dropped generation once it is interned again
 # (testing.AllocsPerRun). The region graph's pins: a path search on a
-# settled graph allocates the path it returns and nothing else, an edge
-# record holds no field of a kind that holds a pointer, and taking a
-# finished query's graph off its shelf allocates nothing (a move, never a
-# copy). The cube
+# settled graph allocates nothing (the path is the graph's), minting a
+# region and splitting one allocate nothing beyond the partition slice
+# when the graph's chunks and slab of list heads have room, an edge record
+# (24 bytes, the links of its two lists included) and a list head hold no
+# field of a kind that holds a pointer, and taking a finished query's
+# graph off its shelf allocates nothing (a move, never a copy). The cube
 # kernel's: with its pool warm, enumerating a DNF, a real-shadow check
 # of a cube and the refutation that a cube entails an atom allocate
 # nothing. The solver's: an Implies miss that the subsumption rule settles
@@ -113,7 +115,7 @@ dead-exports:
 alloc-pin:
 	$(GO) test -run 'TestAllocPin|TestHeapPin|TestWarmRecheckPin' -count=1 .
 	$(GO) test -run TestConstructorHitPathAllocFree -count=1 ./internal/logic
-	$(GO) test -run 'TestFindPathAllocPin|TestEdgeRecordPointerFree|TestShelfTakeAllocFree' -count=1 ./internal/punch/regions
+	$(GO) test -run 'TestFindPathAllocPin|TestSplitAllocPin|TestEdgeRecordPointerFree|TestShelfTakeAllocFree' -count=1 ./internal/punch/regions
 	$(GO) test -run TestCubeKernelAllocPin -count=1 ./internal/logic
 	$(GO) test -run 'TestSolverAllocPin|TestMemoSlotsPointerFree' -count=1 ./internal/smt
 	$(GO) test -run TestSnapshotAllocPin -count=1 ./internal/incr

@@ -422,15 +422,19 @@ func BenchmarkDistributed(b *testing.B) {
 // with a cold intern table and fresh solver memos. Run it with
 // -cpuprofile or -memprofile to see where a cold check's time goes.
 //
-// What each part of the memo and kernel change measured here, alone, as
-// process CPU per iteration (median of 6 interleaved pairs, shared
-// 2-core Xeon box) and allocation per iteration:
+// What each part of the memo and kernel change, and each later change to
+// the cold path, measured here, alone, as process CPU per iteration
+// (median of 6 interleaved pairs, shared 2-core Xeon box) and allocation
+// per iteration:
 //
 //	lock-free memos with compact slots  1.490 → 1.363 s  82.9 → 76.3 MB
 //	no store copy before a non-empty image,
 //	must elements deduplicated by scan  1.365 → 1.315 s  76.3 → 68.0 MB
 //	one-step check in the cube kernel   1.316 → 1.204 s  68.1 → 62.4 MB
 //	partition cubes in the cube kernel  1.370 → 1.470 s  62.4 → 59.8 MB (not kept)
+//	regions in chunks, lists threaded
+//	through the edge records, a store
+//	copied once a call crossing lands   1.024 → 0.937 s  62.0 → 53.2 MB
 func BenchmarkColdTable1Seq(b *testing.B) {
 	checks := append(harness.Table1Checks(),
 		drivers.NamedCheck("toastmon", "PnpIrpCompletion", true),

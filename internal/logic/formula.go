@@ -322,16 +322,23 @@ func Subst(f Formula, v lang.Var, r Lin) Formula {
 var unitCoef = [1]int64{1}
 
 // SubstMap applies all substitutions in sub simultaneously.
-func SubstMap(f Formula, sub map[lang.Var]Lin) Formula { return substMap(f, sub, "", Lin{}) }
+func SubstMap(f Formula, sub map[lang.Var]Lin) Formula { return substMap(f, sub, nil, "", Lin{}) }
 
 // SubstBound is SubstMap under sub with v bound to r instead, without a
 // copy of sub.
 func SubstBound(f Formula, sub map[lang.Var]Lin, v lang.Var, r Lin) Formula {
-	return substMap(f, sub, v, r)
+	return substMap(f, sub, nil, v, r)
 }
 
-// substMap is SubstMap with u bound to ur when u is not empty.
-func substMap(f Formula, sub map[lang.Var]Lin, u lang.Var, ur Lin) Formula {
+// SubstOver is SubstMap under sub with the variables of over bound as over
+// binds them instead, without a copy of sub.
+func SubstOver(f Formula, sub, over map[lang.Var]Lin) Formula {
+	return substMap(f, sub, over, "", Lin{})
+}
+
+// substMap is SubstMap with the bindings of over, and u bound to ur when u
+// is not empty, in place of sub's.
+func substMap(f Formula, sub, over map[lang.Var]Lin, u lang.Var, ur Lin) Formula {
 	switch f := f.(type) {
 	case Bool:
 		return f
@@ -342,6 +349,9 @@ func substMap(f Formula, sub map[lang.Var]Lin, u lang.Var, ur Lin) Formula {
 		l := LinConst(f.L.K)
 		for i, v := range f.L.Vars {
 			r, ok := ur, u != "" && v == u
+			if !ok && over != nil {
+				r, ok = over[v]
+			}
 			if !ok {
 				r, ok = sub[v]
 			}
@@ -355,9 +365,9 @@ func substMap(f Formula, sub map[lang.Var]Lin, u lang.Var, ur Lin) Formula {
 		}
 		return LE(l)
 	case And:
-		return mapKids(tagAnd, f.Fs, func(g Formula) Formula { return substMap(g, sub, u, ur) })
+		return mapKids(tagAnd, f.Fs, func(g Formula) Formula { return substMap(g, sub, over, u, ur) })
 	case Or:
-		return mapKids(tagOr, f.Fs, func(g Formula) Formula { return substMap(g, sub, u, ur) })
+		return mapKids(tagOr, f.Fs, func(g Formula) Formula { return substMap(g, sub, over, u, ur) })
 	default:
 		panic(fmt.Sprintf("logic: unknown Formula %T", f))
 	}

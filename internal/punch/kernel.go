@@ -190,20 +190,38 @@ func (b Rebind) SubstMap(f logic.Formula, store Store) logic.Formula {
 
 // Cross crosses a call with a must summary whose postcondition is post:
 // the callee can change only the globals in mod, so each of them gets a
-// fresh symbol in a copy of store and every other variable passes through.
-// It returns that store and post over it, the entry values post reads
-// taken from store.
-func Cross(store Store, post logic.Formula, globals []lang.Var, mod *cfg.ModRef, syms *Syms) (Store, logic.Formula) {
-	after := maps.Clone(store)
-	ren := map[lang.Var]lang.Var{}
+// fresh symbol and every other variable passes through. It returns that
+// crossing and post over it, the entry values post reads taken from
+// store. The crossing is not applied: store is copied only by
+// Crossing.Apply, once the caller knows the crossing lands.
+func Cross(store Store, post logic.Formula, globals []lang.Var, mod *cfg.ModRef, syms *Syms) (Crossing, logic.Formula) {
+	fresh := Store{}
 	for _, g := range globals {
 		if mod.Mod[g] {
-			x := syms.Fresh(g)
-			after[g] = logic.LinVar(x)
-			ren[g] = x
+			fresh[g] = logic.LinVar(syms.Fresh(g))
 		}
 	}
-	return after, logic.SubstMap(logic.Rename(post, ren), store)
+	return Crossing{fresh: fresh}, logic.SubstOver(post, store, fresh)
+}
+
+// Crossing is what crossing a call does to a store: each global the callee
+// may change bound to its fresh symbol in fresh.
+type Crossing struct{ fresh Store }
+
+// Apply returns store after the crossing: a copy of store with the fresh
+// symbols bound, or store itself when the callee changes no global.
+func (c Crossing) Apply(store Store) Store {
+	if len(c.fresh) == 0 {
+		return store
+	}
+	store = maps.Clone(store)
+	maps.Copy(store, c.fresh)
+	return store
+}
+
+// SubstMap is logic.SubstMap(f, c.Apply(store)) without the copy.
+func (c Crossing) SubstMap(f logic.Formula, store Store) logic.Formula {
+	return logic.SubstOver(f, store, c.fresh)
 }
 
 // pins returns v = val(v) for each of vars, in their order.

@@ -125,19 +125,24 @@ func TestKernelAgainstInterp(t *testing.T) {
 			syms := NewSyms("$t", 1)
 			path, store, entry := Entry(logic.True, &syms, globals)
 			var after Store
+			// The image of a formula under the rebinding or the crossing,
+			// without a copy, is its image under the copied store.
+			probe := logic.Conj(logic.LEq(logic.LinVar(g), logic.LinVar(h)), logic.Not(logic.Eq(lin(h, 2), logic.LinVar(k))))
+			var over logic.Formula
 			if c.callee != nil {
-				var post logic.Formula
-				after, post = Cross(store, c.post, globals, prog.ModRef()["c"], &syms)
-				path = logic.Conj(path, post)
+				cross, post := Cross(store, c.post, globals, prog.ModRef()["c"], &syms)
+				after = cross.Apply(store)
+				if want := logic.SubstMap(c.post, after); logic.KeyID(post) != logic.KeyID(want) {
+					t.Fatalf("the crossing's post is %v, %v over the copied store", post, want)
+				}
+				path, over = logic.Conj(path, post), cross.SubstMap(probe, store)
 			} else {
 				var bind Rebind
 				path, bind = Image(path, store, c.stmt, &syms)
-				after = bind.Apply(store)
-				// The image of a formula under the rebinding, without a copy.
-				probe := logic.Conj(logic.LEq(logic.LinVar(g), logic.LinVar(h)), logic.Not(logic.Eq(lin(h, 2), logic.LinVar(k))))
-				if got, want := bind.SubstMap(probe, store), logic.SubstMap(probe, after); logic.KeyID(got) != logic.KeyID(want) {
-					t.Fatalf("%v over the rebinding is %v, over the copied store %v", probe, got, want)
-				}
+				after, over = bind.Apply(store), bind.SubstMap(probe, store)
+			}
+			if want := logic.SubstMap(probe, after); logic.KeyID(over) != logic.KeyID(want) {
+				t.Fatalf("%v over the rebinding is %v, over the copied store %v", probe, over, want)
 			}
 			if c.callee == nil && c.post != nil {
 				checkMustSummary(t, m, prog, c.post, c.under, entry, after, path, vals)

@@ -254,9 +254,8 @@ func (st *stepper) followPath(path []regions.EdgeID, penalize bool) (logic.Formu
 				if !(r.Known && r.Sat) {
 					continue
 				}
-				var post logic.Formula
-				store, post = punch.Cross(store, s.Post, o.globals, st.Ctx.ModRefOf(c.Proc), &o.syms)
-				cond = logic.Conj(c2, post)
+				cross, post := punch.Cross(store, s.Post, o.globals, st.Ctx.ModRefOf(c.Proc), &o.syms)
+				cond, store = logic.Conj(c2, post), cross.Apply(store)
 				ok = true
 				break
 			}

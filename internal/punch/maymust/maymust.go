@@ -189,6 +189,7 @@ func (st *stepper) fanOut() {
 	o := st.o
 	fwd := o.G.Reachable(&st.Meter, st.Q.Q.Pre, false)
 	bwd := o.G.Reachable(&st.Meter, st.Q.Q.Pre, true)
+	var out []regions.EdgeID
 	for ei, e := range o.proc.Edges {
 		c, isCall := e.Stmt.(lang.Call)
 		if !isCall {
@@ -198,7 +199,8 @@ func (st *stepper) fanOut() {
 			if !fwd[from.ID] {
 				continue
 			}
-			for _, ae := range o.G.Out(ei, from) {
+			out = o.G.Out(ei, from, out[:0])
+			for _, ae := range out {
 				to := o.G.Step(ae).To
 				if !bwd[to.ID] || o.G.Blocked(ae) {
 					continue
@@ -338,12 +340,12 @@ func (st *stepper) handleCallFrontier(stp regions.Step, callee string) {
 			if !(r.Known && r.Sat) {
 				continue
 			}
-			store, post := punch.Cross(el.store, s.Post, o.globals, calleeMR, &o.syms)
-			after := logic.Conj(cond, post, logic.SubstMap(stp.To.F, store))
+			cross, post := punch.Cross(el.store, s.Post, o.globals, calleeMR, &o.syms)
+			after := logic.Conj(cond, post, cross.SubstMap(stp.To.F, el.store))
 			ra := st.Sat(after)
 			if ra.Known && ra.Sat {
 				st.Debugf("case1: extended across call via %v", s)
-				o.addMust(stp.To.Node, &mustElem{path: after, store: store}, st.a.MaxMustElems)
+				o.addMust(stp.To.Node, &mustElem{path: after, store: cross.Apply(el.store)}, st.a.MaxMustElems)
 				return
 			}
 		}

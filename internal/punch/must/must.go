@@ -218,11 +218,11 @@ func (st *stepper) crossCall(s *symState, ei int, e cfg.Edge, callee string) {
 		if !(r.Known && r.Sat) {
 			continue
 		}
-		store, post := punch.Cross(s.store, sum.Post, st.Ctx.Prog.Globals, calleeMR, &o.syms)
+		cross, post := punch.Cross(s.store, sum.Post, st.Ctx.Prog.Globals, calleeMR, &o.syms)
 		after := logic.Conj(cond, post)
 		ra := st.Sat(after)
 		if ra.Known && ra.Sat {
-			o.stack = append(o.stack, &symState{node: e.To, path: after, store: store, visits: bumpVisit(s.visits, ei)})
+			o.stack = append(o.stack, &symState{node: e.To, path: after, store: cross.Apply(s.store), visits: bumpVisit(s.visits, ei)})
 			crossed = true
 		}
 	}

@@ -14,10 +14,13 @@
 // a live one and none where it had none; the region is retired and its
 // records unlinked: no list ever mentions a region outside the partitions.
 //
-// Records and lists hold no pointer: an edge is an EdgeID into chunks the
-// graph owns, its regions are IDs resolved through the graph. So the
-// collector has nothing to scan in them, however many edges a refinement
-// makes.
+// The graph owns its memory. Regions live in chunks the graph keeps,
+// resolved by ID; an edge record lives in chunks of pointer-free records,
+// named by an EdgeID, its regions by ID. A region's list over one incident
+// CFG edge is a thread through the records of its edges, whose head sits
+// in one pointer-free slab of the graph. So neither a region nor a list
+// is an allocation of its own, and the collector has nothing to scan in
+// the records and the lists, however many edges a refinement makes.
 package regions
 
 import (
@@ -41,17 +44,19 @@ const out, in = 0, 1
 // set; caches keyed by region ID stay correct (entries of retired regions
 // are merely dead).
 type Region struct {
-	ID   int32
-	Node cfg.NodeID
-	F    logic.Formula
+	ID int32
+	// lists is the offset in Graph.heads of the heads of r's lists: the
+	// live abstract edges over the i-th outgoing CFG edge of Node at
+	// lists+i, over the i-th incoming one at lists+len(proc.Out[Node])+i.
+	// Each list is always a subsequence of the far node's partition: a
+	// search meets the far regions in partition order.
+	lists int32
+	Node  cfg.NodeID
+	F     logic.Formula
 	// Target marks regions descending from the initial φ2-region at exit.
 	Target bool
 
 	retired bool
-	// adj[out][i] and adj[in][i] hold the live abstract edges over the i-th
-	// outgoing and incoming CFG edge of Node, always a subsequence of the far
-	// node's partition: a search meets the far regions in partition order.
-	adj [2][][]EdgeID
 }
 
 // Live reports whether r is still a member of its node's partition.
@@ -67,19 +72,39 @@ type EdgeID int32
 // procedure's Edges, from and to are region IDs.
 type edge struct {
 	cfg, from, to int32
-	// attempts counts child sub-queries (or inexact refinements) tried.
-	attempts int32
-	// stuck: the analysis has given up advancing across the edge.
-	stuck bool
-	// open: the one-step feasibility check was made and passed.
-	open bool
-	// asked: the edge waits for a child's answer; Graph.asked holds the
-	// question. The searches read this bit, never the map.
-	asked bool
+	// next[out] follows the record in its source's list, next[in] in its
+	// destination's; 0 ends a list.
+	next [2]EdgeID
+	// marks holds the stuck, open and asked bits and, above them, the
+	// attempt count.
+	marks uint32
 }
 
-// Records live in chunks of chunkLen, so that the index inside a chunk
-// needs no bounds check.
+// The bits of edge.marks: stuck, the analysis has given up advancing
+// across the edge; open, the one-step feasibility check was made and
+// passed; asked, the edge waits for a child's answer, whose question
+// Graph.asked holds (the searches read this bit, never the map). The
+// attempt count, child sub-queries (or inexact refinements) tried, takes
+// the bits above them and stays at maxAttempts once there.
+const (
+	stuckBit = 1 << iota
+	openBit
+	askedBit
+	attemptShift = iota
+	maxAttempts  = 1<<(32-attemptShift) - 1
+)
+
+func (r *edge) stuck() bool   { return r.marks&stuckBit != 0 }
+func (r *edge) open() bool    { return r.marks&openBit != 0 }
+func (r *edge) asked() bool   { return r.marks&askedBit != 0 }
+func (r *edge) attempts() int { return int(r.marks >> attemptShift) }
+
+// head is a list's first and last record, 0 and 0 for an empty list.
+type head struct{ first, last EdgeID }
+
+// Regions and records live in chunks of chunkLen, which never move, so
+// that a *Region stays valid and the index inside a chunk needs no bounds
+// check.
 const chunkBits = 6
 const chunkLen = 1 << chunkBits
 
@@ -98,20 +123,23 @@ func (s Step) String() string { return fmt.Sprintf("e%d:R%d→R%d", s.CFG, s.Fro
 // one query, and handed on through a punch.Shelf to the next query with
 // the same two when the first is Done (Take, Shelve).
 type Graph struct {
-	proc   *cfg.Proc
-	post   logic.ID                     // the postcondition's interned id, the shelf key with proc
-	regs   []*Region                    // region ID → region, retired ones included
-	at     [][]*Region                  // node → partition; order is part of the trajectory
-	slot   [][2]int32                   // CFG edge → its position in proc.Out[From], proc.In[To]
-	chunks []*[chunkLen]edge            // the records; EdgeID e is chunks[e/chunkLen][e%chunkLen]
-	nEdges int32                        // records handed out, the unused record 0 included
-	asked  map[EdgeID]*summary.Question // the live edges with a question
+	proc     *cfg.Proc
+	post     logic.ID                     // the postcondition's interned id, the shelf key with proc
+	regs     []*[chunkLen]Region          // the regions, retired ones included; ID r is regs[r/chunkLen][r%chunkLen]
+	nRegions int32                        // regions handed out
+	at       [][]*Region                  // node → partition; order is part of the trajectory
+	slot     [][2]int32                   // CFG edge → the offset of its list head among its source's heads, its destination's
+	chunks   records                      // the records
+	nEdges   int32                        // records handed out, the unused record 0 included
+	heads    []head                       // every region's list heads, at Region.lists
+	asked    map[EdgeID]*summary.Question // the live edges with a question
 
 	// Search scratch; seen, via and reach (per direction) go by region ID.
 	seen  []bool
 	via   []EdgeID
 	queue []*Region
 	reach [2][]bool
+	path  []EdgeID // FindPath's result
 }
 
 // New returns the initial graph for the question "can proc exit in post":
@@ -120,12 +148,13 @@ type Graph struct {
 // across a CFG edge is a live abstract edge.
 func New(proc *cfg.Proc, post logic.Formula) *Graph {
 	g := &Graph{proc: proc, post: logic.KeyID(post), at: make([][]*Region, proc.NNodes), slot: make([][2]int32, len(proc.Edges)), nEdges: 1, asked: map[EdgeID]*summary.Question{}}
+	g.heads = make([]head, 0, 2*len(proc.Edges)+len(proc.Out[proc.Exit])+len(proc.In[proc.Exit])) // one list per CFG edge end, the exit's twice
 	for n := range g.at {
 		for i, ei := range proc.Out[n] {
 			g.slot[ei][out] = int32(i)
 		}
 		for i, ei := range proc.In[n] {
-			g.slot[ei][in] = int32(i)
+			g.slot[ei][in] = int32(len(proc.Out[n]) + i)
 		}
 		node := cfg.NodeID(n)
 		if node == proc.Exit {
@@ -159,8 +188,7 @@ func Take(shelf *punch.Shelf, proc *cfg.Proc, post logic.Formula) *Graph {
 	}
 	clear(g.asked)
 	for e := EdgeID(1); int32(e) < g.nEdges; e++ {
-		r := g.rec(e)
-		r.asked, r.stuck, r.attempts = false, false, 0
+		g.rec(e).marks &= openBit
 	}
 	auditHand(g, true)
 	return g
@@ -193,18 +221,34 @@ func (g *Graph) At(n cfg.NodeID) []*Region { return g.at[n] }
 // NewRegion mints a region that is not yet part of any partition; Split
 // puts it there.
 func (g *Graph) NewRegion(node cfg.NodeID, f logic.Formula, target bool) *Region {
-	if len(g.regs) == math.MaxInt32 {
+	n := len(g.proc.Out[node]) + len(g.proc.In[node])
+	if g.nRegions == math.MaxInt32 || len(g.heads) > math.MaxInt32-n {
 		panic("regions: region IDs exhausted")
 	}
-	nOut := len(g.proc.Out[node])
-	lists := make([][]EdgeID, nOut+len(g.proc.In[node]))
-	r := &Region{ID: int32(len(g.regs)), Node: node, F: f, Target: target, adj: [2][][]EdgeID{lists[:nOut:nOut], lists[nOut:]}}
-	g.regs = append(g.regs, r)
+	if int(g.nRegions>>chunkBits) == len(g.regs) {
+		g.regs = append(g.regs, new([chunkLen]Region))
+	}
+	lists := len(g.heads)
+	g.heads = slices.Grow(g.heads, n)[:lists+n]
+	clear(g.heads[lists:])
+	r := g.region(g.nRegions)
+	*r = Region{ID: g.nRegions, lists: int32(lists), Node: node, F: f, Target: target}
+	g.nRegions++
 	return r
 }
 
+// region returns the region with ID id, which the graph has handed out.
+func (g *Graph) region(id int32) *Region { return &g.regs[id>>chunkBits][id&(chunkLen-1)] }
+
+// records are the chunks of a graph's edge records; EdgeID e is
+// records[e/chunkLen][e%chunkLen].
+type records []*[chunkLen]edge
+
+// at returns the record of e, which the graph has handed out.
+func (c records) at(e EdgeID) *edge { return &c[e>>chunkBits][e&(chunkLen-1)] }
+
 // rec returns the record of e, which the graph has handed out.
-func (g *Graph) rec(e EdgeID) *edge { return &g.chunks[e>>chunkBits][e&(chunkLen-1)] }
+func (g *Graph) rec(e EdgeID) *edge { return g.chunks.at(e) }
 
 // must returns the record of e for an accessor: e = 0, no edge, is a bug
 // in the caller, as a nil record was.
@@ -215,11 +259,28 @@ func (g *Graph) must(e EdgeID) *edge {
 	return g.rec(e)
 }
 
-// list returns the list that holds e at its end in direction dir.
-func (g *Graph) list(e EdgeID, dir int) *[]EdgeID {
+// listsOf returns the heads of r's lists in direction dir, one per CFG
+// edge of proc.Out[r.Node] (or proc.In), in that order. The slice is the
+// graph's own.
+func (g *Graph) listsOf(r *Region, dir int) []head {
+	lo, hi := r.lists, r.lists+int32(len(g.proc.Out[r.Node]))
+	if dir == in {
+		lo, hi = hi, hi+int32(len(g.proc.In[r.Node]))
+	}
+	return g.heads[lo:hi:hi]
+}
+
+// headOf returns the head of r's list over CFG edge cfgEdge in direction
+// dir.
+func (g *Graph) headOf(r *Region, cfgEdge int32, dir int) *head {
+	return &g.heads[r.lists+g.slot[cfgEdge][dir]]
+}
+
+// list returns the head of the list that holds e at its end in direction
+// dir.
+func (g *Graph) list(e EdgeID, dir int) *head {
 	r := g.rec(e)
-	end := [2]int32{r.from, r.to}[dir]
-	return &g.regs[end].adj[dir][g.slot[r.cfg][dir]]
+	return g.headOf(g.region([2]int32{r.from, r.to}[dir]), r.cfg, dir)
 }
 
 // link makes from → to over CFG edge cfgEdge live: a blank record, the
@@ -234,25 +295,54 @@ func (g *Graph) link(cfgEdge int, from, to *Region) EdgeID {
 	e := EdgeID(g.nEdges)
 	g.nEdges++
 	*g.rec(e) = edge{cfg: int32(cfgEdge), from: from.ID, to: to.ID}
-	for dir := range from.adj {
-		l := g.list(e, dir)
-		*l = append(*l, e)
+	for dir, end := range [2]*Region{from, to} {
+		h := g.headOf(end, int32(cfgEdge), dir)
+		if h.last == 0 {
+			h.first = e
+		} else {
+			g.rec(h.last).next[dir] = e
+		}
+		h.last = e
 	}
 	return e
 }
 
-// drop removes e from list, if it is there, keeping the order of the rest:
-// a swap-remove would change the order in which a later search meets the
-// far regions, and with it what that search evaluates and finds first.
-func drop(list *[]EdgeID, e EdgeID) {
-	if i := slices.Index(*list, e); i >= 0 {
-		*list = slices.Delete(*list, i, i+1)
+// unlink takes e out of the list h, whose records are threaded through
+// next[dir]; prev is the record before e, 0 when e is the first.
+func (g *Graph) unlink(h *head, prev, e EdgeID, dir int) {
+	next := g.rec(e).next[dir]
+	if prev == 0 {
+		h.first = next
+	} else {
+		g.rec(prev).next[dir] = next
+	}
+	if h.last == e {
+		h.last = prev
 	}
 }
 
-// Out returns the live abstract edges from from over CFG edge cfgEdge, in
-// the partition order of their destinations. The slice is the graph's own.
-func (g *Graph) Out(cfgEdge int, from *Region) []EdgeID { return from.adj[out][g.slot[cfgEdge][out]] }
+// drop removes e from the list at its end in direction dir, if it is
+// there, keeping the order of the rest: a swap-remove would change the
+// order in which a later search meets the far regions, and with it what
+// that search evaluates and finds first.
+func (g *Graph) drop(e EdgeID, dir int) {
+	h, recs := g.list(e, dir), g.chunks
+	for prev, id := EdgeID(0), h.first; id != 0; prev, id = id, recs.at(id).next[dir] {
+		if id == e {
+			g.unlink(h, prev, e, dir)
+			return
+		}
+	}
+}
+
+// Out appends to buf the live abstract edges from from over CFG edge
+// cfgEdge, in the partition order of their destinations, and returns it.
+func (g *Graph) Out(cfgEdge int, from *Region, buf []EdgeID) []EdgeID {
+	for e := g.headOf(from, int32(cfgEdge), out).first; e != 0; e = g.rec(e).next[out] {
+		buf = append(buf, e)
+	}
+	return buf
+}
 
 // Edge returns the abstract edge from → to over CFG edge cfgEdge, 0 when
 // the edge is dead.
@@ -260,7 +350,7 @@ func (g *Graph) Edge(cfgEdge int, from, to *Region) EdgeID {
 	if ce := g.proc.Edges[cfgEdge]; from.retired || to.retired || ce.From != from.Node || ce.To != to.Node {
 		panic(fmt.Sprintf("regions: abstract edge e%d:R%d→R%d on a retired region or off its CFG edge", cfgEdge, from.ID, to.ID))
 	}
-	for _, e := range g.Out(cfgEdge, from) {
+	for e := g.headOf(from, int32(cfgEdge), out).first; e != 0; e = g.rec(e).next[out] {
 		if g.rec(e).to == to.ID {
 			return e
 		}
@@ -271,26 +361,25 @@ func (g *Graph) Edge(cfgEdge int, from, to *Region) EdgeID {
 // Step returns what the analyses read of e.
 func (g *Graph) Step(e EdgeID) Step {
 	r := g.must(e)
-	return Step{ID: e, CFG: int(r.cfg), From: g.regs[r.from], To: g.regs[r.to]}
+	return Step{ID: e, CFG: int(r.cfg), From: g.region(r.from), To: g.region(r.to)}
 }
 
 // Attempt counts one more child sub-query (or inexact refinement) tried
 // across e and returns the count.
 func (g *Graph) Attempt(e EdgeID) int {
 	r := g.must(e)
-	r.attempts++
-	return int(r.attempts)
+	if r.attempts() < maxAttempts {
+		r.marks += 1 << attemptShift
+	}
+	return r.attempts()
 }
 
 // SetStuck records that the analysis has given up advancing across e.
-func (g *Graph) SetStuck(e EdgeID) { g.must(e).stuck = true }
+func (g *Graph) SetStuck(e EdgeID) { g.must(e).marks |= stuckBit }
 
 // Blocked reports whether e is stuck or waits for a child's answer: an
 // edge an actionable search does not follow.
-func (g *Graph) Blocked(e EdgeID) bool {
-	r := g.must(e)
-	return r.stuck || r.asked
-}
+func (g *Graph) Blocked(e EdgeID) bool { return g.must(e).marks&(stuckBit|askedBit) != 0 }
 
 // Kill eliminates e (puts it into Ē): proven infeasible, it leaves both its
 // lists for good. No edge (0), a dead one and one whose region was split in
@@ -299,11 +388,11 @@ func (g *Graph) Kill(e EdgeID) {
 	if e == 0 {
 		return
 	}
-	if r := g.must(e); g.regs[r.from].retired || g.regs[r.to].retired {
+	if r := g.must(e); g.region(r.from).retired || g.region(r.to).retired {
 		return
 	}
-	drop(g.list(e, out), e)
-	drop(g.list(e, in), e)
+	g.drop(e, out)
+	g.drop(e, in)
 	g.SetPending(e, nil)
 }
 
@@ -327,10 +416,11 @@ func (g *Graph) SetPending(e EdgeID, q *summary.Question) {
 	r := g.must(e)
 	if q != nil {
 		g.asked[e] = q
-	} else if r.asked {
+		r.marks |= askedBit
+	} else if r.asked() {
 		delete(g.asked, e)
+		r.marks &^= askedBit
 	}
-	r.asked = q != nil
 }
 
 // Split replaces r by parts in its node's partition. Each part denotes a
@@ -345,34 +435,38 @@ func (g *Graph) SetPending(e EdgeID, q *summary.Question) {
 // part, and finding that out is what the split was for. Lists change as the
 // partition does — r's record out, the parts' appended — r's self-loops
 // last, so that a part's list over a CFG self-loop ends with the parts too.
+// Once the parts' records are linked, r's lists are emptied: no walk meets
+// a list of a retired region.
 func (g *Graph) Split(r *Region, parts ...*Region) {
 	g.at[r.Node] = append(slices.DeleteFunc(g.at[r.Node], func(x *Region) bool { return x == r }), parts...)
 	r.retired = true
-	for pass, lists := range [3][][]EdgeID{r.adj[out], r.adj[in], r.adj[out]} { // to others, from others, self-loops
-		for _, list := range lists {
-			for _, id := range list {
+	var far [1]*Region
+	for pass, dir := range [3]int{out, in, out} { // to others, from others, self-loops
+		for _, h := range g.listsOf(r, dir) {
+			for id := h.first; id != 0; id = g.rec(id).next[dir] {
 				e := g.rec(id)
 				froms, tos := parts, parts
 				switch {
 				case (e.from == e.to) != (pass == 2):
 					continue
 				case e.from != r.ID:
-					froms = g.regs[e.from : e.from+1]
-					drop(g.list(id, out), id)
+					far[0] = g.region(e.from)
+					froms = far[:]
+					g.drop(id, out)
 				case e.to != r.ID:
-					tos = g.regs[e.to : e.to+1]
-					drop(g.list(id, in), id)
+					far[0] = g.region(e.to)
+					tos = far[:]
+					g.drop(id, in)
 				}
 				var q *summary.Question
-				if e.asked {
+				if e.asked() {
 					q = g.asked[id]
 					g.SetPending(id, nil)
 				}
 				for _, f := range froms {
 					for _, t := range tos {
 						n := g.link(int(e.cfg), f, t)
-						ne := g.rec(n)
-						ne.stuck, ne.attempts = e.stuck, e.attempts
+						g.rec(n).marks = e.marks &^ (openBit | askedBit)
 						if q != nil {
 							g.SetPending(n, q)
 						}
@@ -381,7 +475,8 @@ func (g *Graph) Split(r *Region, parts ...*Region) {
 			}
 		}
 	}
-	r.adj = [2][][]EdgeID{}
+	clear(g.listsOf(r, out))
+	clear(g.listsOf(r, in))
 	auditSplit(g)
 }
 
@@ -395,10 +490,12 @@ var auditSplit, auditStep, auditHand = func(*Graph) {}, func(*Graph, EdgeID) {},
 // it along wp, returning the parts inside wp and outside it. Keeping every
 // region a small conjunction is what stops refinement formulas from
 // snowballing across splits; when DNF expansion is infeasible the fallback
-// is a plain binary split.
+// is a plain binary split. ins and outs share one slice, the parts in
+// order; ins is capped at its length.
 func (g *Graph) PartitionOn(m *punch.Meter, r *Region, wp logic.Formula) (ins, outs []*Region) {
-	mk := func(f logic.Formula) []*Region {
-		var parts []*Region
+	var parts []*Region
+	mk := func(f logic.Formula) {
+		start := len(parts)
 		if logic.EachCube(f, 32, func(c logic.Cube) bool {
 			m.Charge(4)
 			cf := m.Solver.Simplify(c.Formula())
@@ -407,19 +504,21 @@ func (g *Graph) PartitionOn(m *punch.Meter, r *Region, wp logic.Formula) (ins, o
 			}
 			return true
 		}) {
-			return parts
+			return
 		}
+		parts = parts[:start] // the cubes' regions are dropped
 		m.Charge(8)
 		s := m.Solver.Simplify(f)
 		if sr := m.Sat(s); sr.Known && !sr.Sat {
-			return nil
+			return
 		}
-		return []*Region{g.NewRegion(r.Node, s, r.Target)}
+		parts = append(parts, g.NewRegion(r.Node, s, r.Target))
 	}
-	ins = mk(logic.Conj(r.F, wp))
-	outs = mk(logic.Conj(r.F, logic.Not(wp)))
-	g.Split(r, append(append([]*Region{}, ins...), outs...)...)
-	return ins, outs
+	mk(logic.Conj(r.F, wp))
+	n := len(parts)
+	mk(logic.Conj(r.F, logic.Not(wp)))
+	g.Split(r, parts...)
+	return parts[:n:n], parts[n:]
 }
 
 // entryRegions appends the entry regions that intersect pre to queue.
@@ -543,11 +642,11 @@ func (g *Graph) isOpen(m *punch.Meter, e EdgeID, r *edge) bool {
 	if _, isCall := ce.Stmt.(lang.Call); !isCall {
 		auditStep(g, e)
 		m.Charge(2 + 4)
-		if !m.Solver.StepFeasible(ce.StmtID, ce.Stmt, g.regs[r.from].F, g.regs[r.to].F) {
+		if !m.Solver.StepFeasible(ce.StmtID, ce.Stmt, g.region(r.from).F, g.region(r.to).F) {
 			return false
 		}
 	}
-	r.open = true
+	r.marks |= openBit
 	return true
 }
 
@@ -561,39 +660,39 @@ func (g *Graph) search(m *punch.Meter, queue []*Region, seen []bool, via []EdgeI
 	for _, r := range queue {
 		seen[r.ID] = true
 	}
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
+	recs := g.chunks // a search hands out no record
+	for i := 0; i < len(queue); i++ {
+		cur := queue[i]
 		if via != nil && cur.Target && cur.Node == g.proc.Exit {
 			g.queue = queue[:0]
 			return cur
 		}
-		for slot, list := range cur.adj[dir] {
-			n := 0 // list[:n] is what stays
-			for _, id := range list {
-				e := g.rec(id)
-				far := e.to
+		lists := g.listsOf(cur, dir)
+		for slot := range lists {
+			h := &lists[slot]
+			for prev, id := EdgeID(0), h.first; id != 0; {
+				e := recs.at(id)
+				next, far := e.next[dir], e.to
 				if dir == in {
 					far = e.from
 				}
 				switch {
 				case seen[far]:
-				case avoid && (e.stuck || e.asked):
-				case !e.open && !g.isOpen(m, id, e):
-					drop(g.list(id, 1-dir), id)
+				case avoid && e.marks&(stuckBit|askedBit) != 0:
+				case !e.open() && !g.isOpen(m, id, e):
+					g.drop(id, 1-dir)
 					g.SetPending(id, nil)
+					g.unlink(h, prev, id, dir)
+					id = next
 					continue
 				default:
 					seen[far] = true
 					if via != nil {
 						via[far] = id
 					}
-					queue = append(queue, g.regs[far])
+					queue = append(queue, g.region(far))
 				}
-				list[n] = id
-				n++
-			}
-			if n < len(list) {
-				cur.adj[dir][slot] = list[:n]
+				prev, id = id, next
 			}
 		}
 	}
@@ -606,10 +705,11 @@ func (g *Graph) search(m *punch.Meter, queue []*Region, seen []bool, via []EdgeI
 // pass the one-step check. With avoid set, edges that are pending a child
 // answer or stuck are excluded (such a path is actionable); without it the
 // search decides whether any abstract path remains at all (none = proof).
-// The result, nil when there is none, is all a search allocates once its
-// scratch has grown to the graph.
+// The result, nil when there is none, is the graph's, good until the next
+// FindPath: once its scratch has grown to the graph, a search allocates
+// nothing.
 func (g *Graph) FindPath(m *punch.Meter, pre logic.Formula, avoid bool) []EdgeID {
-	n := len(g.regs)
+	n := int(g.nRegions)
 	g.seen = slices.Grow(g.seen[:0], n)[:n]
 	g.via = slices.Grow(g.via[:0], n)[:n]
 	clear(g.seen)
@@ -622,12 +722,12 @@ func (g *Graph) FindPath(m *punch.Meter, pre logic.Formula, avoid bool) []EdgeID
 	for e := g.via[end.ID]; e != 0; e = g.via[g.rec(e).from] {
 		steps++
 	}
-	path := make([]EdgeID, steps)
+	g.path = slices.Grow(g.path[:0], steps+1)[:steps] // never nil: a path of no steps is a path
 	for e := g.via[end.ID]; e != 0; e = g.via[g.rec(e).from] {
 		steps--
-		path[steps] = e
+		g.path[steps] = e
 	}
-	return path
+	return g.path
 }
 
 // Reachable computes, indexed by region ID, the regions forward-reachable
@@ -647,7 +747,7 @@ func (g *Graph) Reachable(m *punch.Meter, pre logic.Formula, reverse bool) []boo
 	} else {
 		queue = g.entryRegions(m, pre, queue)
 	}
-	n := len(g.regs)
+	n := int(g.nRegions)
 	g.reach[dir] = slices.Grow(g.reach[dir][:0], n)[:n]
 	clear(g.reach[dir])
 	g.search(m, queue, g.reach[dir], nil, false, dir)
@@ -681,42 +781,69 @@ func (g *Graph) SweepPending(db punch.DB) {
 // list holds handed-out edges over its own CFG edge from (or to) its own
 // region, in the order of the far partition — so the far end is live —
 // each also in the matching list at its far end, with its asked bit set
-// exactly when the graph holds a question for it; every question belongs
-// to a listed edge. Tests call it after every split. ("No call edge is
-// shut" has no record left to read: isOpen evaluates none, and the tests'
-// audit of absent pairs skips call statements.)
+// exactly when the graph holds a question for it, and ends where its head
+// says; a retired region has no list; every question belongs to a listed
+// edge. Tests call it after every split. ("No call edge is shut" has no
+// record left to read: isOpen evaluates none, and the tests' audit of
+// absent pairs skips call statements.)
 func (g *Graph) Check() error {
 	for n, regs := range g.at {
 		for i, r := range regs {
-			if r.retired || r.Node != cfg.NodeID(n) || slices.Contains(regs[:i], r) || g.regs[r.ID] != r {
+			if r.retired || r.Node != cfg.NodeID(n) || slices.Contains(regs[:i], r) || r.ID < 0 || r.ID >= g.nRegions || g.region(r.ID) != r {
 				return fmt.Errorf("regions: partition of n%d holds R%d (retired=%v, node n%d, twice, or not the graph's)", n, r.ID, r.retired, r.Node)
 			}
 			for dir, incident := range [2][]int{g.proc.Out[n], g.proc.In[n]} {
+				lists := g.listsOf(r, dir)
 				for slot, ci := range incident {
 					order := g.at[[2]cfg.NodeID{g.proc.Edges[ci].To, g.proc.Edges[ci].From}[dir]]
-					for _, id := range r.adj[dir][slot] {
+					last := EdgeID(0)
+					for id := lists[slot].first; id != 0; id = g.rec(id).next[dir] {
 						if id <= 0 || int32(id) >= g.nEdges {
 							return fmt.Errorf("regions: R%d lists edge %d under CFG edge %d, outside [1, %d)", r.ID, id, ci, g.nEdges)
 						}
 						e := g.rec(id)
 						ends := [2]int32{e.from, e.to}
-						i := slices.Index(order, g.regs[ends[1-dir]])
-						if int(e.cfg) != ci || ends[dir] != r.ID || i < 0 || !slices.Contains(*g.list(id, 1-dir), id) {
+						i := slices.Index(order, g.region(ends[1-dir]))
+						if int(e.cfg) != ci || ends[dir] != r.ID || i < 0 || !g.listed(id, 1-dir) {
 							return fmt.Errorf("regions: R%d lists %v under CFG edge %d: not its own, out of partition order (or twice, or to a retired region), or not listed at the far end", r.ID, g.Step(id), ci)
 						}
 						order = order[i+1:]
-						if q, ok := g.asked[id]; e.asked != ok || ok && q == nil {
-							return fmt.Errorf("regions: %v has its asked bit %v and question %v", g.Step(id), e.asked, q)
+						if q, ok := g.asked[id]; e.asked() != ok || ok && q == nil {
+							return fmt.Errorf("regions: %v has its asked bit %v and question %v", g.Step(id), e.asked(), q)
 						}
+						last = id
+					}
+					if lists[slot].last != last {
+						return fmt.Errorf("regions: the list of R%d under CFG edge %d ends at edge %d, its head says %d", r.ID, ci, last, lists[slot].last)
 					}
 				}
 			}
 		}
 	}
+	for id := int32(0); id < g.nRegions; id++ {
+		if r := g.region(id); r.retired && (slices.ContainsFunc(g.listsOf(r, out), isListed) || slices.ContainsFunc(g.listsOf(r, in), isListed)) {
+			return fmt.Errorf("regions: retired R%d keeps a list", id)
+		}
+	}
 	for id := range g.asked {
-		if id <= 0 || int32(id) >= g.nEdges || g.regs[g.rec(id).from].retired || !slices.Contains(*g.list(id, out), id) {
+		if id <= 0 || int32(id) >= g.nEdges || g.region(g.rec(id).from).retired || !g.listed(id, out) {
 			return fmt.Errorf("regions: a question is held for edge %d, which is not listed", id)
 		}
 	}
 	return nil
+}
+
+// isListed reports whether h heads a list.
+func isListed(h head) bool { return h != head{} }
+
+// listed reports whether e is in the list at its end in direction dir. A
+// walk longer than the records handed out stops: the list has a cycle.
+func (g *Graph) listed(e EdgeID, dir int) bool {
+	n := int32(0)
+	for id := g.list(e, dir).first; id != 0 && n < g.nEdges; id, n = g.rec(id).next[dir], n+1 {
+		if id == e {
+			return true
+		}
+	}
+	return false
 }

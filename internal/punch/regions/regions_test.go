@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -250,6 +251,14 @@ func keyOf(g *Graph, e EdgeID) refKey {
 	return refKey{int(r.cfg), int(r.from), int(r.to)}
 }
 
+func listKeys(g *Graph, ids []EdgeID) []refKey {
+	var ks []refKey
+	for _, e := range ids {
+		ks = append(ks, keyOf(g, e))
+	}
+	return ks
+}
+
 // TestTableAgainstFiveMapModel drives the graph and the reference model
 // through the same random sequence of edge updates and splits — self-loop
 // edges, parallel edges, splits into no, one or several parts, splits of
@@ -293,11 +302,43 @@ func TestTableAgainstFiveMapModel(t *testing.T) {
 						if e == 0 {
 							continue
 						}
-						if r := g.rec(e); r.stuck != ref.stuck[k] || int(r.attempts) != ref.attempts[k] || g.asked[e] != ref.pending[k] || r.asked != (ref.pending[k] != nil) || r.open != (ref.open[k] > 0) {
+						if r := g.rec(e); r.stuck() != ref.stuck[k] || r.attempts() != ref.attempts[k] || g.asked[e] != ref.pending[k] || r.asked() != (ref.pending[k] != nil) || r.open() != (ref.open[k] > 0) {
 							t.Fatalf("seed %d step %d (%s): edge %v is {stuck %v attempts %d pending %p asked %v open %v}, model has {%v %d %p %d}",
-								seed, step, what, k, r.stuck, r.attempts, g.asked[e], r.asked, r.open,
+								seed, step, what, k, r.stuck(), r.attempts(), g.asked[e], r.asked(), r.open(),
 								ref.stuck[k], ref.attempts[k], ref.pending[k], ref.open[k])
 						}
+					}
+				}
+				// Each list holds the live edges in the far partition's
+				// order: the model's live pairs, far end by far end.
+				live := func(from, to *Region) bool {
+					k := refKey{ci, int(from.ID), int(to.ID)}
+					return !ref.elim[k] && ref.open[k] >= 0
+				}
+				for _, f := range ref.at[ce.From] {
+					var want []refKey
+					for _, to := range ref.at[ce.To] {
+						if live(f, to) {
+							want = append(want, refKey{ci, int(f.ID), int(to.ID)})
+						}
+					}
+					if got := listKeys(g, g.Out(ci, f, nil)); !slices.Equal(got, want) {
+						t.Fatalf("seed %d step %d (%s): R%d lists %v over CFG edge %d, the model has %v", seed, step, what, f.ID, got, ci, want)
+					}
+				}
+				for _, to := range ref.at[ce.To] {
+					var want []refKey
+					for _, f := range ref.at[ce.From] {
+						if live(f, to) {
+							want = append(want, refKey{ci, int(f.ID), int(to.ID)})
+						}
+					}
+					var ids []EdgeID
+					for e := g.headOf(to, int32(ci), in).first; e != 0; e = g.rec(e).next[in] {
+						ids = append(ids, e)
+					}
+					if got := listKeys(g, ids); !slices.Equal(got, want) {
+						t.Fatalf("seed %d step %d (%s): R%d lists %v into it over CFG edge %d, the model has %v", seed, step, what, to.ID, got, ci, want)
 					}
 				}
 			}
@@ -356,7 +397,7 @@ func TestTableAgainstFiveMapModel(t *testing.T) {
 				case 5:
 					what = "open"
 					if ref.open[k] = int8(1 - 2*rng.Intn(2)); ref.open[k] > 0 {
-						g.rec(e).open = true
+						g.rec(e).marks |= openBit
 					} else {
 						g.Kill(e) // as a search does with an edge it finds shut
 					}
@@ -431,11 +472,11 @@ func TestReplaceRegionMigratesBookkeeping(t *testing.T) {
 			t.Errorf("target flag lost on R%d", part.ID)
 		}
 		for _, to := range parts {
-			if e := g.Edge(0, part, to); e == 0 || !g.Blocked(e) || g.asked[e] != nil || g.rec(e).attempts != 3 {
+			if e := g.Edge(0, part, to); e == 0 || !g.Blocked(e) || g.asked[e] != nil || g.rec(e).attempts() != 3 {
 				t.Errorf("R%d→R%d did not inherit stuck and 3 attempts from the self-loop: edge %d", part.ID, to.ID, e)
 			}
 		}
-		if e := g.Edge(1, part, hit); e == 0 || g.asked[e] != q || g.rec(e).stuck || g.rec(e).attempts != 0 {
+		if e := g.Edge(1, part, hit); e == 0 || g.asked[e] != q || g.rec(e).stuck() || g.rec(e).attempts() != 0 {
 			t.Errorf("R%d→R%d did not inherit the outstanding child (and nothing else): edge %d", part.ID, hit.ID, e)
 		}
 		if e := g.Edge(1, part, miss); e != 0 {
@@ -443,7 +484,7 @@ func TestReplaceRegionMigratesBookkeeping(t *testing.T) {
 		}
 	}
 	// The retired region's own question went with it.
-	if g.asked[out] != nil || g.rec(out).asked {
+	if g.asked[out] != nil || g.rec(out).asked() {
 		t.Errorf("the retired edge %v still holds its question", g.Step(out))
 	}
 	// Answering every child finds them all among the questions.
@@ -496,10 +537,12 @@ func TestNoEdgeFailsLoudly(t *testing.T) {
 	mustCheck(t, g)
 }
 
-// TestEdgeRecordPointerFree: an edge record holds no pointer, so the chunks
-// the graph keeps its records in are memory the collector never scans. A
-// field of a kind that holds one — pointer, slice, map, interface, string,
-// channel, function — fails it, at any depth.
+// TestEdgeRecordPointerFree: an edge record and a list head hold no
+// pointer, so the chunks the graph keeps its records in and its slab of
+// list heads are memory the collector never scans. A field of a kind that
+// holds one — pointer, slice, map, interface, string, channel, function —
+// fails it, at any depth. A record, the two links of its lists included,
+// takes at most 24 bytes.
 func TestEdgeRecordPointerFree(t *testing.T) {
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
@@ -516,8 +559,31 @@ func TestEdgeRecordPointerFree(t *testing.T) {
 		}
 	}
 	walk("chunk", reflect.TypeFor[[chunkLen]edge]())
-	if size := reflect.TypeFor[edge]().Size(); size > 20 {
-		t.Errorf("an edge record takes %d bytes, more than its 20", size)
+	walk("heads", reflect.TypeFor[head]())
+	if size := reflect.TypeFor[edge]().Size(); size > 24 {
+		t.Errorf("an edge record takes %d bytes, more than its 24", size)
+	}
+}
+
+// TestAttemptsSaturate: the attempt count shares its word with the marks
+// and stops at maxAttempts, far above any bound the analyses set, without
+// spilling into them.
+func TestAttemptsSaturate(t *testing.T) {
+	if maxAttempts < 1<<28 {
+		t.Fatalf("maxAttempts is %d: too few bits for an attempt count", maxAttempts)
+	}
+	proc := loopProc(t)
+	g := New(proc, le("a", 7))
+	e := g.Edge(0, g.At(proc.Edges[0].From)[0], g.At(proc.Edges[0].To)[0])
+	g.SetStuck(e)
+	g.rec(e).marks |= (maxAttempts - 1) << attemptShift
+	for i := range 3 {
+		if got := g.Attempt(e); got != maxAttempts {
+			t.Fatalf("attempt %d at the top returns %d, want %d", i+1, got, maxAttempts)
+		}
+	}
+	if r := g.rec(e); !r.stuck() || r.open() || r.asked() {
+		t.Fatalf("a saturated count changed the marks: stuck %v open %v asked %v", r.stuck(), r.open(), r.asked())
 	}
 }
 
@@ -636,7 +702,7 @@ func benchGraph(tb testing.TB) (*Graph, *punch.Meter) {
 		for i, f := range g.At(ce.From) {
 			for j, to := range g.At(ce.To) {
 				e := g.Edge(ci, f, to)
-				g.rec(e).open = true
+				g.rec(e).marks |= openBit
 				if to.Target || (i+j)%3 == 0 {
 					g.Kill(e)
 				}
@@ -647,8 +713,8 @@ func benchGraph(tb testing.TB) (*Graph, *punch.Meter) {
 }
 
 // TestFindPathAllocPin: once the scratch has grown to the graph and every
-// edge on the way has had its one-step check, a search allocates the path
-// it returns and nothing else — nothing at all when there is no path.
+// edge on the way has had its one-step check, a search allocates nothing,
+// whether it finds a path or not: the path is the graph's.
 func TestFindPathAllocPin(t *testing.T) {
 	g, m := benchGraph(t)
 	pin := func(what string, want float64, found bool) {
@@ -665,7 +731,49 @@ func TestFindPathAllocPin(t *testing.T) {
 	// whose incoming edges benchGraph left alive.
 	rest := g.At(g.proc.Exit)[0]
 	g.Split(rest, g.NewRegion(rest.Node, rest.F, true))
-	pin("a path", 1, true)
+	pin("a path", 0, true)
+	mustCheck(t, g)
+}
+
+// TestSplitAllocPin: a region and its lists are memory the graph owns.
+// On a graph whose region and record chunks and slab of list heads have
+// room, minting a part and splitting a region into it allocate nothing
+// beyond the partition slice, which here keeps its length.
+func TestSplitAllocPin(t *testing.T) {
+	g, _ := benchGraph(t)
+	const runs = 50
+	node := g.proc.Edges[1].To
+	for len(g.regs) < int(g.nRegions+runs)/chunkLen+1 {
+		g.regs = append(g.regs, new([chunkLen]Region))
+	}
+	edges := 0 // what one split of a region at node links, at most
+	for _, r := range g.At(node) {
+		for _, dir := range []int{out, in} {
+			for _, h := range g.listsOf(r, dir) {
+				for e := h.first; e != 0; e = g.rec(e).next[dir] {
+					edges++
+				}
+			}
+		}
+	}
+	for len(g.chunks) < (int(g.nEdges)+runs*edges)/chunkLen+1 {
+		g.chunks = append(g.chunks, new([chunkLen]edge))
+	}
+	n := len(g.proc.Out[node]) + len(g.proc.In[node])
+	g.heads = slices.Grow(g.heads, runs*n)
+	// testing.AllocsPerRun rounds the mean down, and a slab that grows
+	// now and then allocates less than once a run: count every malloc.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range runs {
+		r := g.At(node)[i%len(g.At(node))]
+		g.Split(r, g.NewRegion(r.Node, r.F, r.Target))
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != 0 {
+		t.Errorf("%d region mints and splits allocate %d times, want 0", runs, got)
+	}
 	mustCheck(t, g)
 }
 

@@ -20,7 +20,7 @@ func TestShelfHandoff(t *testing.T) {
 	g, m := benchGraph(t)
 	rest := g.At(g.proc.Exit)[0]
 	g.Split(rest, g.NewRegion(rest.Node, rest.F, true)) // leave paths to find
-	path := g.FindPath(m, logic.True, true)
+	path := slices.Clone(g.FindPath(m, logic.True, true))
 	if len(path) < 3 {
 		t.Fatalf("path %v: the graph leaves too little to mark", path)
 	}
@@ -30,7 +30,7 @@ func TestShelfHandoff(t *testing.T) {
 	g.Attempt(path[2])
 	answers := map[int32][]EdgeID{}
 	for _, r := range g.At(g.proc.Entry) {
-		answers[r.ID] = g.FindPath(m, r.F, false)
+		answers[r.ID] = slices.Clone(g.FindPath(m, r.F, false))
 	}
 	live, open := liveEdges(g)
 
@@ -48,8 +48,8 @@ func TestShelfHandoff(t *testing.T) {
 		t.Errorf("%d questions survive the handoff", len(got.asked))
 	}
 	for e := EdgeID(1); int32(e) < got.nEdges; e++ {
-		if r := got.rec(e); r.asked || r.stuck || r.attempts != 0 {
-			t.Errorf("%v carries asked=%v stuck=%v attempts=%d after the handoff", got.Step(e), r.asked, r.stuck, r.attempts)
+		if r := got.rec(e); r.asked() || r.stuck() || r.attempts() != 0 {
+			t.Errorf("%v carries asked=%v stuck=%v attempts=%d after the handoff", got.Step(e), r.asked(), r.stuck(), r.attempts())
 		}
 	}
 	if l, o := liveEdges(got); !slices.Equal(l, live) || !slices.Equal(o, open) {
@@ -72,10 +72,10 @@ func TestShelfHandoff(t *testing.T) {
 func liveEdges(g *Graph) (live, open []EdgeID) {
 	for _, regs := range g.at {
 		for _, r := range regs {
-			for _, list := range r.adj[out] {
-				for _, e := range list {
+			for _, h := range g.listsOf(r, out) {
+				for e := h.first; e != 0; e = g.rec(e).next[out] {
 					live = append(live, e)
-					if g.rec(e).open {
+					if g.rec(e).open() {
 						open = append(open, e)
 					}
 				}
