@@ -27,7 +27,7 @@ test:
 
 # race re-runs the concurrency-heavy packages under the race detector:
 # the streaming engine and two overlapping checks in one process (the
-# intern table is dropped only when both have ended), the sharded summary
+# intern table is dropped only when both have ended), the summary
 # database, the solver's memos and fuzz seed corpus (shared interning
 # table under concurrent PUNCH; eight goroutines simplifying overlapping
 # cubes on one solver), the PUNCH instantiations and the region

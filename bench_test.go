@@ -3,6 +3,7 @@ package bolt_test
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	bolt "repro"
@@ -286,9 +287,12 @@ func BenchmarkObsOverhead(b *testing.B) {
 }
 
 // BenchmarkSumDBAnswer: query-answering latency against a prebuilt
-// summary database. "repeat" re-asks one question (served by the memo
-// after the first scan); "varied" cycles fresh questions (always scans
-// the shard's summary slice).
+// summary database of 8 procedures. "repeat" re-asks one question
+// (served by the memo after the first scan); "varied" cycles through 64
+// questions over all 8 procedures (each scanned once, then served by its
+// procedure's memo); "parallel" asks those questions from GOMAXPROCS
+// goroutines at once, each starting at its own offset, so the map lock
+// and the procedure locks are taken concurrently.
 func BenchmarkSumDBAnswer(b *testing.B) {
 	g := func(x int64) logic.Formula { return logic.Eq(logic.LinVar(lang.Var("g")), logic.LinConst(x)) }
 	build := func() *summary.DB {
@@ -321,6 +325,23 @@ func BenchmarkSumDBAnswer(b *testing.B) {
 				b.Fatal("no answer")
 			}
 		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		db := build()
+		var qs []summary.Question
+		for i := 0; i < 64; i++ {
+			qs = append(qs, summary.Question{Proc: fmt.Sprintf("proc%d", i%8), Pre: g(int64(i)), Post: g(int64(i) + 1)})
+		}
+		var start atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for i := int(start.Add(5)); pb.Next(); i++ {
+				if _, ok := db.AnswerYes(qs[i%len(qs)]); !ok {
+					b.Error("no answer")
+					return
+				}
+			}
+		})
 	})
 }
 

@@ -245,8 +245,8 @@ type Options struct {
 	PprofLabels bool
 	// Inspect, when non-nil, attaches the run to the inspector's live
 	// probe: /debug/bolt/state (and the stall watchdog) can then sample
-	// per-worker state, forest occupancy, coalescer, SUMDB shard and
-	// solver gauges while the check is in flight. Nil costs one branch
+	// per-worker state, forest occupancy, coalescer, SUMDB and solver
+	// gauges while the check is in flight. Nil costs one branch
 	// per publish site.
 	Inspect *Inspector
 	// FlightRecorder, when non-nil, is teed into the run's event stream:

@@ -11,8 +11,9 @@ import (
 	"testing"
 )
 
-// testOnlyExports are the exported functions under internal/ that no
-// non-test code of this module calls, each kept for the reason given.
+// testOnlyExports are the exported functions and types under internal/
+// that no non-test code of this module names, each kept for the reason
+// given.
 // Anything else with no caller goes, or moves into its package's
 // export_test.go.
 var testOnlyExports = map[string]string{
@@ -24,9 +25,10 @@ var testOnlyExports = map[string]string{
 	"witness.Trace.Replay":        "the benchmark (bench/, its own module) replays witnesses with it",
 }
 
-// TestNoDeadExports is a structural lint: every exported function or
-// method under internal/ is named somewhere in the module's non-test
-// code outside its own declaration, or is listed in testOnlyExports.
+// TestNoDeadExports is a structural lint: every exported function,
+// method or type under internal/ is named somewhere in the module's
+// non-test code outside its own declaration, or is listed in
+// testOnlyExports.
 // The scan is by name, so it errs towards keeping: a name used by
 // anything else counts as used.
 func TestNoDeadExports(t *testing.T) {
@@ -48,14 +50,22 @@ func TestNoDeadExports(t *testing.T) {
 			return err
 		}
 		own := map[*ast.Ident]bool{}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
+		declare := func(name *ast.Ident, qual string) {
+			own[name] = true
+			if strings.HasPrefix(path, "internal/") && name.IsExported() {
+				decls = append(decls, f.Name.Name+"."+qual+name.Name)
 			}
-			own[fd.Name] = true
-			if strings.HasPrefix(path, "internal/") && fd.Name.IsExported() {
-				decls = append(decls, f.Name.Name+"."+recvName(fd)+fd.Name.Name)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				declare(d.Name, recvName(d))
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					if ts, ok := s.(*ast.TypeSpec); ok {
+						declare(ts.Name, "")
+					}
+				}
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -98,7 +108,10 @@ func recvName(fd *ast.FuncDecl) string {
 	if star, ok := typ.(*ast.StarExpr); ok {
 		typ = star.X
 	}
-	if ix, ok := typ.(*ast.IndexExpr); ok {
+	switch ix := typ.(type) {
+	case *ast.IndexExpr:
+		typ = ix.X
+	case *ast.IndexListExpr:
 		typ = ix.X
 	}
 	return typ.(*ast.Ident).Name + "."

@@ -36,7 +36,6 @@ import (
 	"context"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/cfg"
@@ -217,9 +216,9 @@ func newNodes(n int) []*distNode {
 }
 
 // nodeOf routes a procedure to its home among n nodes. The modulo is
-// taken in uint32 space like summary.shardIndex: int(h.Sum32()) is
-// negative for hashes above MaxInt32 on 32-bit platforms, and a signed
-// modulo would then yield a negative index.
+// taken in uint32 space: int(h.Sum32()) is negative for hashes above
+// MaxInt32 on 32-bit platforms, and a signed modulo would then yield a
+// negative index.
 func nodeOf(proc string, n int) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(proc))
@@ -311,12 +310,9 @@ func (e *DistEngine) result(r *reducer, res DistResult) DistResult {
 }
 
 // aggregateStats sums the per-node summary-database traffic into one
-// Stats view, merging the per-stripe breakdown by shard index (every
-// node stripes its shard the same way). Over a single database it is that
-// database's own snapshot.
+// Stats view. Over a single database it is that database's own snapshot.
 func aggregateStats(dbs []*summary.DB) summary.Stats {
 	var agg summary.Stats
-	byShard := map[int]*summary.ShardTraffic{}
 	for _, db := range dbs {
 		st := db.StatsSnapshot()
 		agg.Added += st.Added
@@ -325,27 +321,6 @@ func aggregateStats(dbs []*summary.DB) summary.Stats {
 		agg.Misses += st.Misses
 		agg.DupesSkip += st.DupesSkip
 		agg.MemoHits += st.MemoHits
-		for _, sh := range st.PerShard {
-			t := byShard[sh.Shard]
-			if t == nil {
-				t = &summary.ShardTraffic{Shard: sh.Shard}
-				byShard[t.Shard] = t
-			}
-			t.Procs += sh.Procs
-			t.Summaries += sh.Summaries
-			t.YesHits += sh.YesHits
-			t.NoHits += sh.NoHits
-			t.Misses += sh.Misses
-			t.MemoHits += sh.MemoHits
-		}
-	}
-	shards := make([]int, 0, len(byShard))
-	for s := range byShard {
-		shards = append(shards, s)
-	}
-	sort.Ints(shards)
-	for _, s := range shards {
-		agg.PerShard = append(agg.PerShard, *byShard[s])
 	}
 	return agg
 }

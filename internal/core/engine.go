@@ -188,7 +188,7 @@ type Result struct {
 	CostByProc map[string]int64
 	// Metrics is the observability snapshot (nil unless Options.Metrics
 	// was set): counters, punch histograms, per-worker accounting, and
-	// sumdb_* traffic including the per-shard breakdown.
+	// sumdb_* traffic.
 	Metrics *obs.Snapshot
 	// Summaries is the final content of SUMDB.
 	Summaries []summary.Summary

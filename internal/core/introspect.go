@@ -15,7 +15,7 @@ import (
 )
 
 // attachProbe registers the run's snapshot function: the LiveState's
-// folds and published gauges plus live SUMDB shard occupancy —
+// folds and published gauges plus live SUMDB size and traffic —
 // aggregated over every tree's database, so a cluster's summary counts
 // include gossip replicas — and solver counters. db.StatsSnapshot and
 // solver are safe to call concurrently with a running analysis, so the
@@ -29,27 +29,15 @@ func attachProbe(p *obs.Probe, ls *obs.LiveState, dbs []*summary.DB, solver func
 	})
 }
 
-// sumdbState converts a summary.Stats snapshot into the obs view. The
-// total is derived from the per-shard breakdown so no extra database
-// traversal happens on the sampling path.
+// sumdbState converts a summary.Stats snapshot into the obs view.
 func sumdbState(st summary.Stats) *obs.SumDBState {
-	out := &obs.SumDBState{
-		YesHits:  st.YesHits,
-		NoHits:   st.NoHits,
-		Misses:   st.Misses,
-		MemoHits: st.MemoHits,
+	return &obs.SumDBState{
+		Summaries: st.Added,
+		YesHits:   st.YesHits,
+		NoHits:    st.NoHits,
+		Misses:    st.Misses,
+		MemoHits:  st.MemoHits,
 	}
-	for _, sh := range st.PerShard {
-		out.Summaries += int64(sh.Summaries)
-		out.Shards = append(out.Shards, obs.ShardState{
-			Shard:     sh.Shard,
-			Procs:     sh.Procs,
-			Summaries: sh.Summaries,
-			Hits:      sh.YesHits + sh.NoHits,
-			Misses:    sh.Misses,
-		})
-	}
-	return out
 }
 
 // solverState converts an smt.Stats snapshot into the obs view.

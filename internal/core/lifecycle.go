@@ -177,11 +177,11 @@ func (in *instr) deliver(from, to int, proc string, bytes int, vtime int64) {
 
 // finish snapshots the registry (nil when metrics were off), stamping
 // the run's makespan and folding in the summary-database traffic under
-// sumdb_* counter keys (aggregate plus per lock stripe) and the solver's
-// entailment-cache traffic under entailment_cache_* keys and the fill of
-// its memos under solver_memo_<name>_* keys. The solver counters live as
-// atomics in smt.Stats (smt cannot import obs), so this fold is what
-// routes them into the Prometheus rendering.
+// sumdb_* counter keys and the solver's entailment-cache traffic under
+// entailment_cache_* keys and the fill of its memos under
+// solver_memo_<name>_* keys. The solver counters live as atomics in
+// smt.Stats (smt cannot import obs), so this fold is what routes them
+// into the Prometheus rendering.
 func (in *instr) finish(makespan int64, st summary.Stats, sv smt.Stats) *obs.Snapshot {
 	snap := in.m.Snapshot()
 	if snap == nil {
@@ -195,12 +195,6 @@ func (in *instr) finish(makespan int64, st summary.Stats, sv smt.Stats) *obs.Sna
 	c["sumdb_misses"] = st.Misses
 	c["sumdb_memo_hits"] = st.MemoHits
 	c["sumdb_dupes_skipped"] = st.DupesSkip
-	for _, sh := range st.PerShard {
-		base := fmt.Sprintf("sumdb_shard%02d_", sh.Shard)
-		c[base+"hits"] = sh.YesHits + sh.NoHits
-		c[base+"misses"] = sh.Misses
-		c[base+"summaries"] = int64(sh.Summaries)
-	}
 	c["entailment_cache_hits"] = sv.EntailCacheHits
 	c["entailment_cache_misses"] = sv.EntailCacheMisses
 	c["entailment_cache_syn_hits"] = sv.EntailSynHits

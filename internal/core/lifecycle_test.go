@@ -92,10 +92,9 @@ func highHashProc(t *testing.T) string {
 }
 
 // TestNodeOfUint32Modulo is the regression test for the distributed
-// router: hashing must take the modulo in uint32 space (like
-// summary.shardIndex), because int(h.Sum32()) is negative on 32-bit
-// platforms for half of all hashes and a signed modulo then indexes
-// nodes[] out of range.
+// router: hashing must take the modulo in uint32 space, because
+// int(h.Sum32()) is negative on 32-bit platforms for half of all hashes
+// and a signed modulo then indexes nodes[] out of range.
 func TestNodeOfUint32Modulo(t *testing.T) {
 	name := highHashProc(t)
 	h := fnv.New32a()

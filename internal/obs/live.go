@@ -13,7 +13,7 @@
 //   - StateSnapshot is the read surface: a plain JSON-serializable
 //     struct assembled on demand from the folds and the last published
 //     gauges plus whatever concurrent-safe stats providers the engine
-//     captured (SUMDB shard stats, solver counters).
+//     captured (SUMDB traffic counters, solver counters).
 //
 //   - Probe is the stable handle between them: callers keep one Probe
 //     across runs, engines Attach a snapshot function at run start and
@@ -247,26 +247,16 @@ type NodeState struct {
 	BusyTicks     int64 `json:"busy_ticks"`
 }
 
-// SumDBState is the summary database's live view: totals plus the
-// per-shard occupancy the striping exists for. In the distributed
-// engine the view aggregates every node's database, so Summaries counts
-// gossip replicas too.
+// SumDBState is the summary database's live view: its size and its
+// answering traffic, read from the database's counters. In the
+// distributed engine the view aggregates every node's database, so
+// Summaries counts gossip replicas too.
 type SumDBState struct {
-	Summaries int64        `json:"summaries"`
-	YesHits   int64        `json:"yes_hits"`
-	NoHits    int64        `json:"no_hits"`
-	Misses    int64        `json:"misses"`
-	MemoHits  int64        `json:"memo_hits"`
-	Shards    []ShardState `json:"shards,omitempty"`
-}
-
-// ShardState is one SUMDB lock stripe's live occupancy and traffic.
-type ShardState struct {
-	Shard     int   `json:"shard"`
-	Procs     int   `json:"procs"`
-	Summaries int   `json:"summaries"`
-	Hits      int64 `json:"hits"`
+	Summaries int64 `json:"summaries"`
+	YesHits   int64 `json:"yes_hits"`
+	NoHits    int64 `json:"no_hits"`
 	Misses    int64 `json:"misses"`
+	MemoHits  int64 `json:"memo_hits"`
 }
 
 // SolverState is the solver's mid-run accounting: entailment-cache and

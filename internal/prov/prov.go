@@ -36,7 +36,7 @@ type Access struct {
 
 // Frame is the recording view of the summary database for one PUNCH
 // invocation. It is used by that invocation's goroutine only, so its log
-// takes no lock. Because the entailment cache and the per-shard memo sit
+// takes no lock. Because the entailment cache and the per-procedure memo sit
 // behind AnswerYes/AnswerNo (a memo hit still returns the answering
 // summary), cache-served answers are logged at summary granularity too.
 type Frame struct {

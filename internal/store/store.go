@@ -1,7 +1,7 @@
 // Package store implements the persistent summary store behind the
 // engines' warm-start and incremental re-check paths: one Store
-// interface with two backends, the 32-way striped in-memory SUMDB (Mem)
-// and an append-only, fingerprinted record log on disk (Disk).
+// interface with two backends, a map of summaries in memory (Mem) and
+// an append-only, fingerprinted record log on disk (Disk).
 //
 // Everything a store holds went through internal/wire, so its contents
 // are canonical cross-process bytes — never the process-local
@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/summary"
@@ -95,14 +96,14 @@ func NewFingerprint(parts ...string) Fingerprint {
 
 func (fp Fingerprint) String() string { return hex.EncodeToString(fp[:8]) }
 
-// Mem is the in-memory backend: the same 32-way striped summary
-// database the engines share in-process, fronted by a canonical-key
-// dedup set. It is the natural store for a long-lived server sharing
-// warm summaries across requests without touching disk.
+// Mem is the in-memory backend: each procedure's summaries in insertion
+// order, deduplicated by canonical wire key, all under one lock. It is
+// the natural store for a long-lived server sharing warm summaries
+// across requests without touching disk.
 type Mem struct {
 	mu       sync.Mutex
 	keys     map[string]string // canonical wire key -> procedure
-	db       *summary.DB
+	sums     map[string][]summary.Summary
 	prov     []wire.ProvRecord
 	manifest map[string]Fingerprint
 	mod      map[string][]string
@@ -110,11 +111,25 @@ type Mem struct {
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem {
-	return &Mem{keys: map[string]string{}, db: summary.New(nil)}
+	return &Mem{keys: map[string]string{}, sums: map[string][]summary.Summary{}}
 }
 
-// Load returns the stored summaries.
-func (m *Mem) Load() ([]summary.Summary, error) { return m.db.All(), nil }
+// Load returns the stored summaries, sorted by procedure then insertion
+// order.
+func (m *Mem) Load() ([]summary.Summary, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	procs := make([]string, 0, len(m.sums))
+	for p := range m.sums {
+		procs = append(procs, p)
+	}
+	sort.Strings(procs)
+	out := make([]summary.Summary, 0, len(m.keys))
+	for _, p := range procs {
+		out = append(out, m.sums[p]...)
+	}
+	return out, nil
+}
 
 // Put stores s, deduplicated by canonical wire key.
 func (m *Mem) Put(s summary.Summary) (bool, error) {
@@ -128,14 +143,13 @@ func (m *Mem) Put(s summary.Summary) (bool, error) {
 		return false, nil
 	}
 	m.keys[key] = s.Proc
-	m.db.Add(s)
+	m.sums[s.Proc] = append(m.sums[s.Proc], s)
 	return true, nil
 }
 
 // DeleteProcs removes every summary of the given procedures (all of
 // them when procs is nil or empty) and reports how many were removed
-// per procedure. The backing SUMDB has no removal operation, so the
-// surviving summaries are rebuilt into a fresh database under the lock.
+// per procedure.
 func (m *Mem) DeleteProcs(procs []string) (map[string]int, error) {
 	all := len(procs) == 0
 	doomed := make(map[string]bool, len(procs))
@@ -145,25 +159,15 @@ func (m *Mem) DeleteProcs(procs []string) (map[string]int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	removed := map[string]int{}
-	keep := map[string]string{}
 	for key, proc := range m.keys {
 		if all || doomed[proc] {
 			removed[proc]++
-		} else {
-			keep[key] = proc
+			delete(m.keys, key)
 		}
 	}
-	if len(removed) == 0 {
-		return removed, nil
+	for proc := range removed {
+		delete(m.sums, proc)
 	}
-	db := summary.New(nil)
-	for _, s := range m.db.All() {
-		if !(all || doomed[s.Proc]) {
-			db.Add(s)
-		}
-	}
-	m.keys = keep
-	m.db = db
 	return removed, nil
 }
 

@@ -6,7 +6,6 @@ package summary
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -92,26 +91,7 @@ type Stats struct {
 	// MemoHits counts answers served from the bounded question memo
 	// without re-running any solver check.
 	MemoHits int64
-	// PerShard breaks the answering traffic down by lock stripe (only
-	// shards with any traffic or content appear) — the load-balance
-	// view the striping exists for.
-	PerShard []ShardTraffic
 }
-
-// ShardTraffic is one lock stripe's answering traffic and content.
-type ShardTraffic struct {
-	Shard     int
-	Procs     int
-	Summaries int
-	YesHits   int64
-	NoHits    int64
-	Misses    int64
-	MemoHits  int64
-}
-
-// numShards stripes the procedure map so concurrent PUNCH instances
-// working on different procedures never contend on one lock.
-const numShards = 32
 
 // memoBound caps the per-procedure question memo; when exceeded the memo
 // is reset rather than evicted entry by entry (resets are rare and the
@@ -120,27 +100,22 @@ const memoBound = 4096
 
 // memoEntry records a previously computed answer for one question under
 // one rule. Positive answers stay valid forever (summaries are never
-// removed); negative answers are valid only while the procedure's
-// summary set is unchanged (version matches).
+// removed); a negative answer is valid only while the procedure still
+// holds exactly the n summaries its scan covered.
 type memoEntry struct {
-	sum     Summary
-	ok      bool
-	version uint64 // procShard.version at computation time (misses only)
+	sum Summary
+	ok  bool
+	n   int // len(sums) the scan covered (misses only)
 }
 
-// procShard holds one procedure's summaries: an append-only slice (the
+// procEntry holds one procedure's summaries: an append-only slice (the
 // hot read path iterates a stable prefix without copying), the dedup key
-// set, and a bounded memo of answered questions.
-type procShard struct {
-	mu      sync.RWMutex
-	keys    map[pairKey]struct{}
-	sums    []Summary // append-only; elements are never mutated in place
-	version uint64    // bumped on every successful Add
-	added   int64     // guarded by mu
-	dupes   int64     // guarded by mu
-
-	memoMu sync.Mutex
-	memo   map[pairKey]memoEntry
+// set, and a bounded memo of answered questions, all under mu.
+type procEntry struct {
+	mu   sync.Mutex
+	keys map[pairKey]struct{}
+	sums []Summary // append-only; elements are never mutated in place
+	memo map[pairKey]memoEntry
 }
 
 // pairKey identifies a summary within a run — its kind and the interned
@@ -154,160 +129,94 @@ type pairKey struct {
 // slice. The returned header may be iterated without holding any lock:
 // appends may reallocate the backing array, but never mutate elements
 // already visible through this header.
-func (ps *procShard) view() []Summary {
-	ps.mu.RLock()
-	v := ps.sums
-	ps.mu.RUnlock()
+func (pe *procEntry) view() []Summary {
+	pe.mu.Lock()
+	v := pe.sums
+	pe.mu.Unlock()
 	return v
 }
 
-func (ps *procShard) currentVersion() uint64 {
-	ps.mu.RLock()
-	v := ps.version
-	ps.mu.RUnlock()
-	return v
-}
-
-// memoGet looks up a memoized answer. A hit is returned only when still
-// valid: positive entries always, negative entries only at the recorded
-// summary-set version.
-func (ps *procShard) memoGet(key pairKey, version uint64) (memoEntry, bool) {
-	ps.memoMu.Lock()
-	defer ps.memoMu.Unlock()
-	e, ok := ps.memo[key]
-	if !ok {
-		return memoEntry{}, false
+// recall looks up a memoized answer and returns it together with the
+// summary prefix a scan would read, both taken in one critical section.
+// A hit is returned only when still valid: positive entries always,
+// negative entries only while len(sums) equals the count they scanned.
+func (pe *procEntry) recall(key pairKey) (memoEntry, bool, []Summary) {
+	pe.mu.Lock()
+	defer pe.mu.Unlock()
+	e, ok := pe.memo[key]
+	if ok && !e.ok && e.n != len(pe.sums) {
+		delete(pe.memo, key) // stale miss: a summary arrived since
+		ok = false
 	}
-	if !e.ok && e.version != version {
-		delete(ps.memo, key) // stale miss: a summary arrived since
-		return memoEntry{}, false
+	return e, ok, pe.sums
+}
+
+func (pe *procEntry) remember(key pairKey, e memoEntry) {
+	pe.mu.Lock()
+	defer pe.mu.Unlock()
+	if pe.memo == nil || len(pe.memo) >= memoBound {
+		pe.memo = make(map[pairKey]memoEntry)
 	}
-	return e, true
+	pe.memo[key] = e
 }
 
-func (ps *procShard) memoPut(key pairKey, e memoEntry) {
-	ps.memoMu.Lock()
-	defer ps.memoMu.Unlock()
-	if ps.memo == nil || len(ps.memo) >= memoBound {
-		ps.memo = make(map[pairKey]memoEntry)
-	}
-	ps.memo[key] = e
-}
-
-// shard is one stripe of the procedure map.
-type shard struct {
-	mu    sync.RWMutex
-	procs map[string]*procShard
-}
-
-// shardCounters are one stripe's read-path counters (atomics: the
-// answer paths hold no exclusive lock).
-type shardCounters struct {
-	yes, no, miss, memo int64
-}
-
-// DB is the concurrent summary database SUMDB, sharded by procedure. All
-// methods are safe for concurrent use; per the paper it is the only
-// resource shared by the parallel instances of PUNCH.
+// DB is the concurrent summary database SUMDB: one map of procedures
+// under one lock, each procedure's entry under its own. All methods are
+// safe for concurrent use; per the paper it is the only resource shared
+// by the parallel instances of PUNCH.
 type DB struct {
-	shards [numShards]shard
+	mu     sync.RWMutex
+	procs  map[string]*procEntry
 	solver *smt.Solver
-	// Global read-path counters (atomics: the read paths hold no
-	// exclusive lock). Added/DupesSkip live per procShard under its
-	// write lock and are summed by StatsSnapshot. traffic carries the
-	// same read-path counts broken down by lock stripe.
-	yesHits  int64
-	noHits   int64
-	misses   int64
-	memoHits int64
-	traffic  [numShards]shardCounters
+	// Traffic counters, atomics so that Count and StatsSnapshot read them
+	// mid-run without a lock.
+	added, dupes, yesHits, noHits, misses, memoHits atomic.Int64
 }
 
 // New returns an empty database using solver for the answering checks.
 func New(solver *smt.Solver) *DB {
-	db := &DB{solver: solver}
-	for i := range db.shards {
-		db.shards[i].procs = map[string]*procShard{}
-	}
-	return db
+	return &DB{procs: map[string]*procEntry{}, solver: solver}
 }
 
-func shardIndex(proc string) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(proc))
-	return int(h.Sum32() % numShards)
-}
-
-// lookup returns proc's shard entry, or nil when the procedure has no
+// lookup returns proc's entry, or nil when the procedure has no
 // summaries yet.
-func (db *DB) lookup(proc string) *procShard {
-	return db.lookupAt(shardIndex(proc), proc)
+func (db *DB) lookup(proc string) *procEntry {
+	db.mu.RLock()
+	pe := db.procs[proc]
+	db.mu.RUnlock()
+	return pe
 }
 
-// lookupAt is lookup with the stripe index already computed (the answer
-// paths reuse it for the per-shard traffic counters).
-func (db *DB) lookupAt(si int, proc string) *procShard {
-	sh := &db.shards[si]
-	sh.mu.RLock()
-	ps := sh.procs[proc]
-	sh.mu.RUnlock()
-	return ps
-}
-
-// countMiss, countMemo, countYes and countNo bump a global read-path
-// counter together with its stripe-local twin.
-func (db *DB) countMiss(si int) {
-	atomic.AddInt64(&db.misses, 1)
-	atomic.AddInt64(&db.traffic[si].miss, 1)
-}
-
-func (db *DB) countMemo(si int) {
-	atomic.AddInt64(&db.memoHits, 1)
-	atomic.AddInt64(&db.traffic[si].memo, 1)
-}
-
-func (db *DB) countYes(si int) {
-	atomic.AddInt64(&db.yesHits, 1)
-	atomic.AddInt64(&db.traffic[si].yes, 1)
-}
-
-func (db *DB) countNo(si int) {
-	atomic.AddInt64(&db.noHits, 1)
-	atomic.AddInt64(&db.traffic[si].no, 1)
-}
-
-// entry returns proc's shard entry, creating it on first use.
-func (db *DB) entry(proc string) *procShard {
-	if ps := db.lookup(proc); ps != nil {
-		return ps
+// entry returns proc's entry, creating it on first use.
+func (db *DB) entry(proc string) *procEntry {
+	if pe := db.lookup(proc); pe != nil {
+		return pe
 	}
-	sh := &db.shards[shardIndex(proc)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ps := sh.procs[proc]
-	if ps == nil {
-		ps = &procShard{keys: map[pairKey]struct{}{}}
-		sh.procs[proc] = ps
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	pe := db.procs[proc]
+	if pe == nil {
+		pe = &procEntry{keys: map[pairKey]struct{}{}}
+		db.procs[proc] = pe
 	}
-	return ps
+	return pe
 }
 
-// Add stores a summary (deduplicated structurally). Adding bumps the
-// procedure's version, which invalidates memoized "no answer" results
-// for that procedure.
+// Add stores a summary (deduplicated structurally). Adding lengthens the
+// procedure's summary slice, which invalidates memoized "no answer"
+// results for that procedure.
 func (db *DB) Add(s Summary) {
 	key := pairKey{byte(s.Kind), logic.KeyID(s.Pre), logic.KeyID(s.Post)}
-	ps := db.entry(s.Proc)
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if _, dup := ps.keys[key]; dup {
-		ps.dupes++
+	pe := db.entry(s.Proc)
+	pe.mu.Lock()
+	defer pe.mu.Unlock()
+	if _, dup := pe.keys[key]; dup {
+		db.dupes.Add(1)
 		return
 	}
-	ps.keys[key] = struct{}{}
-	ps.sums = append(ps.sums, s)
-	ps.version++
-	ps.added++
+	pe.keys[key] = struct{}{}
+	pe.sums = append(pe.sums, s)
+	db.added.Add(1)
 }
 
 // questionKey builds the memo key for q under the given answering rule.
@@ -315,29 +224,33 @@ func questionKey(rule byte, q Question) pairKey {
 	return pairKey{rule, logic.KeyID(q.Pre), logic.KeyID(q.Post)}
 }
 
+// replay counts a memo hit and returns its answer.
+func (db *DB) replay(e memoEntry, hits *atomic.Int64) (Summary, bool) {
+	db.memoHits.Add(1)
+	if e.ok {
+		hits.Add(1)
+		return e.sum, true
+	}
+	db.misses.Add(1)
+	return Summary{}, false
+}
+
 // AnswerYes looks for a must summary (ψ1 ⇒must ψ2) answering q with "yes":
 // ψ1 ⊆ q.Pre and q.Post ∩ ψ2 ≠ ∅ (§3.1). When found it returns the
 // summary and a verified model of q.Post ∩ ψ2 (an exit state proven
 // reachable).
 func (db *DB) AnswerYes(q Question) (Summary, bool) {
-	si := shardIndex(q.Proc)
-	ps := db.lookupAt(si, q.Proc)
-	if ps == nil {
-		db.countMiss(si)
+	pe := db.lookup(q.Proc)
+	if pe == nil {
+		db.misses.Add(1)
 		return Summary{}, false
 	}
-	version := ps.currentVersion()
 	key := questionKey('Y', q)
-	if e, hit := ps.memoGet(key, version); hit {
-		db.countMemo(si)
-		if e.ok {
-			db.countYes(si)
-			return e.sum, true
-		}
-		db.countMiss(si)
-		return Summary{}, false
+	e, hit, sums := pe.recall(key)
+	if hit {
+		return db.replay(e, &db.yesHits)
 	}
-	for _, s := range ps.view() {
+	for _, s := range sums {
 		if s.Kind != Must {
 			continue
 		}
@@ -346,48 +259,41 @@ func (db *DB) AnswerYes(q Question) (Summary, bool) {
 		}
 		inter := db.solver.Sat(logic.Conj(q.Post, s.Post))
 		if inter.Known && inter.Sat {
-			db.countYes(si)
-			ps.memoPut(key, memoEntry{sum: s, ok: true})
+			db.yesHits.Add(1)
+			pe.remember(key, memoEntry{sum: s, ok: true})
 			return s, true
 		}
 	}
-	db.countMiss(si)
-	ps.memoPut(key, memoEntry{version: version})
+	db.misses.Add(1)
+	pe.remember(key, memoEntry{n: len(sums)})
 	return Summary{}, false
 }
 
 // AnswerNo looks for a not-may summary (ψ1 ⇒¬may ψ2) answering q with
 // "no": q.Pre ⊆ ψ1 and q.Post ⊆ ψ2 (§3.1).
 func (db *DB) AnswerNo(q Question) (Summary, bool) {
-	si := shardIndex(q.Proc)
-	ps := db.lookupAt(si, q.Proc)
-	if ps == nil {
-		db.countMiss(si)
+	pe := db.lookup(q.Proc)
+	if pe == nil {
+		db.misses.Add(1)
 		return Summary{}, false
 	}
-	version := ps.currentVersion()
 	key := questionKey('N', q)
-	if e, hit := ps.memoGet(key, version); hit {
-		db.countMemo(si)
-		if e.ok {
-			db.countNo(si)
-			return e.sum, true
-		}
-		db.countMiss(si)
-		return Summary{}, false
+	e, hit, sums := pe.recall(key)
+	if hit {
+		return db.replay(e, &db.noHits)
 	}
-	for _, s := range ps.view() {
+	for _, s := range sums {
 		if s.Kind != NotMay {
 			continue
 		}
 		if db.solver.Implies(q.Pre, s.Pre) && db.solver.Implies(q.Post, s.Post) {
-			db.countNo(si)
-			ps.memoPut(key, memoEntry{sum: s, ok: true})
+			db.noHits.Add(1)
+			pe.remember(key, memoEntry{sum: s, ok: true})
 			return s, true
 		}
 	}
-	db.countMiss(si)
-	ps.memoPut(key, memoEntry{version: version})
+	db.misses.Add(1)
+	pe.remember(key, memoEntry{n: len(sums)})
 	return Summary{}, false
 }
 
@@ -406,85 +312,44 @@ func (db *DB) Answer(q Question) (Summary, int) {
 // ForProc returns the summaries stored for proc as a stable read-only
 // view: callers may iterate it freely but must not mutate elements.
 func (db *DB) ForProc(proc string) []Summary {
-	ps := db.lookup(proc)
-	if ps == nil {
+	pe := db.lookup(proc)
+	if pe == nil {
 		return nil
 	}
-	return ps.view()
+	return pe.view()
 }
 
 // Count returns the number of stored summaries.
-func (db *DB) Count() int {
-	n := 0
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		for _, ps := range sh.procs {
-			n += len(ps.view())
-		}
-		sh.mu.RUnlock()
-	}
-	return n
-}
+func (db *DB) Count() int { return int(db.added.Load()) }
 
 // All returns every stored summary, sorted by procedure then insertion
 // order, for reporting and testing.
 func (db *DB) All() []Summary {
-	byProc := map[string][]Summary{}
-	procs := []string{}
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		for p, ps := range sh.procs {
-			if v := ps.view(); len(v) > 0 {
-				byProc[p] = v
-				procs = append(procs, p)
-			}
-		}
-		sh.mu.RUnlock()
+	db.mu.RLock()
+	procs := make([]string, 0, len(db.procs))
+	for p := range db.procs {
+		procs = append(procs, p)
 	}
+	db.mu.RUnlock()
 	sort.Strings(procs)
 	var out []Summary
 	for _, p := range procs {
-		out = append(out, byProc[p]...)
+		out = append(out, db.ForProc(p)...)
 	}
 	return out
 }
 
-// StatsSnapshot returns a consistent copy of the traffic counters:
-// read-path counters from their atomics, write-path counters summed
-// across the procedure shards.
+// StatsSnapshot returns the traffic counters. Each is read atomically;
+// mid-run they may be a few operations apart.
 func (db *DB) StatsSnapshot() Stats {
-	st := Stats{
-		YesHits:  atomic.LoadInt64(&db.yesHits),
-		NoHits:   atomic.LoadInt64(&db.noHits),
-		Misses:   atomic.LoadInt64(&db.misses),
-		MemoHits: atomic.LoadInt64(&db.memoHits),
+	return Stats{
+		Added:     db.added.Load(),
+		YesHits:   db.yesHits.Load(),
+		NoHits:    db.noHits.Load(),
+		Misses:    db.misses.Load(),
+		DupesSkip: db.dupes.Load(),
+		MemoHits:  db.memoHits.Load(),
 	}
-	for i := range db.shards {
-		sh := &db.shards[i]
-		tr := ShardTraffic{
-			Shard:    i,
-			YesHits:  atomic.LoadInt64(&db.traffic[i].yes),
-			NoHits:   atomic.LoadInt64(&db.traffic[i].no),
-			Misses:   atomic.LoadInt64(&db.traffic[i].miss),
-			MemoHits: atomic.LoadInt64(&db.traffic[i].memo),
-		}
-		sh.mu.RLock()
-		for _, ps := range sh.procs {
-			ps.mu.RLock()
-			st.Added += ps.added
-			st.DupesSkip += ps.dupes
-			tr.Procs++
-			tr.Summaries += len(ps.sums)
-			ps.mu.RUnlock()
-		}
-		sh.mu.RUnlock()
-		if tr.Procs > 0 || tr.YesHits+tr.NoHits+tr.Misses+tr.MemoHits > 0 {
-			st.PerShard = append(st.PerShard, tr)
-		}
-	}
-	return st
 }
 
 // Solver exposes the database's solver so analyses share one instance (and

@@ -3,6 +3,7 @@ package summary
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/lang"
@@ -123,44 +124,82 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestShardedDBHammer drives the sharded DB from 32 goroutines mixing
-// adds, answers and scans across many procedures — run under -race this
-// exercises the striped locks, the append-only summary slices and the
-// per-procedure memo. Final counts must be exact.
-func TestShardedDBHammer(t *testing.T) {
+// TestDBHammer drives the DB from 32 goroutines mixing adds, answers
+// and scans across seven procedures — run under -race this is the
+// certificate of the one-lock-per-procedure design: the map lock, each
+// procedure's lock over its append-only summary slice, dedup keys and
+// memo, and the atomic counters. Final counts must be exact, every
+// answer call must be counted once as a hit or a miss, and a memoized
+// miss must never outlive the Add that answers it: each procedure has a
+// twin whose questions only one summary answers, added mid-run while
+// other goroutines scan the twin for fresh questions, and every one of
+// those questions must be answered once the goroutines are done.
+func TestDBHammer(t *testing.T) {
 	db := New(smt.New())
 	const goroutines = 32
 	const perG = 40
+	const procs = 7
+	const base = 16
+	twin := func(i int) string { return fmt.Sprintf("p%d-twin", i%procs) }
+	// twinQ is fresh per (i, j), so each is a scan; only answer (pre
+	// g = -7) answers it, no base summary (pre g <= -100) does.
+	twinQ := func(i, j int) Question {
+		return Question{Proc: twin(i), Pre: logic.Conj(logic.LEq(k(-7), v("g")), logic.LEq(v("g"), k(int64(i*1000+j)))), Post: logic.LEq(k(0), v("g"))}
+	}
+	answer := func(i int) Summary {
+		return Summary{Kind: Must, Proc: twin(i), Pre: eqv("g", -7), Post: eqv("g", 7)}
+	}
+	for p := 0; p < procs; p++ {
+		for m := 0; m < base; m++ {
+			db.Add(Summary{Kind: Must, Proc: twin(p), Pre: eqv("g", int64(-100-m)), Post: eqv("g", 7)})
+		}
+	}
+	var calls atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			proc := fmt.Sprintf("p%d", i%7) // collide on procedures and shards
+			proc := fmt.Sprintf("p%d", i%procs) // collide on procedures
 			for j := 0; j < perG; j++ {
 				db.Add(Summary{Kind: Must, Proc: proc, Pre: eqv("g", int64(i*1000+j)), Post: eqv("g", 0)})
 				db.Add(Summary{Kind: Must, Proc: proc, Pre: eqv("g", int64(i*1000+j)), Post: eqv("g", 0)}) // dupe
 				db.AnswerYes(Question{Proc: proc, Pre: logic.True, Post: eqv("g", 0)})
 				db.AnswerNo(Question{Proc: proc, Pre: eqv("g", -1), Post: eqv("g", 99)})
+				db.AnswerYes(twinQ(i, j))
+				calls.Add(3)
+				if i < procs && j == perG/2 {
+					db.Add(answer(i))
+				}
 				db.ForProc(proc)
 				db.Count()
+				db.StatsSnapshot()
 			}
 		}(i)
 	}
 	wg.Wait()
-	want := int64(goroutines * perG)
-	if got := int64(db.Count()); got != want {
-		t.Fatalf("Count = %d, want %d", got, want)
+	for i := 0; i < goroutines; i++ {
+		for j := 0; j < perG; j++ {
+			if _, ok := db.AnswerYes(twinQ(i, j)); !ok {
+				t.Fatalf("%v: a memoized miss outlived the Add of the summary answering it", twinQ(i, j))
+			}
+			calls.Add(1)
+		}
 	}
+	want := int64(goroutines*perG + procs*(base+1))
 	st := db.StatsSnapshot()
-	if st.Added != want {
-		t.Fatalf("Added = %d, want %d", st.Added, want)
+	if st.Added != want || int64(db.Count()) != want || int64(len(db.All())) != want {
+		t.Fatalf("Added %d, Count %d, len(All) %d, want all %d", st.Added, db.Count(), len(db.All()), want)
 	}
-	if st.DupesSkip != want {
-		t.Fatalf("DupesSkip = %d, want %d", st.DupesSkip, want)
+	if st.DupesSkip != goroutines*perG {
+		t.Fatalf("DupesSkip = %d, want %d", st.DupesSkip, goroutines*perG)
 	}
-	if got := len(db.All()); got != int(want) {
-		t.Fatalf("All() = %d summaries, want %d", got, want)
+	if got := st.YesHits + st.NoHits + st.Misses; got != calls.Load() {
+		t.Fatalf("yes %d + no %d + misses %d = %d, want one per answer call, %d",
+			st.YesHits, st.NoHits, st.Misses, got, calls.Load())
+	}
+	if st.MemoHits == 0 || st.Misses == 0 || st.YesHits == 0 {
+		t.Fatalf("stats %+v: the hammer missed a path", st)
 	}
 }
 
@@ -225,52 +264,5 @@ func TestStringFormats(t *testing.T) {
 	}
 	if Must.String() != "must" || NotMay.String() != "not-may" {
 		t.Fatal("kind strings wrong")
-	}
-}
-
-// TestPerShardTraffic: the stats snapshot breaks answering traffic down
-// by lock stripe, and the per-shard rows sum to the global counters.
-func TestPerShardTraffic(t *testing.T) {
-	db := New(smt.New())
-	procs := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	for _, p := range procs {
-		db.Add(Summary{Kind: Must, Proc: p, Pre: eqv("g", 5), Post: logic.LEq(k(6), v("g"))})
-	}
-	for _, p := range procs {
-		q := Question{Proc: p, Pre: logic.LEq(k(0), v("g")), Post: logic.LEq(k(10), v("g"))}
-		if _, ok := db.AnswerYes(q); !ok {
-			t.Fatalf("proc %s: expected a yes answer", p)
-		}
-		// A query for an unknown procedure is a miss on that stripe.
-		miss := Question{Proc: p + "_unknown", Pre: eqv("g", 1), Post: eqv("g", 2)}
-		if _, ok := db.AnswerYes(miss); ok {
-			t.Fatalf("proc %s_unknown: unexpected answer", p)
-		}
-	}
-	st := db.StatsSnapshot()
-	if len(st.PerShard) == 0 {
-		t.Fatal("no per-shard rows")
-	}
-	var yes, no, misses, memo int64
-	var summaries int
-	for _, sh := range st.PerShard {
-		if sh.Shard < 0 || sh.Shard >= numShards {
-			t.Fatalf("shard index %d out of range", sh.Shard)
-		}
-		yes += sh.YesHits
-		no += sh.NoHits
-		misses += sh.Misses
-		memo += sh.MemoHits
-		summaries += sh.Summaries
-	}
-	if yes != st.YesHits || no != st.NoHits || misses != st.Misses || memo != st.MemoHits {
-		t.Errorf("per-shard traffic (yes %d no %d miss %d memo %d) does not sum to globals (%d %d %d %d)",
-			yes, no, misses, memo, st.YesHits, st.NoHits, st.Misses, st.MemoHits)
-	}
-	if summaries != db.Count() {
-		t.Errorf("per-shard summaries %d, want %d", summaries, db.Count())
-	}
-	if st.Misses == 0 {
-		t.Error("expected at least one miss")
 	}
 }
