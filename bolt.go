@@ -31,6 +31,7 @@ import (
 	"repro/internal/punch/may"
 	"repro/internal/punch/maymust"
 	"repro/internal/punch/must"
+	"repro/internal/smt"
 	"repro/internal/store"
 	"repro/internal/summary"
 	"repro/internal/wire"
@@ -100,62 +101,36 @@ func (a Analysis) String() string {
 	return fmt.Sprintf("Analysis(%d)", int(a))
 }
 
-// Verdict is the outcome of a verification run.
-type Verdict int
+// Verdict is the outcome of a verification run: Unknown (resources
+// exhausted before an answer was found), Safe (the error states are
+// proven unreachable) or ErrorReachable (some execution reaches them).
+type Verdict = core.Verdict
 
 // Verdicts.
 const (
-	// Unknown: resources exhausted before an answer was found.
-	Unknown Verdict = iota
-	// Safe: the error states are proven unreachable.
-	Safe
-	// ErrorReachable: some execution reaches the error states.
-	ErrorReachable
+	Unknown        = core.Unknown
+	Safe           = core.Safe
+	ErrorReachable = core.ErrorReachable
 )
-
-func (v Verdict) String() string {
-	switch v {
-	case Safe:
-		return "Program is Safe"
-	case ErrorReachable:
-		return "Error Reachable"
-	}
-	return "Unknown (resources exhausted)"
-}
 
 // StopReason explains why a run terminated. Every Result carries exactly
 // one; an Unknown verdict always comes with the reason the engine gave
 // up (budget, deadlock, cancellation, or — for the distributed
 // simulation — total node failure).
-type StopReason int
+type StopReason = core.StopReason
 
-// Stop reasons. The values mirror internal/core.StopReason one to one.
+// Stop reasons; internal/core documents each.
 const (
-	// StopNone: the run did not record a reason (zero value).
-	StopNone StopReason = iota
-	// StopRootAnswered: the verification question was answered.
-	StopRootAnswered
-	// StopWallTimeout: the wall-clock budget expired.
-	StopWallTimeout
-	// StopTickBudget: the virtual-time budget expired.
-	StopTickBudget
-	// StopEventBudget: the iteration/event/round budget was exhausted.
-	StopEventBudget
-	// StopDeadlocked: every live query was Blocked with no way to make
-	// progress.
-	StopDeadlocked
-	// StopCancelled: the caller's context was cancelled.
-	StopCancelled
-	// StopNodeFailure: injected faults killed the whole simulated
-	// cluster.
-	StopNodeFailure
-	// StopVerdictReused: an incremental re-check answered the question
-	// from the persisted verdict without running — the edit's
-	// invalidation cone did not reach the question's procedure.
-	StopVerdictReused
+	StopNone          = core.StopNone
+	StopRootAnswered  = core.StopRootAnswered
+	StopWallTimeout   = core.StopWallTimeout
+	StopTickBudget    = core.StopTickBudget
+	StopEventBudget   = core.StopEventBudget
+	StopDeadlocked    = core.StopDeadlocked
+	StopCancelled     = core.StopCancelled
+	StopNodeFailure   = core.StopNodeFailure
+	StopVerdictReused = core.StopVerdictReused
 )
-
-func (r StopReason) String() string { return core.StopReason(r).String() }
 
 // Options configure a verification run.
 type Options struct {
@@ -257,46 +232,61 @@ type Options struct {
 	FlightRecorder *obs.Recording
 }
 
-// Result reports a verification run.
+// Result reports a verification run, on any engine: Check's, CheckReach's
+// and CheckDistributed's alike.
 type Result struct {
 	Verdict Verdict
-	// StopReason records why the run ended; TimedOut and Deadlocked are
-	// views derived from it.
+	// StopReason records why the run ended.
 	StopReason   StopReason
 	TotalQueries int64
 	PeakReady    int
 	Iterations   int
 	VirtualTicks int64
 	WallTime     time.Duration
-	TimedOut     bool
-	Deadlocked   bool
 	// CoalesceHits counts spawned children answered by an in-flight twin
 	// query instead of growing a duplicate subtree.
 	CoalesceHits int64
+	// The simulated cluster's own counters, zero or nil after Check.
+	// Rounds equals Iterations. PerNodePeakLive is each node's peak
+	// live-query count (the memory-sharding payoff), PerNodeSummaries
+	// each node's final summary count. SyncExchanges counts gossip
+	// exchanges, DroppedDeliveries the deliveries injected loss deferred.
+	// KilledNodes lists the nodes fault injection removed, in order;
+	// ReroutedQueries counts the queries failover moved off them,
+	// RecoveredSummaries the summaries its re-gossip delivered.
+	Rounds             int
+	PerNodePeakLive    []int
+	PerNodeSummaries   []int
+	SyncExchanges      int
+	DroppedDeliveries  int
+	KilledNodes        []int
+	ReroutedQueries    int
+	RecoveredSummaries int
 	// Witness is a concrete counterexample (present only when the verdict
 	// is ErrorReachable and Options.FindWitness was set, and the directed
 	// search succeeded).
 	Witness *Witness
 	// Metrics is the flattened engine metrics snapshot (nil unless
-	// Options.CollectMetrics): lifecycle counters, summary-database
+	// metrics were collected): lifecycle counters, summary-database
 	// traffic under sumdb_* keys, punch-histogram aggregates, and
 	// makespan_ticks.
 	Metrics map[string]int64
 	// WorkerMetrics is the per-worker accounting behind Metrics;
-	// utilization is BusyTicks / Metrics["makespan_ticks"].
-	WorkerMetrics []WorkerMetric
+	// utilization is BusyTicks / Metrics["makespan_ticks"]. On a cluster,
+	// worker slot w of node n is worker n*ThreadsPerNode+w.
+	WorkerMetrics []obs.WorkerSnapshot
 	// TraceSpans is the number of completed PUNCH spans recorded when
-	// Options.TraceTo was set; TraceEvents the JSONL lines written when
-	// Options.TraceJSONLTo was set; TraceErr reports the first failed
-	// trace write, if any.
+	// TraceTo was set; TraceEvents the JSONL lines written when
+	// TraceJSONLTo was set; TraceErr reports the first failed trace
+	// write, if any.
 	TraceSpans  int
 	TraceEvents int64
 	TraceErr    error
 	// Solver is the run's QF_LIA solver accounting — always populated,
-	// independent of Options.CollectMetrics.
-	Solver SolverStats
+	// independent of metrics collection.
+	Solver smt.Stats
 	// WarmSummaries is the number of summaries loaded from the persistent
-	// store before the run started (0 without Options.StorePath);
+	// store before the run started (0 without a StorePath);
 	// PersistedSummaries the number of new summaries written back when it
 	// ended. StoreErr reports the first store failure: an open-time
 	// fingerprint mismatch aborts the run (verdict Unknown), while
@@ -305,50 +295,26 @@ type Result struct {
 	PersistedSummaries int
 	StoreErr           error
 	// Provenance is the verdict's dependency record (nil unless
-	// Options.CollectProvenance): read/write summary sets, the procedure
+	// CollectProvenance): read/write summary sets, the procedure
 	// dependency graph, and per-procedure invalidation cones. The
 	// procedure cone is schedule-invariant — identical across the
 	// barrier, async, and distributed engines for the same question.
 	Provenance *prov.Provenance
-	// Incremental re-check accounting (populated only with
-	// Options.Incremental + StorePath): the procedures whose content
-	// fingerprints changed since the store's manifest, the stale
-	// summaries tombstoned from the store, the warm summaries that
-	// survived invalidation, and whether the persisted verdict was
-	// reused without running the root question. Cutoff reports the
-	// re-proof of an edited procedure's interface that may stop the edit
-	// there: "held, N re-proofs, T ticks" or "fell back (reason)"; empty
-	// when nothing edited reaches the root.
+	// Incremental re-check accounting (populated only with Incremental
+	// and a StorePath): the procedures whose content fingerprints changed
+	// since the store's manifest, the stale summaries tombstoned from the
+	// store (on a cluster PerNodeInvalidated routes them to their owning
+	// nodes), the warm summaries that survived invalidation, and whether
+	// the persisted verdict was reused without running the root question.
+	// Cutoff reports the re-proof of an edited procedure's interface that
+	// may stop the edit there: "held, N re-proofs, T ticks" or "fell back
+	// (reason)"; empty when nothing edited reaches the root.
 	EditedProcs          []string
 	InvalidatedSummaries int
 	SurvivingSummaries   int
 	ReusedVerdict        bool
+	PerNodeInvalidated   []int
 	Cutoff               string
-}
-
-// SolverStats surfaces the solver's hot-path counters: overall call
-// volume, the learning-DPLL loop (propositional conflicts, learned
-// clauses, watched-literal propagations), full theory checks, the
-// entailment memo, and hash-consing hits on formula construction.
-type SolverStats struct {
-	SatCalls          int64
-	TheoryChecks      int64
-	DPLLConflicts     int64
-	LearnedClauses    int64
-	Propagations      int64
-	EntailCacheHits   int64
-	EntailCacheMisses int64
-	HashConsHits      int64
-}
-
-// WorkerMetric is one worker's accounting for a run with
-// Options.CollectMetrics set.
-type WorkerMetric struct {
-	Worker     int
-	Punches    int64
-	BusyTicks  int64
-	BusyWallNs int64
-	Steals     int64
 }
 
 // Witness is a concrete failing execution.
@@ -498,22 +464,16 @@ func (p *Program) begin(a Analysis, o Options) (*session, error) {
 	return s, nil
 }
 
-// end closes the store and folds what the run left behind into res: the
-// close error (unless an earlier store error stands), the flattened
-// metrics snapshot and the serialized traces.
-func (s *session) end(res *Result, snap *obs.Snapshot) {
+// end closes the store and turns the engine's result into the facade's,
+// with what the session left behind: the close error (unless an earlier
+// store error stands), the flattened metrics snapshot and the serialized
+// traces.
+func (s *session) end(r core.Result) Result {
+	res := toResult(r)
 	closeStore(s.st, &res.StoreErr)
-	res.Metrics = snap.Flatten()
-	if snap != nil {
-		for _, ws := range snap.Workers {
-			res.WorkerMetrics = append(res.WorkerMetrics, WorkerMetric{
-				Worker:     ws.Worker,
-				Punches:    ws.Punches,
-				BusyTicks:  ws.BusyTicks,
-				BusyWallNs: ws.BusyWallNs,
-				Steals:     ws.Steals,
-			})
-		}
+	res.Metrics = r.Metrics.Flatten()
+	if r.Metrics != nil {
+		res.WorkerMetrics = r.Metrics.Workers
 	}
 	if s.rec != nil {
 		res.TraceSpans, res.TraceErr = obs.WriteChrome(s.traceTo, s.rec.Events())
@@ -524,31 +484,29 @@ func (s *session) end(res *Result, snap *obs.Snapshot) {
 		}
 		res.TraceEvents = s.jt.Events()
 	}
-}
-
-// toVerdict maps the engines' verdict onto the public one.
-func toVerdict(v core.Verdict) Verdict {
-	switch v {
-	case core.Safe:
-		return Safe
-	case core.ErrorReachable:
-		return ErrorReachable
-	}
-	return Unknown
+	return res
 }
 
 func toResult(r core.Result) Result {
 	return Result{
-		Verdict:      toVerdict(r.Verdict),
-		StopReason:   StopReason(r.StopReason),
+		Verdict:      r.Verdict,
+		StopReason:   r.StopReason,
 		TotalQueries: r.TotalQueries,
 		PeakReady:    r.PeakReady,
 		Iterations:   r.Iterations,
 		VirtualTicks: r.VirtualTicks,
 		WallTime:     r.WallTime,
-		TimedOut:     r.TimedOut,
-		Deadlocked:   r.Deadlocked,
 		CoalesceHits: r.CoalesceHits,
+		Solver:       r.Solver,
+
+		Rounds:             r.Rounds,
+		PerNodePeakLive:    r.PerNodePeakLive,
+		PerNodeSummaries:   r.PerNodeSummaries,
+		SyncExchanges:      r.SyncExchanges,
+		DroppedDeliveries:  r.DroppedDeliveries,
+		KilledNodes:        r.KilledNodes,
+		ReroutedQueries:    r.ReroutedQueries,
+		RecoveredSummaries: r.RecoveredSummaries,
 
 		WarmSummaries:      r.WarmSummaries,
 		PersistedSummaries: r.PersistedSummaries,
@@ -559,17 +517,8 @@ func toResult(r core.Result) Result {
 		InvalidatedSummaries: r.InvalidatedSummaries,
 		SurvivingSummaries:   r.SurvivingSummaries,
 		ReusedVerdict:        r.ReusedVerdict,
+		PerNodeInvalidated:   r.PerNodeInvalidated,
 		Cutoff:               cutoffReport(r.Cutoff),
-		Solver: SolverStats{
-			SatCalls:          r.Solver.SatCalls,
-			TheoryChecks:      r.Solver.TheoryChecks,
-			DPLLConflicts:     r.Solver.DPLLConflicts,
-			LearnedClauses:    r.Solver.LearnedClauses,
-			Propagations:      r.Solver.Propagations,
-			EntailCacheHits:   r.Solver.EntailCacheHits,
-			EntailCacheMisses: r.Solver.EntailCacheMisses,
-			HashConsHits:      r.Solver.HashConsHits,
-		},
 	}
 }
 
@@ -602,10 +551,7 @@ func (p *Program) check(ctx context.Context, q summary.Question, opts Options) (
 	if err != nil {
 		return Result{}, err
 	}
-	r := opts.engine(p.prog, s.tr, s.m, s.st).RunContext(ctx, q)
-	res := toResult(r)
-	s.end(&res, r.Metrics)
-	return res, nil
+	return s.end(opts.engine(p.prog, s.tr, s.m, s.st).RunContext(ctx, q)), nil
 }
 
 // CheckReach answers a general reachability question: can procedure proc,
@@ -663,7 +609,7 @@ type DistOptions struct {
 	StoreReset bool
 	// Incremental mirrors Options.Incremental: edit-aware re-checks over
 	// an edit-stable store, with stale-cone invalidation routed to each
-	// summary's owning node (DistResult.PerNodeInvalidated).
+	// summary's owning node (Result.PerNodeInvalidated).
 	Incremental bool
 	// TraceTo, TraceJSONLTo, CollectMetrics, MetricsInto and PprofLabels
 	// mirror Options: Chrome trace-event output (one process per node,
@@ -675,7 +621,7 @@ type DistOptions struct {
 	MetricsInto    *obs.Metrics
 	PprofLabels    bool
 	// CollectProvenance mirrors Options.CollectProvenance: the verdict's
-	// dependency record lands in DistResult.Provenance.
+	// dependency record lands in Result.Provenance.
 	CollectProvenance bool
 	// Inspect and FlightRecorder mirror Options: the live-introspection
 	// probe (per-node occupancy, skew and gossip backlog on top of the
@@ -684,62 +630,14 @@ type DistOptions struct {
 	FlightRecorder *obs.Recording
 }
 
-// DistResult reports a simulated-cluster run.
-type DistResult struct {
-	Verdict      Verdict
-	StopReason   StopReason
-	Rounds       int
-	TotalQueries int64
-	VirtualTicks int64
-	WallTime     time.Duration
-	// PerNodePeakLive is each node's peak live-query count (the memory
-	// sharding payoff); PerNodeSummaries each node's final summary count.
-	PerNodePeakLive  []int
-	PerNodeSummaries []int
-	SyncExchanges    int
-	// Fault-injection accounting: nodes killed, queries re-routed off
-	// dead nodes, summaries recovered by failover re-gossip, and gossip
-	// deliveries deferred by injected loss.
-	KilledNodes        []int
-	ReroutedQueries    int
-	RecoveredSummaries int
-	DroppedDeliveries  int
-	// CoalesceHits counts spawned children coalesced onto an in-flight
-	// twin, cluster-wide.
-	CoalesceHits int64
-	// Metrics, WorkerMetrics, TraceSpans, TraceEvents and TraceErr mirror
-	// Result; worker slot w of node n appears as worker n*ThreadsPerNode+w.
-	Metrics       map[string]int64
-	WorkerMetrics []WorkerMetric
-	TraceSpans    int
-	TraceEvents   int64
-	TraceErr      error
-	// WarmSummaries, PersistedSummaries and StoreErr mirror Result.
-	WarmSummaries      int
-	PersistedSummaries int
-	StoreErr           error
-	// Provenance mirrors Result.Provenance (nil unless
-	// DistOptions.CollectProvenance).
-	Provenance *prov.Provenance
-	// Incremental re-check accounting, mirroring Result; additionally
-	// PerNodeInvalidated routes the tombstoned summaries to their owning
-	// nodes (index = node, sum = InvalidatedSummaries).
-	EditedProcs          []string
-	InvalidatedSummaries int
-	SurvivingSummaries   int
-	ReusedVerdict        bool
-	PerNodeInvalidated   []int
-	Cutoff               string
-}
-
 // CheckDistributed verifies the program's assertions on the simulated
 // cluster, optionally under an injected fault plan. Verdicts match Check;
-// the distributed result additionally reports per-node memory peaks and
+// the result additionally reports the cluster's per-node memory peaks and
 // fault-recovery accounting.
-func (p *Program) CheckDistributed(ctx context.Context, opts DistOptions) (DistResult, error) {
+func (p *Program) CheckDistributed(ctx context.Context, opts DistOptions) (Result, error) {
 	faults, err := core.ParseFaults(opts.Faults)
 	if err != nil {
-		return DistResult{}, fmt.Errorf("bolt: %w", err)
+		return Result{}, fmt.Errorf("bolt: %w", err)
 	}
 	s, err := p.begin(opts.Analysis, Options{
 		StorePath:      opts.StorePath,
@@ -752,7 +650,7 @@ func (p *Program) CheckDistributed(ctx context.Context, opts DistOptions) (DistR
 		FlightRecorder: opts.FlightRecorder,
 	})
 	if err != nil {
-		return DistResult{}, fmt.Errorf("bolt: summary store: %w", err)
+		return Result{}, fmt.Errorf("bolt: summary store: %w", err)
 	}
 	eng := core.NewDistributed(p.prog, core.DistOptions{
 		Punch:             newPunch(opts.Analysis),
@@ -769,39 +667,5 @@ func (p *Program) CheckDistributed(ctx context.Context, opts DistOptions) (DistR
 		PprofLabels:       opts.PprofLabels,
 		Probe:             opts.Inspect.Probe(),
 	})
-	r := eng.RunContext(ctx, core.AssertionQuestion(p.prog))
-	out := DistResult{
-		Verdict:            toVerdict(r.Verdict),
-		StopReason:         StopReason(r.StopReason),
-		Rounds:             r.Rounds,
-		TotalQueries:       r.TotalQueries,
-		VirtualTicks:       r.VirtualTicks,
-		WallTime:           r.WallTime,
-		PerNodePeakLive:    r.PerNodePeakLive,
-		PerNodeSummaries:   r.PerNodeSummaries,
-		SyncExchanges:      r.SyncExchanges,
-		KilledNodes:        r.KilledNodes,
-		ReroutedQueries:    r.ReroutedQueries,
-		RecoveredSummaries: r.RecoveredSummaries,
-		DroppedDeliveries:  r.DroppedDeliveries,
-		CoalesceHits:       r.CoalesceHits,
-
-		WarmSummaries:      r.WarmSummaries,
-		PersistedSummaries: r.PersistedSummaries,
-		Provenance:         r.Provenance,
-
-		EditedProcs:          r.EditedProcs,
-		InvalidatedSummaries: r.InvalidatedSummaries,
-		SurvivingSummaries:   r.SurvivingSummaries,
-		ReusedVerdict:        r.ReusedVerdict,
-		PerNodeInvalidated:   r.PerNodeInvalidated,
-		Cutoff:               cutoffReport(r.Cutoff),
-	}
-	// The store and observability fields are Result's, filled the same way.
-	shared := Result{StoreErr: r.StoreErr}
-	s.end(&shared, r.Metrics)
-	out.StoreErr = shared.StoreErr
-	out.Metrics, out.WorkerMetrics = shared.Metrics, shared.WorkerMetrics
-	out.TraceSpans, out.TraceEvents, out.TraceErr = shared.TraceSpans, shared.TraceEvents, shared.TraceErr
-	return out, nil
+	return s.end(eng.RunContext(ctx, core.AssertionQuestion(p.prog))), nil
 }

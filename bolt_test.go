@@ -118,7 +118,7 @@ func TestTimeoutYieldsUnknown(t *testing.T) {
 	if res.Verdict == bolt.ErrorReachable {
 		t.Fatalf("wrong verdict under starvation: %v", res.Verdict)
 	}
-	if !res.TimedOut {
+	if !res.StopReason.Exhausted() {
 		t.Log("note: check finished within one tick (acceptable)")
 	}
 }
@@ -188,9 +188,12 @@ func TestCheckContextCancelled(t *testing.T) {
 		if res.StopReason != bolt.StopCancelled {
 			t.Errorf("async=%v: stop reason %v, want %v", async, res.StopReason, bolt.StopCancelled)
 		}
-		if res.Verdict != bolt.Unknown || res.TimedOut || res.Deadlocked {
-			t.Errorf("async=%v: cancelled run reported %v timedOut=%v deadlocked=%v",
-				async, res.Verdict, res.TimedOut, res.Deadlocked)
+		if res.Verdict != bolt.Unknown {
+			t.Errorf("async=%v: cancelled run reported %v", async, res.Verdict)
+		}
+		res, err := prog.CheckReachContext(ctx, "step", "g == 0", "g == 10", bolt.Options{Threads: 2, Async: async})
+		if err != nil || res.StopReason != bolt.StopCancelled || res.Verdict != bolt.Unknown {
+			t.Errorf("async=%v: CheckReachContext: %v/%v (err %v), want cancelled/Unknown", async, res.StopReason, res.Verdict, err)
 		}
 	}
 	if got := bolt.StopCancelled.String(); got != "cancelled" {
@@ -321,7 +324,7 @@ func TestDistObservabilityFacade(t *testing.T) {
 }
 
 // TestShelfEngagementInMetrics: a Table-1 check reports its region-graph
-// shelves in the metrics, on Result and on DistResult alike: queries took
+// shelves in the metrics, on Check and on CheckDistributed alike: queries took
 // graphs that earlier queries of the same procedure and postcondition left
 // behind, and no graph was taken or dropped that was not shelved.
 func TestShelfEngagementInMetrics(t *testing.T) {
@@ -351,7 +354,7 @@ func TestObservabilityAccountingAllPaths(t *testing.T) {
 	type outcome struct {
 		verdict bolt.Verdict
 		metrics map[string]int64
-		workers []bolt.WorkerMetric
+		workers []obs.WorkerSnapshot
 		events  int64
 		err     error
 	}

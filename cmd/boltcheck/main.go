@@ -23,6 +23,7 @@ import (
 	bolt "repro"
 	"repro/internal/obs"
 	"repro/internal/prov"
+	"repro/internal/smt"
 )
 
 // osExit is swapped out by the exit-path regression tests; every exit
@@ -125,20 +126,17 @@ func main() {
 	if traceJLOut != nil {
 		opts.TraceJSONLTo = traceJLOut
 	}
-	rep := report{stats: *stats, explain: *explain, provOut: *provOut, trace: *trace, traceJL: *traceJL}
-	if *dist > 0 {
-		runDistributed(prog, opts, *dist, *faults, rep, ob)
-		return
-	}
-
 	var res bolt.Result
-	if *proc != "" {
+	switch {
+	case *dist > 0:
+		res, err = checkDistributed(prog, opts, *dist, *faults)
+	case *proc != "":
 		res, err = prog.CheckReach(*proc, *pre, *post, opts)
-		if err != nil {
-			ob.fatalf("%v", err)
-		}
-	} else {
+	default:
 		res = prog.Check(opts)
+	}
+	if err != nil {
+		ob.fatalf("%v", err)
 	}
 	ob.setProv(res.Provenance)
 	if err := reportStore(*storeDir, res.WarmSummaries, res.PersistedSummaries, res.StoreErr); err != nil {
@@ -147,20 +145,14 @@ func main() {
 	reportIncr(*incrFlag, res.EditedProcs, res.InvalidatedSummaries, res.SurvivingSummaries, res.ReusedVerdict, res.Cutoff)
 
 	fmt.Println(res.Verdict)
-	if res.Verdict == bolt.Unknown || *stats {
+	if res.Verdict == bolt.Unknown || *stats || *dist > 0 {
 		fmt.Printf("stop reason:  %s\n", res.StopReason)
 	}
 	if res.Witness != nil {
 		fmt.Print(res.Witness.Text)
 	}
 	if *stats {
-		fmt.Printf("queries:      %d\n", res.TotalQueries)
-		fmt.Printf("peak ready:   %d\n", res.PeakReady)
-		fmt.Printf("iterations:   %d\n", res.Iterations)
-		fmt.Printf("virtual time: %d ticks\n", res.VirtualTicks)
-		fmt.Printf("wall time:    %v\n", res.WallTime)
-		fmt.Printf("coalesced:    %d\n", res.CoalesceHits)
-		printSolverStats(res.Solver)
+		printStats(res, *dist > 0)
 	}
 	if *metrics {
 		printMetrics(res.Metrics, res.WorkerMetrics)
@@ -329,10 +321,36 @@ func (ob *obsBundle) finish() bool {
 	return true
 }
 
+// printStats renders the run's engine statistics. A cluster run reports
+// its rounds, gossip, per-node peaks and faults where a single-machine
+// run reports its peak ready count, iterations and solver accounting.
+func printStats(res bolt.Result, cluster bool) {
+	fmt.Printf("queries:      %d\n", res.TotalQueries)
+	if cluster {
+		fmt.Printf("rounds:       %d\n", res.Rounds)
+	} else {
+		fmt.Printf("peak ready:   %d\n", res.PeakReady)
+		fmt.Printf("iterations:   %d\n", res.Iterations)
+	}
+	fmt.Printf("virtual time: %d ticks\n", res.VirtualTicks)
+	fmt.Printf("wall time:    %v\n", res.WallTime)
+	if cluster {
+		fmt.Printf("gossip:       %d exchanges, %d deliveries dropped\n", res.SyncExchanges, res.DroppedDeliveries)
+		fmt.Printf("peak live:    %v per node\n", res.PerNodePeakLive)
+	}
+	fmt.Printf("coalesced:    %d\n", res.CoalesceHits)
+	if !cluster {
+		printSolverStats(res.Solver)
+	} else if len(res.KilledNodes) > 0 {
+		fmt.Printf("faults:       killed nodes %v, %d queries re-routed, %d summaries recovered\n",
+			res.KilledNodes, res.ReroutedQueries, res.RecoveredSummaries)
+	}
+}
+
 // printSolverStats renders the solver's hot-path accounting: the
 // learning-DPLL loop, theory-check volume, and the two memo layers
 // (entailment cache and hash-consed construction).
-func printSolverStats(s bolt.SolverStats) {
+func printSolverStats(s smt.Stats) {
 	fmt.Printf("sat calls:    %d\n", s.SatCalls)
 	fmt.Printf("theory checks: %d\n", s.TheoryChecks)
 	fmt.Printf("dpll conflicts: %d (learned %d, propagations %d)\n",
@@ -343,7 +361,7 @@ func printSolverStats(s bolt.SolverStats) {
 
 // printMetrics renders the flattened registry sorted by key, then the
 // per-worker ledger with a utilization column.
-func printMetrics(m map[string]int64, workers []bolt.WorkerMetric) {
+func printMetrics(m map[string]int64, workers []obs.WorkerSnapshot) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -470,18 +488,11 @@ func checkFlags(given map[string]bool) {
 	}
 }
 
-// report is what printing a run's outcome needs from the command line
-// beyond its options.
-type report struct {
-	stats, explain          bool
-	provOut, trace, traceJL string
-}
-
-// runDistributed verifies the whole-program assertion question on the
-// simulated cluster with opts' analysis, budget, store and observability
+// checkDistributed verifies the whole-program assertion question on the
+// simulated cluster with o's analysis, budget, store and observability
 // settings, optionally under an injected fault plan.
-func runDistributed(prog *bolt.Program, o bolt.Options, nodes int, faults string, rep report, ob *obsBundle) {
-	res, err := prog.CheckDistributed(context.Background(), bolt.DistOptions{
+func checkDistributed(prog *bolt.Program, o bolt.Options, nodes int, faults string) (bolt.Result, error) {
+	return prog.CheckDistributed(context.Background(), bolt.DistOptions{
 		Analysis:          o.Analysis,
 		Nodes:             nodes,
 		ThreadsPerNode:    o.Threads,
@@ -499,39 +510,6 @@ func runDistributed(prog *bolt.Program, o bolt.Options, nodes int, faults string
 		Inspect:           o.Inspect,
 		FlightRecorder:    o.FlightRecorder,
 	})
-	if err != nil {
-		ob.fatalf("%v", err)
-	}
-	ob.setProv(res.Provenance)
-	if err := reportStore(o.StorePath, res.WarmSummaries, res.PersistedSummaries, res.StoreErr); err != nil {
-		ob.fatalf("%v", err)
-	}
-	reportIncr(o.Incremental, res.EditedProcs, res.InvalidatedSummaries, res.SurvivingSummaries, res.ReusedVerdict, res.Cutoff)
-	fmt.Println(res.Verdict)
-	fmt.Printf("stop reason:  %s\n", res.StopReason)
-	if rep.stats {
-		fmt.Printf("queries:      %d\n", res.TotalQueries)
-		fmt.Printf("rounds:       %d\n", res.Rounds)
-		fmt.Printf("virtual time: %d ticks\n", res.VirtualTicks)
-		fmt.Printf("wall time:    %v\n", res.WallTime)
-		fmt.Printf("gossip:       %d exchanges, %d deliveries dropped\n", res.SyncExchanges, res.DroppedDeliveries)
-		fmt.Printf("peak live:    %v per node\n", res.PerNodePeakLive)
-		fmt.Printf("coalesced:    %d\n", res.CoalesceHits)
-		if len(res.KilledNodes) > 0 {
-			fmt.Printf("faults:       killed nodes %v, %d queries re-routed, %d summaries recovered\n",
-				res.KilledNodes, res.ReroutedQueries, res.RecoveredSummaries)
-		}
-	}
-	if o.CollectMetrics {
-		printMetrics(res.Metrics, res.WorkerMetrics)
-	}
-	if err := reportProv(res.Provenance, rep.explain, rep.provOut); err != nil {
-		ob.fatalf("%v", err)
-	}
-	if err := reportTrace(rep.trace, rep.traceJL, res.TraceSpans, res.TraceEvents, res.TraceErr); err != nil {
-		ob.fatalf("%v", err)
-	}
-	ob.exit(verdictCode(res.Verdict))
 }
 
 func verdictCode(v bolt.Verdict) int {

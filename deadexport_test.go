@@ -12,34 +12,41 @@ import (
 )
 
 // testOnlyExports are the exported functions and types under internal/
-// that no non-test code of this module names, each kept for the reason
-// given.
+// that no non-test code of this module names, and those of the root
+// package bolt that no non-test code in cmd/, examples/ or bench/ names,
+// each kept for the reason given.
 // Anything else with no caller goes, or moves into its package's
 // export_test.go.
 var testOnlyExports = map[string]string{
-	"cfg.MustProgram":             "builds the hand-made CFG fixtures of three packages' tests",
-	"harness.RunEditSession":      "the edit-session driver `make incr-smoke` runs",
-	"prov.Provenance.StableBytes": "the schedule-invariant oracle prov-smoke compares engines by",
-	"prov.Provenance.Verify":      "the structural oracle prov-smoke asserts",
-	"store.CorruptError.Unwrap":   "errors.Is/As reach the cause through it",
-	"witness.Trace.Replay":        "the benchmark (bench/, its own module) replays witnesses with it",
+	"bolt.Program.CheckContext":      "Check with cancellation; the public entry point TestCheckContextCancelled cancels",
+	"bolt.Program.CheckReachContext": "CheckReach with cancellation; the public entry point TestCheckContextCancelled cancels",
+	"cfg.MustProgram":                "builds the hand-made CFG fixtures of three packages' tests",
+	"harness.RunEditSession":         "the edit-session driver `make incr-smoke` runs",
+	"prov.Provenance.StableBytes":    "the schedule-invariant oracle prov-smoke compares engines by",
+	"prov.Provenance.Verify":         "the structural oracle prov-smoke asserts",
+	"store.CorruptError.Unwrap":      "errors.Is/As reach the cause through it",
+	"witness.Trace.Replay":           "the benchmark (bench/, its own module) replays witnesses with it",
 }
 
 // TestNoDeadExports is a structural lint: every exported function,
 // method or type under internal/ is named somewhere in the module's
-// non-test code outside its own declaration, or is listed in
-// testOnlyExports.
+// non-test code outside its own declaration, every one of the root
+// package bolt by non-test code in cmd/, examples/ or bench/ (the
+// facade's users, so no mirror type grows back into it), or it is listed
+// in testOnlyExports.
 // The scan is by name, so it errs towards keeping: a name used by
 // anything else counts as used.
 func TestNoDeadExports(t *testing.T) {
 	fset := token.NewFileSet()
 	var decls []string
-	used := map[string]bool{}
+	// used holds the names this module's non-test code names; front those
+	// named in cmd/, examples/ and bench/ (a module of its own).
+	used, front := map[string]bool{}, map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && (path == "bench" || path == "testdata" || strings.HasPrefix(d.Name(), ".")) && path != "." {
+		if d.IsDir() && (path == "testdata" || strings.HasPrefix(d.Name(), ".")) && path != "." {
 			return filepath.SkipDir
 		}
 		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
@@ -49,10 +56,12 @@ func TestNoDeadExports(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		facade := !strings.Contains(path, "/")
+		user := strings.HasPrefix(path, "cmd/") || strings.HasPrefix(path, "examples/") || strings.HasPrefix(path, "bench/")
 		own := map[*ast.Ident]bool{}
 		declare := func(name *ast.Ident, qual string) {
 			own[name] = true
-			if strings.HasPrefix(path, "internal/") && name.IsExported() {
+			if (facade || strings.HasPrefix(path, "internal/")) && name.IsExported() {
 				decls = append(decls, f.Name.Name+"."+qual+name.Name)
 			}
 		}
@@ -70,7 +79,12 @@ func TestNoDeadExports(t *testing.T) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !own[id] {
-				used[id.Name] = true
+				if !strings.HasPrefix(path, "bench/") {
+					used[id.Name] = true
+				}
+				if user {
+					front[id.Name] = true
+				}
 			}
 			return true
 		})
@@ -84,7 +98,11 @@ func TestNoDeadExports(t *testing.T) {
 	}
 	for _, d := range decls {
 		_, allowed := testOnlyExports[d]
-		if used[d[strings.LastIndex(d, ".")+1:]] {
+		name, users := d[strings.LastIndex(d, ".")+1:], used
+		if strings.HasPrefix(d, "bolt.") {
+			users = front
+		}
+		if users[name] {
 			if allowed {
 				t.Errorf("%s has a non-test caller now: drop it from testOnlyExports", d)
 			}

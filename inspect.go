@@ -45,32 +45,17 @@ func (i *Inspector) Probe() *obs.Probe {
 // one). Nil when no run has ever attached.
 func (i *Inspector) State() *obs.StateSnapshot { return i.Probe().State() }
 
-// Phase reports whether a run is idle, in flight, or finished.
-func (i *Inspector) Phase() obs.RunPhase { return i.Probe().Phase() }
-
-// EngineList names the engines this binary compiles in, as stamped into
-// bolt_build_info.
-const EngineList = "barrier,async,dist"
-
-// BuildInfo identifies this binary for the bolt_build_info metric and
-// the /debug/bolt/health document.
-func BuildInfo() obs.BuildInfo {
-	return obs.BuildInfo{
-		GoVersion:   runtime.Version(),
-		WireVersion: wire.Version,
-		Engines:     EngineList,
-	}
-}
-
 // DebugState bundles the observability handles for obs.StartDebugServer
-// with the build info pre-stamped. Any handle may be nil — its endpoint
-// then serves an empty (but well-formed) response.
+// with the build info pre-stamped: it identifies this binary, and the
+// engines it compiles in, for the bolt_build_info metric and the
+// /debug/bolt/health document. Any handle may be nil — its endpoint then
+// serves an empty (but well-formed) response.
 func DebugState(m *obs.Metrics, insp *Inspector, flight *obs.Recording, wd *obs.Watchdog) obs.DebugState {
 	return obs.DebugState{
 		Metrics:  m,
 		Probe:    insp.Probe(),
 		Flight:   flight,
 		Watchdog: wd,
-		Build:    BuildInfo(),
+		Build:    obs.BuildInfo{GoVersion: runtime.Version(), WireVersion: wire.Version, Engines: "barrier,async,dist"},
 	}
 }

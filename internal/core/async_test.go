@@ -184,7 +184,7 @@ proc inc { g = g + 1; }`)
 }
 
 // TestAsyncTickBudget: exhausting the virtual-tick budget must yield
-// Unknown + TimedOut, never a guessed verdict.
+// Unknown with a budget stop, never a guessed verdict.
 func TestAsyncTickBudget(t *testing.T) {
 	prog := parser.MustParse(relationalToySource())
 	res := New(prog, Options{
@@ -197,8 +197,8 @@ func TestAsyncTickBudget(t *testing.T) {
 	if res.Verdict == ErrorReachable {
 		t.Fatalf("wrong verdict on budget exhaustion: %v", res.Verdict)
 	}
-	if res.Verdict == Unknown && !res.TimedOut {
-		t.Fatalf("Unknown without TimedOut: %+v", res.Verdict)
+	if res.Verdict == Unknown && !res.StopReason.Exhausted() {
+		t.Fatalf("Unknown without a budget stop: %v", res.StopReason)
 	}
 }
 

@@ -41,7 +41,6 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/logic"
 	"repro/internal/obs"
-	"repro/internal/prov"
 	"repro/internal/punch"
 	"repro/internal/query"
 	"repro/internal/store"
@@ -81,12 +80,14 @@ type DistOptions struct {
 	// Metrics is the registry the run updates (nil = off).
 	Metrics *obs.Metrics
 	// CollectProvenance records the verdict's summary read/write sets
-	// and procedure dependency graph into DistResult.Provenance; see
-	// Options.CollectProvenance.
+	// and procedure dependency graph into Result.Provenance; see
+	// Options.CollectProvenance. Procedure routing does not affect the
+	// recorded dependency graph, so the cone matches the shared-memory
+	// engines'.
 	CollectProvenance bool
 	// Incremental turns the warm start into an incremental re-check; see
 	// Options.Incremental. Invalidation is routed to owning nodes:
-	// DistResult.PerNodeInvalidated reports how many summaries each node
+	// Result.PerNodeInvalidated reports how many summaries each node
 	// lost. Implies CollectProvenance.
 	Incremental bool
 	// PprofLabels wraps each PUNCH invocation in runtime/pprof labels.
@@ -95,68 +96,6 @@ type DistOptions struct {
 	// the run's duration (per-node occupancy, skew and gossip backlog on
 	// top of the shared worker/forest gauges); see Options.Probe.
 	Probe *obs.Probe
-}
-
-// DistResult reports a cluster run.
-type DistResult struct {
-	Verdict Verdict
-	// StopReason records why the run terminated; TimedOut and Deadlocked
-	// are derived from it.
-	StopReason   StopReason
-	Rounds       int
-	TotalQueries int64
-	VirtualTicks int64
-	WallTime     time.Duration
-	TimedOut     bool
-	// Deadlocked: the cluster went all-blocked and a forced gossip
-	// exchange moved nothing, so no stranded answer could unblock it.
-	Deadlocked bool
-	// PerNodePeakLive is each node's peak number of live queries — the
-	// memory-sharding payoff the paper's discussion predicts.
-	PerNodePeakLive []int
-	// PerNodeSummaries is each node's final owned-summary count.
-	PerNodeSummaries []int
-	// SyncExchanges counts gossip rounds performed.
-	SyncExchanges int
-	// KilledNodes lists the nodes removed by fault injection, in order.
-	KilledNodes []int
-	// ReroutedQueries counts live queries moved off dead nodes by
-	// failover.
-	ReroutedQueries int
-	// RecoveredSummaries counts summary deliveries performed by the
-	// failover re-gossip of dead nodes' databases.
-	RecoveredSummaries int
-	// DroppedDeliveries counts gossip deliveries deferred by injected
-	// loss (each is retried at a later exchange).
-	DroppedDeliveries int
-	// CoalesceHits counts spawned children answered by a live in-flight
-	// twin instead of growing a duplicate subtree (cluster-wide).
-	CoalesceHits int64
-	// Metrics is the run's metrics snapshot (nil when DistOptions.Metrics
-	// was nil), with summary-database traffic aggregated across nodes.
-	Metrics *obs.Snapshot
-	// Provenance is the verdict's dependency record (nil unless
-	// DistOptions.CollectProvenance). Procedure routing does not affect
-	// the recorded dependency graph, so the cone matches the shared-
-	// memory engines'.
-	Provenance *prov.Provenance
-	// WarmSummaries is the number of summaries loaded from
-	// DistOptions.Store before round 0; PersistedSummaries the number of
-	// new summaries written back; StoreErr the first store failure
-	// (non-fatal: the run degrades to a cold start).
-	WarmSummaries      int
-	PersistedSummaries int
-	StoreErr           error
-	// EditedProcs, InvalidatedSummaries, SurvivingSummaries,
-	// ReusedVerdict and Cutoff report an incremental re-check; see Result.
-	// PerNodeInvalidated routes the invalidation counts to the nodes
-	// that owned the discarded summaries.
-	EditedProcs          []string
-	InvalidatedSummaries int
-	SurvivingSummaries   int
-	ReusedVerdict        bool
-	PerNodeInvalidated   []int
-	Cutoff               *Cutoff
 }
 
 // distNode is one simulated machine — the barrier engine's only node, or
@@ -249,15 +188,16 @@ func router(nodes []*distNode) func(string) int {
 
 // Run answers q0 on the simulated cluster with no external cancellation;
 // see RunContext.
-func (e *DistEngine) Run(q0 summary.Question) DistResult {
+func (e *DistEngine) Run(q0 summary.Question) Result {
 	return e.RunContext(context.Background(), q0)
 }
 
 // RunContext answers q0 on the simulated cluster. Cancelling ctx stops
 // the run at the next round boundary with StopReason StopCancelled. A
 // one-node cluster neither routes nor gossips: its run is the barrier
-// engine's.
-func (e *DistEngine) RunContext(ctx context.Context, q0 summary.Question) DistResult {
+// engine's. The result is the engines' Result with the cluster's own
+// counters filled in.
+func (e *DistEngine) RunContext(ctx context.Context, q0 summary.Question) Result {
 	o := &e.opts
 	nodes := newNodes(o.Nodes)
 	r := newReducer(e.prog, Options{
@@ -272,40 +212,17 @@ func (e *DistEngine) RunContext(ctx context.Context, q0 summary.Question) DistRe
 		CollectProvenance: o.CollectProvenance,
 		Incremental:       o.Incremental,
 	}, "dist", o.Nodes, o.ThreadsPerNode, router(nodes))
-	var res DistResult
 	r.run(ctx, q0, func(ctx context.Context, r *reducer) {
 		rounds{threads: o.ThreadsPerNode, cores: o.ThreadsPerNode, max: o.MaxRounds,
-			syncEvery: o.SyncEvery, syncCost: o.SyncCost, faults: o.Faults}.run(ctx, r, nodes, &res)
+			syncEvery: o.SyncEvery, syncCost: o.SyncCost, faults: o.Faults}.run(ctx, r, nodes)
 	})
-	return e.result(r, res)
-}
-
-// result folds what the shared run reports into the cluster result.
-func (e *DistEngine) result(r *reducer, res DistResult) DistResult {
-	rr := &r.res
-	res.Verdict = rr.Verdict
-	res.StopReason, res.TimedOut, res.Deadlocked = rr.StopReason, rr.TimedOut, rr.Deadlocked
-	res.Rounds = rr.Iterations
-	res.TotalQueries = rr.TotalQueries
-	res.VirtualTicks = rr.VirtualTicks
-	res.WallTime = rr.WallTime
-	res.PerNodePeakLive = r.peak
+	res := r.res
+	res.Rounds = res.Iterations
+	res.PerNodePeakLive, res.PerNodeInvalidated = r.peak, r.invalidatedAt
 	res.PerNodeSummaries = make([]int, len(r.forest))
 	for i, db := range r.dbs {
 		res.PerNodeSummaries[i] = db.Count()
 	}
-	res.CoalesceHits = rr.CoalesceHits
-	res.Metrics = rr.Metrics
-	res.Provenance = rr.Provenance
-	res.WarmSummaries = rr.WarmSummaries
-	res.PersistedSummaries = rr.PersistedSummaries
-	res.StoreErr = rr.StoreErr
-	res.EditedProcs = rr.EditedProcs
-	res.InvalidatedSummaries = rr.InvalidatedSummaries
-	res.SurvivingSummaries = rr.SurvivingSummaries
-	res.ReusedVerdict = rr.ReusedVerdict
-	res.PerNodeInvalidated = r.invalidatedAt
-	res.Cutoff = rr.Cutoff
 	return res
 }
 
@@ -345,10 +262,11 @@ func wakeBlocked(r *reducer, nodes []*distNode) {
 // queries are re-routed to their new owners, with Blocked survivors woken
 // so they re-examine the recovered databases. No-op when the victim is
 // out of range or already dead.
-func failNode(r *reducer, nodes []*distNode, victim int, res *DistResult) {
+func failNode(r *reducer, nodes []*distNode, victim int) {
 	if victim < 0 || victim >= len(nodes) || nodes[victim].dead {
 		return
 	}
+	res := &r.res
 	dead := nodes[victim]
 	dead.dead = true
 	res.KilledNodes = append(res.KilledNodes, victim)
@@ -415,7 +333,8 @@ func summaryKey(s summary.Summary) gossipKey {
 // a wake event: queries that blocked before the delivery must re-examine
 // their databases, or the all-blocked check would declare a
 // fully-replicated-but-sleeping cluster dead.
-func gossip(r *reducer, nodes []*distNode, rng *rand.Rand, drop float64, cost int64, res *DistResult) int {
+func gossip(r *reducer, nodes []*distNode, rng *rand.Rand, drop float64, cost int64) int {
+	res := &r.res
 	res.SyncExchanges++
 	r.vtime += cost
 	r.in.m.Inc(obs.GossipRounds)

@@ -182,9 +182,6 @@ func TestDistributedNodeFailureStop(t *testing.T) {
 	if res.Verdict != Unknown {
 		t.Fatalf("verdict %v, want Unknown", res.Verdict)
 	}
-	if res.TimedOut || res.Deadlocked {
-		t.Fatalf("node failure misreported: timedOut=%v deadlocked=%v", res.TimedOut, res.Deadlocked)
-	}
 	if len(res.KilledNodes) != 1 {
 		t.Fatalf("killed nodes = %v", res.KilledNodes)
 	}

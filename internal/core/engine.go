@@ -157,20 +157,19 @@ type IterSample struct {
 type Result struct {
 	Verdict     Verdict
 	RootOutcome query.Outcome
-	// StopReason records why the run terminated; the legacy TimedOut and
-	// Deadlocked flags below are derived from it (see Result.setStop).
+	// StopReason records why the run terminated (see Result.setStop).
 	StopReason StopReason
 	// Iterations counts the run's scheduling steps (rounds, or completion
 	// events when streaming), re-proofs included; Trace numbers them alike.
 	Iterations   int
 	TotalQueries int64 // queries ever created
 	PeakReady    int
+	// PeakLive is the largest live-query count of one tree: on a cluster,
+	// the largest of PerNodePeakLive.
 	PeakLive     int
 	DoneQueries  int64
 	VirtualTicks int64
 	WallTime     time.Duration
-	TimedOut     bool
-	Deadlocked   bool
 	// Steals and IdleWaits instrument the streaming engine's scheduler:
 	// how many queries were stolen from another worker's deque, and how
 	// many times a worker found no runnable work and had to park. Both
@@ -183,9 +182,24 @@ type Result struct {
 	Trace        []IterSample
 	SumDB        summary.Stats
 	Solver       smt.Stats
-	// CostByProc aggregates PUNCH cost per analyzed procedure, a profile
-	// of where virtual time is spent.
-	CostByProc map[string]int64
+	// The cluster's own counters (distributed.go), zero or nil on the
+	// single-machine engines. Rounds equals Iterations. PerNodePeakLive
+	// is each node's peak live-query count — the memory-sharding payoff
+	// the paper's discussion predicts — and PerNodeSummaries its final
+	// summary count. SyncExchanges counts gossip exchanges,
+	// DroppedDeliveries the deliveries injected loss deferred (each is
+	// retried at a later exchange). KilledNodes lists the nodes fault
+	// injection removed, in order; ReroutedQueries counts the live
+	// queries failover moved off them, RecoveredSummaries the summary
+	// deliveries of its re-gossip.
+	Rounds             int
+	PerNodePeakLive    []int
+	PerNodeSummaries   []int
+	SyncExchanges      int
+	DroppedDeliveries  int
+	KilledNodes        []int
+	ReroutedQueries    int
+	RecoveredSummaries int
 	// Metrics is the observability snapshot (nil unless Options.Metrics
 	// was set): counters, punch histograms, per-worker accounting, and
 	// sumdb_* traffic.
@@ -215,6 +229,9 @@ type Result struct {
 	InvalidatedSummaries int
 	SurvivingSummaries   int
 	ReusedVerdict        bool
+	// PerNodeInvalidated routes InvalidatedSummaries to the cluster nodes
+	// that owned them (nil on the single-machine engines).
+	PerNodeInvalidated []int
 	// Cutoff reports the re-check's attempt to stop the edit at the
 	// edited procedure (nil unless something was edited and the edit
 	// reaches the root). When it held, a reused verdict was reused after
@@ -222,15 +239,12 @@ type Result struct {
 	Cutoff *Cutoff
 }
 
-// setStop records the termination reason exactly once and keeps the
-// legacy flag fields consistent with it.
+// setStop records the termination reason exactly once: the first to
+// fire wins.
 func (r *Result) setStop(reason StopReason) {
-	if r.StopReason != StopNone {
-		return
+	if r.StopReason == StopNone {
+		r.StopReason = reason
 	}
-	r.StopReason = reason
-	r.TimedOut = reason.Exhausted()
-	r.Deadlocked = reason == StopDeadlocked
 }
 
 // Engine runs BOLT on one program.
@@ -276,7 +290,7 @@ func (e *Engine) Run(q0 summary.Question) Result {
 func (e *Engine) RunContext(ctx context.Context, q0 summary.Question) Result {
 	o := &e.opts
 	engine, schedule := "barrier", func(ctx context.Context, r *reducer) {
-		rounds{threads: o.MaxThreads, cores: o.VirtualCores, max: o.MaxIterations}.run(ctx, r, newNodes(1), &DistResult{})
+		rounds{threads: o.MaxThreads, cores: o.VirtualCores, max: o.MaxIterations}.run(ctx, r, newNodes(1))
 	}
 	if o.Async {
 		engine, schedule = "async", e.stream
@@ -302,8 +316,8 @@ type rounds struct {
 // all batches are stepped in parallel, the clock advances by the largest
 // per-node makespan, and the whole round is reduced at once (§3.3). Every
 // syncEvery rounds the nodes gossip fresh summaries; a node without a
-// peer never does. tally receives the cluster's own counters.
-func (c rounds) run(ctx context.Context, r *reducer, nodes []*distNode, tally *DistResult) {
+// peer never does.
+func (c rounds) run(ctx context.Context, r *reducer, nodes []*distNode) {
 	peers := len(nodes) > 1
 	for _, n := range nodes {
 		n.db, n.tree = r.dbs[n.id], r.forest[n.id]
@@ -331,7 +345,7 @@ func (c rounds) run(ctx context.Context, r *reducer, nodes []*distNode, tally *D
 		// Fault injection: the victim dies at the start of its round,
 		// before MAP, so no in-flight work complicates recovery.
 		if f := c.faults; f != nil && f.KillNode >= 0 && round == f.KillRound {
-			failNode(r, nodes, f.KillNode, tally)
+			failNode(r, nodes, f.KillNode)
 			if owner(nodes, r.q0.Proc) < 0 {
 				r.res.setStop(StopNodeFailure)
 				break
@@ -369,7 +383,7 @@ func (c rounds) run(ctx context.Context, r *reducer, nodes []*distNode, tally *D
 				r.res.setStop(StopDeadlocked)
 				break
 			}
-			moved := gossip(r, nodes, nil, 0, c.syncCost, tally)
+			moved := gossip(r, nodes, nil, 0, c.syncCost)
 			r.sample(IterSample{Iter: round, VTime: vtime, Ready: ready}, created, 0)
 			if moved == 0 {
 				r.res.setStop(StopDeadlocked)
@@ -398,7 +412,7 @@ func (c rounds) run(ctx context.Context, r *reducer, nodes []*distNode, tally *D
 
 		// Gossip, subject to the injected loss plan.
 		if peers && !answered && (round+1)%c.syncEvery == 0 {
-			gossip(r, nodes, rng, drop, c.syncCost, tally)
+			gossip(r, nodes, rng, drop, c.syncCost)
 		}
 		r.sample(IterSample{Iter: round, VTime: vtime, StageCost: stage, Ready: ready, Processed: len(batch)}, created, 0)
 		if answered {

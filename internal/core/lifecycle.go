@@ -4,8 +4,7 @@
 // layer each engine hand-rolled its own break/bool logic, and the edge
 // cases diverged (timeout vs deadlock conflation, lost mid-batch Done
 // counts, bare Unknown on all-blocked clusters); every termination path
-// now records exactly one StopReason, and the legacy TimedOut/Deadlocked
-// flags are derived from it.
+// now records exactly one StopReason.
 package core
 
 import (
@@ -80,9 +79,8 @@ func (r StopReason) String() string {
 	return fmt.Sprintf("StopReason(%d)", int(r))
 }
 
-// Exhausted reports whether the reason is a resource-budget stop — the
-// cases the legacy TimedOut flag covered. Cancellation and deadlock are
-// not budget exhaustion.
+// Exhausted reports whether the reason is a resource-budget stop.
+// Cancellation and deadlock are not budget exhaustion.
 func (r StopReason) Exhausted() bool {
 	return r == StopWallTimeout || r == StopTickBudget || r == StopEventBudget
 }

@@ -198,7 +198,7 @@ func (r *reducer) begin(q0 summary.Question) bool {
 	r.start = time.Now()
 	r.phase.start = r.start
 	r.q0 = q0
-	r.res = Result{Verdict: Unknown, CostByProc: map[string]int64{}}
+	r.res = Result{Verdict: Unknown}
 	o, res := &r.o, &r.res
 	stored := o.Store != nil
 
@@ -433,7 +433,7 @@ func (r *reducer) dropRoot() {
 	clear(r.depth)
 	res := &r.res
 	res.Verdict, res.RootOutcome = Unknown, query.Outcome(0)
-	res.StopReason, res.TimedOut, res.Deadlocked = StopNone, false, false
+	res.StopReason = StopNone
 }
 
 // exhausted names the budget that stops the run before its next
@@ -521,8 +521,9 @@ func (r *reducer) punchEnd(node, worker int, q *query.Query, cost int64, wall ti
 // the forest — REDUCE's first phase — and returns the queries it made
 // runnable: the children it inserted, then the query itself when it came
 // back Ready or must look at SUMDB again. A result whose query was
-// collected while it ran (its parent finished first) is obsolete and
-// only its cost is booked: real cycles were spent.
+// collected while it ran (its parent finished first) is obsolete: the
+// scheduler has charged its cost to the clock (real cycles were spent),
+// and nothing else of it is kept.
 func (r *reducer) apply(node, worker int, q *query.Query, res punch.Result) []*query.Query {
 	if r.o.CheckContract {
 		if err := punch.CheckContract(q, res); err != nil {
@@ -530,7 +531,6 @@ func (r *reducer) apply(node, worker int, q *query.Query, res punch.Result) []*q
 		}
 	}
 	self := res.Self
-	r.res.CostByProc[q.Q.Proc] += res.Cost
 	// again marks that an answer self waits for may have landed while it
 	// ran: a child completed mid-flight (rewake), or a spawn below
 	// coalesces onto a Done twin whose summary is in SUMDB already. If
@@ -848,7 +848,7 @@ func (r *reducer) end() {
 	res.TotalQueries = r.alloc.Count()
 	res.DoneQueries = r.done
 	res.VirtualTicks = r.vtime
-	res.PeakLive = r.peak[0]
+	res.PeakLive = slices.Max(r.peak)
 	res.WallTime = time.Since(r.start)
 	res.SumDB = aggregateStats(r.dbs)
 	res.Solver = r.solverStats()

@@ -3,8 +3,11 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/punch"
@@ -177,9 +180,15 @@ func TestRoundsSamples(t *testing.T) {
 }
 
 // TestBarrierIsOneNodeCluster: on one thread the barrier engine and a
-// one-node, one-thread cluster run the same loop, so they agree on every
-// corpus program under every analysis: verdict, virtual ticks, queries,
-// and iterations against rounds. On four threads a stage's slices share
+// one-node, one-thread cluster run the same loop, so on every corpus
+// program under every analysis they return the same Result, field for
+// field, metrics and provenance included. Three kinds of field are set
+// apart: what no second run repeats (wall time, the wall-clock histogram
+// and the workers' wall ledger); the formulas of Summaries, which live in
+// each run's own intern table and are compared as text; and the
+// cluster's own Rounds, PerNodePeakLive and PerNodeSummaries, which the
+// barrier engine leaves zero and the one node must fill with Iterations,
+// PeakLive and the summary count. On four threads a stage's slices share
 // SUMDB as they run, so ticks and queries are draws; only the may-must
 // verdicts are compared there.
 func TestBarrierIsOneNodeCluster(t *testing.T) {
@@ -200,14 +209,32 @@ func TestBarrierIsOneNodeCluster(t *testing.T) {
 		}
 		prog := parser.MustParse(string(src))
 		q := AssertionQuestion(prog)
+		// A run counts its intern-table hits from what the table holds when
+		// it begins, and every run ends by dropping the table. Drop what the
+		// parse filled it with, so the first run starts as the second does.
+		logic.BeginRun()
+		logic.EndRun()
 		for an, newPunch := range analyses {
-			bar := New(prog, Options{Punch: newPunch(), MaxThreads: 1, MaxIterations: budget}).Run(q)
-			dist := NewDistributed(prog, DistOptions{Punch: newPunch(), Nodes: 1, ThreadsPerNode: 1, MaxRounds: budget}).Run(q)
-			if bar.Verdict != dist.Verdict || bar.VirtualTicks != dist.VirtualTicks ||
-				bar.TotalQueries != dist.TotalQueries || bar.Iterations != dist.Rounds || dist.SyncExchanges != 0 {
-				t.Errorf("%s, %s: barrier %v/%d ticks/%d queries/%d iterations, one-node cluster %v/%d/%d/%d rounds (%d exchanges)",
-					filepath.Base(f), an, bar.Verdict, bar.VirtualTicks, bar.TotalQueries, bar.Iterations,
-					dist.Verdict, dist.VirtualTicks, dist.TotalQueries, dist.Rounds, dist.SyncExchanges)
+			name := filepath.Base(f) + ", " + an
+			bar := New(prog, Options{Punch: newPunch(), MaxThreads: 1, MaxIterations: budget,
+				Metrics: obs.NewMetrics(), CollectProvenance: true}).Run(q)
+			dist := NewDistributed(prog, DistOptions{Punch: newPunch(), Nodes: 1, ThreadsPerNode: 1, MaxRounds: budget,
+				Metrics: obs.NewMetrics(), CollectProvenance: true}).Run(q)
+			if dist.Rounds != dist.Iterations || !slices.Equal(dist.PerNodePeakLive, []int{dist.PeakLive}) ||
+				!slices.Equal(dist.PerNodeSummaries, []int{len(dist.Summaries)}) {
+				t.Errorf("%s: one-node cluster: %d rounds, per-node peaks %v, summaries %v; want %d, [%d], [%d]", name,
+					dist.Rounds, dist.PerNodePeakLive, dist.PerNodeSummaries, dist.Iterations, dist.PeakLive, len(dist.Summaries))
+			}
+			dist.Rounds, dist.PerNodePeakLive, dist.PerNodeSummaries = 0, nil, nil
+			barSums, distSums := repeatable(&bar), repeatable(&dist)
+			if !slices.Equal(barSums, distSums) {
+				t.Errorf("%s: summaries differ: barrier %q, one-node cluster %q", name, barSums, distSums)
+			}
+			bv, dv := reflect.ValueOf(bar), reflect.ValueOf(dist)
+			for i := 0; i < bv.NumField(); i++ {
+				if b, d := bv.Field(i).Interface(), dv.Field(i).Interface(); !reflect.DeepEqual(b, d) {
+					t.Errorf("%s: %s differs: barrier %+v, one-node cluster %+v", name, bv.Type().Field(i).Name, b, d)
+				}
 			}
 		}
 		bar := New(prog, Options{Punch: maymust.New(), MaxThreads: 4, MaxIterations: 60000}).Run(q)
@@ -216,4 +243,23 @@ func TestBarrierIsOneNodeCluster(t *testing.T) {
 			t.Errorf("%s, may-must on 4 threads: barrier %v, one-node cluster %v", filepath.Base(f), bar.Verdict, dist.Verdict)
 		}
 	}
+}
+
+// repeatable clears from r what a second run of the same question cannot
+// repeat: its wall-clock readings, and its summaries, whose formulas live
+// in the run's own intern table. It returns the summaries as text.
+func repeatable(r *Result) []string {
+	r.WallTime = 0
+	if m := r.Metrics; m != nil {
+		m.PunchWallNs = obs.HistSnapshot{}
+		for i := range m.Workers {
+			m.Workers[i].BusyWallNs = 0
+		}
+	}
+	var sums []string
+	for _, s := range r.Summaries {
+		sums = append(sums, s.String())
+	}
+	r.Summaries = nil
+	return sums
 }

@@ -111,7 +111,7 @@ func TestWarmStartDistributed(t *testing.T) {
 	dir := t.TempDir()
 	q := AssertionQuestion(prog)
 
-	runDist := func(st store.Store) DistResult {
+	runDist := func(st store.Store) Result {
 		return NewDistributed(prog, DistOptions{
 			Punch:          maymust.New(),
 			Nodes:          3,

@@ -69,14 +69,9 @@ type CheckResult struct {
 	Queries int64
 	Peak    int
 	Trace   []core.IterSample
-	// StopReason says why the run ended. TimedOut and Deadlocked mirror
-	// the engine's derived flags: an Unknown verdict is no longer lumped
-	// into TimedOut — a deadlocked or cancelled run reports its own
-	// reason.
+	// StopReason says why the run ended: an Unknown verdict from a spent
+	// budget, a deadlock and a cancellation each report their own.
 	StopReason core.StopReason
-	TimedOut   bool
-	Deadlocked bool
-	CostByProc map[string]int64
 }
 
 // RunCheck verifies one driver-property pair with the given thread count.
@@ -110,9 +105,6 @@ func RunCheck(check drivers.Check, threads int, opts Options) CheckResult {
 		Peak:       res.PeakReady,
 		Trace:      res.Trace,
 		StopReason: res.StopReason,
-		TimedOut:   res.TimedOut,
-		Deadlocked: res.Deadlocked,
-		CostByProc: res.CostByProc,
 	}
 }
 
@@ -303,7 +295,7 @@ func Table3(opts Options) ([]Table3Row, int64) {
 		par := RunCheck(check, 64, o)
 		rows = append(rows, Table3Row{
 			Check:      check,
-			SeqTimeout: seq.Verdict == core.Unknown,
+			SeqTimeout: seq.StopReason.Exhausted(),
 			ParVerdict: par.Verdict,
 			ParTicks:   par.Ticks,
 		})

@@ -17,14 +17,14 @@ func TestRunCheckSequentialAndParallel(t *testing.T) {
 	check := drivers.NamedCheck("parport", "MarkPowerDown", false)
 	opts := Options{WallBudget: 180 * time.Second}
 	seq := RunCheck(check, 1, opts)
-	if seq.TimedOut && seq.Verdict == core.Unknown {
+	if seq.StopReason.Exhausted() && seq.Verdict == core.Unknown {
 		t.Skip("wall budget exhausted (slow or loaded machine)")
 	}
 	if seq.Verdict != core.Safe {
 		t.Fatalf("sequential verdict = %v", seq.Verdict)
 	}
 	par := RunCheck(check, 8, opts)
-	if par.TimedOut && par.Verdict == core.Unknown {
+	if par.StopReason.Exhausted() && par.Verdict == core.Unknown {
 		t.Skip("wall budget exhausted (slow or loaded machine)")
 	}
 	if par.Verdict != core.Safe {
@@ -160,8 +160,7 @@ func TestPlotSeries(t *testing.T) {
 }
 
 // TestRunCheckStopReason: the harness must surface the engine's stop
-// reason instead of conflating every Unknown verdict with a timeout (the
-// old `TimedOut || Verdict == Unknown` logic).
+// reason instead of conflating every Unknown verdict with a timeout.
 func TestRunCheckStopReason(t *testing.T) {
 	check := drivers.NamedCheck("parport", "MarkPowerDown", false)
 
@@ -170,8 +169,8 @@ func TestRunCheckStopReason(t *testing.T) {
 	if r.StopReason != core.StopTickBudget {
 		t.Fatalf("stop reason %v, want tick-budget", r.StopReason)
 	}
-	if !r.TimedOut || r.Deadlocked {
-		t.Fatalf("tick budget: timedOut=%v deadlocked=%v", r.TimedOut, r.Deadlocked)
+	if !r.StopReason.Exhausted() {
+		t.Fatalf("tick budget: %v is not a budget stop", r.StopReason)
 	}
 
 	// ...but a cancelled run is not.
@@ -181,8 +180,8 @@ func TestRunCheckStopReason(t *testing.T) {
 	if r.StopReason != core.StopCancelled {
 		t.Fatalf("stop reason %v, want cancelled", r.StopReason)
 	}
-	if r.TimedOut || r.Deadlocked {
-		t.Fatalf("cancelled run misreported: timedOut=%v deadlocked=%v", r.TimedOut, r.Deadlocked)
+	if r.StopReason.Exhausted() {
+		t.Fatalf("cancelled run misreported as a budget stop")
 	}
 	if r.Verdict != core.Unknown {
 		t.Fatalf("cancelled verdict %v", r.Verdict)

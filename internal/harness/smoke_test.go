@@ -4,6 +4,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestSmokeThreadLadder prints one check's scaling; enable with
@@ -22,17 +24,24 @@ func TestSmokeThreadLadder(t *testing.T) {
 	}
 }
 
-// TestSmokeCostProfile prints per-procedure cost for the sequential run;
-// enable with HARNESS_SMOKE=1.
+// TestSmokeCostProfile prints per-procedure cost for the sequential run,
+// summed from the run's PUNCH-end events; enable with HARNESS_SMOKE=1.
 func TestSmokeCostProfile(t *testing.T) {
 	if os.Getenv("HARNESS_SMOKE") == "" {
 		t.Skip("set HARNESS_SMOKE=1")
 	}
-	opts := Options{WallBudget: 60 * time.Second}
+	rec := &obs.Recording{}
+	opts := Options{WallBudget: 60 * time.Second, Tracer: rec}
 	check := Table1Checks()[1]
 	r := RunCheck(check, 1, opts)
 	t.Logf("verdict=%v ticks=%d queries=%d", r.Verdict, r.Ticks, r.Queries)
-	for proc, c := range r.CostByProc {
+	cost := map[string]int64{}
+	for _, ev := range rec.Events() {
+		if ev.Type == obs.EvPunchEnd {
+			cost[ev.Proc] += ev.Cost
+		}
+	}
+	for proc, c := range cost {
 		t.Logf("  %-20s %10d", proc, c)
 	}
 }

@@ -24,21 +24,15 @@ var (
 	errClear  lang.Stmt = lang.Assume{Cond: lang.CmpE(lang.V(string(ErrVar)), lang.Le, lang.C(0))}
 )
 
-// Options configure parsing and lowering.
-type Options struct {
-	// Main is the entry procedure name; defaults to "main", falling back
-	// to the first procedure in the file.
-	Main string
-	// NoErrChecks disables the error-propagation check inserted after
-	// every call edge. With checks disabled an error set by a callee still
-	// reaches main's exit as long as execution terminates; the checks only
-	// make propagation immediate.
-	NoErrChecks bool
-}
-
-// Parse parses src with default options.
+// Parse parses src into a validated program. The entry procedure is
+// main, or the first procedure in the file when there is no main.
 func Parse(src string) (*cfg.Program, error) {
-	return ParseWithOptions(src, Options{})
+	p := newParser(src)
+	ast, err := p.parseProgram()
+	if err = p.finish(err); err != nil {
+		return nil, err
+	}
+	return lowerProgram(ast)
 }
 
 // MustParse is Parse that panics on error, for tests and generators.
@@ -48,16 +42,6 @@ func MustParse(src string) *cfg.Program {
 		panic(err)
 	}
 	return p
-}
-
-// ParseWithOptions parses src into a validated program.
-func ParseWithOptions(src string, opts Options) (*cfg.Program, error) {
-	p := newParser(src)
-	ast, err := p.parseProgram()
-	if err = p.finish(err); err != nil {
-		return nil, err
-	}
-	return lowerProgram(ast, opts)
 }
 
 // sig records a procedure's calling-convention needs and the names of
@@ -76,7 +60,7 @@ type sig struct {
 func argVar(proc string, i int) lang.Var { return lang.Var(proc + "__arg" + strconv.Itoa(i)) }
 func retVar(proc string) lang.Var        { return lang.Var(proc + "__ret") }
 
-func lowerProgram(ast *programAST, opts Options) (*cfg.Program, error) {
+func lowerProgram(ast *programAST) (*cfg.Program, error) {
 	usesErr := false
 	for _, proc := range ast.procs {
 		if stmtsUseErr(proc.body) {
@@ -149,21 +133,11 @@ func lowerProgram(ast *programAST, opts Options) (*cfg.Program, error) {
 		}
 	}
 
-	main := opts.Main
-	if main == "" {
-		main = "main"
-	}
-	haveMain := false
+	main := ast.procs[0].name
 	for _, proc := range ast.procs {
-		if proc.name == main {
-			haveMain = true
+		if proc.name == "main" {
+			main = "main"
 		}
-	}
-	if !haveMain {
-		if opts.Main != "" {
-			return nil, fmt.Errorf("parser: main procedure %q not defined", opts.Main)
-		}
-		main = ast.procs[0].name
 	}
 
 	procs := make([]*cfg.Proc, 0, len(ast.procs))
@@ -174,7 +148,7 @@ func lowerProgram(ast *programAST, opts Options) (*cfg.Program, error) {
 		}
 		lw := &lowerer{
 			b:         cfg.NewProc(procAst.name, locals...),
-			errChecks: usesErr && !opts.NoErrChecks,
+			errChecks: usesErr,
 			usesErr:   usesErr,
 			self:      sigs[procAst.name],
 			sigs:      sigs,

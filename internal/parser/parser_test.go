@@ -117,8 +117,8 @@ func TestMainFallback(t *testing.T) {
 	if prog.Main != "top" {
 		t.Errorf("Main = %q, want top", prog.Main)
 	}
-	if _, err := ParseWithOptions("proc top { skip; }", Options{Main: "absent"}); err == nil {
-		t.Error("expected error for absent main")
+	if prog := MustParse("proc top { skip; } proc main { skip; }"); prog.Main != "main" {
+		t.Errorf("Main = %q, want main wherever it stands", prog.Main)
 	}
 }
 

@@ -795,13 +795,8 @@ func (p *refParser) parseIntPrimary() (lang.IntExpr, error) {
 	return nil, p.errorf("expected integer expression, found %s", t)
 }
 
-// refParse parses src with default options.
+// refParse parses src into a validated program.
 func refParse(src string) (*cfg.Program, error) {
-	return refParseWithOptions(src, Options{})
-}
-
-// refParseWithOptions parses src into a validated program.
-func refParseWithOptions(src string, opts Options) (*cfg.Program, error) {
 	toks, err := refTokenize(src)
 	if err != nil {
 		return nil, err
@@ -811,7 +806,7 @@ func refParseWithOptions(src string, opts Options) (*cfg.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return refLowerProgram(ast, opts)
+	return refLowerProgram(ast)
 }
 
 // sig records a procedure's calling-convention needs.
@@ -826,7 +821,7 @@ type refSig struct {
 func refArgVar(proc string, i int) lang.Var { return lang.Var(fmt.Sprintf("%s__arg%d", proc, i)) }
 func refRetVar(proc string) lang.Var        { return lang.Var(proc + "__ret") }
 
-func refLowerProgram(ast *refProgramAST, opts Options) (*cfg.Program, error) {
+func refLowerProgram(ast *refProgramAST) (*cfg.Program, error) {
 	usesErr := false
 	for _, proc := range ast.procs {
 		if refStmtsUseErr(proc.body) {
@@ -893,21 +888,11 @@ func refLowerProgram(ast *refProgramAST, opts Options) (*cfg.Program, error) {
 		}
 	}
 
-	main := opts.Main
-	if main == "" {
-		main = "main"
-	}
-	haveMain := false
+	main := ast.procs[0].name
 	for _, proc := range ast.procs {
-		if proc.name == main {
-			haveMain = true
+		if proc.name == "main" {
+			main = "main"
 		}
-	}
-	if !haveMain {
-		if opts.Main != "" {
-			return nil, fmt.Errorf("parser: main procedure %q not defined", opts.Main)
-		}
-		main = ast.procs[0].name
 	}
 
 	var procs []*cfg.Proc
@@ -915,7 +900,7 @@ func refLowerProgram(ast *refProgramAST, opts Options) (*cfg.Program, error) {
 		locals := append(append([]lang.Var{}, procAst.params...), procAst.locals...)
 		lw := &refLowerer{
 			b:         refNewProc(procAst.name, locals...),
-			errChecks: usesErr && !opts.NoErrChecks,
+			errChecks: usesErr,
 			usesErr:   usesErr,
 			self:      procAst.name,
 			sigs:      sigs,
