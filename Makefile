@@ -100,7 +100,9 @@ dead-exports:
 # (testing.AllocsPerRun). The region graph's pins: a path search on a
 # settled graph allocates nothing (the path is the graph's), minting a
 # region and splitting one allocate nothing beyond the partition slice
-# when the graph's chunks and slab of list heads have room, an edge record
+# when the graph's chunks and slab of list heads have room, the slab holds
+# no more blocks of heads for a node than it had regions at once (a split
+# gives the retired region's block back), an edge record
 # (24 bytes, the links of its two lists included) and a list head hold no
 # field of a kind that holds a pointer, and taking a finished query's
 # graph off its shelf allocates nothing (a move, never a copy). The cube
@@ -115,7 +117,7 @@ dead-exports:
 alloc-pin:
 	$(GO) test -run 'TestAllocPin|TestHeapPin|TestWarmRecheckPin' -count=1 .
 	$(GO) test -run TestConstructorHitPathAllocFree -count=1 ./internal/logic
-	$(GO) test -run 'TestFindPathAllocPin|TestSplitAllocPin|TestEdgeRecordPointerFree|TestShelfTakeAllocFree' -count=1 ./internal/punch/regions
+	$(GO) test -run 'TestFindPathAllocPin|TestSplitAllocPin|TestSplitReusesHeads|TestEdgeRecordPointerFree|TestShelfTakeAllocFree' -count=1 ./internal/punch/regions
 	$(GO) test -run TestCubeKernelAllocPin -count=1 ./internal/logic
 	$(GO) test -run 'TestSolverAllocPin|TestMemoSlotsPointerFree' -count=1 ./internal/smt
 	$(GO) test -run TestSnapshotAllocPin -count=1 ./internal/incr
@@ -176,8 +178,9 @@ bench-smoke:
 
 # fuzz-smoke gives each fuzzer a short budget: the solver against its
 # reference implementation, Simplify on cubes against the formula-level
-# filter it replaced, the one-step check decided in the cube kernel
-# against Sat on the formula it no longer builds, the cube kernel (DNF enumeration and
+# filter it replaced, the one-step check and the must side's membership
+# check decided in the cube kernel against Sat on the formulas they no
+# longer build, the cube kernel (DNF enumeration and
 # Fourier–Motzkin projection) against its reference implementation, the
 # wire codec's decode/re-encode round trip on arbitrary bytes (with the
 # intern table dropped in between), arbitrary
@@ -189,6 +192,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDPLLAgainstReference -fuzztime 10s ./internal/smt
 	$(GO) test -run '^$$' -fuzz FuzzSimplifyAgainstReference -fuzztime 10s ./internal/smt
 	$(GO) test -run '^$$' -fuzz FuzzStepKernelAgainstFormula -fuzztime 10s ./internal/smt
+	$(GO) test -run '^$$' -fuzz FuzzMeetKernelAgainstFormula -fuzztime 10s ./internal/smt
 	$(GO) test -run '^$$' -fuzz FuzzCubeKernelAgainstReference -fuzztime 10s ./internal/logic
 	$(GO) test -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/logic
 	$(GO) test -run '^$$' -fuzz FuzzStoreOpen -fuzztime 10s ./internal/store

@@ -371,9 +371,10 @@ func TestNestedEnumerationConcurrent(t *testing.T) {
 }
 
 // TestCubeKernelAllocPin holds the kernel to its purpose: with the pool
-// warm, enumerating an interned DNF, a real-shadow check of a cube and
-// the refutation by which a cube entails an atom allocate nothing. What
-// a caller keeps it copies out itself.
+// warm, enumerating an interned DNF, a real-shadow check of a cube, the
+// refutation by which a cube entails an atom, and enumerating a DNF met
+// by a cube region under a store allocate nothing. What a caller keeps it
+// copies out itself.
 func TestCubeKernelAllocPin(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
@@ -402,7 +403,18 @@ func TestCubeKernelAllocPin(t *testing.T) {
 		}
 		s.Release()
 	}
-	for name, op := range map[string]func(){"EachCube over a 2×3 DNF": enumerate, "a real-shadow check": check, "a refutation of an atom's negation": refute} {
+	region, store := Conj(LE(x.AddConst(-3)), EQ(z.Sub(y))), map[lang.Var]Lin{"a": y.AddConst(1), "c": x.Add(z)}
+	meet := func() {
+		s := GetScratch()
+		if !s.EachMeetCube(f, region, store, 32, 100, func(c Cube) bool {
+			n += len(c)
+			return true
+		}) {
+			t.Fatal("a cube region under a store was left undecided")
+		}
+		s.Release()
+	}
+	for name, op := range map[string]func(){"EachCube over a 2×3 DNF": enumerate, "a real-shadow check": check, "a refutation of an atom's negation": refute, "a 2×3 DNF met by a cube under a store": meet} {
 		op() // fills the pool
 		if a := testing.AllocsPerRun(100, op); a != 0 {
 			t.Errorf("%s allocates %.1f times with the pool warm, want 0", name, a)

@@ -150,21 +150,17 @@ func (st *stepper) errorPath(avoid bool) []regions.EdgeID {
 	return st.o.G.FindPath(&st.Meter, st.Q.Q.Pre, avoid)
 }
 
-// elemIn reports (with caching) whether elem's states intersect region r.
+// elemIn reports (with caching) whether elem's states intersect region r:
+// false only when e.path ∧ r.F[e.store] is proven unsatisfiable.
 func (st *stepper) elemIn(e *mustElem, r *regions.Region) bool {
-	if v, ok := e.reach[r.ID]; ok {
-		return v > 0
+	for _, m := range e.reach {
+		if m.region == r.ID {
+			return m.in
+		}
 	}
-	if e.reach == nil {
-		e.reach = map[int32]int8{}
-	}
-	s := st.Sat(logic.Conj(e.path, logic.SubstMap(r.F, e.store)))
-	if s.Known && !s.Sat {
-		e.reach[r.ID] = -1
-		return false
-	}
-	e.reach[r.ID] = 1
-	return true
+	in := st.Meets(e.path, r.F, e.store)
+	e.reach = append(e.reach, membership{r.ID, in})
+	return in
 }
 
 // mustReached reports whether any must element at r's node intersects r.

@@ -25,10 +25,18 @@ type mustElem struct {
 	store punch.Store
 	// pathID is path's interned id, set by addMust.
 	pathID logic.ID
-	// reach caches region-membership checks: region ID → +1 / -1.
-	reach map[int32]int8
+	// reach caches the region-membership checks made of the element, in
+	// the order they were made: a handful of regions of its node, retired
+	// ones included, since a region ID never comes to denote another set.
+	reach []membership
 	// exitChecked marks exit elements already tested against φ2.
 	exitChecked bool
+}
+
+// membership is whether a must element meets region ID region.
+type membership struct {
+	region int32
+	in     bool
 }
 
 // obj is the verification object O_i stored in the query between PUNCH

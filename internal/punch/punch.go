@@ -157,6 +157,14 @@ func (m *Meter) Sat(f logic.Formula) smt.Result {
 	return m.Solver.Sat(f)
 }
 
+// Meets is a charged satisfiability check of path ∧ in[store], a
+// symbolic state against a region: false only when it is proven
+// unsatisfiable (smt.Solver.Meets).
+func (m *Meter) Meets(path, in logic.Formula, store Store) bool {
+	m.Charge(4)
+	return m.Solver.Meets(path, in, store)
+}
+
 // Implies is a charged entailment check.
 func (m *Meter) Implies(a, b logic.Formula) bool {
 	m.Charge(4)

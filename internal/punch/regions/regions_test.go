@@ -777,6 +777,38 @@ func TestSplitAllocPin(t *testing.T) {
 	mustCheck(t, g)
 }
 
+// TestSplitReusesHeads: a split gives the retired region's block of list
+// heads back to its node, and the next region minted there takes it, so
+// however many times the regions of one node are split, the slab holds
+// no more blocks for the node than it had regions at once (the live
+// partition and the parts of the split under way).
+func TestSplitReusesHeads(t *testing.T) {
+	proc := loopProc(t)
+	g := New(proc, logic.True)
+	node := proc.Edges[2].From // n2, with two self-loops
+	k := len(proc.Out[node]) + len(proc.In[node])
+	base, peak, minted := len(g.heads), 1, 0
+	rng := rand.New(rand.NewSource(7))
+	for step := range 300 {
+		at := g.At(node)
+		n := rng.Intn(3) // 0 parts drops the region from the partition
+		if len(at) == 1 {
+			n = 1 + rng.Intn(2)
+		}
+		parts := make([]*Region, n)
+		for i := range parts {
+			parts[i] = g.NewRegion(node, le("a", int64(step%7+i)), false)
+		}
+		minted += n
+		peak = max(peak, len(at)+n)
+		g.Split(at[rng.Intn(len(at))], parts...)
+		mustCheck(t, g)
+	}
+	if want := base + (peak-1)*k; len(g.heads) != want {
+		t.Fatalf("%d regions minted at n%d, at most %d at once: the slab holds %d heads, want %d", minted, node, peak, len(g.heads), want)
+	}
+}
+
 func BenchmarkFindPath(b *testing.B) {
 	g, m := benchGraph(b)
 	b.ReportAllocs()

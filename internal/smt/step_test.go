@@ -134,3 +134,73 @@ func FuzzStepKernelAgainstFormula(f *testing.F) {
 		}
 	})
 }
+
+// genStore decodes a store: some of stepVars bound to a small term over
+// stepVars, the others left to stand for themselves. A term may mention
+// the variable it is bound to, so only a substitution made all at once
+// gets it right.
+func genStore(src *fuzzSrc) map[lang.Var]logic.Lin {
+	sub := map[lang.Var]logic.Lin{}
+	for _, v := range stepVars {
+		if src.next()%3 == 0 {
+			continue
+		}
+		l := logic.LinConst(int64(src.next()%9) - 4)
+		for _, u := range stepVars {
+			if c := int64(src.next()%7) - 3; c != 0 && src.next()%2 == 0 {
+				l = l.Add(logic.LinVar(u).Scale(c))
+			}
+		}
+		sub[v] = l
+	}
+	return sub
+}
+
+// FuzzMeetKernelAgainstFormula holds the membership check decided in the
+// cube kernel to the check it replaces: Sat on Conj(path, SubstMap(f,
+// sub)) built as a formula, false exactly when Sat proves it
+// unsatisfiable. The path may hold disjunctions, which the kernel walks;
+// the kernel must decide whenever f holds none, and Meets must answer the
+// same and count one Sat call either way.
+func FuzzMeetKernelAgainstFormula(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25})
+	f.Add([]byte{0, 1, 2, 3, 1, 3, 1, 2, 0, 4, 5, 1, 0, 6, 2, 1, 3, 1, 0, 2, 4, 1, 1, 0, 2, 3, 1, 2, 0, 1})
+	f.Add([]byte{4, 0, 3, 2, 4, 4, 1, 0, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 5, 6, 1, 1, 2, 0, 3, 5, 1})
+	f.Add([]byte{5, 9, 1, 1, 1, 1, 9, 2, 2, 2, 2, 9, 3, 3, 3, 3, 9, 4, 4, 4, 4, 0, 6, 2, 1, 1, 3, 2, 1, 0})
+	f.Add([]byte{3, 8, 2, 5, 1, 0, 1, 4, 0, 1, 1, 2, 8, 6, 0, 1, 1, 1, 2, 1, 3, 1, 0, 0, 1, 2, 2, 4, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			return
+		}
+		src := &fuzzSrc{data: data}
+		var path logic.Formula
+		if src.next()%3 == 0 {
+			path = genRegion(src)
+		} else {
+			path = logic.Conj(genFormula(src, 2), genFormula(src, 1))
+		}
+		region, sub := genRegion(src), genStore(src)
+		formula := logic.Conj(path, logic.SubstMap(region, sub))
+		r := New().Sat(formula)
+		want := r.Sat || !r.Known
+		s := New()
+		open, decided := s.meetKernel(path, region, sub)
+		if decided && open != want {
+			t.Fatalf("%v meets %v under %v: kernel says %v, Sat on %v %v", path, region, sub, open, formula, want)
+		}
+		if !decided && !hasOr(region) {
+			t.Fatalf("%v meets %v under %v: the kernel left a region without disjunctions to Sat", path, region, sub)
+		}
+		if calls := s.StatsSnapshot().SatCalls; decided != (calls == 1) {
+			t.Fatalf("kernel decided %v and counted %d Sat calls", decided, calls)
+		}
+		s = New()
+		if got := s.Meets(path, region, sub); got != want {
+			t.Fatalf("%v meets %v under %v: Meets %v, Sat on %v %v", path, region, sub, got, formula, want)
+		}
+		if calls := s.StatsSnapshot().SatCalls; calls != 1 {
+			t.Fatalf("Meets counted %d Sat calls", calls)
+		}
+	})
+}
