@@ -1,6 +1,7 @@
 package bolt_test
 
 import (
+	"context"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -100,4 +101,46 @@ func TestHeapPin(t *testing.T) {
 func raceEnabled() bool {
 	bi, ok := debug.ReadBuildInfo()
 	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// clusterAllocPinBudget is what the second of two checks of the
+// fan-out-16 toastmon-shaped driver (wideDriver) on a 2-node cluster, one
+// thread a node, may allocate: the 19.9–20.0 MB measured when gossip came
+// to walk each procedure from a per-procedure cursor and to encode a
+// delivery only for a tracer (82.9 MB before, when every exchange copied
+// every shard with DB.All, probed every pair delivered so far and encoded
+// every delivery), plus 15 %. The old exchange grew with rounds ×
+// summaries: one check of the fan-out-32 driver allocated 278 MB before
+// and 51 MB after. Under -race the budget is not held.
+const clusterAllocPinBudget = 23_000_000
+
+// wideDriver is the toastmon-shaped driver (depth 3, 3 shared helpers,
+// work 4) at the given fan-out, wider than the suite's drivers.
+func wideDriver(fanout int) string {
+	return drivers.Source(drivers.Config{Name: "toastmon", Fanout: fanout, Depth: 3, Shared: 3, Work: 4, Property: "PendedCompletedRequest"})
+}
+
+// TestClusterAllocPin holds the allocation of a cluster check whose
+// gossip runs for 1 305 rounds: the cost of an exchange must follow
+// what is new in it, not what was gossiped before.
+func TestClusterAllocPin(t *testing.T) {
+	prog := bolt.MustParse(wideDriver(16))
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := prog.CheckDistributed(context.Background(), bolt.DistOptions{Nodes: 2, ThreadsPerNode: 1})
+		runtime.ReadMemStats(&after)
+		if err != nil || r.Verdict != bolt.Safe {
+			t.Fatalf("fan-out 16 on 2 nodes: %v (%v), want Safe", r.Verdict, err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first, second := run(), run()
+	t.Logf("allocated %d bytes in the first check, %d in the second (budget %d)", first, second, clusterAllocPinBudget)
+	if raceEnabled() {
+		t.Skip("the budget is not held under the race detector")
+	}
+	if second > clusterAllocPinBudget {
+		t.Errorf("second check allocates %d bytes, budget %d: an exchange costs more than what is new in it, or a layer below allocates more", second, clusterAllocPinBudget)
+	}
 }

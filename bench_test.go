@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	bolt "repro"
+	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/drivers"
 	"repro/internal/harness"
@@ -410,18 +411,41 @@ func BenchmarkWarmVsCold(b *testing.B) {
 
 // BenchmarkDistributed: the §7 "Distributed BOLT" simulation — cluster
 // sizes 1, 2 and 4 on one check, reporting the busiest shard's peak live
-// queries (the per-machine memory story).
+// queries (the per-machine memory story) — and a 2-node cluster, one
+// thread a node, on the fan-out-32 toastmon-shaped driver (wideDriver),
+// 2 539 rounds of gossip: what an exchange costs as a run grows long.
+//
+// What each change to the exchange measured on fanout32_nodes2, per
+// iteration (two interleaved runs of 3 iterations each side, shared
+// 2-core box; the same 1 646 257 vticks on both sides):
+//
+//	per-procedure gossip cursors, a
+//	delivery encoded only for a tracer  275.4 → 47.9 MB  742.5 k → 680.5 k allocs
+//
+// Its time, 1.25–1.43 → 0.91–0.96 s, is not claimed: two busy goroutines
+// share about one core on that box.
 func BenchmarkDistributed(b *testing.B) {
-	prog := drivers.Generate(drivers.NamedCheck("parport", "PowerDownFail", false).Config)
-	for _, nodes := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "nodes1", 2: "nodes2", 4: "nodes4"}[nodes], func(b *testing.B) {
+	parport := drivers.Generate(drivers.NamedCheck("parport", "PowerDownFail", false).Config)
+	wide := parser.MustParse(wideDriver(32))
+	for _, c := range []struct {
+		name           string
+		prog           *cfg.Program
+		nodes, threads int
+	}{
+		{"nodes1", parport, 1, 4},
+		{"nodes2", parport, 2, 4},
+		{"nodes4", parport, 4, 4},
+		{"fanout32_nodes2", wide, 2, 1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r := core.NewDistributed(prog, core.DistOptions{
+				r := core.NewDistributed(c.prog, core.DistOptions{
 					Punch:          maymust.New(),
-					Nodes:          nodes,
-					ThreadsPerNode: 4,
+					Nodes:          c.nodes,
+					ThreadsPerNode: c.threads,
 					MaxRounds:      1 << 18,
-				}).Run(core.AssertionQuestion(prog))
+				}).Run(core.AssertionQuestion(c.prog))
 				if r.Verdict != core.Safe {
 					b.Fatalf("verdict = %v", r.Verdict)
 				}

@@ -322,12 +322,7 @@ func (c rounds) run(ctx context.Context, r *reducer, nodes []*distNode) {
 	for _, n := range nodes {
 		n.db, n.tree = r.dbs[n.id], r.forest[n.id]
 		if peers {
-			// A warm-started summary is known at its owner, so the first
-			// exchange spreads it cluster-wide without re-delivering it there.
-			n.known = map[gossipKey]bool{}
-			for _, s := range n.db.All() {
-				n.known[summaryKey(s)] = true
-			}
+			n.startGossip()
 		}
 	}
 	var rng *rand.Rand

@@ -17,6 +17,7 @@ import (
 	"repro/internal/prov"
 	"repro/internal/smt"
 	"repro/internal/summary"
+	"repro/internal/wire"
 )
 
 // StopReason explains why a run terminated. Exactly one reason is
@@ -127,6 +128,8 @@ type instr struct {
 	ls     *obs.LiveState
 	epoch  time.Time
 	labels bool
+	// wire is deliver's encoding buffer.
+	wire []byte
 }
 
 // newInstr composes the hooks for a run of nodes × width worker slots.
@@ -165,12 +168,17 @@ func (in *instr) park(worker int) {
 }
 
 // deliver records one summary delivery between nodes of the distributed
-// simulation as a send/receive event pair keyed by the endpoints.
-func (in *instr) deliver(from, to int, proc string, bytes int, vtime int64) {
-	if in.tr != nil {
-		in.emit(obs.Event{Type: obs.EvGossipSend, Proc: proc, Node: from, VTime: vtime, N: int64(bytes)})
-		in.emit(obs.Event{Type: obs.EvGossipRecv, Proc: proc, Node: to, VTime: vtime, N: int64(bytes)})
+// simulation as a send/receive event pair keyed by the endpoints, each
+// carrying the summary's wire size, what a real cluster would ship. The
+// summary is encoded only for a tracer.
+func (in *instr) deliver(from, to int, s summary.Summary, vtime int64) {
+	if in.tr == nil {
+		return
 	}
+	in.wire, _ = wire.AppendSummary(in.wire[:0], s)
+	n := int64(len(in.wire))
+	in.emit(obs.Event{Type: obs.EvGossipSend, Proc: s.Proc, Node: from, VTime: vtime, N: n})
+	in.emit(obs.Event{Type: obs.EvGossipRecv, Proc: s.Proc, Node: to, VTime: vtime, N: n})
 }
 
 // finish snapshots the registry (nil when metrics were off), stamping

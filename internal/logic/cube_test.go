@@ -430,3 +430,29 @@ func raceEnabled() bool {
 	bi, ok := debug.ReadBuildInfo()
 	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
+
+// TestEachCubePastMaxYieldsNothing pins the contract PartitionOn relies
+// on: EachCube counts before it yields, so a formula with more than max
+// cubes returns false without a single call to yield, even when the
+// cubes it would have yielded first exist; at exactly max cubes it
+// yields them all.
+func TestEachCubePastMaxYieldsNothing(t *testing.T) {
+	a, b, c, d, e := LE(LinVar("a")), LE(LinVar("b")), LE(LinVar("c")), LE(LinVar("d")), LE(LinVar("e"))
+	for _, tc := range []struct {
+		f     Formula
+		cubes int
+	}{
+		{Disj(a, b, c, d, e), 5},
+		{Conj(Disj(a, b, c), Disj(d, e)), 6},
+		{Disj(Conj(Disj(a, b), Disj(c, d)), e), 5},
+		{Conj(a, Disj(b, c, Conj(d, e)), Disj(EQ(LinVar("f")), c)), 6},
+	} {
+		calls := 0
+		if EachCube(tc.f, tc.cubes-1, func(Cube) bool { calls++; return true }) || calls != 0 {
+			t.Errorf("EachCube(%v, %d) past its bound called yield %d times, or returned true", tc.f, tc.cubes-1, calls)
+		}
+		if !EachCube(tc.f, tc.cubes, func(Cube) bool { calls++; return true }) || calls != tc.cubes {
+			t.Errorf("EachCube(%v, %d) yielded %d cubes, want %d", tc.f, tc.cubes, calls, tc.cubes)
+		}
+	}
+}

@@ -519,7 +519,8 @@ var auditSplit, auditStep, auditHand = func(*Graph) {}, func(*Graph, EdgeID) {},
 func (g *Graph) PartitionOn(m *punch.Meter, r *Region, wp logic.Formula) (ins, outs []*Region) {
 	var parts []*Region
 	mk := func(f logic.Formula) {
-		start := len(parts)
+		// Past 32 cubes EachCube yields nothing, so no cube region is
+		// minted before the plain split.
 		if logic.EachCube(f, 32, func(c logic.Cube) bool {
 			m.Charge(4)
 			cf := m.Solver.Simplify(c.Formula())
@@ -530,7 +531,6 @@ func (g *Graph) PartitionOn(m *punch.Meter, r *Region, wp logic.Formula) (ins, o
 		}) {
 			return
 		}
-		parts = parts[:start] // the cubes' regions are dropped
 		m.Charge(8)
 		s := m.Solver.Simplify(f)
 		if sr := m.Sat(s); sr.Known && !sr.Sat {
