@@ -166,23 +166,38 @@ func TestDistributedKillRecovery(t *testing.T) {
 
 // TestDistributedNodeFailureStop: when the failing node is the last one
 // alive the run cannot proceed — it must stop with StopNodeFailure, not
-// pretend to time out or deadlock.
+// pretend to time out or deadlock. The one-node cluster has no peer and
+// so no gossip state; it dies once before any summary exists and once,
+// a round before the fault-free run ends, after its database holds some,
+// which its failover walk must survive.
 func TestDistributedNodeFailureStop(t *testing.T) {
 	prog := parser.MustParse(relationalToySource())
-	res := NewDistributed(prog, DistOptions{
-		Punch:          maymust.New(),
-		Nodes:          1,
-		ThreadsPerNode: 2,
-		MaxRounds:      4000,
-		Faults:         &Faults{KillNode: 0, KillRound: 1, Seed: 1},
-	}).Run(AssertionQuestion(prog))
-	if res.StopReason != StopNodeFailure {
-		t.Fatalf("stop reason %v, want node-failure", res.StopReason)
+	run := func(f *Faults) Result {
+		return NewDistributed(prog, DistOptions{
+			Punch:          maymust.New(),
+			Nodes:          1,
+			ThreadsPerNode: 1, // one thread: both runs take the same rounds
+			MaxRounds:      4000,
+			Faults:         f,
+		}).Run(AssertionQuestion(prog))
 	}
-	if res.Verdict != Unknown {
-		t.Fatalf("verdict %v, want Unknown", res.Verdict)
+	free := run(nil)
+	if free.Rounds < 3 {
+		t.Fatalf("fault-free run took %d rounds; the late kill needs at least 3", free.Rounds)
 	}
-	if len(res.KilledNodes) != 1 {
-		t.Fatalf("killed nodes = %v", res.KilledNodes)
+	for _, round := range []int{1, free.Rounds - 1} {
+		res := run(&Faults{KillNode: 0, KillRound: round, Seed: 1})
+		if res.StopReason != StopNodeFailure {
+			t.Fatalf("kill at round %d: stop reason %v, want node-failure", round, res.StopReason)
+		}
+		if res.Verdict != Unknown {
+			t.Fatalf("kill at round %d: verdict %v, want Unknown", round, res.Verdict)
+		}
+		if len(res.KilledNodes) != 1 {
+			t.Fatalf("kill at round %d: killed nodes = %v", round, res.KilledNodes)
+		}
+		if round > 1 && res.PerNodeSummaries[0] == 0 {
+			t.Fatalf("kill at round %d: the victim held no summaries, so the late kill tests nothing", round)
+		}
 	}
 }
