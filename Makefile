@@ -47,8 +47,13 @@ race:
 # barrier and on the streaming engine, must equal testdata/traj_pin.golden. A perf change that passes it did the same work
 # in less time; one that moves the trajectory on purpose regenerates the
 # table with `go test -run TestTrajectoryPin -update-traj .` and says so.
+# Beside it, the metrics pin: every registry key of a run (wall-clock keys
+# aside) for the corpus under all three analyses on the barrier engine, the
+# streaming engine and a one-node cluster must equal
+# testdata/metrics_pin.golden (regenerate on purpose with
+# `go test -run TestMetricsPin -update-metrics .`).
 traj-pin:
-	$(GO) test -run TestTrajectoryPin -count=1 .
+	$(GO) test -run 'TestTrajectoryPin|TestMetricsPin' -count=1 .
 
 # traj-diff is what a change that moves the trajectory on purpose runs
 # before it regenerates the table: every row that moved, old → new, with
