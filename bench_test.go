@@ -154,7 +154,7 @@ func BenchmarkAsyncVsBarrier(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					r := core.New(prog, core.Options{
 						Punch: maymust.New(), MaxThreads: 8, VirtualCores: 8,
-						MaxIterations: 1 << 19, Async: mode == "async",
+						MaxIterations: 1 << 19, Async: mode == "async", Metrics: obs.NewMetrics(),
 					}).Run(core.AssertionQuestion(prog))
 					if r.Verdict != want {
 						b.Fatalf("verdict = %v, barrier baseline said %v", r.Verdict, want)
@@ -162,7 +162,7 @@ func BenchmarkAsyncVsBarrier(b *testing.B) {
 					b.ReportMetric(float64(r.VirtualTicks), "vticks")
 					if mode == "async" {
 						b.ReportMetric(float64(r.Steals), "steals")
-						b.ReportMetric(float64(r.IdleWaits), "idlewaits")
+						b.ReportMetric(float64(r.Metrics.Counters["idle_parks"]), "idlewaits")
 					}
 				}
 			})
@@ -190,12 +190,12 @@ func BenchmarkCoalesceDiamond(b *testing.B) {
 `)
 	prog := parser.MustParse(src.String())
 	for i := 0; i < b.N; i++ {
-		r := core.New(prog, core.Options{Punch: maymust.New(), MaxThreads: 8, VirtualCores: 8, MaxIterations: 1 << 18}).
+		r := core.New(prog, core.Options{Punch: maymust.New(), MaxThreads: 8, VirtualCores: 8, MaxIterations: 1 << 18, Metrics: obs.NewMetrics()}).
 			Run(core.AssertionQuestion(prog))
 		if r.Verdict != core.Safe {
 			b.Fatalf("verdict = %v, want %v", r.Verdict, core.Safe)
 		}
-		b.ReportMetric(float64(r.DoneQueries), "punchdone")
+		b.ReportMetric(float64(r.Metrics.Counters["queries_done"]), "punchdone")
 		b.ReportMetric(float64(r.VirtualTicks), "vticks")
 		b.ReportMetric(float64(r.CoalesceHits), "coalesced")
 	}
@@ -321,7 +321,7 @@ func BenchmarkSumDBAnswer(b *testing.B) {
 				b.Fatal("no answer")
 			}
 		}
-		b.ReportMetric(float64(db.StatsSnapshot().MemoHits), "memohits")
+		b.ReportMetric(float64(summary.StatsOf(db).MemoHits), "memohits")
 	})
 	b.Run("varied", func(b *testing.B) {
 		db := build()

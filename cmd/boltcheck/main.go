@@ -348,15 +348,13 @@ func printStats(res bolt.Result, cluster bool) {
 }
 
 // printSolverStats renders the solver's hot-path accounting: the
-// learning-DPLL loop, theory-check volume, and the two memo layers
-// (entailment cache and hash-consed construction).
+// learning-DPLL loop, theory-check volume and the entailment cache.
 func printSolverStats(s smt.Stats) {
 	fmt.Printf("sat calls:    %d\n", s.SatCalls)
 	fmt.Printf("theory checks: %d\n", s.TheoryChecks)
 	fmt.Printf("dpll conflicts: %d (learned %d, propagations %d)\n",
 		s.DPLLConflicts, s.LearnedClauses, s.Propagations)
 	fmt.Printf("entail cache: %d hits / %d misses\n", s.EntailCacheHits, s.EntailCacheMisses)
-	fmt.Printf("hashcons hits: %d\n", s.HashConsHits)
 }
 
 // printMetrics renders the flattened registry sorted by key, then the

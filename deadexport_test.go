@@ -22,6 +22,7 @@ var testOnlyExports = map[string]string{
 	"bolt.Program.CheckReachContext": "CheckReach with cancellation; the public entry point TestCheckContextCancelled cancels",
 	"cfg.MustProgram":                "builds the hand-made CFG fixtures of three packages' tests",
 	"harness.RunEditSession":         "the edit-session driver `make incr-smoke` runs",
+	"logic.InternStats":              "the benchmark (bench/, its own module) derives logic.hashcons_hit_share from it",
 	"prov.Provenance.StableBytes":    "the schedule-invariant oracle prov-smoke compares engines by",
 	"prov.Provenance.Verify":         "the structural oracle prov-smoke asserts",
 	"store.CorruptError.Unwrap":      "errors.Is/As reach the cause through it",

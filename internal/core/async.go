@@ -174,7 +174,6 @@ func (s *asyncState) worker(id int) {
 				s.halt(StopDeadlocked)
 				break
 			}
-			r.res.IdleWaits++
 			r.in.park(id)
 			s.cond.Wait()
 			continue

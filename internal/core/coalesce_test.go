@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/punch"
 	"repro/internal/punch/maymust"
@@ -84,7 +85,7 @@ func TestCoalesceDiamondBarrier(t *testing.T) {
 	prog := parser.MustParse(`proc main { locals x; x = 1; assert(x > 0); }`)
 	t.Run("coalesce-on", func(t *testing.T) {
 		p := newDiamondPunch()
-		res := New(prog, Options{Punch: p, MaxThreads: 2, MaxIterations: 100}).Run(summary.Question{Proc: "main"})
+		res := New(prog, Options{Punch: p, MaxThreads: 2, MaxIterations: 100, Metrics: obs.NewMetrics()}).Run(summary.Question{Proc: "main"})
 		if res.Verdict != Safe {
 			t.Fatalf("verdict = %v", res.Verdict)
 		}
@@ -94,8 +95,8 @@ func TestCoalesceDiamondBarrier(t *testing.T) {
 		if res.CoalesceHits != 1 {
 			t.Errorf("CoalesceHits = %d, want 1", res.CoalesceHits)
 		}
-		if res.DoneQueries != 4 {
-			t.Errorf("DoneQueries = %d, want 4", res.DoneQueries)
+		if done := res.Metrics.Counters["queries_done"]; done != 4 {
+			t.Errorf("queries_done = %d, want 4", done)
 		}
 		if res.PeakLive != 4 {
 			t.Errorf("PeakLive = %d, want 4", res.PeakLive)
@@ -119,13 +120,15 @@ func TestCoalesceDiamondAsync(t *testing.T) {
 			MaxThreads:    4,
 			Async:         true,
 			MaxIterations: 1000,
+			Metrics:       obs.NewMetrics(),
 		}).Run(summary.Question{Proc: "main"})
 		if res.Verdict != Safe || res.StopReason != StopRootAnswered {
 			t.Fatalf("run %d: verdict %v, stop %v", i, res.Verdict, res.StopReason)
 		}
-		if got := res.DoneQueries + res.CoalesceHits; got != 5 {
-			t.Fatalf("run %d: DoneQueries (%d) + CoalesceHits (%d) = %d, want 5",
-				i, res.DoneQueries, res.CoalesceHits, got)
+		done := res.Metrics.Counters["queries_done"]
+		if got := done + res.CoalesceHits; got != 5 {
+			t.Fatalf("run %d: queries_done (%d) + CoalesceHits (%d) = %d, want 5",
+				i, done, res.CoalesceHits, got)
 		}
 	}
 }

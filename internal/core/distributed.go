@@ -275,22 +275,6 @@ func (e *DistEngine) RunContext(ctx context.Context, q0 summary.Question) Result
 	return res
 }
 
-// aggregateStats sums the per-node summary-database traffic into one
-// Stats view. Over a single database it is that database's own snapshot.
-func aggregateStats(dbs []*summary.DB) summary.Stats {
-	var agg summary.Stats
-	for _, db := range dbs {
-		st := db.StatsSnapshot()
-		agg.Added += st.Added
-		agg.YesHits += st.YesHits
-		agg.NoHits += st.NoHits
-		agg.Misses += st.Misses
-		agg.DupesSkip += st.DupesSkip
-		agg.MemoHits += st.MemoHits
-	}
-	return agg
-}
-
 // wakeBlocked moves every Blocked query on a live node back to Ready so
 // its next PUNCH slice re-examines the (just updated) local database.
 func wakeBlocked(r *reducer, nodes []*distNode) {

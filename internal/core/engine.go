@@ -167,15 +167,11 @@ type Result struct {
 	// PeakLive is the largest live-query count of one tree: on a cluster,
 	// the largest of PerNodePeakLive.
 	PeakLive     int
-	DoneQueries  int64
 	VirtualTicks int64
 	WallTime     time.Duration
-	// Steals and IdleWaits instrument the streaming engine's scheduler:
-	// how many queries were stolen from another worker's deque, and how
-	// many times a worker found no runnable work and had to park. Both
-	// are zero for the barrier engine.
-	Steals    int64
-	IdleWaits int64
+	// Steals counts the queries a streaming worker stole from another
+	// worker's deque (zero for the barrier engine).
+	Steals int64
 	// CoalesceHits counts spawned children answered by a live in-flight
 	// twin instead of growing a duplicate subtree.
 	CoalesceHits int64
@@ -202,7 +198,7 @@ type Result struct {
 	RecoveredSummaries int
 	// Metrics is the observability snapshot (nil unless Options.Metrics
 	// was set): counters, punch histograms, per-worker accounting, and
-	// sumdb_* traffic.
+	// the SUMDB and solver counters.
 	Metrics *obs.Snapshot
 	// Summaries is the final content of SUMDB.
 	Summaries []summary.Summary

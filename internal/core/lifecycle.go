@@ -182,38 +182,19 @@ func (in *instr) deliver(from, to int, s summary.Summary, vtime int64) {
 }
 
 // finish snapshots the registry (nil when metrics were off), stamping
-// the run's makespan and folding in the summary-database traffic under
-// sumdb_* counter keys and the solver's entailment-cache traffic under
-// entailment_cache_* keys and the fill of its memos under
-// solver_memo_<name>_* keys. The solver counters live as atomics in
-// smt.Stats (smt cannot import obs), so this fold is what routes them
-// into the Prometheus rendering.
+// the run's makespan and folding in the summary databases' and the
+// solver's own counters under the keys their Each names. Those counters
+// live as atomics in the layers (smt cannot import obs), so this fold is
+// what routes them into Result.Metrics.
 func (in *instr) finish(makespan int64, st summary.Stats, sv smt.Stats) *obs.Snapshot {
 	snap := in.m.Snapshot()
 	if snap == nil {
 		return nil
 	}
 	snap.MakespanTicks = makespan
-	c := snap.Counters
-	c["sumdb_added"] = st.Added
-	c["sumdb_yes_hits"] = st.YesHits
-	c["sumdb_no_hits"] = st.NoHits
-	c["sumdb_misses"] = st.Misses
-	c["sumdb_memo_hits"] = st.MemoHits
-	c["sumdb_dupes_skipped"] = st.DupesSkip
-	c["entailment_cache_hits"] = sv.EntailCacheHits
-	c["entailment_cache_misses"] = sv.EntailCacheMisses
-	c["entailment_cache_syn_hits"] = sv.EntailSynHits
-	c["dpll_conflicts"] = sv.DPLLConflicts
-	c["dpll_learned_clauses"] = sv.LearnedClauses
-	c["dpll_propagations"] = sv.Propagations
-	c["theory_checks"] = sv.TheoryChecks
-	c["hashcons_hits"] = sv.HashConsHits
-	for _, m := range solverMemos(sv) {
-		c["solver_memo_"+m.Name+"_entries"] = m.Entries
-		c["solver_memo_"+m.Name+"_capacity"] = m.Capacity
-		c["solver_memo_"+m.Name+"_turned_away"] = m.TurnedAway
-	}
+	put := func(key string, v int64) { snap.Counters[key] = v }
+	st.Each(put)
+	sv.Each(put)
 	return snap
 }
 

@@ -283,6 +283,7 @@ func TestBarrierDoneCountMidBatch(t *testing.T) {
 		Punch:         newScriptPunch(),
 		MaxThreads:    2,
 		MaxIterations: 100,
+		Metrics:       obs.NewMetrics(),
 	}).Run(summary.Question{Proc: "main"})
 	if res.Verdict != Safe {
 		t.Fatalf("verdict = %v", res.Verdict)
@@ -292,8 +293,8 @@ func TestBarrierDoneCountMidBatch(t *testing.T) {
 	}
 	// Batch 1: root (spawns c1, c2). Batch 2: c1 Done, c2 Ready.
 	// Batch 3: root Done AND c2 Done — all three must be counted.
-	if res.DoneQueries != 3 {
-		t.Fatalf("DoneQueries = %d, want 3 (root + both children)", res.DoneQueries)
+	if done := res.Metrics.Counters["queries_done"]; done != 3 {
+		t.Fatalf("queries_done = %d, want 3 (root + both children)", done)
 	}
 	// The live peak (root + both children) is reached before the final
 	// batch's REDUCE and must survive the root-answered break.
@@ -303,7 +304,7 @@ func TestBarrierDoneCountMidBatch(t *testing.T) {
 }
 
 // countingPunch wraps an analysis and counts every PUNCH invocation that
-// returned a Done query — the ground truth DoneQueries must match.
+// returned a Done query — the ground truth queries_done must match.
 type countingPunch struct {
 	inner punch.Punch
 	done  int64
@@ -320,7 +321,7 @@ func (p *countingPunch) Step(ctx *punch.Context, qr *query.Query) punch.Result {
 }
 
 // TestDoneQueriesBarrierAsyncAgree: on the regression corpus both engines
-// must account Done queries the same way — DoneQueries equals the number
+// must account Done queries the same way — queries_done equals the number
 // of Done results PUNCH actually produced. (Exact cross-engine equality
 // of the raw counts is NOT an invariant: scheduling order changes which
 // queries get answered by summary reuse, so the two engines legitimately
@@ -346,24 +347,25 @@ func TestDoneQueriesBarrierAsyncAgree(t *testing.T) {
 			q0 := AssertionQuestion(prog)
 			for _, threads := range []int{1, 8} {
 				bp := &countingPunch{inner: maymust.New()}
-				barrier := New(prog, Options{Punch: bp, MaxThreads: threads, MaxIterations: 60000}).Run(q0)
-				if barrier.DoneQueries != bp.done {
-					t.Errorf("barrier threads=%d: DoneQueries=%d, but PUNCH produced %d Done results",
-						threads, barrier.DoneQueries, bp.done)
+				barrier := New(prog, Options{Punch: bp, MaxThreads: threads, MaxIterations: 60000, Metrics: obs.NewMetrics()}).Run(q0)
+				if done := barrier.Metrics.Counters["queries_done"]; done != bp.done {
+					t.Errorf("barrier threads=%d: queries_done=%d, but PUNCH produced %d Done results",
+						threads, done, bp.done)
 				}
 				ap := &countingPunch{inner: maymust.New()}
-				async := New(prog, Options{Punch: ap, MaxThreads: threads, MaxIterations: 60000, Async: true}).Run(q0)
+				async := New(prog, Options{Punch: ap, MaxThreads: threads, MaxIterations: 60000, Async: true, Metrics: obs.NewMetrics()}).Run(q0)
 				// With one worker no result can become obsolete mid-run,
 				// so the streaming count is exact; with more workers a
 				// result whose subtree was GC'd concurrently is dropped,
-				// so DoneQueries may only undercount the PUNCH total.
-				if threads == 1 && async.DoneQueries != ap.done {
-					t.Errorf("async threads=1: DoneQueries=%d, but PUNCH produced %d Done results",
-						async.DoneQueries, ap.done)
+				// so queries_done may only undercount the PUNCH total.
+				done := async.Metrics.Counters["queries_done"]
+				if threads == 1 && done != ap.done {
+					t.Errorf("async threads=1: queries_done=%d, but PUNCH produced %d Done results",
+						done, ap.done)
 				}
-				if async.DoneQueries > ap.done {
-					t.Errorf("async threads=%d: DoneQueries=%d exceeds PUNCH total %d",
-						threads, async.DoneQueries, ap.done)
+				if done > ap.done {
+					t.Errorf("async threads=%d: queries_done=%d exceeds PUNCH total %d",
+						threads, done, ap.done)
 				}
 				if barrier.Verdict != async.Verdict {
 					t.Fatalf("threads=%d: verdicts diverge: barrier %v, async %v",

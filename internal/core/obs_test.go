@@ -105,9 +105,6 @@ func TestAsyncTraceOrdering(t *testing.T) {
 	if snap == nil {
 		t.Fatal("metrics snapshot missing")
 	}
-	if got := snap.Counters["queries_done"]; got != res.DoneQueries {
-		t.Errorf("queries_done = %d, want %d", got, res.DoneQueries)
-	}
 	if snap.Counters["punch_invocations"] < int64(ends) {
 		t.Errorf("punch_invocations = %d < punch-end events %d",
 			snap.Counters["punch_invocations"], ends)
@@ -214,33 +211,33 @@ func TestFoldsAgreeWithEvents(t *testing.T) {
 	}
 	prog := parser.MustParse(string(src))
 	q0 := AssertionQuestion(prog)
-	runs := map[string]func(obs.Tracer, *obs.Metrics, *obs.Probe) ([]int, *prov.Provenance){
-		"barrier": func(tr obs.Tracer, m *obs.Metrics, p *obs.Probe) ([]int, *prov.Provenance) {
-			res := New(prog, Options{Punch: maymust.New(), MaxThreads: 4, Tracer: tr, Metrics: m, Probe: p, CollectProvenance: true}).Run(q0)
-			return nil, res.Provenance
+	runs := map[string]func(obs.Tracer, *obs.Metrics, *obs.Probe) Result{
+		"barrier": func(tr obs.Tracer, m *obs.Metrics, p *obs.Probe) Result {
+			return New(prog, Options{Punch: maymust.New(), MaxThreads: 4, Tracer: tr, Metrics: m, Probe: p, CollectProvenance: true}).Run(q0)
 		},
-		"async": func(tr obs.Tracer, m *obs.Metrics, p *obs.Probe) ([]int, *prov.Provenance) {
-			res := New(prog, Options{Punch: maymust.New(), MaxThreads: 4, Async: true, Tracer: tr, Metrics: m, Probe: p, CollectProvenance: true}).Run(q0)
-			return nil, res.Provenance
+		"async": func(tr obs.Tracer, m *obs.Metrics, p *obs.Probe) Result {
+			return New(prog, Options{Punch: maymust.New(), MaxThreads: 4, Async: true, Tracer: tr, Metrics: m, Probe: p, CollectProvenance: true}).Run(q0)
 		},
-		"dist": func(tr obs.Tracer, m *obs.Metrics, p *obs.Probe) ([]int, *prov.Provenance) {
+		"dist": func(tr obs.Tracer, m *obs.Metrics, p *obs.Probe) Result {
 			res := NewDistributed(prog, DistOptions{Punch: maymust.New(), Nodes: 3, ThreadsPerNode: 2, Tracer: tr, Metrics: m, Probe: p,
 				Faults: &Faults{KillNode: 1, KillRound: 2}, CollectProvenance: true}).Run(q0)
 			if len(res.KilledNodes) != 1 {
 				t.Fatalf("killed nodes %v, want [1]", res.KilledNodes)
 			}
-			return res.KilledNodes, res.Provenance
+			return res
 		},
 	}
 	for name, run := range runs {
 		t.Run(name, func(t *testing.T) {
 			rec, m, p := &obs.Recording{}, obs.NewMetrics(), &obs.Probe{}
-			killed, got := run(rec, m, p)
+			res := run(rec, m, p)
 			if p.State().Forest.MaxDepth < 2 {
 				t.Fatalf("max depth %d: the program exercises too little", p.State().Forest.MaxDepth)
 			}
 			evs, snap := rec.Events(), m.Snapshot()
-			checkFolds(t, evs, snap, p.State(), killed)
+			checkFolds(t, evs, snap, p.State(), res.KilledNodes)
+			checkTwins(t, res, snap)
+			got := res.Provenance
 			if snap.Counters["prov_summary_reads"] == 0 || snap.Counters["prov_summary_writes"] == 0 {
 				t.Fatalf("no summary traffic in the stream: %v", snap.Counters)
 			}
@@ -259,6 +256,25 @@ func TestFoldsAgreeWithEvents(t *testing.T) {
 				t.Fatalf("Result.Provenance is not the fold of the stream:\n run  %s\n fold %s", have.Bytes(), want.Bytes())
 			}
 		})
+	}
+}
+
+// checkTwins asserts that the counters a Result keeps beside the registry
+// agree with it. Every query the allocator hands out is either spawned
+// into a tree or answered at once by a live twin, so
+// TotalQueries = queries_spawned + coalesce_hits (the root's spawn is an
+// event too).
+func checkTwins(t *testing.T, res Result, snap *obs.Snapshot) {
+	t.Helper()
+	c := snap.Counters
+	if want := c["queries_spawned"] + c["coalesce_hits"]; res.TotalQueries != want {
+		t.Errorf("TotalQueries = %d, queries_spawned + coalesce_hits = %d", res.TotalQueries, want)
+	}
+	if res.CoalesceHits != c["coalesce_hits"] || res.Steals != c["steals_succeeded"] {
+		t.Errorf("CoalesceHits/Steals = %d/%d, registry %d/%d", res.CoalesceHits, res.Steals, c["coalesce_hits"], c["steals_succeeded"])
+	}
+	if int64(len(res.KilledNodes)) != c["node_kills"] {
+		t.Errorf("KilledNodes = %v, node_kills = %d", res.KilledNodes, c["node_kills"])
 	}
 }
 

@@ -69,9 +69,7 @@ type reducer struct {
 	}
 
 	solver *smt.Solver
-	// hits0 is the intern table's hit count when the run began.
-	hits0 int64
-	alloc *query.Allocator
+	alloc  *query.Allocator
 	// forest is one tree for the shared-memory engines, one per node for
 	// the cluster; dbs and pctx are indexed alike. home routes a procedure
 	// to the tree owning its queries and summaries (nil: the only tree).
@@ -194,7 +192,6 @@ func (r *reducer) run(ctx context.Context, q0 summary.Question, schedule func(co
 // begin to end the run holds the formula intern table (logic.BeginRun).
 func (r *reducer) begin(q0 summary.Question) bool {
 	logic.BeginRun()
-	r.hits0, _ = logic.InternStats()
 	r.start = time.Now()
 	r.phase.start = r.start
 	r.q0 = q0
@@ -299,7 +296,7 @@ func (r *reducer) begin(q0 summary.Question) bool {
 	}
 	r.in = newInstr(o.Tracer, r.fold, o.Metrics, ls, len(r.forest), r.width, r.start, o.PprofLabels)
 	if ls != nil {
-		attachProbe(o.Probe, ls, r.dbs, r.solverStats)
+		attachProbe(o.Probe, ls, r.dbs, r.solver)
 		r.publish(0, 0)
 	}
 	if r.in.labels || r.in.tr != nil {
@@ -826,14 +823,6 @@ func (r *reducer) publish(iterations, running int64) {
 	r.in.ls.Publish(g)
 }
 
-// solverStats is the solver's counters with the run's intern-table hits.
-func (r *reducer) solverStats() smt.Stats {
-	sv := r.solver.StatsSnapshot()
-	hits, _ := logic.InternStats()
-	sv.HashConsHits = hits - r.hits0
-	return sv
-}
-
 // end tears the run down into r.res: counters (the nodes' shelf counts go
 // to the metrics registry), the final SUMDB content, the store write-back,
 // provenance and the metrics snapshot. The scheduler has recorded the
@@ -846,12 +835,11 @@ func (r *reducer) end() {
 		r.o.Probe.Detach()
 	}
 	res.TotalQueries = r.alloc.Count()
-	res.DoneQueries = r.done
 	res.VirtualTicks = r.vtime
 	res.PeakLive = slices.Max(r.peak)
 	res.WallTime = time.Since(r.start)
-	res.SumDB = aggregateStats(r.dbs)
-	res.Solver = r.solverStats()
+	res.SumDB = summary.StatsOf(r.dbs...)
+	res.Solver = r.solver.StatsSnapshot()
 	res.Summaries = r.summaries()
 	for i := range r.pctx {
 		shelved, taken, evicted := r.pctx[i].Shelf.Counts()

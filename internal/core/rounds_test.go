@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/punch"
@@ -209,11 +208,6 @@ func TestBarrierIsOneNodeCluster(t *testing.T) {
 		}
 		prog := parser.MustParse(string(src))
 		q := AssertionQuestion(prog)
-		// A run counts its intern-table hits from what the table holds when
-		// it begins, and every run ends by dropping the table. Drop what the
-		// parse filled it with, so the first run starts as the second does.
-		logic.BeginRun()
-		logic.EndRun()
 		for an, newPunch := range analyses {
 			name := filepath.Base(f) + ", " + an
 			bar := New(prog, Options{Punch: newPunch(), MaxThreads: 1, MaxIterations: budget,

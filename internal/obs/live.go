@@ -23,6 +23,9 @@ package obs
 import (
 	"sync/atomic"
 	"time"
+
+	"repro/internal/smt"
+	"repro/internal/summary"
 )
 
 // RunPhase describes what a Probe's engine is doing.
@@ -247,44 +250,6 @@ type NodeState struct {
 	BusyTicks     int64 `json:"busy_ticks"`
 }
 
-// SumDBState is the summary database's live view: its size and its
-// answering traffic, read from the database's counters. In the
-// distributed engine the view aggregates every node's database, so
-// Summaries counts gossip replicas too.
-type SumDBState struct {
-	Summaries int64 `json:"summaries"`
-	YesHits   int64 `json:"yes_hits"`
-	NoHits    int64 `json:"no_hits"`
-	Misses    int64 `json:"misses"`
-	MemoHits  int64 `json:"memo_hits"`
-}
-
-// SolverState is the solver's mid-run accounting: entailment-cache and
-// DPLL counters sampled from the live atomics.
-type SolverState struct {
-	SatCalls          int64 `json:"sat_calls"`
-	TheoryChecks      int64 `json:"theory_checks"`
-	DPLLConflicts     int64 `json:"dpll_conflicts"`
-	LearnedClauses    int64 `json:"learned_clauses"`
-	Propagations      int64 `json:"propagations"`
-	EntailCacheHits   int64 `json:"entail_cache_hits"`
-	EntailCacheMisses int64 `json:"entail_cache_misses"`
-	EntailSynHits     int64 `json:"entail_syn_hits"`
-	HashConsHits      int64 `json:"hashcons_hits"`
-	// Memos is the fill of each of the solver's bounded memos. None of
-	// them evicts: one with TurnedAway > 0 is full and has been computing
-	// the results it could not keep again.
-	Memos []MemoState `json:"memos,omitempty"`
-}
-
-// MemoState is the fill of one solver memo.
-type MemoState struct {
-	Name       string `json:"name"`
-	Entries    int64  `json:"entries"`
-	Capacity   int64  `json:"capacity"`
-	TurnedAway int64  `json:"turned_away"`
-}
-
 // StateSnapshot is one moment of a run, assembled for JSON. The
 // published gauges are one consistent cut taken at the engine's latest
 // safe point; the event folds (worker cells, max depth, node deaths) are
@@ -305,10 +270,13 @@ type StateSnapshot struct {
 	Workers    []WorkerState  `json:"workers,omitempty"`
 	// Nodes and NodeSkew (max/avg busy ticks over live nodes) are
 	// populated by the distributed engine only.
-	Nodes    []NodeState  `json:"nodes,omitempty"`
-	NodeSkew float64      `json:"node_skew,omitempty"`
-	SumDB    *SumDBState  `json:"sumdb,omitempty"`
-	Solver   *SolverState `json:"solver,omitempty"`
+	Nodes    []NodeState `json:"nodes,omitempty"`
+	NodeSkew float64     `json:"node_skew,omitempty"`
+	// SumDB is the summary databases' traffic (summed over a cluster's
+	// nodes, so Added counts gossip replicas too) and Solver the run
+	// solver's counters and memo fills, both read live from the layers.
+	SumDB  *summary.Stats `json:"sumdb,omitempty"`
+	Solver *smt.Stats     `json:"solver,omitempty"`
 }
 
 // TotalPunches sums the per-worker punch counters — one of the progress

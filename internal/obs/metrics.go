@@ -316,8 +316,9 @@ type WorkerSnapshot struct {
 // Snapshot is a point-in-time copy of a Metrics registry, attached to
 // engine results and serialized by the CLIs.
 type Snapshot struct {
-	// Counters maps every registry counter name to its value; engines
-	// additionally fold in summary-database traffic under sumdb_* keys.
+	// Counters maps every registry counter name to its value; at run end
+	// engines fold in the summary databases' and the solver's own
+	// counters under the keys summary.Stats.Each and smt.Stats.Each name.
 	Counters map[string]int64 `json:"counters"`
 	// PunchCost is the distribution of per-invocation abstract cost
 	// (virtual ticks); PunchWallNs of wall-clock nanoseconds.

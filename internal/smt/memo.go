@@ -198,7 +198,9 @@ func (st *memoStripe[K, X]) grow(t *memoTable[K, X]) *memoTable[K, X] {
 // MemoStats is the fill of one memo: how many results it holds, how many
 // it may hold, and how many it turned away because it was full.
 type MemoStats struct {
-	Entries, Capacity, TurnedAway int64
+	Entries    int64 `json:"entries"`
+	Capacity   int64 `json:"capacity"`
+	TurnedAway int64 `json:"turned_away"`
 }
 
 func (c *memo[K, X]) stats() MemoStats {

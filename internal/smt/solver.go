@@ -37,26 +37,52 @@ type Result struct {
 
 // Stats carries the solver's operation counters. Counters are atomic so a
 // single Solver can be shared between the parallel PUNCH instances, as
-// SUMDB shares one in the paper's implementation.
+// SUMDB shares one in the paper's implementation. The JSON names are the
+// live snapshot's (/debug/bolt/state); Each names the registry keys.
 type Stats struct {
-	SatCalls     int64
-	TheoryChecks int64
-	Conflicts    int64 // theory conflicts (blocked lazy-SMT assignments)
-	Ticks        int64 // abstract work units, the currency of virtual time
+	SatCalls     int64 `json:"sat_calls"`
+	TheoryChecks int64 `json:"theory_checks"`
+	Conflicts    int64 `json:"conflicts"` // theory conflicts (blocked lazy-SMT assignments)
+	Ticks        int64 `json:"ticks"`     // abstract work units, the currency of virtual time
 	// Entailment-cache counters; all zero when the cache is disabled.
-	EntailCacheHits   int64
-	EntailCacheMisses int64
-	EntailSynHits     int64 // misses settled by the syntactic pre-check, no DPLL
+	EntailCacheHits   int64 `json:"entailment_cache_hits"`
+	EntailCacheMisses int64 `json:"entailment_cache_misses"`
+	EntailSynHits     int64 `json:"entailment_cache_syn_hits"` // misses settled by the syntactic pre-check, no DPLL
 	// Learning-solver counters (cdcl.go).
-	DPLLConflicts  int64 // propositional conflicts analyzed by the CDCL core
-	LearnedClauses int64 // clauses learned (1-UIP, theory-trail, blocking)
-	Propagations   int64 // literals propagated by the two-watched scheme
-	// HashConsHits is the run's intern-table hits, counted from its start
-	// (filled in by the engine; StatsSnapshot leaves it zero).
-	HashConsHits int64
+	DPLLConflicts  int64 `json:"dpll_conflicts"`       // propositional conflicts analyzed by the CDCL core
+	LearnedClauses int64 `json:"dpll_learned_clauses"` // clauses learned (1-UIP, theory-trail, blocking)
+	Propagations   int64 `json:"dpll_propagations"`    // literals propagated by the two-watched scheme
 	// Fill of the solver's memos (snapshot-only): the Sat, satCube and
 	// entailment memos, and the one-step-feasibility and Simplify memos.
-	SatMemo, CubeMemo, EntailMemo, StepMemo, SimplifyMemo MemoStats
+	// None evicts: one with TurnedAway > 0 is full.
+	SatMemo      MemoStats `json:"memo_sat"`
+	CubeMemo     MemoStats `json:"memo_cube"`
+	EntailMemo   MemoStats `json:"memo_entail"`
+	StepMemo     MemoStats `json:"memo_step"`
+	SimplifyMemo MemoStats `json:"memo_simplify"`
+}
+
+// Each hands put every counter the metrics registry carries, under its
+// registry key. SatCalls, Conflicts and Ticks are not among them: a run
+// reports them on its Result.
+func (s Stats) Each(put func(key string, v int64)) {
+	put("theory_checks", s.TheoryChecks)
+	put("entailment_cache_hits", s.EntailCacheHits)
+	put("entailment_cache_misses", s.EntailCacheMisses)
+	put("entailment_cache_syn_hits", s.EntailSynHits)
+	put("dpll_conflicts", s.DPLLConflicts)
+	put("dpll_learned_clauses", s.LearnedClauses)
+	put("dpll_propagations", s.Propagations)
+	memo := func(name string, m MemoStats) {
+		put("solver_memo_"+name+"_entries", m.Entries)
+		put("solver_memo_"+name+"_capacity", m.Capacity)
+		put("solver_memo_"+name+"_turned_away", m.TurnedAway)
+	}
+	memo("sat", s.SatMemo)
+	memo("cube", s.CubeMemo)
+	memo("entail", s.EntailMemo)
+	memo("step", s.StepMemo)
+	memo("simplify", s.SimplifyMemo)
 }
 
 // Solver decides QF_LIA formulas. The zero value is not usable; call New.

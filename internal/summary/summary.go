@@ -81,16 +81,27 @@ func formulaKey(f logic.Formula) string {
 	return logic.Key(f)
 }
 
-// Stats counts database traffic.
+// Stats counts database traffic. The JSON names are the live snapshot's
+// (/debug/bolt/state); Each names the registry keys.
 type Stats struct {
-	Added     int64
-	YesHits   int64
-	NoHits    int64
-	Misses    int64
-	DupesSkip int64
+	Added     int64 `json:"added"`
+	YesHits   int64 `json:"yes_hits"`
+	NoHits    int64 `json:"no_hits"`
+	Misses    int64 `json:"misses"`
+	DupesSkip int64 `json:"dupes_skipped"`
 	// MemoHits counts answers served from the bounded question memo
 	// without re-running any solver check.
-	MemoHits int64
+	MemoHits int64 `json:"memo_hits"`
+}
+
+// Each hands put every counter under its metrics-registry key.
+func (s Stats) Each(put func(key string, v int64)) {
+	put("sumdb_added", s.Added)
+	put("sumdb_yes_hits", s.YesHits)
+	put("sumdb_no_hits", s.NoHits)
+	put("sumdb_misses", s.Misses)
+	put("sumdb_dupes_skipped", s.DupesSkip)
+	put("sumdb_memo_hits", s.MemoHits)
 }
 
 // memoBound caps the per-procedure question memo; when exceeded the memo
@@ -172,7 +183,7 @@ type DB struct {
 	// holding any lock.
 	names  []string
 	solver *smt.Solver
-	// Traffic counters, atomics so that Count and StatsSnapshot read them
+	// Traffic counters, atomics so that Count and StatsOf read them
 	// mid-run without a lock.
 	added, dupes, yesHits, noHits, misses, memoHits atomic.Int64
 }
@@ -349,17 +360,20 @@ func (db *DB) All() []Summary {
 	return out
 }
 
-// StatsSnapshot returns the traffic counters. Each is read atomically;
-// mid-run they may be a few operations apart.
-func (db *DB) StatsSnapshot() Stats {
-	return Stats{
-		Added:     db.added.Load(),
-		YesHits:   db.yesHits.Load(),
-		NoHits:    db.noHits.Load(),
-		Misses:    db.misses.Load(),
-		DupesSkip: db.dupes.Load(),
-		MemoHits:  db.memoHits.Load(),
+// StatsOf sums the traffic counters of dbs: one database, or every node
+// of a cluster. Each is read atomically; mid-run they may be a few
+// operations apart.
+func StatsOf(dbs ...*DB) Stats {
+	var s Stats
+	for _, db := range dbs {
+		s.Added += db.added.Load()
+		s.YesHits += db.yesHits.Load()
+		s.NoHits += db.noHits.Load()
+		s.Misses += db.misses.Load()
+		s.DupesSkip += db.dupes.Load()
+		s.MemoHits += db.memoHits.Load()
 	}
+	return s
 }
 
 // Solver exposes the database's solver so analyses share one instance (and

@@ -97,7 +97,7 @@ func TestDeduplication(t *testing.T) {
 	if db.Count() != 1 {
 		t.Fatalf("Count = %d, want 1", db.Count())
 	}
-	if db.StatsSnapshot().DupesSkip != 1 {
+	if StatsOf(db).DupesSkip != 1 {
 		t.Fatal("duplicate not counted")
 	}
 }
@@ -120,7 +120,7 @@ func TestConcurrentUse(t *testing.T) {
 	if db.Count() != 400 {
 		t.Fatalf("Count = %d, want 400", db.Count())
 	}
-	st := db.StatsSnapshot()
+	st := StatsOf(db)
 	if st.Added != 400 {
 		t.Fatalf("Added = %d", st.Added)
 	}
@@ -175,7 +175,7 @@ func TestDBHammer(t *testing.T) {
 				}
 				db.ForProc(proc)
 				db.Count()
-				db.StatsSnapshot()
+				StatsOf(db)
 				if view := db.Procs(); len(view) > 2*procs {
 					t.Errorf("Procs() read mid-run lists %d procedures, at most %d exist", len(view), 2*procs)
 				}
@@ -195,7 +195,7 @@ func TestDBHammer(t *testing.T) {
 		}
 	}
 	want := int64(goroutines*perG + procs*(base+1))
-	st := db.StatsSnapshot()
+	st := StatsOf(db)
 	if st.Added != want || int64(db.Count()) != want || int64(len(db.All())) != want {
 		t.Fatalf("Added %d, Count %d, len(All) %d, want all %d", st.Added, db.Count(), len(db.All()), want)
 	}
@@ -234,13 +234,13 @@ func TestMemoInvalidation(t *testing.T) {
 
 	// Positive answers are memoized; repeats must bump MemoHits (summaries
 	// are never removed, so a hit can be replayed forever).
-	before := db.StatsSnapshot().MemoHits
+	before := StatsOf(db).MemoHits
 	for i := 0; i < 5; i++ {
 		if _, ok := db.AnswerYes(q); !ok {
 			t.Fatal("memoized hit lost")
 		}
 	}
-	if after := db.StatsSnapshot().MemoHits; after < before+5 {
+	if after := StatsOf(db).MemoHits; after < before+5 {
 		t.Fatalf("MemoHits %d -> %d, want +5", before, after)
 	}
 }
@@ -256,11 +256,11 @@ func TestMemoAnswerNo(t *testing.T) {
 	if _, ok := db.AnswerNo(q); !ok {
 		t.Fatal("stale memoized miss survived an Add")
 	}
-	before := db.StatsSnapshot().MemoHits
+	before := StatsOf(db).MemoHits
 	if _, ok := db.AnswerNo(q); !ok {
 		t.Fatal("memoized hit lost")
 	}
-	if db.StatsSnapshot().MemoHits != before+1 {
+	if StatsOf(db).MemoHits != before+1 {
 		t.Fatal("repeat AnswerNo not served from memo")
 	}
 }
